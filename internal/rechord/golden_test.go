@@ -335,11 +335,6 @@ func loadGolden(t *testing.T) goldenFile {
 	return g
 }
 
-// goldenPartitionWidths stays empty until Partition.flushPublishes
-// emits in identifier order: today it ranges over a map, so the sink
-// log differs between identical runs and cannot be pinned.
-var goldenPartitionWidths = []int{}
-
 func goldenPartitionKey(c goldenCase, nprocs int) string {
 	return fmt.Sprintf("%s/%d-way", c.name, nprocs)
 }
@@ -385,7 +380,7 @@ func TestGoldenFingerprints(t *testing.T) {
 					check(t, table, wantTable, c.name, runGoldenScheduler(t, c, nw, a), workers)
 				}
 			}
-			for _, nprocs := range goldenPartitionWidths {
+			for _, nprocs := range []int{2, 4} {
 				key := goldenPartitionKey(c, nprocs)
 				run, _ := runGoldenPartition(t, c, nprocs)
 				got.Partition[key] = run
@@ -412,5 +407,25 @@ func TestGoldenFingerprints(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Logf("wrote %s", goldenPath)
+	}
+}
+
+// TestPartitionSinkOrderDeterministic: two identical partitioned runs
+// emit the identical ordered (kind, from, to, len) sink log — the
+// "ordered sink traffic" contract of the barrier, which a map-order
+// publish flush used to break.
+func TestPartitionSinkOrderDeterministic(t *testing.T) {
+	c := goldenCase{name: "sink-order", seed: 5, n: 64, gen: topogen.Random(), script: []goldenEvent{{3, "join", 1}, {5, "fail", 9}}}
+	for _, nprocs := range []int{2, 4} {
+		_, a := runGoldenPartition(t, c, nprocs)
+		_, b := runGoldenPartition(t, c, nprocs)
+		if len(a) != len(b) {
+			t.Fatalf("%d-way: %d sink events vs %d", nprocs, len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("%d-way: sink event %d of %d differs between identical runs: %+v vs %+v", nprocs, i, len(a), a[i], b[i])
+			}
+		}
 	}
 }

@@ -234,7 +234,15 @@ func (p *Partition) flushPublishes() {
 		clear(p.pub)
 		return
 	}
+	// Identifier order, not map order: the sink stream (and with it frame
+	// contents and the wire's symbol-table assignment) must be identical
+	// between identical runs.
+	ids := make([]ident.ID, 0, len(p.pub))
 	for id := range p.pub {
+		ids = append(ids, id)
+	}
+	ident.Sort(ids)
+	for _, id := range ids {
 		slot, ok := p.nw.pt.lookup(id)
 		if !ok {
 			continue // departed between batch and flush (same-round op cannot happen, but stay safe)
