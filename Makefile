@@ -38,7 +38,7 @@ LOOKUP_BENCH := BenchmarkTableLookup|BenchmarkWorkload
 # by the bench-diff gate (currently 0).
 WIRE_BENCH := BenchmarkEncodeMessage|BenchmarkDecodeMessage
 
-.PHONY: all test test-short lint vet fmt staticcheck bench bench-json bench-lookups bench-async bench-mem bench-wire bench-diff fuzz-smoke cover examples clean
+.PHONY: all test test-short lint vet fmt staticcheck loc bench bench-json bench-lookups bench-async bench-mem bench-wire bench-diff fuzz-smoke cover examples clean
 
 all: lint test
 
@@ -68,6 +68,13 @@ staticcheck:
 	else \
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION))"; \
 	fi
+
+# loc prints the code-size reading ROADMAP aim 2 tracks next to
+# bytes/peer: non-test Go lines outside bench/, for the whole repo and
+# for the engine package. It should go down while the benches hold.
+loc:
+	@count() { find "$$1" -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.*' -exec cat {} + | wc -l; }; \
+	echo "non-test Go lines: repo $$(count .), internal/rechord $$(count internal/rechord)"
 
 # cover writes the aggregate coverage profile (uploaded as a CI
 # artifact) and prints the total.

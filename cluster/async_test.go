@@ -204,9 +204,6 @@ func TestAsyncRunWorkloadCancel(t *testing.T) {
 
 // TestAsyncOptionValidation pins the option-combination errors.
 func TestAsyncOptionValidation(t *testing.T) {
-	if _, err := New(WithAsync(0.5, nil), WithFullSweep(), WithTopology(TopologyRandom)); !errors.Is(err, ErrConfig) {
-		t.Errorf("async+fullsweep: %v, want ErrConfig", err)
-	}
 	if _, err := New(WithAsync(1.5, nil)); !errors.Is(err, ErrConfig) {
 		t.Errorf("activation prob 1.5: %v, want ErrConfig", err)
 	}

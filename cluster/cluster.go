@@ -100,7 +100,6 @@ func New(opts ...Option) (*Cluster, error) {
 	}
 	rcfg := rechord.Config{
 		Workers:           cfg.workers,
-		FullSweep:         cfg.fullSweep,
 		DisableRing:       cfg.disableRing,
 		DisableConnection: cfg.disableConnection,
 	}

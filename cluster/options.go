@@ -51,7 +51,6 @@ type config struct {
 	topology          string
 	workers           int
 	routerCache       bool
-	fullSweep         bool
 	disableRing       bool
 	disableConnection bool
 	async             bool
@@ -91,12 +90,6 @@ func WithWorkers(w int) Option { return func(c *config) { c.workers = w } }
 // through the state-walk router — the baseline the cache is measured
 // against.
 func WithRouterCache(on bool) Option { return func(c *config) { c.routerCache = on } }
-
-// WithFullSweep runs the paper's literal schedule — rules 1-6 at every
-// peer every round — instead of the activity-tracked incremental
-// scheduler. Round-by-round global states are identical; full sweep is
-// the equivalence baseline and debugging aid.
-func WithFullSweep() Option { return func(c *config) { c.fullSweep = true } }
 
 // WithAblation disables rule 5 (ring edges) and/or rule 6 (connection
 // edges), the paper's ablations. An ablated cluster cannot use the
@@ -224,7 +217,7 @@ func WithWireMetrics(m *obs.WireMetrics) Option {
 // activationProb per step and messages arrive after a delay drawn from
 // the model (nil = the synchronous delay of 1). Every facade method
 // works unchanged; reports that count "rounds" count asynchronous
-// steps instead. Incompatible with WithFullSweep.
+// steps instead.
 func WithAsync(activationProb float64, delay DelayModel) Option {
 	return func(c *config) {
 		c.async = true
@@ -246,13 +239,8 @@ func (c config) validate() error {
 	if c.topology == TopologyStable && (c.disableRing || c.disableConnection) {
 		return fmt.Errorf("%w: the stable topology requires all six rules; use a non-stable topology with WithAblation", ErrConfig)
 	}
-	if c.async {
-		if c.fullSweep {
-			return fmt.Errorf("%w: WithAsync and WithFullSweep are mutually exclusive (the full sweep is a synchronous schedule)", ErrConfig)
-		}
-		if c.asyncProb <= 0 || c.asyncProb > 1 {
-			return fmt.Errorf("%w: async activation probability %v outside (0, 1]", ErrConfig, c.asyncProb)
-		}
+	if c.async && (c.asyncProb <= 0 || c.asyncProb > 1) {
+		return fmt.Errorf("%w: async activation probability %v outside (0, 1]", ErrConfig, c.asyncProb)
 	}
 	return nil
 }

@@ -23,10 +23,8 @@ import (
 // activation and delivery events. Only frontier peers hold a pending
 // activation event (the per-step Bernoulli(p) coin flips collapse into
 // one geometric draw per wake-up), and the level and published-rl/rr
-// caches update by diff at every batch barrier — the wholesale
-// rebuildLevels/rebuildView plus full peer scan of the original
-// implementation is gone from the hot path entirely. A quiescent
-// network with an empty delivery queue makes Step O(1).
+// caches update by diff at every batch barrier. A quiescent network
+// with an empty delivery queue makes Step O(1).
 //
 // Message flow is two-tier, matching how the activity-tracked engine
 // models the paper's repeating output flow:
@@ -75,15 +73,12 @@ type AsyncRunner struct {
 	// the runner having to observe the departure.
 	sched []uint32
 
-	deliveries int                    // pending delivery events
-	inflight   int                    // messages inside pending delivery events
-	fIdx       int                    // prefix of nw.frontier already drained
-	active     []uint32               // batch scratch (slots)
-	pend       []uint32               // drain scratch (slots)
-	newBy      map[ident.ID][]Message // routing scratch
-	oldBy      map[ident.ID][]Message // routing scratch
-	touched    []ident.ID             // routing scratch
-	fp         uint64                 // event-order fingerprint
+	deliveries int      // pending delivery events
+	inflight   int      // messages inside pending delivery events
+	fIdx       int      // prefix of nw.frontier already drained
+	active     []uint32 // batch scratch (slots)
+	pend       []uint32 // drain scratch (slots)
+	fp         uint64   // event-order fingerprint
 }
 
 // AsyncConfig parameterizes the adversary.
@@ -143,8 +138,9 @@ func (q *eventQueue) Pop() interface{} {
 	return ev
 }
 
-// NewAsyncRunner wraps a network for asynchronous execution. The
-// network must not be stepped synchronously while the runner is used;
+// NewAsyncRunner wraps a network for asynchronous execution, claiming
+// its flow router: the network must not be stepped synchronously
+// afterwards;
 // Config.FullSweep is ignored (the asynchronous scheduler is always
 // incremental). Standing buckets left by earlier synchronous rounds
 // remain valid: they are the senders' repeating flow under any
@@ -185,7 +181,9 @@ func NewAsyncRunner(nw *Network, cfg AsyncConfig, rng *rand.Rand) *AsyncRunner {
 			}
 		}
 	}
-	return &AsyncRunner{nw: nw, cfg: cfg, rng: rng}
+	a := &AsyncRunner{nw: nw, cfg: cfg, rng: rng}
+	nw.router = a
+	return a
 }
 
 // eventTarget resolves an event's target peer: the handle while the
@@ -349,23 +347,22 @@ func (a *AsyncRunner) drainFrontier(start int, immediate *[]uint32) {
 	}
 }
 
-// route is the runner's barrier output routing, called for every
-// active peer with whether the run changed its total output and its
-// own protocol state. Per recipient link:
+// planFlow is the runner's plan step: a merge-walk over the sender's
+// standing flow (lastFlow) and this run's output (p.newFlow), both
+// sorted by recipient, so ops come out in identifier order. Per
+// recipient link:
 //
 //   - An unchanged contribution is (if not yet) installed as the
 //     standing bucket, silently: its content already reached the
 //     recipient when it last changed, the bucket is just the repeating
 //     representation from then on.
 //   - A changed contribution of a STATE-CHANGING run revokes the
-//     standing bucket and travels as one-shot messages after a drawn
-//     delay (delay 1 lands in the recipient's inbox at this barrier,
-//     the synchronous timing: it is consumed next step). This is the
-//     faithful per-emission semantics for knowledge handoffs: a rule-4
-//     forward moves an edge out of the sender's state into the
-//     message, so it must arrive exactly once and never be destroyed
-//     by a bucket rewrite — and, conversely, must not be replayed out
-//     of a bucket after the system moved past it.
+//     standing bucket and travels as one-shot messages (emitFlow). This
+//     is the faithful per-emission semantics for knowledge handoffs: a
+//     rule-4 forward moves an edge out of the sender's state into the
+//     message, so it must arrive exactly once and never be destroyed by
+//     a bucket rewrite — and, conversely, must not be replayed out of a
+//     bucket after the system moved past it.
 //   - A changed contribution of a STATE-STABLE run is rewritten into
 //     the standing bucket exactly like the synchronous barrier does.
 //     These are the self-regenerating relay flows (rules 3, 5 and 6
@@ -375,98 +372,78 @@ func (a *AsyncRunner) drainFrontier(start int, immediate *[]uint32) {
 //     network can actually quiesce. Either failure mode is real:
 //     one-shot relays never settle (phase-dependent outputs forever),
 //     bucket-carried handoffs destabilize convergence (stale replays).
-//
-// Recipients are visited in identifier order so the rng draw sequence
-// is reproducible.
-func (a *AsyncRunner) route(n *RealNode, out []Message, outChanged, stateChanged bool) {
-	nw := a.nw
-	if a.newBy == nil {
-		a.newBy = make(map[ident.ID][]Message)
-		a.oldBy = make(map[ident.ID][]Message)
+//   - A contribution that vanished revokes the bucket and wakes the
+//     recipient, whichever kind of run dropped it.
+func (a *AsyncRunner) planFlow(n *RealNode, p *prepOut) {
+	nw, h := a.nw, n.h()
+	var old, cur []flowSpan
+	if n.lastFlow != nil {
+		old = n.lastFlow.spans
 	}
-	newBy, oldBy, touched := a.newBy, a.oldBy, a.touched[:0]
-	for _, m := range out {
-		if _, ok := newBy[m.To.Owner]; !ok {
-			touched = append(touched, m.To.Owner)
+	nf := p.newFlow
+	if !p.outChanged {
+		nf = n.lastFlow // every contribution is run-stable
+	}
+	if nf != nil {
+		cur = nf.spans
+	}
+	i, j := 0, 0
+	for i < len(old) || j < len(cur) {
+		if j == len(cur) || (i < len(old) && old[i].owner < cur[j].owner) {
+			nw.planOp(h, old[i].owner, nf, bucketOp{span: -1, wake: true}, p)
+			i++
+			continue
 		}
-		newBy[m.To.Owner] = append(newBy[m.To.Owner], m)
-	}
-	// tpl is the template the standing buckets will reference: the batch
-	// template when the output changed (Network.routeFlow, adopted as
-	// lastFlow right after this callback), the current lastFlow
-	// otherwise (its spans are the unchanged output, by the settle
-	// predicate).
-	tpl := nw.routeFlow
-	if tpl == nil {
-		tpl = n.lastFlow
-	}
-	if outChanged && n.lastFlow != nil {
-		lf := n.lastFlow
-		for siOld := range lf.spans {
-			owner := lf.spans[siOld].owner
-			if _, inNew := newBy[owner]; !inNew {
-				touched = append(touched, owner)
-			}
-			oldBy[owner] = lf.appendSpan(oldBy[owner], int32(siOld))
-		}
-	}
-	ident.Sort(touched)
-	h := n.h()
-	for _, dstID := range touched {
-		newC := newBy[dstID]
-		changed := outChanged && !sameMessages(oldBy[dstID], newC)
-		dstSlot, alive := nw.pt.lookup(dstID)
-		var dst *RealNode
-		if alive {
-			dst = nw.pt.nodes[dstSlot]
-		}
+		stood := i < len(old) && old[i].owner == cur[j].owner
+		op := bucketOp{span: int32(j)}
 		switch {
-		case !changed:
-			// Run-stable contribution: ensure the standing bucket holds
-			// it, without waking the recipient.
-			if alive && len(newC) > 0 {
-				nw.installBucketQuiet(dst, h, tpl, tpl.findSpan(dstID))
-			}
-		case !stateChanged:
-			// Relay flow: synchronous bucket rewrite, waking the
-			// recipient when its standing input changed (an absent span
-			// deletes the bucket).
-			nw.rerouteSpan(h, dstID, tpl, tpl.findSpan(dstID))
-		case len(newC) == 0:
-			if nw.dropBucket(dst, alive, h) {
-				nw.markDirtyIdx(dstSlot)
-			}
+		case stood && (!p.outChanged || spansEqual(n.lastFlow, int32(i), nf, op.span)):
+			// run-stable: silent install
+		case p.stateChanged:
+			op.oneShot = true // handoff
 		default:
-			nw.dropBucket(dst, alive, h)
-			if !alive {
-				continue
-			}
-			d := clampDelay(a.cfg.Delay.Delay(a.rng, n.id, dstID), 0)
-			if d <= 1 {
-				// Synchronous timing: lands now, consumed next step.
-				a.mixEvent(evDelivery, a.step, dstID)
-				dst.inbox = append(dst.inbox, newC...)
-				nw.markDirtyIdx(dstSlot)
-				continue
-			}
-			a.seq++
-			a.deliveries++
-			a.inflight += len(newC)
-			heap.Push(&a.events, &asyncEvent{at: a.step + d, seq: a.seq, kind: evDelivery, peer: dstID, hidx: dst.idx, hgen: dst.gen, msgs: newC})
+			op.wake = true // relay
 		}
+		nw.planOp(h, cur[j].owner, nf, op, p)
+		if stood {
+			i++
+		}
+		j++
 	}
-	for _, dstID := range touched {
-		delete(newBy, dstID)
-		delete(oldBy, dstID)
+}
+
+// emitFlow sends the planned handoffs: per one-shot op, in plan
+// (identifier) order, draw the delay and either land the span in the
+// recipient's inbox now (delay 1, the synchronous timing: consumed next
+// step) or queue a delivery event. Serial and ordered, so the rng draw
+// sequence is reproducible for any worker count.
+func (a *AsyncRunner) emitFlow(n *RealNode, tpl *flowTemplate, ops []bucketOp) {
+	nw := a.nw
+	for _, op := range ops {
+		if !op.oneShot {
+			continue
+		}
+		dst := nw.pt.nodes[op.dstSlot]
+		d := clampDelay(a.cfg.Delay.Delay(a.rng, n.id, dst.id), 0)
+		if d <= 1 {
+			a.mixEvent(evDelivery, a.step, dst.id)
+			dst.inbox = tpl.appendSpan(dst.inbox, op.span)
+			nw.markDirtyIdx(op.dstSlot)
+			continue
+		}
+		msgs := tpl.appendSpan(make([]Message, 0, tpl.spanLen(op.span)), op.span)
+		a.seq++
+		a.deliveries++
+		a.inflight += len(msgs)
+		heap.Push(&a.events, &asyncEvent{at: a.step + d, seq: a.seq, kind: evDelivery, peer: dst.id, hidx: dst.idx, hgen: dst.gen, msgs: msgs})
 	}
-	a.touched = touched
 }
 
 // Step advances virtual time by one: deliver the due one-shot
 // messages, activate the frontier peers whose coin came up, run their
 // rules as one phased batch (identical to a synchronous round barrier
-// over that subset), and route the outputs through the delay model. A
-// step with nothing due is O(1).
+// over that subset, with this runner's plan and emit steps). A step
+// with nothing due is O(1).
 func (a *AsyncRunner) Step() RoundStats {
 	a.step++
 	now := a.step
@@ -531,7 +508,7 @@ func (a *AsyncRunner) Step() RoundStats {
 			a.mixEvent(evActivation, now, nw.pt.ids[slot])
 		}
 		stats.Activated = len(active)
-		if nw.runBatch(active, true, a.route, &stats) {
+		if nw.runBatch(active, true, &stats) {
 			changed = true
 		}
 	}

@@ -9,50 +9,47 @@ import (
 	"repro/internal/ref"
 )
 
-// This file is the sharded round barrier: phase 3 of runBatch, split
-// into a parallel *prepare* sub-phase and an ownership-partitioned
-// *commit*, with a short serial epilogue. The ROADMAP's "serial
-// publish/reroute phase" — the last serial section of a batch — is
-// gone; what remains serial is O(frontier) bookkeeping (epoch stamps,
-// settle decisions, map merges), not the O(frontier x fanout) bucket
-// and index rewriting.
+// This file is the round barrier: the one pipeline through which a
+// standing bucket is rewritten, for every scheduler. A batch's phase 3
+// is a parallel *prepare*, an ownership-partitioned *commit*, and a
+// short serial *epilogue*; out-of-band mutation points (churn, the
+// partition's Apply calls) run the same planner and applier serially
+// through rewriteBucket.
 //
-// The phases and their ownership story:
+//   - Prepare (parallel over active indexes): each active peer publishes
+//     its own view/level slot (no other peer's prepare reads them),
+//     takes its outChanged/stateChanged verdicts, diffs its edge sets
+//     against its stored dependency multiset, and has its scheduler's
+//     plan step turn the output into bucket ops — all written ONLY into
+//     its own prepOut. Buckets and the dep index are read, never
+//     written. Every plan step funnels through planOp, the single place
+//     the rewrite / quiet-repoint / delete decision is made.
+//   - Commit (parallel over commit workers): recipients are partitioned
+//     by slot (slot % workers) and dependency-index shards by
+//     depShardOf(id) % workers, so every standing bucket, dirty flag and
+//     index shard has exactly one writing worker. commitBucketOp and
+//     commitDepDelta are the only code that writes RealNode.in,
+//     bucketMsgs and bucket dep references, or wakes a recipient because
+//     its standing input changed.
+//   - Epilogue (serial, active order): epoch bumps, settle bookkeeping,
+//     lastFlow swaps, paranoid panics deferred out of pool goroutines,
+//     the change-set merge feeding wakeDependents, and the scheduler's
+//     emit step.
 //
-//   - Prepare (parallel over active indexes): each active peer i
-//     publishes its own view/level slot (view[slot], maxLv[slot] — no
-//     other peer's prepare reads them, rules only read the view during
-//     phase 2), computes outChanged/stateChanged and the paranoid
-//     cross-check verdict, and — for the synchronous engine — diffs
-//     its output against the recipients' standing buckets and its edge
-//     sets against its stored dependency multiset, writing the
-//     resulting bucket ops and index deltas ONLY into its own prepOut
-//     scratch. Buckets and the dep index are read, never written.
-//   - Commit (parallel over commit workers): recipients are
-//     partitioned by slot (slot % workers) and dependency-index shards
-//     by depShardOf(id) % workers, so every standing bucket, dirty
-//     flag and index shard has exactly one writing worker. Per-worker
-//     frontier appends and bucketMsgs tallies merge serially after.
-//   - Epilogue (serial, active order): epoch bumps (the global epoch
-//     clock is ordered state), settle bookkeeping, lastOut swaps,
-//     paranoid panics deferred out of pool goroutines, and the merge
-//     of per-index change sets into the reusable viewChanged/
-//     ownerChanged maps feeding wakeDependents.
+// A scheduler differs from the synchronous engine only in its
+// flowRouter: what it plans (read-only, in the parallel prepare) and
+// what it emits (in the epilogue, in active order, ops in plan order).
+// The asynchronous runner draws its delays and the partition feeds its
+// sink from emit, so RNG consumption and sink order cannot depend on
+// the worker count.
 //
 // Why Workers=1 and Workers=N stay snapshot-for-snapshot identical:
 // every commit write is keyed by (sender handle, recipient slot) or
 // (referenced id, dependent slot) and each key is written at most once
-// per batch by construction (prepare emits at most one op per sender/
-// recipient pair), so the final buckets are order-independent; dep
-// index counts commute; the frontier is an order-insensitive SET (both
-// collectFrontier and the async drainFrontier sort by identifier
-// before consuming it); and everything order-sensitive — epoch stamps,
-// RNG-consuming route callbacks, telemetry — runs in the serial
-// epilogue in active (identifier) order, exactly as the old serial
-// phase 3 did. The event-driven schedulers (async, partition) keep
-// their route callbacks in the epilogue for the same reason: the async
-// route draws RNG per changed recipient and the partition route emits
-// ordered sink traffic, both of which must not depend on worker count.
+// per batch (a plan step emits at most one op per recipient), so the
+// final buckets are order-independent; dep index counts commute; the
+// frontier is an order-insensitive SET (sorted by identifier before it
+// is consumed); and everything order-sensitive runs in the epilogue.
 //
 // Dep-index deltas tolerate any application order within a shard: every
 // remove emitted by prepare refers to a reference that was counted in
@@ -60,6 +57,18 @@ import (
 // entries — disjoint categories), so at any prefix of any interleaving
 // the entry's count is at least the remaining removes and the underflow
 // panic cannot fire spuriously.
+
+// flowRouter is what a scheduler adds around the barrier pipeline.
+type flowRouter interface {
+	// planFlow stages the bucket ops for sender n's output in p (through
+	// planOp), on a pool goroutine: it reads shared state and writes only
+	// p. p.outChanged, p.stateChanged and p.newFlow are already set.
+	planFlow(n *RealNode, p *prepOut)
+	// emitFlow runs after the commit, serially and in active order, with
+	// the template the ops point into: whatever the scheduler sends
+	// besides standing buckets (delayed one-shots, sink mirrors).
+	emitFlow(n *RealNode, tpl *flowTemplate, ops []bucketOp)
+}
 
 // batchRun is the persistent fan-out machinery of runBatch: one task
 // closure, WaitGroup and work counter reused across every batch (the
@@ -153,14 +162,12 @@ type prepOut struct {
 	viewRefs []ref.Ref
 
 	// newFlow is the freshly frozen template of this batch's output,
-	// built whenever outChanged (for every engine: the sync commit's ops
-	// point into it, the serial-route schedulers read it through
-	// Network.routeFlow). It carries one reference that the epilogue
-	// hands to the peer's lastFlow.
+	// built whenever outChanged. It carries one reference that the
+	// epilogue hands to the peer's lastFlow.
 	newFlow *flowTemplate
 
-	// Synchronous-engine commit payload (empty for serial-route
-	// schedulers): the bucket rewrites this sender wants and the
+	// The commit payload: the bucket rewrites this sender wants (spans
+	// of newFlow when the output changed, of lastFlow otherwise) and the
 	// dep-index deltas they plus the peer's edge-set diff imply.
 	ops  []bucketOp
 	deps []depDelta
@@ -175,17 +182,29 @@ type prepOut struct {
 	counts  []ownerCount
 }
 
-// bucketOp is one standing-bucket rewrite: sender (implied by the
-// prepOut's index) points the recipient's bucket at span `span` of the
-// batch template (prepOut.newFlow); span -1 deletes the bucket. quiet
-// ops repoint a content-identical bucket at the new template without
-// waking the recipient or touching the dep index — they exist so that
-// at most one template generation per sender stays live at rest.
+// flow is the template p's ops point into: the batch template when the
+// output changed, the sender's standing lastFlow otherwise.
+func (p *prepOut) flow(n *RealNode) *flowTemplate {
+	if p.newFlow != nil {
+		return p.newFlow
+	}
+	return n.lastFlow
+}
+
+// bucketOp is one standing-bucket rewrite: the sender points the
+// recipient's bucket at span `span` of its template; span -1 deletes
+// the bucket. wake puts the recipient on the frontier — ops without it
+// change storage only (a content-identical bucket repointed at the new
+// template generation, so at most one generation per sender stays live
+// at rest) or install content the recipient has already consumed. A
+// oneShot op revokes the bucket instead of installing the span: the
+// scheduler's emit step sends the span as one-shot messages.
 type bucketOp struct {
 	dstSlot uint32
 	delta   int32 // bucketMsgs adjustment (new len - old len)
 	span    int32
-	quiet   bool
+	wake    bool
+	oneShot bool
 }
 
 // depDelta is one inverted-index adjustment: k > 0 adds, k < 0 removes
@@ -206,9 +225,9 @@ type commitShard struct {
 }
 
 // prepareIndex is the parallel prepare body for active index i: the
-// publish diff, the settle verdicts, and (synchronous engine only) the
-// bucket ops and dep deltas the commit will apply. Writes touch only
-// the peer's own view/maxLv/stateDeps slots and prep[i].
+// publish diff, the settle verdicts, and the bucket ops and dep deltas
+// the commit will apply. Writes touch only the peer's own
+// view/maxLv/stateDeps slots and prep[i].
 func (nw *Network) prepareIndex(i int) {
 	slot := nw.bActive[i]
 	n := nw.pt.nodes[slot]
@@ -276,27 +295,25 @@ func (nw *Network) prepareIndex(i int) {
 	p.outChanged = !flowEqualsOutput(n.lastFlow, res.out, &p.cursors)
 	p.newFlow = nil
 	if p.outChanged {
-		// Freeze the new output for every engine: the sync commit's ops
-		// index into it, the serial-route schedulers install from it.
 		nw.prepFlow(res.out, p)
 	}
-
-	if nw.bSync {
-		if res.hchanged {
-			// The peer's edge sets changed: re-derive its dependency
-			// contribution and turn the diff into commit deltas.
-			nw.prepStateDeps(slot, n, p)
-		}
-		if p.outChanged {
-			nw.prepFlowOps(n, p)
-		}
+	if res.hchanged {
+		// The peer's edge sets changed: re-derive its dependency
+		// contribution and turn the diff into commit deltas.
+		nw.prepStateDeps(slot, n, p)
+	}
+	if nw.router != nil {
+		nw.router.planFlow(n, p)
+	} else {
+		nw.planRewrite(n, p)
 	}
 }
 
-// prepStateDeps is refreshStateDeps recast for the parallel prepare:
-// the recomputed multiset replaces the peer's own stateDeps slot (an
-// own-slot write), and the index-side adjustments become deltas for
-// the sharded commit instead of direct mutations.
+// prepStateDeps recomputes the peer's edge-set dependency multiset: the
+// result replaces the peer's own stateDeps slot (an own-slot write) and
+// the difference against the stored one becomes index deltas for the
+// commit. Linear in the peer's own edge sets, and only spent when its
+// content hash changed.
 func (nw *Network) prepStateDeps(slot uint32, n *RealNode, p *prepOut) {
 	buf := p.owners[:0]
 	for _, v := range n.vnodes {
@@ -389,68 +406,65 @@ func (nw *Network) prepFlow(out []Message, p *prepOut) {
 	p.newFlow, p.symbuf = buildFlow(p.groups, ng, len(out), p.symbuf)
 }
 
-// prepFlowOps is the read-only half of the old reroute: diff each
-// recipient span of the new template against the current standing
-// bucket and emit one bucketOp plus the implied dep deltas. Recipients
-// of the old flow with no new contribution get a delete op; unchanged
-// contributions get a quiet repoint op so the old template generation
-// can die. Buckets are only read here — concurrent prepares may read
-// the same recipient's table.
-func (nw *Network) prepFlowOps(n *RealNode, p *prepOut) {
+// planRewrite is the synchronous plan step (the partition's too): when
+// the output changed, every recipient's standing bucket is rewritten to
+// the new contribution and wakes the recipient. Recipients of the old
+// flow with no new contribution come first, then the new spans.
+func (nw *Network) planRewrite(n *RealNode, p *prepOut) {
+	if !p.outChanged {
+		return
+	}
 	nf := p.newFlow
 	if old := n.lastFlow; old != nil {
 		for _, sp := range old.spans {
 			if nf.findSpan(sp.owner) < 0 {
-				nw.prepOneOp(n.h(), sp.owner, nf, -1, p)
+				nw.planOp(n.h(), sp.owner, nf, bucketOp{span: -1, wake: true}, p)
 			}
 		}
 	}
 	for si := range nf.spans {
-		nw.prepOneOp(n.h(), nf.spans[si].owner, nf, int32(si), p)
+		nw.planOp(n.h(), nf.spans[si].owner, nf, bucketOp{span: int32(si), wake: true}, p)
 	}
 }
 
-// prepOneOp diffs one (sender, recipient) contribution — span si of nf,
-// or a deletion when si < 0 — and records the rewrite and its dep
-// deltas. Mirrors rerouteSpan's decisions exactly, split at the
-// read/write boundary.
-func (nw *Network) prepOneOp(sender handle, dstID ident.ID, nf *flowTemplate, si int32, p *prepOut) {
+// planOp decides what happens to the sender's standing bucket at one
+// recipient and records the rewrite and its dep deltas in p. op says
+// what the sender wants — its contribution (op.span of t, or none when
+// negative), whether a content change wakes the recipient, whether the
+// span travels as one-shots instead — and planOp fills in the rest
+// against the bucket that stands. It is the only place that decision is
+// made; buckets are only read here (concurrent prepares may read the
+// same recipient's table).
+func (nw *Network) planOp(sender handle, dstID ident.ID, t *flowTemplate, op bucketOp, p *prepOut) {
 	slot, ok := nw.pt.lookup(dstID)
 	if !ok {
 		return // destination departed
 	}
+	op.dstSlot = slot
 	dst := nw.pt.nodes[slot]
-	bi := dst.findBucket(sender)
-	if si < 0 {
-		if bi < 0 {
-			return
-		}
+	install := op.span >= 0 && !op.oneShot
+	if bi := dst.findBucket(sender); bi >= 0 {
 		old := dst.in[bi]
-		p.ops = append(p.ops, bucketOp{dstSlot: slot, delta: -int32(old.flow.spanLen(old.span)), span: -1})
-		appendSpanDeps(&p.deps, old.flow, old.span, slot, -1)
-		return
-	}
-	if bi >= 0 {
-		old := dst.in[bi]
-		if spansEqual(old.flow, old.span, nf, si) {
-			// Content identical: repoint storage to the new generation
-			// without waking the recipient, so the old generation can
-			// die. (old.flow == nf is impossible here — nf was built
-			// this batch.) Private buckets pin no generation, so
-			// deep-copy mode skips the op entirely, like the
-			// pre-sharing engine did.
-			if !old.flow.private {
-				p.ops = append(p.ops, bucketOp{dstSlot: slot, span: si, quiet: true})
+		if install && spansEqual(old.flow, old.span, t, op.span) {
+			// Content identical: repoint shared storage at the sender's
+			// current generation so the old one can die. A private bucket
+			// (deep-copy mode, partition shadows) pins no generation.
+			if old.flow != t && !old.flow.private {
+				op.wake = false
+				p.ops = append(p.ops, op)
 			}
 			return
 		}
-		p.ops = append(p.ops, bucketOp{dstSlot: slot, delta: int32(nf.spanLen(si) - old.flow.spanLen(old.span)), span: si})
+		op.delta = -int32(old.flow.spanLen(old.span))
 		appendSpanDeps(&p.deps, old.flow, old.span, slot, -1)
-		appendSpanDeps(&p.deps, nf, si, slot, 1)
-		return
+	} else if op.span < 0 {
+		return // nothing stands, nothing to revoke
 	}
-	p.ops = append(p.ops, bucketOp{dstSlot: slot, delta: int32(nf.spanLen(si)), span: si})
-	appendSpanDeps(&p.deps, nf, si, slot, 1)
+	if install {
+		op.delta += int32(t.spanLen(op.span))
+		appendSpanDeps(&p.deps, t, op.span, slot, 1)
+	}
+	p.ops = append(p.ops, op)
 }
 
 // appendSpanDeps emits one dep delta of weight k per message in span si
@@ -468,23 +482,20 @@ func appendSpanDeps(deps *[]depDelta, t *flowTemplate, si int32, slot uint32, k 
 // only emitted for changed buckets); the writes are the expensive part
 // and they are perfectly partitioned.
 func (nw *Network) commitWorker(w int) {
-	C := nw.commitW
 	sh := &nw.commit[w]
-	sh.bucketMsgs = 0
-	sh.frontier = sh.frontier[:0]
-	sh.flow = flowTally{}
 	uw := uint32(w)
-	uc := uint32(C)
+	uc := uint32(nw.commitW)
 	for i := range nw.bActive {
 		p := &nw.prep[i]
 		if len(p.ops) > 0 {
-			h := nw.pt.nodes[nw.bActive[i]].h()
+			n := nw.pt.nodes[nw.bActive[i]]
+			h, tpl := n.h(), p.flow(n)
 			for k := range p.ops {
 				op := &p.ops[k]
 				if op.dstSlot%uc != uw {
 					continue
 				}
-				nw.commitBucketOp(w, h, p.newFlow, op, sh)
+				nw.commitBucketOp(w, h, tpl, op, sh)
 			}
 		}
 		for _, d := range p.deps {
@@ -496,7 +507,8 @@ func (nw *Network) commitWorker(w int) {
 	}
 }
 
-// commitBucketOp rewrites one standing bucket. The ownership audit
+// commitBucketOp rewrites one standing bucket; nothing else writes
+// RealNode.in or bucketMsgs. The ownership audit
 // (under ParanoidSettle) re-derives the op's owner from the slot
 // partition and panics on a cross-shard write: the selection filter in
 // commitWorker and this check must agree by construction, so a firing
@@ -508,7 +520,7 @@ func (nw *Network) commitBucketOp(w int, sender handle, nf *flowTemplate, op *bu
 	}
 	dst := nw.pt.nodes[op.dstSlot]
 	sh.bucketMsgs += int(op.delta)
-	if op.span < 0 {
+	if op.span < 0 || op.oneShot {
 		if bi := dst.findBucket(sender); bi >= 0 {
 			old := dst.in[bi]
 			dst.delBucketAt(bi)
@@ -516,13 +528,8 @@ func (nw *Network) commitBucketOp(w int, sender handle, nf *flowTemplate, op *bu
 		}
 	} else {
 		nw.installBucket(dst, sender, nf, op.span, &sh.flow)
-		if op.quiet {
-			// Content-identical repoint: storage moved to the new
-			// template generation, the recipient's state did not change.
-			return
-		}
 	}
-	if !dst.dirty {
+	if op.wake && !dst.dirty {
 		dst.dirty = true
 		sh.frontier = append(sh.frontier, op.dstSlot)
 	}
@@ -540,4 +547,41 @@ func (nw *Network) commitDepDelta(w int, d depDelta) {
 	} else {
 		nw.deps.remove(d.id, d.slot, uint32(-d.k))
 	}
+}
+
+// beginCommit sets up a commit partitioned over w workers.
+func (nw *Network) beginCommit(w int) {
+	nw.commitW = w
+	if len(nw.commit) < w {
+		nw.commit = append(nw.commit, make([]commitShard, w-len(nw.commit))...)
+	}
+}
+
+// mergeShards folds the commit workers' private outputs into the
+// network and resets them for the next commit.
+func (nw *Network) mergeShards() {
+	for w := range nw.commit {
+		sh := &nw.commit[w]
+		nw.bucketMsgs += sh.bucketMsgs
+		nw.frontier = append(nw.frontier, sh.frontier...)
+		nw.flow.add(&sh.flow)
+		sh.bucketMsgs, sh.frontier, sh.flow = 0, sh.frontier[:0], flowTally{}
+	}
+}
+
+// rewriteBucket is the pipeline run serially for one bucket, for the
+// mutation points outside a batch (churn, the partition's Apply calls):
+// plan the op, then commit it as a one-worker commit.
+func (nw *Network) rewriteBucket(sender handle, dstID ident.ID, t *flowTemplate, si int32, wake bool) {
+	p := &nw.oob
+	nw.planOp(sender, dstID, t, bucketOp{span: si, wake: wake}, p)
+	nw.beginCommit(1)
+	for k := range p.ops {
+		nw.commitBucketOp(0, sender, t, &p.ops[k], &nw.commit[0])
+	}
+	for _, d := range p.deps {
+		nw.commitDepDelta(0, d)
+	}
+	p.ops, p.deps = p.ops[:0], p.deps[:0]
+	nw.mergeShards()
 }

@@ -46,7 +46,7 @@ func TestCommitShardAuditBucket(t *testing.T) {
 	var sh commitShard
 	// Slot 1 belongs to commit worker 1; worker 0 writing it must trip
 	// the audit before any state is touched.
-	op := bucketOp{dstSlot: 1, span: -1}
+	op := bucketOp{dstSlot: 1, span: -1, wake: true}
 	wantPanic(t, "cross-shard bucket write", func() {
 		nw.commitBucketOp(0, sender, nil, &op, &sh)
 	})

@@ -73,7 +73,7 @@ func (nw *Network) Leave(id ident.ID) error {
 			}
 		}
 	}
-	nw.removePeer(id)
+	nw.removePeer(id, nil)
 	return nil
 }
 
@@ -83,56 +83,63 @@ func (nw *Network) Fail(id ident.ID) error {
 	if _, ok := nw.pt.lookup(id); !ok {
 		return fmt.Errorf("rechord: fail: peer %s not in network", id)
 	}
-	nw.removePeer(id)
+	nw.removePeer(id, nil)
 	return nil
 }
 
 // removePeer deletes the peer and reconciles the scheduler state: the
-// peer's slot is released (bumping its generation, so every handle to
-// this incarnation stops resolving), its published view entries
-// vanish, its standing output is delivered exactly once more (as
-// one-shots, matching the full-sweep timeline where messages sent in
-// the final round still arrive), and every peer that references the
-// departed identifier is woken so its next purge drops the stale
-// references.
-func (nw *Network) removePeer(id ident.ID) {
+// standing buckets stored on it die with it, its slot is released
+// (bumping its generation, so every handle to this incarnation stops
+// resolving), its published view entries vanish, its standing output is
+// delivered exactly once more (as one-shots, matching the full-sweep
+// timeline where messages sent in the final round still arrive), and
+// every peer that references the departed identifier is woken so its
+// next purge drops the stale references.
+//
+// hosted is nil for a peer this process executes: its lastFlow names
+// the recipients of its standing output. A partition removing a stub
+// passes its hosting predicate instead — the stub has no trustworthy
+// flow template, so every local peer is scanned for the departed
+// handle, and only hosted recipients get the final delivery (stub
+// recipients just drop the shadow; their own hosts flush their copies).
+func (nw *Network) removePeer(id ident.ID, hosted func(ident.ID) bool) {
 	n := nw.pt.node(id)
 	h := n.h() // the incarnation's handle, before the generation bump
+	for len(n.in) > 0 {
+		nw.rewriteBucket(n.in[len(n.in)-1].sender, id, nil, -1, false)
+	}
 	nw.view[n.idx] = nil
 	nw.vhash[n.idx] = nw.vhash[n.idx][:0]
-	// The departed peer's own references leave the dependency index.
 	nw.dropStateDeps(n.idx)
 	nw.pt.release(n)
 	nw.removeOrder(id)
-	// The buckets stored on the departed peer die with it.
-	for _, b := range n.in {
-		nw.bucketMsgs -= b.flow.spanLen(b.span)
-		nw.depRemoveSpan(n.idx, b.flow, b.span)
-		releaseBucket(b, &nw.flow)
-	}
-	n.in = nil
-	// Its standing flow to others becomes a final one-shot delivery.
-	// The moved messages leave the index with the bucket: the recipient
-	// is dirty from here on, and one-shot inboxes are not indexed.
-	if n.lastFlow != nil {
-		for _, sp := range n.lastFlow.spans {
-			dstSlot, ok := nw.pt.lookup(sp.owner)
-			if !ok {
-				continue
-			}
-			dst := nw.pt.nodes[dstSlot]
-			bi := dst.findBucket(h)
-			if bi < 0 {
-				continue
-			}
-			b := dst.in[bi]
-			dst.inbox = b.flow.appendSpan(dst.inbox, b.span)
-			nw.bucketMsgs -= b.flow.spanLen(b.span)
-			nw.depRemoveSpan(dstSlot, b.flow, b.span)
-			dst.delBucketAt(bi)
-			releaseBucket(b, &nw.flow)
-			nw.markDirtyIdx(dstSlot)
+	// The moved messages leave the dependency index with the bucket: the
+	// recipient is dirty from here on, and one-shot inboxes are not
+	// indexed.
+	flush := func(dst *RealNode, deliver bool) {
+		bi := dst.findBucket(h)
+		if bi < 0 {
+			return
 		}
+		if deliver {
+			dst.inbox = dst.in[bi].flow.appendSpan(dst.inbox, dst.in[bi].span)
+		}
+		nw.rewriteBucket(h, dst.id, nil, -1, deliver)
+	}
+	if hosted != nil {
+		for _, dst := range nw.pt.nodes {
+			if dst != nil {
+				flush(dst, hosted(dst.id))
+			}
+		}
+	} else if n.lastFlow != nil {
+		for _, sp := range n.lastFlow.spans {
+			if dst := nw.pt.node(sp.owner); dst != nil {
+				flush(dst, true)
+			}
+		}
+	}
+	if n.lastFlow != nil {
 		releaseFlow(n.lastFlow, &nw.flow)
 		n.lastFlow = nil
 	}

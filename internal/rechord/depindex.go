@@ -34,12 +34,11 @@ import (
 // the same (vacuous) case.
 //
 // Maintenance points:
-//   - edge sets: recomputed per peer at the barrier (refreshStateDeps),
-//     gated on the peer's content hash having changed, and at the
-//     out-of-band mutation points (AddPeer, SeedEdge, fixture rebuilds);
-//   - buckets: updated incrementally wherever buckets are written
-//     (rerouteSpan, installBucketQuiet, dropBucket, removePeer's flush,
-//     AddPeer's re-materialization).
+//   - edge sets: re-derived per peer in the barrier's prepare
+//     (prepStateDeps), gated on the peer's content hash having changed,
+//     and adjusted in place by SeedEdge, AddPeer and removePeer;
+//   - buckets: every bucket write is planned by planOp, which emits the
+//     index deltas alongside the op (see barrier.go).
 
 // depEntry is one dependent peer slot with the number of references it
 // holds to the indexed identifier.
@@ -170,100 +169,6 @@ type ownerCount struct {
 	cnt   uint32
 }
 
-// depAddMsgs / depRemoveMsgs adjust the index for a standing bucket's
-// messages stored at the peer slot: each message carries exactly one
-// reference (the node being introduced).
-func (nw *Network) depAddMsgs(peer uint32, ms []Message) {
-	for _, m := range ms {
-		nw.deps.add(m.Add.Owner, peer, 1)
-	}
-}
-
-func (nw *Network) depRemoveMsgs(peer uint32, ms []Message) {
-	for _, m := range ms {
-		nw.deps.remove(m.Add.Owner, peer, 1)
-	}
-}
-
-// depAddSpan / depRemoveSpan are the packed-storage forms: adjust the
-// index for span si of the flow template, read straight off the
-// template's symbol table without reconstituting messages.
-func (nw *Network) depAddSpan(peer uint32, t *flowTemplate, si int32) {
-	sp := t.spans[si]
-	for i := sp.start; i < sp.end; i++ {
-		nw.deps.add(t.syms[t.packed[i].sym], peer, 1)
-	}
-}
-
-func (nw *Network) depRemoveSpan(peer uint32, t *flowTemplate, si int32) {
-	sp := t.spans[si]
-	for i := sp.start; i < sp.end; i++ {
-		nw.deps.remove(t.syms[t.packed[i].sym], peer, 1)
-	}
-}
-
-// refreshStateDeps recomputes the peer's edge-set dependency multiset
-// and applies the delta against the stored one to the inverted index.
-// Called at the barrier for peers whose content hash changed (the
-// serial-route schedulers; the synchronous engine's sharded barrier
-// computes the same delta in parallel via prepStateDeps, see
-// barrier.go) and at every out-of-band state mutation. Serial only (it
-// mutates index shards directly); the cost is linear in the peer's own
-// edge sets — the same work the old full scan spent on this one peer,
-// now spent only when the peer actually changed.
-func (nw *Network) refreshStateDeps(slot uint32, n *RealNode) {
-	buf := nw.depOwners[:0]
-	for _, v := range n.vnodes {
-		if v == nil {
-			continue
-		}
-		for _, r := range v.Nu.Slice() {
-			buf = append(buf, r.Owner)
-		}
-		for _, r := range v.Nr.Slice() {
-			buf = append(buf, r.Owner)
-		}
-		for _, r := range v.Nc.Slice() {
-			buf = append(buf, r.Owner)
-		}
-	}
-	ident.Sort(buf)
-	nw.depOwners = buf
-
-	nc := nw.depCounts[:0]
-	for i := 0; i < len(buf); {
-		j := i
-		for j < len(buf) && buf[j] == buf[i] {
-			j++
-		}
-		nc = append(nc, ownerCount{owner: buf[i], cnt: uint32(j - i)})
-		i = j
-	}
-	nw.depCounts = nc
-
-	old := nw.stateDeps[slot]
-	i, j := 0, 0
-	for i < len(old) || j < len(nc) {
-		switch {
-		case j == len(nc) || (i < len(old) && old[i].owner < nc[j].owner):
-			nw.deps.remove(old[i].owner, slot, old[i].cnt)
-			i++
-		case i == len(old) || nc[j].owner < old[i].owner:
-			nw.deps.add(nc[j].owner, slot, nc[j].cnt)
-			j++
-		default:
-			if nc[j].cnt > old[i].cnt {
-				nw.deps.add(nc[j].owner, slot, nc[j].cnt-old[i].cnt)
-			} else if nc[j].cnt < old[i].cnt {
-				nw.deps.remove(nc[j].owner, slot, old[i].cnt-nc[j].cnt)
-			}
-			i++
-			j++
-		}
-	}
-	nw.stateDeps[slot] = append(old[:0], nc...)
-}
-
 // stateDepAdd records one more edge-set reference from the peer slot
 // to the owner in the stored per-peer multiset (the index itself is
 // updated by the caller). Used by SeedEdge's incremental path.
@@ -287,28 +192,6 @@ func (nw *Network) dropStateDeps(slot uint32) {
 		nw.deps.remove(oc.owner, slot, oc.cnt)
 	}
 	nw.stateDeps[slot] = nw.stateDeps[slot][:0]
-}
-
-// rebuildDeps reconstructs the whole index from scratch; the white-box
-// fixtures use it after mutating peer state directly (see
-// rebuildLevels for the pattern).
-func (nw *Network) rebuildDeps() {
-	nw.deps = depIndex{}
-	for len(nw.stateDeps) < len(nw.pt.nodes) {
-		nw.stateDeps = append(nw.stateDeps, nil)
-	}
-	for slot := range nw.stateDeps {
-		nw.stateDeps[slot] = nw.stateDeps[slot][:0]
-	}
-	for slot, n := range nw.pt.nodes {
-		if n == nil {
-			continue
-		}
-		nw.refreshStateDeps(uint32(slot), n)
-		for _, b := range n.in {
-			nw.depAddSpan(uint32(slot), b.flow, b.span)
-		}
-	}
 }
 
 // holdsRef reports whether the peer's own state — edge sets, pending

@@ -145,20 +145,6 @@ func (t *flowTemplate) appendAll(dst []Message) []Message {
 	return dst
 }
 
-// spanEqualMsgs reports whether span si carries exactly ms, in order.
-func (t *flowTemplate) spanEqualMsgs(si int32, ms []Message) bool {
-	sp := t.spans[si]
-	if int(sp.end-sp.start) != len(ms) {
-		return false
-	}
-	for k, m := range ms {
-		if t.msgAt(sp.owner, sp.start+uint32(k)) != m {
-			return false
-		}
-	}
-	return true
-}
-
 // spansEqual compares span ai of a with span bi of b element-wise.
 func spansEqual(a *flowTemplate, ai int32, b *flowTemplate, bi int32) bool {
 	if a == b && ai == bi {

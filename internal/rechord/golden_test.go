@@ -306,20 +306,22 @@ func runGoldenPartition(t *testing.T, c goldenCase, nprocs int) (goldenPartition
 	}
 }
 
-// goldenFile is the committed record, keyed by case name.
+// goldenFile is the committed record: scheduler runs keyed by
+// scheduler then case name, partition runs by case/width.
 type goldenFile struct {
-	Sync      map[string]goldenRun          `json:"sync"`
-	Uniform   map[string]goldenRun          `json:"async_uniform"`
-	Pareto    map[string]goldenRun          `json:"async_pareto"`
-	Partition map[string]goldenPartitionRun `json:"partition,omitempty"`
+	Runs      map[string]map[string]goldenRun `json:"runs"`
+	Partition map[string]goldenPartitionRun   `json:"partition"`
 }
 
-var goldenDelays = []struct {
+// goldenSchedulers lists the single-process schedulers every case runs
+// under; a nil config is the synchronous engine.
+var goldenSchedulers = []struct {
 	name string
-	cfg  rechord.AsyncConfig
+	cfg  *rechord.AsyncConfig
 }{
-	{"uniform", rechord.AsyncConfig{ActivationProb: 0.5, MaxDelay: 3}},
-	{"pareto", rechord.AsyncConfig{ActivationProb: 0.5, Delay: rechord.ParetoDelay{Alpha: 1.5, Max: 12}}},
+	{"sync", nil},
+	{"async_uniform", &rechord.AsyncConfig{ActivationProb: 0.5, MaxDelay: 3}},
+	{"async_pareto", &rechord.AsyncConfig{ActivationProb: 0.5, Delay: rechord.ParetoDelay{Alpha: 1.5, Max: 12}}},
 }
 
 func loadGolden(t *testing.T) goldenFile {
@@ -335,62 +337,43 @@ func loadGolden(t *testing.T) goldenFile {
 	return g
 }
 
-func goldenPartitionKey(c goldenCase, nprocs int) string {
-	return fmt.Sprintf("%s/%d-way", c.name, nprocs)
-}
-
 // TestGoldenFingerprints replays every case in every scheduler, for
 // Workers 1 and 8, against the committed record.
 func TestGoldenFingerprints(t *testing.T) {
-	got := goldenFile{
-		Sync: map[string]goldenRun{}, Uniform: map[string]goldenRun{}, Pareto: map[string]goldenRun{},
-		Partition: map[string]goldenPartitionRun{},
-	}
+	got := goldenFile{Runs: map[string]map[string]goldenRun{}, Partition: map[string]goldenPartitionRun{}}
 	var want goldenFile
 	if !*updateGolden {
 		want = loadGolden(t)
 	}
-	check := func(t *testing.T, table map[string]goldenRun, wantTable map[string]goldenRun, name string, run goldenRun, workers int) {
-		t.Helper()
-		if prev, ok := table[name]; ok && prev != run {
-			t.Errorf("Workers=%d run %+v differs from Workers=1 run %+v", workers, run, prev)
-		}
-		table[name] = run
-		if *updateGolden {
-			return
-		}
-		if w, ok := wantTable[name]; !ok {
-			t.Errorf("no golden record (run with -update-golden)")
-		} else if w != run {
-			t.Errorf("Workers=%d: got %+v, golden %+v", workers, run, w)
-		}
-	}
 	for _, c := range goldenCases() {
 		t.Run(c.name, func(t *testing.T) {
-			for _, workers := range []int{1, 8} {
-				nw := c.build(workers)
-				check(t, got.Sync, want.Sync, c.name, runGoldenScheduler(t, c, nw, nw), workers)
-				for _, d := range goldenDelays {
+			for _, s := range goldenSchedulers {
+				if got.Runs[s.name] == nil {
+					got.Runs[s.name] = map[string]goldenRun{}
+				}
+				for _, workers := range []int{1, 8} {
 					nw := c.build(workers)
-					a := rechord.NewAsyncRunner(nw, d.cfg, rand.New(rand.NewSource(c.seed+99)))
-					table, wantTable := got.Uniform, want.Uniform
-					if d.name == "pareto" {
-						table, wantTable = got.Pareto, want.Pareto
+					var sched rechord.Scheduler = nw
+					if s.cfg != nil {
+						sched = rechord.NewAsyncRunner(nw, *s.cfg, rand.New(rand.NewSource(c.seed+99)))
 					}
-					check(t, table, wantTable, c.name, runGoldenScheduler(t, c, nw, a), workers)
+					run := runGoldenScheduler(t, c, nw, sched)
+					if workers == 1 {
+						got.Runs[s.name][c.name] = run
+					} else if w1 := got.Runs[s.name][c.name]; run != w1 {
+						t.Errorf("%s: Workers=%d run %+v differs from Workers=1 run %+v", s.name, workers, run, w1)
+					}
+					if w, ok := want.Runs[s.name][c.name]; !*updateGolden && (!ok || w != run) {
+						t.Errorf("%s Workers=%d: got %+v, golden %+v (recorded: %v)", s.name, workers, run, w, ok)
+					}
 				}
 			}
 			for _, nprocs := range []int{2, 4} {
-				key := goldenPartitionKey(c, nprocs)
+				key := fmt.Sprintf("%s/%d-way", c.name, nprocs)
 				run, _ := runGoldenPartition(t, c, nprocs)
 				got.Partition[key] = run
-				if *updateGolden {
-					continue
-				}
-				if w, ok := want.Partition[key]; !ok {
-					t.Errorf("%s: no golden record (run with -update-golden)", key)
-				} else if w != run {
-					t.Errorf("%s: got %+v, golden %+v", key, run, w)
+				if w, ok := want.Partition[key]; !*updateGolden && (!ok || w != run) {
+					t.Errorf("%s: got %+v, golden %+v (recorded: %v)", key, run, w, ok)
 				}
 			}
 		})

@@ -114,23 +114,6 @@ func (nw *Network) refreshHashSlot(slot uint32, n *RealNode) bool {
 	return changed
 }
 
-// rebuildHashes recomputes every live peer's stored hashes from
-// scratch. The engine maintains them incrementally; the white-box rule
-// fixtures refresh them wholesale after mutating peer state directly
-// (see rebuildLevels).
-func (nw *Network) rebuildHashes() {
-	for len(nw.vhash) < len(nw.pt.nodes) {
-		nw.vhash = append(nw.vhash, nil)
-	}
-	for slot, n := range nw.pt.nodes {
-		if n == nil {
-			nw.vhash[slot] = nw.vhash[slot][:0]
-			continue
-		}
-		nw.refreshHashSlot(uint32(slot), n)
-	}
-}
-
 // StateFingerprint digests the protocol state of every live peer the
 // filter accepts (all peers when filter is nil): per peer, an
 // order-sensitive chain over its identifier, level count and per-level

@@ -123,13 +123,6 @@ type Network struct {
 	deps      depIndex
 	stateDeps [][]ownerCount
 
-	// depOwners/depCounts are refreshStateDeps scratch (serial-route
-	// schedulers' barriers and out-of-band mutation points only; the
-	// synchronous engine diffs into per-index prep scratch instead, see
-	// barrier.go).
-	depOwners []ident.ID
-	depCounts []ownerCount
-
 	// frontier lists the slots of peers whose dirty flag is set.
 	// Entries may be stale (peer departed, slot re-collected); Step
 	// filters by liveness and the flag.
@@ -151,16 +144,14 @@ type Network struct {
 
 	// flow is the authoritative flow-storage accounting (live templates,
 	// resident bytes, shared vs unique bucket bytes, install tallies).
-	// Serial mutation points update it directly; the sharded commit
-	// accumulates per-worker tallies merged at the barrier. Flushed to
-	// the telemetry gauges by flushFlowGauges.
+	// The commit accumulates per-worker tallies merged at the barrier.
+	// Flushed to the telemetry gauges by flushFlowGauges.
 	flow flowTally
 
-	// routeFlow exposes the running batch peer's freshly built flow
-	// template (prepOut.newFlow) to the serial route callbacks, which
-	// install recipient buckets from its spans. Set by the epilogue
-	// before each route call; nil when the peer's output did not change.
-	routeFlow *flowTemplate
+	// router is the stepping scheduler's plan/emit policy around the
+	// barrier pipeline (see barrier.go); nil is the synchronous engine.
+	// NewAsyncRunner and NewPartition claim it.
+	router flowRouter
 
 	pool    *workerPool
 	active  []uint32
@@ -171,18 +162,20 @@ type Network struct {
 	// sub-phase and commit the per-worker commit outputs (see
 	// barrier.go); both reuse their buffers across batches and are
 	// dropped together with results/pres when the frontier contracts.
+	// oob is the prepare scratch of rewriteBucket, the pipeline's serial
+	// form for mutations outside a batch.
 	prep   []prepOut
 	commit []commitShard
+	oob    prepOut
 
 	// br is the persistent batch fan-out machinery (task closure,
 	// WaitGroup, work counter, per-phase bodies) reused across batches;
-	// bActive/bSettle/bSync/commitW are the running batch's parameters,
-	// read by br's persistent closures instead of being captured fresh
-	// every batch.
+	// bActive/bSettle/commitW are the running batch's parameters, read by
+	// br's persistent closures instead of being captured fresh every
+	// batch.
 	br      batchRun
 	bActive []uint32
 	bSettle bool
-	bSync   bool
 	commitW int
 
 	// ownerChangedB/viewChangedB are the reusable per-barrier change
@@ -190,11 +183,6 @@ type Network struct {
 	// reallocated, after each batch.
 	ownerChangedB map[ident.ID]bool
 	viewChangedB  map[ref.Ref]bool
-
-	// rrMsgs is rerouteWith's span-decode scratch (serial-route
-	// schedulers only): the reconstituted contribution handed to the
-	// onChange mirror callback, recycled across calls.
-	rrMsgs []Message
 
 	// met is the engine's always-on telemetry (shared with any
 	// AsyncRunner driving this network). The hot-path contract: a
@@ -281,13 +269,9 @@ func (nw *Network) AddPeer(id ident.ID) *RealNode {
 			if s == nil || s == n || s.lastFlow == nil {
 				continue
 			}
-			si := s.lastFlow.findSpan(id)
-			if si < 0 {
-				continue
+			if si := s.lastFlow.findSpan(id); si >= 0 {
+				nw.rewriteBucket(s.h(), id, s.lastFlow, si, true)
 			}
-			nw.bucketMsgs += s.lastFlow.spanLen(si)
-			nw.depAddSpan(slot, s.lastFlow, si)
-			nw.installBucket(n, s.h(), s.lastFlow, si, &nw.flow)
 		}
 		nw.flushFlowGauges()
 		nw.wakeDependents(map[ident.ID]bool{id: true}, nil)
@@ -321,13 +305,6 @@ func (nw *Network) markDirtyIdx(slot uint32) {
 	if n := nw.pt.nodes[slot]; n != nil && !n.dirty {
 		n.dirty = true
 		nw.frontier = append(nw.frontier, slot)
-	}
-}
-
-// markDirty is markDirtyIdx for callers holding only the identifier.
-func (nw *Network) markDirty(id ident.ID) {
-	if slot, ok := nw.pt.lookup(id); ok {
-		nw.markDirtyIdx(slot)
 	}
 }
 
@@ -504,38 +481,6 @@ func (nw *Network) NumPeers() int { return nw.pt.live }
 // Round returns the number of rounds executed so far.
 func (nw *Network) Round() int { return nw.round }
 
-// rebuildLevels recomputes the per-slot max levels from scratch. The
-// engine maintains them incrementally; the white-box rule fixtures
-// refresh them wholesale after mutating peer state directly.
-func (nw *Network) rebuildLevels() {
-	for slot, n := range nw.pt.nodes {
-		if n != nil {
-			nw.pt.maxLv[slot] = int32(n.MaxLevel())
-		}
-	}
-}
-
-// rebuildView recomputes the published rl/rr view from scratch (see
-// rebuildLevels for when this is needed instead of the incremental
-// maintenance).
-func (nw *Network) rebuildView() {
-	for slot, n := range nw.pt.nodes {
-		if n == nil {
-			nw.view[slot] = nil
-			continue
-		}
-		vs := nw.view[slot][:0]
-		for _, v := range n.vnodes {
-			e := viewEntry{}
-			if v != nil {
-				e = publish(v)
-			}
-			vs = append(vs, e)
-		}
-		nw.view[slot] = vs
-	}
-}
-
 // viewOf reads the published rl/rr entry of the referenced virtual
 // node: the round-start state rule 3's guards consult. Unknown peers
 // and out-of-span levels read as the zero entry, exactly like the
@@ -702,7 +647,7 @@ func (nw *Network) Step() RoundStats {
 		return stats
 	}
 
-	if nw.runBatch(active, !nw.cfg.FullSweep, nil, &stats) {
+	if nw.runBatch(active, !nw.cfg.FullSweep, &stats) {
 		nw.lastChange = nw.round
 	}
 	stats.MessagesSent = nw.bucketMsgs
@@ -739,25 +684,14 @@ func (nw *Network) sortSlotsByID(slots []uint32) {
 
 // runBatch executes one phased batch over the active (sorted) peers:
 // deliver and purge in parallel, run rules 1-6 in parallel, prepare the
-// publish/settle/reroute diffs in parallel, commit them through the
-// sharded barrier (see barrier.go), then settle unchanged peers and
-// wake dependents in the serial epilogue. It reports whether the global
-// state changed.
-//
-// The route callback is the only point where the synchronous and
-// asynchronous schedulers differ. nil selects the synchronous engine:
-// changed outputs are committed into the recipients' standing buckets
-// by the sharded commit (the output is visible at every recipient next
-// round). A non-nil callback — the asynchronous scheduler's delay-model
-// routing, the partitioned scheduler's sink mirroring — runs serially
-// in the epilogue, in active order, for every executed peer with its
-// output and whether that output changed: RNG consumption and sink
-// emission order must not depend on the worker count. With settle=false
-// (the full sweep) no settle decision is made: every executed peer is
-// re-stamped and none leaves the frontier early.
-func (nw *Network) runBatch(active []uint32, settle bool, route func(n *RealNode, out []Message, outChanged, stateChanged bool), stats *RoundStats) bool {
+// publish/settle/bucket diffs in parallel, commit them through the
+// sharded barrier (see barrier.go), then settle unchanged peers, let
+// the scheduler emit, and wake dependents in the serial epilogue. It
+// reports whether the global state changed. With settle=false (the full
+// sweep) no settle decision is made: every executed peer is re-stamped
+// and none leaves the frontier early.
+func (nw *Network) runBatch(active []uint32, settle bool, stats *RoundStats) bool {
 	t0 := time.Now()
-	syncCommit := route == nil
 	if cap(nw.results) < len(active) {
 		nw.results = make([]nodeResult, len(active))
 		pres := make([][]*VNode, len(active))
@@ -771,7 +705,7 @@ func (nw *Network) runBatch(active []uint32, settle bool, route func(n *RealNode
 	changed := false
 
 	workers := nw.parallelism()
-	nw.bActive, nw.bSettle, nw.bSync = active, settle, syncCommit
+	nw.bActive, nw.bSettle = active, settle
 	if nw.ownerChangedB == nil {
 		nw.ownerChangedB = make(map[ident.ID]bool)
 		nw.viewChangedB = make(map[ref.Ref]bool)
@@ -829,47 +763,32 @@ func (nw *Network) runBatch(active []uint32, settle bool, route func(n *RealNode
 	tExecute := time.Now()
 
 	// Phase 3a (parallel): prepare — publish each peer's own view and
-	// level slot, take the settle and output-change verdicts, and (for
-	// the synchronous engine) turn the output and edge-set diffs into
-	// bucket ops and dep-index deltas in per-index scratch. See
-	// barrier.go for the ownership story.
+	// level slot, take the settle and output-change verdicts, and turn
+	// the output and edge-set diffs into bucket ops and dep-index deltas
+	// in per-index scratch. See barrier.go for the ownership story.
 	if br.prepare == nil {
 		br.prepare = func(i int) { nw.prepareIndex(i) }
 	}
 	nw.runParallel(workers, workers, len(active), br.prepare)
 	tPrepare := time.Now()
 
-	// Phase 3b (parallel, synchronous engine only): the sharded commit.
-	// Recipient slots and dep-index shards are partitioned across the
-	// commit workers, so every standing bucket, dirty flag and index
-	// shard has exactly one writer; per-worker frontier appends and
-	// bucketMsgs tallies merge serially right after. The commit span is
-	// the engine's reroute time.
-	var rerouteNS time.Duration
-	if syncCommit {
-		C := workers
-		nw.commitW = C
-		if len(nw.commit) < C {
-			commit := make([]commitShard, C)
-			copy(commit, nw.commit)
-			nw.commit = commit
-		}
-		if br.commit == nil {
-			br.commit = func(w int) { nw.commitWorker(w) }
-		}
-		nw.runParallel(C, workers, C, br.commit)
-		for w := 0; w < C; w++ {
-			sh := &nw.commit[w]
-			nw.bucketMsgs += sh.bucketMsgs
-			nw.frontier = append(nw.frontier, sh.frontier...)
-			nw.flow.add(&sh.flow)
-		}
-		rerouteNS = time.Since(tPrepare)
+	// Phase 3b (parallel): the sharded commit. Recipient slots and
+	// dep-index shards are partitioned across the commit workers, so
+	// every standing bucket, dirty flag and index shard has exactly one
+	// writer; per-worker frontier appends and bucketMsgs tallies merge
+	// serially right after. The commit span (plus the scheduler's emit
+	// steps below) is the engine's reroute time.
+	nw.beginCommit(workers)
+	if br.commit == nil {
+		br.commit = func(w int) { nw.commitWorker(w) }
 	}
+	nw.runParallel(workers, workers, workers, br.commit)
+	nw.mergeShards()
+	rerouteNS := time.Since(tPrepare)
 
 	// Phase 3c (serial epilogue, active order): everything that is
 	// ordered state — epoch stamps, settle bookkeeping, the change-set
-	// merge, the serial route callbacks — plus the paranoid verdicts
+	// merge, the scheduler's emit step — plus the paranoid verdicts
 	// deferred out of the pool goroutines.
 	ownerChanged, viewChanged := nw.ownerChangedB, nw.viewChangedB
 	// Batch-local telemetry tallies: plain integers here, one atomic
@@ -898,17 +817,10 @@ func (nw *Network) runBatch(active []uint32, settle bool, route func(n *RealNode
 		for _, r := range p.viewRefs {
 			viewChanged[r] = true
 		}
-		if !syncCommit {
-			if res.hchanged {
-				// The peer's edge sets changed: re-derive its dependency
-				// contribution and diff it into the inverted index.
-				nw.refreshStateDeps(slot, n)
-			}
-			nw.routeFlow = p.newFlow
+		if nw.router != nil && len(p.ops) > 0 {
 			rt := time.Now()
-			route(n, res.out, p.outChanged, p.stateChanged)
+			nw.router.emitFlow(n, p.flow(n), p.ops)
 			rerouteNS += time.Since(rt)
-			nw.routeFlow = nil
 		}
 		out := res.out
 		if p.outChanged {
@@ -985,7 +897,7 @@ func (nw *Network) runBatch(active []uint32, settle bool, route func(n *RealNode
 
 	// Barrier flush: one atomic add per counter for the whole batch.
 	// The publish series is the serial epilogue minus the time spent
-	// inside the scheduler's route callback; it still includes the
+	// inside the scheduler's emit step; it still includes the
 	// settle bookkeeping and the dependent wakes, which share the
 	// serial barrier with the change-set merge.
 	m := &nw.met
@@ -1023,134 +935,6 @@ func (nw *Network) flushFlowGauges() {
 	m.FlowUniqueBytes.Set(int64(nw.flow.uniqueBytes))
 	m.FlowInstallsShared.Set(int64(nw.flow.installsShared))
 	m.FlowInstallsCopied.Set(int64(nw.flow.installsCopied))
-}
-
-// rerouteWith replaces sender n's standing contributions with the
-// spans of its new flow template t (the batch's routeFlow): per
-// recipient, the bucket is rewritten (and the recipient woken) only
-// when the contribution actually changed; content-identical buckets
-// are quietly repointed at the new generation. It is the serial-route
-// schedulers' form of what the synchronous engine does through
-// prepFlowOps + the sharded commit (see barrier.go). onChange fires
-// once per recipient whose standing bucket this call actually rewrote,
-// with the new contribution (nil for a deletion); partitioned
-// schedulers use it to mirror bucket rewrites to the recipient's
-// hosting process. The msgs slice aliases network scratch and must be
-// copied if kept.
-func (nw *Network) rerouteWith(n *RealNode, t *flowTemplate, onChange func(dst ident.ID, msgs []Message)) {
-	h := n.h()
-	// Previous recipients with no new contribution get their bucket
-	// deleted. Spans are unique per owner, so no deduplication is
-	// needed; processing order is free here, since bucket rewrites are
-	// per-recipient independent and the frontier is re-sorted at
-	// collection.
-	if old := n.lastFlow; old != nil {
-		for _, sp := range old.spans {
-			if t.findSpan(sp.owner) < 0 {
-				if nw.rerouteSpan(h, sp.owner, nil, -1) && onChange != nil {
-					onChange(sp.owner, nil)
-				}
-			}
-		}
-	}
-	for si := range t.spans {
-		if nw.rerouteSpan(h, t.spans[si].owner, t, int32(si)) && onChange != nil {
-			nw.rrMsgs = t.appendSpan(nw.rrMsgs[:0], int32(si))
-			onChange(t.spans[si].owner, nw.rrMsgs)
-		}
-	}
-}
-
-// rerouteSpan replaces one sender's standing contribution at one
-// recipient with span si of template t, waking the recipient only when
-// the contribution actually changed. si < 0 deletes the bucket; a
-// departed recipient is a no-op. A content-identical bucket on an
-// older template is quietly repointed so only one generation per
-// sender stays live. The return reports whether the bucket's content
-// actually changed.
-func (nw *Network) rerouteSpan(sender handle, dstID ident.ID, t *flowTemplate, si int32) bool {
-	slot, ok := nw.pt.lookup(dstID)
-	if !ok {
-		return false // destination departed
-	}
-	dst := nw.pt.nodes[slot]
-	bi := dst.findBucket(sender)
-	if si < 0 {
-		if bi < 0 {
-			return false
-		}
-		old := dst.in[bi]
-		nw.bucketMsgs -= old.flow.spanLen(old.span)
-		nw.depRemoveSpan(slot, old.flow, old.span)
-		dst.delBucketAt(bi)
-		releaseBucket(old, &nw.flow)
-		nw.markDirtyIdx(slot)
-		return true
-	}
-	if bi >= 0 {
-		old := dst.in[bi]
-		if spansEqual(old.flow, old.span, t, si) {
-			// Repoint only shared storage: a private bucket (deep-copy
-			// mode, partition stubs) pins no old template generation.
-			if old.flow != t && !old.flow.private {
-				nw.installBucket(dst, sender, t, si, &nw.flow)
-			}
-			return false
-		}
-		nw.bucketMsgs += t.spanLen(si) - old.flow.spanLen(old.span)
-		nw.depRemoveSpan(slot, old.flow, old.span)
-	} else {
-		nw.bucketMsgs += t.spanLen(si)
-	}
-	nw.depAddSpan(slot, t, si)
-	nw.installBucket(dst, sender, t, si, &nw.flow)
-	nw.markDirtyIdx(slot)
-	return true
-}
-
-// installBucketQuiet points the sender's standing bucket at span si of
-// t without waking the recipient: the asynchronous scheduler calls
-// this for run-stable contributions, whose content already reached the
-// recipient as one-shot messages when it last changed — the bucket is
-// just the repeating representation from then on. Content-identical
-// buckets on an older template are repointed (storage-only move).
-func (nw *Network) installBucketQuiet(dst *RealNode, sender handle, t *flowTemplate, si int32) {
-	if bi := dst.findBucket(sender); bi >= 0 {
-		old := dst.in[bi]
-		if spansEqual(old.flow, old.span, t, si) {
-			if old.flow != t && !old.flow.private {
-				nw.installBucket(dst, sender, t, si, &nw.flow)
-			}
-			return
-		}
-		nw.bucketMsgs += t.spanLen(si) - old.flow.spanLen(old.span)
-		nw.depRemoveSpan(dst.idx, old.flow, old.span)
-	} else {
-		nw.bucketMsgs += t.spanLen(si)
-	}
-	nw.depAddSpan(dst.idx, t, si)
-	nw.installBucket(dst, sender, t, si, &nw.flow)
-}
-
-// dropBucket revokes the sender's standing bucket at the recipient,
-// reporting whether one existed. The asynchronous scheduler revokes a
-// bucket whenever the sender's contribution changes: the new version
-// travels as one-shot messages instead, because replaying transient
-// versions out of standing buckets re-perturbs settled regions.
-func (nw *Network) dropBucket(dst *RealNode, alive bool, sender handle) bool {
-	if !alive || dst == nil {
-		return false
-	}
-	bi := dst.findBucket(sender)
-	if bi < 0 {
-		return false
-	}
-	b := dst.in[bi]
-	nw.bucketMsgs -= b.flow.spanLen(b.span)
-	nw.depRemoveSpan(dst.idx, b.flow, b.span)
-	dst.delBucketAt(bi)
-	releaseBucket(b, &nw.flow)
-	return true
 }
 
 // nodeResult carries one peer's delayed effects out of the parallel

@@ -17,11 +17,11 @@ import (
 // peers it references (viewOf), and the static config — so a process
 // that keeps its stubs' published views and max levels up to date can
 // execute its hosted peers exactly as the monolith would. Second, the
-// route callback and the barrier's wakeDependents call are the only
-// points where one peer's execution touches another peer's inputs — so
-// mirroring standing-bucket rewrites (rerouteWith's onChange), one-shot
-// deliveries, and per-owner view publishes to the recipients' hosting
-// processes is sufficient for semantic equivalence. Churn-free runs
+// barrier's bucket ops and its wakeDependents call are the only points
+// where one peer's execution touches another peer's inputs — so
+// mirroring the waking bucket ops (emitFlow), one-shot deliveries, and
+// per-owner view publishes to the recipients' hosting processes is
+// sufficient for semantic equivalence. Churn-free runs
 // are round-for-round identical to the monolith; runs with churn skew
 // by at most the op round and converge to the same unique stable
 // topology (the paper's self-stabilization theorem), which the wire
@@ -36,7 +36,7 @@ import (
 // local application.
 
 // BucketUpdate mirrors one sender's standing contribution at one
-// recipient: the partitioned form of rerouteSpan. Empty Msgs deletes
+// recipient: the wire form of a waking bucket op. Empty Msgs deletes
 // the bucket.
 type BucketUpdate struct {
 	From, To ident.ID
@@ -100,10 +100,11 @@ var _ Scheduler = (*Partition)(nil)
 // NewPartition wraps the network for partitioned execution. hosted
 // decides which peers this process runs; sink (may be nil for
 // single-process use) receives the cross-partition effects. The
-// network's barrier hook is claimed by the partition.
+// network's barrier hook and flow router are claimed by the partition.
 func NewPartition(nw *Network, hosted func(ident.ID) bool, sink PartitionSink) *Partition {
 	p := &Partition{nw: nw, hosted: hosted, sink: sink, pub: make(map[ident.ID]bool)}
 	nw.onBarrier = p.captureBarrier
+	nw.router = p
 	return p
 }
 
@@ -157,7 +158,7 @@ func (p *Partition) HostedPeers() int {
 }
 
 // Step runs one global round's hosted share: collect the frontier,
-// keep the hosted slots, and run the batch with the partition route.
+// keep the hosted slots, and run the batch.
 // Cross-partition effects stream into the sink during the call; the
 // caller exchanges them and applies the other processes' effects
 // (ApplyBucket/ApplyOneShot/ApplyPublish) before the next Step.
@@ -182,7 +183,7 @@ func (p *Partition) Step() RoundStats {
 		stats.MessagesSent = nw.bucketMsgs
 		return stats
 	}
-	if nw.runBatch(hosted, true, p.route, &stats) {
+	if nw.runBatch(hosted, true, &stats) {
 		nw.lastChange = nw.round
 	}
 	p.flushPublishes()
@@ -190,24 +191,28 @@ func (p *Partition) Step() RoundStats {
 	return stats
 }
 
-// route is the partition's barrier routing: standing buckets are
-// rewritten locally exactly as the monolith does (stubs carry shadow
-// buckets, so the sender-side dedup state is complete), and every
-// rewrite whose recipient lives elsewhere is mirrored to the sink.
-func (p *Partition) route(n *RealNode, _ []Message, outChanged, _ bool) {
-	if !outChanged {
+// planFlow: standing buckets are rewritten locally exactly as the
+// monolith does (stubs carry shadow buckets, so the sender-side dedup
+// state is complete).
+func (p *Partition) planFlow(n *RealNode, pr *prepOut) { p.nw.planRewrite(n, pr) }
+
+// emitFlow mirrors every bucket op that changed a remote recipient's
+// standing input to the sink, in plan order.
+func (p *Partition) emitFlow(n *RealNode, tpl *flowTemplate, ops []bucketOp) {
+	if p.sink == nil {
 		return
 	}
-	p.nw.rerouteWith(n, p.nw.routeFlow, func(dst ident.ID, msgs []Message) {
-		if p.sink == nil || p.hosted(dst) {
-			return
+	for _, op := range ops {
+		dst := p.nw.pt.ids[op.dstSlot]
+		if !op.wake || p.hosted(dst) {
+			continue
 		}
-		var cp []Message
-		if len(msgs) > 0 {
-			cp = append(cp, msgs...)
+		u := BucketUpdate{From: n.id, To: dst}
+		if op.span >= 0 {
+			u.Msgs = tpl.appendSpan(make([]Message, 0, tpl.spanLen(op.span)), op.span)
 		}
-		p.sink.SendBucket(BucketUpdate{From: n.id, To: dst, Msgs: cp})
-	})
+		p.sink.SendBucket(u)
+	}
 }
 
 // captureBarrier is the Network.onBarrier hook: it records which
@@ -269,18 +274,17 @@ func (p *Partition) flushPublishes() {
 // generation to share.
 func (p *Partition) ApplyBucket(u BucketUpdate) {
 	nw := p.nw
-	slot, ok := nw.pt.lookup(u.From)
-	if !ok {
+	from := nw.pt.node(u.From)
+	if from == nil {
 		return // sender departed via an op this process already applied
 	}
-	h := nw.pt.nodes[slot].h()
 	if len(u.Msgs) == 0 {
-		nw.rerouteSpan(h, u.To, nil, -1)
+		nw.rewriteBucket(from.h(), u.To, nil, -1, true)
 		return
 	}
 	t := buildPrivateFlow(u.To, u.Msgs)
 	nw.flow.tallyBirth(t)
-	nw.rerouteSpan(h, u.To, t, 0)
+	nw.rewriteBucket(from.h(), u.To, t, 0, true)
 	releaseFlow(t, &nw.flow)
 }
 
@@ -411,54 +415,12 @@ func (p *Partition) ApplyFail(id ident.ID) error {
 	return nil
 }
 
-// removeStub is removePeer for a peer hosted elsewhere. The departed
-// stub has no trustworthy flow template, so the final-delivery walk is
-// a scan over every local peer's standing buckets for the departed
-// handle instead: hosted recipients get the flush-to-inbox the
-// monolith performs, stub recipients just drop the shadow (their own
-// hosts flush their copies).
+// removeStub is removePeer for a peer hosted elsewhere.
 func (p *Partition) removeStub(id ident.ID, op string) error {
-	nw := p.nw
-	n := nw.pt.node(id)
-	if n == nil {
+	if p.nw.pt.node(id) == nil {
 		return fmt.Errorf("rechord: partition %s: peer %s not in network", op, id)
 	}
-	h := n.h()
-	nw.view[n.idx] = nil
-	nw.vhash[n.idx] = nw.vhash[n.idx][:0]
-	nw.dropStateDeps(n.idx)
-	nw.pt.release(n)
-	nw.removeOrder(id)
-	for _, b := range n.in {
-		nw.bucketMsgs -= b.flow.spanLen(b.span)
-		nw.depRemoveSpan(n.idx, b.flow, b.span)
-		releaseBucket(b, &nw.flow)
-	}
-	n.in = nil
-	if n.lastFlow != nil {
-		releaseFlow(n.lastFlow, &nw.flow)
-		n.lastFlow = nil
-	}
-	for slot, dst := range nw.pt.nodes {
-		if dst == nil {
-			continue
-		}
-		bi := dst.findBucket(h)
-		if bi < 0 {
-			continue
-		}
-		b := dst.in[bi]
-		nw.bucketMsgs -= b.flow.spanLen(b.span)
-		nw.depRemoveSpan(uint32(slot), b.flow, b.span)
-		dst.delBucketAt(bi)
-		if p.hosted(dst.id) {
-			dst.inbox = b.flow.appendSpan(dst.inbox, b.span)
-			nw.markDirtyIdx(uint32(slot))
-		}
-		releaseBucket(b, &nw.flow)
-	}
-	nw.flushFlowGauges()
-	nw.wakeDependents(map[ident.ID]bool{id: true}, nil)
+	p.nw.removePeer(id, p.hosted)
 	return nil
 }
 

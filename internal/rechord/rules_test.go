@@ -21,6 +21,73 @@ func newFx(cfg Config, peers ...float64) *fx {
 	return &fx{nw: nw}
 }
 
+// The rebuild* helpers recompute the engine's incrementally maintained
+// caches from scratch: the fixture mutates peer state directly between
+// runs, behind the back of the barrier that normally maintains them.
+
+func (nw *Network) rebuildLevels() {
+	for slot, n := range nw.pt.nodes {
+		if n != nil {
+			nw.pt.maxLv[slot] = int32(n.MaxLevel())
+		}
+	}
+}
+
+func (nw *Network) rebuildView() {
+	for slot, n := range nw.pt.nodes {
+		if n == nil {
+			nw.view[slot] = nil
+			continue
+		}
+		vs := nw.view[slot][:0]
+		for _, v := range n.vnodes {
+			e := viewEntry{}
+			if v != nil {
+				e = publish(v)
+			}
+			vs = append(vs, e)
+		}
+		nw.view[slot] = vs
+	}
+}
+
+func (nw *Network) rebuildHashes() {
+	for len(nw.vhash) < len(nw.pt.nodes) {
+		nw.vhash = append(nw.vhash, nil)
+	}
+	for slot, n := range nw.pt.nodes {
+		if n == nil {
+			nw.vhash[slot] = nw.vhash[slot][:0]
+			continue
+		}
+		nw.refreshHashSlot(uint32(slot), n)
+	}
+}
+
+func (nw *Network) rebuildDeps() {
+	nw.deps = depIndex{}
+	for len(nw.stateDeps) < len(nw.pt.nodes) {
+		nw.stateDeps = append(nw.stateDeps, nil)
+	}
+	for slot := range nw.stateDeps {
+		nw.stateDeps[slot] = nw.stateDeps[slot][:0]
+	}
+	nw.commitW = 1
+	var p prepOut
+	for slot, n := range nw.pt.nodes {
+		if n == nil {
+			continue
+		}
+		nw.prepStateDeps(uint32(slot), n, &p)
+		for _, b := range n.in {
+			appendSpanDeps(&p.deps, b.flow, b.span, uint32(slot), 1)
+		}
+	}
+	for _, d := range p.deps {
+		nw.commitDepDelta(0, d)
+	}
+}
+
 func (f *fx) peer(x float64) *RealNode { return f.nw.Peer(ident.FromFloat(x)) }
 
 func (f *fx) run(x float64) nodeResult {

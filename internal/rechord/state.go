@@ -248,14 +248,6 @@ func (n *RealNode) vnodesByLevel() []*VNode {
 	return out
 }
 
-// knownSet computes N(u): the refs of all siblings plus the union of
-// the unmarked neighborhoods of all virtual nodes (Section 2.2).
-func (n *RealNode) knownSet() ref.Set {
-	var known ref.Set
-	n.knownSetInto(&known)
-	return known
-}
-
 // knownSetInto fills s with N(u), reusing its storage. The union is
 // built by linear merges of the (already sorted) per-level
 // neighborhoods instead of element-wise sorted insertion: at large m
@@ -454,22 +446,6 @@ func sortedMessages(ms []Message) []Message {
 		return a.Add.Less(b.Add)
 	})
 	return out
-}
-
-// sameMessages reports whether two message slices are element-wise
-// identical. The rules are deterministic, so an unchanged peer output
-// repeats in the same order; a false negative only costs a spurious
-// re-run, never correctness.
-func sameMessages(a, b []Message) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Message is a delayed assignment (the paper's "A <= B"): an edge
