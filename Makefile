@@ -9,36 +9,64 @@ GO ?= go
 # honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)).
 STATICCHECK_VERSION := 2025.1.1
 
-# The round-engine benchmarks tracked across PRs in BENCH_rounds.json
-# (steady-state Step, per-round cost at the paper's scale, fixed-point
-# detection, churn recovery) are spelled out inline in bench-json and
-# bench-diff — the two recipes must pin identical benchtimes per group.
+# The gated benchmark groups. Each group — the command list that
+# records it and the benchdiff flags that gate it against the committed
+# BENCH_<group>.json — is defined exactly once, here; the recording
+# targets, bench-diff and CI's bench-diff job all go through
+# bench-record / bench-gate below, so the benchtimes cannot drift apart
+# (allocs/op has a small GC-warmup component that amortizes differently
+# under another benchtime, and the gate holds allocs to 0% tolerance).
+BENCH_GROUPS := rounds async wire mem
 
-# The inverted-wake-index benchmark lives inside internal/rechord (it
-# drives unexported engine internals); only the indexed series is
-# recorded — the scan series is the O(n) equivalence baseline and takes
-# minutes at the larger size.
-WAKE_BENCH := BenchmarkWakeDependents/indexed
+# rounds: the round-engine benchmarks (steady-state Step, per-round
+# cost at the paper's scale, fixed-point detection, churn recovery),
+# the inverted-wake-index benchmark from internal/rechord (only the
+# indexed series — the scan series is the O(n) equivalence baseline and
+# takes minutes at the larger size; the two sizes must stay flat
+# relative to each other, the frontier-proportional claim in numbers),
+# the barrier split (prepare vs commit per batch under the n=4096
+# hot-frontier transient, Workers 1 vs 4; warn-only, its allocation
+# counts vary with the worker pool; the n=16384 series is for by-hand
+# runs) and the telemetry hot path.
+BENCH_RECORD_rounds = { \
+	$(GO) test -run '^$$' -bench 'BenchmarkStepSteadyState' -benchmem -benchtime=1000x . ; \
+	$(GO) test -run '^$$' -bench 'BenchmarkRound$$|BenchmarkSnapshot|BenchmarkChurnRecoveryLarge' -benchmem -benchtime=1x . ; \
+	$(GO) test -run '^$$' -bench 'BenchmarkWakeDependents/indexed' -benchmem -benchtime=1000x ./internal/rechord/ ; \
+	$(GO) test -run '^$$' -bench 'BenchmarkBarrierCommit/.*/n=4096' -benchmem -benchtime=1x ./internal/rechord/ ; \
+	$(GO) test -run '^$$' -bench 'BenchmarkObsHotPath' -benchmem -benchtime=1000x ./internal/obs/ ; }
+BENCH_GATE_rounds = -fail-allocs 'BenchmarkStepSteadyState|BenchmarkWakeDependents|BenchmarkObsHotPath'
 
-# The barrier-split benchmark: prepare vs commit cost per batch under
-# the n=4096 hot-frontier transient, serial (Workers=1) vs sharded
-# (Workers=4). Tracked warn-only — its wall-clock carries the phase-3
-# parallelization story, but allocation counts vary with the worker
-# pool so it stays out of the -fail-allocs gate. (The benchmark also
-# has an n=16384 series for by-hand acceptance runs; only n=4096 is
-# recorded.)
-BARRIER_BENCH := BenchmarkBarrierCommit/.*/n=4096
+# async: the asynchronous scheduler's steady-state step (must stay flat
+# in n; it needs iterations for a stable ns/op) and the churn-recovery
+# and convergence sweeps (their cost is in setup, so a fixed small
+# count).
+BENCH_RECORD_async = { \
+	$(GO) test -run '^$$' -bench 'BenchmarkAsyncStep' -benchmem -benchtime=100000x . ; \
+	$(GO) test -run '^$$' -bench 'BenchmarkAsyncConvergence|BenchmarkAsyncChurnRecovery' -benchmem -benchtime=3x . ; }
+BENCH_GATE_async = -fail-allocs 'BenchmarkAsyncStep'
+
+# wire: the warm symbol-table message encode/decode hot path, pinned at
+# <= 2 allocs/op (currently 0).
+BENCH_RECORD_wire = $(GO) test -run '^$$' -bench 'BenchmarkEncodeMessage|BenchmarkDecodeMessage' -benchmem -benchtime=10000x ./internal/wire/
+BENCH_GATE_wire = -fail-allocs 'BenchmarkEncodeMessage|BenchmarkDecodeMessage'
+
+# mem: resident bytes per peer of a settled network, standing flows
+# included. The settle run is the cost, so one iteration per size.
+# MEM_RUNGS selects the sizes: the gate measures these three; bench-mem
+# clears it to record every rung (the widened timeout unlocks n=65536,
+# which self-skips at the default deadline).
+MEM_RUNGS ?= /n=(1024|4096|16384)$$
+BENCH_RECORD_mem = $(GO) test -run '^$$' -bench 'BenchmarkMemoryPerPeer$(MEM_RUNGS)' -benchtime=1x -timeout=60m .
+BENCH_GATE_mem = -metric bytes/peer -metric-tol 0.10 -fail-metric 'BenchmarkMemoryPerPeer$(MEM_RUNGS)'
+
+# Where bench-gate writes its scratch recordings.
+BENCH_TMP ?= /tmp
 
 # Serving-layer benchmarks tracked in BENCH_lookups.json: cached vs
 # uncached table routing and the end-to-end workload engine.
 LOOKUP_BENCH := BenchmarkTableLookup|BenchmarkWorkload
 
-# Wire-codec benchmarks tracked in BENCH_wire.json: the warm
-# symbol-table message encode/decode hot path, pinned at <= 2 allocs/op
-# by the bench-diff gate (currently 0).
-WIRE_BENCH := BenchmarkEncodeMessage|BenchmarkDecodeMessage
-
-.PHONY: all test test-short lint vet fmt staticcheck loc bench bench-json bench-lookups bench-async bench-mem bench-wire bench-diff fuzz-smoke cover examples clean
+.PHONY: all test test-short lint vet fmt staticcheck loc bench bench-record bench-gate bench-json bench-lookups bench-async bench-mem bench-wire bench-diff fuzz-smoke cover examples clean
 
 all: lint test
 
@@ -96,22 +124,38 @@ examples:
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem .
 
-# bench-json records the round-engine benchmarks as machine-diffable
-# JSON (name, ns/op, allocs/op, custom metrics) in BENCH_rounds.json,
-# including the wake-index benchmark from internal/rechord (the two
-# sizes must stay flat relative to each other — that is the
-# frontier-proportional claim in numbers). The benchtimes must match
-# bench-diff's measurement commands exactly: allocs/op has a small
-# GC-warmup component that amortizes differently under adaptive
-# benchtime, and the gate holds allocs to 0% tolerance.
+# bench-record records one gated group as machine-diffable JSON (name,
+# ns/op, allocs/op, custom metrics): make bench-record GROUP=async
+# OUT=/tmp/async.json.
+bench-record:
+	$(if $(and $(BENCH_RECORD_$(GROUP)),$(OUT)),,$(error usage: make bench-record GROUP=<one of $(BENCH_GROUPS)> OUT=<file>))
+	$(BENCH_RECORD_$(GROUP)) | $(GO) run ./cmd/benchjson > $(OUT)
+	@echo wrote $(OUT)
+
+# bench-gate re-records one group next to, not over, its committed
+# baseline and diffs the two under the group's gate: a listed
+# allocs/op or bytes/peer regression fails, everything else warns
+# (wall-clock drifts on shared machines, allocation counts do not).
+# CI passes BENCHDIFF_FLAGS=-github for annotations.
+bench-gate: OUT = $(BENCH_TMP)/bench_new_$(GROUP).json
+bench-gate: bench-record
+	$(GO) run ./cmd/benchdiff $(BENCHDIFF_FLAGS) -base BENCH_$(GROUP).json -new $(OUT) $(BENCH_GATE_$(GROUP))
+
+# bench-diff runs every group's gate: the same commands as CI's
+# bench-diff job.
+bench-diff:
+	@for g in $(BENCH_GROUPS); do $(MAKE) --no-print-directory bench-gate GROUP=$$g || exit 1; done
+
+# The committed baselines are re-recorded per group (bench-json is
+# the rounds group's historical target name).
 bench-json:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkStepSteadyState' -benchmem -benchtime=1000x . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkRound$$|BenchmarkSnapshot|BenchmarkChurnRecoveryLarge' -benchmem -benchtime=1x . ; \
-	  $(GO) test -run '^$$' -bench '$(WAKE_BENCH)' -benchmem -benchtime=1000x ./internal/rechord/ ; \
-	  $(GO) test -run '^$$' -bench '$(BARRIER_BENCH)' -benchmem -benchtime=1x ./internal/rechord/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkObsHotPath' -benchmem -benchtime=1000x ./internal/obs/ ; } \
-	  | $(GO) run ./cmd/benchjson > BENCH_rounds.json
-	@echo wrote BENCH_rounds.json
+	$(MAKE) --no-print-directory bench-record GROUP=rounds OUT=BENCH_rounds.json
+bench-async:
+	$(MAKE) --no-print-directory bench-record GROUP=async OUT=BENCH_async.json
+bench-wire:
+	$(MAKE) --no-print-directory bench-record GROUP=wire OUT=BENCH_wire.json
+bench-mem:
+	$(MAKE) --no-print-directory bench-record GROUP=mem OUT=BENCH_mem.json MEM_RUNGS=
 
 # bench-lookups records the serving-layer benchmarks (table-lookup
 # cache vs baseline, workload percentiles) in BENCH_lookups.json.
@@ -119,67 +163,11 @@ bench-lookups:
 	$(GO) test -run '^$$' -bench '$(LOOKUP_BENCH)' -benchmem . | $(GO) run ./cmd/benchjson > BENCH_lookups.json
 	@echo wrote BENCH_lookups.json
 
-# bench-async records the asynchronous scheduler benchmarks in
-# BENCH_async.json: the steady-state step (must stay flat in n — the
-# frontier-proportional claim), churn recovery, and convergence-time
-# sweeps. The step benchmark needs iterations for a stable ns/op; the
-# convergence ones carry their cost in setup, so they run a fixed
-# small count.
-bench-async:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkAsyncStep' -benchmem -benchtime=100000x . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkAsyncConvergence|BenchmarkAsyncChurnRecovery' -benchmem -benchtime=3x . ; } \
-	  | $(GO) run ./cmd/benchjson > BENCH_async.json
-	@echo wrote BENCH_async.json
-
-# bench-mem records the compact-handle core's memory footprint in
-# BENCH_mem.json: resident bytes per peer of a settled network,
-# standing flows included. The settle run is the cost, so one
-# iteration per size is the stable measurement. The widened timeout
-# unlocks the n=65536 rung, which self-skips at the default deadline.
-bench-mem:
-	$(GO) test -run '^$$' -bench 'BenchmarkMemoryPerPeer' -benchtime=1x -timeout=60m . | $(GO) run ./cmd/benchjson > BENCH_mem.json
-	@echo wrote BENCH_mem.json
-
-# bench-wire records the wire-codec hot-path benchmarks in
-# BENCH_wire.json.
-bench-wire:
-	$(GO) test -run '^$$' -bench '$(WIRE_BENCH)' -benchmem ./internal/wire/ | $(GO) run ./cmd/benchjson > BENCH_wire.json
-	@echo wrote BENCH_wire.json
-
 # fuzz-smoke runs each native fuzz target briefly against the codec —
 # the same budget CI's wire job spends per target.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzFrameRoundTrip' -fuzztime 30s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeHostile' -fuzztime 30s ./internal/wire/
-
-# bench-diff re-records the gated benchmarks (few iterations — alloc
-# counts are deterministic, wall-clock drift is warn-only anyway) and
-# compares them against the committed baselines without overwriting
-# them. This is the same gate CI's bench-diff job runs: an allocs/op
-# regression on the steady-state benchmarks fails, everything else
-# warns.
-bench-diff:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkStepSteadyState' -benchmem -benchtime=1000x . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkRound$$|BenchmarkSnapshot|BenchmarkChurnRecoveryLarge' -benchmem -benchtime=1x . ; \
-	  $(GO) test -run '^$$' -bench '$(WAKE_BENCH)' -benchmem -benchtime=1000x ./internal/rechord/ ; \
-	  $(GO) test -run '^$$' -bench '$(BARRIER_BENCH)' -benchmem -benchtime=1x ./internal/rechord/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkObsHotPath' -benchmem -benchtime=1000x ./internal/obs/ ; } \
-	  | $(GO) run ./cmd/benchjson > /tmp/bench_new_rounds.json
-	$(GO) run ./cmd/benchdiff -base BENCH_rounds.json -new /tmp/bench_new_rounds.json \
-	  -fail-allocs 'BenchmarkStepSteadyState|BenchmarkWakeDependents|BenchmarkObsHotPath'
-	{ $(GO) test -run '^$$' -bench 'BenchmarkAsyncStep' -benchmem -benchtime=100000x . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkAsyncConvergence|BenchmarkAsyncChurnRecovery' -benchmem -benchtime=3x . ; } \
-	  | $(GO) run ./cmd/benchjson > /tmp/bench_new_async.json
-	$(GO) run ./cmd/benchdiff -base BENCH_async.json -new /tmp/bench_new_async.json \
-	  -fail-allocs 'BenchmarkAsyncStep'
-	$(GO) test -run '^$$' -bench '$(WIRE_BENCH)' -benchmem -benchtime=10000x ./internal/wire/ \
-	  | $(GO) run ./cmd/benchjson > /tmp/bench_new_wire.json
-	$(GO) run ./cmd/benchdiff -base BENCH_wire.json -new /tmp/bench_new_wire.json \
-	  -fail-allocs 'BenchmarkEncodeMessage|BenchmarkDecodeMessage'
-	$(GO) test -run '^$$' -bench 'BenchmarkMemoryPerPeer/n=(1024|4096|16384)$$' -benchtime=1x . \
-	  | $(GO) run ./cmd/benchjson > /tmp/bench_new_mem.json
-	$(GO) run ./cmd/benchdiff -base BENCH_mem.json -new /tmp/bench_new_mem.json \
-	  -metric bytes/peer -metric-tol 0.10 -fail-metric 'BenchmarkMemoryPerPeer/n=(1024|4096|16384)$$'
 
 clean:
 	$(GO) clean -testcache

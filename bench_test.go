@@ -147,7 +147,7 @@ func BenchmarkFail(b *testing.B) {
 	benchChurn(b, "fail")
 }
 
-func benchChurn(b *testing.B, kind string) {
+func benchChurn(b *testing.B, kind churn.Kind) {
 	for _, n := range benchSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			var rounds float64

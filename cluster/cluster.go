@@ -67,23 +67,6 @@ type Cluster struct {
 	wire *obs.WireMetrics
 }
 
-// failoverResolver routes through the epoch-cached table router and
-// falls back to the state-walk router when a table is incomplete or
-// stale mid-churn.
-type failoverResolver struct {
-	cache     *routing.Cache
-	walk      routing.Walker
-	fallbacks *atomic.Int64
-}
-
-func (r failoverResolver) Resolve(from, key ident.ID) (ident.ID, int, error) {
-	if owner, hops, err := r.cache.Resolve(from, key); err == nil {
-		return owner, hops, nil
-	}
-	r.fallbacks.Add(1)
-	return r.walk.Resolve(from, key)
-}
-
 // New builds a cluster from the options. The default is 32 peers,
 // seed 1, already settled in the unique stable topology, with the
 // epoch-cached router enabled; non-stable topologies come back
@@ -134,7 +117,7 @@ func New(opts ...Option) (*Cluster, error) {
 	var resolver dht.Resolver
 	if cfg.routerCache {
 		c.cache = routing.NewCache(nw)
-		resolver = failoverResolver{cache: c.cache, walk: routing.Walker{NW: nw}, fallbacks: &c.fallbacks}
+		resolver = routing.Failover{Cache: c.cache, Fallbacks: &c.fallbacks}
 	} else {
 		resolver = routing.Walker{NW: nw}
 	}
@@ -211,11 +194,9 @@ func (c *Cluster) Join(ctx context.Context) (PeerID, error) {
 		}
 	}
 	contact := c.homes[c.rng.Intn(len(c.homes))]
-	if err := c.nw.Join(id, contact); err != nil {
-		return 0, fmt.Errorf("%w: join: %v", ErrUnknownPeer, err)
+	if err := c.applyEvent(churn.Event{Kind: churn.Join, ID: id, Contact: contact}); err != nil {
+		return 0, err
 	}
-	c.refreshHomes()
-	c.bus.publish(Event{Kind: EventPeerJoined, Peer: PeerID(id), Round: c.clock()})
 	return PeerID(id), nil
 }
 
@@ -223,17 +204,17 @@ func (c *Cluster) Join(ctx context.Context) (PeerID, error) {
 // neighbors to one another before departing. The network is left
 // un-stabilized; call Stabilize to repair it.
 func (c *Cluster) Leave(ctx context.Context, p PeerID) error {
-	return c.depart(ctx, p, "leave")
+	return c.depart(ctx, p, churn.Leave)
 }
 
 // Fail crashes the peer: no goodbyes, its edges dangle until the
 // repair rules purge them. The network is left un-stabilized; call
 // Stabilize to repair it.
 func (c *Cluster) Fail(ctx context.Context, p PeerID) error {
-	return c.depart(ctx, p, "fail")
+	return c.depart(ctx, p, churn.Fail)
 }
 
-func (c *Cluster) depart(ctx context.Context, p PeerID, kind string) error {
+func (c *Cluster) depart(ctx context.Context, p PeerID, kind churn.Kind) error {
 	if err := c.ready(ctx); err != nil {
 		return err
 	}
@@ -242,21 +223,7 @@ func (c *Cluster) depart(ctx context.Context, p PeerID, kind string) error {
 	if len(c.homes) <= 1 {
 		return fmt.Errorf("%w: cannot remove the last peer %s", ErrConfig, p)
 	}
-	var err error
-	ev := Event{Peer: p}
-	switch kind {
-	case "leave":
-		err, ev.Kind = c.nw.Leave(p.id()), EventPeerLeft
-	default:
-		err, ev.Kind = c.nw.Fail(p.id()), EventPeerFailed
-	}
-	if err != nil {
-		return fmt.Errorf("%w: %s: %v", ErrUnknownPeer, kind, err)
-	}
-	c.refreshHomes()
-	ev.Round = c.clock()
-	c.bus.publish(ev)
-	return nil
+	return c.applyEvent(churn.Event{Kind: kind, ID: p.id()})
 }
 
 // StabilizeReport is the outcome of one Stabilize call.

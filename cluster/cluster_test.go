@@ -39,7 +39,7 @@ func TestLockstepFacadeVsDirect(t *testing.T) {
 	}
 	var fallbacks atomic.Int64
 	cache := routing.NewCache(nw)
-	resolver := failoverResolver{cache: cache, walk: routing.Walker{NW: nw}, fallbacks: &fallbacks}
+	resolver := routing.Failover{Cache: cache, Fallbacks: &fallbacks}
 	store := dht.NewWithResolver(nw, resolver)
 	homes := nw.Peers()
 	ctr := 0

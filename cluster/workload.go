@@ -11,16 +11,23 @@ import (
 	"repro/internal/workload"
 )
 
-// eventKindFor maps a churn event kind to its stream event kind.
-func eventKindFor(kind string) EventKind {
-	switch kind {
-	case "join":
-		return EventPeerJoined
-	case "leave":
-		return EventPeerLeft
-	default:
-		return EventPeerFailed
+// peerEvents names each membership event on the event stream.
+var peerEvents = map[churn.Kind]EventKind{
+	churn.Join:  EventPeerJoined,
+	churn.Leave: EventPeerLeft,
+	churn.Fail:  EventPeerFailed,
+}
+
+// applyEvent executes one membership change and publishes it on the
+// event stream as soon as it is visible, before any repair — the
+// stream's contract. Callers hold the write lock.
+func (c *Cluster) applyEvent(ev churn.Event) error {
+	if err := ev.Apply(c.nw); err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrUnknownPeer, ev.Kind, err)
 	}
+	c.refreshHomes()
+	c.bus.publish(Event{Kind: peerEvents[ev.Kind], Peer: PeerID(ev.ID), Round: c.clock()})
+	return nil
 }
 
 // restoreInvariants re-establishes the facade guarantees after
@@ -89,42 +96,14 @@ type WorkloadConfig struct {
 	ChurnStepChunk int
 }
 
-// OpReport is the telemetry of one operation kind.
-type OpReport struct {
-	Name          string
-	Count, Errors int
-	Latency       *Histogram // nanoseconds
-	Hops          *Histogram // inter-peer hops
-}
+// OpReport is the telemetry of one operation kind (re-exported from
+// the traffic engine).
+type OpReport = workload.OpStats
 
-// WorkloadReport is the merged telemetry of one RunWorkload call.
-type WorkloadReport struct {
-	Ops        int           // operations completed
-	Errors     int           // routing failures surfaced to clients
-	NotFound   int           // Gets that reached the owner but missed
-	Fallbacks  int           // table-route failures recovered by the state walk
-	Elapsed    time.Duration // wall-clock of the measured phase
-	Throughput float64       // ops per second
-
-	Latency *Histogram // all ops, nanoseconds
-	Hops    *Histogram // all ops, inter-peer hops
-	PerOp   []OpReport
-
-	CacheHits, CacheMisses uint64 // router cache counters for the run
-	ChurnApplied           int    // membership events actually applied
-
-	// OpsFingerprint hashes the op streams, StoreFingerprint the final
-	// store contents of the run; same seed + config reproduce both
-	// (the store fingerprint additionally requires a churn-free run).
-	OpsFingerprint   uint64
-	StoreFingerprint uint64
-	StoreLen         int
-
-	summary string
-}
-
-// Summary renders the headline numbers as one line.
-func (r *WorkloadReport) Summary() string { return r.summary }
+// WorkloadReport is the merged telemetry of one RunWorkload call
+// (re-exported from the traffic engine); Summary renders its headline
+// numbers as one line.
+type WorkloadReport = workload.Result
 
 // RunWorkload drives the concurrent traffic engine against the
 // cluster: a pool of client workers firing Get/Put/Delete at the
@@ -177,7 +156,7 @@ func (c *Cluster) RunWorkload(ctx context.Context, cfg WorkloadConfig) (*Workloa
 			// the churn-driver goroutine, which may not read the round
 			// counter while workers are mid-operation.
 			OnApply: func(ev churn.Event) {
-				c.bus.publish(Event{Kind: eventKindFor(ev.Kind), Peer: PeerID(ev.ID)})
+				c.bus.publish(Event{Kind: peerEvents[ev.Kind], Peer: PeerID(ev.ID)})
 			},
 			OnSettle: func(rounds int) {
 				c.bus.publish(Event{Kind: EventRegionSettled, Rounds: rounds, Peers: c.nw.NumPeers()})
@@ -208,31 +187,7 @@ func (c *Cluster) RunWorkload(ctx context.Context, cfg WorkloadConfig) (*Workloa
 	if err := c.restoreInvariants(epoch0); err != nil && runErr == nil {
 		runErr = err
 	}
-
-	rep := &WorkloadReport{
-		Ops:              res.Ops,
-		Errors:           res.Errors,
-		NotFound:         res.NotFound,
-		Fallbacks:        res.Fallbacks,
-		Elapsed:          res.Elapsed,
-		Throughput:       res.Throughput,
-		Latency:          res.Latency,
-		Hops:             res.Hops,
-		CacheHits:        res.CacheHits,
-		CacheMisses:      res.CacheMisses,
-		ChurnApplied:     res.ChurnApplied,
-		OpsFingerprint:   res.OpsFingerprint,
-		StoreFingerprint: res.StoreFingerprint,
-		StoreLen:         res.StoreLen,
-		summary:          res.Summary(),
-	}
-	for _, op := range res.PerOp {
-		rep.PerOp = append(rep.PerOp, OpReport{
-			Name: op.Name, Count: op.Count, Errors: op.Errors,
-			Latency: op.Latency, Hops: op.Hops,
-		})
-	}
-	return rep, runErr
+	return res, runErr
 }
 
 // Recovery reports how one churn event was absorbed.
@@ -272,21 +227,9 @@ func (c *Cluster) ChurnRandom(ctx context.Context, events int) (recs []Recovery,
 
 	var out []Recovery
 	for _, ev := range churn.RandomEvents(c.nw, events, c.rng) {
-		var aerr error
-		switch ev.Kind {
-		case "join":
-			aerr = c.nw.Join(ev.ID, ev.Contact)
-		case "leave":
-			aerr = c.nw.Leave(ev.ID)
-		default:
-			aerr = c.nw.Fail(ev.ID)
+		if err := c.applyEvent(ev); err != nil {
+			return out, err
 		}
-		if aerr != nil {
-			return out, fmt.Errorf("%w: %s: %v", ErrUnknownPeer, ev.Kind, aerr)
-		}
-		// Published as soon as the membership change is visible, before
-		// the repair — the stream's contract.
-		c.bus.publish(Event{Kind: eventKindFor(ev.Kind), Peer: PeerID(ev.ID), Round: c.clock()})
 
 		res := sim.Run(ctx, c.sched, sim.Options{})
 		if res.Canceled {
@@ -299,7 +242,7 @@ func (c *Cluster) ChurnRandom(ctx context.Context, events int) (recs []Recovery,
 			return out, fmt.Errorf("%w: after %s of %s: %v", ErrUnstable, ev.Kind, ev.ID, verr)
 		}
 		c.bus.publish(Event{Kind: EventRegionSettled, Rounds: res.Rounds, Peers: c.nw.NumPeers(), Round: c.clock()})
-		out = append(out, Recovery{Kind: ev.Kind, Peer: PeerID(ev.ID), Rounds: res.Rounds})
+		out = append(out, Recovery{Kind: string(ev.Kind), Peer: PeerID(ev.ID), Rounds: res.Rounds})
 	}
 	return out, nil
 }

@@ -15,19 +15,56 @@ import (
 	"repro/internal/topogen"
 )
 
-// Event is one membership change.
+// Kind names one of the three membership events Section 4 defines. Its
+// string is the spelling scripts, reports and logs use.
+type Kind string
+
+const (
+	Join  Kind = "join"  // through one contact (Theorem 4.1)
+	Leave Kind = "leave" // graceful, with goodbyes (Theorem 4.2)
+	Fail  Kind = "fail"  // crash, no goodbyes (Theorem 4.2)
+)
+
+// Event is one membership change: the repo's only definition of one.
+// Scripts schedule it (Round), generators and drivers leave Round 0.
 type Event struct {
-	// Kind is "join", "leave" or "fail".
-	Kind string
+	// Round is the scheduled round or step: the event applies before
+	// that round runs. Unscheduled events leave it 0.
+	Round int
+	Kind  Kind
 	// ID is the peer joining or departing.
 	ID ident.ID
 	// Contact is the peer a joiner connects to (unused otherwise).
 	Contact ident.ID
 }
 
+// Membership is what an event is applied to: a whole network
+// (*rechord.Network) or one process's share of a replicated one
+// (*rechord.Partition).
+type Membership interface {
+	Join(id, contact ident.ID) error
+	Leave(id ident.ID) error
+	Fail(id ident.ID) error
+}
+
+// Apply executes the membership change, and nothing else: no stepping,
+// no repair. It is the only place a kind is dispatched onto
+// Join/Leave/Fail.
+func (ev Event) Apply(m Membership) error {
+	switch ev.Kind {
+	case Join:
+		return m.Join(ev.ID, ev.Contact)
+	case Leave:
+		return m.Leave(ev.ID)
+	case Fail:
+		return m.Fail(ev.ID)
+	default:
+		return fmt.Errorf("churn: unknown event kind %q", ev.Kind)
+	}
+}
+
 // Recovery reports how a single event was absorbed.
 type Recovery struct {
-	Event  Event
 	Rounds int // rounds until the network reached the new stable state
 	Stable bool
 }
@@ -51,37 +88,23 @@ func StableNetwork(ctx context.Context, n int, rng *rand.Rand, cfg rechord.Confi
 	return nw, ids, nil
 }
 
-// Apply executes one event and runs the scheduler to the next fixed
-// point, returning the recovery cost. Passing the network itself
-// repairs under synchronous rounds; passing a rechord.AsyncRunner
-// repairs under the asynchronous adversary (Rounds then counts
-// asynchronous steps).
+// Apply executes one event (Event.Apply) on the scheduler's network and
+// runs the scheduler to the next fixed point, returning the recovery
+// cost. Passing the network itself repairs under synchronous rounds;
+// passing a rechord.AsyncRunner repairs under the asynchronous
+// adversary (Rounds then counts asynchronous steps).
 func Apply(ctx context.Context, s rechord.Scheduler, ev Event, maxRounds int) (Recovery, error) {
-	nw := s.Network()
-	switch ev.Kind {
-	case "join":
-		if err := nw.Join(ev.ID, ev.Contact); err != nil {
-			return Recovery{}, err
-		}
-	case "leave":
-		if err := nw.Leave(ev.ID); err != nil {
-			return Recovery{}, err
-		}
-	case "fail":
-		if err := nw.Fail(ev.ID); err != nil {
-			return Recovery{}, err
-		}
-	default:
-		return Recovery{}, fmt.Errorf("churn: unknown event kind %q", ev.Kind)
+	if err := ev.Apply(s.Network()); err != nil {
+		return Recovery{}, err
 	}
 	if maxRounds <= 0 {
 		maxRounds = sim.DefaultBudget(s)
 	}
 	res := sim.Run(ctx, s, sim.Options{MaxRounds: maxRounds})
 	if res.Canceled {
-		return Recovery{Event: ev, Rounds: res.Rounds}, ctx.Err()
+		return Recovery{Rounds: res.Rounds}, ctx.Err()
 	}
-	return Recovery{Event: ev, Rounds: res.Rounds, Stable: res.Stable}, nil
+	return Recovery{Rounds: res.Rounds, Stable: res.Stable}, nil
 }
 
 // VerifyStable checks that the network sits in the exact stable state
@@ -122,13 +145,13 @@ func RandomEvents(nw *rechord.Network, count int, rng *rand.Rand) []Event {
 		case len(existing) < 3 || rng.Intn(2) == 0:
 			id := ident.ID(rng.Uint64() | 1)
 			contact := existing[rng.Intn(len(existing))]
-			out = append(out, Event{Kind: "join", ID: id, Contact: contact})
+			out = append(out, Event{Kind: Join, ID: id, Contact: contact})
 			existing = append(existing, id)
 		default:
 			j := rng.Intn(len(existing))
-			kind := "leave"
+			kind := Leave
 			if rng.Intn(2) == 0 {
-				kind = "fail"
+				kind = Fail
 			}
 			out = append(out, Event{Kind: kind, ID: existing[j]})
 			existing = append(existing[:j], existing[j+1:]...)

@@ -2,11 +2,14 @@ package churn
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/ident"
 	"repro/internal/rechord"
+	"repro/internal/topogen"
 )
 
 func TestStableNetworkIsStable(t *testing.T) {
@@ -169,6 +172,60 @@ func TestApplyErrors(t *testing.T) {
 	}
 	if _, err := Apply(context.Background(), nw, Event{Kind: "fail", ID: ident.ID(12345)}, 1); err == nil {
 		t.Error("failing an absent id must error")
+	}
+}
+
+// TestEventApplyAcrossMemberships drives the single applier over both
+// Membership implementations — a whole Network and a 2-way Partition
+// pair over identical replicas — and requires the same error-ness and
+// the same membership everywhere after every event.
+func TestEventApplyAcrossMemberships(t *testing.T) {
+	build := func() *rechord.Network {
+		rng := rand.New(rand.NewSource(9))
+		return topogen.Random().Build(topogen.RandomIDs(12, rng), rng, rechord.Config{Workers: 1})
+	}
+	mono := build()
+	ids := mono.Peers()
+	type target struct {
+		name string
+		m    Membership
+		nw   *rechord.Network
+	}
+	targets := []target{{"network", mono, mono}}
+	for k := uint64(0); k < 2; k++ {
+		k, nw := k, build()
+		hosted := func(id ident.ID) bool { return uint64(id)%2 == k }
+		targets = append(targets, target{fmt.Sprintf("partition %d/2", k), rechord.NewPartition(nw, hosted, nil), nw})
+	}
+
+	fresh, absent := ident.ID(0x5A5A_0000_0000_0001), ident.ID(0x7777_0000_0000_0003)
+	for _, tc := range []struct {
+		name    string
+		ev      Event
+		wantErr bool
+	}{
+		{"join", Event{Kind: Join, ID: fresh, Contact: ids[0]}, false},
+		{"duplicate join", Event{Kind: Join, ID: fresh, Contact: ids[0]}, true},
+		{"join via unknown contact", Event{Kind: Join, ID: absent, Contact: absent + 2}, true},
+		{"leave", Event{Kind: Leave, ID: ids[1]}, false},
+		{"leave of a departed peer", Event{Kind: Leave, ID: ids[1]}, true},
+		{"fail", Event{Kind: Fail, ID: ids[2]}, false},
+		{"fail of an unknown peer", Event{Kind: Fail, ID: absent}, true},
+		{"leave of the joiner", Event{Kind: Leave, ID: fresh}, false},
+		{"unknown kind", Event{Kind: "bogus", ID: ids[3]}, true},
+		{"zero kind", Event{ID: ids[3]}, true},
+	} {
+		for _, tg := range targets {
+			if err := tc.ev.Apply(tg.m); (err != nil) != tc.wantErr {
+				t.Errorf("%s on %s: err = %v, want error %v", tc.name, tg.name, err, tc.wantErr)
+			}
+			if got, want := tg.nw.Peers(), mono.Peers(); !slices.Equal(got, want) {
+				t.Fatalf("%s: %s has membership %v, the network %v", tc.name, tg.name, got, want)
+			}
+		}
+	}
+	if n := mono.NumPeers(); n != len(ids)-2 {
+		t.Fatalf("%d peers after one join and three departures from %d", n, len(ids))
 	}
 }
 

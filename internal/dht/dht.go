@@ -207,23 +207,6 @@ func (s *Store) BucketSizes() map[ident.ID]int {
 	return out
 }
 
-// Contents flattens the store into one key -> value map, independent
-// of bucket placement.
-func (s *Store) Contents() map[string]string {
-	out := make(map[string]string)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, b := range sh.buckets {
-			for k, v := range b {
-				out[k] = v
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	return out
-}
-
 // Fingerprint returns an order-insensitive hash of the key -> value
 // contents, deliberately ignoring which peer's bucket a pair sits in:
 // two runs that stored the same data fingerprint identically even if

@@ -261,20 +261,20 @@ func genNames() []string {
 // Join exercises Theorem 4.1: rounds to re-stabilize after one join
 // into a stable network, per network size.
 func Join(cfg Config) (*Result, error) {
-	return churnExperiment(cfg, "join", "Theorem 4.1: recovery rounds after an isolated join (O(log^2 n))")
+	return churnExperiment(cfg, churn.Join, "Theorem 4.1: recovery rounds after an isolated join (O(log^2 n))")
 }
 
 // Leave exercises Theorem 4.2 for graceful leaves.
 func Leave(cfg Config) (*Result, error) {
-	return churnExperiment(cfg, "leave", "Theorem 4.2: recovery rounds after an isolated leave (O(log n))")
+	return churnExperiment(cfg, churn.Leave, "Theorem 4.2: recovery rounds after an isolated leave (O(log n))")
 }
 
 // Fail exercises Theorem 4.2 for crash failures.
 func Fail(cfg Config) (*Result, error) {
-	return churnExperiment(cfg, "fail", "Theorem 4.2: recovery rounds after a crash failure (O(log n))")
+	return churnExperiment(cfg, churn.Fail, "Theorem 4.2: recovery rounds after a crash failure (O(log n))")
 }
 
-func churnExperiment(cfg Config, kind, title string) (*Result, error) {
+func churnExperiment(cfg Config, kind churn.Kind, title string) (*Result, error) {
 	tab := export.NewTable(title, "real_nodes", "recovery_rounds_mean", "recovery_rounds_max")
 	var xs, ys []float64
 	for _, n := range cfg.Sizes {
@@ -286,11 +286,10 @@ func churnExperiment(cfg Config, kind, title string) (*Result, error) {
 				return nil, err
 			}
 			ev := churn.Event{Kind: kind}
-			switch kind {
-			case "join":
+			if kind == churn.Join {
 				ev.ID = ident.ID(rng.Uint64() | 1)
 				ev.Contact = ids[rng.Intn(len(ids))]
-			default:
+			} else {
 				ev.ID = ids[rng.Intn(len(ids))]
 			}
 			rec, err := churn.Apply(context.Background(), nw, ev, 0)
@@ -315,7 +314,7 @@ func churnExperiment(cfg Config, kind, title string) (*Result, error) {
 		fits["recovery_rounds"] = f
 	}
 	return &Result{
-		Name:   kind,
+		Name:   string(kind),
 		Table:  tab,
 		Series: []export.Series{{Name: "recovery rounds", X: xs, Y: ys}},
 		Fits:   fits,
@@ -650,7 +649,7 @@ func Healing(cfg Config) (*Result, error) {
 			// Quiescence replaces the deep-copy snapshot comparison:
 			// an empty frontier is the global fixed point.
 			if nw.Quiescent() {
-				stableAt = nw.LastChangeRound()
+				stableAt = nw.LastChange()
 				break
 			}
 		}

@@ -58,9 +58,6 @@ func NewWorkloadMetrics(shards int, opNames ...string) *WorkloadMetrics {
 // given at construction).
 func (m *WorkloadMetrics) Op(i int) *OpMetrics { return &m.perOp[i] }
 
-// NumOps returns the number of op types.
-func (m *WorkloadMetrics) NumOps() int { return len(m.perOp) }
-
 // WorkloadSnapshot is the JSON form of WorkloadMetrics.
 type WorkloadSnapshot struct {
 	InFlight    int64        `json:"in_flight"`

@@ -264,7 +264,7 @@ func runGoldenPartition(t *testing.T, c goldenCase, nprocs int) (goldenPartition
 		}
 		ops := 0
 		for k, p := range parts {
-			ops = scripts[k].apply(t, round, p.Network().Peers, p.ApplyJoin, p.ApplyLeave, p.ApplyFail)
+			ops = scripts[k].apply(t, round, p.Network().Peers, p.Join, p.Leave, p.Fail)
 		}
 		for _, p := range parts {
 			p.Step()

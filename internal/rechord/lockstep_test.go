@@ -156,7 +156,7 @@ func TestLockstepRoundCountsAgree(t *testing.T) {
 		for r := 0; r < 4000; r++ {
 			inc.Step()
 			if inc.Quiescent() {
-				incRounds = inc.LastChangeRound()
+				incRounds = inc.LastChange()
 				break
 			}
 		}

@@ -361,32 +361,10 @@ func (nw *Network) FrontierSize() int {
 // effect (false under Config.FullSweep).
 func (nw *Network) Incremental() bool { return !nw.cfg.FullSweep }
 
-// LastChangeRound returns the most recent round whose execution
-// changed the global state (0 if no round changed anything yet).
-func (nw *Network) LastChangeRound() int { return nw.lastChange }
-
 // bumpEpoch stamps the peer with a fresh change epoch.
 func (nw *Network) bumpEpoch(n *RealNode) {
 	nw.epochClock++
 	n.epoch = nw.epochClock
-}
-
-// PeerEpoch returns the peer's current change epoch: a monotone stamp
-// that advances whenever the peer's own protocol state (virtual nodes,
-// edge sets, rl/rr) may have changed. Derived per-peer state — a
-// routing table read off the peer's virtual nodes, say — is fresh
-// exactly as long as the epoch it was computed under still equals the
-// current one. The second result is false when the peer is not in the
-// network. The incremental scheduler stamps only peers whose state
-// actually changed; under Config.FullSweep every executed peer is
-// stamped every round (conservative, so caches merely lose their
-// effectiveness, never their correctness).
-func (nw *Network) PeerEpoch(id ident.ID) (int, bool) {
-	n := nw.pt.node(id)
-	if n == nil {
-		return 0, false
-	}
-	return n.epoch, true
 }
 
 // PeerSlot exposes the peer's dense interner slot and the generation
@@ -406,8 +384,15 @@ func (nw *Network) PeerSlot(id ident.ID) (slot int, gen uint32, ok bool) {
 // free slots): the bound consumers sizing slot-indexed tables need.
 func (nw *Network) SlotSpan() int { return nw.pt.span() }
 
-// PeerSlotEpoch is PeerSlot and PeerEpoch in one resolution: slot,
-// generation and change epoch of the peer's current incarnation.
+// PeerSlotEpoch is PeerSlot plus the peer's current change epoch: a
+// monotone stamp that advances whenever the peer's own protocol state
+// (virtual nodes, edge sets, rl/rr) may have changed. Derived per-peer
+// state — a routing table read off the peer's virtual nodes, say — is
+// fresh exactly as long as the epoch it was computed under still
+// equals the current one. The incremental scheduler stamps only peers
+// whose state actually changed; under Config.FullSweep every executed
+// peer is stamped every round (conservative, so caches merely lose
+// their effectiveness, never their correctness).
 func (nw *Network) PeerSlotEpoch(id ident.ID) (slot int, gen uint32, epoch int, ok bool) {
 	i, ok := nw.pt.lookup(id)
 	if !ok {
@@ -625,10 +610,6 @@ func (nw *Network) ensurePool(workers int) *workerPool {
 // Config.FullSweep every peer is dirtied first, reproducing the
 // paper's literal schedule.
 func (nw *Network) Step() RoundStats {
-	nw.round++
-	nw.met.Steps.Inc()
-	stats := RoundStats{Round: nw.round}
-
 	if nw.cfg.FullSweep {
 		for slot, n := range nw.pt.nodes {
 			if n != nil {
@@ -636,22 +617,41 @@ func (nw *Network) Step() RoundStats {
 			}
 		}
 	}
+	stats, _ := nw.stepRound(nil, !nw.cfg.FullSweep)
+	return stats
+}
+
+// stepRound is the body of one round for both round schedulers: drain
+// the frontier, keep the slots whose peer passes keep (nil keeps all; a
+// Partition keeps its hosted peers), and run the batch. ran reports
+// whether a batch ran; a round without one is the identity on the
+// global state.
+func (nw *Network) stepRound(keep func(ident.ID) bool, settle bool) (stats RoundStats, ran bool) {
+	nw.round++
+	nw.met.Steps.Inc()
+	stats = RoundStats{Round: nw.round}
 
 	active := nw.collectFrontier()
-	stats.Activated = len(active)
-	if len(active) == 0 {
-		// Quiescent: the round is the identity on the global state.
-		// The standing buckets are exactly the messages every peer
-		// keeps regenerating, so the per-round flow is their count.
-		stats.MessagesSent = nw.bucketMsgs
-		return stats
+	if keep != nil {
+		// The filter preserves the sorted order collectFrontier
+		// established.
+		kept := active[:0]
+		for _, slot := range active {
+			if keep(nw.pt.ids[slot]) {
+				kept = append(kept, slot)
+			}
+		}
+		active, nw.active = kept, kept
 	}
-
-	if nw.runBatch(active, !nw.cfg.FullSweep, &stats) {
+	stats.Activated = len(active)
+	ran = len(active) > 0
+	if ran && nw.runBatch(active, settle, &stats) {
 		nw.lastChange = nw.round
 	}
+	// At quiescence the standing buckets are exactly the messages every
+	// peer keeps regenerating, so the per-round flow is their count.
 	stats.MessagesSent = nw.bucketMsgs
-	return stats
+	return stats, ran
 }
 
 // collectFrontier drains the frontier into a deterministic active list

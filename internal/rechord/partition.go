@@ -157,37 +157,17 @@ func (p *Partition) HostedPeers() int {
 	return c
 }
 
-// Step runs one global round's hosted share: collect the frontier,
-// keep the hosted slots, and run the batch.
-// Cross-partition effects stream into the sink during the call; the
-// caller exchanges them and applies the other processes' effects
-// (ApplyBucket/ApplyOneShot/ApplyPublish) before the next Step.
+// Step runs one global round's hosted share: the round engine's body
+// with the stubs filtered out (their hosting processes run them), then
+// the batch's state publishes. Cross-partition effects stream into the
+// sink during the call; the caller exchanges them and applies the
+// other processes' effects (ApplyBucket/ApplyOneShot/ApplyPublish)
+// before the next Step.
 func (p *Partition) Step() RoundStats {
-	nw := p.nw
-	nw.round++
-	nw.met.Steps.Inc()
-	stats := RoundStats{Round: nw.round}
-
-	active := nw.collectFrontier()
-	// Drop the stubs: their hosting processes run them. The filter
-	// preserves the sorted order collectFrontier established.
-	hosted := active[:0]
-	for _, slot := range active {
-		if p.hosted(nw.pt.ids[slot]) {
-			hosted = append(hosted, slot)
-		}
+	stats, ran := p.nw.stepRound(p.hosted, true)
+	if ran {
+		p.flushPublishes()
 	}
-	nw.active = hosted
-	stats.Activated = len(hosted)
-	if len(hosted) == 0 {
-		stats.MessagesSent = nw.bucketMsgs
-		return stats
-	}
-	if nw.runBatch(hosted, true, &stats) {
-		nw.lastChange = nw.round
-	}
-	p.flushPublishes()
-	stats.MessagesSent = nw.bucketMsgs
 	return stats
 }
 
@@ -359,12 +339,12 @@ func (p *Partition) ApplyPublish(u PeerPublish) {
 	}
 }
 
-// ApplyJoin integrates a scripted join: the membership change is
-// replicated everywhere (Join), and if the joiner is hosted elsewhere,
-// the hosted senders' standing flow that AddPeer re-materialized into
-// the local stub is mirrored to the joiner's host, which cannot see
-// those senders' flow templates.
-func (p *Partition) ApplyJoin(id, contact ident.ID) error {
+// Join integrates a join: the membership change is replicated
+// everywhere (Network.Join), and if the joiner is hosted elsewhere, the
+// hosted senders' standing flow that AddPeer re-materialized into the
+// local stub is mirrored to the joiner's host, which cannot see those
+// senders' flow templates.
+func (p *Partition) Join(id, contact ident.ID) error {
 	if err := p.nw.Join(id, contact); err != nil {
 		return err
 	}
@@ -384,43 +364,31 @@ func (p *Partition) ApplyJoin(id, contact ident.ID) error {
 	return nil
 }
 
-// ApplyLeave integrates a scripted graceful leave. Only the departing
-// peer's host generates the goodbye introductions (it holds the live
-// state they are derived from); every other process performs the
-// scan-based removal. Goodbyes and final bucket flushes addressed to
-// remote peers land in stub inboxes and are swept to the sink.
-func (p *Partition) ApplyLeave(id ident.ID) error {
+// Leave integrates a graceful leave. Only the departing peer's host
+// generates the goodbye introductions (it holds the live state they
+// are derived from); every other process performs the scan-based
+// removal. Goodbyes and final bucket flushes addressed to remote peers
+// land in stub inboxes and are swept to the sink.
+func (p *Partition) Leave(id ident.ID) error { return p.depart(id, p.nw.Leave) }
+
+// Fail integrates an abrupt failure: removal everywhere, no goodbyes.
+func (p *Partition) Fail(id ident.ID) error { return p.depart(id, p.nw.Fail) }
+
+// depart removes a peer: through the network's own departure when it
+// is hosted here, as a stub (removePeer with the hosting predicate)
+// otherwise.
+func (p *Partition) depart(id ident.ID, hostedDeparture func(ident.ID) error) error {
 	if p.hosted(id) {
-		if err := p.nw.Leave(id); err != nil {
+		if err := hostedDeparture(id); err != nil {
 			return err
 		}
-	} else if err := p.removeStub(id, "leave"); err != nil {
-		return err
-	}
-	p.sweepStubInboxes()
-	return nil
-}
-
-// ApplyFail integrates a scripted abrupt failure: removal everywhere,
-// no goodbyes.
-func (p *Partition) ApplyFail(id ident.ID) error {
-	if p.hosted(id) {
-		if err := p.nw.Fail(id); err != nil {
-			return err
+	} else {
+		if p.nw.pt.node(id) == nil {
+			return fmt.Errorf("rechord: partition: departing peer %s not in network", id)
 		}
-	} else if err := p.removeStub(id, "fail"); err != nil {
-		return err
+		p.nw.removePeer(id, p.hosted)
 	}
 	p.sweepStubInboxes()
-	return nil
-}
-
-// removeStub is removePeer for a peer hosted elsewhere.
-func (p *Partition) removeStub(id ident.ID, op string) error {
-	if p.nw.pt.node(id) == nil {
-		return fmt.Errorf("rechord: partition %s: peer %s not in network", op, id)
-	}
-	p.nw.removePeer(id, p.hosted)
 	return nil
 }
 

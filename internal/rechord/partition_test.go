@@ -201,11 +201,11 @@ func TestPartitionChurnConvergesToMonolith(t *testing.T) {
 	applyPart := func(p *rechord.Partition, op partOp) error {
 		switch op.kind {
 		case 0:
-			return p.ApplyJoin(op.id, op.contact)
+			return p.Join(op.id, op.contact)
 		case 1:
-			return p.ApplyLeave(op.id)
+			return p.Leave(op.id)
 		default:
-			return p.ApplyFail(op.id)
+			return p.Fail(op.id)
 		}
 	}
 

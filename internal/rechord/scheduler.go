@@ -11,7 +11,7 @@ import "repro/internal/ident"
 // the same experiment runs unchanged under the paper's synchronous
 // model or under an asynchronous adversary.
 //
-// Two implementations exist:
+// Three implementations exist:
 //
 //   - *Network itself: the synchronous round engine. Step executes one
 //     synchronous round over the activity-tracked frontier (or over
@@ -20,8 +20,11 @@ import "repro/internal/ident"
 //     advances one tick of virtual time, delivering due messages and
 //     activating the frontier peers whose (geometric) activation draw
 //     came up.
+//   - *Partition: one process's share of a replicated network. Step is
+//     the round engine's round restricted to the hosted peers, with the
+//     cross-partition effects handed to a sink.
 //
-// Both share the dirty-set infrastructure: a peer at a local fixed
+// All share the dirty-set infrastructure: a peer at a local fixed
 // point is skipped and its repeating output flow is represented by its
 // standing per-sender inbox buckets, so the cost of a step is
 // proportional to the frontier, never to the network size.
@@ -70,8 +73,7 @@ func (nw *Network) Network() *Network { return nw }
 func (nw *Network) Time() int { return nw.round }
 
 // LastChange returns the most recent round whose execution changed the
-// global state (same as LastChangeRound, under the Scheduler
-// interface's unit-agnostic name).
+// global state: the quantity the convergence experiments report.
 func (nw *Network) LastChange() int { return nw.lastChange }
 
 // InFlight returns the number of messages pending delivery: the

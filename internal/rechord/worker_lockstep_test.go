@@ -105,9 +105,9 @@ func runWorkersLockstep(t *testing.T, seed int64, n int, gen topogen.Generator, 
 			return false
 		}
 	}
-	if serial.LastChangeRound() != sharded.LastChangeRound() {
+	if serial.LastChange() != sharded.LastChange() {
 		t.Logf("seed=%d mode=%s: last-change round %d (serial) vs %d (sharded)",
-			seed, mode, serial.LastChangeRound(), sharded.LastChangeRound())
+			seed, mode, serial.LastChange(), sharded.LastChange())
 		return false
 	}
 	if !serial.Graph().Equal(sharded.Graph()) || !serial.ReChordGraph().Equal(sharded.ReChordGraph()) {

@@ -169,7 +169,7 @@ type cacheEntry struct {
 
 // Cache memoizes per-peer routing tables and invalidates them through
 // the network's change epochs instead of rebuilding per lookup: a
-// cached table is served only while rechord.Network.PeerEpoch still
+// cached table is served only while rechord.Network.PeerSlotEpoch still
 // returns the epoch the table was derived under. On a quiescent
 // network every epoch is stable, so lookups stop touching Re-Chord
 // state entirely; after churn, exactly the peers whose state the
@@ -356,4 +356,22 @@ func (w Walker) ResolveTraced(from, key ident.ID, tr *obs.LookupTrace) (owner id
 		return 0, hops, routeErr
 	}
 	return owner, hops, nil
+}
+
+// Failover routes through the epoch-cached table router and falls back
+// to the state walk when a table is incomplete or stale mid-churn —
+// table routing is the fast path, the walk is the one that tolerates
+// partially repaired state.
+type Failover struct {
+	Cache *Cache
+	// Fallbacks counts the lookups the state walk had to recover.
+	Fallbacks *atomic.Int64
+}
+
+func (r Failover) Resolve(from, key ident.ID) (ident.ID, int, error) {
+	if owner, hops, err := r.Cache.Resolve(from, key); err == nil {
+		return owner, hops, nil
+	}
+	r.Fallbacks.Add(1)
+	return Walker{NW: r.Cache.nw}.Resolve(from, key)
 }

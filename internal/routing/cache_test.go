@@ -89,21 +89,13 @@ func TestCacheNeverStaleUnderChurn(t *testing.T) {
 	checkAll("stable")
 
 	for _, ev := range churn.RandomEvents(nw, 6, rng) {
-		switch ev.Kind {
-		case "join":
-			err = nw.Join(ev.ID, ev.Contact)
-		case "leave":
-			err = nw.Leave(ev.ID)
-		case "fail":
-			err = nw.Fail(ev.ID)
-		}
-		if err != nil {
+		if err = ev.Apply(nw); err != nil {
 			t.Fatal(err)
 		}
-		checkAll("after " + ev.Kind)
+		checkAll("after " + string(ev.Kind))
 		for r := 0; r < 4000 && !nw.Quiescent(); r++ {
 			nw.Step()
-			checkAll(ev.Kind + " mid-stabilization")
+			checkAll(string(ev.Kind) + " mid-stabilization")
 		}
 		if !nw.Quiescent() {
 			t.Fatalf("network did not re-stabilize after %s", ev.Kind)

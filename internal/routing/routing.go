@@ -148,10 +148,6 @@ func (t *Table) buildHops() {
 	}
 }
 
-// NextHops returns the peers the table can forward to (successor plus
-// fingers, deduplicated).
-func (t *Table) NextHops() []ident.ID { return t.hops }
-
 // Route performs a Chord-style lookup for key starting at from,
 // hopping only along edges present in the Re-Chord state (a hop is a
 // move to a different peer; a peer consults all of the virtual nodes

@@ -105,23 +105,65 @@ func applyBundle(p *rechord.Partition, fr *RoundFrame) {
 	}
 }
 
-// stepRound advances the partition one round: due script ops first,
-// then the hosted batch. It reports whether anything changed locally.
-func (nd *Node) stepRound(p *rechord.Partition, next *int, r int) (bool, error) {
-	opsApplied := false
-	for *next < len(nd.Script.Ops) && nd.Script.Ops[*next].Round == r {
-		if err := nd.Script.Ops[*next].applyPartition(p); err != nil {
-			return false, err
-		}
-		*next++
-		opsApplied = true
+// mergeFrame appends one rank's round effects to the bundle.
+func mergeFrame(bundle, f *RoundFrame) {
+	bundle.Changed = bundle.Changed || f.Changed
+	bundle.Buckets = append(bundle.Buckets, f.Buckets...)
+	bundle.OneShots = append(bundle.OneShots, f.OneShots...)
+	bundle.Publishes = append(bundle.Publishes, f.Publishes...)
+}
+
+// recvRound receives round r's frame: anything else means the peer is
+// out of sync.
+func recvRound(c Conn, r int) (*RoundFrame, error) {
+	f, err := c.Recv()
+	if err != nil {
+		return nil, err
 	}
-	p.Step()
-	return opsApplied || p.LastChange() == p.Time(), nil
+	rf, ok := f.(*RoundFrame)
+	if !ok || rf.Round != r {
+		return nil, fmt.Errorf("out of sync at round %d (%T)", r, f)
+	}
+	return rf, nil
+}
+
+// runRounds is the lockstep round loop of every rank: apply the due
+// script ops, step the hosted batch, exchange this rank's frame for
+// the round's merged bundle, apply the bundle, until a bundle says
+// Done. The exchange is the only per-rank difference (worker: send the
+// frame, receive the bundle; seed: gather, merge in rank order, decide
+// Done, broadcast); opsDone tells it whether the script is exhausted.
+// The result covers the local partition.
+func (nd *Node) runRounds(exchange func(own *RoundFrame, opsDone bool) (*RoundFrame, error)) (*Result, error) {
+	sink := &frameSink{}
+	p, err := nd.newPartition(sink)
+	if err != nil {
+		return nil, err
+	}
+	next := 0
+	for r := 1; ; r++ {
+		due, err := nd.Script.applyDue(p, next, r)
+		if err != nil {
+			return nil, err
+		}
+		p.Step()
+		changed := due != next || p.LastChange() == p.Time()
+		next = due
+		bundle, err := exchange(sink.take(r, changed), next == len(nd.Script.Ops))
+		if err != nil {
+			return nil, err
+		}
+		applyBundle(p, bundle)
+		if bundle.Done {
+			return &Result{Fingerprint: p.Fingerprint(), Peers: p.HostedPeers(), Rounds: r}, nil
+		}
+	}
 }
 
 // RunSeed runs rank 0: accept the workers, drive the lockstep rounds,
-// decide termination, and combine the fingerprints.
+// decide termination, and combine the fingerprints. Every accepted
+// connection is closed on return, success or error, so a worker
+// blocked on a seed that gave up gets an error instead of a hang.
 func (nd *Node) RunSeed(ln Listener) (*Result, error) {
 	if err := nd.validate(); err != nil {
 		return nil, err
@@ -132,11 +174,18 @@ func (nd *Node) RunSeed(ln Listener) (*Result, error) {
 
 	// Bootstrap: one Hello per worker, slotted by rank.
 	conns := make([]Conn, nd.Procs) // conns[0] stays nil (self)
+	var accepted []Conn
+	defer func() {
+		for _, c := range accepted {
+			c.Close()
+		}
+	}()
 	for i := 1; i < nd.Procs; i++ {
 		c, err := ln.Accept()
 		if err != nil {
 			return nil, errTransport("accept", ln.Addr(), err)
 		}
+		accepted = append(accepted, c)
 		f, err := c.Recv()
 		if err != nil {
 			return nil, fmt.Errorf("wire: seed handshake: %w", err)
@@ -155,43 +204,19 @@ func (nd *Node) RunSeed(ln Listener) (*Result, error) {
 	}
 	nd.logf("seed: %d workers connected", nd.Procs-1)
 
-	sink := &frameSink{}
-	p, err := nd.newPartition(sink)
-	if err != nil {
-		return nil, err
-	}
-
-	var runErr error
-	rounds := 0
-	next := 0
-	for r := 1; ; r++ {
-		rounds = r
-		changed, err := nd.stepRound(p, &next, r)
-		if err != nil {
-			runErr = err
-			break
-		}
-		frames := make([]*RoundFrame, 0, nd.Procs)
-		frames = append(frames, sink.take(r, changed))
+	var runErr error // non-convergence: the run still ends in lockstep
+	res, err := nd.runRounds(func(own *RoundFrame, opsDone bool) (*RoundFrame, error) {
+		r := own.Round
+		bundle := &RoundFrame{Round: r}
+		mergeFrame(bundle, own)
 		for rank := 1; rank < nd.Procs; rank++ {
-			f, err := conns[rank].Recv()
+			rf, err := recvRound(conns[rank], r)
 			if err != nil {
 				return nil, fmt.Errorf("wire: seed recv round %d from rank %d: %w", r, rank, err)
 			}
-			rf, ok := f.(*RoundFrame)
-			if !ok || rf.Round != r {
-				return nil, fmt.Errorf("wire: seed: rank %d out of sync at round %d (%T)", rank, r, f)
-			}
-			frames = append(frames, rf)
+			mergeFrame(bundle, rf)
 		}
-		bundle := &RoundFrame{Round: r}
-		for _, f := range frames {
-			bundle.Changed = bundle.Changed || f.Changed
-			bundle.Buckets = append(bundle.Buckets, f.Buckets...)
-			bundle.OneShots = append(bundle.OneShots, f.OneShots...)
-			bundle.Publishes = append(bundle.Publishes, f.Publishes...)
-		}
-		bundle.Done = !bundle.Changed && next == len(nd.Script.Ops)
+		bundle.Done = !bundle.Changed && opsDone
 		if r >= nd.Script.MaxRounds && !bundle.Done {
 			bundle.Done = true
 			runErr = fmt.Errorf("wire: cluster did not converge in %d rounds", nd.Script.MaxRounds)
@@ -201,13 +226,12 @@ func (nd *Node) RunSeed(ln Listener) (*Result, error) {
 				return nil, fmt.Errorf("wire: seed send bundle to rank %d: %w", rank, err)
 			}
 		}
-		applyBundle(p, bundle)
-		if bundle.Done {
-			break
-		}
+		return bundle, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	res := &Result{Fingerprint: p.Fingerprint(), Peers: p.HostedPeers(), Rounds: rounds}
 	for rank := 1; rank < nd.Procs; rank++ {
 		f, err := conns[rank].Recv()
 		if err != nil {
@@ -219,7 +243,6 @@ func (nd *Node) RunSeed(ln Listener) (*Result, error) {
 		}
 		res.Fingerprint ^= fin.Fingerprint
 		res.Peers += fin.Peers
-		conns[rank].Close()
 	}
 	if runErr != nil {
 		return nil, runErr
@@ -239,37 +262,19 @@ func (nd *Node) RunWorker(c Conn) (*Result, error) {
 	if err := c.Send(&Hello{Rank: nd.Rank, Procs: nd.Procs}); err != nil {
 		return nil, fmt.Errorf("wire: worker hello: %w", err)
 	}
-
-	sink := &frameSink{}
-	p, err := nd.newPartition(sink)
+	res, err := nd.runRounds(func(own *RoundFrame, _ bool) (*RoundFrame, error) {
+		if err := c.Send(own); err != nil {
+			return nil, fmt.Errorf("wire: worker send round %d: %w", own.Round, err)
+		}
+		bundle, err := recvRound(c, own.Round)
+		if err != nil {
+			return nil, fmt.Errorf("wire: worker recv bundle %d: %w", own.Round, err)
+		}
+		return bundle, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	next := 0
-	rounds := 0
-	for r := 1; ; r++ {
-		rounds = r
-		changed, err := nd.stepRound(p, &next, r)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.Send(sink.take(r, changed)); err != nil {
-			return nil, fmt.Errorf("wire: worker send round %d: %w", r, err)
-		}
-		f, err := c.Recv()
-		if err != nil {
-			return nil, fmt.Errorf("wire: worker recv bundle %d: %w", r, err)
-		}
-		bundle, ok := f.(*RoundFrame)
-		if !ok || bundle.Round != r {
-			return nil, fmt.Errorf("wire: worker out of sync at round %d (%T)", r, f)
-		}
-		applyBundle(p, bundle)
-		if bundle.Done {
-			break
-		}
-	}
-	res := &Result{Fingerprint: p.Fingerprint(), Peers: p.HostedPeers(), Rounds: rounds}
 	if err := c.Send(&Fin{Fingerprint: res.Fingerprint, Peers: res.Peers, Rounds: res.Rounds}); err != nil {
 		return nil, fmt.Errorf("wire: worker fin: %w", err)
 	}

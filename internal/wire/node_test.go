@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/rechord"
@@ -117,11 +118,8 @@ func runAsync(t *testing.T, s *Script) uint64 {
 		if step > budget {
 			t.Fatalf("async leg did not converge in %d steps", budget)
 		}
-		for next < len(s.Ops) && s.Ops[next].Round == step {
-			if err := s.Ops[next].applyMonolith(nw); err != nil {
-				t.Fatalf("async op %d: %v", next, err)
-			}
-			next++
+		if next, err = s.applyDue(nw, next, step); err != nil {
+			t.Fatalf("async op %d: %v", next, err)
 		}
 		ar.Step()
 		if next == len(s.Ops) && ar.Quiescent() {
@@ -218,6 +216,52 @@ func runChanClusterWithNet(t *testing.T, s *Script, procs int, delay rechord.Del
 		t.Fatalf("seed: %v", err)
 	}
 	return clusterRun{res: res, net: cn}
+}
+
+// TestSeedErrorReleasesWorkers pins the close-on-error contract: when
+// the seed gives up (here: rank 2 disagrees about the cluster size),
+// it closes every connection it accepted, so a healthy worker blocked
+// on the seed returns an error instead of hanging.
+func TestSeedErrorReleasesWorkers(t *testing.T) {
+	s := GateScript(t)
+	cn := NewChanNet(nil, 1, nil)
+	ln, err := cn.Listen("seed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	// Dial in rank order (Dial enqueues synchronously), so the seed has
+	// accepted the healthy rank 1 before it meets rank 2's bad hello.
+	conns := make([]Conn, 3)
+	for rank := 1; rank < 3; rank++ {
+		if conns[rank], err = cn.Dial("seed"); err != nil {
+			t.Fatal(err)
+		}
+		defer conns[rank].Close()
+	}
+	workerErr := make([]chan error, 3)
+	for rank, procs := range map[int]int{1: 3, 2: 99} {
+		workerErr[rank] = make(chan error, 1)
+		go func(rank, procs int) {
+			nd := &Node{Rank: rank, Procs: procs, Script: s, Config: testConfig()}
+			_, err := nd.RunWorker(conns[rank])
+			workerErr[rank] <- err
+		}(rank, procs)
+	}
+	seed := &Node{Rank: 0, Procs: 3, Script: s, Config: testConfig()}
+	if _, err := seed.RunSeed(ln); err == nil || !strings.Contains(err.Error(), "procs=99") {
+		t.Fatalf("seed error = %v, want the procs mismatch", err)
+	}
+	for rank := 1; rank < 3; rank++ {
+		select {
+		case err := <-workerErr[rank]:
+			if err == nil {
+				t.Fatalf("rank %d returned no error from a seed that gave up", rank)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("rank %d still blocked 5s after the seed returned", rank)
+		}
+	}
 }
 
 func TestNodeValidation(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/churn"
 	"repro/internal/ident"
 	"repro/internal/rechord"
 	"repro/internal/topogen"
@@ -36,22 +37,15 @@ type Script struct {
 	Ops       []Op
 }
 
-// OpKind is a scripted membership change.
-type OpKind int
+// Op is one scheduled membership change: churn.Event under the script
+// layer's names. Round is the round the op applies before.
+type Op = churn.Event
 
 const (
-	OpJoin OpKind = iota
-	OpLeave
-	OpFail
+	OpJoin  = churn.Join
+	OpLeave = churn.Leave
+	OpFail  = churn.Fail
 )
-
-// Op is one scheduled membership change.
-type Op struct {
-	Round   int
-	Kind    OpKind
-	ID      ident.ID
-	Contact ident.ID // join only
-}
 
 // DefaultMaxRounds caps a run whose script doesn't set its own bound.
 const DefaultMaxRounds = 10000
@@ -154,26 +148,19 @@ func parseOp(fields []string) (Op, error) {
 	if err != nil {
 		return Op{}, err
 	}
-	op := Op{Round: round, ID: id}
-	switch fields[1] {
-	case "join":
+	op := Op{Round: round, Kind: churn.Kind(fields[1]), ID: id}
+	switch op.Kind {
+	case OpJoin:
 		if len(fields) != 5 || fields[3] != "contact" {
 			return Op{}, fmt.Errorf("join wants <idhex> contact <idhex>")
 		}
-		op.Kind = OpJoin
 		if op.Contact, err = ident.ParseHex(fields[4]); err != nil {
 			return Op{}, err
 		}
-	case "leave":
+	case OpLeave, OpFail:
 		if len(fields) != 3 {
-			return Op{}, fmt.Errorf("leave wants exactly <idhex>")
+			return Op{}, fmt.Errorf("%s wants exactly <idhex>", op.Kind)
 		}
-		op.Kind = OpLeave
-	case "fail":
-		if len(fields) != 3 {
-			return Op{}, fmt.Errorf("fail wants exactly <idhex>")
-		}
-		op.Kind = OpFail
 	default:
 		return Op{}, fmt.Errorf("unknown op kind %q", fields[1])
 	}
@@ -189,40 +176,26 @@ func (s *Script) Format() []byte {
 		fmt.Fprintf(&b, "maxrounds %d\n", s.MaxRounds)
 	}
 	for _, op := range s.Ops {
-		switch op.Kind {
-		case OpJoin:
-			fmt.Fprintf(&b, "op %d join %s contact %s\n", op.Round, op.ID.Hex(), op.Contact.Hex())
-		case OpLeave:
-			fmt.Fprintf(&b, "op %d leave %s\n", op.Round, op.ID.Hex())
-		case OpFail:
-			fmt.Fprintf(&b, "op %d fail %s\n", op.Round, op.ID.Hex())
+		fmt.Fprintf(&b, "op %d %s %s", op.Round, op.Kind, op.ID.Hex())
+		if op.Kind == OpJoin {
+			fmt.Fprintf(&b, " contact %s", op.Contact.Hex())
 		}
+		b.WriteByte('\n')
 	}
 	return b.Bytes()
 }
 
-// applyMonolith executes the op directly on a monolithic network.
-func (op Op) applyMonolith(nw *rechord.Network) error {
-	switch op.Kind {
-	case OpJoin:
-		return nw.Join(op.ID, op.Contact)
-	case OpLeave:
-		return nw.Leave(op.ID)
-	default:
-		return nw.Fail(op.ID)
+// applyDue applies, in script order, the ops scheduled for round r
+// starting at cursor next, and returns the advanced cursor. Every leg
+// of the equivalence gate schedules its ops through it.
+func (s *Script) applyDue(m churn.Membership, next, r int) (int, error) {
+	for next < len(s.Ops) && s.Ops[next].Round == r {
+		if err := s.Ops[next].Apply(m); err != nil {
+			return next, err
+		}
+		next++
 	}
-}
-
-// applyPartition executes the op on one process's partition.
-func (op Op) applyPartition(p *rechord.Partition) error {
-	switch op.Kind {
-	case OpJoin:
-		return p.ApplyJoin(op.ID, op.Contact)
-	case OpLeave:
-		return p.ApplyLeave(op.ID)
-	default:
-		return p.ApplyFail(op.ID)
-	}
+	return next, nil
 }
 
 // RunMonolith executes the script in-process on one Network — the
@@ -238,11 +211,8 @@ func (s *Script) RunMonolith(cfg rechord.Config) (fp uint64, rounds int, err err
 		if r > s.MaxRounds {
 			return 0, r, fmt.Errorf("wire: monolith did not converge in %d rounds", s.MaxRounds)
 		}
-		for next < len(s.Ops) && s.Ops[next].Round == r {
-			if err := s.Ops[next].applyMonolith(nw); err != nil {
-				return 0, r, err
-			}
-			next++
+		if next, err = s.applyDue(nw, next, r); err != nil {
+			return 0, r, err
 		}
 		nw.Step()
 		if next == len(s.Ops) && nw.Quiescent() {

@@ -98,11 +98,11 @@ func (c *streamConn) Close() error {
 // and flushed per frame (a round frame is one logical unit; syscall
 // per field would dominate at small frame sizes).
 type TCPTransport struct {
-	Metrics *obs.WireMetrics
+	met *obs.WireMetrics
 }
 
 // NewTCP returns the socket transport. met may be nil.
-func NewTCP(met *obs.WireMetrics) *TCPTransport { return &TCPTransport{Metrics: met} }
+func NewTCP(met *obs.WireMetrics) *TCPTransport { return &TCPTransport{met: met} }
 
 func (t *TCPTransport) Dial(addr string) (Conn, error) {
 	nc, err := net.Dial("tcp", addr)
@@ -122,7 +122,7 @@ func (t *TCPTransport) Listen(addr string) (Listener, error) {
 
 func (t *TCPTransport) wrap(nc net.Conn) Conn {
 	bw := bufio.NewWriter(nc)
-	return newStreamConn(nc, bw, bw.Flush, t.Metrics, nc)
+	return newStreamConn(nc, bw, bw.Flush, t.met, nc)
 }
 
 type tcpListener struct {

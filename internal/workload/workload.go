@@ -121,7 +121,7 @@ type Config struct {
 	// Obs, when non-nil, receives live serving-path telemetry during
 	// the run (in-flight gauge, error taxonomy, sharded latency/hop
 	// histograms) in addition to the per-run Result. It must have at
-	// least numOps op slots, in OpGet/OpPut/OpDelete order; the
+	// least numOps op slots, in get/put/delete order; the
 	// cluster facade passes one long-lived set so metrics accumulate
 	// across runs and can be snapshotted mid-run without locks.
 	Obs *obs.WorkloadMetrics
@@ -174,9 +174,9 @@ func (cfg Config) withDefaults() (Config, error) {
 
 // Op kinds, indexing Result.PerOp.
 const (
-	OpGet = iota
-	OpPut
-	OpDelete
+	opGet = iota
+	opPut
+	opDelete
 	numOps
 )
 
@@ -225,24 +225,6 @@ func (r *Result) Summary() string {
 		time.Duration(r.Latency.Percentile(50)), time.Duration(r.Latency.Percentile(99)),
 		time.Duration(r.Latency.Percentile(99.9)),
 		r.Hops.Mean(), r.Hops.Percentile(99), r.Errors, r.NotFound, r.Fallbacks)
-}
-
-// failoverResolver routes through the epoch-cached table router and
-// falls back to the state-walk router when a table is incomplete or
-// stale mid-churn — table routing is the fast path, the walk is the
-// one that tolerates partially repaired state.
-type failoverResolver struct {
-	cache     *routing.Cache
-	walk      routing.Walker
-	fallbacks *atomic.Int64
-}
-
-func (r failoverResolver) Resolve(from, key ident.ID) (ident.ID, int, error) {
-	if owner, hops, err := r.cache.Resolve(from, key); err == nil {
-		return owner, hops, nil
-	}
-	r.fallbacks.Add(1)
-	return r.walk.Resolve(from, key)
 }
 
 // workerResult is one worker's private telemetry shard; merged after
@@ -319,7 +301,7 @@ func Run(ctx context.Context, sched rechord.Scheduler, cfg Config) (*Result, err
 		// The caller may hand in a long-lived, pre-warmed cache; the
 		// run's report stays a per-run delta either way.
 		hits0, misses0 = e.cache.Stats()
-		resolver = failoverResolver{cache: e.cache, walk: routing.Walker{NW: nw}, fallbacks: &e.fallbacks}
+		resolver = routing.Failover{Cache: e.cache, Fallbacks: &e.fallbacks}
 	}
 	e.cacheHits0, e.cacheMisses0 = hits0, misses0
 	e.store = dht.NewWithResolver(nw, resolver)
@@ -441,7 +423,7 @@ func (e *engine) worker(ctx context.Context, w int, homes []ident.ID, start time
 		}
 		kind := pickOp(rng, cfg)
 		idx := gen.next(i)
-		if kind != OpGet {
+		if kind != opGet {
 			idx = writeSlot(idx, w, cfg)
 		}
 		key := keyName(idx)
@@ -457,11 +439,11 @@ func (e *engine) worker(ctx context.Context, w int, homes []ident.ID, start time
 		var hops int
 		var opErr error
 		switch kind {
-		case OpGet:
+		case opGet:
 			_, hops, opErr = e.store.Get(home, key)
-		case OpPut:
+		case opPut:
 			_, hops, opErr = e.store.Put(home, key, fmt.Sprintf("w%d#%d", w, i))
-		case OpDelete:
+		case opDelete:
 			_, hops, opErr = e.store.Delete(home, key)
 		}
 		e.netMu.RUnlock()
@@ -566,15 +548,7 @@ func (e *engine) churnDriver(ctx context.Context, events []churn.Event, done <-c
 			return applied
 		}
 		e.netMu.Lock()
-		var err error
-		switch ev.Kind {
-		case "join":
-			err = e.nw.Join(ev.ID, ev.Contact)
-		case "leave":
-			err = e.nw.Leave(ev.ID)
-		case "fail":
-			err = e.nw.Fail(ev.ID)
-		}
+		err := ev.Apply(e.nw)
 		e.netMu.Unlock()
 		if err != nil {
 			// The event list was generated against pre-run membership;
@@ -642,11 +616,11 @@ func pickOp(rng *rand.Rand, cfg Config) int {
 	x := rng.Float64()
 	switch {
 	case x < cfg.GetFrac:
-		return OpGet
+		return opGet
 	case x < cfg.GetFrac+cfg.PutFrac:
-		return OpPut
+		return opPut
 	default:
-		return OpDelete
+		return opDelete
 	}
 }
 
