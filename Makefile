@@ -16,24 +16,33 @@ STATICCHECK_VERSION := 2025.1.1
 # bench-record / bench-gate below, so the benchtimes cannot drift apart
 # (allocs/op has a small GC-warmup component that amortizes differently
 # under another benchtime, and the gate holds allocs to 0% tolerance).
-BENCH_GROUPS := rounds async wire mem
+BENCH_GROUPS := rounds async wire mem work
+
+# Every recording pins -cpu, so the benchmark names (go test appends -N
+# for N != 1) and the default worker-pool size are the same on any
+# machine and a gated name cannot go missing because the box has other
+# cores than the recorder's. The round, async and work groups run on 2
+# processors (the sharded barrier rows need real parallelism); wire and
+# mem on 1, as their committed baselines were recorded.
+BENCH_CPU := 2
 
 # rounds: the round-engine benchmarks (steady-state Step, per-round
-# cost at the paper's scale, fixed-point detection, churn recovery),
-# the inverted-wake-index benchmark from internal/rechord (only the
+# cost at the paper's scale, fixed-point detection), the
+# inverted-wake-index benchmark from internal/rechord (only the
 # indexed series — the scan series is the O(n) equivalence baseline and
 # takes minutes at the larger size; the two sizes must stay flat
 # relative to each other, the frontier-proportional claim in numbers),
-# the barrier split (prepare vs commit per batch under the n=4096
-# hot-frontier transient, Workers 1 vs 4; warn-only, its allocation
-# counts vary with the worker pool; the n=16384 series is for by-hand
-# runs) and the telemetry hot path.
+# the sharded barrier split (prepare vs commit per batch under the
+# n=4096 hot-frontier transient at Workers 4; warn-only, its allocation
+# counts vary with the worker pool — the serial row is gated in the work
+# group; the n=16384 series is for by-hand runs) and the telemetry hot
+# path.
 BENCH_RECORD_rounds = { \
-	$(GO) test -run '^$$' -bench 'BenchmarkStepSteadyState' -benchmem -benchtime=1000x . ; \
-	$(GO) test -run '^$$' -bench 'BenchmarkRound$$|BenchmarkSnapshot|BenchmarkChurnRecoveryLarge' -benchmem -benchtime=1x . ; \
-	$(GO) test -run '^$$' -bench 'BenchmarkWakeDependents/indexed' -benchmem -benchtime=1000x ./internal/rechord/ ; \
-	$(GO) test -run '^$$' -bench 'BenchmarkBarrierCommit/.*/n=4096' -benchmem -benchtime=1x ./internal/rechord/ ; \
-	$(GO) test -run '^$$' -bench 'BenchmarkObsHotPath' -benchmem -benchtime=1000x ./internal/obs/ ; }
+	$(GO) test -cpu $(BENCH_CPU) -run '^$$' -bench 'BenchmarkStepSteadyState' -benchmem -benchtime=1000x . ; \
+	$(GO) test -cpu $(BENCH_CPU) -run '^$$' -bench 'BenchmarkRound$$|BenchmarkSnapshot' -benchmem -benchtime=1x . ; \
+	$(GO) test -cpu $(BENCH_CPU) -run '^$$' -bench 'BenchmarkWakeDependents/indexed' -benchmem -benchtime=1000x ./internal/rechord/ ; \
+	$(GO) test -cpu $(BENCH_CPU) -run '^$$' -bench 'BenchmarkBarrierCommit/sharded/n=4096' -benchmem -benchtime=1x ./internal/rechord/ ; \
+	$(GO) test -cpu $(BENCH_CPU) -run '^$$' -bench 'BenchmarkObsHotPath' -benchmem -benchtime=1000x ./internal/obs/ ; }
 BENCH_GATE_rounds = -fail-allocs 'BenchmarkStepSteadyState|BenchmarkWakeDependents|BenchmarkObsHotPath'
 
 # async: the asynchronous scheduler's steady-state step (must stay flat
@@ -41,13 +50,13 @@ BENCH_GATE_rounds = -fail-allocs 'BenchmarkStepSteadyState|BenchmarkWakeDependen
 # and convergence sweeps (their cost is in setup, so a fixed small
 # count).
 BENCH_RECORD_async = { \
-	$(GO) test -run '^$$' -bench 'BenchmarkAsyncStep' -benchmem -benchtime=100000x . ; \
-	$(GO) test -run '^$$' -bench 'BenchmarkAsyncConvergence|BenchmarkAsyncChurnRecovery' -benchmem -benchtime=3x . ; }
+	$(GO) test -cpu $(BENCH_CPU) -run '^$$' -bench 'BenchmarkAsyncStep' -benchmem -benchtime=100000x . ; \
+	$(GO) test -cpu $(BENCH_CPU) -run '^$$' -bench 'BenchmarkAsyncConvergence|BenchmarkAsyncChurnRecovery' -benchmem -benchtime=3x . ; }
 BENCH_GATE_async = -fail-allocs 'BenchmarkAsyncStep'
 
 # wire: the warm symbol-table message encode/decode hot path, pinned at
 # <= 2 allocs/op (currently 0).
-BENCH_RECORD_wire = $(GO) test -run '^$$' -bench 'BenchmarkEncodeMessage|BenchmarkDecodeMessage' -benchmem -benchtime=10000x ./internal/wire/
+BENCH_RECORD_wire = $(GO) test -cpu 1 -run '^$$' -bench 'BenchmarkEncodeMessage|BenchmarkDecodeMessage' -benchmem -benchtime=10000x ./internal/wire/
 BENCH_GATE_wire = -fail-allocs 'BenchmarkEncodeMessage|BenchmarkDecodeMessage'
 
 # mem: resident bytes per peer of a settled network, standing flows
@@ -56,8 +65,19 @@ BENCH_GATE_wire = -fail-allocs 'BenchmarkEncodeMessage|BenchmarkDecodeMessage'
 # clears it to record every rung (the widened timeout unlocks n=65536,
 # which self-skips at the default deadline).
 MEM_RUNGS ?= /n=(1024|4096|16384)$$
-BENCH_RECORD_mem = $(GO) test -run '^$$' -bench 'BenchmarkMemoryPerPeer$(MEM_RUNGS)' -benchtime=1x -timeout=60m .
+BENCH_RECORD_mem = $(GO) test -cpu 1 -run '^$$' -bench 'BenchmarkMemoryPerPeer$(MEM_RUNGS)' -benchtime=1x -timeout=60m .
 BENCH_GATE_mem = -metric bytes/peer -metric-tol 0.10 -fail-metric 'BenchmarkMemoryPerPeer$(MEM_RUNGS)'
+
+# work: the paths that do the work, gated on allocs/op within 10% —
+# the non-quiescent counterpart of the 0-alloc pins. A fat frontier
+# (n=320 from a random graph to the fixed point), a thin one (join,
+# leave, crash on a stable n=512), one crash absorbed at n=1024, and the
+# n=4096 hot-frontier transient, all but the crash at Workers 1, where
+# the counts repeat exactly.
+BENCH_RECORD_work = { \
+	$(GO) test -cpu $(BENCH_CPU) -run '^$$' -bench 'BenchmarkConverge$$|BenchmarkRepairCycle|BenchmarkChurnRecoveryLarge' -benchmem -benchtime=1x . ; \
+	$(GO) test -cpu $(BENCH_CPU) -run '^$$' -bench 'BenchmarkBarrierCommit/serial/n=4096' -benchmem -benchtime=1x ./internal/rechord/ ; }
+BENCH_GATE_work = -allocs-tol 0.10 -fail-allocs 'BenchmarkConverge|BenchmarkRepairCycle|BenchmarkChurnRecoveryLarge|BenchmarkBarrierCommit'
 
 # Where bench-gate writes its scratch recordings.
 BENCH_TMP ?= /tmp
@@ -66,7 +86,7 @@ BENCH_TMP ?= /tmp
 # uncached table routing and the end-to-end workload engine.
 LOOKUP_BENCH := BenchmarkTableLookup|BenchmarkWorkload
 
-.PHONY: all test test-short lint vet fmt staticcheck loc bench bench-record bench-gate bench-json bench-lookups bench-async bench-mem bench-wire bench-diff fuzz-smoke cover examples clean
+.PHONY: all test test-short lint vet fmt staticcheck loc bench bench-record bench-gate bench-json bench-lookups bench-async bench-mem bench-wire bench-work bench-diff fuzz-smoke cover examples clean
 
 all: lint test
 
@@ -156,6 +176,8 @@ bench-wire:
 	$(MAKE) --no-print-directory bench-record GROUP=wire OUT=BENCH_wire.json
 bench-mem:
 	$(MAKE) --no-print-directory bench-record GROUP=mem OUT=BENCH_mem.json MEM_RUNGS=
+bench-work:
+	$(MAKE) --no-print-directory bench-record GROUP=work OUT=BENCH_work.json
 
 # bench-lookups records the serving-layer benchmarks (table-lookup
 # cache vs baseline, workload percentiles) in BENCH_lookups.json.

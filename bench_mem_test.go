@@ -57,7 +57,7 @@ func BenchmarkMemoryPerPeer(b *testing.B) {
 				rng := rand.New(rand.NewSource(int64(n)))
 				ids := topogen.RandomIDs(n, rng)
 				nw := topogen.PreStabilized().Build(ids, rng, rechord.Config{})
-				if _, err := sim.RunToStable(context.Background(), nw, sim.Options{SkipFinalMetrics: true}); err != nil {
+				if _, err := sim.RunToStable(context.Background(), nw, sim.Options{}); err != nil {
 					b.Fatal(err)
 				}
 				perPeer = float64(heapAlloc()-base) / float64(n)

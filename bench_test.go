@@ -425,6 +425,52 @@ func BenchmarkChurnRecoveryLarge(b *testing.B) {
 	}
 }
 
+// BenchmarkConverge is the work-path ledger row for a fat frontier: 320
+// peers from a random weakly connected graph to the fixed point, the
+// shape of the end-to-end `converge` workload. Workers: 1, so allocs/op
+// and B/op repeat exactly and the `work` group can gate them.
+func BenchmarkConverge(b *testing.B) {
+	b.Run("n=320", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			nw, _ := buildRandom(320, int64(i), 1)
+			b.StartTimer()
+			if _, err := sim.RunToStable(context.Background(), nw, sim.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkRepairCycle is the work-path ledger row for a thin frontier:
+// a join, a graceful leave and a crash on a stable n=512 network, each
+// run to the fixed point — the shape of the end-to-end `repair`
+// workload. Workers: 1 for repeatable allocation counts.
+func BenchmarkRepairCycle(b *testing.B) {
+	b.Run("n=512", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		nw, _, err := churn.StableNetwork(context.Background(), 512, rng, rechord.Config{Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, kind := range []churn.Kind{churn.Join, churn.Leave, churn.Fail} {
+				peers := nw.Peers()
+				ev := churn.Event{Kind: kind, ID: peers[rng.Intn(len(peers))]}
+				if kind == churn.Join {
+					ev.ID, ev.Contact = ident.ID(rng.Uint64()|1), ev.ID
+				}
+				if rec, err := churn.Apply(context.Background(), nw, ev, 0); err != nil || !rec.Stable {
+					b.Fatalf("%s: %v (stable=%v)", kind, err, rec.Stable)
+				}
+			}
+		}
+	})
+}
+
 // BenchmarkSnapshot measures fixed-point detection (full-state deep
 // compare), the other engine hot path.
 func BenchmarkSnapshot(b *testing.B) {

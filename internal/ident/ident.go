@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -155,7 +156,7 @@ func (a ID) String() string {
 
 // Sort sorts identifiers in increasing (linear) order in place.
 func Sort(ids []ID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 }
 
 // SuccessorIndex returns the index into the sorted slice ids of the

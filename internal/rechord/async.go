@@ -374,7 +374,7 @@ func (a *AsyncRunner) drainFrontier(start int, immediate *[]uint32) {
 //     bucket-carried handoffs destabilize convergence (stale replays).
 //   - A contribution that vanished revokes the bucket and wakes the
 //     recipient, whichever kind of run dropped it.
-func (a *AsyncRunner) planFlow(n *RealNode, p *prepOut) {
+func (a *AsyncRunner) planFlow(n *RealNode, p *prepOut, w *worker) {
 	nw, h := a.nw, n.h()
 	var old, cur []flowSpan
 	if n.lastFlow != nil {
@@ -390,7 +390,7 @@ func (a *AsyncRunner) planFlow(n *RealNode, p *prepOut) {
 	i, j := 0, 0
 	for i < len(old) || j < len(cur) {
 		if j == len(cur) || (i < len(old) && old[i].owner < cur[j].owner) {
-			nw.planOp(h, old[i].owner, nf, bucketOp{span: -1, wake: true}, p)
+			nw.planOp(h, old[i].owner, nf, bucketOp{span: -1, wake: true}, w)
 			i++
 			continue
 		}
@@ -404,7 +404,7 @@ func (a *AsyncRunner) planFlow(n *RealNode, p *prepOut) {
 		default:
 			op.wake = true // relay
 		}
-		nw.planOp(h, cur[j].owner, nf, op, p)
+		nw.planOp(h, cur[j].owner, nf, op, w)
 		if stood {
 			i++
 		}
@@ -565,15 +565,7 @@ func (a *AsyncRunner) PendingByKind() map[graph.Kind]int {
 		if node == nil {
 			continue
 		}
-		for _, msg := range node.inbox {
-			out[msg.Kind]++
-		}
-		for _, b := range node.in {
-			sp := b.flow.spans[b.span]
-			for _, pm := range b.flow.packed[sp.start:sp.end] {
-				out[graph.Kind(pm.meta>>pmKindShift)]++
-			}
-		}
+		node.eachPending(func(msg Message) { out[msg.Kind]++ })
 	}
 	return out
 }

@@ -6,27 +6,46 @@ import (
 	"sync/atomic"
 
 	"repro/internal/ident"
+	"repro/internal/obs"
 	"repro/internal/ref"
 )
 
-// This file is the round barrier: the one pipeline through which a
-// standing bucket is rewritten, for every scheduler. A batch's phase 3
-// is a parallel *prepare*, an ownership-partitioned *commit*, and a
-// short serial *epilogue*; out-of-band mutation points (churn, the
-// partition's Apply calls) run the same planner and applier serially
+// This file is the round barrier: the worker pool's execution arenas and
+// the one pipeline through which a standing bucket is rewritten, for
+// every scheduler. A batch is deliver -> execute -> prepare -> commit ->
+// epilogue (runBatch, network.go); out-of-band mutation points (churn,
+// the partition's Apply calls) run the same planner and applier serially
 // through rewriteBucket.
 //
-//   - Prepare (parallel over active indexes): each active peer publishes
-//     its own view/level slot (no other peer's prepare reads them),
-//     takes its outChanged/stateChanged verdicts, diffs its edge sets
+// Ownership. Everything a batch allocates that does not outlive it
+// belongs to the pool worker that runs the peer, never to the peer or
+// its active index: the rule scratch, the single output buffer the
+// rules append to, the freeze scratch, the batch tallies, and the
+// arenas holding what crosses the barrier. What is indexed by active
+// position (prepOut) is a fixed-size record.
+//
+//   - Deliver (parallel over active indexes): apply the pending inbox
+//     and purge stale references. Reads the interner's tables, writes
+//     the peer's own state.
+//   - Execute (parallel): rules 1-6 into the worker's out, the hash
+//     refresh (the settle verdict), the diff of out against the peer's
+//     own lastFlow, and — when it differs — the freeze of out into the
+//     new template. Reads the peer's own state and lastFlow plus the
+//     published view; writes the peer's own state and vhash slot and
+//     prep[i]. out is dead when the body returns: the verdicts and the
+//     template carry everything later phases need, so it never crosses
+//     a barrier.
+//   - Prepare (parallel): each active peer publishes its own view/level
+//     slot (no other peer's prepare reads them), diffs its edge sets
 //     against its stored dependency multiset, and has its scheduler's
-//     plan step turn the output into bucket ops — all written ONLY into
-//     its own prepOut. Buckets and the dep index are read, never
-//     written. Every plan step funnels through planOp, the single place
-//     the rewrite / quiet-repoint / delete decision is made.
-//   - Commit (parallel over commit workers): recipients are partitioned
-//     by slot (slot % workers) and dependency-index shards by
-//     depShardOf(id) % workers, so every standing bucket, dirty flag and
+//     plan step turn the output into bucket ops — appended ONLY to the
+//     running worker's arenas, prep[i] recording the ranges. Buckets and
+//     the dep index are read, never written. Every plan step funnels
+//     through planOp, the single place the rewrite / quiet-repoint /
+//     delete decision is made.
+//   - Commit (parallel over commit shards): recipients are partitioned
+//     by slot (slot % shards) and dependency-index shards by
+//     depShardOf(id) % shards, so every standing bucket, dirty flag and
 //     index shard has exactly one writing worker. commitBucketOp and
 //     commitDepDelta are the only code that writes RealNode.in,
 //     bucketMsgs and bucket dep references, or wakes a recipient because
@@ -34,7 +53,8 @@ import (
 //   - Epilogue (serial, active order): epoch bumps, settle bookkeeping,
 //     lastFlow swaps, paranoid panics deferred out of pool goroutines,
 //     the change-set merge feeding wakeDependents, and the scheduler's
-//     emit step.
+//     emit step; then the workers' tallies are summed and their arenas
+//     reset.
 //
 // A scheduler differs from the synchronous engine only in its
 // flowRouter: what it plans (read-only, in the parallel prepare) and
@@ -44,7 +64,9 @@ import (
 // the worker count.
 //
 // Why Workers=1 and Workers=N stay snapshot-for-snapshot identical:
-// every commit write is keyed by (sender handle, recipient slot) or
+// which worker runs a peer decides where scratch lives, never what is
+// computed (every buffer is reset before use, tallies are sums); every
+// commit write is keyed by (sender handle, recipient slot) or
 // (referenced id, dependent slot) and each key is written at most once
 // per batch (a plan step emits at most one op per recipient), so the
 // final buckets are order-independent; dep index counts commute; the
@@ -60,100 +82,145 @@ import (
 
 // flowRouter is what a scheduler adds around the barrier pipeline.
 type flowRouter interface {
-	// planFlow stages the bucket ops for sender n's output in p (through
-	// planOp), on a pool goroutine: it reads shared state and writes only
-	// p. p.outChanged, p.stateChanged and p.newFlow are already set.
-	planFlow(n *RealNode, p *prepOut)
+	// planFlow stages the bucket ops for sender n's output in w's arenas
+	// (through planOp), on a pool goroutine: it reads shared state and
+	// writes only w. p.outChanged, p.stateChanged and p.newFlow are set.
+	planFlow(n *RealNode, p *prepOut, w *worker)
 	// emitFlow runs after the commit, serially and in active order, with
 	// the template the ops point into: whatever the scheduler sends
 	// besides standing buckets (delayed one-shots, sink mirrors).
 	emitFlow(n *RealNode, tpl *flowTemplate, ops []bucketOp)
 }
 
+// worker is one pool goroutine's execution arena (workers[0] doubles as
+// the caller's own, for the inline path and for mutations outside a
+// batch). A worker is claimed by one task at a time, so nothing in it is
+// shared; it is O(one peer's output) plus the barrier payload of the
+// peers it ran this batch.
+type worker struct {
+	// Rule scratch (rules.go): the output buffer send appends to, the
+	// derived sets and orders rules 1-6 iterate.
+	out                               []Message
+	known, reals, cand, sibSet, ksTmp ref.Set
+	sibs, snap, lefts, rights         []ref.Ref
+	levels                            []int
+	realID                            []ident.ID
+
+	// Freeze scratch: the output-diff cursors, the recipient and symbol
+	// collectors of freezeFlow, and the stateDeps diff buffers.
+	cursors []uint32
+	spans   []flowSpan
+	syms    []ident.ID
+	owners  []ident.ID
+	counts  []ownerCount
+
+	tally
+
+	// The barrier payload of the peers this worker prepared: the commit
+	// and the epilogue read it through the ranges in prepOut. Reset (and
+	// released once a contracted frontier left it mostly unused) when
+	// the batch ends.
+	viewRefs []ref.Ref
+	ops      []bucketOp
+	deps     []depDelta
+}
+
+// tally is what a worker counted over one batch, summed over the workers
+// and zeroed by the epilogue: plain integers, so the hot path never
+// touches shared state. anyInbox records that deliver consumed a
+// one-shot message (a global-state change even when no peer state
+// moved).
+type tally struct {
+	made, killed, delivered int
+	fired                   [obs.NumRules]uint64
+	anyInbox                bool
+}
+
+// resetArena empties a per-batch buffer. It releases the storage once a
+// batch used under 1/64 of it (beyond a constant floor that keeps the
+// thin, fluctuating frontiers of a repair from ever regrowing it): a
+// settled network does not retain its peak round's payload, and a
+// converging one pays at most a few regrowths of by-then small buffers.
+func resetArena[T any](s []T) []T {
+	if cap(s) > 64*len(s)+4096 {
+		return nil
+	}
+	return s[:0]
+}
+
 // batchRun is the persistent fan-out machinery of runBatch: one task
-// closure, WaitGroup and work counter reused across every batch (the
-// old per-batch runOnPool closure allocated all three each round), plus
-// the lazily built per-phase closures, which read the batch parameters
-// from the Network's batch fields instead of capturing them.
+// closure per worker, a WaitGroup and a work counter, reused across
+// every batch and phase.
 type batchRun struct {
-	wg   sync.WaitGroup
-	next atomic.Int64
-	n    int
-	f    func(i int)
-	task func()
-
-	// per-phase bodies, built once on first use
-	phase1, phase2, prepare, commit func(i int)
-
-	// anyInbox records that phase 1 consumed a one-shot message
-	// somewhere (a global-state change even when no peer state moved).
-	anyInbox atomic.Bool
+	wg    sync.WaitGroup
+	next  atomic.Int64
+	n     int
+	f     func(nw *Network, w *worker, i int)
+	tasks []func()
 }
 
-// parallelism resolves Config.Workers: the worker count requested and
-// the pool size to lazily spawn (sized from the configuration, not
-// from any one round's frontier, so a small first round does not cap
-// later large rounds).
-func (nw *Network) parallelism() int {
-	w := nw.cfg.Workers
-	if w <= 0 {
-		w = defaultWorkers()
-	}
-	return w
-}
-
-// runParallel fans f(i) for i in [0, n) over the worker pool; f must
-// only touch per-index/per-peer state (or, for the commit phase,
-// state its index exclusively owns). w <= 1 — or a single item — runs
-// inline on the caller's goroutine, which is also what keeps paranoid
-// panics recoverable in the serial configuration.
-func (nw *Network) runParallel(w, poolSize, n int, f func(i int)) {
-	if n == 0 {
-		return
-	}
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
+// serial returns workers[0], the caller's own arena, building the
+// workers on first use: one per configured goroutine (Config.Workers, 0
+// meaning one per schedulable CPU), sized from the configuration and not
+// from any one round's frontier.
+func (nw *Network) serial() *worker {
+	if nw.workers == nil {
+		k := nw.cfg.Workers
+		if k <= 0 {
+			k = defaultWorkers()
 		}
-		return
-	}
-	pool := nw.ensurePool(poolSize)
-	if w > pool.size {
-		w = pool.size
-	}
-	br := &nw.br
-	if br.task == nil {
-		br.task = func() {
-			defer br.wg.Done()
-			for {
-				i := int(br.next.Add(1)) - 1
-				if i >= br.n {
-					return
+		br := &nw.br
+		for ; k > 0; k-- {
+			w := &worker{}
+			nw.workers = append(nw.workers, w)
+			br.tasks = append(br.tasks, func() {
+				defer br.wg.Done()
+				for {
+					i := int(br.next.Add(1)) - 1
+					if i >= br.n {
+						return
+					}
+					br.f(nw, w, i)
 				}
-				br.f(i)
-			}
+			})
 		}
 	}
+	return nw.workers[0]
+}
+
+// runParallel fans f(w, i) for i in [0, n) over the workers; f must only
+// touch its worker and per-index/per-peer state (or, for the commit
+// phase, state its index exclusively owns). One worker — or a single
+// item — runs inline on the caller's goroutine, which is also what keeps
+// paranoid panics recoverable in the serial configuration.
+func (nw *Network) runParallel(n int, f func(nw *Network, w *worker, i int)) {
+	w0 := nw.serial()
+	k := min(len(nw.workers), n)
+	if k <= 1 {
+		for i := 0; i < n; i++ {
+			f(nw, w0, i)
+		}
+		return
+	}
+	pool := nw.ensurePool(len(nw.workers))
+	br := &nw.br
 	br.n, br.f = n, f
 	br.next.Store(0)
-	br.wg.Add(w)
-	for k := 0; k < w; k++ {
-		pool.tasks <- br.task
+	br.wg.Add(k)
+	for _, task := range br.tasks[:k] {
+		pool.tasks <- task
 	}
 	br.wg.Wait()
-	br.f = nil // do not pin a stale closure between batches
 }
 
-// prepOut is the per-active-index output of the parallel prepare
-// sub-phase. Entries are reused across batches (sized alongside
-// results/pres and dropped with them when the frontier contracts).
+// prepOut is what crosses the barrier for one active index: the
+// verdicts, the frozen output, and the ranges of the preparing worker's
+// arenas holding its commit payload. The epilogue zeroes each record, so
+// nothing here outlives the batch.
 type prepOut struct {
 	ownerChanged bool // the peer's level span moved
-	outChanged   bool // total output differs from lastOut
-	stateChanged bool // the settle decision (content hashes moved)
+	outChanged   bool // total output differs from lastFlow
+	stateChanged bool // the content hashes moved: the settle decision
 	paranoidBad  bool // clone cross-check disagreed; panic in epilogue
 
 	// viewRefs lists the virtual refs whose published rl/rr entry
@@ -171,15 +238,6 @@ type prepOut struct {
 	// dep-index deltas they plus the peer's edge-set diff imply.
 	ops  []bucketOp
 	deps []depDelta
-
-	// scratch: recipient grouping (frozen into newFlow before the
-	// commit), the output-diff cursors, the template symbol collector,
-	// and the stateDeps diff buffers.
-	groups  []rrGroup
-	cursors []uint32
-	symbuf  []ident.ID
-	owners  []ident.ID
-	counts  []ownerCount
 }
 
 // flow is the template p's ops point into: the batch template when the
@@ -224,27 +282,68 @@ type commitShard struct {
 	flow       flowTally
 }
 
-// prepareIndex is the parallel prepare body for active index i: the
-// publish diff, the settle verdicts, and the bucket ops and dep deltas
-// the commit will apply. Writes touch only the peer's own
-// view/maxLv/stateDeps slots and prep[i].
-func (nw *Network) prepareIndex(i int) {
+// deliverPhase is the parallel deliver body for active index i. The
+// settle check compares the stored content hashes (which describe the
+// pre-round state by invariant) against execute's recomputation, so no
+// pre-round copy is needed; under ParanoidSettle the old deep clone is
+// kept alongside to cross-check every settle decision.
+func (nw *Network) deliverPhase(w *worker, i int) {
+	n := nw.pt.nodes[nw.bActive[i]]
+	if nw.bSettle && nw.cfg.ParanoidSettle {
+		nw.pres[i] = n.cloneVNodes(nw.pres[i])
+	}
+	if len(n.inbox) > 0 {
+		// Consuming a one-shot message changes the global state even
+		// when the peer's own state ends up unchanged.
+		w.anyInbox = true
+	}
+	w.delivered += nw.deliver(n)
+	nw.purge(n, w)
+}
+
+// executePhase is the parallel execute body: rules 1-6, the hash refresh
+// that is the settle verdict, and the freeze — the diff of the worker's
+// out against the peer's own lastFlow and, when it differs, the new
+// template packed straight from out.
+func (nw *Network) executePhase(w *worker, i int) {
 	slot := nw.bActive[i]
 	n := nw.pt.nodes[slot]
-	res := &nw.results[i]
+	nw.runRules(n, w)
+	p := prepOut{stateChanged: nw.refreshHashSlot(slot, n)}
+	if nw.cfg.ParanoidSettle {
+		// Re-derive the verdict from the deep clone and insist they
+		// agree. The panic is deferred to the serial epilogue: a panic
+		// raised on a pool goroutine could not be recovered by the tests
+		// that prove the paranoid mode catches injected collisions.
+		p.paranoidBad = nw.bSettle && !n.vnodesEqual(nw.pres[i]) != p.stateChanged
+		if n.lastFlow != nil {
+			// Write barrier over the shared representation: any in-place
+			// mutation of the (immutable) template since build panics here.
+			n.lastFlow.verify("lastFlow of " + n.id.String())
+		}
+	}
+	p.outChanged = !flowEqualsOutput(n.lastFlow, w.out, w)
+	if p.outChanged {
+		p.newFlow = freezeFlow(w.out, w)
+	}
+	nw.prep[i] = p
+}
+
+// preparePhase is the parallel prepare body: the publish diff, and the
+// bucket ops and dep deltas the commit will apply. Writes touch only the
+// peer's own view/maxLv/stateDeps slots, w's arenas and prep[i].
+func (nw *Network) preparePhase(w *worker, i int) {
+	slot := nw.bActive[i]
+	n := nw.pt.nodes[slot]
 	p := &nw.prep[i]
-	p.viewRefs = p.viewRefs[:0]
-	p.ops = p.ops[:0]
-	p.deps = p.deps[:0]
-	p.ownerChanged, p.paranoidBad = false, false
+	v0, o0, d0 := len(w.viewRefs), len(w.ops), len(w.deps)
 
 	id := n.id
 	// Publish the peer's level so other peers' purges detect stale
 	// references to its deleted virtual nodes. Own-slot write: nothing
 	// else reads maxLv or the view during prepare.
-	oldMax := int(nw.pt.maxLv[slot])
 	newMax := n.MaxLevel()
-	if newMax != oldMax {
+	if newMax != int(nw.pt.maxLv[slot]) {
 		nw.pt.maxLv[slot] = int32(newMax)
 		p.ownerChanged = true
 	}
@@ -252,7 +351,7 @@ func (nw *Network) prepareIndex(i int) {
 	vs := nw.view[slot]
 	for lvl := newMax + 1; lvl < len(vs); lvl++ {
 		if vs[lvl] != (viewEntry{}) {
-			p.viewRefs = append(p.viewRefs, ref.Virtual(id, lvl))
+			w.viewRefs = append(w.viewRefs, ref.Virtual(id, lvl))
 		}
 	}
 	if len(vs) > newMax+1 {
@@ -268,45 +367,22 @@ func (nw *Network) prepareIndex(i int) {
 		}
 		if vs[lvl] != cur {
 			vs[lvl] = cur
-			p.viewRefs = append(p.viewRefs, ref.Virtual(id, lvl))
+			w.viewRefs = append(w.viewRefs, ref.Virtual(id, lvl))
 		}
 	}
 	nw.view[slot] = vs
 
-	// The settle decision is the phase-2 hash comparison; ParanoidSettle
-	// re-derives it from the deep clone and insists they agree. The
-	// panic is deferred to the serial epilogue: a panic raised on a pool
-	// goroutine could not be recovered by the tests that prove the
-	// paranoid mode catches injected collisions.
-	p.stateChanged = false
-	if nw.bSettle {
-		p.stateChanged = res.hchanged
-		if nw.cfg.ParanoidSettle {
-			if cloneChanged := !n.vnodesEqual(nw.pres[i]); cloneChanged != p.stateChanged {
-				p.paranoidBad = true
-			}
-		}
-	}
-	if nw.cfg.ParanoidSettle && n.lastFlow != nil {
-		// Write barrier over the shared representation: any in-place
-		// mutation of the (immutable) template since build panics here.
-		n.lastFlow.verify("lastFlow of " + id.String())
-	}
-	p.outChanged = !flowEqualsOutput(n.lastFlow, res.out, &p.cursors)
-	p.newFlow = nil
-	if p.outChanged {
-		nw.prepFlow(res.out, p)
-	}
-	if res.hchanged {
+	if p.stateChanged {
 		// The peer's edge sets changed: re-derive its dependency
 		// contribution and turn the diff into commit deltas.
-		nw.prepStateDeps(slot, n, p)
+		nw.prepStateDeps(slot, n, w)
 	}
 	if nw.router != nil {
-		nw.router.planFlow(n, p)
+		nw.router.planFlow(n, p, w)
 	} else {
-		nw.planRewrite(n, p)
+		nw.planRewrite(n, p, w)
 	}
+	p.viewRefs, p.ops, p.deps = w.viewRefs[v0:], w.ops[o0:], w.deps[d0:]
 }
 
 // prepStateDeps recomputes the peer's edge-set dependency multiset: the
@@ -314,8 +390,8 @@ func (nw *Network) prepareIndex(i int) {
 // the difference against the stored one becomes index deltas for the
 // commit. Linear in the peer's own edge sets, and only spent when its
 // content hash changed.
-func (nw *Network) prepStateDeps(slot uint32, n *RealNode, p *prepOut) {
-	buf := p.owners[:0]
+func (nw *Network) prepStateDeps(slot uint32, n *RealNode, w *worker) {
+	buf := w.owners[:0]
 	for _, v := range n.vnodes {
 		if v == nil {
 			continue
@@ -331,9 +407,9 @@ func (nw *Network) prepStateDeps(slot uint32, n *RealNode, p *prepOut) {
 		}
 	}
 	ident.Sort(buf)
-	p.owners = buf
+	w.owners = buf
 
-	nc := p.counts[:0]
+	nc := w.counts[:0]
 	for i := 0; i < len(buf); {
 		j := i
 		for j < len(buf) && buf[j] == buf[i] {
@@ -342,21 +418,21 @@ func (nw *Network) prepStateDeps(slot uint32, n *RealNode, p *prepOut) {
 		nc = append(nc, ownerCount{owner: buf[i], cnt: uint32(j - i)})
 		i = j
 	}
-	p.counts = nc
+	w.counts = nc
 
 	old := nw.stateDeps[slot]
 	i, j := 0, 0
 	for i < len(old) || j < len(nc) {
 		switch {
 		case j == len(nc) || (i < len(old) && old[i].owner < nc[j].owner):
-			p.deps = append(p.deps, depDelta{id: old[i].owner, slot: slot, k: -int32(old[i].cnt)})
+			w.deps = append(w.deps, depDelta{id: old[i].owner, slot: slot, k: -int32(old[i].cnt)})
 			i++
 		case i == len(old) || nc[j].owner < old[i].owner:
-			p.deps = append(p.deps, depDelta{id: nc[j].owner, slot: slot, k: int32(nc[j].cnt)})
+			w.deps = append(w.deps, depDelta{id: nc[j].owner, slot: slot, k: int32(nc[j].cnt)})
 			j++
 		default:
 			if nc[j].cnt != old[i].cnt {
-				p.deps = append(p.deps, depDelta{id: nc[j].owner, slot: slot, k: int32(nc[j].cnt) - int32(old[i].cnt)})
+				w.deps = append(w.deps, depDelta{id: nc[j].owner, slot: slot, k: int32(nc[j].cnt) - int32(old[i].cnt)})
 			}
 			i++
 			j++
@@ -365,52 +441,11 @@ func (nw *Network) prepStateDeps(slot uint32, n *RealNode, p *prepOut) {
 	nw.stateDeps[slot] = append(old[:0], nc...)
 }
 
-// groupByRecipient sorts out into per-recipient groups (preserving
-// per-recipient emission order) using groups as reusable storage.
-// Returns the grown storage and the number of live groups.
-func groupByRecipient(groups []rrGroup, out []Message) ([]rrGroup, int) {
-	ng := 0
-	for _, m := range out {
-		owner := m.To.Owner
-		lo, hi := 0, ng
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if groups[mid].owner < owner {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo == ng || groups[lo].owner != owner {
-			if ng == len(groups) {
-				groups = append(groups, rrGroup{})
-			}
-			ins := groups[ng] // recycle the spare entry's msgs buffer
-			copy(groups[lo+1:ng+1], groups[lo:ng])
-			ins.owner = owner
-			ins.msgs = ins.msgs[:0]
-			groups[lo] = ins
-			ng++
-		}
-		groups[lo].msgs = append(groups[lo].msgs, m)
-	}
-	return groups, ng
-}
-
-// prepFlow freezes the sender's new output into p.newFlow. The
-// template is born with one reference, which the epilogue hands to the
-// peer's lastFlow; bucket installs take their own.
-func (nw *Network) prepFlow(out []Message, p *prepOut) {
-	var ng int
-	p.groups, ng = groupByRecipient(p.groups, out)
-	p.newFlow, p.symbuf = buildFlow(p.groups, ng, len(out), p.symbuf)
-}
-
 // planRewrite is the synchronous plan step (the partition's too): when
 // the output changed, every recipient's standing bucket is rewritten to
 // the new contribution and wakes the recipient. Recipients of the old
 // flow with no new contribution come first, then the new spans.
-func (nw *Network) planRewrite(n *RealNode, p *prepOut) {
+func (nw *Network) planRewrite(n *RealNode, p *prepOut, w *worker) {
 	if !p.outChanged {
 		return
 	}
@@ -418,24 +453,24 @@ func (nw *Network) planRewrite(n *RealNode, p *prepOut) {
 	if old := n.lastFlow; old != nil {
 		for _, sp := range old.spans {
 			if nf.findSpan(sp.owner) < 0 {
-				nw.planOp(n.h(), sp.owner, nf, bucketOp{span: -1, wake: true}, p)
+				nw.planOp(n.h(), sp.owner, nf, bucketOp{span: -1, wake: true}, w)
 			}
 		}
 	}
 	for si := range nf.spans {
-		nw.planOp(n.h(), nf.spans[si].owner, nf, bucketOp{span: int32(si), wake: true}, p)
+		nw.planOp(n.h(), nf.spans[si].owner, nf, bucketOp{span: int32(si), wake: true}, w)
 	}
 }
 
 // planOp decides what happens to the sender's standing bucket at one
-// recipient and records the rewrite and its dep deltas in p. op says
+// recipient and records the rewrite and its dep deltas in w's arenas. op says
 // what the sender wants — its contribution (op.span of t, or none when
 // negative), whether a content change wakes the recipient, whether the
 // span travels as one-shots instead — and planOp fills in the rest
 // against the bucket that stands. It is the only place that decision is
 // made; buckets are only read here (concurrent prepares may read the
 // same recipient's table).
-func (nw *Network) planOp(sender handle, dstID ident.ID, t *flowTemplate, op bucketOp, p *prepOut) {
+func (nw *Network) planOp(sender handle, dstID ident.ID, t *flowTemplate, op bucketOp, w *worker) {
 	slot, ok := nw.pt.lookup(dstID)
 	if !ok {
 		return // destination departed
@@ -451,20 +486,20 @@ func (nw *Network) planOp(sender handle, dstID ident.ID, t *flowTemplate, op buc
 			// (deep-copy mode, partition shadows) pins no generation.
 			if old.flow != t && !old.flow.private {
 				op.wake = false
-				p.ops = append(p.ops, op)
+				w.ops = append(w.ops, op)
 			}
 			return
 		}
 		op.delta = -int32(old.flow.spanLen(old.span))
-		appendSpanDeps(&p.deps, old.flow, old.span, slot, -1)
+		appendSpanDeps(&w.deps, old.flow, old.span, slot, -1)
 	} else if op.span < 0 {
 		return // nothing stands, nothing to revoke
 	}
 	if install {
 		op.delta += int32(t.spanLen(op.span))
-		appendSpanDeps(&p.deps, t, op.span, slot, 1)
+		appendSpanDeps(&w.deps, t, op.span, slot, 1)
 	}
-	p.ops = append(p.ops, op)
+	w.ops = append(w.ops, op)
 }
 
 // appendSpanDeps emits one dep delta of weight k per message in span si
@@ -476,14 +511,14 @@ func appendSpanDeps(deps *[]depDelta, t *flowTemplate, si int32, slot uint32, k 
 	}
 }
 
-// commitWorker applies the shard owned by commit worker w: bucket ops
-// whose recipient slot it owns and dep deltas whose index shard it
-// owns. Scanning every prepOut is cheap relative to applying (ops are
-// only emitted for changed buckets); the writes are the expensive part
-// and they are perfectly partitioned.
-func (nw *Network) commitWorker(w int) {
-	sh := &nw.commit[w]
-	uw := uint32(w)
+// commitPhase applies commit shard c: bucket ops whose recipient slot
+// it owns and dep deltas whose index shard it owns. Scanning every
+// prepOut is cheap relative to applying (ops are only emitted for
+// changed buckets); the writes are the expensive part and they are
+// perfectly partitioned.
+func (nw *Network) commitPhase(_ *worker, c int) {
+	sh := &nw.commit[c]
+	uw := uint32(c)
 	uc := uint32(nw.commitW)
 	for i := range nw.bActive {
 		p := &nw.prep[i]
@@ -495,14 +530,14 @@ func (nw *Network) commitWorker(w int) {
 				if op.dstSlot%uc != uw {
 					continue
 				}
-				nw.commitBucketOp(w, h, tpl, op, sh)
+				nw.commitBucketOp(c, h, tpl, op, sh)
 			}
 		}
 		for _, d := range p.deps {
 			if depShardOf(d.id)%uc != uw {
 				continue
 			}
-			nw.commitDepDelta(w, d)
+			nw.commitDepDelta(c, d)
 		}
 	}
 }
@@ -511,7 +546,7 @@ func (nw *Network) commitWorker(w int) {
 // RealNode.in or bucketMsgs. The ownership audit
 // (under ParanoidSettle) re-derives the op's owner from the slot
 // partition and panics on a cross-shard write: the selection filter in
-// commitWorker and this check must agree by construction, so a firing
+// commitPhase and this check must agree by construction, so a firing
 // audit means the partitioning itself regressed.
 func (nw *Network) commitBucketOp(w int, sender handle, nf *flowTemplate, op *bucketOp, sh *commitShard) {
 	if nw.cfg.ParanoidSettle && int(op.dstSlot)%nw.commitW != w {
@@ -571,17 +606,19 @@ func (nw *Network) mergeShards() {
 
 // rewriteBucket is the pipeline run serially for one bucket, for the
 // mutation points outside a batch (churn, the partition's Apply calls):
-// plan the op, then commit it as a one-worker commit.
+// plan the op on the caller's own worker, then commit it as a one-shard
+// commit.
 func (nw *Network) rewriteBucket(sender handle, dstID ident.ID, t *flowTemplate, si int32, wake bool) {
-	p := &nw.oob
-	nw.planOp(sender, dstID, t, bucketOp{span: si, wake: wake}, p)
+	w := nw.serial()
+	o0, d0 := len(w.ops), len(w.deps)
+	nw.planOp(sender, dstID, t, bucketOp{span: si, wake: wake}, w)
 	nw.beginCommit(1)
-	for k := range p.ops {
-		nw.commitBucketOp(0, sender, t, &p.ops[k], &nw.commit[0])
+	for k := range w.ops[o0:] {
+		nw.commitBucketOp(0, sender, t, &w.ops[o0+k], &nw.commit[0])
 	}
-	for _, d := range p.deps {
+	for _, d := range w.deps[d0:] {
 		nw.commitDepDelta(0, d)
 	}
-	p.ops, p.deps = p.ops[:0], p.deps[:0]
+	w.ops, w.deps = w.ops[:o0], w.deps[:d0]
 	nw.mergeShards()
 }

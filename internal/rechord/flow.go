@@ -2,7 +2,7 @@ package rechord
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"unsafe"
 
@@ -94,19 +94,25 @@ func (t *flowTemplate) release() bool {
 	return t.refs.Add(-1) == 0
 }
 
-// findSpan returns the index of owner's span, or -1.
-func (t *flowTemplate) findSpan(owner ident.ID) int32 {
-	lo, hi := 0, len(t.spans)
+// searchSpans finds owner in a span list sorted by recipient: its index,
+// or where it would be inserted.
+func searchSpans(spans []flowSpan, owner ident.ID) (int, bool) {
+	lo, hi := 0, len(spans)
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if t.spans[mid].owner < owner {
+		mid := int(uint(lo+hi) >> 1)
+		if spans[mid].owner < owner {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(t.spans) && t.spans[lo].owner == owner {
-		return int32(lo)
+	return lo, lo < len(spans) && spans[lo].owner == owner
+}
+
+// findSpan returns the index of owner's span, or -1.
+func (t *flowTemplate) findSpan(owner ident.ID) int32 {
+	if i, ok := searchSpans(t.spans, owner); ok {
+		return int32(i)
 	}
 	return -1
 }
@@ -206,39 +212,47 @@ func packMsg(m Message, syms []ident.ID) packedMsg {
 	}
 }
 
-// buildFlow freezes the first ng recipient groups (sorted by owner,
-// each in emission order, total messages across them) into a fresh
-// template carrying one reference for the caller. symbuf is reusable
-// scratch for symbol collection; the grown buffer is returned.
-func buildFlow(groups []rrGroup, ng, total int, symbuf []ident.ID) (*flowTemplate, []ident.ID) {
-	symbuf = symbuf[:0]
-	for g := 0; g < ng; g++ {
-		for _, m := range groups[g].msgs {
-			symbuf = append(symbuf, m.Add.Owner)
+// freezeFlow freezes one run's output into a fresh template carrying one
+// reference for the caller, reading out in place: a first pass collects
+// the sorted distinct recipients with their message counts and the Add
+// owners (into w's scratch), a prefix sum turns the counts into spans,
+// and a second pass packs each message at its span's cursor — so spans
+// come out sorted by recipient with emission order preserved inside, and
+// the only allocations are the template's own exact-size arrays.
+func freezeFlow(out []Message, w *worker) *flowTemplate {
+	spans, syms := w.spans[:0], w.syms[:0]
+	for _, m := range out {
+		syms = append(syms, m.Add.Owner)
+		i, ok := searchSpans(spans, m.To.Owner)
+		if !ok {
+			spans = slices.Insert(spans, i, flowSpan{owner: m.To.Owner})
 		}
+		spans[i].end++
 	}
-	sort.Slice(symbuf, func(i, j int) bool { return symbuf[i] < symbuf[j] })
-	syms := make([]ident.ID, 0, len(symbuf))
-	for i, id := range symbuf {
-		if i == 0 || id != symbuf[i-1] {
-			syms = append(syms, id)
-		}
-	}
+	ident.Sort(syms)
+	w.spans, w.syms = spans, syms
 	t := &flowTemplate{
-		packed: make([]packedMsg, 0, total),
-		spans:  make([]flowSpan, 0, ng),
-		syms:   syms,
+		packed: make([]packedMsg, len(out)),
+		spans:  slices.Clone(spans),
+		syms:   slices.Clone(slices.Compact(syms)),
 	}
-	for g := 0; g < ng; g++ {
-		start := uint32(len(t.packed))
-		for _, m := range groups[g].msgs {
-			t.packed = append(t.packed, packMsg(m, syms))
-		}
-		t.spans = append(t.spans, flowSpan{owner: groups[g].owner, start: start, end: uint32(len(t.packed))})
+	cur := w.cursors[:0]
+	at := uint32(0)
+	for i := range t.spans {
+		sp := &t.spans[i]
+		sp.start, sp.end = at, at+sp.end
+		cur = append(cur, at)
+		at = sp.end
+	}
+	w.cursors = cur
+	for _, m := range out {
+		si := t.findSpan(m.To.Owner)
+		t.packed[cur[si]] = packMsg(m, t.syms)
+		cur[si]++
 	}
 	t.refs.Store(1)
 	t.sum = t.checksum()
-	return t, symbuf
+	return t
 }
 
 // buildPrivateFlow freezes one recipient's contribution into a
@@ -249,13 +263,8 @@ func buildPrivateFlow(owner ident.ID, ms []Message) *flowTemplate {
 	for _, m := range ms {
 		symbuf = append(symbuf, m.Add.Owner)
 	}
-	sort.Slice(symbuf, func(i, j int) bool { return symbuf[i] < symbuf[j] })
-	syms := symbuf[:0]
-	for i, id := range symbuf {
-		if i == 0 || id != symbuf[i-1] {
-			syms = append(syms, id)
-		}
-	}
+	ident.Sort(symbuf)
+	syms := slices.Compact(symbuf)
 	t := &flowTemplate{
 		private: true,
 		packed:  make([]packedMsg, 0, len(ms)),
@@ -297,19 +306,19 @@ func (t *flowTemplate) cloneSpan(si int32) *flowTemplate {
 // behavior, and the deterministic rules emit per-recipient sequences
 // in a fixed order anyway. This is the settle predicate for both the
 // shared and DeepCopyFlows engines, so the two stay in lockstep.
-// cursors is reusable per-span scratch.
-func flowEqualsOutput(t *flowTemplate, out []Message, cursors *[]uint32) bool {
+// The per-span cursors are w's scratch.
+func flowEqualsOutput(t *flowTemplate, out []Message, w *worker) bool {
 	if t == nil {
 		return len(out) == 0
 	}
 	if len(out) != len(t.packed) {
 		return false
 	}
-	cur := (*cursors)[:0]
+	cur := w.cursors[:0]
 	for range t.spans {
 		cur = append(cur, 0)
 	}
-	*cursors = cur
+	w.cursors = cur
 	for _, m := range out {
 		si := t.findSpan(m.To.Owner)
 		if si < 0 {

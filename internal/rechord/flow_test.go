@@ -155,10 +155,11 @@ func TestPackedMessageRoundTrip(t *testing.T) {
 		}
 		clone := n.clone()
 		nw.deliver(clone)
-		nw.purge(clone)
-		res := nw.runRules(clone, nil)
+		var w worker
+		nw.purge(clone, &w)
+		nw.runRules(clone, &w)
 		got := sortedMessages(n.lastFlow.appendAll(nil))
-		want := sortedMessages(res.out)
+		want := sortedMessages(w.out)
 		if len(got) != len(want) {
 			t.Fatalf("peer %s: template carries %d messages, replay produced %d", n.id, len(got), len(want))
 		}

@@ -7,14 +7,14 @@ import "repro/internal/ident"
 // every active peer's virtual nodes.
 //
 // The invariant is that between batches, vhash[slot][lvl] equals
-// hashVNode of the peer's current level-lvl state. Phase 2 of runBatch
-// recomputes the hashes of the peers it just ran (only those — that is
-// what makes the check frontier-proportional) and "the peer's round was
+// hashVNode of the peer's current level-lvl state. runBatch's execute
+// phase recomputes the hashes of the peers it just ran (only those —
+// that is what makes the check frontier-proportional) and "the peer's round was
 // a state no-op" becomes "no level hash changed and the level count is
 // the same". Every out-of-band mutation point (AddPeer, SeedEdge, the
 // white-box fixture rebuilds) refreshes the stored hashes, so the
 // stored value always describes the pre-round state the old
-// clone-and-compare check captured in phase 1.
+// clone-and-compare check captured before delivery.
 //
 // A hash collision — a state change whose 64-bit hash collides with the
 // previous state's — would settle a peer that is not at a local fixed

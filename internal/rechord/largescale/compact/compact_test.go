@@ -115,7 +115,7 @@ func settle(t *testing.T, n int) (*rechord.Network, []ident.ID, float64) {
 	ids := topogen.RandomIDs(n, rng)
 	nw := topogen.PreStabilized().Build(ids, rng, rechord.Config{})
 	start := time.Now()
-	res, err := sim.RunToStable(context.Background(), nw, sim.Options{SkipFinalMetrics: true})
+	res, err := sim.RunToStable(context.Background(), nw, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func churnAndReconverge(t *testing.T, nw *rechord.Network, ids []ident.ID, rng *
 		}
 	}
 	start := time.Now()
-	res, err := sim.RunToStable(context.Background(), nw, sim.Options{SkipFinalMetrics: true})
+	res, err := sim.RunToStable(context.Background(), nw, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestAsyncN8192ConvergesToIdeal(t *testing.T) {
 	nw := topogen.PreStabilized().Build(ids, rng, rechord.Config{})
 	runner := rechord.NewAsyncRunner(nw, rechord.AsyncConfig{ActivationProb: 0.5, MaxDelay: 3}, rng)
 	start := time.Now()
-	res, err := sim.RunToStable(context.Background(), runner, sim.Options{SkipFinalMetrics: true})
+	res, err := sim.RunToStable(context.Background(), runner, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,50 +26,39 @@ import "repro/internal/ident"
 // the published rl/rr view that rule 3's guards read in the
 // state-reading model). Peers unknown to the network report false.
 func (nw *Network) LocallyStable(id ident.ID) bool {
+	return nw.locallyStable(id, new(worker))
+}
+
+// locallyStable replays the peer's round on a clone, on the given
+// worker (a private one: the check only reads the network, so it may run
+// beside other readers).
+func (nw *Network) locallyStable(id ident.ID, w *worker) bool {
 	n := nw.pt.node(id)
 	if n == nil {
 		return false
 	}
 	clone := n.clone()
 	nw.deliver(clone)
-	nw.purge(clone)
-	res := nw.runRules(clone, nil)
+	nw.purge(clone, w)
+	nw.runRules(clone, w)
 
 	// The replayed state must match the current one: after a no-op
 	// round the peer's sets must look exactly as they do now. The
 	// pending inbox is input, not part of the compared state (the
 	// standing buckets regenerate from the neighbors' repeated
-	// outputs).
-	if !n.vnodesEqual(clone.vnodes) {
-		return false
-	}
-	// The regenerated output must match what the peer actually sent
-	// last round; otherwise neighbors would observe different inboxes
-	// next round.
-	var last []Message
-	if n.lastFlow != nil {
-		last = n.lastFlow.appendAll(nil)
-	}
-	if len(res.out) != len(last) {
-		return false
-	}
-	a := sortedMessages(res.out)
-	b := sortedMessages(last)
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	// outputs). And the regenerated output must match what the peer
+	// actually sent last round — the engine's own settle predicate —
+	// otherwise neighbors would observe different inboxes next round.
+	return n.vnodesEqual(clone.vnodes) && flowEqualsOutput(n.lastFlow, w.out, w)
 }
 
 // CountLocallyStable returns how many peers currently pass the local
 // stability check; the network is globally stable iff the count equals
 // NumPeers (after at least one executed round).
 func (nw *Network) CountLocallyStable() int {
-	c := 0
+	c, w := 0, new(worker)
 	for _, id := range nw.order {
-		if nw.LocallyStable(id) {
+		if nw.locallyStable(id, w) {
 			c++
 		}
 	}

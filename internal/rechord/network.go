@@ -1,9 +1,11 @@
 package rechord
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/graph"
@@ -112,7 +114,8 @@ type Network struct {
 	// vhash is the per-(slot, level) content hash of every peer's
 	// virtual nodes, the incremental settle check's state (see
 	// hash.go). Between batches vhash[slot] describes the peer's
-	// current state; phase 2 recomputes it for the peers that ran.
+	// current state; the execute phase recomputes it for the peers that
+	// ran.
 	vhash [][]uint64
 
 	// deps is the inverted dependency index (see depindex.go):
@@ -153,26 +156,23 @@ type Network struct {
 	// NewAsyncRunner and NewPartition claim it.
 	router flowRouter
 
+	// pool is the goroutine set and workers the execution arenas it
+	// runs on (see barrier.go); workers[0] is also the caller's own.
 	pool    *workerPool
+	workers []*worker
 	active  []uint32
-	results []nodeResult
-	pres    [][]*VNode
 
-	// prep holds the per-active-index scratch of the parallel prepare
-	// sub-phase and commit the per-worker commit outputs (see
-	// barrier.go); both reuse their buffers across batches and are
-	// dropped together with results/pres when the frontier contracts.
-	// oob is the prepare scratch of rewriteBucket, the pipeline's serial
-	// form for mutations outside a batch.
+	// prep holds the fixed-size per-active-index records that cross the
+	// barrier, pres the ParanoidSettle pre-round clones, and commit the
+	// per-shard commit outputs (see barrier.go); all reuse their storage
+	// across batches.
 	prep   []prepOut
+	pres   [][]*VNode
 	commit []commitShard
-	oob    prepOut
 
-	// br is the persistent batch fan-out machinery (task closure,
-	// WaitGroup, work counter, per-phase bodies) reused across batches;
-	// bActive/bSettle/commitW are the running batch's parameters, read by
-	// br's persistent closures instead of being captured fresh every
-	// batch.
+	// br is the persistent batch fan-out machinery reused across
+	// batches; bActive/bSettle/commitW are the running batch's
+	// parameters, read by the phase bodies.
 	br      batchRun
 	bActive []uint32
 	bSettle bool
@@ -204,12 +204,6 @@ type Network struct {
 // Obs returns the engine's telemetry counters. The returned metrics
 // are live and safe to read concurrently with stepping.
 func (nw *Network) Obs() *obs.EngineMetrics { return &nw.met }
-
-// rrGroup is one recipient's slice of a rerouted output.
-type rrGroup struct {
-	owner ident.ID
-	msgs  []Message
-}
 
 // NewNetwork creates an empty network.
 func NewNetwork(cfg Config) *Network {
@@ -497,39 +491,35 @@ func (nw *Network) resolve(r ref.Ref) (ref.Ref, bool) {
 	return r, true
 }
 
-// purge rewrites every edge set of n, dropping references to departed
-// peers and redirecting references to deleted virtual nodes to the
-// owning peer (perfect failure detection, the substitution documented
-// in DESIGN.md for the paper's implicit fault model).
-func (nw *Network) purge(n *RealNode) {
+// purge drops n's references to departed peers and redirects references
+// to deleted virtual nodes to the owning peer (perfect failure
+// detection, the substitution documented in DESIGN.md for the paper's
+// implicit fault model). It scans first: a set is copied (into w's
+// scratch) and rewritten only when it actually holds a stale reference.
+func (nw *Network) purge(n *RealNode, w *worker) {
 	for _, v := range n.vnodes {
 		if v == nil {
 			continue
 		}
-		for _, s := range []*ref.Set{&v.Nu, &v.Nr, &v.Nc} {
-			var fixed []ref.Ref
-			dirty := false
-			for _, r := range s.Slice() {
-				rr, ok := nw.resolve(r)
-				if !ok || rr != r {
-					dirty = true
-					if ok {
-						fixed = append(fixed, rr)
-					}
-					continue
-				}
-				fixed = append(fixed, r)
+		for _, s := range v.sets() {
+			if !slices.ContainsFunc(s.Slice(), nw.stale) {
+				continue
 			}
-			if dirty {
-				s.Clear()
-				for _, r := range fixed {
-					if r != v.Self {
-						s.Add(r)
-					}
+			w.snap = append(w.snap[:0], s.Slice()...)
+			s.Clear()
+			for _, r := range w.snap {
+				if rr, ok := nw.resolve(r); ok && rr != v.Self {
+					s.Add(rr)
 				}
 			}
 		}
 	}
+}
+
+// stale reports whether the reference no longer resolves to itself.
+func (nw *Network) stale(r ref.Ref) bool {
+	rr, ok := nw.resolve(r)
+	return !ok || rr != r
 }
 
 // deliver applies the pending inbox of n: the one-shot messages (which
@@ -676,140 +666,69 @@ func (nw *Network) collectFrontier() []uint32 {
 // deterministic execution order every barrier and rng-consuming
 // schedule relies on.
 func (nw *Network) sortSlotsByID(slots []uint32) {
-	if len(slots) > 1 {
-		ids := nw.pt.ids
-		sort.Slice(slots, func(i, j int) bool { return ids[slots[i]] < ids[slots[j]] })
-	}
+	ids := nw.pt.ids
+	slices.SortFunc(slots, func(a, b uint32) int { return cmp.Compare(ids[a], ids[b]) })
 }
 
-// runBatch executes one phased batch over the active (sorted) peers:
-// deliver and purge in parallel, run rules 1-6 in parallel, prepare the
-// publish/settle/bucket diffs in parallel, commit them through the
-// sharded barrier (see barrier.go), then settle unchanged peers, let
-// the scheduler emit, and wake dependents in the serial epilogue. It
-// reports whether the global state changed. With settle=false (the full
-// sweep) no settle decision is made: every executed peer is re-stamped
-// and none leaves the frontier early.
+// runBatch executes one phased batch over the active (sorted) peers —
+// deliver, execute, prepare and the sharded commit on the workers, then
+// the serial epilogue (the phase bodies and what each may read and write
+// are in barrier.go) — and reports whether the global state changed.
+// With settle=false (the full sweep) no settle decision is made: every
+// executed peer is re-stamped and none leaves the frontier early.
 func (nw *Network) runBatch(active []uint32, settle bool, stats *RoundStats) bool {
 	t0 := time.Now()
-	if cap(nw.results) < len(active) {
-		nw.results = make([]nodeResult, len(active))
-		pres := make([][]*VNode, len(active))
-		copy(pres, nw.pres)
-		nw.pres = pres
-		prep := make([]prepOut, len(active))
-		copy(prep, nw.prep)
-		nw.prep = prep
-	}
-	results := nw.results[:len(active)]
-	changed := false
-
-	workers := nw.parallelism()
 	nw.bActive, nw.bSettle = active, settle
+	nw.prep = slices.Grow(nw.prep[:0], len(active))[:len(active)]
+	if settle && nw.cfg.ParanoidSettle {
+		nw.pres = slices.Grow(nw.pres[:0], len(active))[:len(active)]
+	}
+	nw.runParallel(len(active), (*Network).deliverPhase)
+	tDeliver := time.Now()
+	nw.runParallel(len(active), (*Network).executePhase)
+	tExecute := time.Now()
+	nw.runParallel(len(active), (*Network).preparePhase)
+	tPrepare := time.Now()
+	// The commit span (plus the scheduler's emit steps in the epilogue)
+	// is the engine's reroute time.
+	nw.beginCommit(len(nw.workers))
+	nw.runParallel(nw.commitW, (*Network).commitPhase)
+	nw.mergeShards()
+	rerouteNS := time.Since(tPrepare)
+	changed, emitNS := nw.epilogue(active, settle, stats)
+	rerouteNS += emitNS
+
+	// The publish series is the serial epilogue minus the time spent
+	// inside the scheduler's emit step; it still includes the settle
+	// bookkeeping and the dependent wakes, which share the serial
+	// barrier with the change-set merge.
+	m := &nw.met
+	m.PhaseDeliver.Observe(float64(tDeliver.Sub(t0)))
+	m.PhaseExecute.Observe(float64(tExecute.Sub(tDeliver)))
+	m.PhasePrepare.Observe(float64(tPrepare.Sub(tExecute)))
+	m.PhaseReroute.Observe(float64(rerouteNS))
+	m.PhasePublish.Observe(float64(time.Since(tPrepare) - rerouteNS))
+	return changed
+}
+
+// epilogue is the serial tail of a batch, in active order: everything
+// that is ordered state — epoch stamps, settle bookkeeping, lastFlow
+// swaps, the change-set merge feeding wakeDependents, the scheduler's
+// emit step (whose time it returns) — plus the paranoid verdicts
+// deferred out of the pool goroutines, and the telemetry flush: the
+// workers' plain-integer tallies become one atomic add per counter.
+func (nw *Network) epilogue(active []uint32, settle bool, stats *RoundStats) (changed bool, emitNS time.Duration) {
 	if nw.ownerChangedB == nil {
 		nw.ownerChangedB = make(map[ident.ID]bool)
 		nw.viewChangedB = make(map[ref.Ref]bool)
 	}
-	br := &nw.br
-
-	// Phase 1 (parallel): deliver and purge the active peers. The
-	// settle check compares the stored content hashes (which describe
-	// the pre-round state by invariant) against a phase-2
-	// recomputation, so no pre-round copy is needed; under
-	// ParanoidSettle the old deep clone is kept alongside to
-	// cross-check every settle decision. Every step touches only the
-	// peer's own state (purge reads the interner's tables, which phase
-	// 1 never writes), so large batches fan out over the pool like the
-	// rule phase does.
-	if br.phase1 == nil {
-		br.phase1 = func(i int) {
-			n := nw.pt.nodes[nw.bActive[i]]
-			if nw.bSettle && nw.cfg.ParanoidSettle {
-				nw.pres[i] = n.cloneVNodes(nw.pres[i])
-			}
-			if len(n.inbox) > 0 {
-				// Consuming a one-shot message changes the global state
-				// even when the peer's own state ends up unchanged.
-				br.anyInbox.Store(true)
-			}
-			nw.results[i].delivered = nw.deliver(n)
-			nw.purge(n)
-		}
-	}
-	br.anyInbox.Store(false)
-	nw.runParallel(workers, workers, len(active), br.phase1)
-	if br.anyInbox.Load() {
-		changed = true
-	}
-	tDeliver := time.Now()
-
-	// Phase 2 (parallel): run rules 1-6 on the active peers, then
-	// recompute each peer's content hashes — hchanged is the settle
-	// decision. Each peer reads only its own state and the immutable
-	// view of published rl/rr values (the hash refresh writes only the
-	// peer's own vhash slot), so execution order is irrelevant. The
-	// phase-1 delivery tally rides through the overwrite.
-	if br.phase2 == nil {
-		br.phase2 = func(i int) {
-			slot := nw.bActive[i]
-			n := nw.pt.nodes[slot]
-			d := nw.results[i].delivered
-			nw.results[i] = nw.runRules(n, n.scratch.out[:0])
-			nw.results[i].delivered = d
-			nw.results[i].hchanged = nw.refreshHashSlot(slot, n)
-		}
-	}
-	nw.runParallel(workers, workers, len(active), br.phase2)
-	tExecute := time.Now()
-
-	// Phase 3a (parallel): prepare — publish each peer's own view and
-	// level slot, take the settle and output-change verdicts, and turn
-	// the output and edge-set diffs into bucket ops and dep-index deltas
-	// in per-index scratch. See barrier.go for the ownership story.
-	if br.prepare == nil {
-		br.prepare = func(i int) { nw.prepareIndex(i) }
-	}
-	nw.runParallel(workers, workers, len(active), br.prepare)
-	tPrepare := time.Now()
-
-	// Phase 3b (parallel): the sharded commit. Recipient slots and
-	// dep-index shards are partitioned across the commit workers, so
-	// every standing bucket, dirty flag and index shard has exactly one
-	// writer; per-worker frontier appends and bucketMsgs tallies merge
-	// serially right after. The commit span (plus the scheduler's emit
-	// steps below) is the engine's reroute time.
-	nw.beginCommit(workers)
-	if br.commit == nil {
-		br.commit = func(w int) { nw.commitWorker(w) }
-	}
-	nw.runParallel(workers, workers, workers, br.commit)
-	nw.mergeShards()
-	rerouteNS := time.Since(tPrepare)
-
-	// Phase 3c (serial epilogue, active order): everything that is
-	// ordered state — epoch stamps, settle bookkeeping, the change-set
-	// merge, the scheduler's emit step — plus the paranoid verdicts
-	// deferred out of the pool goroutines.
 	ownerChanged, viewChanged := nw.ownerChangedB, nw.viewChangedB
-	// Batch-local telemetry tallies: plain integers here, one atomic
-	// add per counter at the barrier flush below.
-	var ruleFired [obs.NumRules]uint64
-	var deliveredN, settledN, unsettledN, epochBumpN int
+	var settledN, unsettledN, epochBumpN int
 	for i, slot := range active {
 		n := nw.pt.nodes[slot]
-		res := &results[i]
 		p := &nw.prep[i]
-		stats.VirtualMade += res.made
-		stats.VirtualKilled += res.killed
-		deliveredN += res.delivered
-		for k, f := range res.fired {
-			ruleFired[k] += uint64(f)
-		}
 		if p.paranoidBad {
 			panic(fmt.Sprintf("rechord: settle hash says changed=%v but clone compare says %v for peer %s", p.stateChanged, !p.stateChanged, n.id))
-		}
-		if settle && nw.cfg.ParanoidSettle {
-			nw.pres[i] = nw.pres[i][:0] // keep the buffer for the next batch
 		}
 		if p.ownerChanged {
 			ownerChanged[n.id] = true
@@ -820,11 +739,7 @@ func (nw *Network) runBatch(active []uint32, settle bool, stats *RoundStats) boo
 		if nw.router != nil && len(p.ops) > 0 {
 			rt := time.Now()
 			nw.router.emitFlow(n, p.flow(n), p.ops)
-			rerouteNS += time.Since(rt)
-		}
-		out := res.out
-		if p.outChanged {
-			changed = true
+			emitNS += time.Since(rt)
 		}
 		if settle {
 			if p.stateChanged {
@@ -834,7 +749,6 @@ func (nw *Network) runBatch(active []uint32, settle bool, stats *RoundStats) boo
 			if p.outChanged || p.stateChanged {
 				// Not a local fixed point yet: stay on the frontier.
 				nw.markDirtyIdx(slot)
-				changed = true
 				unsettledN++
 			} else {
 				settledN++
@@ -849,31 +763,18 @@ func (nw *Network) runBatch(active []uint32, settle bool, stats *RoundStats) boo
 		// lastFlow adopts the batch template (taking over the builder's
 		// reference); the old generation loses its sender reference and
 		// dies once the commit's quiet repoints have migrated every
-		// surviving bucket. The scratch output buffer is recycled for
-		// the peer's next run, right-sized when its capacity is a
-		// transient-peak leftover.
+		// surviving bucket.
 		if p.outChanged {
+			changed = true
 			if n.lastFlow != nil {
 				releaseFlow(n.lastFlow, &nw.flow)
 			}
 			n.lastFlow = p.newFlow
 			nw.flow.tallyBirth(p.newFlow)
-			p.newFlow = nil
 		}
-		if settle && !p.outChanged && !p.stateChanged {
-			// Local fixed point: the peer just left the frontier, and
-			// its rule scratch is re-derivable on the next wake.
-			// Releasing it means a settled peer holds only protocol
-			// state, its standing flow, and its last output — the
-			// number bench-mem tracks.
-			n.scratch = ruleScratch{}
-		} else if cap(out) > 4*len(out)+8 {
-			n.scratch.out = nil
-		} else {
-			n.scratch.out = out[:0]
-		}
-		results[i] = nodeResult{} // release the output alias
+		*p = prepOut{} // nothing of the batch outlives it
 	}
+	changed = changed || unsettledN > 0
 
 	woken := 0
 	if len(ownerChanged) > 0 || len(viewChanged) > 0 {
@@ -886,41 +787,32 @@ func (nw *Network) runBatch(active []uint32, settle bool, stats *RoundStats) boo
 		clear(ownerChanged)
 		clear(viewChanged)
 	}
-	// Drop the batch arrays (and the vnode clones pinned by the settle
-	// buffers, and the message buffers pinned by the prep scratch) once
-	// the frontier has contracted well below their capacity: keeping
-	// them would retain a near-full copy of the network's peak-round
-	// state for the rest of the run.
-	if len(active)*4 < cap(nw.results) {
-		nw.results, nw.pres, nw.prep = nil, nil, nil
-	}
 
-	// Barrier flush: one atomic add per counter for the whole batch.
-	// The publish series is the serial epilogue minus the time spent
-	// inside the scheduler's emit step; it still includes the
-	// settle bookkeeping and the dependent wakes, which share the
-	// serial barrier with the change-set merge.
 	m := &nw.met
+	var delivered int
+	for _, w := range nw.workers {
+		stats.VirtualMade += w.made
+		stats.VirtualKilled += w.killed
+		delivered += w.delivered
+		changed = changed || w.anyInbox
+		for k, f := range w.fired {
+			if f != 0 {
+				m.RuleFired[k].Add(f)
+			}
+		}
+		w.tally = tally{}
+		w.viewRefs, w.ops, w.deps = resetArena(w.viewRefs), resetArena(w.ops), resetArena(w.deps)
+	}
+	nw.prep, nw.pres = resetArena(nw.prep), resetArena(nw.pres)
 	m.Batches.Inc()
 	m.Activated.Add(uint64(len(active)))
-	m.Delivered.Add(uint64(deliveredN))
+	m.Delivered.Add(uint64(delivered))
 	m.Settled.Add(uint64(settledN))
 	m.Unsettled.Add(uint64(unsettledN))
 	m.EpochBumps.Add(uint64(epochBumpN))
 	m.Woken.Add(uint64(woken))
-	for k, f := range ruleFired {
-		if f != 0 {
-			m.RuleFired[k].Add(f)
-		}
-	}
 	nw.flushFlowGauges()
-	tEnd := time.Now()
-	m.PhaseDeliver.Observe(float64(tDeliver.Sub(t0)))
-	m.PhaseExecute.Observe(float64(tExecute.Sub(tDeliver)))
-	m.PhasePrepare.Observe(float64(tPrepare.Sub(tExecute)))
-	m.PhaseReroute.Observe(float64(rerouteNS))
-	m.PhasePublish.Observe(float64(tEnd.Sub(tPrepare) - rerouteNS))
-	return changed
+	return changed, emitNS
 }
 
 // flushFlowGauges publishes the flow-storage accounting to the
@@ -935,24 +827,6 @@ func (nw *Network) flushFlowGauges() {
 	m.FlowUniqueBytes.Set(int64(nw.flow.uniqueBytes))
 	m.FlowInstallsShared.Set(int64(nw.flow.installsShared))
 	m.FlowInstallsCopied.Set(int64(nw.flow.installsCopied))
-}
-
-// nodeResult carries one peer's delayed effects out of the parallel
-// section.
-type nodeResult struct {
-	out          []Message
-	made, killed int
-	// delivered counts the messages phase 1 applied at this peer
-	// (one-shot inbox entries plus standing-bucket messages); fired
-	// tallies rules 1-6 actions from phase 2. Both are plain batch-local
-	// integers, summed serially at the barrier and flushed to the
-	// telemetry counters with one atomic add each — the hot path never
-	// touches shared state.
-	delivered int
-	fired     [obs.NumRules]uint32
-	// hchanged reports whether the peer's content hashes changed over
-	// the run: the settle decision (see hash.go).
-	hchanged bool
 }
 
 // Snapshot is a deep copy of the network state at a round boundary,
@@ -1013,13 +887,80 @@ func (nw *Network) Graph() *graph.Graph {
 		}
 	}
 	for _, id := range nw.order {
-		for _, msg := range nw.pt.node(id).inboxMessages() {
+		nw.pt.node(id).eachPending(func(msg Message) {
 			if msg.To != msg.Add {
 				g.AddEdge(msg.To, msg.Add, msg.Kind)
 			}
-		}
+		})
 	}
 	return g
+}
+
+// Census is the size of the graph Graph exports — distinct nodes, and
+// distinct edges per graph.Kind — counted in place.
+type Census struct {
+	Nodes int
+	Edges [graph.Connection + 1]int
+}
+
+// Census counts what Graph would export without materializing it. Nodes
+// are a level bitmask per slot (virtual nodes plus every edge endpoint;
+// endpoints of unknown owners or out-of-mask levels are collected and
+// deduplicated on the side). Edges are the edge-set sizes plus, per
+// recipient, the pending messages not already contained in the set they
+// extend, deduplicated by sorting.
+func (nw *Network) Census() Census {
+	var c Census
+	mask := make([]uint64, nw.pt.span())
+	var extra []ref.Ref
+	node := func(r ref.Ref) {
+		if slot, ok := nw.pt.lookup(r.Owner); ok && uint(r.Level) < 64 {
+			mask[slot] |= 1 << r.Level
+		} else {
+			extra = append(extra, r)
+		}
+	}
+	var pend []Message // one recipient's uncontained messages at a time
+	for _, n := range nw.pt.nodes {
+		if n == nil {
+			continue
+		}
+		for _, v := range n.vnodes {
+			if v == nil {
+				continue
+			}
+			node(v.Self)
+			for k, s := range v.sets() {
+				c.Edges[k] += s.Len()
+				for _, r := range s.Slice() {
+					node(r)
+				}
+			}
+		}
+		// A pending message is the edge (To, Add); To is a node of its
+		// recipient, so duplicates can only meet within one inbox.
+		pend = pend[:0]
+		n.eachPending(func(m Message) {
+			if m.To == m.Add {
+				return
+			}
+			node(m.To)
+			node(m.Add)
+			if v := n.VNode(m.To.Level); v == nil || !v.sets()[m.Kind].Contains(m.Add) {
+				pend = append(pend, m)
+			}
+		})
+		slices.SortFunc(pend, compareMessages)
+		for _, m := range slices.Compact(pend) {
+			c.Edges[m.Kind]++
+		}
+	}
+	for _, b := range mask {
+		c.Nodes += bits.OnesCount64(b)
+	}
+	slices.SortFunc(extra, ref.Ref.Compare)
+	c.Nodes += len(slices.Compact(extra))
+	return c
 }
 
 // ReChordGraph exports E_ReChord (Section 2.2): the projection of the

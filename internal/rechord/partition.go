@@ -174,7 +174,7 @@ func (p *Partition) Step() RoundStats {
 // planFlow: standing buckets are rewritten locally exactly as the
 // monolith does (stubs carry shadow buckets, so the sender-side dedup
 // state is complete).
-func (p *Partition) planFlow(n *RealNode, pr *prepOut) { p.nw.planRewrite(n, pr) }
+func (p *Partition) planFlow(n *RealNode, pr *prepOut, w *worker) { p.nw.planRewrite(n, pr, w) }
 
 // emitFlow mirrors every bucket op that changed a remote recipient's
 // standing input to the sink, in plan order.

@@ -57,7 +57,7 @@ func TestPurgeRedirectsStaleLevel(t *testing.T) {
 	nw.SeedEdge(ref.Real(b), stale, graph.Ring)
 	nw.SeedEdge(ref.Real(b), stale, graph.Connection)
 
-	nw.purge(nw.node(b))
+	nw.purge(nw.node(b), new(worker))
 
 	v := nw.node(b).VNode(0)
 	for name, s := range map[string]*ref.Set{"Nu": &v.Nu, "Nr": &v.Nr, "Nc": &v.Nc} {

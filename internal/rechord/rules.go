@@ -8,16 +8,17 @@ import (
 
 // ruleContext carries one peer's in-round working state: the rules'
 // immediate assignments mutate the node directly, delayed assignments
-// append to res.out. The scratch buffers live on the RealNode, so a
-// peer's repeated executions do not reallocate them. cur is the index
-// (0-based, obs.RuleNames order) of the rule currently executing, so
-// send can attribute each message to its rule with a plain local
-// increment.
+// append to w.out. Every scratch buffer the rules touch lives on the
+// executing worker (see barrier.go), never on the peer, so a peer at
+// rest holds protocol state only and a worker's buffers are reused by
+// every peer it runs. cur is the index (0-based, obs.RuleNames order) of
+// the rule currently executing, so send can attribute each message to
+// its rule with a plain local increment.
 type ruleContext struct {
 	nw  *Network
 	n   *RealNode
+	w   *worker
 	cur int
-	res nodeResult
 }
 
 // send enqueues a delayed edge insertion ("A <= B"): the destination
@@ -26,18 +27,18 @@ func (c *ruleContext) send(to ref.Ref, k graph.Kind, add ref.Ref) {
 	if to == add {
 		return
 	}
-	c.res.fired[c.cur]++
-	c.res.out = append(c.res.out, Message{To: to, Kind: k, Add: add})
+	c.w.fired[c.cur]++
+	c.w.out = append(c.w.out, Message{To: to, Kind: k, Add: add})
 }
 
 // runRules executes rules 1-6 in the paper's order for one peer,
-// appending the generated messages to buf (usually the peer's
-// recycled output scratch). The receiver only reads its own state and
-// the round-start view of other nodes' published variables, so peers
-// can run concurrently.
-func (nw *Network) runRules(n *RealNode, buf []Message) nodeResult {
-	c := ruleContext{nw: nw, n: n, res: nodeResult{out: buf}}
-	c.cur = 0
+// leaving the generated messages in w.out and adding the rule tallies
+// to w's. The receiver only reads its own state and the round-start
+// view of other nodes' published variables, so peers can run
+// concurrently, one worker each.
+func (nw *Network) runRules(n *RealNode, w *worker) {
+	w.out = w.out[:0]
+	c := ruleContext{nw: nw, n: n, w: w}
 	c.ruleVirtualNodes()
 	c.cur = 1
 	c.ruleOverlappingNeighborhood()
@@ -53,7 +54,6 @@ func (nw *Network) runRules(n *RealNode, buf []Message) nodeResult {
 		c.cur = 5
 		c.ruleConnectionEdges()
 	}
-	return c.res
 }
 
 // ruleVirtualNodes implements rule 1: recompute m from the peer's
@@ -61,16 +61,16 @@ func (nw *Network) runRules(n *RealNode, buf []Message) nodeResult {
 // u_1..u_m, and delete levels beyond m, merging each deleted node's
 // neighborhoods into N_u(u_m).
 func (c *ruleContext) ruleVirtualNodes() {
-	n := c.n
-	n.scratch.realID = n.knownRealsInto(n.scratch.realID)
-	m := ident.LevelFor(n.id, n.scratch.realID)
+	n, w := c.n, c.w
+	w.realID = n.knownRealsInto(w.realID)
+	m := ident.LevelFor(n.id, w.realID)
 	// create-virtualnodes: fill levels 1..m (including any seeding
 	// holes below m).
 	for i := 1; i <= m; i++ {
 		if n.VNode(i) == nil {
 			n.ensureLevel(i)
-			c.res.made++
-			c.res.fired[c.cur]++
+			w.made++
+			c.w.fired[c.cur]++
 		}
 	}
 	// delete-virtualnodes: inform u_m of each deleted node's
@@ -81,7 +81,7 @@ func (c *ruleContext) ruleVirtualNodes() {
 		if v == nil {
 			continue
 		}
-		for _, s := range []ref.Set{v.Nu, v.Nr, v.Nc} {
+		for _, s := range v.sets() {
 			for _, r := range s.Slice() {
 				if r.Owner == n.id && r.Level > m {
 					continue // reference to a sibling also being deleted
@@ -89,8 +89,8 @@ func (c *ruleContext) ruleVirtualNodes() {
 				um.addNu(r)
 			}
 		}
-		c.res.killed++
-		c.res.fired[c.cur]++
+		w.killed++
+		c.w.fired[c.cur]++
 		n.vnodes[l] = nil // release before the truncation below
 	}
 	n.vnodes = n.vnodes[:m+1]
@@ -98,7 +98,7 @@ func (c *ruleContext) ruleVirtualNodes() {
 	// peer knows its own virtual node set exactly. After the create
 	// and delete passes the level set is contiguous 0..m.
 	for _, v := range n.vnodes {
-		for _, s := range []*ref.Set{&v.Nu, &v.Nr, &v.Nc} {
+		for _, s := range v.sets() {
 			s.RemoveIf(func(r ref.Ref) bool {
 				return r.Owner == n.id && r.Level > m
 			})
@@ -106,8 +106,8 @@ func (c *ruleContext) ruleVirtualNodes() {
 	}
 	// The level set is final for this round: cache the derived orders
 	// the later rules iterate.
-	n.scratch.levels = n.levelsInto(n.scratch.levels)
-	n.scratch.sibs = n.siblingsInto(n.scratch.sibs)
+	w.levels = n.levelsInto(w.levels)
+	w.sibs = n.siblingsInto(w.sibs)
 }
 
 // ruleOverlappingNeighborhood implements rule 2: if a neighbor w of
@@ -116,12 +116,12 @@ func (c *ruleContext) ruleVirtualNodes() {
 // the move is immediate.
 func (c *ruleContext) ruleOverlappingNeighborhood() {
 	n := c.n
-	sibs := n.scratch.sibs
-	for _, level := range n.scratch.levels {
+	sibs := c.w.sibs
+	for _, level := range c.w.levels {
 		ui := n.vnodes[level]
 		uiID := ui.Self.ID()
-		n.scratch.snap = append(n.scratch.snap[:0], ui.Nu.Slice()...)
-		for _, w := range n.scratch.snap {
+		c.w.snap = append(c.w.snap[:0], ui.Nu.Slice()...)
+		for _, w := range c.w.snap {
 			wID := w.ID()
 			// Find the sibling closest to w strictly between w and u_i
 			// in the linear order.
@@ -148,7 +148,7 @@ func (c *ruleContext) ruleOverlappingNeighborhood() {
 			}
 			if found {
 				// An immediate intra-peer handoff is rule 2's action.
-				c.res.fired[c.cur]++
+				c.w.fired[c.cur]++
 				ui.Nu.Remove(w)
 				n.vnodes[best.Level].addNu(w)
 			}
@@ -170,18 +170,18 @@ func absDiff(a, b ident.ID) uint64 {
 // over their published rl/rr.
 func (c *ruleContext) ruleClosestRealNeighbor() {
 	n := c.n
-	n.knownSetInto(&n.scratch.known)
+	c.w.knownSet(n)
 	// The closest real candidates are the same for all siblings except
 	// for the strict </> constraint; scan the ordered known set once.
-	reals := &n.scratch.reals
+	reals := &c.w.reals
 	reals.Clear()
-	for _, r := range n.scratch.known.Slice() {
+	for _, r := range c.w.known.Slice() {
 		if r.IsReal() {
 			reals.Add(r)
 		}
 	}
 	nw := c.nw
-	for _, level := range n.scratch.levels {
+	for _, level := range c.w.levels {
 		ui := n.vnodes[level]
 		uiID := ui.Self.ID()
 
@@ -231,13 +231,13 @@ func (c *ruleContext) ruleClosestRealNeighbor() {
 // to the closest neighbors and re-adds rl/rr.
 func (c *ruleContext) ruleLinearization() {
 	n := c.n
-	for _, level := range n.scratch.levels {
+	for _, level := range c.w.levels {
 		ui := n.vnodes[level]
 		uiID := ui.Self.ID()
 
 		// lin-left: neighbors smaller than u_i in descending order
 		// w_1 > w_2 > ...; edge to w_{l+1} is forwarded to w_l.
-		lefts, rights := n.scratch.lefts[:0], n.scratch.rights[:0]
+		lefts, rights := c.w.lefts[:0], c.w.rights[:0]
 		for _, w := range ui.Nu.Slice() {
 			if w.ID() < uiID {
 				lefts = append(lefts, w)
@@ -249,7 +249,7 @@ func (c *ruleContext) ruleLinearization() {
 				rights = append(rights, w)
 			}
 		}
-		n.scratch.lefts, n.scratch.rights = lefts, rights
+		c.w.lefts, c.w.rights = lefts, rights
 		// Slice() is ascending; lefts ascending means the last element
 		// is the closest left neighbor, which is kept.
 		for i := 0; i+1 < len(lefts); i++ {
@@ -286,11 +286,11 @@ func (c *ruleContext) ruleLinearization() {
 // they know a node beyond the edge's target.
 func (c *ruleContext) ruleRingEdges() {
 	n := c.n
-	n.knownSetInto(&n.scratch.known)
-	known := &n.scratch.known
+	c.w.knownSet(n)
+	known := &c.w.known
 
 	// create-all-ring-edges
-	for _, level := range n.scratch.levels {
+	for _, level := range c.w.levels {
 		ui := n.vnodes[level]
 		uiID := ui.Self.ID()
 		if _, hasLeft := ui.Nu.MaxBelow(uiID); !hasLeft {
@@ -306,14 +306,14 @@ func (c *ruleContext) ruleRingEdges() {
 	}
 
 	// forward-all-ring-edges
-	for _, level := range n.scratch.levels {
+	for _, level := range c.w.levels {
 		ui := n.vnodes[level]
 		uiID := ui.Self.ID()
-		n.scratch.snap = append(n.scratch.snap[:0], ui.Nr.Slice()...)
-		for _, w := range n.scratch.snap {
+		c.w.snap = append(c.w.snap[:0], ui.Nr.Slice()...)
+		for _, w := range c.w.snap {
 			wID := w.ID()
 			// candidates x come from N(u_i) ∪ N_r(u_i)
-			cand := &n.scratch.cand
+			cand := &c.w.cand
 			cand.MergeSorted(known.Slice(), ui.Nr.Slice())
 			switch {
 			case wID > uiID:
@@ -351,7 +351,7 @@ func (c *ruleContext) ruleRingEdges() {
 // edge that glues the sibling's interval to its predecessor.
 func (c *ruleContext) ruleConnectionEdges() {
 	n := c.n
-	sibs := n.scratch.sibs
+	sibs := c.w.sibs
 
 	// connect-virtual-nodes: consecutive siblings in sorted order.
 	for i := 0; i+1 < len(sibs); i++ {
@@ -359,12 +359,12 @@ func (c *ruleContext) ruleConnectionEdges() {
 	}
 
 	// forward-all-cedges
-	sibSet := &n.scratch.sibSet
+	sibSet := &c.w.sibSet
 	sibSet.Clear()
 	for _, s := range sibs {
 		sibSet.Add(s)
 	}
-	for _, level := range n.scratch.levels {
+	for _, level := range c.w.levels {
 		ui := n.vnodes[level]
 		if ui.Nc.Empty() {
 			continue
@@ -372,10 +372,10 @@ func (c *ruleContext) ruleConnectionEdges() {
 		// w = max{x in N_u(u_i) ∪ S(u_i) : x < v}. The candidate set is
 		// loop-invariant: forwarding removes connection edges and sends
 		// messages, but never touches N_u or the sibling set.
-		cand := &n.scratch.cand
+		cand := &c.w.cand
 		cand.MergeSorted(ui.Nu.Slice(), sibSet.Slice())
-		n.scratch.snap = append(n.scratch.snap[:0], ui.Nc.Slice()...)
-		for _, v := range n.scratch.snap {
+		c.w.snap = append(c.w.snap[:0], ui.Nc.Slice()...)
+		for _, v := range c.w.snap {
 			w, ok := cand.MaxBelow(v.ID())
 			switch {
 			case ok && w != ui.Self:

@@ -73,22 +73,28 @@ func (nw *Network) rebuildDeps() {
 		nw.stateDeps[slot] = nw.stateDeps[slot][:0]
 	}
 	nw.commitW = 1
-	var p prepOut
+	var w worker
 	for slot, n := range nw.pt.nodes {
 		if n == nil {
 			continue
 		}
-		nw.prepStateDeps(uint32(slot), n, &p)
+		nw.prepStateDeps(uint32(slot), n, &w)
 		for _, b := range n.in {
-			appendSpanDeps(&p.deps, b.flow, b.span, uint32(slot), 1)
+			appendSpanDeps(&w.deps, b.flow, b.span, uint32(slot), 1)
 		}
 	}
-	for _, d := range p.deps {
+	for _, d := range w.deps {
 		nw.commitDepDelta(0, d)
 	}
 }
 
 func (f *fx) peer(x float64) *RealNode { return f.nw.Peer(ident.FromFloat(x)) }
+
+// nodeResult is what one fixture run of rules 1-6 produced.
+type nodeResult struct {
+	out          []Message
+	made, killed int
+}
 
 func (f *fx) run(x float64) nodeResult {
 	// The fixture mutates peer state directly between runs, so the
@@ -97,7 +103,9 @@ func (f *fx) run(x float64) nodeResult {
 	f.nw.rebuildView()
 	f.nw.rebuildHashes()
 	f.nw.rebuildDeps()
-	return f.nw.runRules(f.peer(x), nil)
+	var w worker
+	f.nw.runRules(f.peer(x), &w)
+	return nodeResult{out: w.out, made: w.made, killed: w.killed}
 }
 
 func TestRule1CreatesVirtualNodes(t *testing.T) {

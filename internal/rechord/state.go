@@ -25,8 +25,9 @@
 package rechord
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/ident"
@@ -70,6 +71,11 @@ func (v *VNode) addNc(r ref.Ref) {
 	if r != v.Self {
 		v.Nc.Add(r)
 	}
+}
+
+// sets returns the three edge sets, indexed by graph.Kind.
+func (v *VNode) sets() [3]*ref.Set {
+	return [...]*ref.Set{graph.Unmarked: &v.Nu, graph.Ring: &v.Nr, graph.Connection: &v.Nc}
 }
 
 func (v *VNode) clone() *VNode {
@@ -141,32 +147,9 @@ type RealNode struct {
 	// taken whenever the peer's own protocol state (its virtual nodes
 	// with their edge sets and rl/rr) may have changed. Consumers such
 	// as routing.Cache compare epochs for equality to decide whether
-	// derived state (a routing table) is still fresh. Like lastOut and
-	// scratch it is derived scheduler state, outside global-state
-	// equality.
+	// derived state (a routing table) is still fresh. Like lastFlow it
+	// is derived scheduler state, outside global-state equality.
 	epoch int
-
-	// scratch holds buffers reused across this peer's rule executions;
-	// never cloned, compared, or shared between peers.
-	scratch ruleScratch
-}
-
-// ruleScratch is per-peer reusable working memory for runRules, so
-// steady-state rounds allocate (almost) nothing on the hot path.
-type ruleScratch struct {
-	out    []Message
-	known  ref.Set
-	reals  ref.Set
-	cand   ref.Set
-	sibSet ref.Set
-	sibs   []ref.Ref
-	levels []int
-	snap   []ref.Ref
-	lefts  []ref.Ref
-	rights []ref.Ref
-	realID []ident.ID
-	ksSibs []ref.Ref // knownSetInto's private sibling buffer
-	ksTmp  ref.Set   // knownSetInto's merge ping-pong buffer
 }
 
 // ID returns the peer's identifier.
@@ -233,7 +216,7 @@ func (n *RealNode) siblingsInto(buf []ref.Ref) []ref.Ref {
 			buf = append(buf, ref.Virtual(n.id, l))
 		}
 	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i].Less(buf[j]) })
+	slices.SortFunc(buf, ref.Ref.Compare)
 	return buf
 }
 
@@ -248,14 +231,14 @@ func (n *RealNode) vnodesByLevel() []*VNode {
 	return out
 }
 
-// knownSetInto fills s with N(u), reusing its storage. The union is
-// built by linear merges of the (already sorted) per-level
-// neighborhoods instead of element-wise sorted insertion: at large m
-// this is the single hottest operation of a round.
-func (n *RealNode) knownSetInto(s *ref.Set) {
-	n.scratch.ksSibs = n.siblingsInto(n.scratch.ksSibs)
-	s.MergeSorted(n.scratch.ksSibs, nil)
-	cur, other := s, &n.scratch.ksTmp
+// knownSet fills w.known with N(u). The union is built by linear
+// merges of the (already sorted) per-level neighborhoods instead of
+// element-wise sorted insertion: at large m this is the single hottest
+// operation of a round. w.sibs must hold the peer's current siblings
+// (rule 1 caches them once the level set is final).
+func (w *worker) knownSet(n *RealNode) {
+	w.known.MergeSorted(w.sibs, nil)
+	cur, other := &w.known, &w.ksTmp
 	for _, v := range n.vnodes {
 		if v == nil || v.Nu.Empty() {
 			continue
@@ -263,8 +246,8 @@ func (n *RealNode) knownSetInto(s *ref.Set) {
 		other.MergeSorted(cur.Slice(), v.Nu.Slice())
 		cur, other = other, cur
 	}
-	if cur != s {
-		s.CopyFrom(*cur)
+	if cur != &w.known {
+		w.known.CopyFrom(*cur)
 	}
 }
 
@@ -303,7 +286,7 @@ func (n *RealNode) knownRealsInto(buf []ident.ID) []ident.ID {
 		if v == nil {
 			continue
 		}
-		for _, s := range []*ref.Set{&v.Nu, &v.Nr, &v.Nc} {
+		for _, s := range v.sets() {
 			for _, r := range s.Slice() {
 				if r.IsReal() && r.Owner != n.id {
 					buf = append(buf, r.Owner)
@@ -314,20 +297,21 @@ func (n *RealNode) knownRealsInto(buf []ident.ID) []ident.ID {
 	return buf
 }
 
-// inboxMessages flattens the peer's pending inbox: the one-shot
-// messages plus the standing per-sender buckets. The order is
-// unspecified; delivery is a commutative set-union, and consumers that
-// need a canonical order sort the result.
-func (n *RealNode) inboxMessages() []Message {
-	if len(n.in) == 0 {
-		return n.inbox
+// eachPending calls f for every message pending at the peer, in
+// place: the one-shot inbox, then the standing buckets' spans straight
+// off the senders' templates. The order is unspecified; delivery is a
+// commutative set-union, and consumers that need a canonical order sort
+// what they collect.
+func (n *RealNode) eachPending(f func(Message)) {
+	for _, m := range n.inbox {
+		f(m)
 	}
-	out := make([]Message, 0, n.pendingInbox())
-	out = append(out, n.inbox...)
 	for _, b := range n.in {
-		out = b.flow.appendSpan(out, b.span)
+		sp := b.flow.spans[b.span]
+		for i := sp.start; i < sp.end; i++ {
+			f(b.flow.msgAt(sp.owner, i))
+		}
 	}
-	return out
 }
 
 // pendingInbox reports how many messages are pending for the peer.
@@ -417,34 +401,31 @@ func (n *RealNode) equal(o *RealNode) bool {
 	// The global state of the synchronous model includes the messages
 	// in flight: two states with equal edge sets but different pending
 	// deliveries evolve differently.
-	if n.pendingInbox() != o.pendingInbox() {
-		return false
-	}
-	a := sortedMessages(n.inboxMessages())
-	b := sortedMessages(o.inboxMessages())
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(n.pendingSorted(), o.pendingSorted())
 }
 
-// sortedMessages returns a canonically ordered copy, so inbox
-// comparison is order-insensitive (delivery is set-union, hence
-// commutative).
+// pendingSorted collects the peer's pending messages in canonical
+// order, so inbox comparison is order-insensitive.
+func (n *RealNode) pendingSorted() []Message {
+	out := make([]Message, 0, n.pendingInbox())
+	n.eachPending(func(m Message) { out = append(out, m) })
+	slices.SortFunc(out, compareMessages)
+	return out
+}
+
+// compareMessages is the canonical message order: field by field, the
+// destination first. Any total order on the content serves (consumers
+// only need equal multisets to sort equal), so it skips the identifier
+// arithmetic of Ref.Compare.
+func compareMessages(a, b Message) int {
+	return cmp.Or(cmp.Compare(a.To.Owner, b.To.Owner), cmp.Compare(a.To.Level, b.To.Level), cmp.Compare(a.Kind, b.Kind),
+		cmp.Compare(a.Add.Owner, b.Add.Owner), cmp.Compare(a.Add.Level, b.Add.Level))
+}
+
+// sortedMessages returns a canonically ordered copy.
 func sortedMessages(ms []Message) []Message {
-	out := append([]Message(nil), ms...)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.To != b.To {
-			return a.To.Less(b.To)
-		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
-		}
-		return a.Add.Less(b.Add)
-	})
+	out := slices.Clone(ms)
+	slices.SortFunc(out, compareMessages)
 	return out
 }
 

@@ -14,6 +14,7 @@
 package ref
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
@@ -55,6 +56,12 @@ func (r Ref) Less(o Ref) bool {
 		return r.Owner < o.Owner
 	}
 	return r.Level < o.Level
+}
+
+// Compare is the three-way form of Less, the comparison slices.SortFunc
+// takes.
+func (r Ref) Compare(o Ref) int {
+	return cmp.Or(cmp.Compare(r.ID(), o.ID()), cmp.Compare(r.Owner, o.Owner), cmp.Compare(r.Level, o.Level))
 }
 
 // String renders the reference for logs and test failures.

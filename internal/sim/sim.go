@@ -42,13 +42,6 @@ type Options struct {
 	TrackSeries bool
 	// Ideal, when set, is used to detect the "almost stable" state.
 	Ideal *rechord.Ideal
-	// SkipFinalMetrics leaves Result.Final at the cheap subset (round
-	// and peer count) instead of exporting the full graph. Measure
-	// materializes every node and edge into map-backed graph state —
-	// fine at the paper's scale, but at n=65536 (≈1M virtual nodes,
-	// several million edges) it costs more memory than the network
-	// itself; the large-scale suite opts out.
-	SkipFinalMetrics bool
 }
 
 // Result reports a run's outcome.
@@ -109,16 +102,19 @@ func DefaultBudget(s rechord.Scheduler) int {
 	return b
 }
 
-// Measure computes the current metrics of the network.
+// Measure computes the current metrics of the network: the node and
+// edge counts of the graph nw.Graph() would export, taken in place off
+// the engine's state (rechord.Network.Census), so measuring a converged
+// network costs a pass over it and no graph.
 func Measure(nw *rechord.Network) RoundMetrics {
-	g := nw.Graph()
+	c := nw.Census()
 	return RoundMetrics{
 		Round:           nw.Round(),
 		RealNodes:       nw.NumPeers(),
-		VirtualNodes:    g.NumNodes() - nw.NumPeers(),
-		UnmarkedEdges:   g.NumEdges(graph.Unmarked),
-		RingEdges:       g.NumEdges(graph.Ring),
-		ConnectionEdges: g.NumEdges(graph.Connection),
+		VirtualNodes:    c.Nodes - nw.NumPeers(),
+		UnmarkedEdges:   c.Edges[graph.Unmarked],
+		RingEdges:       c.Edges[graph.Ring],
+		ConnectionEdges: c.Edges[graph.Connection],
 	}
 }
 
@@ -147,12 +143,6 @@ func Run(ctx context.Context, s rechord.Scheduler, opt Options) Result {
 		maxSteps = DefaultBudget(s)
 	}
 	res := Result{AlmostStableRound: -1}
-	measure := func() RoundMetrics {
-		if opt.SkipFinalMetrics {
-			return RoundMetrics{Round: nw.Round(), RealNodes: nw.NumPeers()}
-		}
-		return Measure(nw)
-	}
 	start := s.Time() // steps are counted relative to this run
 	var prev *rechord.Snapshot
 	if snw, ok := s.(*rechord.Network); ok && !snw.Incremental() {
@@ -162,7 +152,7 @@ func Run(ctx context.Context, s rechord.Scheduler, opt Options) Result {
 		if ctx.Err() != nil {
 			res.Canceled = true
 			res.Rounds = s.Time() - start
-			res.Final = measure()
+			res.Final = Measure(nw)
 			return res
 		}
 		if opt.TrackSeries {
@@ -188,7 +178,7 @@ func Run(ctx context.Context, s rechord.Scheduler, opt Options) Result {
 				if res.Rounds < 0 {
 					res.Rounds = 0
 				}
-				res.Final = measure()
+				res.Final = Measure(nw)
 				return res
 			}
 			continue
@@ -199,13 +189,13 @@ func Run(ctx context.Context, s rechord.Scheduler, opt Options) Result {
 			res.Stable = true
 			// The state was already fixed before this (unchanged) round.
 			res.Rounds = s.Time() - 1 - start
-			res.Final = measure()
+			res.Final = Measure(nw)
 			return res
 		}
 		prev = cur
 	}
 	res.Rounds = s.Time() - start
-	res.Final = measure()
+	res.Final = Measure(nw)
 	return res
 }
 

@@ -126,3 +126,77 @@ func TestSeriesMessagesRecorded(t *testing.T) {
 		t.Errorf("series messages %d != total %d", total, res.TotalMessages)
 	}
 }
+
+// exported is Measure as it used to be computed: the counts of the
+// materialized nw.Graph(), the reference the in-place census must equal.
+func exported(nw *rechord.Network) RoundMetrics {
+	g := nw.Graph()
+	return RoundMetrics{
+		Round:           nw.Round(),
+		RealNodes:       nw.NumPeers(),
+		VirtualNodes:    g.NumNodes() - nw.NumPeers(),
+		UnmarkedEdges:   g.NumEdges(graph.Unmarked),
+		RingEdges:       g.NumEdges(graph.Ring),
+		ConnectionEdges: g.NumEdges(graph.Connection),
+	}
+}
+
+// TestMeasureMatchesGraphExport: the direct census equals the counts of
+// the exported graph field by field — before the first round, on every
+// mid-convergence state, and right after a join, a graceful leave
+// (pending one-shot goodbyes) and a crash (dangling references, messages
+// to deleted levels) — under the synchronous and the asynchronous
+// scheduler.
+func TestMeasureMatchesGraphExport(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		nw, ids := lineNetwork(40, 11)
+		var s rechord.Scheduler = nw
+		name := "sync"
+		if async {
+			name = "async"
+			s = rechord.NewAsyncRunner(nw, rechord.AsyncConfig{ActivationProb: 0.5, MaxDelay: 3}, rand.New(rand.NewSource(5)))
+		}
+		check := func(when string) {
+			t.Helper()
+			if got, want := Measure(nw), exported(nw); got != want {
+				t.Fatalf("%s, %s (t=%d): census %+v, graph export %+v", name, when, s.Time(), got, want)
+			}
+		}
+		settle := func(when string) {
+			t.Helper()
+			for i := 0; !s.Quiescent(); i++ {
+				if i > DefaultBudget(s) {
+					t.Fatalf("%s: no fixed point %s", name, when)
+				}
+				check("converging " + when)
+				s.Step()
+			}
+			check("settled " + when)
+		}
+		check("seeded")
+		settle("from the line")
+		events := []func() error{
+			func() error { return nw.Join(ident.ID(0x1234567890abcdef), ids[3]) },
+			func() error { return nw.Leave(ids[7]) },
+			func() error { return nw.Fail(ids[20]) },
+			func() error { return nw.Fail(ids[21]) },
+			func() error { return nw.Join(ids[20], ids[1]) }, // rejoin under a departed id
+		}
+		for i, ev := range events {
+			if err := ev(); err != nil {
+				t.Fatal(err)
+			}
+			check("right after an event")
+			if i%2 == 0 {
+				// Leave the repair half done before the next event lands.
+				for k := 0; k < 3; k++ {
+					s.Step()
+					check("mid-repair")
+				}
+				continue
+			}
+			settle("after an event")
+		}
+		settle("at the end")
+	}
+}
