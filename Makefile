@@ -16,14 +16,15 @@ STATICCHECK_VERSION := 2025.1.1
 # bench-record / bench-gate below, so the benchtimes cannot drift apart
 # (allocs/op has a small GC-warmup component that amortizes differently
 # under another benchtime, and the gate holds allocs to 0% tolerance).
-BENCH_GROUPS := rounds async wire mem work
+BENCH_GROUPS := rounds async wire mem work lookups
 
 # Every recording pins -cpu, so the benchmark names (go test appends -N
 # for N != 1) and the default worker-pool size are the same on any
 # machine and a gated name cannot go missing because the box has other
-# cores than the recorder's. The round, async and work groups run on 2
-# processors (the sharded barrier rows need real parallelism); wire and
-# mem on 1, as their committed baselines were recorded.
+# cores than the recorder's. The round, async, work and lookups groups
+# run on 2 processors (the sharded barrier rows need real parallelism,
+# the workload rows a core for the clients beside the stepping engine);
+# wire and mem on 1, as their committed baselines were recorded.
 BENCH_CPU := 2
 
 # rounds: the round-engine benchmarks (steady-state Step, per-round
@@ -79,12 +80,19 @@ BENCH_RECORD_work = { \
 	$(GO) test -cpu $(BENCH_CPU) -run '^$$' -bench 'BenchmarkBarrierCommit/serial/n=4096' -benchmem -benchtime=1x ./internal/rechord/ ; }
 BENCH_GATE_work = -allocs-tol 0.10 -fail-allocs 'BenchmarkConverge|BenchmarkRepairCycle|BenchmarkChurnRecoveryLarge|BenchmarkBarrierCommit'
 
+# lookups: the serving layer — table routing over the published view
+# against the baseline that re-derives every hop's table (the cached
+# side is pinned at 0 allocs/op and must stay >= 5x the uncached
+# throughput), and the workload engine end to end on a stable network
+# and with membership events repaired under the traffic (the churn row:
+# what clients get done while the engine steps).
+BENCH_RECORD_lookups = { \
+	$(GO) test -cpu $(BENCH_CPU) -run '^$$' -bench 'BenchmarkTableLookup' -benchmem -benchtime=100000x . ; \
+	$(GO) test -cpu $(BENCH_CPU) -run '^$$' -bench 'BenchmarkWorkload' -benchmem -benchtime=50x . ; }
+BENCH_GATE_lookups = -fail-allocs 'BenchmarkTableLookup/cached'
+
 # Where bench-gate writes its scratch recordings.
 BENCH_TMP ?= /tmp
-
-# Serving-layer benchmarks tracked in BENCH_lookups.json: cached vs
-# uncached table routing and the end-to-end workload engine.
-LOOKUP_BENCH := BenchmarkTableLookup|BenchmarkWorkload
 
 .PHONY: all test test-short lint vet fmt staticcheck loc bench bench-record bench-gate bench-json bench-lookups bench-async bench-mem bench-wire bench-work bench-diff fuzz-smoke cover examples clean
 
@@ -178,12 +186,8 @@ bench-mem:
 	$(MAKE) --no-print-directory bench-record GROUP=mem OUT=BENCH_mem.json MEM_RUNGS=
 bench-work:
 	$(MAKE) --no-print-directory bench-record GROUP=work OUT=BENCH_work.json
-
-# bench-lookups records the serving-layer benchmarks (table-lookup
-# cache vs baseline, workload percentiles) in BENCH_lookups.json.
 bench-lookups:
-	$(GO) test -run '^$$' -bench '$(LOOKUP_BENCH)' -benchmem . | $(GO) run ./cmd/benchjson > BENCH_lookups.json
-	@echo wrote BENCH_lookups.json
+	$(MAKE) --no-print-directory bench-record GROUP=lookups OUT=BENCH_lookups.json
 
 # fuzz-smoke runs each native fuzz target briefly against the codec —
 # the same budget CI's wire job spends per target.

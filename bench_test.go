@@ -248,7 +248,7 @@ func BenchmarkChordBaselineLookup(b *testing.B) {
 }
 
 // BenchmarkTableLookup measures table-based Chord lookups at n=1024,
-// cached (routing.Cache, epoch-invalidated) against the uncached
+// cached (routing.Cache, tables kept level by epoch) against the uncached
 // baseline that re-derives every hop's table via TableOf — the
 // serving-layer hot path internal/workload rides on. bench-lookups
 // records both in BENCH_lookups.json; the cached side must stay >= 5x
@@ -278,36 +278,54 @@ func BenchmarkTableLookup(b *testing.B) {
 		})
 	})
 	b.Run(fmt.Sprintf("cached/n=%d", n), func(b *testing.B) {
-		route(b, cache.Route)
+		route(b, cache.Resolve)
 	})
 }
 
 // BenchmarkWorkload measures the full serving stack — concurrent
-// workers, sharded store, cached routing — on a stable network,
-// reporting the latency percentiles and mean hops the acceptance
-// criteria track.
+// workers, sharded store, routing over the published view — reporting
+// the latency percentiles and mean hops the acceptance criteria track:
+// on a stable network, and (the churn row) while membership events are
+// repaired under the traffic, where throughput is what the clients get
+// done beside the stepping engine. The churn row owns its network,
+// because its runs change the membership.
 func BenchmarkWorkload(b *testing.B) {
 	const n = 256
-	const opsPerRun = 5000
-	for _, dist := range []string{workload.DistUniform, workload.DistZipf} {
-		b.Run(fmt.Sprintf("%s/n=%d", dist, n), func(b *testing.B) {
-			nw := steadyNet(b, n, false)
+	for _, row := range []struct {
+		name, dist  string
+		ops, events int
+	}{
+		{"uniform", workload.DistUniform, 5000, 0},
+		{"zipf", workload.DistZipf, 5000, 0},
+		{"zipf-churn", workload.DistZipf, 40000, 2},
+	} {
+		b.Run(fmt.Sprintf("%s/n=%d", row.name, n), func(b *testing.B) {
+			var nw *rechord.Network
+			if row.events == 0 {
+				nw = steadyNet(b, n, false)
+			} else {
+				var err error
+				if nw, _, err = churn.StableNetwork(context.Background(), n, rand.New(rand.NewSource(1)), rechord.Config{}); err != nil {
+					b.Fatal(err)
+				}
+			}
 			var p50, p99, hops, tput float64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				res, err := workload.Run(context.Background(), nw, workload.Config{
 					Workers:      8,
-					Ops:          opsPerRun,
+					Ops:          row.ops,
 					Keyspace:     2048,
 					Preload:      1024,
-					Distribution: dist,
+					Distribution: row.dist,
 					Seed:         int64(i + 1),
+					Churn:        workload.ChurnConfig{Events: row.events},
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
 				if res.Errors > 0 {
-					b.Fatalf("%d errors on a stable network", res.Errors)
+					b.Fatalf("%d operations failed", res.Errors)
 				}
 				p50 += res.Latency.Percentile(50)
 				p99 += res.Latency.Percentile(99)

@@ -43,7 +43,8 @@ type Cluster struct {
 	cfg config
 
 	// mu serializes network mutation (lifecycle, stabilization, write
-	// side) against routing reads (KV operations, read side).
+	// side) against routing reads (KV operations, read side). Mutators
+	// publish the router's view before they release it (publishView).
 	mu    sync.RWMutex
 	nw    *rechord.Network
 	sched rechord.Scheduler // the execution model: nw itself, or an async runner
@@ -273,8 +274,8 @@ func StabilizeAlmostStable() StabilizeOption {
 // Stabilize runs repair rounds until the global state reaches its
 // fixed point, the round budget is exhausted, or the context is done.
 // On success the store is rebalanced onto the (possibly changed)
-// ownership and stale router-cache entries are pruned, a region-
-// settled event is published, and — when any peer's state changed — an
+// ownership and the departed peers' routing tables are pruned, a
+// region-settled event is published, and — when any peer's state changed — an
 // epoch-bumped event too. Cancellation returns ctx.Err() with the
 // network left at a round barrier (resume by calling Stabilize again);
 // an exhausted budget returns ErrUnstable.
@@ -295,6 +296,7 @@ func (c *Cluster) Stabilize(ctx context.Context, opts ...StabilizeOption) (Stabi
 		simOpt.Ideal = rechord.ComputeIdeal(c.nw.Peers())
 	}
 	res := sim.Run(ctx, c.sched, simOpt)
+	c.publishView()
 	rep := StabilizeReport{
 		Stable:            res.Stable,
 		Rounds:            res.Rounds,

@@ -38,14 +38,15 @@
 // # Concurrency model
 //
 // The facade serializes network mutation against routing reads with
-// one RWMutex, the same discipline internal/workload uses: KV methods
-// take the read side, lifecycle methods and Stabilize take the write
-// side. Stabilize and RunWorkload hold the write side for their whole
-// run, so KV callers block until they return; both honor context
-// cancellation, observed between protocol rounds, so the network is
-// always released at a round barrier in a consistent, steppable state.
-// RunWorkload's internal interleaving (lookups racing re-stabilization
-// mid-churn) happens inside the workload engine under its own lock.
+// one RWMutex: KV methods take the read side, lifecycle methods and
+// Stabilize take the write side and publish the router's view before
+// they release it. Stabilize and RunWorkload hold the write side for
+// their whole run, so KV callers block until they return; both honor
+// context cancellation, observed between protocol rounds, so the
+// network is always released at a round barrier in a consistent,
+// steppable state. RunWorkload's internal interleaving (lookups racing
+// re-stabilization mid-churn) happens inside the workload engine, whose
+// clients route over the published view and wait for no lock.
 //
 // # Event-stream contract
 //

@@ -18,14 +18,25 @@ var peerEvents = map[churn.Kind]EventKind{
 	churn.Fail:  EventPeerFailed,
 }
 
-// applyEvent executes one membership change and publishes it on the
-// event stream as soon as it is visible, before any repair — the
-// stream's contract. Callers hold the write lock.
+// publishView levels the router's view with the network. Every facade
+// method that mutates the network does so before it releases the write
+// lock, so the KV methods sharing the read side find the view current.
+func (c *Cluster) publishView() {
+	if c.cache != nil {
+		c.cache.Publish()
+	}
+}
+
+// applyEvent executes one membership change and publishes it — to the
+// router's view, and on the event stream as soon as it is visible,
+// before any repair (the stream's contract). Callers hold the write
+// lock.
 func (c *Cluster) applyEvent(ev churn.Event) error {
 	if err := ev.Apply(c.nw); err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrUnknownPeer, ev.Kind, err)
 	}
 	c.refreshHomes()
+	c.publishView()
 	c.bus.publish(Event{Kind: peerEvents[ev.Kind], Peer: PeerID(ev.ID), Round: c.clock()})
 	return nil
 }
@@ -33,8 +44,9 @@ func (c *Cluster) applyEvent(ev churn.Event) error {
 // restoreInvariants re-establishes the facade guarantees after
 // anything churned the membership: refresh the home list, finish any
 // interrupted repair, rebalance the store onto current ownership,
-// prune the router cache, and publish an epoch event when any peer
-// state changed since epoch0. Callers hold the write lock.
+// level the router's view and prune the departed peers' tables from
+// it, and publish an epoch event when any peer state changed since
+// epoch0. Callers hold the write lock.
 func (c *Cluster) restoreInvariants(epoch0 int) error {
 	c.refreshHomes()
 	if !c.sched.Quiescent() {
@@ -92,7 +104,8 @@ type WorkloadConfig struct {
 	// (default: spread evenly across the run).
 	ChurnEveryOps int
 	// ChurnStepChunk is how many repair rounds the churn driver runs
-	// per lock acquisition while re-stabilizing (default 4).
+	// between two publishes of the routing view while re-stabilizing
+	// (default 4).
 	ChurnStepChunk int
 }
 
@@ -112,13 +125,14 @@ type WorkloadReport = workload.Result
 // (facade KV methods block until it returns); the fine-grained
 // interleaving of lookups with re-stabilization happens inside the
 // engine. Cancellation stops workers and the churn driver end to end
-// and returns the partial telemetry together with ctx.Err(); the
-// network is finished re-stabilizing by the facade before the method
-// returns, so the cluster stays serviceable.
+// and returns the partial telemetry together with ctx.Err(); a repair
+// that ran out of its round budget returns it with ErrUnstable. Either
+// way the network is finished re-stabilizing by the facade before the
+// method returns, so the cluster stays serviceable.
 //
 // Workload churn is published on the event stream: one peer event per
-// applied membership change, a region-settled event per completed
-// repair, and one epoch-bumped event when the run changed any peer
+// applied membership change, a region-settled event per repair that
+// settled, and one epoch-bumped event when the run changed any peer
 // state.
 func (c *Cluster) RunWorkload(ctx context.Context, cfg WorkloadConfig) (*WorkloadReport, error) {
 	if err := c.ready(ctx); err != nil {
@@ -181,9 +195,12 @@ func (c *Cluster) RunWorkload(ctx context.Context, cfg WorkloadConfig) (*Workloa
 		}
 	}
 
-	// The run may have churned the membership (and a canceled run may
-	// have left the repair unfinished): restore the facade invariants
-	// before releasing the lock.
+	if errors.Is(runErr, workload.ErrUnsettled) {
+		runErr = fmt.Errorf("%w: %v", ErrUnstable, runErr)
+	}
+	// The run may have churned the membership (and a canceled or
+	// exhausted run may have left the repair unfinished): restore the
+	// facade invariants before releasing the lock.
 	if err := c.restoreInvariants(epoch0); err != nil && runErr == nil {
 		runErr = err
 	}

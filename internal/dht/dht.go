@@ -8,10 +8,12 @@
 //
 // Storage is sharded: keys live in per-peer buckets, and the buckets
 // are spread over fixed shards each guarded by its own lock, so
-// concurrent clients touching different owners never contend. Routing
-// reads the network; callers that mutate the network concurrently
-// (churn) must serialize against operations externally (see
-// internal/workload).
+// concurrent clients touching different owners never contend. The
+// store itself reads the network only in Rebalance; whether an
+// operation may run while the network is being mutated is the
+// resolver's contract — the state walk and the serialized routing.Cache
+// entry points need mutators excluded, a resolver over a published
+// routing.View (internal/workload) does not.
 package dht
 
 import (
@@ -37,9 +39,12 @@ var (
 )
 
 // Resolver locates the owner of a key starting from a home peer,
-// returning the number of inter-peer hops the lookup took. Both
-// routing.Walker (state-walk) and routing.Cache (epoch-cached table
-// routing) implement it.
+// returning the number of inter-peer hops the lookup took. It also
+// answers the home check: a lookup from a peer that is not in the
+// network fails with an error matching routing.ErrUnknownPeer, which
+// the store reports as ErrUnknownPeer. Both routing.Walker (state-walk)
+// and routing.Cache (table routing over the published view) implement
+// it.
 type Resolver interface {
 	Resolve(from, key ident.ID) (owner ident.ID, hops int, err error)
 }
@@ -54,8 +59,9 @@ type shard struct {
 	buckets map[ident.ID]map[string]string // peer -> key -> value
 }
 
-// Store is the distributed key-value store: sharded per-peer buckets
-// plus the network used for routing.
+// Store is the distributed key-value store: sharded per-peer buckets,
+// the resolver that routes to them and the network Rebalance reads the
+// membership from.
 type Store struct {
 	nw      *rechord.Network
 	resolve Resolver
@@ -70,8 +76,8 @@ func New(nw *rechord.Network) *Store {
 }
 
 // NewWithResolver creates a store with a custom routing strategy (the
-// workload engine plugs in the epoch-cached table router with a
-// state-walk fallback).
+// workload engine plugs in the table router over the published view
+// with a state-walk fallback).
 func NewWithResolver(nw *rechord.Network, r Resolver) *Store {
 	s := &Store{nw: nw, resolve: r}
 	for i := range s.shards {
@@ -87,40 +93,34 @@ func (s *Store) shardOf(owner ident.ID) *shard {
 	return &s.shards[uint64(owner)>>(64-6)] // top 6 bits: numShards = 64
 }
 
-func (s *Store) checkHome(home ident.ID) error {
-	// Membership via the interner slot: one uint64-keyed lookup, no
-	// node state touched. Every operation pays this check, so it rides
-	// the same compact-handle path the resolver's table cache uses.
-	if _, _, ok := s.nw.PeerSlot(home); !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownPeer, home)
+// locate routes from the home peer to the key's owner for the named
+// operation, translating the resolver's errors into the store's.
+func (s *Store) locate(op string, home ident.ID, key string) (ident.ID, int, error) {
+	owner, hops, err := s.resolve.Resolve(home, KeyID(key))
+	switch {
+	case err == nil:
+		return owner, hops, nil
+	case errors.Is(err, routing.ErrUnknownPeer):
+		return 0, 0, fmt.Errorf("dht: %s %q: %w: %s", op, key, ErrUnknownPeer, home)
+	default:
+		return 0, hops, fmt.Errorf("dht: %s %q: %w", op, key, err)
 	}
-	return nil
 }
 
 // ResolveKey routes from the home peer to the key's owner without
 // touching stored data, returning the owner and the number of
 // inter-peer hops the lookup took.
 func (s *Store) ResolveKey(home ident.ID, key string) (ident.ID, int, error) {
-	if err := s.checkHome(home); err != nil {
-		return 0, 0, fmt.Errorf("dht: lookup %q: %w", key, err)
-	}
-	owner, hops, err := s.resolve.Resolve(home, KeyID(key))
-	if err != nil {
-		return 0, hops, fmt.Errorf("dht: lookup %q: %w", key, err)
-	}
-	return owner, hops, nil
+	return s.locate("lookup", home, key)
 }
 
 // Put stores the key-value pair, routing from the given home peer to
 // the key's owner. It returns the owner and the number of inter-peer
 // hops the lookup took.
 func (s *Store) Put(home ident.ID, key, value string) (ident.ID, int, error) {
-	if err := s.checkHome(home); err != nil {
-		return 0, 0, fmt.Errorf("dht: put %q: %w", key, err)
-	}
-	owner, hops, err := s.resolve.Resolve(home, KeyID(key))
+	owner, hops, err := s.locate("put", home, key)
 	if err != nil {
-		return 0, hops, fmt.Errorf("dht: put %q: %w", key, err)
+		return 0, hops, err
 	}
 	sh := s.shardOf(owner)
 	sh.mu.Lock()
@@ -139,12 +139,9 @@ func (s *Store) Put(home ident.ID, key, value string) (ident.ID, int, error) {
 // owner but the key is absent there; any other error is a routing
 // failure, after which nothing is known about the key.
 func (s *Store) Get(home ident.ID, key string) (string, int, error) {
-	if err := s.checkHome(home); err != nil {
-		return "", 0, fmt.Errorf("dht: get %q: %w", key, err)
-	}
-	owner, hops, err := s.resolve.Resolve(home, KeyID(key))
+	owner, hops, err := s.locate("get", home, key)
 	if err != nil {
-		return "", hops, fmt.Errorf("dht: get %q: %w", key, err)
+		return "", hops, err
 	}
 	sh := s.shardOf(owner)
 	sh.mu.RLock()
@@ -159,12 +156,9 @@ func (s *Store) Get(home ident.ID, key string) (string, int, error) {
 // Delete removes a key, routing from the home peer. It reports whether
 // the key existed.
 func (s *Store) Delete(home ident.ID, key string) (bool, int, error) {
-	if err := s.checkHome(home); err != nil {
-		return false, 0, fmt.Errorf("dht: delete %q: %w", key, err)
-	}
-	owner, hops, err := s.resolve.Resolve(home, KeyID(key))
+	owner, hops, err := s.locate("delete", home, key)
 	if err != nil {
-		return false, hops, fmt.Errorf("dht: delete %q: %w", key, err)
+		return false, hops, err
 	}
 	sh := s.shardOf(owner)
 	sh.mu.Lock()

@@ -11,7 +11,7 @@ import (
 // lookup's hop count is the number of inter-peer forwards, i.e. the
 // number of owner changes along the resolved path. A lookup answered
 // by the home peer itself is 0 hops; a path of k peers is k-1 hops.
-// routing.RouteTables counts forwards directly and routing.Route
+// The table lookup counts forwards directly and routing.Route
 // returns the path; the agreement of both with this definition is
 // pinned by TestHopAccountingUnified.
 func PathHops(path []ident.ID) int {

@@ -51,6 +51,10 @@ type interner struct {
 
 	free []uint32 // released slots, reused LIFO
 	live int
+
+	// version counts interns and releases: it moves exactly when the
+	// membership (or a member's slot or incarnation) does.
+	version uint64
 }
 
 // reserve pre-sizes the registry for n peers, so bulk builds do not
@@ -95,6 +99,7 @@ func (pt *interner) intern(n *RealNode) uint32 {
 	n.gen = pt.gens[i]
 	pt.idxOf[n.id] = i
 	pt.live++
+	pt.version++
 	return i
 }
 
@@ -113,6 +118,7 @@ func (pt *interner) release(n *RealNode) {
 	pt.maxLv[i] = -1
 	pt.free = append(pt.free, i)
 	pt.live--
+	pt.version++
 }
 
 // lookup resolves an identifier to its live slot.

@@ -79,7 +79,7 @@ func recordMetrics(t *testing.T, label string, nw *rechord.Network, ids []ident.
 	var hops stats.Histogram
 	for i := 0; i < sample; i++ {
 		from := ids[rng.Intn(len(ids))]
-		_, h, err := cache.Route(from, ident.ID(rng.Uint64()))
+		_, h, err := cache.Resolve(from, ident.ID(rng.Uint64()))
 		if err != nil {
 			t.Fatalf("sample lookup: %v", err)
 		}

@@ -402,6 +402,12 @@ func (nw *Network) PeerSlotEpoch(id ident.ID) (slot int, gen uint32, epoch int, 
 // cache entry) changed in between.
 func (nw *Network) EpochClock() int { return nw.epochClock }
 
+// MembershipVersion moves whenever a peer joins or departs, and never
+// otherwise: a snapshot of the membership (identifiers, slots,
+// generations) is current exactly while the version it was taken under
+// still equals this one.
+func (nw *Network) MembershipVersion() uint64 { return nw.pt.version }
+
 // SeedEdge gives the peer owning `from` initial knowledge of `to` as an
 // edge of the kind, creating the source virtual node if needed. Used to
 // build arbitrary initial states.

@@ -1,8 +1,8 @@
 package routing
 
 import (
+	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/ident"
@@ -10,42 +10,27 @@ import (
 	"repro/internal/rechord"
 )
 
-// TableSource resolves a peer's current routing table. Both the cache
-// and the uncached per-hop TableOf fit this shape, so RouteTables is
-// the single lookup implementation benchmarked against itself.
-type TableSource func(id ident.ID) (*Table, error)
-
-// RouteTables performs a classic Chord lookup using only per-peer
+// routeTables performs a classic Chord lookup using only per-peer
 // routing tables: at each peer, if the key falls in (self, successor]
 // the successor owns it; otherwise the lookup forwards to the closest
 // candidate preceding the key (the finger that bisects the remaining
 // distance). On a stable network this is exactly Chord's O(log n)
 // greedy routing over the fingers Theorem 1.1 guarantees. numPeers
-// bounds the walk; hops counts inter-peer forwards.
+// bounds the walk; hops counts inter-peer forwards. It is the single
+// table lookup: the view's tables and the uncached per-hop TableOf
+// both plug in as the source, so it is benchmarked against itself.
 //
 // Tables extracted mid-stabilization can be incomplete (no successor
 // yet) or stale (a finger naming a departed peer); both surface as an
 // error, and callers that must survive churn fall back to the
 // state-walk Route, which tolerates partially repaired state.
-func RouteTables(tables TableSource, numPeers int, from, key ident.ID) (owner ident.ID, hops int, err error) {
-	return routeTables(tables, numPeers, from, key, nil)
-}
-
-// RouteTablesTraced is RouteTables with a per-lookup trace: the
-// visited path is recorded hop by hop, so obs.PathHops(tr.Path)
-// always equals the returned hop count — the single definition both
-// the table lookup and the state-walk Route report through (hops =
-// inter-peer forwards; the terminal owner is known to, not forwarded
-// by, the last visited peer). A nil trace is the untraced fast path.
-func RouteTablesTraced(tables TableSource, numPeers int, from, key ident.ID, tr *obs.LookupTrace) (owner ident.ID, hops int, err error) {
-	owner, hops, err = routeTables(tables, numPeers, from, key, tr)
-	if tr != nil && err != nil {
-		tr.Err = err.Error()
-	}
-	return owner, hops, err
-}
-
-func routeTables(tables TableSource, numPeers int, from, key ident.ID, tr *obs.LookupTrace) (owner ident.ID, hops int, err error) {
+//
+// A non-nil trace records the visited path hop by hop, so
+// obs.PathHops(tr.Path) always equals the returned hop count — the
+// single definition both the table lookup and the state-walk Route
+// report through (hops = inter-peer forwards; the terminal owner is
+// known to, not forwarded by, the last visited peer).
+func routeTables(tables func(ident.ID) (*Table, error), numPeers int, from, key ident.ID, tr *obs.LookupTrace) (owner ident.ID, hops int, err error) {
 	cur := from
 	if tr != nil {
 		tr.From, tr.Key = from, key
@@ -91,6 +76,11 @@ func routeTables(tables TableSource, numPeers int, from, key ident.ID, tr *obs.L
 		}
 		t, err := tables(cur)
 		if err != nil {
+			if hops > 0 && errors.Is(err, ErrUnknownPeer) {
+				// A finger naming a departed peer is a routing failure of
+				// a mid-repair table, not an unknown home.
+				err = fmt.Errorf("routing: hop %d reached departed peer %s", hops, cur)
+			}
 			return 0, hops, err
 		}
 		if t.HasWrap && ident.InRightHalfOpen(key, t.WrapFrom, t.WrapTo) {
@@ -156,113 +146,73 @@ func routeTables(tables TableSource, numPeers int, from, key ident.ID, tr *obs.L
 
 // RouteUncached is the baseline table lookup: every hop re-derives the
 // peer's table from its Re-Chord state via TableOf. It exists to be
-// measured against Cache.Route (see BenchmarkTableLookup).
+// measured against Cache.Resolve (see BenchmarkTableLookup).
 func RouteUncached(nw *rechord.Network, from, key ident.ID) (ident.ID, int, error) {
-	return RouteTables(func(id ident.ID) (*Table, error) { return TableOf(nw, id) }, nw.NumPeers(), from, key)
+	return routeTables(func(id ident.ID) (*Table, error) { return TableOf(nw, id) }, nw.NumPeers(), from, key, nil)
 }
 
-type cacheEntry struct {
-	gen   uint32 // incarnation the table was built for
-	epoch int
-	table *Table
+// View is what a lookup may read without touching the network: an
+// immutable membership snapshot (identifier -> interner slot, members
+// in ascending order) plus one atomically swapped *Table per slot, nil
+// until built. A join or departure is published as a new View with its
+// own slots and a table is replaced whole, so every table a lookup sees
+// is one member's state at one round barrier.
+type View struct {
+	c       *Cache
+	version uint64 // rechord.Network.MembershipVersion it was taken under
+	slots   map[ident.ID]int32
+	peers   []ident.ID
+	tables  []atomic.Pointer[Table] // by slot
 }
 
-// Cache memoizes per-peer routing tables and invalidates them through
-// the network's change epochs instead of rebuilding per lookup: a
-// cached table is served only while rechord.Network.PeerSlotEpoch still
-// returns the epoch the table was derived under. On a quiescent
-// network every epoch is stable, so lookups stop touching Re-Chord
-// state entirely; after churn, exactly the peers whose state the
-// re-stabilization rewrote are rebuilt.
-//
-// Storage is a dense slot-indexed slice, addressed by the network's
-// interner slot for the peer (rechord.Network.PeerSlot) rather than an
-// id-keyed map: a lookup is a slice index plus a generation check, and
-// the cache's footprint is one entry per slot ever used. The entry's
-// generation guards slot reuse — a table built for one incarnation is
-// never served to a later tenant of the same slot.
-//
-// The cache itself is safe for concurrent use. Reads of the underlying
-// network are NOT synchronized here: callers that interleave lookups
-// with Step/Join/Leave/Fail must serialize them externally (readers
-// share, mutators exclude — see internal/workload for the pattern).
-type Cache struct {
-	nw *rechord.Network
-
-	mu    sync.RWMutex
-	slots []cacheEntry
-
-	hits, misses atomic.Uint64
-	// invalidations counts cached tables found stale at lookup time —
-	// the entry existed but its peer's generation or change epoch had
-	// moved. It is the churn-pressure signal: misses on never-cached
-	// slots are warmup, invalidations are rebuild work the network's
-	// mutations forced.
-	invalidations atomic.Uint64
+// Has reports whether the peer is a member.
+func (v *View) Has(id ident.ID) bool {
+	_, ok := v.slots[id]
+	return ok
 }
 
-// NewCache creates an empty cache over the network.
-func NewCache(nw *rechord.Network) *Cache {
-	return &Cache{nw: nw, slots: make([]cacheEntry, nw.SlotSpan())}
+// Peers returns the members in ascending order (shared: do not mutate).
+func (v *View) Peers() []ident.ID { return v.peers }
+
+// Resolve is the lock-free table lookup: it reads the published tables
+// and nothing of the network, so it is safe while the engine steps. A
+// table the view does not hold fails the lookup.
+func (v *View) Resolve(from, key ident.ID) (owner ident.ID, hops int, err error) {
+	return v.route(false, from, key, nil)
 }
 
-// Table returns the peer's current routing table, rebuilding it only
-// when the peer's change epoch moved since the cached copy was built.
-// The returned table is shared and must not be mutated.
-func (c *Cache) Table(id ident.ID) (*Table, error) {
-	t, _, err := c.table(id)
-	return t, err
-}
-
-// table is Table plus whether the fetch was served from the cache,
-// for per-lookup trace attribution.
-func (c *Cache) table(id ident.ID) (*Table, bool, error) {
-	slot, gen, epoch, ok := c.nw.PeerSlotEpoch(id)
+// table returns the peer's table and whether the view served it. With
+// pull set a missing table is built from the network — the caller must
+// then be serialized against network mutation.
+func (v *View) table(pull bool, id ident.ID) (*Table, bool, error) {
+	slot, ok := v.slots[id]
 	if !ok {
-		return nil, false, fmt.Errorf("routing: unknown peer %s", id)
+		return nil, false, fmt.Errorf("%w %s", ErrUnknownPeer, id)
 	}
-	c.mu.RLock()
-	var e cacheEntry
-	if slot < len(c.slots) {
-		e = c.slots[slot]
+	if t := v.tables[slot].Load(); t != nil && t.Self == id {
+		return t, true, nil
 	}
-	c.mu.RUnlock()
-	if e.table != nil {
-		if e.gen == gen && e.epoch == epoch {
-			c.hits.Add(1)
-			return e.table, true, nil
+	if !pull {
+		return nil, false, fmt.Errorf("routing: no published table for %s", id)
+	}
+	t, err := v.c.build(v, int(slot), id)
+	return t, false, err
+}
+
+// route is the one table lookup behind View.Resolve, Cache.Resolve and
+// RouteTraced. The home check is the view's membership; tables served
+// from the view count as hits, once per lookup rather than per hop.
+func (v *View) route(pull bool, from, key ident.ID, tr *obs.LookupTrace) (owner ident.ID, hops int, err error) {
+	if !v.Has(from) {
+		return 0, 0, fmt.Errorf("%w %s", ErrUnknownPeer, from)
+	}
+	hits := 0
+	owner, hops, err = routeTables(func(id ident.ID) (*Table, error) {
+		t, hit, err := v.table(pull, id)
+		if hit {
+			hits++
 		}
-		c.invalidations.Add(1)
-	}
-	t, err := TableOf(c.nw, id)
-	if err != nil {
-		return nil, false, err
-	}
-	c.misses.Add(1)
-	c.mu.Lock()
-	for slot >= len(c.slots) {
-		c.slots = append(c.slots, cacheEntry{})
-	}
-	c.slots[slot] = cacheEntry{gen: gen, epoch: epoch, table: t}
-	c.mu.Unlock()
-	return t, false, nil
-}
-
-// Route performs a table-based Chord lookup through the cache.
-func (c *Cache) Route(from, key ident.ID) (owner ident.ID, hops int, err error) {
-	return RouteTables(c.Table, c.nw.NumPeers(), from, key)
-}
-
-// RouteTraced is Route with a per-lookup trace: besides the visited
-// path, every table fetch along the lookup is attributed to the trace
-// as a cache hit or miss.
-func (c *Cache) RouteTraced(from, key ident.ID, tr *obs.LookupTrace) (owner ident.ID, hops int, err error) {
-	if tr == nil {
-		return c.Route(from, key)
-	}
-	src := func(id ident.ID) (*Table, error) {
-		t, hit, err := c.table(id)
-		if err == nil {
+		if tr != nil && err == nil {
 			if hit {
 				tr.CacheHits++
 			} else {
@@ -270,43 +220,179 @@ func (c *Cache) RouteTraced(from, key ident.ID, tr *obs.LookupTrace) (owner iden
 			}
 		}
 		return t, err
+	}, len(v.peers), from, key, tr)
+	v.c.hits.Add(uint64(hits))
+	if tr != nil && err != nil {
+		tr.Err = err.Error()
 	}
-	return RouteTablesTraced(src, c.nw.NumPeers(), from, key, tr)
+	return owner, hops, err
 }
 
-// Resolve is Route under the name the DHT's resolver plug expects.
+// Cache is the published routing view of a network: per-peer tables
+// derived once and kept level with the network through its change
+// epochs instead of rebuilt per lookup. A table is fresh exactly while
+// rechord.Network.PeerSlotEpoch still returns the generation and epoch
+// it was read under, so on a quiescent network lookups never touch
+// Re-Chord state, and after churn exactly the peers the repair rewrote
+// are rebuilt — by whoever mutated the network, calling Publish.
+//
+// Lock-free clients route on View(): they read nothing of the network,
+// so they may run while it is stepped, and a table missing from the
+// view fails their lookup (their publisher uses PublishAll). Callers
+// serialized against mutation from outside (readers share, mutators
+// exclude) use Table, Resolve and RouteTraced, which publish first when
+// a mutator left without doing so and build a missing table on first
+// use, so a Cache nobody publishes to is still never stale. All state
+// is atomics: the cache holds no lock and every reader may run beside
+// every other.
+type Cache struct {
+	nw   *rechord.Network
+	view atomic.Pointer[View]
+	// clock is the network's epoch clock as of the last publish: while
+	// it and the view's membership version equal the network's, every
+	// table the view holds is fresh.
+	clock atomic.Int64
+
+	// hits counts tables served from the view, misses tables built,
+	// invalidations the builds that replaced a table whose peer's
+	// generation or epoch had moved (churn pressure, not warmup).
+	hits, misses, invalidations atomic.Uint64
+}
+
+// NewCache creates a cache over the network holding its membership and
+// no tables yet.
+func NewCache(nw *rechord.Network) *Cache {
+	c := &Cache{nw: nw}
+	c.view.Store(c.newView(nil))
+	c.clock.Store(int64(nw.EpochClock()))
+	return c
+}
+
+// newView snapshots the membership, carrying the old view's tables over
+// into slots of its own: a superseded view is never written again.
+func (c *Cache) newView(old *View) *View {
+	peers := c.nw.Peers()
+	v := &View{c: c, version: c.nw.MembershipVersion(), peers: peers, slots: make(map[ident.ID]int32, len(peers)),
+		tables: make([]atomic.Pointer[Table], c.nw.SlotSpan())}
+	for _, id := range peers {
+		slot, _, _ := c.nw.PeerSlot(id)
+		v.slots[id] = int32(slot)
+	}
+	if old != nil {
+		for slot := range old.tables[:min(len(old.tables), len(v.tables))] {
+			v.tables[slot].Store(old.tables[slot].Load())
+		}
+	}
+	return v
+}
+
+// build derives the peer's table from the network and swaps it into
+// its slot.
+func (c *Cache) build(v *View, slot int, id ident.ID) (*Table, error) {
+	t, err := TableOf(c.nw, id)
+	if err != nil {
+		return nil, err
+	}
+	c.misses.Add(1)
+	v.tables[slot].Store(t)
+	return t, nil
+}
+
+// Publish levels the view with the network: a new membership snapshot
+// when a peer joined or departed, and a rebuilt table in every slot
+// whose table was read under another generation or epoch than its peer
+// reports now; nothing when neither the epoch clock nor the membership
+// moved. Tables the view does not hold stay unbuilt. The caller must be
+// serialized against network mutation (normally: is the mutator).
+func (c *Cache) Publish() { c.current() }
+
+// PublishAll is Publish plus a table for every member still without
+// one, for lock-free clients, who cannot build.
+func (c *Cache) PublishAll() { c.publish(true) }
+
+func (c *Cache) publish(all bool) {
+	v := c.view.Load()
+	if v.version != c.nw.MembershipVersion() {
+		v = c.newView(v)
+	}
+	for _, id := range v.peers {
+		slot, gen, epoch, _ := c.nw.PeerSlotEpoch(id)
+		switch t := v.tables[slot].Load(); {
+		case t == nil:
+			if !all {
+				continue
+			}
+		case t.Self == id && t.gen == gen && t.epoch == epoch:
+			continue
+		default:
+			c.invalidations.Add(1)
+		}
+		_, _ = c.build(v, slot, id) // a member always has a table to derive
+	}
+	c.clock.Store(int64(c.nw.EpochClock()))
+	c.view.Store(v)
+}
+
+// View returns the last published view.
+func (c *Cache) View() *View { return c.view.Load() }
+
+// current is View for callers serialized against mutation: it
+// publishes first when the network moved since the last publish.
+func (c *Cache) current() *View {
+	if c.view.Load().version != c.nw.MembershipVersion() || c.clock.Load() != int64(c.nw.EpochClock()) {
+		c.publish(false)
+	}
+	return c.view.Load()
+}
+
+// Table returns the peer's current routing table, building it on first
+// use. The returned table is shared and must not be mutated.
+func (c *Cache) Table(id ident.ID) (*Table, error) {
+	t, hit, err := c.current().table(true, id)
+	if hit {
+		c.hits.Add(1)
+	}
+	return t, err
+}
+
+// Resolve performs a table-based Chord lookup through the cache, under
+// the name the DHT's resolver plug expects.
 func (c *Cache) Resolve(from, key ident.ID) (owner ident.ID, hops int, err error) {
-	return c.Route(from, key)
+	return c.current().route(true, from, key, nil)
 }
 
-// Prune drops entries for peers that have departed (their slot's
-// generation moved on) or whose epoch moved, bounding the live tables
-// under sustained churn. It returns how many entries were dropped.
+// RouteTraced is Resolve with a per-lookup trace: besides the visited
+// path, every table fetch along the lookup is attributed to the trace
+// as a cache hit or miss.
+func (c *Cache) RouteTraced(from, key ident.ID, tr *obs.LookupTrace) (owner ident.ID, hops int, err error) {
+	return c.current().route(true, from, key, tr)
+}
+
+// Prune drops the tables of departed peers (publishing first when the
+// network moved, so nothing stale is left either), bounding the held
+// tables under sustained churn. It returns how many were dropped.
 func (c *Cache) Prune() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	v := c.current()
 	dropped := 0
-	for slot := range c.slots {
-		e := &c.slots[slot]
-		if e.table == nil {
+	for slot := range v.tables {
+		t := v.tables[slot].Load()
+		if t == nil {
 			continue
 		}
-		cur, gen, epoch, ok := c.nw.PeerSlotEpoch(e.table.Self)
-		if !ok || cur != slot || gen != e.gen || epoch != e.epoch {
-			*e = cacheEntry{}
+		if cur, ok := v.slots[t.Self]; !ok || cur != int32(slot) {
+			v.tables[slot].Store(nil)
 			dropped++
 		}
 	}
 	return dropped
 }
 
-// Len returns the number of cached tables.
+// Len returns the number of tables held. It reads no network state.
 func (c *Cache) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+	v := c.view.Load()
 	n := 0
-	for i := range c.slots {
-		if c.slots[i].table != nil {
+	for slot := range v.tables {
+		if v.tables[slot].Load() != nil {
 			n++
 		}
 	}
@@ -318,8 +404,9 @@ func (c *Cache) Stats() (hits, misses uint64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// Invalidations returns how many cached tables were found stale at
-// lookup time since creation (a subset of the misses).
+// Invalidations returns how many tables were rebuilt since creation
+// because their peer's generation or epoch had moved (a subset of the
+// misses).
 func (c *Cache) Invalidations() uint64 {
 	return c.invalidations.Load()
 }
@@ -334,7 +421,7 @@ type Walker struct {
 
 // Resolve routes from the home peer to the key's owner, returning the
 // number of inter-peer hops (obs.PathHops of the walk's visited path
-// — the same definition RouteTables counts directly).
+// — the same definition routeTables counts directly).
 func (w Walker) Resolve(from, key ident.ID) (owner ident.ID, hops int, err error) {
 	return w.ResolveTraced(from, key, nil)
 }
@@ -358,10 +445,11 @@ func (w Walker) ResolveTraced(from, key ident.ID, tr *obs.LookupTrace) (owner id
 	return owner, hops, nil
 }
 
-// Failover routes through the epoch-cached table router and falls back
-// to the state walk when a table is incomplete or stale mid-churn —
-// table routing is the fast path, the walk is the one that tolerates
-// partially repaired state.
+// Failover routes through the table router and falls back to the state
+// walk when a table is incomplete or stale mid-churn — table routing is
+// the fast path, the walk is the one that tolerates partially repaired
+// state. Both read the network: it is for callers serialized against
+// mutation (the workload engine has its own, over the published view).
 type Failover struct {
 	Cache *Cache
 	// Fallbacks counts the lookups the state walk had to recover.
@@ -369,8 +457,9 @@ type Failover struct {
 }
 
 func (r Failover) Resolve(from, key ident.ID) (ident.ID, int, error) {
-	if owner, hops, err := r.Cache.Resolve(from, key); err == nil {
-		return owner, hops, nil
+	owner, hops, err := r.Cache.Resolve(from, key)
+	if err == nil || errors.Is(err, ErrUnknownPeer) {
+		return owner, hops, err
 	}
 	r.Fallbacks.Add(1)
 	return Walker{NW: r.Cache.nw}.Resolve(from, key)

@@ -43,12 +43,12 @@ func TestRouteTablesMatchesConsistentHashing(t *testing.T) {
 		if got != want {
 			t.Fatalf("RouteUncached(%s) = %s, want %s", key, got, want)
 		}
-		cgot, chops, err := cache.Route(from, key)
+		cgot, chops, err := cache.Resolve(from, key)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if cgot != want {
-			t.Fatalf("Cache.Route(%s) = %s, want %s", key, cgot, want)
+			t.Fatalf("Cache.Resolve(%s) = %s, want %s", key, cgot, want)
 		}
 		if chops != hops {
 			t.Fatalf("cached hops %d != uncached hops %d for key %s", chops, hops, key)
@@ -182,7 +182,7 @@ func TestRouteTablesExhaustiveAllHomes(t *testing.T) {
 		key := ident.ID(uint64(i) << 56) // evenly spaced around the ring
 		want, _ := Owner(nw, key)
 		for _, from := range ids {
-			got, _, err := cache.Route(from, key)
+			got, _, err := cache.Resolve(from, key)
 			if err != nil {
 				t.Fatalf("key %s from %s: %v", key, from, err)
 			}

@@ -10,6 +10,7 @@
 package routing
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/ident"
@@ -17,9 +18,20 @@ import (
 	"repro/internal/ref"
 )
 
+// ErrUnknownPeer reports a table or a lookup asked of a peer that is not
+// in the network. A resolver returns it (wrapped) for a lookup whose
+// home peer is not a member; a lookup that merely hops onto a departed
+// peer mid-route is a routing failure and does not match it.
+var ErrUnknownPeer = errors.New("routing: unknown peer")
+
 // Table is one peer's Chord view extracted from its Re-Chord state.
 type Table struct {
 	Self ident.ID
+	// gen and epoch are the incarnation and change epoch the table was
+	// read under (rechord.Network.PeerSlotEpoch): it is fresh exactly
+	// while the peer still reports both.
+	gen   uint32
+	epoch int
 	// Successor is the first real node clockwise (rr of the real
 	// node).
 	Successor ident.ID
@@ -64,11 +76,12 @@ type Table struct {
 // TableOf extracts the routing table of the peer. The network should
 // be stable for the table to equal Chord's.
 func TableOf(nw *rechord.Network, id ident.ID) (*Table, error) {
-	n := nw.Peer(id)
-	if n == nil {
-		return nil, fmt.Errorf("routing: unknown peer %s", id)
+	_, gen, epoch, ok := nw.PeerSlotEpoch(id)
+	if !ok {
+		return nil, fmt.Errorf("%w %s", ErrUnknownPeer, id)
 	}
-	t := &Table{Self: id, Fingers: make(map[int]ident.ID)}
+	n := nw.Peer(id)
+	t := &Table{Self: id, gen: gen, epoch: epoch, Fingers: make(map[int]ident.ID)}
 	for _, lvl := range n.Levels() {
 		v := n.VNode(lvl)
 		if !v.HasRR {
@@ -132,7 +145,8 @@ func TableOf(nw *rechord.Network, id ident.ID) (*Table, error) {
 
 // buildHops precomputes the deduplicated candidate next-hop set so
 // table-based routing pays the collection cost once per table build,
-// not once per hop.
+// not once per hop. The set is kept in identifier order, so two tables
+// read off the same state are equal field by field.
 func (t *Table) buildHops() {
 	seen := make(map[ident.ID]bool, len(t.Fingers)+1)
 	t.hops = t.hops[:0]
@@ -146,6 +160,7 @@ func (t *Table) buildHops() {
 			t.hops = append(t.hops, f)
 		}
 	}
+	ident.Sort(t.hops)
 }
 
 // Route performs a Chord-style lookup for key starting at from,
@@ -171,7 +186,7 @@ func (t *Table) buildHops() {
 // known nodes to the global minimum, whose rr is exactly that peer.
 func Route(nw *rechord.Network, from ident.ID, key ident.ID) (owner ident.ID, path []ident.ID, err error) {
 	if nw.Peer(from) == nil {
-		return 0, nil, fmt.Errorf("routing: unknown peer %s", from)
+		return 0, nil, fmt.Errorf("%w %s", ErrUnknownPeer, from)
 	}
 	if nw.NumPeers() == 1 {
 		return from, []ident.ID{from}, nil

@@ -10,17 +10,22 @@
 //
 // The hot path is built on the two layers refactored for it: the
 // sharded dht.Store (per-peer buckets behind fine-grained locks) and
-// the epoch-cached routing.Cache (tables invalidated by peer change
-// epochs instead of rebuilt per lookup). Per-op latency and hop counts
-// are recorded into per-worker stats.Histogram shards and merged after
-// the run, so the measurement itself adds no cross-worker contention.
+// the routing.Cache (per-peer tables published as an immutable view
+// and kept level through peer change epochs instead of rebuilt per
+// lookup). Per-op latency and hop counts are recorded into per-worker
+// stats.Histogram shards and merged after the run, so the measurement
+// itself adds no cross-worker contention.
 //
-// Concurrency model: client workers only read the network (routing)
-// and share the store's shard locks; the churn driver is the only
-// network mutator. A single RWMutex serializes the two — workers hold
-// the read side per operation, the driver takes the write side to
-// apply a membership event or step the protocol a few rounds, then
-// releases it so lookups interleave with a network that is mid-repair.
+// Concurrency model: the churn driver is the only goroutine that
+// touches the network. It applies a membership event or steps the
+// protocol a few rounds, then publishes: the tables of the peers whose
+// state moved are rebuilt and swapped into the cache's view. Client
+// workers pick their home peer, check it and route entirely on the last
+// published view — no lock, no read of engine state — so they see the
+// round-barrier states a lock would show them, mid-repair ones
+// included, without waiting for a step. The one lock left fences Step
+// against the raw-state walk a client falls back to when a table lookup
+// cannot complete on a mid-repair view.
 package workload
 
 import (
@@ -28,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,6 +52,14 @@ import (
 // keep configuration mistakes and serving faults in separate buckets.
 var ErrConfig = errors.New("workload: invalid configuration")
 
+// ErrUnsettled reports a run whose churn driver gave up on a repair
+// that exhausted its round budget; the network is left mid-repair.
+var ErrUnsettled = errors.New("workload: repair did not settle")
+
+// churnSeedMask separates the churn-event stream from the op streams
+// drawn from the same run seed.
+const churnSeedMask = 0x5DEECE66D
+
 // ChurnConfig interleaves membership events with the traffic.
 type ChurnConfig struct {
 	// Events is the number of membership events (random mix of join,
@@ -56,10 +68,9 @@ type ChurnConfig struct {
 	// EveryOps is how many completed operations separate consecutive
 	// events (default: spread evenly across the run).
 	EveryOps int
-	// StepChunk is how many protocol rounds the driver executes per
-	// write-lock acquisition while the network re-stabilizes; smaller
-	// chunks give lookups more interleavings with mid-repair state
-	// (default 4).
+	// StepChunk is how many protocol rounds the driver executes between
+	// two publishes while the network re-stabilizes; smaller chunks show
+	// lookups more of the mid-repair states (default 4).
 	StepChunk int
 	// OnApply, when non-nil, is called after each membership event is
 	// successfully applied (from the churn-driver goroutine, no locks
@@ -68,6 +79,8 @@ type ChurnConfig struct {
 	// OnSettle, when non-nil, is called after the network re-stabilizes
 	// following an applied event, with the number of protocol rounds
 	// the repair took (from the churn-driver goroutine, no locks held).
+	// A repair that was canceled or ran out of its round budget did not
+	// settle and is not reported.
 	OnSettle func(rounds int)
 }
 
@@ -106,9 +119,9 @@ type Config struct {
 	// this many ops/sec across all workers; 0 is a closed loop (each
 	// worker fires its next op as soon as the previous returns).
 	Rate float64
-	// NoCache disables the epoch-cached table router and routes every
-	// operation through the state-walk router (the baseline the cache
-	// is measured against).
+	// NoCache disables the table router and routes every operation
+	// through the state-walk router under the step fence (the baseline
+	// the cache is measured against).
 	NoCache bool
 	// Churn interleaves membership events with the traffic.
 	Churn ChurnConfig
@@ -245,15 +258,24 @@ type engine struct {
 	nw    *rechord.Network
 	cfg   Config
 	store *dht.Store
+	// cache holds the view the clients read; under NoCache it carries
+	// the membership only and routes nothing.
 	cache *routing.Cache
 
-	// netMu serializes network mutation (churn driver, write side)
-	// against routing reads (workers, read side).
+	// netMu fences the churn driver's mutations (write side) against
+	// the raw-state walk (read side), a client's only read of engine
+	// state.
 	netMu sync.RWMutex
 
 	opsDone   atomic.Int64
 	fallbacks atomic.Int64
 	deadline  time.Time
+
+	// repairing is set while an applied event has not settled and
+	// published counts the driver's publishes: what tells a client whose
+	// lookup failed whether a newer state is coming.
+	repairing atomic.Bool
+	published atomic.Int64
 
 	// Cache counters at run start, so the result reports a per-run
 	// delta even over an injected long-lived cache.
@@ -289,22 +311,17 @@ func Run(ctx context.Context, sched rechord.Scheduler, cfg Config) (*Result, err
 	nw := sched.Network()
 	e := &engine{sched: sched, nw: nw, cfg: cfg}
 
-	var resolver dht.Resolver
-	var hits0, misses0 uint64
-	if cfg.NoCache {
-		resolver = routing.Walker{NW: nw}
-	} else {
+	if !cfg.NoCache {
 		e.cache = cfg.Cache
-		if e.cache == nil {
-			e.cache = routing.NewCache(nw)
-		}
-		// The caller may hand in a long-lived, pre-warmed cache; the
-		// run's report stays a per-run delta either way.
-		hits0, misses0 = e.cache.Stats()
-		resolver = routing.Failover{Cache: e.cache, Fallbacks: &e.fallbacks}
 	}
-	e.cacheHits0, e.cacheMisses0 = hits0, misses0
-	e.store = dht.NewWithResolver(nw, resolver)
+	if e.cache == nil {
+		e.cache = routing.NewCache(nw)
+	}
+	// The caller may hand in a long-lived, pre-warmed cache; the run's
+	// report stays a per-run delta either way.
+	e.cacheHits0, e.cacheMisses0 = e.cache.Stats()
+	e.publish()
+	e.store = dht.NewWithResolver(nw, e)
 
 	homes := nw.Peers()
 	if len(homes) == 0 {
@@ -324,7 +341,7 @@ func Run(ctx context.Context, sched rechord.Scheduler, cfg Config) (*Result, err
 	// the event list itself is seed-deterministic.
 	var events []churn.Event
 	if cfg.Churn.Events > 0 {
-		events = churn.RandomEvents(nw, cfg.Churn.Events, rand.New(rand.NewSource(cfg.Seed^0x5DEECE66D)))
+		events = churn.RandomEvents(nw, cfg.Churn.Events, rand.New(rand.NewSource(cfg.Seed^churnSeedMask)))
 	}
 
 	results := make([]workerResult, cfg.Workers)
@@ -334,9 +351,12 @@ func Run(ctx context.Context, sched rechord.Scheduler, cfg Config) (*Result, err
 	}
 
 	workersDone := make(chan struct{})
-	churnDone := make(chan int, 1)
+	var applied int
+	var churnErr error
+	churnDone := make(chan struct{})
 	go func() {
-		churnDone <- e.churnDriver(ctx, events, workersDone)
+		defer close(churnDone)
+		applied, churnErr = e.churnDriver(ctx, events, workersDone)
 	}()
 
 	var wg sync.WaitGroup
@@ -349,7 +369,7 @@ func Run(ctx context.Context, sched rechord.Scheduler, cfg Config) (*Result, err
 	}
 	wg.Wait()
 	close(workersDone)
-	applied := <-churnDone
+	<-churnDone
 	elapsed := time.Since(start)
 
 	// Merge the shards.
@@ -381,18 +401,68 @@ func Run(ctx context.Context, sched rechord.Scheduler, cfg Config) (*Result, err
 	if elapsed > 0 {
 		res.Throughput = float64(res.Ops) / elapsed.Seconds()
 	}
-	if e.cache != nil {
+	if !cfg.NoCache {
 		hits, misses := e.cache.Stats()
 		res.CacheHits, res.CacheMisses = hits-e.cacheHits0, misses-e.cacheMisses0
 	}
 	res.StoreFingerprint = e.store.Fingerprint()
 	res.StoreLen = e.store.Len()
-	return res, ctx.Err()
+	if err := ctx.Err(); err != nil {
+		return res, err
+	}
+	return res, churnErr
+}
+
+// publish levels the view with the network — every member's table, or
+// under NoCache the membership alone — and tells waiting clients that
+// a newer state is out. Only the churn driver calls it, and Run before
+// any client starts.
+func (e *engine) publish() {
+	if e.cfg.NoCache {
+		e.cache.Publish()
+	} else {
+		e.cache.PublishAll()
+	}
+	e.published.Add(1)
+}
+
+// Resolve is the store's resolver: the table lookup on the last
+// published view, lock-free, and when that cannot complete — or under
+// NoCache — the raw-state walk behind the step fence.
+func (e *engine) Resolve(from, key ident.ID) (ident.ID, int, error) {
+	if !e.cfg.NoCache {
+		owner, hops, err := e.cache.View().Resolve(from, key)
+		if err == nil || errors.Is(err, routing.ErrUnknownPeer) {
+			return owner, hops, err
+		}
+		e.fallbacks.Add(1)
+	}
+	e.netMu.RLock()
+	defer e.netMu.RUnlock()
+	return routing.Walker{NW: e.nw}.Resolve(from, key)
+}
+
+// awaitPublish parks a client whose lookup failed on the state
+// published as seq until the driver publishes a newer one. It reports
+// false when none is coming — no repair is in flight, so the failure
+// is real, or the run is canceled.
+func (e *engine) awaitPublish(ctx context.Context, seq int64) bool {
+	for e.published.Load() == seq {
+		if !e.repairing.Load() || ctx.Err() != nil {
+			return false
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
+	return true
 }
 
 // worker runs one client: a deterministic op stream (seeded RNG per
-// worker) executed against the store under the network read lock. It
-// returns early when the context is done.
+// worker) executed against the store over the last published view. An
+// operation whose routing fails while a repair is in flight (table
+// lookup and fallback walk both tripped over mid-repair state, or the
+// home departed under it) is retried on the next published state, at
+// the latest the settled one; only a failure no newer state can cure is
+// surfaced. It returns early when the context is done.
 func (e *engine) worker(ctx context.Context, w int, homes []ident.ID, start time.Time, out *workerResult) {
 	cfg := e.cfg
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(w+1)*int64(0x9E3779B97F4A7C15>>1)))
@@ -434,19 +504,23 @@ func (e *engine) worker(ctx context.Context, w int, homes []ident.ID, start time
 			cfg.Obs.InFlight.Add(1)
 		}
 		t0 := time.Now()
-		e.netMu.RLock()
-		home := e.aliveHome(homes, hi)
 		var hops int
 		var opErr error
-		switch kind {
-		case opGet:
-			_, hops, opErr = e.store.Get(home, key)
-		case opPut:
-			_, hops, opErr = e.store.Put(home, key, fmt.Sprintf("w%d#%d", w, i))
-		case opDelete:
-			_, hops, opErr = e.store.Delete(home, key)
+		for {
+			seq := e.published.Load()
+			home := aliveHome(e.cache.View(), homes, hi)
+			switch kind {
+			case opGet:
+				_, hops, opErr = e.store.Get(home, key)
+			case opPut:
+				_, hops, opErr = e.store.Put(home, key, fmt.Sprintf("w%d#%d", w, i))
+			case opDelete:
+				_, hops, opErr = e.store.Delete(home, key)
+			}
+			if opErr == nil || errorsIsNotFound(opErr) || !e.awaitPublish(ctx, seq) {
+				break
+			}
 		}
-		e.netMu.RUnlock()
 		lat := float64(time.Since(t0).Nanoseconds())
 		if cfg.Obs != nil {
 			cfg.Obs.InFlight.Add(-1)
@@ -505,56 +579,60 @@ func (e *engine) observeOp(w, kind int, lat float64, hops int, routed bool, opEr
 }
 
 // aliveHome returns homes[hi] or, when churn removed it, the next
-// still-present home clockwise in the snapshot (callers hold the
-// network read lock).
-func (e *engine) aliveHome(homes []ident.ID, hi int) ident.ID {
+// home clockwise in the pre-run snapshot that the view still lists.
+func aliveHome(v *routing.View, homes []ident.ID, hi int) ident.ID {
 	for range homes {
-		if e.nw.Peer(homes[hi]) != nil {
+		if v.Has(homes[hi]) {
 			return homes[hi]
 		}
 		hi = (hi + 1) % len(homes)
 	}
 	// Every pre-run home departed; fall back to any current peer.
-	return e.nw.Peers()[0]
+	return v.Peers()[0]
 }
 
 // churnDriver applies the pre-generated events, spaced by completed
 // ops, and steps whichever scheduler is active back to quiescence in
-// small chunks so client lookups interleave with mid-repair state
-// (under the asynchronous scheduler, with mid-flight delayed messages
-// too). After each event it rebalances the store onto the new
-// membership and prunes dead cache entries. Returns how many events
-// were applied.
+// small chunks, publishing after each so client lookups see mid-repair
+// states (under the asynchronous scheduler, with mid-flight delayed
+// messages too). After each settled event it rebalances the store onto
+// the new membership and prunes the departed peers' tables. It returns
+// how many events were applied, and an error when a repair ran out of
+// its round budget, which ends the churn with the network mid-repair.
 //
 // Cancellation stops the driver at every stage: while waiting for the
 // next event's op target, between re-stabilization chunks, and before
 // the post-event rebalance — no churn step runs after the context is
 // done and the current chunk finishes.
-func (e *engine) churnDriver(ctx context.Context, events []churn.Event, done <-chan struct{}) int {
-	applied := 0
+func (e *engine) churnDriver(ctx context.Context, events []churn.Event, done <-chan struct{}) (applied int, err error) {
+	// However the driver leaves, no client may keep waiting for it.
+	defer e.repairing.Store(false)
 	for i, ev := range events {
 		target := int64(i+1) * int64(e.cfg.Churn.EveryOps)
 		for e.opsDone.Load() < target {
 			select {
 			case <-ctx.Done():
-				return applied
+				return applied, nil
 			case <-done:
-				return applied
+				return applied, nil
 			default:
 				time.Sleep(100 * time.Microsecond)
 			}
 		}
 		if ctx.Err() != nil {
-			return applied
+			return applied, nil
 		}
+		e.repairing.Store(true)
 		e.netMu.Lock()
 		err := ev.Apply(e.nw)
 		e.netMu.Unlock()
 		if err != nil {
 			// The event list was generated against pre-run membership;
 			// an event that no longer applies is skipped.
+			e.repairing.Store(false)
 			continue
 		}
+		e.publish()
 		applied++
 		if e.cfg.Churn.OnApply != nil {
 			e.cfg.Churn.OnApply(ev)
@@ -562,44 +640,37 @@ func (e *engine) churnDriver(ctx context.Context, events []churn.Event, done <-c
 
 		maxRounds := sim.DefaultBudget(e.sched)
 		stepped := 0
-		canceled := false
-		for {
+		for quiescent := false; !quiescent; {
 			e.netMu.Lock()
-			quiescent := e.sched.Quiescent()
+			quiescent = e.sched.Quiescent()
 			for c := 0; c < e.cfg.Churn.StepChunk && !quiescent; c++ {
 				e.sched.Step()
 				stepped++
 				quiescent = e.sched.Quiescent()
 			}
 			e.netMu.Unlock()
-			if quiescent || stepped > maxRounds {
-				break
-			}
-			if ctx.Err() != nil {
+			e.publish()
+			switch {
+			case quiescent:
+			case stepped > maxRounds:
+				return applied, fmt.Errorf("%w: %s of %s after %d rounds", ErrUnsettled, ev.Kind, ev.ID, stepped)
+			case ctx.Err() != nil:
 				// Leave the network mid-repair but at a round barrier;
 				// the caller resumes or finishes the stabilization.
-				canceled = true
-				break
+				return applied, nil
 			}
-			runtime.Gosched()
-		}
-		if canceled {
-			return applied
 		}
 		if e.cfg.Churn.OnSettle != nil {
 			e.cfg.Churn.OnSettle(stepped)
 		}
 
-		// Hand the stored pairs to their new owners and drop cache
-		// entries whose peers changed or departed.
-		e.netMu.RLock()
+		// Hand the stored pairs to their new owners and drop the tables
+		// of departed peers (read-only: the sole mutator needs no fence).
 		_, _ = e.store.Rebalance()
-		if e.cache != nil {
-			e.cache.Prune()
-		}
-		e.netMu.RUnlock()
+		e.cache.Prune()
+		e.repairing.Store(false)
 	}
-	return applied
+	return applied, nil
 }
 
 // opsFor splits cfg.Ops across workers, remainder to the low indices.
