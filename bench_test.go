@@ -51,9 +51,10 @@ func BenchmarkFig5Convergence(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				normal += float64(res.Final.NormalEdges())
-				conn += float64(res.Final.ConnectionEdges)
-				virt += float64(res.Final.VirtualNodes)
+				final := sim.Measure(nw)
+				normal += float64(final.NormalEdges())
+				conn += float64(final.ConnectionEdges)
+				virt += float64(final.VirtualNodes)
 				rounds += float64(res.Rounds)
 			}
 			div := float64(b.N)
@@ -97,12 +98,12 @@ func BenchmarkFig7EdgeDensity(b *testing.B) {
 			var nodes, edges float64
 			for i := 0; i < b.N; i++ {
 				nw, _ := buildRandom(n, int64(i), 0)
-				res, err := sim.RunToStable(context.Background(), nw, sim.Options{})
-				if err != nil {
+				if _, err := sim.RunToStable(context.Background(), nw, sim.Options{}); err != nil {
 					b.Fatal(err)
 				}
-				nodes += float64(res.Final.TotalNodes())
-				edges += float64(res.Final.TotalEdges())
+				final := sim.Measure(nw)
+				nodes += float64(final.TotalNodes())
+				edges += float64(final.TotalEdges())
 			}
 			b.ReportMetric(nodes/float64(b.N), "total-nodes")
 			b.ReportMetric(edges/float64(b.N), "total-edges")

@@ -44,14 +44,15 @@ type Cluster struct {
 
 	// mu serializes network mutation (lifecycle, stabilization, write
 	// side) against routing reads (KV operations, read side). Mutators
-	// publish the router's view before they release it (publishView).
+	// publish the router's view (cache.Publish) before they release it,
+	// so the KV methods sharing the read side find the view current.
 	mu    sync.RWMutex
 	nw    *rechord.Network
 	sched rechord.Scheduler // the execution model: nw itself, or an async runner
 	store *dht.Store
-	cache *routing.Cache // nil when the router cache is disabled
-	rng   *rand.Rand     // guarded by mu (write side)
-	homes []ident.ID     // current membership, sorted; guarded by mu
+	cache *routing.Cache
+	rng   *rand.Rand // guarded by mu (write side)
+	homes []ident.ID // current membership, sorted; guarded by mu
 
 	homeCtr   atomic.Uint64
 	fallbacks atomic.Int64
@@ -69,11 +70,10 @@ type Cluster struct {
 }
 
 // New builds a cluster from the options. The default is 32 peers,
-// seed 1, already settled in the unique stable topology, with the
-// epoch-cached router enabled; non-stable topologies come back
-// un-stabilized and need one Stabilize(ctx) call. Construction errors
-// match ErrConfig (bad options) or ErrUnstable (the seeded stable
-// state failed verification).
+// seed 1, already settled in the unique stable topology; non-stable
+// topologies come back un-stabilized and need one Stabilize(ctx) call.
+// Construction errors match ErrConfig (bad options) or ErrUnstable (the
+// seeded stable state failed verification).
 func New(opts ...Option) (*Cluster, error) {
 	cfg := defaultConfig()
 	for _, o := range opts {
@@ -115,14 +115,8 @@ func New(opts ...Option) (*Cluster, error) {
 			Delay:          cfg.asyncDelay,
 		}, rand.New(rand.NewSource(cfg.seed^0x55AA55AA)))
 	}
-	var resolver dht.Resolver
-	if cfg.routerCache {
-		c.cache = routing.NewCache(nw)
-		resolver = routing.Failover{Cache: c.cache, Fallbacks: &c.fallbacks}
-	} else {
-		resolver = routing.Walker{NW: nw}
-	}
-	c.store = dht.NewWithResolver(nw, resolver)
+	c.cache = routing.NewCache(nw)
+	c.store = dht.NewWithResolver(nw, routing.Failover{Cache: c.cache, Fallbacks: &c.fallbacks})
 	return c, nil
 }
 
@@ -238,8 +232,6 @@ type StabilizeReport struct {
 	AlmostStableRound int
 	// Messages counts all protocol messages across the run.
 	Messages int
-	// Final is the converged topology snapshot.
-	Final RoundMetrics
 	// Series holds per-round metrics when requested.
 	Series []RoundMetrics
 }
@@ -296,13 +288,12 @@ func (c *Cluster) Stabilize(ctx context.Context, opts ...StabilizeOption) (Stabi
 		simOpt.Ideal = rechord.ComputeIdeal(c.nw.Peers())
 	}
 	res := sim.Run(ctx, c.sched, simOpt)
-	c.publishView()
+	c.cache.Publish()
 	rep := StabilizeReport{
 		Stable:            res.Stable,
 		Rounds:            res.Rounds,
 		AlmostStableRound: res.AlmostStableRound,
 		Messages:          res.TotalMessages,
-		Final:             res.Final,
 		Series:            res.Series,
 	}
 	if epoch := c.nw.EpochClock(); epoch != epoch0 {
@@ -317,9 +308,7 @@ func (c *Cluster) Stabilize(ctx context.Context, opts ...StabilizeOption) (Stabi
 	if _, err := c.store.Rebalance(); err != nil {
 		return rep, fmt.Errorf("%w: rebalance: %v", ErrUnknownPeer, err)
 	}
-	if c.cache != nil {
-		c.cache.Prune()
-	}
+	c.cache.Prune()
 	c.bus.publish(Event{Kind: EventRegionSettled, Rounds: rep.Rounds, Peers: c.nw.NumPeers(), Round: c.clock()})
 	return rep, nil
 }
@@ -500,11 +489,8 @@ func (c *Cluster) DOT() string {
 }
 
 // CacheStats returns the router cache's hit/miss counters and how many
-// table-route failures fell back to the state walk (all zero when the
-// cache is disabled).
+// table-route failures fell back to the state walk.
 func (c *Cluster) CacheStats() (hits, misses uint64, fallbacks int64) {
-	if c.cache != nil {
-		hits, misses = c.cache.Stats()
-	}
+	hits, misses = c.cache.Stats()
 	return hits, misses, c.fallbacks.Load()
 }

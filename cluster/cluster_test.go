@@ -469,38 +469,3 @@ func TestTopologiesStabilize(t *testing.T) {
 		c.Close()
 	}
 }
-
-// TestNoCacheMatchesCached: the router-cache option changes routing
-// cost, never results.
-func TestNoCacheMatchesCached(t *testing.T) {
-	ctx := context.Background()
-	cached, err := New(WithSize(16), WithSeed(21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cached.Close()
-	walk, err := New(WithSize(16), WithSeed(21), WithRouterCache(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer walk.Close()
-	for i := 0; i < 64; i++ {
-		k := fmt.Sprintf("k%03d", i)
-		o1, _, err1 := cached.Lookup(ctx, k)
-		o2, _, err2 := walk.Lookup(ctx, k)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("lookup %s: %v / %v", k, err1, err2)
-		}
-		if o1 != o2 {
-			t.Fatalf("lookup %s: cached owner %s, walk owner %s", k, o1, o2)
-		}
-	}
-	hits, misses, _ := cached.CacheStats()
-	if hits == 0 {
-		t.Error("cached cluster recorded no hits")
-	}
-	if h, m, _ := walk.CacheStats(); h != 0 || m != 0 {
-		t.Errorf("cache-disabled cluster recorded cache traffic: %d hits, %d misses", h, m)
-	}
-	_ = misses
-}

@@ -45,8 +45,12 @@
 // context cancellation, observed between protocol rounds, so the
 // network is always released at a round barrier in a consistent,
 // steppable state. RunWorkload's internal interleaving (lookups racing
-// re-stabilization mid-churn) happens inside the workload engine, whose
-// clients route over the published view and wait for no lock.
+// re-stabilization mid-churn) happens inside the workload engine, which
+// has no lock at all: its clients route over the published view and
+// retry on the next one when a mid-repair table cannot complete a
+// lookup. The facade keeps the simpler pull-mode design for its own KV
+// methods, which have no publisher to wait for: under the read side, a
+// table route that fails falls back to the state walk.
 //
 // # Event-stream contract
 //

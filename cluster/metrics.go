@@ -42,11 +42,9 @@ func (c *Cluster) Metrics() MetricsSnapshot {
 		Workload:      c.met.Snapshot(),
 		EventsDropped: c.bus.dropped.Load(),
 	}
-	if c.cache != nil {
-		s.Routing.CacheHits, s.Routing.CacheMisses = c.cache.Stats()
-		s.Routing.CacheInvalidations = c.cache.Invalidations()
-		s.Routing.CacheEntries = c.cache.Len()
-	}
+	s.Routing.CacheHits, s.Routing.CacheMisses = c.cache.Stats()
+	s.Routing.CacheInvalidations = c.cache.Invalidations()
+	s.Routing.CacheEntries = c.cache.Len()
 	s.Routing.Fallbacks = c.fallbacks.Load()
 	s.Routing.LookupHops = obs.SummarizeHist(c.met.Hops.Merged())
 	s.Wire = c.wire.Snapshot() // nil-safe: all-zero without WithWireMetrics
@@ -69,18 +67,13 @@ func (c *Cluster) TraceLookup(ctx context.Context, key string) (*LookupTrace, er
 	from := c.home()
 	kid := dht.KeyID(key)
 	tr := &LookupTrace{}
-	var err error
-	if c.cache != nil {
-		_, _, err = c.cache.RouteTraced(from, kid, tr)
-		if err != nil {
-			// Mirror the serving path's failover: the state walk
-			// tolerates the mid-stabilization state the table route
-			// tripped over. The cache attribution of the failed
-			// attempt is kept; the path is the walk's.
-			tr.Failover = true
-			_, _, err = routing.Walker{NW: c.nw}.ResolveTraced(from, kid, tr)
-		}
-	} else {
+	_, _, err := c.cache.RouteTraced(from, kid, tr)
+	if err != nil {
+		// Mirror the serving path's failover: the state walk tolerates
+		// the mid-stabilization state the table route tripped over. The
+		// cache attribution of the failed attempt is kept; the path is
+		// the walk's.
+		tr.Failover = true
 		_, _, err = routing.Walker{NW: c.nw}.ResolveTraced(from, kid, tr)
 	}
 	if err != nil {

@@ -50,7 +50,6 @@ type config struct {
 	seed              int64
 	topology          string
 	workers           int
-	routerCache       bool
 	disableRing       bool
 	disableConnection bool
 	async             bool
@@ -60,7 +59,7 @@ type config struct {
 }
 
 func defaultConfig() config {
-	return config{size: 32, seed: 1, topology: TopologyStable, routerCache: true}
+	return config{size: 32, seed: 1, topology: TopologyStable}
 }
 
 // Option configures a Cluster at construction time.
@@ -84,12 +83,6 @@ func WithTopology(name string) Option { return func(c *config) { c.topology = na
 // run rules within a round (0 = all cores, 1 = serial). The result is
 // identical for any value.
 func WithWorkers(w int) Option { return func(c *config) { c.workers = w } }
-
-// WithRouterCache enables or disables the epoch-cached table router on
-// the KV path (default enabled). Disabled, every operation routes
-// through the state-walk router — the baseline the cache is measured
-// against.
-func WithRouterCache(on bool) Option { return func(c *config) { c.routerCache = on } }
 
 // WithAblation disables rule 5 (ring edges) and/or rule 6 (connection
 // edges), the paper's ablations. An ablated cluster cannot use the

@@ -18,15 +18,6 @@ var peerEvents = map[churn.Kind]EventKind{
 	churn.Fail:  EventPeerFailed,
 }
 
-// publishView levels the router's view with the network. Every facade
-// method that mutates the network does so before it releases the write
-// lock, so the KV methods sharing the read side find the view current.
-func (c *Cluster) publishView() {
-	if c.cache != nil {
-		c.cache.Publish()
-	}
-}
-
 // applyEvent executes one membership change and publishes it — to the
 // router's view, and on the event stream as soon as it is visible,
 // before any repair (the stream's contract). Callers hold the write
@@ -36,7 +27,7 @@ func (c *Cluster) applyEvent(ev churn.Event) error {
 		return fmt.Errorf("%w: %s: %v", ErrUnknownPeer, ev.Kind, err)
 	}
 	c.refreshHomes()
-	c.publishView()
+	c.cache.Publish()
 	c.bus.publish(Event{Kind: peerEvents[ev.Kind], Peer: PeerID(ev.ID), Round: c.clock()})
 	return nil
 }
@@ -56,9 +47,7 @@ func (c *Cluster) restoreInvariants(epoch0 int) error {
 	if _, rerr := c.store.Rebalance(); rerr != nil {
 		err = fmt.Errorf("%w: rebalance: %v", ErrUnknownPeer, rerr)
 	}
-	if c.cache != nil {
-		c.cache.Prune()
-	}
+	c.cache.Prune()
 	if epoch := c.nw.EpochClock(); epoch != epoch0 {
 		c.bus.publish(Event{Kind: EventEpochBumped, Epoch: epoch, Round: c.clock()})
 	}
@@ -67,8 +56,7 @@ func (c *Cluster) restoreInvariants(epoch0 int) error {
 
 // WorkloadConfig parameterizes one RunWorkload call. The zero value of
 // every field means "engine default"; only Ops or Duration must be
-// set. Whether operations route through the epoch-cached router is the
-// cluster's WithRouterCache option, not a per-run knob.
+// set.
 type WorkloadConfig struct {
 	// Workers is the number of concurrent client workers (default 4).
 	Workers int
@@ -103,10 +91,6 @@ type WorkloadConfig struct {
 	// ChurnEveryOps spaces consecutive events by completed operations
 	// (default: spread evenly across the run).
 	ChurnEveryOps int
-	// ChurnStepChunk is how many repair rounds the churn driver runs
-	// between two publishes of the routing view while re-stabilizing
-	// (default 4).
-	ChurnStepChunk int
 }
 
 // OpReport is the telemetry of one operation kind (re-exported from
@@ -159,13 +143,11 @@ func (c *Cluster) RunWorkload(ctx context.Context, cfg WorkloadConfig) (*Workloa
 		Preload:       cfg.Preload,
 		Seed:          cfg.Seed,
 		Rate:          cfg.Rate,
-		NoCache:       !c.cfg.routerCache,
 		Cache:         c.cache,
 		Obs:           c.met,
 		Churn: workload.ChurnConfig{
-			Events:    cfg.ChurnEvents,
-			EveryOps:  cfg.ChurnEveryOps,
-			StepChunk: cfg.ChurnStepChunk,
+			Events:   cfg.ChurnEvents,
+			EveryOps: cfg.ChurnEveryOps,
 			// Engine-driven events carry no Round: the callbacks run on
 			// the churn-driver goroutine, which may not read the round
 			// counter while workers are mid-operation.

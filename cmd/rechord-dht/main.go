@@ -51,7 +51,6 @@ func run(args []string, stdout io.Writer) error {
 		keysp   = fs.Int("keyspace", 4096, "workload: distinct keys")
 		dist    = fs.String("dist", cluster.DistUniform, "workload: key distribution (uniform, zipf, hotspot)")
 		rate    = fs.Float64("rate", 0, "workload: open-loop target ops/sec (0 = closed loop)")
-		nocache = fs.Bool("nocache", false, "disable the epoch-cached table router")
 		model   = fs.String("model", "sync", "execution model: sync or async (re-stabilization under the asynchronous adversary)")
 		asyncP  = fs.Float64("async-p", 0.5, "async: per-step activation probability in (0, 1]")
 		delay   = fs.String("delay", "", "async: message delay model (uniform:MAX, geometric:P[:MAX], pareto:ALPHA[:MAX]; empty = delay 1)")
@@ -87,7 +86,6 @@ func run(args []string, stdout io.Writer) error {
 	opts := []cluster.Option{
 		cluster.WithSize(*n),
 		cluster.WithSeed(*seed),
-		cluster.WithRouterCache(!*nocache),
 	}
 	explicit := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
@@ -134,12 +132,12 @@ func run(args []string, stdout io.Writer) error {
 		Seed:         *seed,
 		Rate:         *rate,
 		ChurnEvents:  *events,
-	}, !*nocache)
+	})
 }
 
-func runWorkload(c *cluster.Cluster, stdout io.Writer, cfg cluster.WorkloadConfig, cached bool) error {
-	fmt.Fprintf(stdout, "workload: %d workers, %d ops, %s keys over %d, churn %d, cache %v\n",
-		cfg.Workers, cfg.Ops, cfg.Distribution, cfg.Keyspace, cfg.ChurnEvents, cached)
+func runWorkload(c *cluster.Cluster, stdout io.Writer, cfg cluster.WorkloadConfig) error {
+	fmt.Fprintf(stdout, "workload: %d workers, %d ops, %s keys over %d, churn %d\n",
+		cfg.Workers, cfg.Ops, cfg.Distribution, cfg.Keyspace, cfg.ChurnEvents)
 	res, err := c.RunWorkload(context.Background(), cfg)
 	if err != nil {
 		return err
@@ -162,12 +160,9 @@ func runWorkload(c *cluster.Cluster, stdout io.Writer, cfg cluster.WorkloadConfi
 		return err
 	}
 	fmt.Fprintln(stdout)
-	if cached {
-		total := res.CacheHits + res.CacheMisses
-		if total > 0 {
-			fmt.Fprintf(stdout, "routing cache: %d hits / %d misses (%.1f%% hit rate), %d table-route fallbacks\n",
-				res.CacheHits, res.CacheMisses, 100*float64(res.CacheHits)/float64(total), res.Fallbacks)
-		}
+	if total := res.CacheHits + res.CacheMisses; total > 0 {
+		fmt.Fprintf(stdout, "routing cache: %d hits / %d misses (%.1f%% hit rate), %d lookups retried on a later view\n",
+			res.CacheHits, res.CacheMisses, 100*float64(res.CacheHits)/float64(total), res.Fallbacks)
 	}
 	fmt.Fprintf(stdout, "churn events applied: %d; final store: %d keys, fingerprint %016x; ops fingerprint %016x\n",
 		res.ChurnApplied, res.StoreLen, res.StoreFingerprint, res.OpsFingerprint)

@@ -115,9 +115,10 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintln(stdout, "final state matches the oracle stable topology")
 	}
 	fmt.Fprintf(stdout, "messages: %d\n", rep.Messages)
+	final := c.Topology()
 	fmt.Fprintf(stdout, "final: %d real + %d virtual nodes, %d unmarked + %d ring + %d connection edges\n",
-		rep.Final.RealNodes, rep.Final.VirtualNodes,
-		rep.Final.UnmarkedEdges, rep.Final.RingEdges, rep.Final.ConnectionEdges)
+		final.RealNodes, final.VirtualNodes,
+		final.UnmarkedEdges, final.RingEdges, final.ConnectionEdges)
 
 	if *series {
 		tab := export.NewTable("per-round series",

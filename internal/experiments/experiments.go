@@ -95,13 +95,14 @@ func Fig5(cfg Config) (*Result, error) {
 	for _, n := range cfg.Sizes {
 		var ne, ce, vn []float64
 		for rep := 0; rep < cfg.Reps; rep++ {
-			res, _, err := cfg.runOne(n, rep, topogen.Random())
+			_, nw, err := cfg.runOne(n, rep, topogen.Random())
 			if err != nil {
 				return nil, err
 			}
-			ne = append(ne, float64(res.Final.NormalEdges()))
-			ce = append(ce, float64(res.Final.ConnectionEdges))
-			vn = append(vn, float64(res.Final.VirtualNodes))
+			final := sim.Measure(nw)
+			ne = append(ne, float64(final.NormalEdges()))
+			ce = append(ce, float64(final.ConnectionEdges))
+			vn = append(vn, float64(final.VirtualNodes))
 		}
 		sne, sce, svn := stats.Summarize(ne), stats.Summarize(ce), stats.Summarize(vn)
 		tab.AddRow(n, sne.Mean, sce.Mean, svn.Mean)
@@ -188,13 +189,14 @@ func Fig7(cfg Config) (*Result, error) {
 	var xs, ys []float64
 	for _, n := range cfg.Sizes {
 		for rep := 0; rep < cfg.Reps; rep++ {
-			res, _, err := cfg.runOne(n, rep, topogen.Random())
+			_, nw, err := cfg.runOne(n, rep, topogen.Random())
 			if err != nil {
 				return nil, err
 			}
-			tn := float64(res.Final.TotalNodes())
-			te := float64(res.Final.TotalEdges())
-			tab.AddRow(res.Final.TotalNodes(), res.Final.TotalEdges())
+			final := sim.Measure(nw)
+			tn := float64(final.TotalNodes())
+			te := float64(final.TotalEdges())
+			tab.AddRow(final.TotalNodes(), final.TotalEdges())
 			xs = append(xs, tn)
 			ys = append(ys, te)
 		}
@@ -495,16 +497,17 @@ func Budget(cfg Config) (*Result, error) {
 	tab := export.NewTable("Section 2.2 edge budgets at stabilization",
 		"real_nodes", "eu_plus_er", "4x_chord_slots", "within_bound", "connection_edges", "n_log2_n")
 	for _, n := range cfg.Sizes {
-		res, nw, err := cfg.runOne(n, 0, topogen.Random())
+		_, nw, err := cfg.runOne(n, 0, topogen.Random())
 		if err != nil {
 			return nil, err
 		}
 		idl := rechord.ComputeIdeal(nw.Peers())
 		slots := idl.ChordEdgeSlots()
-		eur := res.Final.NormalEdges()
+		final := sim.Measure(nw)
+		eur := final.NormalEdges()
 		within := eur <= 4*slots
 		nl := nLog2(n)
-		tab.AddRow(n, eur, 4*slots, within, res.Final.ConnectionEdges, nl)
+		tab.AddRow(n, eur, 4*slots, within, final.ConnectionEdges, nl)
 		if !within {
 			return nil, fmt.Errorf("experiments: edge budget violated at n=%d: %d > 4*%d", n, eur, slots)
 		}

@@ -417,7 +417,7 @@ func (a *AsyncRunner) planFlow(n *RealNode, p *prepOut, w *worker) {
 // recipient's inbox now (delay 1, the synchronous timing: consumed next
 // step) or queue a delivery event. Serial and ordered, so the rng draw
 // sequence is reproducible for any worker count.
-func (a *AsyncRunner) emitFlow(n *RealNode, tpl *flowTemplate, ops []bucketOp) {
+func (a *AsyncRunner) emitFlow(n *RealNode, tpl *flowTemplate, ops []bucketOp, _ bool) {
 	nw := a.nw
 	for _, op := range ops {
 		if !op.oneShot {

@@ -87,9 +87,11 @@ type flowRouter interface {
 	// writes only w. p.outChanged, p.stateChanged and p.newFlow are set.
 	planFlow(n *RealNode, p *prepOut, w *worker)
 	// emitFlow runs after the commit, serially and in active order, with
-	// the template the ops point into: whatever the scheduler sends
-	// besides standing buckets (delayed one-shots, sink mirrors).
-	emitFlow(n *RealNode, tpl *flowTemplate, ops []bucketOp)
+	// the template the ops point into, for every sender that has ops or
+	// whose published state (level span or an rl/rr entry) moved this
+	// batch: whatever the scheduler sends besides standing buckets
+	// (delayed one-shots, sink mirrors, state publishes).
+	emitFlow(n *RealNode, tpl *flowTemplate, ops []bucketOp, published bool)
 }
 
 // worker is one pool goroutine's execution arena (workers[0] doubles as
@@ -107,12 +109,14 @@ type worker struct {
 	realID                            []ident.ID
 
 	// Freeze scratch: the output-diff cursors, the recipient and symbol
-	// collectors of freezeFlow, and the stateDeps diff buffers.
+	// collectors of freezeFlow, the stateDeps diff buffers, and the
+	// per-level entries prepare publishes.
 	cursors []uint32
 	spans   []flowSpan
 	syms    []ident.ID
 	owners  []ident.ID
 	counts  []ownerCount
+	views   []PublishedView
 
 	tally
 
@@ -338,7 +342,6 @@ func (nw *Network) preparePhase(w *worker, i int) {
 	p := &nw.prep[i]
 	v0, o0, d0 := len(w.viewRefs), len(w.ops), len(w.deps)
 
-	id := n.id
 	// Publish the peer's level so other peers' purges detect stale
 	// references to its deleted virtual nodes. Own-slot write: nothing
 	// else reads maxLv or the view during prepare.
@@ -348,29 +351,15 @@ func (nw *Network) preparePhase(w *worker, i int) {
 		p.ownerChanged = true
 	}
 	// Publish rl/rr changes (including entries of deleted levels).
-	vs := nw.view[slot]
-	for lvl := newMax + 1; lvl < len(vs); lvl++ {
-		if vs[lvl] != (viewEntry{}) {
-			w.viewRefs = append(w.viewRefs, ref.Virtual(id, lvl))
-		}
-	}
-	if len(vs) > newMax+1 {
-		vs = vs[:newMax+1]
-	}
-	for len(vs) <= newMax {
-		vs = append(vs, viewEntry{})
-	}
-	for lvl, v := range n.vnodes {
-		cur := viewEntry{}
+	w.views = w.views[:0]
+	for _, v := range n.vnodes {
+		e := PublishedView{}
 		if v != nil {
-			cur = publish(v)
+			e = publish(v)
 		}
-		if vs[lvl] != cur {
-			vs[lvl] = cur
-			w.viewRefs = append(w.viewRefs, ref.Virtual(id, lvl))
-		}
+		w.views = append(w.views, e)
 	}
-	nw.view[slot] = vs
+	w.viewRefs = nw.publishViews(slot, n.id, w.views, w.viewRefs)
 
 	if p.stateChanged {
 		// The peer's edge sets changed: re-derive its dependency

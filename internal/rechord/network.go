@@ -63,23 +63,24 @@ type RoundStats struct {
 	VirtualKilled int
 }
 
-// viewEntry is one virtual node's published rl/rr state, readable by
-// other peers' rule-3 guards (the state-reading model). The zero value
-// means "nothing published".
-type viewEntry struct {
-	rl, rr       ref.Ref
-	hasRL, hasRR bool
+// PublishedView is one virtual node's published rl/rr state, readable
+// by other peers' rule-3 guards (the state-reading model) and
+// replicated as is to the processes of a partitioned run. The zero
+// value means "nothing published".
+type PublishedView struct {
+	RL, RR       ref.Ref
+	HasRL, HasRR bool
 }
 
 // publish extracts the published tuple of a virtual node, normalized
 // so that unset sides carry a zero ref and absent == zero entry.
-func publish(v *VNode) viewEntry {
-	var e viewEntry
+func publish(v *VNode) PublishedView {
+	var e PublishedView
 	if v.HasRL {
-		e.hasRL, e.rl = true, v.RL
+		e.HasRL, e.RL = true, v.RL
 	}
 	if v.HasRR {
-		e.hasRR, e.rr = true, v.RR
+		e.HasRR, e.RR = true, v.RR
 	}
 	return e
 }
@@ -109,7 +110,7 @@ type Network struct {
 	// concurrently during the parallel phase, writes happen only
 	// between phases. A zero entry means "nothing published" (the old
 	// map representation only stored non-zero entries).
-	view [][]viewEntry
+	view [][]PublishedView
 
 	// vhash is the per-(slot, level) content hash of every peer's
 	// virtual nodes, the incremental settle check's state (see
@@ -179,8 +180,8 @@ type Network struct {
 	commitW int
 
 	// ownerChangedB/viewChangedB are the reusable per-barrier change
-	// sets feeding wakeDependents and onBarrier — cleared, never
-	// reallocated, after each batch.
+	// sets feeding wakeDependents — cleared, never reallocated, after
+	// each batch.
 	ownerChangedB map[ident.ID]bool
 	viewChangedB  map[ref.Ref]bool
 
@@ -191,14 +192,6 @@ type Network struct {
 	// counter at the barrier. Embedded by value so a zero-constructed
 	// Network is still safe to step.
 	met obs.EngineMetrics
-
-	// onBarrier, when set, observes the batch barrier's change sets
-	// right where wakeDependents consumes them: the owners whose level
-	// span moved and the virtual refs whose published view changed this
-	// batch. Partitioned schedulers hook it to forward view updates to
-	// the processes hosting the dependents (see partition.go); the maps
-	// are the barrier's own and must not be retained.
-	onBarrier func(owners map[ident.ID]bool, refs map[ref.Ref]bool)
 }
 
 // Obs returns the engine's telemetry counters. The returned metrics
@@ -216,7 +209,7 @@ func NewNetwork(cfg Config) *Network {
 func (nw *Network) Reserve(n int) {
 	nw.pt.reserve(n)
 	if cap(nw.view)-len(nw.view) < n {
-		nw.view = append(make([][]viewEntry, 0, len(nw.view)+n), nw.view...)
+		nw.view = append(make([][]PublishedView, 0, len(nw.view)+n), nw.view...)
 	}
 	if cap(nw.vhash)-len(nw.vhash) < n {
 		nw.vhash = append(make([][]uint64, 0, len(nw.vhash)+n), nw.vhash...)
@@ -246,7 +239,7 @@ func (nw *Network) AddPeer(id ident.ID) *RealNode {
 		nw.stateDeps = append(nw.stateDeps, nil)
 	}
 	nw.view[slot] = nw.view[slot][:0]
-	nw.view[slot] = append(nw.view[slot], viewEntry{})
+	nw.view[slot] = append(nw.view[slot], PublishedView{})
 	nw.vhash[slot] = append(nw.vhash[slot][:0], hashVNode(n.vnodes[0]))
 	nw.stateDeps[slot] = nw.stateDeps[slot][:0] // a fresh peer references nothing
 	nw.bumpEpoch(n)
@@ -470,16 +463,42 @@ func (nw *Network) Round() int { return nw.round }
 // node: the round-start state rule 3's guards consult. Unknown peers
 // and out-of-span levels read as the zero entry, exactly like the
 // absent keys of the old ref-keyed map.
-func (nw *Network) viewOf(r ref.Ref) viewEntry {
+func (nw *Network) viewOf(r ref.Ref) PublishedView {
 	slot, ok := nw.pt.lookup(r.Owner)
 	if !ok {
-		return viewEntry{}
+		return PublishedView{}
 	}
 	vs := nw.view[slot]
 	if r.Level >= len(vs) {
-		return viewEntry{}
+		return PublishedView{}
 	}
 	return vs[r.Level]
+}
+
+// publishViews replaces the slot's published entries with next, one per
+// level of the owner, and appends to changed the virtual refs whose
+// entry moved (those of levels that no longer exist included): the
+// publish diff of the barrier's prepare and of a partition's replica
+// alike, so both wake exactly the same dependents.
+func (nw *Network) publishViews(slot uint32, owner ident.ID, next []PublishedView, changed []ref.Ref) []ref.Ref {
+	vs := nw.view[slot]
+	for lvl := len(next); lvl < len(vs); lvl++ {
+		if vs[lvl] != (PublishedView{}) {
+			changed = append(changed, ref.Virtual(owner, lvl))
+		}
+	}
+	vs = vs[:min(len(vs), len(next))]
+	for lvl, e := range next {
+		if lvl == len(vs) {
+			vs = append(vs, PublishedView{})
+		}
+		if vs[lvl] != e {
+			vs[lvl] = e
+			changed = append(changed, ref.Virtual(owner, lvl))
+		}
+	}
+	nw.view[slot] = vs
+	return changed
 }
 
 // resolve maps a reference onto a node that currently exists: dead
@@ -613,16 +632,14 @@ func (nw *Network) Step() RoundStats {
 			}
 		}
 	}
-	stats, _ := nw.stepRound(nil, !nw.cfg.FullSweep)
-	return stats
+	return nw.stepRound(nil, !nw.cfg.FullSweep)
 }
 
 // stepRound is the body of one round for both round schedulers: drain
 // the frontier, keep the slots whose peer passes keep (nil keeps all; a
-// Partition keeps its hosted peers), and run the batch. ran reports
-// whether a batch ran; a round without one is the identity on the
-// global state.
-func (nw *Network) stepRound(keep func(ident.ID) bool, settle bool) (stats RoundStats, ran bool) {
+// Partition keeps its hosted peers), and run the batch. A round with
+// nothing to run is the identity on the global state.
+func (nw *Network) stepRound(keep func(ident.ID) bool, settle bool) (stats RoundStats) {
 	nw.round++
 	nw.met.Steps.Inc()
 	stats = RoundStats{Round: nw.round}
@@ -640,14 +657,13 @@ func (nw *Network) stepRound(keep func(ident.ID) bool, settle bool) (stats Round
 		active, nw.active = kept, kept
 	}
 	stats.Activated = len(active)
-	ran = len(active) > 0
-	if ran && nw.runBatch(active, settle, &stats) {
+	if len(active) > 0 && nw.runBatch(active, settle, &stats) {
 		nw.lastChange = nw.round
 	}
 	// At quiescence the standing buckets are exactly the messages every
 	// peer keeps regenerating, so the per-round flow is their count.
 	stats.MessagesSent = nw.bucketMsgs
-	return stats, ran
+	return stats
 }
 
 // collectFrontier drains the frontier into a deterministic active list
@@ -742,9 +758,10 @@ func (nw *Network) epilogue(active []uint32, settle bool, stats *RoundStats) (ch
 		for _, r := range p.viewRefs {
 			viewChanged[r] = true
 		}
-		if nw.router != nil && len(p.ops) > 0 {
+		published := p.ownerChanged || len(p.viewRefs) > 0
+		if nw.router != nil && (len(p.ops) > 0 || published) {
 			rt := time.Now()
-			nw.router.emitFlow(n, p.flow(n), p.ops)
+			nw.router.emitFlow(n, p.flow(n), p.ops, published)
 			emitNS += time.Since(rt)
 		}
 		if settle {
@@ -787,9 +804,6 @@ func (nw *Network) epilogue(active []uint32, settle bool, stats *RoundStats) (ch
 		fBefore := len(nw.frontier)
 		nw.wakeDependents(ownerChanged, viewChanged)
 		woken = len(nw.frontier) - fBefore
-		if nw.onBarrier != nil {
-			nw.onBarrier(ownerChanged, viewChanged)
-		}
 		clear(ownerChanged)
 		clear(viewChanged)
 	}

@@ -2,6 +2,7 @@ package rechord
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ident"
 	"repro/internal/ref"
@@ -51,13 +52,6 @@ type OneShot struct {
 	Msgs []Message
 }
 
-// PublishedView is one virtual level's published rl/rr tuple, the wire
-// form of the engine's internal view entry.
-type PublishedView struct {
-	RL, RR       ref.Ref
-	HasRL, HasRR bool
-}
-
 // PeerPublish replicates one hosted peer's published state — max
 // virtual level and the full per-level view — to the processes holding
 // it as a stub. Receivers diff it against their replica, so applying
@@ -89,10 +83,10 @@ type Partition struct {
 	hosted func(ident.ID) bool
 	sink   PartitionSink
 
-	// pub accumulates, during a batch, the hosted owners whose
-	// published state (view or max level) changed and must be
-	// broadcast after the batch.
-	pub map[ident.ID]bool
+	// pub lists, in identifier order, the slots of the hosted owners
+	// whose published state (view or max level) changed in the running
+	// batch and must be broadcast after it.
+	pub []uint32
 }
 
 var _ Scheduler = (*Partition)(nil)
@@ -100,10 +94,9 @@ var _ Scheduler = (*Partition)(nil)
 // NewPartition wraps the network for partitioned execution. hosted
 // decides which peers this process runs; sink (may be nil for
 // single-process use) receives the cross-partition effects. The
-// network's barrier hook and flow router are claimed by the partition.
+// network's flow router is claimed by the partition.
 func NewPartition(nw *Network, hosted func(ident.ID) bool, sink PartitionSink) *Partition {
-	p := &Partition{nw: nw, hosted: hosted, sink: sink, pub: make(map[ident.ID]bool)}
-	nw.onBarrier = p.captureBarrier
+	p := &Partition{nw: nw, hosted: hosted, sink: sink}
 	nw.router = p
 	return p
 }
@@ -164,10 +157,8 @@ func (p *Partition) HostedPeers() int {
 // other processes' effects (ApplyBucket/ApplyOneShot/ApplyPublish)
 // before the next Step.
 func (p *Partition) Step() RoundStats {
-	stats, ran := p.nw.stepRound(p.hosted, true)
-	if ran {
-		p.flushPublishes()
-	}
+	stats := p.nw.stepRound(p.hosted, true)
+	p.flushPublishes()
 	return stats
 }
 
@@ -177,10 +168,19 @@ func (p *Partition) Step() RoundStats {
 func (p *Partition) planFlow(n *RealNode, pr *prepOut, w *worker) { p.nw.planRewrite(n, pr, w) }
 
 // emitFlow mirrors every bucket op that changed a remote recipient's
-// standing input to the sink, in plan order.
-func (p *Partition) emitFlow(n *RealNode, tpl *flowTemplate, ops []bucketOp) {
+// standing input to the sink, in plan order, and notes a sender whose
+// published state moved for the broadcast that follows the batch. An
+// owner-level change (max level moved) and any per-level view change
+// funnel into one full-state publish — receivers diff, so the wake sets
+// stay exact — and the epilogue's active order is identifier order, so
+// the sink stream (and with it frame contents and the wire's
+// symbol-table assignment) is identical between identical runs.
+func (p *Partition) emitFlow(n *RealNode, tpl *flowTemplate, ops []bucketOp, published bool) {
 	if p.sink == nil {
 		return
+	}
+	if published {
+		p.pub = append(p.pub, n.idx)
 	}
 	for _, op := range ops {
 		dst := p.nw.pt.ids[op.dstSlot]
@@ -195,55 +195,16 @@ func (p *Partition) emitFlow(n *RealNode, tpl *flowTemplate, ops []bucketOp) {
 	}
 }
 
-// captureBarrier is the Network.onBarrier hook: it records which
-// hosted owners must re-broadcast their published state. Both an
-// owner-level change (max level moved) and any per-level view change
-// funnel into one full-state publish — receivers diff, so the wake
-// sets stay exact.
-func (p *Partition) captureBarrier(owners map[ident.ID]bool, refs map[ref.Ref]bool) {
-	for id := range owners {
-		if p.hosted(id) {
-			p.pub[id] = true
-		}
-	}
-	for r := range refs {
-		if p.hosted(r.Owner) {
-			p.pub[r.Owner] = true
-		}
-	}
-}
-
-// flushPublishes emits the batch's accumulated state publishes.
+// flushPublishes emits the batch's state publishes.
 func (p *Partition) flushPublishes() {
-	if p.sink == nil {
-		clear(p.pub)
-		return
-	}
-	// Identifier order, not map order: the sink stream (and with it frame
-	// contents and the wire's symbol-table assignment) must be identical
-	// between identical runs.
-	ids := make([]ident.ID, 0, len(p.pub))
-	for id := range p.pub {
-		ids = append(ids, id)
-	}
-	ident.Sort(ids)
-	for _, id := range ids {
-		slot, ok := p.nw.pt.lookup(id)
-		if !ok {
-			continue // departed between batch and flush (same-round op cannot happen, but stay safe)
-		}
-		src := p.nw.view[slot]
-		views := make([]PublishedView, len(src))
-		for i, e := range src {
-			views[i] = PublishedView{RL: e.rl, RR: e.rr, HasRL: e.hasRL, HasRR: e.hasRR}
-		}
+	for _, slot := range p.pub {
 		p.sink.PublishState(PeerPublish{
-			Owner:    id,
+			Owner:    p.nw.pt.ids[slot],
 			MaxLevel: int(p.nw.pt.maxLv[slot]),
-			Views:    views,
+			Views:    slices.Clone(p.nw.view[slot]),
 		})
 	}
-	clear(p.pub)
+	p.pub = p.pub[:0]
 }
 
 // ApplyBucket installs a remote sender's standing contribution. Safe
@@ -303,40 +264,15 @@ func (p *Partition) ApplyPublish(u PeerPublish) {
 		nw.pt.maxLv[slot] = int32(u.MaxLevel)
 		owners = map[ident.ID]bool{u.Owner: true}
 	}
-	var refs map[ref.Ref]bool
-	markRef := func(lvl int) {
-		if refs == nil {
-			refs = make(map[ref.Ref]bool)
-		}
-		refs[ref.Virtual(u.Owner, lvl)] = true
+	changed := nw.publishViews(slot, u.Owner, u.Views, nil)
+	if len(owners) == 0 && len(changed) == 0 {
+		return
 	}
-	vs := nw.view[slot]
-	for lvl := len(u.Views); lvl < len(vs); lvl++ {
-		if vs[lvl] != (viewEntry{}) {
-			markRef(lvl)
-		}
+	refs := make(map[ref.Ref]bool, len(changed))
+	for _, r := range changed {
+		refs[r] = true
 	}
-	if len(u.Views) < len(vs) {
-		vs = vs[:len(u.Views)]
-	}
-	for lvl, pv := range u.Views {
-		e := viewEntry{rl: pv.RL, rr: pv.RR, hasRL: pv.HasRL, hasRR: pv.HasRR}
-		if lvl < len(vs) {
-			if vs[lvl] != e {
-				vs[lvl] = e
-				markRef(lvl)
-			}
-		} else {
-			vs = append(vs, e)
-			if e != (viewEntry{}) {
-				markRef(lvl)
-			}
-		}
-	}
-	nw.view[slot] = vs
-	if len(owners) > 0 || len(refs) > 0 {
-		nw.wakeDependents(owners, refs)
-	}
+	nw.wakeDependents(owners, refs)
 }
 
 // Join integrates a join: the membership change is replicated

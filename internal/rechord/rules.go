@@ -195,7 +195,7 @@ func (c *ruleContext) ruleClosestRealNeighbor() {
 				if !(yID > uiID || (v.ID() < yID && yID < uiID)) {
 					continue
 				}
-				if e := nw.viewOf(y); e.hasRL && e.rl.ID() >= v.ID() {
+				if e := nw.viewOf(y); e.HasRL && e.RL.ID() >= v.ID() {
 					continue // y already knows an equal or closer left real
 				}
 				c.send(y, graph.Unmarked, v)
@@ -214,7 +214,7 @@ func (c *ruleContext) ruleClosestRealNeighbor() {
 				if !(yID < uiID || (v.ID() > yID && yID > uiID)) {
 					continue
 				}
-				if e := nw.viewOf(y); e.hasRR && e.rr.ID() <= v.ID() {
+				if e := nw.viewOf(y); e.HasRR && e.RR.ID() <= v.ID() {
 					continue // y already knows an equal or closer right real
 				}
 				c.send(y, graph.Unmarked, v)

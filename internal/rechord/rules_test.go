@@ -41,7 +41,7 @@ func (nw *Network) rebuildView() {
 		}
 		vs := nw.view[slot][:0]
 		for _, v := range n.vnodes {
-			e := viewEntry{}
+			e := PublishedView{}
 			if v != nil {
 				e = publish(v)
 			}

@@ -22,8 +22,10 @@ import (
 //
 // Tables extracted mid-stabilization can be incomplete (no successor
 // yet) or stale (a finger naming a departed peer); both surface as an
-// error, and callers that must survive churn fall back to the
-// state-walk Route, which tolerates partially repaired state.
+// error, and callers that must survive churn either fall back to the
+// state-walk Route, which tolerates partially repaired state
+// (Failover), or route again on the next published view (the workload
+// engine).
 //
 // A non-nil trace records the visited path hop by hop, so
 // obs.PathHops(tr.Path) always equals the returned hop count — the
@@ -413,8 +415,7 @@ func (c *Cache) Invalidations() uint64 {
 
 // Walker adapts the state-walk Route (which hops along raw Re-Chord
 // edges and tolerates mid-stabilization state) to the same Resolve
-// shape as Cache, so the DHT and the workload engine can swap between
-// them.
+// shape as Cache, so the DHT can take either.
 type Walker struct {
 	NW *rechord.Network
 }
@@ -449,7 +450,8 @@ func (w Walker) ResolveTraced(from, key ident.ID, tr *obs.LookupTrace) (owner id
 // walk when a table is incomplete or stale mid-churn — table routing is
 // the fast path, the walk is the one that tolerates partially repaired
 // state. Both read the network: it is for callers serialized against
-// mutation (the workload engine has its own, over the published view).
+// mutation, who have no publisher to wait for (the workload engine's
+// clients have one, and retry on the next published view instead).
 type Failover struct {
 	Cache *Cache
 	// Fallbacks counts the lookups the state walk had to recover.

@@ -61,8 +61,6 @@ type Result struct {
 	AlmostStableRound int
 	// TotalMessages counts all messages across the run.
 	TotalMessages int
-	// Final is the metrics snapshot of the converged state.
-	Final RoundMetrics
 	// Series holds per-round metrics when requested.
 	Series []RoundMetrics
 }
@@ -125,7 +123,9 @@ func Measure(nw *rechord.Network) RoundMetrics {
 // adversary — the measurement loop is identical. Cancellation is
 // observed between steps: the network is always left at a barrier,
 // consistent and steppable, so a canceled run can be resumed by
-// calling Run again with the same scheduler.
+// calling Run again with the same scheduler. The result carries no
+// topology snapshot: callers that report one call Measure on the
+// network they hold.
 //
 // Under the incremental engine (the default), the fixed point is
 // detected by quiescence: an empty frontier and no in-flight delivery
@@ -152,7 +152,6 @@ func Run(ctx context.Context, s rechord.Scheduler, opt Options) Result {
 		if ctx.Err() != nil {
 			res.Canceled = true
 			res.Rounds = s.Time() - start
-			res.Final = Measure(nw)
 			return res
 		}
 		if opt.TrackSeries {
@@ -178,7 +177,6 @@ func Run(ctx context.Context, s rechord.Scheduler, opt Options) Result {
 				if res.Rounds < 0 {
 					res.Rounds = 0
 				}
-				res.Final = Measure(nw)
 				return res
 			}
 			continue
@@ -189,13 +187,11 @@ func Run(ctx context.Context, s rechord.Scheduler, opt Options) Result {
 			res.Stable = true
 			// The state was already fixed before this (unchanged) round.
 			res.Rounds = s.Time() - 1 - start
-			res.Final = Measure(nw)
 			return res
 		}
 		prev = cur
 	}
 	res.Rounds = s.Time() - start
-	res.Final = Measure(nw)
 	return res
 }
 

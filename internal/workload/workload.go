@@ -23,9 +23,11 @@
 // workers pick their home peer, check it and route entirely on the last
 // published view — no lock, no read of engine state — so they see the
 // round-barrier states a lock would show them, mid-repair ones
-// included, without waiting for a step. The one lock left fences Step
-// against the raw-state walk a client falls back to when a table lookup
-// cannot complete on a mid-repair view.
+// included, without waiting for a step. Every such state is routable
+// (the paper's Section 4), but a table read off one can be incomplete;
+// a lookup that cannot complete on it is correct-or-retry: the client
+// waits for the next publish and routes again, at the latest on the
+// settled view. No lock is taken anywhere on the op path.
 package workload
 
 import (
@@ -60,6 +62,11 @@ var ErrUnsettled = errors.New("workload: repair did not settle")
 // drawn from the same run seed.
 const churnSeedMask = 0x5DEECE66D
 
+// stepChunk is how many protocol rounds the churn driver executes
+// between two publishes while the network re-stabilizes: the cadence at
+// which clients see mid-repair states.
+const stepChunk = 4
+
 // ChurnConfig interleaves membership events with the traffic.
 type ChurnConfig struct {
 	// Events is the number of membership events (random mix of join,
@@ -68,17 +75,13 @@ type ChurnConfig struct {
 	// EveryOps is how many completed operations separate consecutive
 	// events (default: spread evenly across the run).
 	EveryOps int
-	// StepChunk is how many protocol rounds the driver executes between
-	// two publishes while the network re-stabilizes; smaller chunks show
-	// lookups more of the mid-repair states (default 4).
-	StepChunk int
 	// OnApply, when non-nil, is called after each membership event is
-	// successfully applied (from the churn-driver goroutine, no locks
-	// held). The cluster facade uses it to publish lifecycle events.
+	// successfully applied (from the churn-driver goroutine). The
+	// cluster facade uses it to publish lifecycle events.
 	OnApply func(ev churn.Event)
 	// OnSettle, when non-nil, is called after the network re-stabilizes
 	// following an applied event, with the number of protocol rounds
-	// the repair took (from the churn-driver goroutine, no locks held).
+	// the repair took (from the churn-driver goroutine).
 	// A repair that was canceled or ran out of its round budget did not
 	// settle and is not reported.
 	OnSettle func(rounds int)
@@ -119,17 +122,12 @@ type Config struct {
 	// this many ops/sec across all workers; 0 is a closed loop (each
 	// worker fires its next op as soon as the previous returns).
 	Rate float64
-	// NoCache disables the table router and routes every operation
-	// through the state-walk router under the step fence (the baseline
-	// the cache is measured against).
-	NoCache bool
 	// Churn interleaves membership events with the traffic.
 	Churn ChurnConfig
-	// Cache, when non-nil (and NoCache unset), is the router cache to
-	// serve table lookups from instead of a fresh per-run one — the
-	// cluster facade injects its long-lived cache so hit/miss/
-	// invalidation telemetry spans the cache's whole life while the
-	// run's report stays a per-run delta.
+	// Cache, when non-nil, is the router cache to serve table lookups
+	// from instead of a fresh per-run one — the cluster facade injects
+	// its long-lived cache so hit/miss/invalidation telemetry spans the
+	// cache's whole life while the run's report stays a per-run delta.
 	Cache *routing.Cache
 	// Obs, when non-nil, receives live serving-path telemetry during
 	// the run (in-flight gauge, error taxonomy, sharded latency/hop
@@ -178,9 +176,6 @@ func (cfg Config) withDefaults() (Config, error) {
 			}
 			cfg.Churn.EveryOps = every
 		}
-		if cfg.Churn.StepChunk <= 0 {
-			cfg.Churn.StepChunk = 4
-		}
 	}
 	return cfg, nil
 }
@@ -209,7 +204,7 @@ type Result struct {
 	Ops        int           // operations completed
 	Errors     int           // routing failures surfaced to clients
 	NotFound   int           // Gets that reached the owner but missed
-	Fallbacks  int           // table-route failures recovered by the state walk
+	Fallbacks  int           // lookup retries on a later published view
 	Elapsed    time.Duration // wall-clock of the measured phase
 	Throughput float64       // ops per second
 
@@ -217,7 +212,7 @@ type Result struct {
 	Hops    *stats.Histogram // all ops, inter-peer hops
 	PerOp   [numOps]OpStats
 
-	CacheHits, CacheMisses uint64 // routing.Cache counters (0 with NoCache)
+	CacheHits, CacheMisses uint64 // routing.Cache counters
 	ChurnApplied           int    // membership events actually applied
 
 	// OpsFingerprint hashes every worker's (kind, key) op sequence,
@@ -249,27 +244,22 @@ type workerResult struct {
 	count     [numOps]int
 	errs      [numOps]int
 	notFound  int
+	retries   int
 	ops       int
 	opsHash   uint64
 }
 
 type engine struct {
+	// sched and nw belong to the churn driver (and to Run before any
+	// client starts): no client goroutine reads them.
 	sched rechord.Scheduler
 	nw    *rechord.Network
 	cfg   Config
 	store *dht.Store
-	// cache holds the view the clients read; under NoCache it carries
-	// the membership only and routes nothing.
-	cache *routing.Cache
+	cache *routing.Cache // holds the view the clients read
 
-	// netMu fences the churn driver's mutations (write side) against
-	// the raw-state walk (read side), a client's only read of engine
-	// state.
-	netMu sync.RWMutex
-
-	opsDone   atomic.Int64
-	fallbacks atomic.Int64
-	deadline  time.Time
+	opsDone  atomic.Int64
+	deadline time.Time
 
 	// repairing is set while an applied event has not settled and
 	// published counts the driver's publishes: what tells a client whose
@@ -309,11 +299,7 @@ func Run(ctx context.Context, sched rechord.Scheduler, cfg Config) (*Result, err
 		return nil, err
 	}
 	nw := sched.Network()
-	e := &engine{sched: sched, nw: nw, cfg: cfg}
-
-	if !cfg.NoCache {
-		e.cache = cfg.Cache
-	}
+	e := &engine{sched: sched, nw: nw, cfg: cfg, cache: cfg.Cache}
 	if e.cache == nil {
 		e.cache = routing.NewCache(nw)
 	}
@@ -376,7 +362,6 @@ func Run(ctx context.Context, sched rechord.Scheduler, cfg Config) (*Result, err
 	res := &Result{
 		Elapsed:      elapsed,
 		ChurnApplied: applied,
-		Fallbacks:    int(e.fallbacks.Load()),
 		Latency:      &stats.Histogram{},
 		Hops:         &stats.Histogram{},
 	}
@@ -387,6 +372,7 @@ func Run(ctx context.Context, sched rechord.Scheduler, cfg Config) (*Result, err
 		r := &results[w]
 		res.Ops += r.ops
 		res.NotFound += r.notFound
+		res.Fallbacks += r.retries
 		res.Latency.Merge(&r.lat)
 		res.Hops.Merge(&r.hops)
 		for k := 0; k < numOps; k++ {
@@ -401,10 +387,8 @@ func Run(ctx context.Context, sched rechord.Scheduler, cfg Config) (*Result, err
 	if elapsed > 0 {
 		res.Throughput = float64(res.Ops) / elapsed.Seconds()
 	}
-	if !cfg.NoCache {
-		hits, misses := e.cache.Stats()
-		res.CacheHits, res.CacheMisses = hits-e.cacheHits0, misses-e.cacheMisses0
-	}
+	hits, misses := e.cache.Stats()
+	res.CacheHits, res.CacheMisses = hits-e.cacheHits0, misses-e.cacheMisses0
 	res.StoreFingerprint = e.store.Fingerprint()
 	res.StoreLen = e.store.Len()
 	if err := ctx.Err(); err != nil {
@@ -413,33 +397,20 @@ func Run(ctx context.Context, sched rechord.Scheduler, cfg Config) (*Result, err
 	return res, churnErr
 }
 
-// publish levels the view with the network — every member's table, or
-// under NoCache the membership alone — and tells waiting clients that
-// a newer state is out. Only the churn driver calls it, and Run before
-// any client starts.
+// publish levels the view with the network, every member's table
+// included, and tells waiting clients that a newer state is out. Only
+// the churn driver calls it, and Run before any client starts.
 func (e *engine) publish() {
-	if e.cfg.NoCache {
-		e.cache.Publish()
-	} else {
-		e.cache.PublishAll()
-	}
+	e.cache.PublishAll()
 	e.published.Add(1)
 }
 
 // Resolve is the store's resolver: the table lookup on the last
-// published view, lock-free, and when that cannot complete — or under
-// NoCache — the raw-state walk behind the step fence.
+// published view, which reads nothing of the network. A lookup that
+// cannot complete on a mid-repair view fails here and is retried by its
+// worker on the next publish.
 func (e *engine) Resolve(from, key ident.ID) (ident.ID, int, error) {
-	if !e.cfg.NoCache {
-		owner, hops, err := e.cache.View().Resolve(from, key)
-		if err == nil || errors.Is(err, routing.ErrUnknownPeer) {
-			return owner, hops, err
-		}
-		e.fallbacks.Add(1)
-	}
-	e.netMu.RLock()
-	defer e.netMu.RUnlock()
-	return routing.Walker{NW: e.nw}.Resolve(from, key)
+	return e.cache.View().Resolve(from, key)
 }
 
 // awaitPublish parks a client whose lookup failed on the state
@@ -458,11 +429,11 @@ func (e *engine) awaitPublish(ctx context.Context, seq int64) bool {
 
 // worker runs one client: a deterministic op stream (seeded RNG per
 // worker) executed against the store over the last published view. An
-// operation whose routing fails while a repair is in flight (table
-// lookup and fallback walk both tripped over mid-repair state, or the
-// home departed under it) is retried on the next published state, at
-// the latest the settled one; only a failure no newer state can cure is
-// surfaced. It returns early when the context is done.
+// operation whose routing fails while a repair is in flight (the table
+// lookup tripped over mid-repair state, or the home departed under it)
+// is retried on the next published state, at the latest the settled
+// one; only a failure no newer state can cure is surfaced. It returns
+// early when the context is done.
 func (e *engine) worker(ctx context.Context, w int, homes []ident.ID, start time.Time, out *workerResult) {
 	cfg := e.cfg
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(w+1)*int64(0x9E3779B97F4A7C15>>1)))
@@ -520,6 +491,7 @@ func (e *engine) worker(ctx context.Context, w int, homes []ident.ID, start time
 			if opErr == nil || errorsIsNotFound(opErr) || !e.awaitPublish(ctx, seq) {
 				break
 			}
+			out.retries++
 		}
 		lat := float64(time.Since(t0).Nanoseconds())
 		if cfg.Obs != nil {
@@ -623,10 +595,7 @@ func (e *engine) churnDriver(ctx context.Context, events []churn.Event, done <-c
 			return applied, nil
 		}
 		e.repairing.Store(true)
-		e.netMu.Lock()
-		err := ev.Apply(e.nw)
-		e.netMu.Unlock()
-		if err != nil {
+		if err := ev.Apply(e.nw); err != nil {
 			// The event list was generated against pre-run membership;
 			// an event that no longer applies is skipped.
 			e.repairing.Store(false)
@@ -641,14 +610,12 @@ func (e *engine) churnDriver(ctx context.Context, events []churn.Event, done <-c
 		maxRounds := sim.DefaultBudget(e.sched)
 		stepped := 0
 		for quiescent := false; !quiescent; {
-			e.netMu.Lock()
 			quiescent = e.sched.Quiescent()
-			for c := 0; c < e.cfg.Churn.StepChunk && !quiescent; c++ {
+			for c := 0; c < stepChunk && !quiescent; c++ {
 				e.sched.Step()
 				stepped++
 				quiescent = e.sched.Quiescent()
 			}
-			e.netMu.Unlock()
 			e.publish()
 			switch {
 			case quiescent:
@@ -665,7 +632,7 @@ func (e *engine) churnDriver(ctx context.Context, events []churn.Event, done <-c
 		}
 
 		// Hand the stored pairs to their new owners and drop the tables
-		// of departed peers (read-only: the sole mutator needs no fence).
+		// of departed peers.
 		_, _ = e.store.Rebalance()
 		e.cache.Prune()
 		e.repairing.Store(false)
