@@ -649,8 +649,7 @@ func Healing(cfg Config) (*Result, error) {
 			if almostAt < 0 && idl.AlmostStable(nw) {
 				almostAt = nw.Round()
 			}
-			// Quiescence replaces the deep-copy snapshot comparison:
-			// an empty frontier is the global fixed point.
+			// An empty frontier is the global fixed point.
 			if nw.Quiescent() {
 				stableAt = nw.LastChange()
 				break

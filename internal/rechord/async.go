@@ -140,9 +140,7 @@ func (q *eventQueue) Pop() interface{} {
 
 // NewAsyncRunner wraps a network for asynchronous execution, claiming
 // its flow router: the network must not be stepped synchronously
-// afterwards;
-// Config.FullSweep is ignored (the asynchronous scheduler is always
-// incremental). Standing buckets left by earlier synchronous rounds
+// afterwards. Standing buckets left by earlier synchronous rounds
 // remain valid: they are the senders' repeating flow under any
 // schedule.
 func NewAsyncRunner(nw *Network, cfg AsyncConfig, rng *rand.Rand) *AsyncRunner {
@@ -508,7 +506,7 @@ func (a *AsyncRunner) Step() RoundStats {
 			a.mixEvent(evActivation, now, nw.pt.ids[slot])
 		}
 		stats.Activated = len(active)
-		if nw.runBatch(active, true, &stats) {
+		if nw.runBatch(active, &stats) {
 			changed = true
 		}
 	}

@@ -1,7 +1,6 @@
 package rechord
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -51,10 +50,9 @@ import (
 //     bucketMsgs and bucket dep references, or wakes a recipient because
 //     its standing input changed.
 //   - Epilogue (serial, active order): epoch bumps, settle bookkeeping,
-//     lastFlow swaps, paranoid panics deferred out of pool goroutines,
-//     the change-set merge feeding wakeDependents, and the scheduler's
-//     emit step; then the workers' tallies are summed and their arenas
-//     reset.
+//     lastFlow swaps, the change-set merge feeding wakeDependents, and
+//     the scheduler's emit step; then the workers' tallies are summed
+//     and their arenas reset.
 //
 // A scheduler differs from the synchronous engine only in its
 // flowRouter: what it plans (read-only, in the parallel prepare) and
@@ -195,8 +193,7 @@ func (nw *Network) serial() *worker {
 // runParallel fans f(w, i) for i in [0, n) over the workers; f must only
 // touch its worker and per-index/per-peer state (or, for the commit
 // phase, state its index exclusively owns). One worker — or a single
-// item — runs inline on the caller's goroutine, which is also what keeps
-// paranoid panics recoverable in the serial configuration.
+// item — runs inline on the caller's goroutine.
 func (nw *Network) runParallel(n int, f func(nw *Network, w *worker, i int)) {
 	w0 := nw.serial()
 	k := min(len(nw.workers), n)
@@ -225,7 +222,6 @@ type prepOut struct {
 	ownerChanged bool // the peer's level span moved
 	outChanged   bool // total output differs from lastFlow
 	stateChanged bool // the content hashes moved: the settle decision
-	paranoidBad  bool // clone cross-check disagreed; panic in epilogue
 
 	// viewRefs lists the virtual refs whose published rl/rr entry
 	// changed this batch (merged into the barrier's viewChanged map by
@@ -289,13 +285,9 @@ type commitShard struct {
 // deliverPhase is the parallel deliver body for active index i. The
 // settle check compares the stored content hashes (which describe the
 // pre-round state by invariant) against execute's recomputation, so no
-// pre-round copy is needed; under ParanoidSettle the old deep clone is
-// kept alongside to cross-check every settle decision.
+// pre-round copy is needed.
 func (nw *Network) deliverPhase(w *worker, i int) {
 	n := nw.pt.nodes[nw.bActive[i]]
-	if nw.bSettle && nw.cfg.ParanoidSettle {
-		nw.pres[i] = n.cloneVNodes(nw.pres[i])
-	}
 	if len(n.inbox) > 0 {
 		// Consuming a one-shot message changes the global state even
 		// when the peer's own state ends up unchanged.
@@ -314,18 +306,6 @@ func (nw *Network) executePhase(w *worker, i int) {
 	n := nw.pt.nodes[slot]
 	nw.runRules(n, w)
 	p := prepOut{stateChanged: nw.refreshHashSlot(slot, n)}
-	if nw.cfg.ParanoidSettle {
-		// Re-derive the verdict from the deep clone and insist they
-		// agree. The panic is deferred to the serial epilogue: a panic
-		// raised on a pool goroutine could not be recovered by the tests
-		// that prove the paranoid mode catches injected collisions.
-		p.paranoidBad = nw.bSettle && !n.vnodesEqual(nw.pres[i]) != p.stateChanged
-		if n.lastFlow != nil {
-			// Write barrier over the shared representation: any in-place
-			// mutation of the (immutable) template since build panics here.
-			n.lastFlow.verify("lastFlow of " + n.id.String())
-		}
-	}
 	p.outChanged = !flowEqualsOutput(n.lastFlow, w.out, w)
 	if p.outChanged {
 		p.newFlow = freezeFlow(w.out, w)
@@ -472,7 +452,7 @@ func (nw *Network) planOp(sender handle, dstID ident.ID, t *flowTemplate, op buc
 		if install && spansEqual(old.flow, old.span, t, op.span) {
 			// Content identical: repoint shared storage at the sender's
 			// current generation so the old one can die. A private bucket
-			// (deep-copy mode, partition shadows) pins no generation.
+			// (a partition's shadow) pins no generation.
 			if old.flow != t && !old.flow.private {
 				op.wake = false
 				w.ops = append(w.ops, op)
@@ -519,29 +499,21 @@ func (nw *Network) commitPhase(_ *worker, c int) {
 				if op.dstSlot%uc != uw {
 					continue
 				}
-				nw.commitBucketOp(c, h, tpl, op, sh)
+				nw.commitBucketOp(h, tpl, op, sh)
 			}
 		}
 		for _, d := range p.deps {
 			if depShardOf(d.id)%uc != uw {
 				continue
 			}
-			nw.commitDepDelta(c, d)
+			nw.commitDepDelta(d)
 		}
 	}
 }
 
 // commitBucketOp rewrites one standing bucket; nothing else writes
-// RealNode.in or bucketMsgs. The ownership audit
-// (under ParanoidSettle) re-derives the op's owner from the slot
-// partition and panics on a cross-shard write: the selection filter in
-// commitPhase and this check must agree by construction, so a firing
-// audit means the partitioning itself regressed.
-func (nw *Network) commitBucketOp(w int, sender handle, nf *flowTemplate, op *bucketOp, sh *commitShard) {
-	if nw.cfg.ParanoidSettle && int(op.dstSlot)%nw.commitW != w {
-		panic(fmt.Sprintf("rechord: cross-shard bucket write: slot %d belongs to commit worker %d, written by %d",
-			op.dstSlot, int(op.dstSlot)%nw.commitW, w))
-	}
+// RealNode.in or bucketMsgs.
+func (nw *Network) commitBucketOp(sender handle, nf *flowTemplate, op *bucketOp, sh *commitShard) {
 	dst := nw.pt.nodes[op.dstSlot]
 	sh.bucketMsgs += int(op.delta)
 	if op.span < 0 || op.oneShot {
@@ -551,7 +523,7 @@ func (nw *Network) commitBucketOp(w int, sender handle, nf *flowTemplate, op *bu
 			releaseBucket(old, &sh.flow)
 		}
 	} else {
-		nw.installBucket(dst, sender, nf, op.span, &sh.flow)
+		installBucket(dst, sender, nf, op.span, &sh.flow)
 	}
 	if op.wake && !dst.dirty {
 		dst.dirty = true
@@ -559,13 +531,8 @@ func (nw *Network) commitBucketOp(w int, sender handle, nf *flowTemplate, op *bu
 	}
 }
 
-// commitDepDelta applies one inverted-index adjustment, with the same
-// cross-shard audit as the bucket path.
-func (nw *Network) commitDepDelta(w int, d depDelta) {
-	if nw.cfg.ParanoidSettle && int(depShardOf(d.id))%nw.commitW != w {
-		panic(fmt.Sprintf("rechord: cross-shard dep write: id %s belongs to commit worker %d, written by %d",
-			d.id, int(depShardOf(d.id))%nw.commitW, w))
-	}
+// commitDepDelta applies one inverted-index adjustment.
+func (nw *Network) commitDepDelta(d depDelta) {
 	if d.k > 0 {
 		nw.deps.add(d.id, d.slot, uint32(d.k))
 	} else {
@@ -603,10 +570,10 @@ func (nw *Network) rewriteBucket(sender handle, dstID ident.ID, t *flowTemplate,
 	nw.planOp(sender, dstID, t, bucketOp{span: si, wake: wake}, w)
 	nw.beginCommit(1)
 	for k := range w.ops[o0:] {
-		nw.commitBucketOp(0, sender, t, &w.ops[o0+k], &nw.commit[0])
+		nw.commitBucketOp(sender, t, &w.ops[o0+k], &nw.commit[0])
 	}
 	for _, d := range w.deps[d0:] {
-		nw.commitDepDelta(0, d)
+		nw.commitDepDelta(d)
 	}
 	w.ops, w.deps = w.ops[:o0], w.deps[:d0]
 	nw.mergeShards()

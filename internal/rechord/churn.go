@@ -91,7 +91,7 @@ func (nw *Network) Fail(id ident.ID) error {
 // standing buckets stored on it die with it, its slot is released
 // (bumping its generation, so every handle to this incarnation stops
 // resolving), its published view entries vanish, its standing output is
-// delivered exactly once more (as one-shots, matching the full-sweep
+// delivered exactly once more (as one-shots, matching the literal
 // timeline where messages sent in the final round still arrive), and
 // every peer that references the departed identifier is woken so its
 // next purge drops the stale references.

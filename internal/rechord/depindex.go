@@ -24,8 +24,8 @@ import (
 // precisely the scan's wake set; for published rl/rr changes of a
 // single virtual node the list is a superset of candidates, and each
 // candidate is verified with holdsRef before waking — so the indexed
-// wake set equals the scan's exactly, which the lockstep test and
-// Config.ParanoidSettle assert.
+// wake set equals the scan's exactly, which TestWakeIndexMatchesScan
+// asserts.
 //
 // The one-shot inbox is intentionally NOT indexed: a peer with a
 // non-empty inbox is always dirty (routeMessage, delivery events and
@@ -224,122 +224,14 @@ func (n *RealNode) holdsRef(r ref.Ref) bool {
 	return false
 }
 
-// holdsDependent is the per-peer body of the full-scan wakeDependents:
-// whether any reference in the peer's state is covered by the change
-// sets. Kept as the equivalence baseline the paranoid mode and the
-// lockstep tests compare the index against.
-func (n *RealNode) holdsDependent(owners map[ident.ID]bool, refs map[ref.Ref]bool) bool {
-	for _, v := range n.vnodes {
-		if v == nil {
-			continue
-		}
-		for _, r := range v.Nu.Slice() {
-			if owners[r.Owner] || refs[r] {
-				return true
-			}
-		}
-		for _, r := range v.Nr.Slice() {
-			if owners[r.Owner] || refs[r] {
-				return true
-			}
-		}
-		for _, r := range v.Nc.Slice() {
-			if owners[r.Owner] || refs[r] {
-				return true
-			}
-		}
-	}
-	for _, m := range n.inbox {
-		if owners[m.Add.Owner] || refs[m.Add] {
-			return true
-		}
-	}
-	for _, b := range n.in {
-		sp := b.flow.spans[b.span]
-		for i := sp.start; i < sp.end; i++ {
-			pm := b.flow.packed[i]
-			add := ref.Ref{Owner: b.flow.syms[pm.sym], Level: int(pm.meta & pmLevelMask)}
-			if owners[add.Owner] || refs[add] {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// wakeSetScan returns the slots the full-peer scan would wake,
-// appended to buf (unsorted).
-func (nw *Network) wakeSetScan(owners map[ident.ID]bool, refs map[ref.Ref]bool, buf []uint32) []uint32 {
-	for slot, n := range nw.pt.nodes {
-		if n == nil || n.dirty {
-			continue
-		}
-		if n.holdsDependent(owners, refs) {
-			buf = append(buf, uint32(slot))
-		}
-	}
-	return buf
-}
-
-// wakeSetIndexed returns the slots the inverted index wakes, appended
-// to buf (unsorted, deduplicated).
-func (nw *Network) wakeSetIndexed(owners map[ident.ID]bool, refs map[ref.Ref]bool, buf []uint32) []uint32 {
-	start := len(buf)
-	seen := func(slot uint32) bool {
-		for _, s := range buf[start:] {
-			if s == slot {
-				return true
-			}
-		}
-		return false
-	}
-	for id := range owners {
-		for _, e := range nw.deps.dependents(id) {
-			n := nw.pt.nodes[e.peer]
-			if n == nil || n.dirty || seen(e.peer) {
-				continue
-			}
-			buf = append(buf, e.peer)
-		}
-	}
-	for r := range refs {
-		if owners[r.Owner] {
-			continue
-		}
-		for _, e := range nw.deps.dependents(r.Owner) {
-			n := nw.pt.nodes[e.peer]
-			if n == nil || n.dirty || seen(e.peer) {
-				continue
-			}
-			if n.holdsRef(r) {
-				buf = append(buf, e.peer)
-			}
-		}
-	}
-	return buf
-}
-
 // wakeDependents dirties every clean peer whose behavior can depend on
 // the given changes: owners whose liveness or level set changed (their
 // references purge differently now) and refs whose published rl/rr
 // changed (rule 3's guards read them). Owner changes wake the indexed
 // dependents directly; ref changes verify each candidate with holdsRef
-// first, so the woken set is exactly what the old full scan computed.
-// Under Config.ParanoidSettle both implementations run and must agree.
+// first, so the woken set is exactly what a scan of every peer's state
+// computes (wakeSetScan in depindex_test.go is that scan).
 func (nw *Network) wakeDependents(owners map[ident.ID]bool, refs map[ref.Ref]bool) {
-	if nw.cfg.ParanoidSettle {
-		idx := nw.wakeSetIndexed(owners, refs, nil)
-		scan := nw.wakeSetScan(owners, refs, nil)
-		sortSlots(idx)
-		sortSlots(scan)
-		if !slotsEqual(idx, scan) {
-			panic(fmt.Sprintf("rechord: indexed wake set %v != scan wake set %v (owners=%v refs=%v)", idx, scan, owners, refs))
-		}
-		for _, slot := range idx {
-			nw.markDirtyIdx(slot)
-		}
-		return
-	}
 	for id := range owners {
 		for _, e := range nw.deps.dependents(id) {
 			nw.markDirtyIdx(e.peer)
@@ -359,20 +251,4 @@ func (nw *Network) wakeDependents(owners map[ident.ID]bool, refs map[ref.Ref]boo
 			}
 		}
 	}
-}
-
-func sortSlots(s []uint32) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-}
-
-func slotsEqual(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

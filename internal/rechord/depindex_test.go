@@ -1,8 +1,9 @@
 package rechord
 
 import (
+	"errors"
 	"math/rand"
-	"strings"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -10,17 +11,18 @@ import (
 	"repro/internal/ref"
 )
 
-// Lockstep tests for the inverted dependency index and the hash-based
-// settle check: the incremental implementations must reproduce the
-// full-scan wake sets and the clone-and-compare settle decisions
-// round for round, under convergence and churn, in both schedulers.
-// Config.ParanoidSettle does the per-barrier comparison inside the
-// engine; these tests drive enough schedule diversity through it and
-// add direct comparisons of their own.
+// Tests for the inverted dependency index and the hash-based settle
+// check: the incremental implementations must reproduce the full-scan
+// wake sets and the clone-and-compare settle decisions, under
+// convergence and churn, in both schedulers. Every round of these runs
+// is compared with the reference engine (Lockstep) or, under the
+// asynchronous scheduler, checked with AssertCleanPeersStable; the wake
+// sets and the index contents are compared directly at the quiescent
+// points.
 
-// stableNetCfg is stableNet with a caller-chosen config.
-func stableNetCfg(t *testing.T, n int, seed int64, cfg Config) (*Network, []ident.ID) {
-	t.Helper()
+// seedLine builds n random peers seeded as a weakly connected line, not
+// yet stepped.
+func seedLine(n int, seed int64, cfg Config) (*Network, []ident.ID) {
 	rng := rand.New(rand.NewSource(seed))
 	ids := make([]ident.ID, 0, n)
 	seen := map[ident.ID]bool{}
@@ -39,6 +41,13 @@ func stableNetCfg(t *testing.T, n int, seed int64, cfg Config) (*Network, []iden
 	for i := 1; i < len(ids); i++ {
 		nw.SeedEdge(ref.Real(ids[i-1]), ref.Real(ids[i]), graph.Unmarked)
 	}
+	return nw, ids
+}
+
+// stableNetCfg is seedLine run to quiescence.
+func stableNetCfg(t *testing.T, n int, seed int64, cfg Config) (*Network, []ident.ID) {
+	t.Helper()
+	nw, ids := seedLine(n, seed, cfg)
 	for r := 0; r < 8000; r++ {
 		nw.Step()
 		if nw.Quiescent() {
@@ -47,6 +56,21 @@ func stableNetCfg(t *testing.T, n int, seed int64, cfg Config) (*Network, []iden
 	}
 	t.Fatalf("network of %d peers did not quiesce", n)
 	return nil, nil
+}
+
+// settleLockstep steps the product network and the reference, compared
+// after every round, until the network is quiescent.
+func settleLockstep(t *testing.T, l *Lockstep) {
+	t.Helper()
+	for r := 0; r < 8000; r++ {
+		if err := l.Step(); err != nil {
+			t.Fatal(err)
+		}
+		if l.Nets[0].Quiescent() {
+			return
+		}
+	}
+	t.Fatal("did not quiesce")
 }
 
 // checkDepIndex rebuilds the expected dependency counts from the
@@ -108,9 +132,66 @@ func checkDepIndex(t *testing.T, nw *Network, when string) {
 	}
 }
 
-// checkWakeSets compares the indexed and scan wake sets directly for a
-// batch of synthetic change sets: live owners, a departed owner,
-// unknown owners, and exact virtual refs at several levels.
+// holdsDependent is the per-peer body of the full-scan wake: whether any
+// reference in the peer's state is covered by the change sets. The
+// O(n) baseline the index is compared against.
+func (n *RealNode) holdsDependent(owners map[ident.ID]bool, refs map[ref.Ref]bool) bool {
+	for _, v := range n.vnodes {
+		if v == nil {
+			continue
+		}
+		for _, r := range v.Nu.Slice() {
+			if owners[r.Owner] || refs[r] {
+				return true
+			}
+		}
+		for _, r := range v.Nr.Slice() {
+			if owners[r.Owner] || refs[r] {
+				return true
+			}
+		}
+		for _, r := range v.Nc.Slice() {
+			if owners[r.Owner] || refs[r] {
+				return true
+			}
+		}
+	}
+	for _, m := range n.inbox {
+		if owners[m.Add.Owner] || refs[m.Add] {
+			return true
+		}
+	}
+	for _, b := range n.in {
+		sp := b.flow.spans[b.span]
+		for i := sp.start; i < sp.end; i++ {
+			pm := b.flow.packed[i]
+			add := ref.Ref{Owner: b.flow.syms[pm.sym], Level: int(pm.meta & pmLevelMask)}
+			if owners[add.Owner] || refs[add] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// wakeSetScan returns the slots the full-peer scan would wake,
+// appended to buf (unsorted).
+func (nw *Network) wakeSetScan(owners map[ident.ID]bool, refs map[ref.Ref]bool, buf []uint32) []uint32 {
+	for slot, n := range nw.pt.nodes {
+		if n == nil || n.dirty {
+			continue
+		}
+		if n.holdsDependent(owners, refs) {
+			buf = append(buf, uint32(slot))
+		}
+	}
+	return buf
+}
+
+// checkWakeSets compares what wakeDependents wakes on the (quiescent)
+// network with the scan, for a batch of synthetic change sets: live
+// owners, a departed owner, unknown owners, and exact virtual refs at
+// several levels. The wakes are undone after each case.
 func checkWakeSets(t *testing.T, nw *Network, ids []ident.ID, departed ident.ID, rng *rand.Rand) {
 	t.Helper()
 	cases := []struct {
@@ -131,43 +212,42 @@ func checkWakeSets(t *testing.T, nw *Network, ids []ident.ID, departed ident.ID,
 		},
 	}
 	for i, c := range cases {
-		idx := nw.wakeSetIndexed(c.owners, c.refs, nil)
+		if !nw.Quiescent() {
+			t.Fatalf("case %d: the wake sets are compared on a quiescent network", i)
+		}
 		scan := nw.wakeSetScan(c.owners, c.refs, nil)
-		sortSlots(idx)
-		sortSlots(scan)
-		if !slotsEqual(idx, scan) {
+		base := len(nw.frontier) // an asynchronous runner leaves stale entries behind
+		nw.wakeDependents(c.owners, c.refs)
+		idx := slices.Clone(nw.frontier[base:])
+		for _, slot := range idx {
+			nw.pt.nodes[slot].dirty = false
+		}
+		nw.frontier = nw.frontier[:base]
+		slices.Sort(idx)
+		slices.Sort(scan)
+		if !slices.Equal(idx, scan) {
 			t.Fatalf("case %d: indexed wake set %v != scan %v (owners=%v refs=%v)", i, idx, scan, c.owners, c.refs)
 		}
 	}
 }
 
 // TestWakeIndexMatchesScan drives convergence and churn through both
-// schedulers with ParanoidSettle on (every barrier cross-checks the
-// indexed wake set against the full scan and the hashed settle
-// decision against the clone) and adds direct wake-set and index
-// consistency checks at the quiescent points.
+// schedulers — every synchronous round compared with the reference, the
+// asynchronous run replayed peer by peer once it is quiescent — and adds
+// direct wake-set and index consistency checks at the quiescent points.
 func TestWakeIndexMatchesScan(t *testing.T) {
 	t.Run("sync", func(t *testing.T) {
-		nw, ids := stableNetCfg(t, 48, 17, Config{Workers: 1, ParanoidSettle: true})
+		nw, ids := seedLine(48, 17, Config{Workers: 1})
+		l := NewLockstep(nw)
+		settleLockstep(t, l)
 		checkDepIndex(t, nw, "settled")
 		rng := rand.New(rand.NewSource(5))
 		departed := ids[7]
-		if err := nw.Fail(departed); err != nil {
-			t.Fatal(err)
-		}
-		if err := nw.Leave(ids[20]); err != nil {
-			t.Fatal(err)
-		}
 		joiner := ident.ID(rng.Uint64() | 1)
-		if err := nw.Join(joiner, ids[3]); err != nil {
+		if err := errors.Join(l.Fail(departed), l.Leave(ids[20]), l.Join(joiner, ids[3])); err != nil {
 			t.Fatal(err)
 		}
-		for r := 0; r < 8000 && !nw.Quiescent(); r++ {
-			nw.Step()
-		}
-		if !nw.Quiescent() {
-			t.Fatal("did not re-quiesce after churn")
-		}
+		settleLockstep(t, l)
 		if err := ComputeIdeal(nw.Peers()).Matches(nw); err != nil {
 			t.Fatalf("wrong state after churn: %v", err)
 		}
@@ -175,36 +255,18 @@ func TestWakeIndexMatchesScan(t *testing.T) {
 		checkWakeSets(t, nw, nw.Peers(), departed, rng)
 		// Rejoin under a departed identifier: the index must wake the
 		// peers still holding stale references to it.
-		if err := nw.Join(departed, nw.Peers()[0]); err != nil {
+		if err := l.Join(departed, nw.Peers()[0]); err != nil {
 			t.Fatal(err)
 		}
-		for r := 0; r < 8000 && !nw.Quiescent(); r++ {
-			nw.Step()
-		}
+		settleLockstep(t, l)
 		if err := ComputeIdeal(nw.Peers()).Matches(nw); err != nil {
 			t.Fatalf("wrong state after rejoin: %v", err)
 		}
 		checkDepIndex(t, nw, "after rejoin")
 	})
 
-	t.Run("fullsweep-churn", func(t *testing.T) {
-		// FullSweep skips the settle path but still routes churn wakes
-		// through the index; the wake cross-check covers those.
-		nw, ids := stableNetCfg(t, 24, 29, Config{Workers: 1, FullSweep: true, ParanoidSettle: true})
-		if err := nw.Fail(ids[5]); err != nil {
-			t.Fatal(err)
-		}
-		for r := 0; r < 2000 && !nw.Quiescent(); r++ {
-			nw.Step()
-		}
-		if err := ComputeIdeal(nw.Peers()).Matches(nw); err != nil {
-			t.Fatalf("wrong state after fullsweep churn: %v", err)
-		}
-		checkDepIndex(t, nw, "fullsweep after churn")
-	})
-
 	t.Run("async", func(t *testing.T) {
-		nw, ids := stableNetCfg(t, 32, 41, Config{Workers: 1, ParanoidSettle: true})
+		nw, ids := stableNetCfg(t, 32, 41, Config{Workers: 1})
 		rng := rand.New(rand.NewSource(43))
 		a := NewAsyncRunner(nw, AsyncConfig{ActivationProb: 0.5, MaxDelay: 3}, rng)
 		if err := nw.Fail(ids[9]); err != nil {
@@ -216,6 +278,7 @@ func TestWakeIndexMatchesScan(t *testing.T) {
 		}
 		for s := 0; s < 60000 && !a.Quiescent(); s++ {
 			a.Step()
+			AssertCleanPeersStable(t, a)
 		}
 		if !a.Quiescent() {
 			t.Fatal("async run did not quiesce after churn")
@@ -229,81 +292,67 @@ func TestWakeIndexMatchesScan(t *testing.T) {
 }
 
 // TestSettleHashMatchesClone proves the hashed settle decision agrees
-// with the clone-and-compare baseline (the paranoid engine panics on
-// the first disagreement) and that an injected hash collision IS
-// caught: with the victim's hash pinned to its stored value, its next
-// real state change must trip the cross-check.
+// with clone-and-compare — the reference clones the global state around
+// every round, and Lockstep demands a fresh change epoch for every peer
+// whose clone differs — and that an injected hash collision IS caught:
+// with the victim's hash pinned to its stored value, a real state change
+// it hides must show up as a divergence.
 func TestSettleHashMatchesClone(t *testing.T) {
 	t.Run("agrees-under-churn", func(t *testing.T) {
-		nw, ids := stableNetCfg(t, 40, 53, Config{Workers: 1, ParanoidSettle: true})
-		for _, victim := range []ident.ID{ids[4], ids[13]} {
-			if err := nw.Fail(victim); err != nil {
-				t.Fatal(err)
-			}
+		nw, ids := seedLine(40, 53, Config{Workers: 1})
+		l := NewLockstep(nw)
+		settleLockstep(t, l)
+		if err := errors.Join(l.Fail(ids[4]), l.Fail(ids[13])); err != nil {
+			t.Fatal(err)
 		}
-		for r := 0; r < 8000 && !nw.Quiescent(); r++ {
-			nw.Step()
-		}
+		settleLockstep(t, l)
 		if err := ComputeIdeal(nw.Peers()).Matches(nw); err != nil {
 			t.Fatalf("wrong state after churn: %v", err)
 		}
 	})
 
 	t.Run("forced-collision-caught", func(t *testing.T) {
-		nw, ids := stableNetCfg(t, 24, 61, Config{Workers: 1, ParanoidSettle: true})
-		// Pin the victim's per-level hashes to their stored values: from
-		// now on every recomputation "collides" with the pre-change
-		// state, so the hash path can never see the victim change.
-		victim := ids[10]
-		slot, _, ok := nw.PeerSlot(victim)
-		if !ok {
-			t.Fatal("victim not in network")
-		}
-		testVNodeHash = func(v *VNode) (uint64, bool) {
-			if v == nil || v.Self.Owner != victim {
-				return 0, false
-			}
-			stored := nw.vhash[slot]
-			if v.Self.Level < len(stored) {
-				return stored[v.Self.Level], true
-			}
-			return 0, false
-		}
-		defer func() { testVNodeHash = nil }()
-
-		// A join next to the victim changes its closest-neighbor state
-		// during reconvergence; the first barrier at which the victim's
-		// state really changes must panic, because the pinned hash
-		// claims it did not.
-		live := nw.Peers()
-		var contact ident.ID
-		for i, id := range live {
-			if id == victim {
-				contact = live[(i+1)%len(live)]
-			}
-		}
-		joiner := victim + 1 // immediately clockwise of the victim
-		if err := nw.Join(joiner, contact); err != nil {
-			t.Fatal(err)
-		}
-
-		caught := ""
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					caught, _ = r.(string)
+		// A join next to the victim changes the victim's closest-neighbor
+		// state during reconvergence. Without the injection the run stays
+		// identical to the reference; with the victim's per-level hashes
+		// pinned to their stored values every recomputation "collides"
+		// with the pre-change state, so the hash path cannot see the
+		// victim change, and the comparison must fail.
+		run := func(inject bool) error {
+			nw, ids := seedLine(24, 61, Config{Workers: 1})
+			l := NewLockstep(nw)
+			settleLockstep(t, l)
+			victim := ids[10]
+			slot, _, _ := nw.PeerSlot(victim)
+			if inject {
+				testVNodeHash = func(v *VNode) (uint64, bool) {
+					if stored := nw.vhash[slot]; v != nil && v.Self.Owner == victim && v.Self.Level < len(stored) {
+						return stored[v.Self.Level], true
+					}
+					return 0, false
 				}
-			}()
-			for r := 0; r < 8000 && !nw.Quiescent(); r++ {
-				nw.Step()
+				defer func() { testVNodeHash = nil }()
 			}
-		}()
-		if caught == "" {
-			t.Fatal("forced hash collision was not caught by ParanoidSettle")
+			live := nw.Peers()
+			contact := live[(slices.Index(live, victim)+1)%len(live)]
+			if err := l.Join(victim+1, contact); err != nil { // immediately clockwise of the victim
+				return err
+			}
+			for r := 0; r < 8000 && (r == 0 || !nw.Quiescent()); r++ {
+				if err := l.Step(); err != nil {
+					return err
+				}
+			}
+			return nil
 		}
-		if !strings.Contains(caught, "rechord:") {
-			t.Fatalf("unexpected panic: %s", caught)
+		if err := run(false); err != nil {
+			t.Fatalf("without a collision: %v", err)
 		}
+		err := run(true)
+		if err == nil {
+			t.Fatal("forced hash collision was not caught by the reference comparison")
+		}
+		t.Logf("caught: %v", err)
 	})
 }
 

@@ -1,7 +1,6 @@
 package rechord
 
 import (
-	"fmt"
 	"slices"
 	"sync/atomic"
 	"unsafe"
@@ -22,9 +21,9 @@ import (
 // Immutability is what makes the sharing safe: the engine only ever
 // *replaces* a bucket (the bucket-replace invariant — rules never edit
 // standing messages in place), so once built, a template's bytes are
-// never written again. ParanoidSettle additionally checksums each
-// template at build time and re-verifies it before diffing, turning
-// any in-place mutation into a panic.
+// never written again. The reference engine's messages are private
+// copies, so an in-place write shows up as a divergence from it
+// (TestInPlaceTemplateWriteDivergesFromReference).
 //
 // Messages are stored packed: the Add owner (the only full ident.ID a
 // standing message carries besides its recipient) is interned into a
@@ -67,11 +66,10 @@ type flowSpan struct {
 // sharded commit releases old buckets from parallel workers.
 type flowTemplate struct {
 	refs    atomic.Int32
-	private bool // deep-copy or snapshot-owned; never shared across peers
+	private bool // shadow- or clone-owned; never shared across peers
 	packed  []packedMsg
 	spans   []flowSpan // sorted by owner
 	syms    []ident.ID // sorted, deduped Add owners
-	sum     uint64     // build-time checksum (ParanoidSettle write barrier)
 }
 
 // footprint is the resident size of the template itself.
@@ -168,30 +166,6 @@ func spansEqual(a *flowTemplate, ai int32, b *flowTemplate, bi int32) bool {
 	return true
 }
 
-// checksum folds packed records, spans, and symbols into one word.
-func (t *flowTemplate) checksum() uint64 {
-	h := uint64(1469598103934665603)
-	for _, pm := range t.packed {
-		h = mixWord(h, uint64(pm.sym)<<32|uint64(pm.meta))
-	}
-	for _, sp := range t.spans {
-		h = mixWord(h, uint64(sp.owner))
-		h = mixWord(h, uint64(sp.start)<<32|uint64(sp.end))
-	}
-	for _, s := range t.syms {
-		h = mixWord(h, uint64(s))
-	}
-	return h
-}
-
-// verify panics if the template's bytes changed since build — the
-// ParanoidSettle write barrier over the shared representation.
-func (t *flowTemplate) verify(where string) {
-	if got := t.checksum(); got != t.sum {
-		panic(fmt.Sprintf("rechord: shared flow template mutated in place (%s): checksum %x, recorded %x", where, got, t.sum))
-	}
-}
-
 // packMsg encodes m against the sorted symbol table.
 func packMsg(m Message, syms []ident.ID) packedMsg {
 	lo, hi := 0, len(syms)
@@ -251,13 +225,12 @@ func freezeFlow(out []Message, w *worker) *flowTemplate {
 		cur[si]++
 	}
 	t.refs.Store(1)
-	t.sum = t.checksum()
 	return t
 }
 
 // buildPrivateFlow freezes one recipient's contribution into a
-// single-span private template (ref 1). Used for deep-copy installs,
-// partition shadow buckets, and snapshot clones — never shared.
+// single-span private template (ref 1). Used for partition shadow
+// buckets — never shared.
 func buildPrivateFlow(owner ident.ID, ms []Message) *flowTemplate {
 	symbuf := make([]ident.ID, 0, len(ms))
 	for _, m := range ms {
@@ -275,7 +248,6 @@ func buildPrivateFlow(owner ident.ID, ms []Message) *flowTemplate {
 		t.packed = append(t.packed, packMsg(m, syms))
 	}
 	t.refs.Store(1)
-	t.sum = t.checksum()
 	return t
 }
 
@@ -295,7 +267,6 @@ func (t *flowTemplate) cloneSpan(si int32) *flowTemplate {
 		syms:    t.syms,
 	}
 	c.refs.Store(1)
-	c.sum = c.checksum()
 	return c
 }
 
@@ -304,9 +275,7 @@ func (t *flowTemplate) cloneSpan(si int32) *flowTemplate {
 // not compared: delivery is per-recipient (each bucket replays its own
 // span), so outputs that agree group-by-group produce identical
 // behavior, and the deterministic rules emit per-recipient sequences
-// in a fixed order anyway. This is the settle predicate for both the
-// shared and DeepCopyFlows engines, so the two stay in lockstep.
-// The per-span cursors are w's scratch.
+// in a fixed order anyway. The per-span cursors are w's scratch.
 func flowEqualsOutput(t *flowTemplate, out []Message, w *worker) bool {
 	if t == nil {
 		return len(out) == 0
@@ -445,29 +414,19 @@ func releaseBucket(b bucket, ft *flowTally) {
 	releaseFlow(b.flow, ft)
 }
 
-// installBucket points dst's bucket for sender at span si of t. Under
-// DeepCopyFlows a shared template is copied into a private single-span
-// one instead — the storage fallback the lockstep suite compares
-// against. Handles refcounts and tally only; deps, bucketMsgs, and
-// dirty are the caller's.
-func (nw *Network) installBucket(dst *RealNode, sender handle, t *flowTemplate, si int32, ft *flowTally) {
-	use, usi := t, si
-	if nw.cfg.DeepCopyFlows && !t.private {
-		use = buildPrivateFlow(t.spans[si].owner, t.appendSpan(nil, si))
-		usi = 0
-		ft.tallyBirth(use)
-	} else {
-		use.retain()
-	}
-	bytes := use.spanLen(usi) * msgBytes
-	if use.private {
+// installBucket points dst's bucket for sender at span si of t. Handles
+// refcounts and tally only; deps, bucketMsgs, and dirty are the caller's.
+func installBucket(dst *RealNode, sender handle, t *flowTemplate, si int32, ft *flowTally) {
+	t.retain()
+	bytes := t.spanLen(si) * msgBytes
+	if t.private {
 		ft.uniqueBytes += bytes
 		ft.installsCopied++
 	} else {
 		ft.sharedBytes += bytes
 		ft.installsShared++
 	}
-	if old, existed := dst.setBucket(sender, use, usi); existed {
+	if old, existed := dst.setBucket(sender, t, si); existed {
 		releaseBucket(old, ft)
 	}
 }

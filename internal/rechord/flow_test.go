@@ -2,7 +2,6 @@ package rechord
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -11,8 +10,8 @@ import (
 )
 
 // White-box regressions for the shared flow-template storage: the
-// ParanoidSettle write barrier, the refcount/tally bookkeeping, and the
-// packed round-trip.
+// immutability the sharing rests on, the refcount/tally bookkeeping, and
+// the packed round-trip.
 
 // stableFlowNet builds a small line network and runs it to quiescence.
 func stableFlowNet(t *testing.T, n int, cfg Config) (*Network, []ident.ID) {
@@ -43,102 +42,95 @@ func stableFlowNet(t *testing.T, n int, cfg Config) (*Network, []ident.ID) {
 	return nw, ids
 }
 
-// TestParanoidFlowWriteBarrier: mutating a shared template in place
-// must panic at the next settle check of the owning peer. Templates are
-// immutable by construction (buckets are replaced, never edited); the
-// barrier turns any future violation of that invariant into a loud
-// failure instead of silent cross-peer corruption.
-func TestParanoidFlowWriteBarrier(t *testing.T) {
-	nw, _ := stableFlowNet(t, 8, Config{Workers: 2, ParanoidSettle: true})
-	var victim *RealNode
-	for _, n := range nw.pt.nodes {
-		if n != nil && n.lastFlow != nil && len(n.lastFlow.packed) > 0 {
-			victim = n
-			break
+// TestInPlaceTemplateWriteDivergesFromReference: templates are immutable
+// by construction (buckets are replaced, never edited). The reference's
+// messages are private copies, so a write into a live shared template —
+// which silently edits the standing bucket of every recipient aliasing
+// it — must fail the comparison within one delivery; the same wake
+// without the write passes.
+func TestInPlaceTemplateWriteDivergesFromReference(t *testing.T) {
+	for _, mutate := range []bool{false, true} {
+		nw, _ := seedLine(8, 7, Config{Workers: 2})
+		l := NewLockstep(nw)
+		settleLockstep(t, l)
+		var victim *RealNode
+		for _, n := range nw.pt.nodes {
+			if n != nil && n.lastFlow != nil && len(n.lastFlow.packed) > 0 {
+				victim = n
+				break
+			}
+		}
+		if victim == nil {
+			t.Fatal("no peer with a standing flow at quiescence")
+		}
+		if mutate {
+			victim.lastFlow.packed[0].meta ^= 1 // the forbidden in-place write
+		}
+		nw.Wake(victim.lastFlow.spans[0].owner) // the recipient delivers the span again
+		if err := l.Step(); (err != nil) != mutate {
+			t.Fatalf("mutate=%v: comparison with the reference returned %v", mutate, err)
 		}
 	}
-	if victim == nil {
-		t.Fatal("no peer with a standing flow at quiescence")
-	}
-	victim.lastFlow.packed[0].meta ^= 1 // the forbidden in-place write
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("mutated template did not trip the write barrier")
-		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "mutated in place") {
-			t.Fatalf("unexpected panic: %v", r)
-		}
-	}()
-	nw.Wake(victim.id)
-	nw.Step()
 }
 
 // TestFlowTallyMatchesRecount: after stabilization and churn, the
 // engine's incremental flow accounting must equal a from-scratch walk
 // over every live template and bucket.
 func TestFlowTallyMatchesRecount(t *testing.T) {
-	for _, deep := range []bool{false, true} {
-		nw, ids := stableFlowNet(t, 12, Config{Workers: 2, DeepCopyFlows: deep})
-		if err := nw.Fail(ids[3]); err != nil {
-			t.Fatal(err)
-		}
-		if err := nw.Leave(ids[7]); err != nil {
-			t.Fatal(err)
-		}
-		if err := nw.Join(ident.ID(0x1234567), ids[0]); err != nil {
-			t.Fatal(err)
-		}
-		for r := 0; r < 4000 && !nw.Quiescent(); r++ {
-			nw.Step()
-		}
+	nw, ids := stableFlowNet(t, 12, Config{Workers: 2})
+	if err := nw.Fail(ids[3]); err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.Leave(ids[7]); err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.Join(ident.ID(0x1234567), ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 4000 && !nw.Quiescent(); r++ {
+		nw.Step()
+	}
 
-		live := map[*flowTemplate]bool{}
-		shared, unique := 0, 0
-		for _, n := range nw.pt.nodes {
-			if n == nil {
-				continue
+	live := map[*flowTemplate]bool{}
+	shared, unique := 0, 0
+	for _, n := range nw.pt.nodes {
+		if n == nil {
+			continue
+		}
+		if n.lastFlow != nil {
+			live[n.lastFlow] = true
+		}
+		for _, b := range n.in {
+			live[b.flow] = true
+			if b.flow.private {
+				unique += b.flow.spanLen(b.span) * msgBytes
+			} else {
+				shared += b.flow.spanLen(b.span) * msgBytes
 			}
-			if n.lastFlow != nil {
-				live[n.lastFlow] = true
-			}
-			for _, b := range n.in {
-				live[b.flow] = true
-				if b.flow.private {
-					unique += b.flow.spanLen(b.span) * msgBytes
-				} else {
-					shared += b.flow.spanLen(b.span) * msgBytes
-				}
-			}
 		}
-		resident := 0
-		for tpl := range live {
-			resident += tpl.footprint()
-		}
-		if got := nw.flow.births - nw.flow.deaths; got != len(live) {
-			t.Errorf("deep=%v: live templates %d, tally %d", deep, len(live), got)
-		}
-		if nw.flow.residentBytes != resident {
-			t.Errorf("deep=%v: resident bytes %d, tally %d", deep, resident, nw.flow.residentBytes)
-		}
-		if nw.flow.sharedBytes != shared || nw.flow.uniqueBytes != unique {
-			t.Errorf("deep=%v: shared/unique bytes %d/%d, tally %d/%d",
-				deep, shared, unique, nw.flow.sharedBytes, nw.flow.uniqueBytes)
-		}
-		if deep {
-			if nw.flow.installsShared != 0 {
-				t.Errorf("deep-copy mode recorded %d shared installs", nw.flow.installsShared)
-			}
-		} else if nw.flow.installsShared == 0 {
-			t.Error("shared mode recorded no shared installs")
-		}
-		// The gauges mirror the tally after every batch and churn op.
-		if got := nw.met.FlowTemplates.Value(); got != int64(len(live)) {
-			t.Errorf("deep=%v: FlowTemplates gauge %d, live %d", deep, got, len(live))
-		}
-		if got := nw.met.FlowResidentBytes.Value(); got != int64(resident) {
-			t.Errorf("deep=%v: FlowResidentBytes gauge %d, recount %d", deep, got, resident)
-		}
+	}
+	resident := 0
+	for tpl := range live {
+		resident += tpl.footprint()
+	}
+	if got := nw.flow.births - nw.flow.deaths; got != len(live) {
+		t.Errorf("live templates %d, tally %d", len(live), got)
+	}
+	if nw.flow.residentBytes != resident {
+		t.Errorf("resident bytes %d, tally %d", resident, nw.flow.residentBytes)
+	}
+	if nw.flow.sharedBytes != shared || nw.flow.uniqueBytes != unique {
+		t.Errorf("shared/unique bytes %d/%d, tally %d/%d", shared, unique, nw.flow.sharedBytes, nw.flow.uniqueBytes)
+	}
+	if nw.flow.installsShared == 0 || nw.flow.installsCopied != 0 {
+		t.Errorf("installs shared/copied = %d/%d, want all shared", nw.flow.installsShared, nw.flow.installsCopied)
+	}
+	// The gauges mirror the tally after every batch and churn op.
+	if got := nw.met.FlowTemplates.Value(); got != int64(len(live)) {
+		t.Errorf("FlowTemplates gauge %d, live %d", got, len(live))
+	}
+	if got := nw.met.FlowResidentBytes.Value(); got != int64(resident) {
+		t.Errorf("FlowResidentBytes gauge %d, recount %d", got, resident)
 	}
 }
 

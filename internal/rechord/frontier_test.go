@@ -16,32 +16,7 @@ import (
 // stableNet builds a small network and runs it to quiescence.
 func stableNet(t *testing.T, n int, seed int64) (*Network, []ident.ID) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	ids := make([]ident.ID, 0, n)
-	seen := map[ident.ID]bool{}
-	for len(ids) < n {
-		id := ident.ID(rng.Uint64())
-		if id == 0 || seen[id] {
-			continue
-		}
-		seen[id] = true
-		ids = append(ids, id)
-	}
-	nw := NewNetwork(Config{Workers: 1})
-	for _, id := range ids {
-		nw.AddPeer(id)
-	}
-	for i := 1; i < len(ids); i++ {
-		nw.SeedEdge(ref.Real(ids[i-1]), ref.Real(ids[i]), graph.Unmarked)
-	}
-	for r := 0; r < 4000; r++ {
-		nw.Step()
-		if nw.Quiescent() {
-			return nw, ids
-		}
-	}
-	t.Fatalf("network of %d peers did not quiesce", n)
-	return nil, nil
+	return stableNetCfg(t, n, seed, Config{Workers: 1})
 }
 
 func TestFrontierStartsFullAndDrains(t *testing.T) {

@@ -14,11 +14,12 @@ import (
 	"repro/internal/topogen"
 )
 
-// The lockstep suites compare the engine with itself (Workers 1 vs N,
-// shared vs deep-copy, monolith vs partitions), so a refactor that
-// shifts every configuration the same way passes them all. The golden
-// file pins the observable behaviour ACROSS commits: it was recorded
-// from the engine as it stood before the one-commit-path refactor, and
+// The lockstep suites compare the engine with the reference engine, which
+// shares the rule bodies with it, and with itself (Workers 1 vs N,
+// monolith vs partitions), so a refactor that shifts every side the same
+// way passes them all. The golden file pins the observable behaviour
+// ACROSS commits: it was recorded from the engine as it stood before the
+// one-commit-path refactor, and
 // this test asserts every later engine reproduces it bit for bit —
 // per-step state, RNG consumption (EventFingerprint), time to
 // quiescence, the in-flight message count, and the ordered
@@ -148,7 +149,7 @@ func chainMix(h, w uint64) uint64 {
 func (c goldenCase) build(workers int) *rechord.Network {
 	rng := rand.New(rand.NewSource(c.seed))
 	ids := topogen.RandomIDs(c.n, rng)
-	return c.gen.Build(ids, rng, rechord.Config{Workers: workers, ParanoidSettle: true})
+	return c.gen.Build(ids, rng, rechord.Config{Workers: workers})
 }
 
 const goldenMaxSteps = 20000
@@ -166,6 +167,7 @@ func runGoldenScheduler(t *testing.T, c goldenCase, nw *rechord.Network, sched r
 		}
 		script.apply(t, step, nw.Peers, nw.Join, nw.Leave, nw.Fail)
 		sched.Step()
+		rechord.AssertCleanPeersStable(t, sched)
 		chain = chainMix(chainMix(chain, nw.StateFingerprint(nil)), uint64(sched.InFlight()))
 		if step >= script.lastStep() && sched.Quiescent() {
 			run := goldenRun{Chain: hex(chain), Steps: step, InFlight: sched.InFlight()}
@@ -390,6 +392,27 @@ func TestGoldenFingerprints(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Logf("wrote %s", goldenPath)
+	}
+}
+
+// TestGoldenScriptsMatchReference replays every case's script on the
+// synchronous engine, Workers 1 and 8, against the reference engine,
+// compared after every round, until quiescent past the script's end.
+func TestGoldenScriptsMatchReference(t *testing.T) {
+	for _, c := range goldenCases() {
+		t.Run(c.name, func(t *testing.T) {
+			l := rechord.NewLockstep(c.build(1), c.build(8))
+			script := newGoldenScript(c)
+			for step := 1; step <= script.lastStep() || !l.Nets[0].Quiescent(); step++ {
+				if step > goldenMaxSteps {
+					t.Fatalf("not quiescent after %d rounds", goldenMaxSteps)
+				}
+				script.apply(t, step, l.Ref.Peers, l.Join, l.Leave, l.Fail)
+				if err := l.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -13,19 +13,17 @@ import "repro/internal/ident"
 // a state no-op" becomes "no level hash changed and the level count is
 // the same". Every out-of-band mutation point (AddPeer, SeedEdge, the
 // white-box fixture rebuilds) refreshes the stored hashes, so the
-// stored value always describes the pre-round state the old
-// clone-and-compare check captured before delivery.
+// stored value always describes the pre-round state, as a clone taken
+// before delivery would.
 //
 // A hash collision — a state change whose 64-bit hash collides with the
 // previous state's — would settle a peer that is not at a local fixed
 // point. The collision probability per comparison is ~2^-64 and a
 // settled peer is re-woken by any later input change, so the failure
-// mode is a (vanishingly unlikely) stall, not corruption.
-// Config.ParanoidSettle keeps the clone-and-compare check alive and
-// cross-checks every settle decision against it, panicking on
-// disagreement; the lockstep tests run with it enabled, and the
-// testVNodeHash hook below injects forced collisions to prove the
-// paranoid mode actually catches them.
+// mode is a (vanishingly unlikely) stall, not corruption. The tests
+// compare every settle verdict with a replay on a clone (the reference
+// engine and LocallyStable), and the testVNodeHash hook below injects
+// forced collisions to prove that comparison catches them.
 
 // testVNodeHash, when non-nil, overrides the content hash of a virtual
 // node. It exists solely so tests can inject hash collisions

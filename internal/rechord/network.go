@@ -28,29 +28,6 @@ type Config struct {
 	// their own state plus an immutable snapshot, and all cross-node
 	// effects are delayed messages merged at the round barrier.
 	Workers int
-	// FullSweep disables the activity-tracked scheduler and runs rules
-	// 1-6 at every peer every round, the paper's literal execution
-	// model. The default incremental schedule produces the identical
-	// round-by-round global state (see DESIGN.md for the argument and
-	// the lockstep property test for the proof-by-execution); FullSweep
-	// keeps the exhaustive schedule available as the equivalence
-	// baseline and for debugging.
-	FullSweep bool
-	// DeepCopyFlows disables copy-on-write flow sharing: every standing
-	// bucket stores a private single-span copy of the sender's
-	// contribution instead of referencing the sender's immutable flow
-	// template. Purely a storage fallback — settle decisions, wakes, and
-	// delivery are identical — kept as the equivalence baseline the
-	// shared-flow lockstep suite compares against.
-	DeepCopyFlows bool
-	// ParanoidSettle cross-checks the incremental barrier machinery
-	// against its O(n) baselines on every batch: the hash-based settle
-	// decision against the old clone-and-compare, and the inverted
-	// dependency index's wake set against the full-peer scan. Any
-	// disagreement panics. Intended for tests (the lockstep suites run
-	// with it on); it restores the per-barrier clone cost the hashes
-	// exist to remove.
-	ParanoidSettle bool
 }
 
 // RoundStats reports what happened during one Step of a Scheduler:
@@ -164,19 +141,16 @@ type Network struct {
 	active  []uint32
 
 	// prep holds the fixed-size per-active-index records that cross the
-	// barrier, pres the ParanoidSettle pre-round clones, and commit the
-	// per-shard commit outputs (see barrier.go); all reuse their storage
-	// across batches.
+	// barrier and commit the per-shard commit outputs (see barrier.go);
+	// both reuse their storage across batches.
 	prep   []prepOut
-	pres   [][]*VNode
 	commit []commitShard
 
 	// br is the persistent batch fan-out machinery reused across
-	// batches; bActive/bSettle/commitW are the running batch's
-	// parameters, read by the phase bodies.
+	// batches; bActive/commitW are the running batch's parameters, read
+	// by the phase bodies.
 	br      batchRun
 	bActive []uint32
-	bSettle bool
 	commitW int
 
 	// ownerChangedB/viewChangedB are the reusable per-barrier change
@@ -248,10 +222,10 @@ func (nw *Network) AddPeer(id ident.ID) *RealNode {
 	if nw.round > 0 {
 		// Re-materialize standing flow addressed to this identifier: a
 		// peer re-joining under an id that live senders still target
-		// must see their repeating messages, exactly as a full sweep
-		// would re-deliver them. Peers that merely hold stale
-		// references to the id behave differently now that it resolves
-		// again, so they are woken too.
+		// must see their repeating messages, exactly as the literal model
+		// delivers them to whoever holds the address. Peers that merely
+		// hold stale references to the id behave differently now that it
+		// resolves again, so they are woken too.
 		for _, s := range nw.pt.nodes {
 			if s == nil || s == n || s.lastFlow == nil {
 				continue
@@ -344,10 +318,6 @@ func (nw *Network) FrontierSize() int {
 	return c
 }
 
-// Incremental reports whether the activity-tracked scheduler is in
-// effect (false under Config.FullSweep).
-func (nw *Network) Incremental() bool { return !nw.cfg.FullSweep }
-
 // bumpEpoch stamps the peer with a fresh change epoch.
 func (nw *Network) bumpEpoch(n *RealNode) {
 	nw.epochClock++
@@ -376,10 +346,8 @@ func (nw *Network) SlotSpan() int { return nw.pt.span() }
 // (virtual nodes, edge sets, rl/rr) may have changed. Derived per-peer
 // state — a routing table read off the peer's virtual nodes, say — is
 // fresh exactly as long as the epoch it was computed under still
-// equals the current one. The incremental scheduler stamps only peers
-// whose state actually changed; under Config.FullSweep every executed
-// peer is stamped every round (conservative, so caches merely lose
-// their effectiveness, never their correctness).
+// equals the current one. Only peers whose state actually changed are
+// stamped.
 func (nw *Network) PeerSlotEpoch(id ident.ID) (slot int, gen uint32, epoch int, ok bool) {
 	i, ok := nw.pt.lookup(id)
 	if !ok {
@@ -621,25 +589,16 @@ func (nw *Network) ensurePool(workers int) *workerPool {
 // deliver pending messages, purge dead references, then run rules 1-6
 // at every dirty peer (in parallel) and merge the effects at the round
 // barrier. Clean peers are skipped; their state and standing output
-// are provably what a full sweep would recompute. Under
-// Config.FullSweep every peer is dirtied first, reproducing the
-// paper's literal schedule.
-func (nw *Network) Step() RoundStats {
-	if nw.cfg.FullSweep {
-		for slot, n := range nw.pt.nodes {
-			if n != nil {
-				nw.markDirtyIdx(uint32(slot))
-			}
-		}
-	}
-	return nw.stepRound(nil, !nw.cfg.FullSweep)
-}
+// are what running them would recompute (the reference engine in
+// reference_test.go runs every peer every round, and the lockstep
+// suites compare the two after every round).
+func (nw *Network) Step() RoundStats { return nw.stepRound(nil) }
 
 // stepRound is the body of one round for both round schedulers: drain
 // the frontier, keep the slots whose peer passes keep (nil keeps all; a
 // Partition keeps its hosted peers), and run the batch. A round with
 // nothing to run is the identity on the global state.
-func (nw *Network) stepRound(keep func(ident.ID) bool, settle bool) (stats RoundStats) {
+func (nw *Network) stepRound(keep func(ident.ID) bool) (stats RoundStats) {
 	nw.round++
 	nw.met.Steps.Inc()
 	stats = RoundStats{Round: nw.round}
@@ -657,7 +616,7 @@ func (nw *Network) stepRound(keep func(ident.ID) bool, settle bool) (stats Round
 		active, nw.active = kept, kept
 	}
 	stats.Activated = len(active)
-	if len(active) > 0 && nw.runBatch(active, settle, &stats) {
+	if len(active) > 0 && nw.runBatch(active, &stats) {
 		nw.lastChange = nw.round
 	}
 	// At quiescence the standing buckets are exactly the messages every
@@ -696,15 +655,10 @@ func (nw *Network) sortSlotsByID(slots []uint32) {
 // deliver, execute, prepare and the sharded commit on the workers, then
 // the serial epilogue (the phase bodies and what each may read and write
 // are in barrier.go) — and reports whether the global state changed.
-// With settle=false (the full sweep) no settle decision is made: every
-// executed peer is re-stamped and none leaves the frontier early.
-func (nw *Network) runBatch(active []uint32, settle bool, stats *RoundStats) bool {
+func (nw *Network) runBatch(active []uint32, stats *RoundStats) bool {
 	t0 := time.Now()
-	nw.bActive, nw.bSettle = active, settle
+	nw.bActive = active
 	nw.prep = slices.Grow(nw.prep[:0], len(active))[:len(active)]
-	if settle && nw.cfg.ParanoidSettle {
-		nw.pres = slices.Grow(nw.pres[:0], len(active))[:len(active)]
-	}
 	nw.runParallel(len(active), (*Network).deliverPhase)
 	tDeliver := time.Now()
 	nw.runParallel(len(active), (*Network).executePhase)
@@ -717,7 +671,7 @@ func (nw *Network) runBatch(active []uint32, settle bool, stats *RoundStats) boo
 	nw.runParallel(nw.commitW, (*Network).commitPhase)
 	nw.mergeShards()
 	rerouteNS := time.Since(tPrepare)
-	changed, emitNS := nw.epilogue(active, settle, stats)
+	changed, emitNS := nw.epilogue(active, stats)
 	rerouteNS += emitNS
 
 	// The publish series is the serial epilogue minus the time spent
@@ -736,10 +690,9 @@ func (nw *Network) runBatch(active []uint32, settle bool, stats *RoundStats) boo
 // epilogue is the serial tail of a batch, in active order: everything
 // that is ordered state — epoch stamps, settle bookkeeping, lastFlow
 // swaps, the change-set merge feeding wakeDependents, the scheduler's
-// emit step (whose time it returns) — plus the paranoid verdicts
-// deferred out of the pool goroutines, and the telemetry flush: the
+// emit step (whose time it returns) — plus the telemetry flush: the
 // workers' plain-integer tallies become one atomic add per counter.
-func (nw *Network) epilogue(active []uint32, settle bool, stats *RoundStats) (changed bool, emitNS time.Duration) {
+func (nw *Network) epilogue(active []uint32, stats *RoundStats) (changed bool, emitNS time.Duration) {
 	if nw.ownerChangedB == nil {
 		nw.ownerChangedB = make(map[ident.ID]bool)
 		nw.viewChangedB = make(map[ref.Ref]bool)
@@ -749,9 +702,6 @@ func (nw *Network) epilogue(active []uint32, settle bool, stats *RoundStats) (ch
 	for i, slot := range active {
 		n := nw.pt.nodes[slot]
 		p := &nw.prep[i]
-		if p.paranoidBad {
-			panic(fmt.Sprintf("rechord: settle hash says changed=%v but clone compare says %v for peer %s", p.stateChanged, !p.stateChanged, n.id))
-		}
 		if p.ownerChanged {
 			ownerChanged[n.id] = true
 		}
@@ -764,24 +714,16 @@ func (nw *Network) epilogue(active []uint32, settle bool, stats *RoundStats) (ch
 			nw.router.emitFlow(n, p.flow(n), p.ops, published)
 			emitNS += time.Since(rt)
 		}
-		if settle {
-			if p.stateChanged {
-				nw.bumpEpoch(n)
-				epochBumpN++
-			}
-			if p.outChanged || p.stateChanged {
-				// Not a local fixed point yet: stay on the frontier.
-				nw.markDirtyIdx(slot)
-				unsettledN++
-			} else {
-				settledN++
-			}
-		} else {
-			// The full sweep keeps no pre-round copy to diff against, so
-			// every executed peer is stamped (conservative: epoch-keyed
-			// caches rebuild each round but never serve stale state).
+		if p.stateChanged {
 			nw.bumpEpoch(n)
 			epochBumpN++
+		}
+		if p.outChanged || p.stateChanged {
+			// Not a local fixed point yet: stay on the frontier.
+			nw.markDirtyIdx(slot)
+			unsettledN++
+		} else {
+			settledN++
 		}
 		// lastFlow adopts the batch template (taking over the builder's
 		// reference); the old generation loses its sender reference and
@@ -823,7 +765,7 @@ func (nw *Network) epilogue(active []uint32, settle bool, stats *RoundStats) (ch
 		w.tally = tally{}
 		w.viewRefs, w.ops, w.deps = resetArena(w.viewRefs), resetArena(w.ops), resetArena(w.deps)
 	}
-	nw.prep, nw.pres = resetArena(nw.prep), resetArena(nw.pres)
+	nw.prep = resetArena(nw.prep)
 	m.Batches.Inc()
 	m.Activated.Add(uint64(len(active)))
 	m.Delivered.Add(uint64(delivered))
@@ -847,40 +789,6 @@ func (nw *Network) flushFlowGauges() {
 	m.FlowUniqueBytes.Set(int64(nw.flow.uniqueBytes))
 	m.FlowInstallsShared.Set(int64(nw.flow.installsShared))
 	m.FlowInstallsCopied.Set(int64(nw.flow.installsCopied))
-}
-
-// Snapshot is a deep copy of the network state at a round boundary,
-// used for fixed-point detection and analysis.
-type Snapshot struct {
-	Round int
-	nodes map[ident.ID]*RealNode
-}
-
-// TakeSnapshot deep-copies the current state (including pending
-// inboxes, which are part of the global state of the synchronous
-// model).
-func (nw *Network) TakeSnapshot() *Snapshot {
-	s := &Snapshot{Round: nw.round, nodes: make(map[ident.ID]*RealNode, nw.pt.live)}
-	for _, n := range nw.pt.nodes {
-		if n != nil {
-			s.nodes[n.id] = n.clone()
-		}
-	}
-	return s
-}
-
-// Equal reports whether two snapshots are identical global states.
-func (s *Snapshot) Equal(o *Snapshot) bool {
-	if len(s.nodes) != len(o.nodes) {
-		return false
-	}
-	for id, n := range s.nodes {
-		on, ok := o.nodes[id]
-		if !ok || !n.equal(on) {
-			return false
-		}
-	}
-	return true
 }
 
 // Graph exports the current state as a graph snapshot over all real

@@ -157,7 +157,7 @@ func (p *Partition) HostedPeers() int {
 // other processes' effects (ApplyBucket/ApplyOneShot/ApplyPublish)
 // before the next Step.
 func (p *Partition) Step() RoundStats {
-	stats := p.nw.stepRound(p.hosted, true)
+	stats := p.nw.stepRound(p.hosted)
 	p.flushPublishes()
 	return stats
 }

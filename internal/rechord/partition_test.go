@@ -101,8 +101,8 @@ func (pn *partedNetwork) quiescent() bool {
 
 // TestPartitionLockstepMatchesMonolith: with no churn, partitioned
 // execution is round-for-round identical to the monolith — same
-// fingerprint after every round and quiescence on the same round.
-// ParanoidSettle keeps the settle decisions clone-checked throughout.
+// fingerprint after every round and quiescence on the same round. On
+// both sides every clean peer is replayed on a clone after every step.
 func TestPartitionLockstepMatchesMonolith(t *testing.T) {
 	for _, gen := range []topogen.Generator{
 		topogen.Random(), topogen.Line(), topogen.Garbage(), topogen.Star(),
@@ -114,7 +114,7 @@ func TestPartitionLockstepMatchesMonolith(t *testing.T) {
 				seed   = 1701
 				maxR   = 4000
 			)
-			cfg := rechord.Config{Workers: 1, ParanoidSettle: true}
+			cfg := rechord.Config{Workers: 1}
 			rng := rand.New(rand.NewSource(seed))
 			ids := topogen.RandomIDs(n, rng)
 			mono := gen.Build(ids, rng, cfg)
@@ -128,8 +128,10 @@ func TestPartitionLockstepMatchesMonolith(t *testing.T) {
 					t.Fatalf("no convergence in %d rounds", maxR)
 				}
 				mono.Step()
+				rechord.AssertCleanPeersStable(t, mono)
 				for _, p := range pn.parts {
 					p.Step()
+					rechord.AssertCleanPeersStable(t, p) // hosted peers, before the exchange brings new input
 				}
 				exchanged := pn.exchange()
 				if got, want := pn.fingerprint(), mono.StateFingerprint(nil); got != want {
@@ -172,7 +174,7 @@ func TestPartitionChurnConvergesToMonolith(t *testing.T) {
 		seed   = 424242
 		maxR   = 6000
 	)
-	cfg := rechord.Config{Workers: 1, ParanoidSettle: true}
+	cfg := rechord.Config{Workers: 1}
 	rng := rand.New(rand.NewSource(seed))
 	ids := topogen.RandomIDs(n, rng)
 	mono := topogen.Random().Build(ids, rng, cfg)

@@ -1,0 +1,246 @@
+package rechord
+
+import (
+	"fmt"
+	"slices"
+
+	"repro/internal/graph"
+	"repro/internal/ident"
+	"repro/internal/ref"
+)
+
+// Reference is the paper's execution model, literally (Section 2.1), and
+// the oracle every optimisation of the product engine is compared with
+// after every round (Lockstep, export_test.go). In each synchronous
+// round EVERY member, in identifier order, receives the delayed
+// assignments issued to it in the previous round, drops its references
+// to departed peers and deleted virtual nodes, and runs rules 1-6
+// against the level and rl/rr variables its neighbours published at the
+// end of the previous round; then every emitted message is copied into
+// its recipient's inbox and every member republishes. The fixed point is
+// found the naive way: clone the global state, run a round, compare.
+//
+// What it shares with the product: the value types (RealNode as a bag of
+// virtual nodes plus a plain []Message inbox, VNode, Message, ref.Set),
+// the rule bodies of rules.go, and the deliver and purge helpers —
+// reached the way LocallyStable reaches them, by replaying a peer with a
+// private worker value as scratch. Those bodies read two things through a
+// *Network: the identifier registry with each member's published maximum
+// level, and the published rl/rr view. env is a Network of which ONLY
+// those two (and the sorted member list) are ever populated, by this
+// file.
+//
+// What it must never share: the choice of which peers run, standing
+// per-sender storage and the templates behind it, content hashes, the
+// inverted index of references, the goroutine set, and the product's
+// fixed-point test. A bug in any of those is a divergence from this
+// engine; a bug in a rule body is not — rules_test.go, ComputeIdeal and
+// the golden file are what pin the rules.
+type Reference struct {
+	env        *Network
+	sent       map[ident.ID][]Message // each member's output of the last round
+	round      int
+	lastChange int
+	prev, cur  *Snapshot // the global state before and after the last round
+	w          worker
+}
+
+// NewReference copies the initial state of nw: membership, virtual
+// nodes, pending one-shot messages and published variables — what
+// AddPeer, SeedEdge and Leave set up before the first round. nw must not
+// have stepped yet (afterwards its pending messages are no plain list).
+func NewReference(nw *Network) *Reference {
+	if nw.round != 0 {
+		panic("rechord: the reference copies initial states only")
+	}
+	r := &Reference{
+		env:  &Network{cfg: Config{DisableRing: nw.cfg.DisableRing, DisableConnection: nw.cfg.DisableConnection}},
+		sent: map[ident.ID][]Message{},
+	}
+	for _, id := range nw.order {
+		src := nw.node(id)
+		n := r.admit(src.clone())
+		r.env.pt.maxLv[n.idx] = nw.pt.maxLv[src.idx] // SeedEdge publishes a seeded level at once
+		r.env.view[n.idx] = slices.Clone(nw.view[src.idx])
+	}
+	return r
+}
+
+// admit registers a member: the registry entry other peers resolve
+// references against (published level 0) and an empty published view.
+func (r *Reference) admit(n *RealNode) *RealNode {
+	slot := r.env.pt.intern(n)
+	for int(slot) >= len(r.env.view) {
+		r.env.view = append(r.env.view, nil)
+	}
+	r.env.view[slot] = nil
+	r.env.insertOrder(n.id)
+	return n
+}
+
+// Step runs one synchronous round.
+func (r *Reference) Step() {
+	r.round++
+	r.prev = r.Snapshot()
+	r.cur = nil
+	for _, id := range r.env.order {
+		n := r.env.node(id)
+		r.env.deliver(n) // consumes the inbox
+		r.env.purge(n, &r.w)
+		r.env.runRules(n, &r.w)
+		r.sent[id] = slices.Clone(r.w.out)
+	}
+	// Delayed assignments: visible at the recipient from the next round
+	// on. Nobody receives what is addressed to a non-member.
+	for _, id := range r.env.order {
+		for _, m := range r.sent[id] {
+			r.post(m)
+		}
+	}
+	// Everybody republishes; all of this round's reads saw the old values.
+	for _, id := range r.env.order {
+		n := r.env.node(id)
+		r.env.pt.maxLv[n.idx] = int32(n.MaxLevel())
+		view := r.env.view[n.idx][:0]
+		for _, v := range n.vnodes { // contiguous since rule 1 ran
+			var e PublishedView
+			if v.HasRL {
+				e.HasRL, e.RL = true, v.RL
+			}
+			if v.HasRR {
+				e.HasRR, e.RR = true, v.RR
+			}
+			view = append(view, e)
+		}
+		r.env.view[n.idx] = view
+	}
+	r.cur = r.Snapshot()
+	if !r.prev.Equal(r.cur) {
+		r.lastChange = r.round
+	}
+}
+
+// post puts a message into its recipient's inbox, if the recipient is a
+// member.
+func (r *Reference) post(m Message) {
+	if dst := r.env.node(m.To.Owner); dst != nil {
+		dst.inbox = append(dst.inbox, m)
+	}
+}
+
+// Join admits a peer that knows one member (Section 4.1). Delayed
+// assignments are addressed to identifiers, so what the current members
+// sent to this one in the last round reaches whoever holds it now.
+func (r *Reference) Join(id, contact ident.ID) error {
+	if r.env.node(id) != nil || r.env.node(contact) == nil {
+		return fmt.Errorf("reference: cannot join %s via %s", id, contact)
+	}
+	r.cur = nil
+	n := r.admit(&RealNode{id: id, vnodes: []*VNode{newVNode(id, 0)}})
+	n.vnodes[0].addNu(ref.Real(contact))
+	for _, s := range r.env.order {
+		for _, m := range r.sent[s] {
+			if m.To.Owner == id {
+				n.inbox = append(n.inbox, m)
+			}
+		}
+	}
+	return nil
+}
+
+// Fail removes a peer without notice. What it sent in its last round is
+// already in the recipients' inboxes and still arrives; what was
+// addressed to it is gone with it.
+func (r *Reference) Fail(id ident.ID) error {
+	n := r.env.node(id)
+	if n == nil {
+		return fmt.Errorf("reference: %s is not a member", id)
+	}
+	r.cur = nil
+	r.env.view[n.idx] = nil
+	r.env.pt.release(n)
+	r.env.removeOrder(id)
+	delete(r.sent, id)
+	return nil
+}
+
+// Leave is the graceful departure of Section 4.2: every virtual node
+// introduces its unmarked neighbours and closest reals to one another
+// and hands each ring edge it holds to the first of them, as ordinary
+// delayed assignments; then the peer is gone.
+func (r *Reference) Leave(id ident.ID) error {
+	n := r.env.node(id)
+	if n == nil {
+		return fmt.Errorf("reference: %s is not a member", id)
+	}
+	for _, v := range n.vnodes {
+		if v == nil {
+			continue
+		}
+		know := v.Nu.Clone()
+		if v.HasRL {
+			know.Add(v.RL)
+		}
+		if v.HasRR {
+			know.Add(v.RR)
+		}
+		know.RemoveIf(func(x ref.Ref) bool { return x.Owner == id })
+		for _, a := range know.Slice() {
+			for _, b := range know.Slice() {
+				if a != b {
+					r.post(Message{To: a, Kind: graph.Unmarked, Add: b})
+				}
+			}
+		}
+		for _, held := range v.Nr.Slice() {
+			if i := slices.IndexFunc(know.Slice(), func(a ref.Ref) bool { return a != held }); i >= 0 && held.Owner != id {
+				r.post(Message{To: know.Slice()[i], Kind: graph.Ring, Add: held})
+			}
+		}
+	}
+	return r.Fail(id)
+}
+
+// Snapshot deep-copies the global state: every member's virtual nodes
+// and pending messages. The copy taken at the end of a round is kept
+// until a membership event changes the state.
+func (r *Reference) Snapshot() *Snapshot {
+	if r.cur != nil {
+		return r.cur
+	}
+	s := &Snapshot{Round: r.round, nodes: make(map[ident.ID]*RealNode, len(r.env.order))}
+	for _, id := range r.env.order {
+		s.nodes[id] = snapshotPeer(r.env.node(id))
+	}
+	return s
+}
+
+// Round returns the number of rounds run.
+func (r *Reference) Round() int { return r.round }
+
+// LastChange returns the last round that changed the global state: the
+// paper's rounds-to-stable once a round has left the state as it was.
+func (r *Reference) LastChange() int { return r.lastChange }
+
+// Moved reports whether the last round changed the member's own state,
+// its virtual nodes with their edge sets and rl/rr.
+func (r *Reference) Moved(id ident.ID) bool {
+	return !r.env.node(id).vnodesEqual(r.prev.nodes[id].vnodes)
+}
+
+// Peers returns the members in identifier order.
+func (r *Reference) Peers() []ident.ID { return slices.Clone(r.env.order) }
+
+// InFlight counts the pending messages.
+func (r *Reference) InFlight() int {
+	c := 0
+	for _, id := range r.env.order {
+		c += len(r.env.node(id).inbox)
+	}
+	return c
+}
+
+// Graph and ReChordGraph export the state the way the product's
+// exporters do; both read only members, virtual nodes and inboxes.
+func (r *Reference) Graph() *graph.Graph        { return r.env.Graph() }
+func (r *Reference) ReChordGraph() *graph.Graph { return r.env.ReChordGraph() }

@@ -84,7 +84,7 @@ func (nw *Network) rebuildDeps() {
 		}
 	}
 	for _, d := range w.deps {
-		nw.commitDepDelta(0, d)
+		nw.commitDepDelta(d)
 	}
 }
 

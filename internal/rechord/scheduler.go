@@ -14,8 +14,7 @@ import "repro/internal/ident"
 // Three implementations exist:
 //
 //   - *Network itself: the synchronous round engine. Step executes one
-//     synchronous round over the activity-tracked frontier (or over
-//     every peer, under Config.FullSweep).
+//     synchronous round over the activity-tracked frontier.
 //   - *AsyncRunner: the event-driven asynchronous scheduler. Step
 //     advances one tick of virtual time, delivering due messages and
 //     activating the frontier peers whose (geometric) activation draw

@@ -122,8 +122,8 @@ type RealNode struct {
 	// same output every round, so the bucket doubles as that repeating
 	// flow: the scheduler replaces a bucket only when the sender's
 	// output actually changes, and a skipped (clean) peer's pending
-	// inbox is exactly the union of its buckets — identical to what a
-	// full sweep would have delivered. Handle keys make a bucket from a
+	// inbox is exactly the union of its buckets — identical to what
+	// running every peer would have delivered. Handle keys make a bucket from a
 	// departed incarnation impossible to confuse with its slot's next
 	// tenant.
 	in []bucket
@@ -314,15 +314,6 @@ func (n *RealNode) eachPending(f func(Message)) {
 	}
 }
 
-// pendingInbox reports how many messages are pending for the peer.
-func (n *RealNode) pendingInbox() int {
-	c := len(n.inbox)
-	for _, b := range n.in {
-		c += b.flow.spanLen(b.span)
-	}
-	return c
-}
-
 func (n *RealNode) clone() *RealNode {
 	c := &RealNode{id: n.id, idx: n.idx, gen: n.gen, vnodes: make([]*VNode, len(n.vnodes))}
 	for l, v := range n.vnodes {
@@ -345,39 +336,8 @@ func (n *RealNode) clone() *RealNode {
 	return c
 }
 
-// cloneVNodes copies only the peer's own protocol state (virtual nodes
-// with their edge sets and rl/rr), for the scheduler's settle check.
-// The copy recycles buf's VNode objects and their set storage (the
-// barrier keeps one buffer per active index, so steady batches stop
-// allocating for the pre-round copies entirely).
-func (n *RealNode) cloneVNodes(buf []*VNode) []*VNode {
-	spare := buf[:cap(buf)] // retired clones beyond len(buf) are reusable
-	c := buf[:0]
-	for l, v := range n.vnodes {
-		if v == nil {
-			c = append(c, nil)
-			continue
-		}
-		var dst *VNode
-		if l < len(spare) {
-			dst = spare[l]
-		}
-		if dst == nil {
-			dst = &VNode{}
-		}
-		dst.Self = v.Self
-		dst.Nu.CopyFrom(v.Nu)
-		dst.Nr.CopyFrom(v.Nr)
-		dst.Nc.CopyFrom(v.Nc)
-		dst.RL, dst.RR = v.RL, v.RR
-		dst.HasRL, dst.HasRR = v.HasRL, v.HasRR
-		c = append(c, dst)
-	}
-	return c
-}
-
-// vnodesEqual compares the peer's own protocol state against a
-// cloneVNodes copy.
+// vnodesEqual compares the peer's own protocol state (virtual nodes with
+// their edge sets and rl/rr) against another peer's.
 func (n *RealNode) vnodesEqual(o []*VNode) bool {
 	if len(n.vnodes) != len(o) {
 		return false
@@ -394,25 +354,6 @@ func (n *RealNode) vnodesEqual(o []*VNode) bool {
 	return true
 }
 
-func (n *RealNode) equal(o *RealNode) bool {
-	if n.id != o.id || !n.vnodesEqual(o.vnodes) {
-		return false
-	}
-	// The global state of the synchronous model includes the messages
-	// in flight: two states with equal edge sets but different pending
-	// deliveries evolve differently.
-	return slices.Equal(n.pendingSorted(), o.pendingSorted())
-}
-
-// pendingSorted collects the peer's pending messages in canonical
-// order, so inbox comparison is order-insensitive.
-func (n *RealNode) pendingSorted() []Message {
-	out := make([]Message, 0, n.pendingInbox())
-	n.eachPending(func(m Message) { out = append(out, m) })
-	slices.SortFunc(out, compareMessages)
-	return out
-}
-
 // compareMessages is the canonical message order: field by field, the
 // destination first. Any total order on the content serves (consumers
 // only need equal multisets to sort equal), so it skips the identifier
@@ -420,13 +361,6 @@ func (n *RealNode) pendingSorted() []Message {
 func compareMessages(a, b Message) int {
 	return cmp.Or(cmp.Compare(a.To.Owner, b.To.Owner), cmp.Compare(a.To.Level, b.To.Level), cmp.Compare(a.Kind, b.Kind),
 		cmp.Compare(a.Add.Owner, b.Add.Owner), cmp.Compare(a.Add.Level, b.Add.Level))
-}
-
-// sortedMessages returns a canonically ordered copy.
-func sortedMessages(ms []Message) []Message {
-	out := slices.Clone(ms)
-	slices.SortFunc(out, compareMessages)
-	return out
 }
 
 // Message is a delayed assignment (the paper's "A <= B"): an edge

@@ -1,6 +1,7 @@
 package rechord_test
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -13,141 +14,76 @@ import (
 // The sharded barrier (barrier.go) claims exact worker-count
 // independence: Workers=1 and Workers=N must produce identical global
 // state at every round boundary, under any churn, in every scheduler.
-// These tests run the two configurations in lockstep — with
-// ParanoidSettle on, so the clone cross-check, the wake-set
-// equivalence check and the commit's cross-shard write audits are all
-// armed — and compare snapshots and state fingerprints at phase-3
-// granularity (after every single Step), not just at quiescence.
+// The synchronous engine is compared at both counts with the reference
+// through the Lockstep harness; the asynchronous adversary, whose random
+// schedule the synchronous reference cannot shadow, is compared with
+// itself across the two counts — state, fingerprint and RNG consumption
+// after every step — with the clean-peer invariant checked on both
+// sides. CI runs this file under -race at GOMAXPROCS 1 and 4: every
+// standing bucket, dirty flag and index shard having exactly one writing
+// commit worker is what the race detector proves there.
 
-// wlEvent is one membership change applied to both worker
-// configurations at the same round. kind 3 is a REJOIN: a previously
-// departed identifier comes back, which exercises AddPeer's standing-
-// flow re-materialization against the sharded commit's index deltas.
-type wlEvent struct {
-	round  int
-	kind   int // 0 join, 1 leave, 2 fail, 3 rejoin
-	fresh  ident.ID
-	victim int
-}
+// netPair applies a membership event to both networks of an asynchronous
+// pair, which hold identical peer sets by induction.
+type netPair [2]*rechord.Network
 
-func runWorkersLockstep(t *testing.T, seed int64, n int, gen topogen.Generator, mode string, rounds int, events []wlEvent) bool {
+func (p netPair) Join(id, c ident.ID) error { return errors.Join(p[0].Join(id, c), p[1].Join(id, c)) }
+func (p netPair) Leave(id ident.ID) error   { return errors.Join(p[0].Leave(id), p[1].Leave(id)) }
+func (p netPair) Fail(id ident.ID) error    { return errors.Join(p[0].Fail(id), p[1].Fail(id)) }
+
+// runWorkersAsync steps a Workers=1 and a Workers=8 network through the
+// same asynchronous schedule and churn script.
+func runWorkersAsync(t *testing.T, seed int64, n int, gen topogen.Generator, steps int, events []lockstepEvent) bool {
 	t.Helper()
-	build := func(workers int) *rechord.Network {
+	var nets netPair
+	var runs [2]*rechord.AsyncRunner
+	for i, workers := range []int{1, 8} {
 		rng := rand.New(rand.NewSource(seed))
-		ids := topogen.RandomIDs(n, rng)
-		cfg := rechord.Config{Workers: workers, ParanoidSettle: true, FullSweep: mode == "fullsweep"}
-		return gen.Build(ids, rng, cfg)
+		nets[i] = gen.Build(topogen.RandomIDs(n, rng), rng, rechord.Config{Workers: workers})
+		runs[i] = rechord.NewAsyncRunner(nets[i], rechord.AsyncConfig{ActivationProb: 0.5, MaxDelay: 3}, rand.New(rand.NewSource(seed+99)))
 	}
-	serial, sharded := build(1), build(8)
-	var aSerial, aSharded *rechord.AsyncRunner
-	if mode == "async" {
-		acfg := rechord.AsyncConfig{ActivationProb: 0.5, MaxDelay: 3}
-		aSerial = rechord.NewAsyncRunner(serial, acfg, rand.New(rand.NewSource(seed+99)))
-		aSharded = rechord.NewAsyncRunner(sharded, acfg, rand.New(rand.NewSource(seed+99)))
-	}
-
-	// The two networks hold identical peer sets by induction, so one
-	// departed list serves both sides.
-	var departed []ident.ID
-	apply := func(nw *rechord.Network, ev wlEvent, record bool) error {
-		peers := nw.Peers()
-		switch {
-		case ev.kind == 0 || len(peers) < 3:
-			return nw.Join(ev.fresh, peers[ev.victim%len(peers)])
-		case ev.kind == 3 && len(departed) > 0:
-			back := departed[ev.victim%len(departed)]
-			if record {
-				i := ev.victim % len(departed)
-				departed = append(departed[:i], departed[i+1:]...)
-			}
-			return nw.Join(back, peers[ev.victim%len(peers)])
-		default:
-			victim := peers[ev.victim%len(peers)]
-			if record {
-				departed = append(departed, victim)
-			}
-			if ev.kind == 1 || ev.kind == 3 {
-				return nw.Leave(victim)
-			}
-			return nw.Fail(victim)
-		}
-	}
-
-	for r := 0; r < rounds; r++ {
-		for _, ev := range events {
-			if ev.round != r {
-				continue
-			}
-			if err := apply(sharded, ev, false); err != nil {
-				t.Logf("seed=%d round=%d: sharded event: %v", seed, r, err)
-				return false
-			}
-			if err := apply(serial, ev, true); err != nil {
-				t.Logf("seed=%d round=%d: serial event: %v", seed, r, err)
-				return false
-			}
-		}
-		if mode == "async" {
-			aSerial.Step()
-			aSharded.Step()
-		} else {
-			serial.Step()
-			sharded.Step()
-		}
-		if fa, fb := serial.StateFingerprint(nil), sharded.StateFingerprint(nil); fa != fb {
-			t.Logf("seed=%d n=%d gen=%s mode=%s: fingerprint diverged at round %d: %x vs %x",
-				seed, n, gen.Name, mode, r+1, fa, fb)
+	script := lockstepScript{events: events}
+	for s := 0; s < steps; s++ {
+		if err := script.apply(nets, nets[0].Peers, s); err != nil {
+			t.Logf("seed=%d step=%d: event: %v", seed, s, err)
 			return false
 		}
-		if !serial.TakeSnapshot().Equal(sharded.TakeSnapshot()) {
-			t.Logf("seed=%d n=%d gen=%s mode=%s: global state diverged at round %d (frontier=%d)",
-				seed, n, gen.Name, mode, r+1, serial.FrontierSize())
+		for _, a := range runs {
+			a.Step()
+			rechord.AssertCleanPeersStable(t, a)
+		}
+		if fa, fb := nets[0].StateFingerprint(nil), nets[1].StateFingerprint(nil); fa != fb {
+			t.Logf("seed=%d n=%d gen=%s: fingerprint diverged at step %d: %x vs %x", seed, n, gen.Name, s+1, fa, fb)
+			return false
+		}
+		if !nets[0].TakeSnapshot().Equal(nets[1].TakeSnapshot()) {
+			t.Logf("seed=%d n=%d gen=%s: global state diverged at step %d (frontier=%d)", seed, n, gen.Name, s+1, nets[0].FrontierSize())
 			return false
 		}
 	}
-	if serial.LastChange() != sharded.LastChange() {
-		t.Logf("seed=%d mode=%s: last-change round %d (serial) vs %d (sharded)",
-			seed, mode, serial.LastChange(), sharded.LastChange())
+	if runs[0].LastChange() != runs[1].LastChange() || runs[0].EventFingerprint() != runs[1].EventFingerprint() {
+		t.Logf("seed=%d: last change %d vs %d, event fingerprint %x vs %x — the sharded barrier consumed RNG",
+			seed, runs[0].LastChange(), runs[1].LastChange(), runs[0].EventFingerprint(), runs[1].EventFingerprint())
 		return false
 	}
-	if !serial.Graph().Equal(sharded.Graph()) || !serial.ReChordGraph().Equal(sharded.ReChordGraph()) {
-		t.Logf("seed=%d n=%d gen=%s mode=%s: graph exports diverged", seed, n, gen.Name, mode)
-		return false
-	}
-	if mode == "async" && aSerial.EventFingerprint() != aSharded.EventFingerprint() {
-		t.Logf("seed=%d: async event fingerprint diverged: %x vs %x — the sharded barrier consumed RNG",
-			seed, aSerial.EventFingerprint(), aSharded.EventFingerprint())
-		return false
-	}
-	return true
+	return nets[0].Graph().Equal(nets[1].Graph()) && nets[0].ReChordGraph().Equal(nets[1].ReChordGraph())
 }
 
 // TestWorkersLockstepChurn is the worker-count equivalence property
-// under join/leave/fail/rejoin churn, for the synchronous engine, the
+// under join/leave/fail/rejoin churn, for the synchronous engine and the
 // asynchronous adversary (whose RNG consumption must be byte-identical
-// across worker counts) and the FullSweep baseline.
+// across worker counts).
 func TestWorkersLockstepChurn(t *testing.T) {
 	gens := []topogen.Generator{topogen.Random(), topogen.Garbage(), topogen.PreStabilized()}
-	for _, mode := range []string{"sync", "async", "fullsweep"} {
+	for _, mode := range []string{"sync", "async"} {
 		t.Run(mode, func(t *testing.T) {
 			f := func(seed int64, sizeRaw, genRaw uint8, evRaw [5]uint8) bool {
-				n := 4 + int(sizeRaw)%12
-				gen := gens[int(genRaw)%len(gens)]
-				rng := rand.New(rand.NewSource(seed ^ 0x713c))
-				events := make([]wlEvent, 0, len(evRaw))
-				for i, raw := range evRaw {
-					events = append(events, wlEvent{
-						round:  2 + i*9 + int(raw)%4,
-						kind:   int(raw) % 4,
-						fresh:  ident.ID(rng.Uint64() | 1),
-						victim: rng.Intn(64),
-					})
-				}
-				rounds := 60
+				n, gen := 4+int(sizeRaw)%12, gens[int(genRaw)%len(gens)]
+				events := churnScript(seed, evRaw[:], 4, 9)
 				if mode == "async" {
-					rounds = 90 // activation prob 0.5 stretches convergence
+					return runWorkersAsync(t, seed, n, gen, 90, events) // activation prob 0.5 stretches convergence
 				}
-				return runWorkersLockstep(t, seed, n, gen, mode, rounds, events)
+				return runLockstep(t, seed, n, gen, []int{1, 8}, 60, events)
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
 				t.Error(err)

@@ -127,12 +127,10 @@ func Measure(nw *rechord.Network) RoundMetrics {
 // topology snapshot: callers that report one call Measure on the
 // network they hold.
 //
-// Under the incremental engine (the default), the fixed point is
-// detected by quiescence: an empty frontier and no in-flight delivery
-// means no peer's inputs changed since it last reached a local fixed
-// point, which is exactly global stability — an O(1) check. Under
-// rechord.Config.FullSweep the synchronous engine has no frontier, so
-// Run falls back to the classic deep-copy snapshot comparison.
+// The fixed point is detected by quiescence: an empty frontier and no
+// in-flight delivery means no peer's inputs changed since it last
+// reached a local fixed point, which is exactly global stability — an
+// O(1) check.
 func Run(ctx context.Context, s rechord.Scheduler, opt Options) Result {
 	if ctx == nil {
 		ctx = context.Background()
@@ -144,10 +142,6 @@ func Run(ctx context.Context, s rechord.Scheduler, opt Options) Result {
 	}
 	res := Result{AlmostStableRound: -1}
 	start := s.Time() // steps are counted relative to this run
-	var prev *rechord.Snapshot
-	if snw, ok := s.(*rechord.Network); ok && !snw.Incremental() {
-		prev = snw.TakeSnapshot()
-	}
 	for r := 0; r < maxSteps; r++ {
 		if ctx.Err() != nil {
 			res.Canceled = true
@@ -167,29 +161,13 @@ func Run(ctx context.Context, s rechord.Scheduler, opt Options) Result {
 		if res.AlmostStableRound < 0 && opt.Ideal != nil && opt.Ideal.AlmostStable(nw) {
 			res.AlmostStableRound = s.Time() - start
 		}
-		if prev == nil {
-			if s.Quiescent() {
-				res.Stable = true
-				// Rounds counts up to the last state change, matching
-				// the snapshot path's "round after which the state
-				// stopped changing".
-				res.Rounds = s.LastChange() - start
-				if res.Rounds < 0 {
-					res.Rounds = 0
-				}
-				return res
-			}
-			continue
-		}
-		snw := s.(*rechord.Network)
-		cur := snw.TakeSnapshot()
-		if cur.Equal(prev) {
+		if s.Quiescent() {
 			res.Stable = true
-			// The state was already fixed before this (unchanged) round.
-			res.Rounds = s.Time() - 1 - start
+			// Rounds counts up to the last state change: the round after
+			// which the global state stopped changing.
+			res.Rounds = max(s.LastChange()-start, 0)
 			return res
 		}
-		prev = cur
 	}
 	res.Rounds = s.Time() - start
 	return res

@@ -12,7 +12,7 @@ import (
 )
 
 func testConfig() rechord.Config {
-	return rechord.Config{Workers: 1, ParanoidSettle: true}
+	return rechord.Config{Workers: 1}
 }
 
 // gateScript is the equivalence-gate run description shared by the
