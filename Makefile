@@ -160,7 +160,7 @@ bench:
 # OUT=/tmp/async.json.
 bench-record:
 	$(if $(and $(BENCH_RECORD_$(GROUP)),$(OUT)),,$(error usage: make bench-record GROUP=<one of $(BENCH_GROUPS)> OUT=<file>))
-	$(BENCH_RECORD_$(GROUP)) | $(GO) run ./cmd/benchjson > $(OUT)
+	$(BENCH_RECORD_$(GROUP)) | $(GO) run ./cmd/benchdiff record > $(OUT)
 	@echo wrote $(OUT)
 
 # bench-gate re-records one group next to, not over, its committed
@@ -170,7 +170,7 @@ bench-record:
 # CI passes BENCHDIFF_FLAGS=-github for annotations.
 bench-gate: OUT = $(BENCH_TMP)/bench_new_$(GROUP).json
 bench-gate: bench-record
-	$(GO) run ./cmd/benchdiff $(BENCHDIFF_FLAGS) -base BENCH_$(GROUP).json -new $(OUT) $(BENCH_GATE_$(GROUP))
+	$(GO) run ./cmd/benchdiff diff $(BENCHDIFF_FLAGS) -base BENCH_$(GROUP).json -new $(OUT) $(BENCH_GATE_$(GROUP))
 
 # bench-diff runs every group's gate: the same commands as CI's
 # bench-diff job.

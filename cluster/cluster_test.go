@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,8 +18,8 @@ import (
 // TestLockstepFacadeVsDirect proves the facade adds no behavior: the
 // same seed, the same op sequence and the same home-selection rule
 // executed through cluster.Get/Put/Delete/Lookup and through a
-// hand-wired dht.Store + routing.Cache composition produce identical
-// owners, values, hop counts and errors, op for op.
+// hand-wired dht.Store over a published routing.Cache view produce
+// identical owners, values, hop counts and errors, op for op.
 func TestLockstepFacadeVsDirect(t *testing.T) {
 	const n, seed, keys = 24, 77, 120
 
@@ -37,10 +36,9 @@ func TestLockstepFacadeVsDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fallbacks atomic.Int64
 	cache := routing.NewCache(nw)
-	resolver := routing.Failover{Cache: cache, Fallbacks: &fallbacks}
-	store := dht.NewWithResolver(nw, resolver)
+	cache.Publish()
+	store := dht.NewWithResolver(nw, routing.ViewResolver{Cache: cache})
 	homes := nw.Peers()
 	ctr := 0
 	nextHome := func() ident.ID { h := homes[ctr%len(homes)]; ctr++; return h }
@@ -108,6 +106,88 @@ func TestLockstepFacadeVsDirect(t *testing.T) {
 		if i%3 == 0 && !errors.Is(ferr, ErrNotFound) {
 			t.Fatalf("post-delete get %d: err %v, want ErrNotFound", i, ferr)
 		}
+	}
+}
+
+// TestMidRepairLookupContract pins what a KV call gets between a
+// membership event and the caller's Stabilize, where the facade serves
+// the view published right after the event and has no second path: the
+// key's successor under the old or the new membership, another member
+// (a table that is not Chord's yet can end a lookup early — a joiner
+// nobody knows and who knows one contact; the counts are logged), or
+// ErrNoRoute, and nothing else. After Stabilize every lookup names
+// Owner(key).
+func TestMidRepairLookupContract(t *testing.T) {
+	const n, keys = 48, 400
+	ctx := context.Background()
+	key := func(i int) string { return fmt.Sprintf("obj-%04d", i) }
+	for _, kind := range []churn.Kind{churn.Join, churn.Leave, churn.Fail} {
+		t.Run(string(kind), func(t *testing.T) {
+			c, err := New(WithSize(n), WithSeed(21))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			pre := c.Peers()
+			preIDs := make([]ident.ID, len(pre))
+			for i, p := range pre {
+				preIDs[i] = p.id()
+			}
+			switch kind {
+			case churn.Join:
+				_, err = c.Join(ctx)
+			case churn.Leave:
+				err = c.Leave(ctx, pre[n/3])
+			case churn.Fail:
+				err = c.Fail(ctx, pre[n/3])
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			member := map[PeerID]bool{}
+			for _, p := range append(pre, c.Peers()...) {
+				member[p] = true
+			}
+			owners, noRoute, other := 0, 0, 0
+			for i := 0; i < keys; i++ {
+				kid := dht.KeyID(key(i))
+				got, _, err := c.Lookup(ctx, key(i))
+				switch {
+				case errors.Is(err, ErrNoRoute):
+					noRoute++
+				case err != nil:
+					t.Fatalf("lookup %d before Stabilize: %v, want an owner or ErrNoRoute", i, err)
+				case got == c.Owner(key(i)) || got.id() == ident.Successor(preIDs, kid):
+					owners++
+				case member[got]:
+					other++
+				default:
+					t.Fatalf("lookup %d before Stabilize named %s, which was never a member", i, got)
+				}
+			}
+			t.Logf("before Stabilize: %d owners, %d ErrNoRoute, %d other members of %d lookups", owners, noRoute, other, keys)
+			if kind == churn.Join && noRoute > 0 {
+				t.Errorf("%d lookups failed after a join: the old ring routes every key", noRoute)
+			}
+			if owners < keys*8/10 {
+				t.Errorf("only %d of %d lookups reached an owner one event away from the stable state", owners, keys)
+			}
+			if got := c.Metrics().Workload.RouteErrors; got != uint64(noRoute) {
+				t.Errorf("metrics count %d route errors, callers saw %d", got, noRoute)
+			}
+
+			if _, err := c.Stabilize(ctx); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < keys; i++ {
+				if got, _, err := c.Lookup(ctx, key(i)); err != nil || got != c.Owner(key(i)) {
+					t.Fatalf("lookup %d after Stabilize: (%s, %v), want %s", i, got, err, c.Owner(key(i)))
+				}
+			}
+			if got := c.Metrics().Routing.Fallbacks; got != 0 {
+				t.Errorf("Routing.Fallbacks = %d: the facade has no fallback to count", got)
+			}
+		})
 	}
 }
 
@@ -456,12 +536,20 @@ func TestTopologiesStabilize(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", topo, err)
 		}
+		// Nothing is published before the first Stabilize: no table of
+		// an un-stabilized topology is worth routing on.
+		if _, _, err := c.Lookup(context.Background(), "k"); !errors.Is(err, ErrNoRoute) {
+			t.Errorf("%s: lookup before the first Stabilize = %v, want ErrNoRoute", topo, err)
+		}
 		rep, err := c.Stabilize(context.Background(), StabilizeAlmostStable())
 		if err != nil {
 			t.Fatalf("%s: %v", topo, err)
 		}
 		if err := c.VerifyStable(); err != nil {
 			t.Errorf("%s: %v", topo, err)
+		}
+		if got, _, err := c.Lookup(context.Background(), "k"); err != nil || got != c.Owner("k") {
+			t.Errorf("%s: lookup after Stabilize = (%s, %v), want %s", topo, got, err, c.Owner("k"))
 		}
 		if topo != TopologyPreStabilized && rep.AlmostStableRound < 0 {
 			t.Errorf("%s: almost-stable round not observed", topo)

@@ -1,8 +1,8 @@
 // Package cluster is the public facade of the Re-Chord reproduction:
 // one context-aware API over the four layers every consumer used to
 // hand-wire — the self-stabilizing round engine (internal/rechord +
-// internal/sim), the epoch-cached Chord router (internal/routing), the
-// sharded key-value store (internal/dht), and the concurrent traffic
+// internal/sim), the Chord router's published view (internal/routing),
+// the sharded key-value store (internal/dht), and the concurrent traffic
 // engine (internal/workload).
 //
 // A Cluster is built with functional options and consumed through four
@@ -13,9 +13,11 @@
 //     fixed point (cancellable, deadline-bounded); Quiescent reports
 //     whether the network is at that fixed point.
 //   - KV: Get, Put, Delete and Lookup route operations over the
-//     overlay from round-robin home peers, through the epoch-cached
-//     table router with a state-walk fallback, surfacing the unified
-//     error taxonomy (ErrNotFound, ErrNoRoute, ErrUnknownPeer, ...).
+//     overlay from round-robin home peers, by table routing on the
+//     router's published view, surfacing the unified error taxonomy
+//     (ErrNotFound, ErrNoRoute, ErrUnknownPeer, ...). Between a
+//     membership event and Stabilize a lookup may return ErrNoRoute
+//     (see Join, Leave, Fail).
 //   - Traffic: RunWorkload(ctx, cfg) drives the concurrent workload
 //     engine — client workers, pluggable key distributions, churn
 //     interleaved with the traffic — and returns merged telemetry.
@@ -29,15 +31,14 @@
 // synchronous round model to the event-driven asynchronous scheduler:
 // each frontier peer activates with probability p per step and
 // messages arrive after a delay drawn from the model (DelayUniform,
-// DelayGeometric, DelayPareto, DelayPerLink, or ParseDelayModel for
-// flag strings). Every facade method works unchanged; reports and
-// event timestamps that count "rounds" count asynchronous steps
-// instead (Steps returns that clock, Round stays the synchronous round
-// counter).
+// DelayGeometric, DelayPareto, or ParseDelayModel for flag strings).
+// Every facade method works unchanged; reports and event timestamps
+// that count "rounds" count asynchronous steps instead (Steps returns
+// that clock, Round stays the synchronous round counter).
 //
 // # Concurrency model
 //
-// The facade serializes network mutation against routing reads with
+// The facade serializes network mutation against the KV methods with
 // one RWMutex: KV methods take the read side, lifecycle methods and
 // Stabilize take the write side and publish the router's view before
 // they release it. Stabilize and RunWorkload hold the write side for
@@ -48,9 +49,9 @@
 // re-stabilization mid-churn) happens inside the workload engine, which
 // has no lock at all: its clients route over the published view and
 // retry on the next one when a mid-repair table cannot complete a
-// lookup. The facade keeps the simpler pull-mode design for its own KV
-// methods, which have no publisher to wait for: under the read side, a
-// table route that fails falls back to the state walk.
+// lookup. The facade's own KV methods route on the same view the same
+// way and read nothing else of the network; with no repair in flight
+// to wait for, a lookup that cannot complete returns ErrNoRoute.
 //
 // # Event-stream contract
 //

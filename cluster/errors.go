@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/dht"
+	"repro/internal/obs"
 )
 
 // The unified error taxonomy of the facade. Every error returned by a
@@ -36,12 +37,12 @@ var (
 // opError translates a store/routing error into the facade taxonomy,
 // keeping the underlying detail in the message.
 func opError(op, key string, err error) error {
-	switch {
-	case err == nil:
+	switch dht.Outcome(err) {
+	case obs.OpOK:
 		return nil
-	case errors.Is(err, dht.ErrNotFound):
+	case obs.OpNotFound:
 		return fmt.Errorf("%w: %s %q", ErrNotFound, op, key)
-	case errors.Is(err, dht.ErrUnknownPeer):
+	case obs.OpUnknownPeer:
 		return fmt.Errorf("%w: %s %q: %v", ErrUnknownPeer, op, key, err)
 	default:
 		return fmt.Errorf("%w: %s %q: %v", ErrNoRoute, op, key, err)

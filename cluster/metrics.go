@@ -2,12 +2,10 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 
 	"repro/internal/dht"
 	"repro/internal/obs"
-	"repro/internal/routing"
 )
 
 // Facade op indices into the workload metrics' per-op slots; the order
@@ -45,7 +43,6 @@ func (c *Cluster) Metrics() MetricsSnapshot {
 	s.Routing.CacheHits, s.Routing.CacheMisses = c.cache.Stats()
 	s.Routing.CacheInvalidations = c.cache.Invalidations()
 	s.Routing.CacheEntries = c.cache.Len()
-	s.Routing.Fallbacks = c.fallbacks.Load()
 	s.Routing.LookupHops = obs.SummarizeHist(c.met.Hops.Merged())
 	s.Wire = c.wire.Snapshot() // nil-safe: all-zero without WithWireMetrics
 	return s
@@ -53,11 +50,10 @@ func (c *Cluster) Metrics() MetricsSnapshot {
 
 // TraceLookup routes the key from a round-robin home peer to its owner
 // like Lookup, but returns the full per-lookup trace: the hop-by-hop
-// path, per-table cache attribution, whether the table route failed
-// over to the state walk, and — under WithAsync — the simulated
-// per-hop delivery delays the configured delay model assigns to the
-// path's links (drawn from a key-seeded stream, so the same lookup
-// traces the same delays).
+// path, how many published tables it read, and — under WithAsync — the
+// simulated per-hop delivery delays the configured delay model assigns
+// to the path's links (drawn from a key-seeded stream, so the same
+// lookup traces the same delays).
 func (c *Cluster) TraceLookup(ctx context.Context, key string) (*LookupTrace, error) {
 	if err := c.ready(ctx); err != nil {
 		return nil, err
@@ -67,19 +63,9 @@ func (c *Cluster) TraceLookup(ctx context.Context, key string) (*LookupTrace, er
 	from := c.home()
 	kid := dht.KeyID(key)
 	tr := &LookupTrace{}
-	_, _, err := c.cache.RouteTraced(from, kid, tr)
-	if err != nil {
-		// Mirror the serving path's failover: the state walk tolerates
-		// the mid-stabilization state the table route tripped over. The
-		// cache attribution of the failed attempt is kept; the path is
-		// the walk's.
-		tr.Failover = true
-		_, _, err = routing.Walker{NW: c.nw}.ResolveTraced(from, kid, tr)
-	}
-	if err != nil {
+	if _, _, err := c.cache.View().ResolveTraced(from, kid, tr); err != nil {
 		return tr, opError("trace", key, err)
 	}
-	tr.Err = ""
 	if c.cfg.async && len(tr.Path) > 1 {
 		delay := c.cfg.asyncDelay
 		if delay == nil {
@@ -95,29 +81,9 @@ func (c *Cluster) TraceLookup(ctx context.Context, key string) (*LookupTrace, er
 }
 
 // observeKV mirrors one facade KV operation into the live workload
-// metrics: op and taxonomy counters plus the hop distributions. The
-// facade's single-op methods skip the latency histograms — those
-// measure the traffic engine's serving path, where per-op timing is
-// taken; a facade call's wall time is dominated by the caller.
+// metrics. The facade's single-op methods record no latency — those
+// histograms measure the traffic engine's serving path, where per-op
+// timing is taken; a facade call's wall time is dominated by the caller.
 func (c *Cluster) observeKV(kind int, hops int, err error) {
-	m := c.met
-	m.Ops.Inc()
-	op := m.Op(kind)
-	op.Ops.Inc()
-	switch {
-	case err == nil:
-	case errors.Is(err, dht.ErrNotFound):
-		// Routing reached the owner; the hop count is real.
-		m.NotFound.Inc()
-	case errors.Is(err, dht.ErrUnknownPeer):
-		m.UnknownPeer.Inc()
-		op.Errors.Inc()
-		return
-	default:
-		m.RouteErrors.Inc()
-		op.Errors.Inc()
-		return
-	}
-	m.Hops.Observe(0, float64(hops))
-	op.Hops.Observe(0, float64(hops))
+	c.met.ObserveOp(0, kind, hops, dht.Outcome(err), -1)
 }

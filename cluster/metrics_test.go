@@ -184,7 +184,7 @@ func TestTraceLookup(t *testing.T) {
 		if tr.Hops() != len(tr.Path)-1 {
 			t.Fatalf("Hops() = %d, path length %d", tr.Hops(), len(tr.Path))
 		}
-		if tr.CacheHits+tr.CacheMisses == 0 {
+		if tr.CacheHits == 0 {
 			t.Fatal("cached lookup attributed no table fetches")
 		}
 		if tr.DelaySteps != nil {

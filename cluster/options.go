@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/ident"
 	"repro/internal/obs"
 	"repro/internal/rechord"
 	"repro/internal/topogen"
@@ -96,8 +95,8 @@ func WithAblation(disableRing, disableConnection bool) Option {
 
 // DelayModel draws per-message delivery delays for the asynchronous
 // execution model (re-exported from the scheduler layer). Build one
-// with DelayUniform, DelayGeometric, DelayPareto or DelayPerLink, or
-// parse a textual spec with ParseDelayModel.
+// with DelayUniform, DelayGeometric or DelayPareto, or parse a textual
+// spec with ParseDelayModel.
 type DelayModel = rechord.DelayModel
 
 // DelayUniform delays every message uniformly in 1..max steps — the
@@ -115,19 +114,6 @@ func DelayGeometric(p float64, max int) DelayModel {
 // (smaller alpha = heavier tail), capped at max when positive.
 func DelayPareto(alpha float64, max int) DelayModel {
 	return rechord.ParetoDelay{Alpha: alpha, Max: max}
-}
-
-// DelayPerLink derives each message's delay from the (from, to) peer
-// pair — a deterministic per-link latency map. The optional maxHint is
-// the map's largest latency: it caps the values and lets default
-// stabilization budgets scale with the latency instead of assuming
-// delay 1 (pass it whenever latencies exceed a few steps).
-func DelayPerLink(fn func(from, to PeerID) int, maxHint ...int) DelayModel {
-	max := 0
-	if len(maxHint) > 0 {
-		max = maxHint[0]
-	}
-	return rechord.LinkDelay{Fn: func(f, t ident.ID) int { return fn(PeerID(f), PeerID(t)) }, Max: max}
 }
 
 // ParseDelayModel parses a textual delay-model spec, for command-line

@@ -26,20 +26,18 @@ func (c *Cluster) applyEvent(ev churn.Event) error {
 	if err := ev.Apply(c.nw); err != nil {
 		return fmt.Errorf("%w: %s: %v", ErrUnknownPeer, ev.Kind, err)
 	}
-	c.refreshHomes()
 	c.cache.Publish()
 	c.bus.publish(Event{Kind: peerEvents[ev.Kind], Peer: PeerID(ev.ID), Round: c.clock()})
 	return nil
 }
 
 // restoreInvariants re-establishes the facade guarantees after
-// anything churned the membership: refresh the home list, finish any
-// interrupted repair, rebalance the store onto current ownership,
-// level the router's view and prune the departed peers' tables from
-// it, and publish an epoch event when any peer state changed since
-// epoch0. Callers hold the write lock.
+// anything churned the membership: finish any interrupted repair,
+// rebalance the store onto current ownership, level the router's view
+// and prune the departed peers' tables from it, and publish an epoch
+// event when any peer state changed since epoch0. Callers hold the
+// write lock.
 func (c *Cluster) restoreInvariants(epoch0 int) error {
-	c.refreshHomes()
 	if !c.sched.Quiescent() {
 		sim.Run(context.Background(), c.sched, sim.Options{})
 	}
@@ -68,13 +66,6 @@ type WorkloadConfig struct {
 	Keyspace int
 	// Distribution is DistUniform, DistZipf or DistHotspot.
 	Distribution string
-	// ZipfS, ZipfV parameterize the zipf distribution.
-	ZipfS, ZipfV float64
-	// HotFraction, HotKeys, HotShiftEvery parameterize the shifting
-	// hotspot.
-	HotFraction   float64
-	HotKeys       int
-	HotShiftEvery int
 	// GetFrac, PutFrac, DeleteFrac is the op mix (default .80/.15/.05).
 	GetFrac, PutFrac, DeleteFrac float64
 	// Preload stores this many keys before the measured run.
@@ -127,24 +118,19 @@ func (c *Cluster) RunWorkload(ctx context.Context, cfg WorkloadConfig) (*Workloa
 
 	epoch0 := c.nw.EpochClock()
 	wcfg := workload.Config{
-		Workers:       cfg.Workers,
-		Ops:           cfg.Ops,
-		Duration:      cfg.Duration,
-		Keyspace:      cfg.Keyspace,
-		Distribution:  cfg.Distribution,
-		ZipfS:         cfg.ZipfS,
-		ZipfV:         cfg.ZipfV,
-		HotFraction:   cfg.HotFraction,
-		HotKeys:       cfg.HotKeys,
-		HotShiftEvery: cfg.HotShiftEvery,
-		GetFrac:       cfg.GetFrac,
-		PutFrac:       cfg.PutFrac,
-		DeleteFrac:    cfg.DeleteFrac,
-		Preload:       cfg.Preload,
-		Seed:          cfg.Seed,
-		Rate:          cfg.Rate,
-		Cache:         c.cache,
-		Obs:           c.met,
+		Workers:      cfg.Workers,
+		Ops:          cfg.Ops,
+		Duration:     cfg.Duration,
+		Keyspace:     cfg.Keyspace,
+		Distribution: cfg.Distribution,
+		GetFrac:      cfg.GetFrac,
+		PutFrac:      cfg.PutFrac,
+		DeleteFrac:   cfg.DeleteFrac,
+		Preload:      cfg.Preload,
+		Seed:         cfg.Seed,
+		Rate:         cfg.Rate,
+		Cache:        c.cache,
+		Obs:          c.met,
 		Churn: workload.ChurnConfig{
 			Events:   cfg.ChurnEvents,
 			EveryOps: cfg.ChurnEveryOps,

@@ -28,7 +28,7 @@ func TestCleanRunPasses(t *testing.T) {
 	base := writeJSON(t, dir, "base.json", baseline)
 	fresh := writeJSON(t, dir, "new.json", baseline)
 	var out strings.Builder
-	if err := run([]string{"-base", base, "-new", fresh, "-fail-allocs", "StepSteadyState|AsyncStep"}, &out); err != nil {
+	if err := diff([]string{"-base", base, "-new", fresh, "-fail-allocs", "StepSteadyState|AsyncStep"}, &out); err != nil {
 		t.Fatalf("identical files must pass: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "0 failing, 0 warnings") {
@@ -43,7 +43,7 @@ func TestAllocRegressionOnGatedBenchmarkFails(t *testing.T) {
 		`"BenchmarkStepSteadyState/n=512", "iterations": 100, "ns_per_op": 1000, "b_per_op": 0, "allocs_per_op": 0`,
 		`"BenchmarkStepSteadyState/n=512", "iterations": 100, "ns_per_op": 1000, "b_per_op": 16, "allocs_per_op": 2`, 1))
 	var out strings.Builder
-	err := run([]string{"-base", base, "-new", fresh, "-fail-allocs", "StepSteadyState|AsyncStep"}, &out)
+	err := diff([]string{"-base", base, "-new", fresh, "-fail-allocs", "StepSteadyState|AsyncStep"}, &out)
 	if err == nil {
 		t.Fatalf("allocs 0 -> 2 on a gated benchmark must fail\n%s", out.String())
 	}
@@ -57,7 +57,7 @@ func TestAllocRegressionOnUngatedBenchmarkWarns(t *testing.T) {
 	base := writeJSON(t, dir, "base.json", baseline)
 	fresh := writeJSON(t, dir, "new.json", strings.Replace(baseline, `"allocs_per_op": 12`, `"allocs_per_op": 20`, 1))
 	var out strings.Builder
-	if err := run([]string{"-base", base, "-new", fresh, "-fail-allocs", "StepSteadyState|AsyncStep"}, &out); err != nil {
+	if err := diff([]string{"-base", base, "-new", fresh, "-fail-allocs", "StepSteadyState|AsyncStep"}, &out); err != nil {
 		t.Fatalf("ungated alloc regression must only warn: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "warn BenchmarkRound/n=512 allocs/op") {
@@ -70,7 +70,7 @@ func TestNsDriftWarnsWithoutFailing(t *testing.T) {
 	base := writeJSON(t, dir, "base.json", baseline)
 	fresh := writeJSON(t, dir, "new.json", strings.Replace(baseline, `"ns_per_op": 2000`, `"ns_per_op": 3000`, 1))
 	var out strings.Builder
-	if err := run([]string{"-base", base, "-new", fresh, "-fail-allocs", "StepSteadyState|AsyncStep", "-github"}, &out); err != nil {
+	if err := diff([]string{"-base", base, "-new", fresh, "-fail-allocs", "StepSteadyState|AsyncStep", "-github"}, &out); err != nil {
 		t.Fatalf("ns drift must be non-blocking: %v\n%s", err, out.String())
 	}
 	s := out.String()
@@ -87,7 +87,7 @@ func TestNsWithinToleranceIsSilent(t *testing.T) {
 	base := writeJSON(t, dir, "base.json", baseline)
 	fresh := writeJSON(t, dir, "new.json", strings.Replace(baseline, `"ns_per_op": 2000`, `"ns_per_op": 2400`, 1))
 	var out strings.Builder
-	if err := run([]string{"-base", base, "-new", fresh}, &out); err != nil {
+	if err := diff([]string{"-base", base, "-new", fresh}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "0 failing, 0 warnings") {
@@ -100,7 +100,7 @@ func TestCustomMetricCompared(t *testing.T) {
 	base := writeJSON(t, dir, "base.json", baseline)
 	fresh := writeJSON(t, dir, "new.json", strings.Replace(baseline, `"bytes/peer": 30000`, `"bytes/peer": 60000`, 1))
 	var out strings.Builder
-	if err := run([]string{"-base", base, "-new", fresh, "-metric", "bytes/peer"}, &out); err != nil {
+	if err := diff([]string{"-base", base, "-new", fresh, "-metric", "bytes/peer"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "warn BenchmarkMemoryPerPeer/n=1024 bytes/peer") {
@@ -113,7 +113,7 @@ func TestFailMetricGatesRegression(t *testing.T) {
 	base := writeJSON(t, dir, "base.json", baseline)
 	fresh := writeJSON(t, dir, "new.json", strings.Replace(baseline, `"bytes/peer": 30000`, `"bytes/peer": 34000`, 1))
 	var out strings.Builder
-	err := run([]string{"-base", base, "-new", fresh, "-metric", "bytes/peer",
+	err := diff([]string{"-base", base, "-new", fresh, "-metric", "bytes/peer",
 		"-metric-tol", "0.10", "-fail-metric", "BenchmarkMemoryPerPeer"}, &out)
 	if err == nil {
 		t.Fatalf("+13%% bytes/peer at 10%% gated tolerance must fail\n%s", out.String())
@@ -128,7 +128,7 @@ func TestFailMetricWithinToleranceIsSilent(t *testing.T) {
 	base := writeJSON(t, dir, "base.json", baseline)
 	fresh := writeJSON(t, dir, "new.json", strings.Replace(baseline, `"bytes/peer": 30000`, `"bytes/peer": 32000`, 1))
 	var out strings.Builder
-	if err := run([]string{"-base", base, "-new", fresh, "-metric", "bytes/peer",
+	if err := diff([]string{"-base", base, "-new", fresh, "-metric", "bytes/peer",
 		"-metric-tol", "0.10", "-fail-metric", "BenchmarkMemoryPerPeer"}, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestGatedBenchmarkDisappearingFails(t *testing.T) {
   {"name": "BenchmarkStepSteadyState/n=512", "iterations": 100, "ns_per_op": 1000, "b_per_op": 0, "allocs_per_op": 0}
 ]`)
 	var out strings.Builder
-	err := run([]string{"-base", base, "-new", fresh, "-fail-allocs", "StepSteadyState|AsyncStep"}, &out)
+	err := diff([]string{"-base", base, "-new", fresh, "-fail-allocs", "StepSteadyState|AsyncStep"}, &out)
 	if err == nil {
 		t.Fatalf("gated benchmark missing from fresh run must fail\n%s", out.String())
 	}
@@ -155,7 +155,12 @@ func TestGatedBenchmarkDisappearingFails(t *testing.T) {
 
 func TestMissingFlagsRejected(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-base", "x.json"}, &out); err == nil {
+	if err := diff([]string{"-base", "x.json"}, &out); err == nil {
 		t.Fatal("missing -new must be rejected")
+	}
+	for _, args := range [][]string{nil, {"-base", "x.json"}, {"benchjson"}} {
+		if err := run(args, strings.NewReader(""), &out); err == nil {
+			t.Fatalf("%q is no subcommand and must be rejected", args)
+		}
 	}
 }

@@ -14,12 +14,12 @@ BenchmarkWorkload/uniform-8         	     10	  1200000 ns/op	  98 lookup-p99-ns
 PASS
 `
 
-func TestRunParsesBenchOutput(t *testing.T) {
+func TestRecordParsesBenchOutput(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(strings.NewReader(sample), &out); err != nil {
+	if err := record(strings.NewReader(sample), &out); err != nil {
 		t.Fatal(err)
 	}
-	var results []Result
+	var results []result
 	if err := json.Unmarshal(out.Bytes(), &results); err != nil {
 		t.Fatalf("output is not valid JSON: %v\n%s", err, out.String())
 	}
@@ -34,9 +34,9 @@ func TestRunParsesBenchOutput(t *testing.T) {
 	}
 }
 
-func TestRunEmptyInput(t *testing.T) {
+func TestRecordEmptyInput(t *testing.T) {
 	var out bytes.Buffer
-	if err := run(strings.NewReader("no benchmarks here\n"), &out); err != nil {
+	if err := record(strings.NewReader("no benchmarks here\n"), &out); err != nil {
 		t.Fatal(err)
 	}
 	if s := strings.TrimSpace(out.String()); s != "null" && s != "[]" {

@@ -10,7 +10,7 @@ import (
 	"repro/internal/scaletable"
 )
 
-func TestRunRendersLadder(t *testing.T) {
+func TestScaleRendersLadder(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "SCALE.json")
 	for _, e := range []scaletable.Entry{
 		{N: 2048, Model: "sync", Rounds: 65, WallSeconds: 5.7, BytesPerPeer: 35264},
@@ -21,7 +21,7 @@ func TestRunRendersLadder(t *testing.T) {
 		}
 	}
 	var out bytes.Buffer
-	if err := run([]string{path}, &out); err != nil {
+	if err := scale([]string{path}, &out); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
@@ -35,10 +35,10 @@ func TestRunRendersLadder(t *testing.T) {
 	}
 }
 
-func TestRunEmptyLadder(t *testing.T) {
+func TestScaleEmptyLadder(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "SCALE.json")
 	var out bytes.Buffer
-	if err := run([]string{path}, &out); err != nil {
+	if err := scale([]string{path}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "no entries") {
@@ -46,13 +46,13 @@ func TestRunEmptyLadder(t *testing.T) {
 	}
 }
 
-func TestRunRejectsCorruptFile(t *testing.T) {
+func TestScaleRejectsCorruptFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "SCALE.json")
 	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := run([]string{path}, &out); err == nil {
+	if err := scale([]string{path}, &out); err == nil {
 		t.Fatal("corrupt ladder accepted")
 	}
 }

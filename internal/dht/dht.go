@@ -3,17 +3,18 @@
 // means by "faithfully emulate any applications on top of Chord"
 // (Theorem 1.1). Every operation is routed over the overlay (by
 // default through routing.Route; callers serving traffic plug in the
-// epoch-cached table router), so it exercises exactly the edges the
-// self-stabilization protocol maintains.
+// table router over the published view), so it exercises exactly the
+// edges the self-stabilization protocol maintains.
 //
 // Storage is sharded: keys live in per-peer buckets, and the buckets
 // are spread over fixed shards each guarded by its own lock, so
 // concurrent clients touching different owners never contend. The
 // store itself reads the network only in Rebalance; whether an
 // operation may run while the network is being mutated is the
-// resolver's contract — the state walk and the serialized routing.Cache
-// entry points need mutators excluded, a resolver over a published
-// routing.View (internal/workload) does not.
+// resolver's contract — the state walk (routing.Walker) and
+// routing.Cache.Resolve, which publishes before it reads, need mutators
+// excluded; routing.ViewResolver, which the workload engine and the
+// cluster facade serve from, reads only the published view and does not.
 package dht
 
 import (
@@ -23,6 +24,7 @@ import (
 	"sync"
 
 	"repro/internal/ident"
+	"repro/internal/obs"
 	"repro/internal/rechord"
 	"repro/internal/routing"
 )
@@ -38,13 +40,29 @@ var (
 	ErrNotFound = errors.New("dht: key not found")
 )
 
+// Outcome classifies an operation's error for the serving-path metrics
+// (obs.WorkloadMetrics.ObserveOp): nil, a key absent at its owner, an
+// unknown home peer, or anything else — a routing failure.
+func Outcome(err error) obs.Outcome {
+	switch {
+	case err == nil:
+		return obs.OpOK
+	case errors.Is(err, ErrNotFound):
+		return obs.OpNotFound
+	case errors.Is(err, ErrUnknownPeer):
+		return obs.OpUnknownPeer
+	default:
+		return obs.OpRouteError
+	}
+}
+
 // Resolver locates the owner of a key starting from a home peer,
 // returning the number of inter-peer hops the lookup took. It also
 // answers the home check: a lookup from a peer that is not in the
 // network fails with an error matching routing.ErrUnknownPeer, which
-// the store reports as ErrUnknownPeer. Both routing.Walker (state-walk)
-// and routing.Cache (table routing over the published view) implement
-// it.
+// the store reports as ErrUnknownPeer. routing.Walker (state-walk) and
+// routing.ViewResolver (table routing over the published view)
+// implement it.
 type Resolver interface {
 	Resolve(from, key ident.ID) (owner ident.ID, hops int, err error)
 }
@@ -76,8 +94,8 @@ func New(nw *rechord.Network) *Store {
 }
 
 // NewWithResolver creates a store with a custom routing strategy (the
-// workload engine plugs in the table router over the published view
-// with a state-walk fallback).
+// workload engine and the cluster facade plug in routing.ViewResolver,
+// the table router over the published view).
 func NewWithResolver(nw *rechord.Network, r Resolver) *Store {
 	s := &Store{nw: nw, resolve: r}
 	for i := range s.shards {

@@ -93,7 +93,6 @@ func TestLookupTraceString(t *testing.T) {
 		From: 1, Key: 10, Owner: 3,
 		Path:       []ident.ID{1, 2, 3},
 		CacheHits:  2,
-		Failover:   true,
 		DelaySteps: []int{1, 2},
 	}
 	if tr.Hops() != 2 {
@@ -103,7 +102,7 @@ func TestLookupTraceString(t *testing.T) {
 		t.Fatalf("total delay = %d, want 3", tr.TotalDelay())
 	}
 	s := tr.String()
-	for _, want := range []string{"2 hops", "failover", "delay 3 steps"} {
+	for _, want := range []string{"2 hops", "2 cached tables", "delay 3 steps"} {
 		if !contains(s, want) {
 			t.Errorf("trace string %q missing %q", s, want)
 		}
@@ -156,10 +155,10 @@ func sampleSnapshot() Snapshot {
 		wm.LatencyNS.Observe(i, float64(100+i))
 		wm.Hops.Observe(i, float64(i%5))
 	}
-	wm.Op(0).Ops.Add(30)
-	wm.Op(0).LatencyNS.Observe(0, 111)
-	wm.Op(1).Errors.Add(2)
-	wm.Op(1).Hops.Observe(1, 3)
+	wm.perOp[0].Ops.Add(30)
+	wm.perOp[0].LatencyNS.Observe(0, 111)
+	wm.perOp[1].Errors.Add(2)
+	wm.perOp[1].Hops.Observe(1, 3)
 
 	var hops stats.Histogram
 	for i := 0; i < 64; i++ {

@@ -7,8 +7,10 @@ import (
 )
 
 // RoutingSnapshot is the routing layer's slice of a metrics snapshot:
-// epoch-cache effectiveness, failovers to the state walk, and the
-// lookup-hop distribution (paper target: ~log n).
+// published-view effectiveness and the lookup-hop distribution (paper
+// target: ~log n). Fallbacks is written only by bench/'s direct
+// composition, whose private resolver still falls back to the state
+// walk; the facade has no second path and reports 0.
 type RoutingSnapshot struct {
 	CacheHits          uint64      `json:"cache_hits"`
 	CacheMisses        uint64      `json:"cache_misses"`

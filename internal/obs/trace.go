@@ -22,8 +22,7 @@ func PathHops(path []ident.ID) int {
 }
 
 // LookupTrace is the per-lookup flight record: the hop-by-hop path a
-// key resolution took, what the routing cache did for it, whether the
-// cluster fell back from the cached router to the state walk, and the
+// key resolution took, how many published tables it read, and the
 // simulated per-hop delay under the asynchronous model. Tracing is
 // opt-in and off the hot path: untraced lookups pass a nil trace and
 // pay nothing.
@@ -32,13 +31,9 @@ type LookupTrace struct {
 	Key   ident.ID   `json:"key"`
 	Owner ident.ID   `json:"owner"`
 	Path  []ident.ID `json:"path"`
-	// CacheHits / CacheMisses count routing-table fetches along this
-	// lookup that were served from (or rebuilt into) the epoch cache.
-	CacheHits   int `json:"cache_hits"`
-	CacheMisses int `json:"cache_misses"`
-	// Failover reports that the cached route failed and the resolution
-	// fell back to the direct state walk.
-	Failover bool `json:"failover"`
+	// CacheHits counts the routing tables this lookup read from the
+	// published view.
+	CacheHits int `json:"cache_hits"`
 	// DelaySteps is the simulated per-hop delay (in scheduler steps)
 	// each forward would pay under the cluster's delay model; empty
 	// under the synchronous model's implicit unit delay.
@@ -71,10 +66,7 @@ func (t *LookupTrace) String() string {
 		}
 		fmt.Fprintf(&b, "%s", p)
 	}
-	fmt.Fprintf(&b, " (%d hops, cache %d/%d", t.Hops(), t.CacheHits, t.CacheHits+t.CacheMisses)
-	if t.Failover {
-		b.WriteString(", failover")
-	}
+	fmt.Fprintf(&b, " (%d hops, %d cached tables", t.Hops(), t.CacheHits)
 	if len(t.DelaySteps) > 0 {
 		fmt.Fprintf(&b, ", delay %d steps", t.TotalDelay())
 	}

@@ -3,8 +3,8 @@ package obs
 // WorkloadMetrics is the serving path's live metric set: an in-flight
 // gauge, an error taxonomy, and sharded latency/hop histograms that
 // concurrent workers write without contending. The workload engine
-// (and the cluster facade's KV methods, for hops) feed it; readers
-// merge shards lazily via Snapshot. Construct with
+// and the cluster facade's KV methods feed it through ObserveOp;
+// readers merge shards lazily via Snapshot. Construct with
 // NewWorkloadMetrics; the instance is long-lived and cumulative
 // across workload runs.
 type WorkloadMetrics struct {
@@ -54,9 +54,47 @@ func NewWorkloadMetrics(shards int, opNames ...string) *WorkloadMetrics {
 	return m
 }
 
-// Op returns the metrics for op type i (indexes follow the opNames
-// given at construction).
-func (m *WorkloadMetrics) Op(i int) *OpMetrics { return &m.perOp[i] }
+// Outcome is how one operation ended, as the error taxonomy counts
+// it. The caller classifies (dht.Outcome): this package does not know
+// the store's errors.
+type Outcome uint8
+
+const (
+	OpOK Outcome = iota
+	OpNotFound
+	OpUnknownPeer
+	OpRouteError
+)
+
+// ObserveOp mirrors one completed operation of op type kind into the
+// set: the op and taxonomy counters and, for an operation that reached
+// an owner (a not-found did; a routing failure feeds the error taxonomy
+// instead), its hop count. It observes into the shard's histograms, so
+// concurrent workers with shards of their own never contend. A negative
+// latNS records no latency (the facade's single-op methods pass one).
+func (m *WorkloadMetrics) ObserveOp(shard, kind, hops int, out Outcome, latNS float64) {
+	m.Ops.Inc()
+	op := &m.perOp[kind]
+	op.Ops.Inc()
+	if latNS >= 0 {
+		m.LatencyNS.Observe(shard, latNS)
+		op.LatencyNS.Observe(shard, latNS)
+	}
+	switch out {
+	case OpNotFound:
+		m.NotFound.Inc()
+	case OpUnknownPeer:
+		m.UnknownPeer.Inc()
+		op.Errors.Inc()
+		return
+	case OpRouteError:
+		m.RouteErrors.Inc()
+		op.Errors.Inc()
+		return
+	}
+	m.Hops.Observe(shard, float64(hops))
+	op.Hops.Observe(shard, float64(hops))
+}
 
 // WorkloadSnapshot is the JSON form of WorkloadMetrics.
 type WorkloadSnapshot struct {

@@ -56,7 +56,7 @@ func TestPublishedViewMatchesTableOf(t *testing.T) {
 					sched = rechord.NewAsyncRunner(nw, *s.cfg, rand.New(rand.NewSource(c.seed+99)))
 				}
 				cache := routing.NewCache(nw)
-				cache.PublishAll()
+				cache.Publish()
 				checkPublishedView(t, "initial", nw, cache)
 				script := newGoldenScript(c)
 				for step := 1; step <= script.lastStep() || !sched.Quiescent(); step++ {
@@ -64,16 +64,16 @@ func TestPublishedViewMatchesTableOf(t *testing.T) {
 						t.Fatalf("not quiescent after %d steps", goldenMaxSteps)
 					}
 					if script.apply(t, step, nw.Peers, nw.Join, nw.Leave, nw.Fail) > 0 {
-						cache.PublishAll()
+						cache.Publish()
 						checkPublishedView(t, fmt.Sprintf("after the events of step %d", step), nw, cache)
 					}
 					sched.Step()
 					if step%chunk == 0 {
-						cache.PublishAll()
+						cache.Publish()
 						checkPublishedView(t, fmt.Sprintf("after step %d", step), nw, cache)
 					}
 				}
-				cache.PublishAll()
+				cache.Publish()
 				checkPublishedView(t, "settled", nw, cache)
 			})
 		}
@@ -93,7 +93,7 @@ func testPublishedViewSlotReuse(t *testing.T) {
 		nw.Step()
 	}
 	cache := routing.NewCache(nw)
-	cache.PublishAll()
+	cache.Publish()
 	before := cache.View()
 
 	peers := nw.Peers()
@@ -114,7 +114,7 @@ func testPublishedViewSlotReuse(t *testing.T) {
 	if got, _, _ := nw.PeerSlot(fresh); got != slot {
 		t.Fatalf("joiner landed in slot %d, the departed peer held %d: no reuse to test", got, slot)
 	}
-	cache.PublishAll()
+	cache.Publish()
 	checkPublishedView(t, "after leave+join", nw, cache)
 
 	if !before.Has(old) || before.Has(fresh) {

@@ -22,10 +22,9 @@ import (
 //
 // Tables extracted mid-stabilization can be incomplete (no successor
 // yet) or stale (a finger naming a departed peer); both surface as an
-// error, and callers that must survive churn either fall back to the
-// state-walk Route, which tolerates partially repaired state
-// (Failover), or route again on the next published view (the workload
-// engine).
+// error. A caller that must survive churn routes again on the next
+// published view (the workload engine's clients); one with nobody
+// repairing the network under it reports the failure (the facade).
 //
 // A non-nil trace records the visited path hop by hop, so
 // obs.PathHops(tr.Path) always equals the returned hop count — the
@@ -156,9 +155,9 @@ func RouteUncached(nw *rechord.Network, from, key ident.ID) (ident.ID, int, erro
 // View is what a lookup may read without touching the network: an
 // immutable membership snapshot (identifier -> interner slot, members
 // in ascending order) plus one atomically swapped *Table per slot, nil
-// until built. A join or departure is published as a new View with its
-// own slots and a table is replaced whole, so every table a lookup sees
-// is one member's state at one round barrier.
+// before the first publish. A join or departure is published as a new
+// View with its own slots and a table is replaced whole, so every table
+// a lookup sees is one member's state at one round barrier.
 type View struct {
 	c       *Cache
 	version uint64 // rechord.Network.MembershipVersion it was taken under
@@ -177,55 +176,47 @@ func (v *View) Has(id ident.ID) bool {
 func (v *View) Peers() []ident.ID { return v.peers }
 
 // Resolve is the lock-free table lookup: it reads the published tables
-// and nothing of the network, so it is safe while the engine steps. A
-// table the view does not hold fails the lookup.
+// and nothing of the network, so it is safe while the engine steps.
 func (v *View) Resolve(from, key ident.ID) (owner ident.ID, hops int, err error) {
-	return v.route(false, from, key, nil)
+	return v.ResolveTraced(from, key, nil)
 }
 
-// table returns the peer's table and whether the view served it. With
-// pull set a missing table is built from the network — the caller must
-// then be serialized against network mutation.
-func (v *View) table(pull bool, id ident.ID) (*Table, bool, error) {
+// table returns the member's published table. Only a view nobody has
+// published to yet lacks one.
+func (v *View) table(id ident.ID) (*Table, error) {
 	slot, ok := v.slots[id]
 	if !ok {
-		return nil, false, fmt.Errorf("%w %s", ErrUnknownPeer, id)
+		return nil, fmt.Errorf("%w %s", ErrUnknownPeer, id)
 	}
 	if t := v.tables[slot].Load(); t != nil && t.Self == id {
-		return t, true, nil
+		return t, nil
 	}
-	if !pull {
-		return nil, false, fmt.Errorf("routing: no published table for %s", id)
-	}
-	t, err := v.c.build(v, int(slot), id)
-	return t, false, err
+	return nil, fmt.Errorf("routing: no published table for %s", id)
 }
 
-// route is the one table lookup behind View.Resolve, Cache.Resolve and
-// RouteTraced. The home check is the view's membership; tables served
-// from the view count as hits, once per lookup rather than per hop.
-func (v *View) route(pull bool, from, key ident.ID, tr *obs.LookupTrace) (owner ident.ID, hops int, err error) {
+// ResolveTraced is Resolve with a per-lookup trace: the visited path
+// and how many tables the view served along it. It is the one table
+// lookup every reader goes through. The home check is the view's
+// membership; the tables served are counted as hits, once per lookup
+// rather than per hop.
+func (v *View) ResolveTraced(from, key ident.ID, tr *obs.LookupTrace) (owner ident.ID, hops int, err error) {
 	if !v.Has(from) {
 		return 0, 0, fmt.Errorf("%w %s", ErrUnknownPeer, from)
 	}
-	hits := 0
+	served := 0
 	owner, hops, err = routeTables(func(id ident.ID) (*Table, error) {
-		t, hit, err := v.table(pull, id)
-		if hit {
-			hits++
-		}
-		if tr != nil && err == nil {
-			if hit {
-				tr.CacheHits++
-			} else {
-				tr.CacheMisses++
-			}
+		t, err := v.table(id)
+		if err == nil {
+			served++
 		}
 		return t, err
 	}, len(v.peers), from, key, tr)
-	v.c.hits.Add(uint64(hits))
-	if tr != nil && err != nil {
-		tr.Err = err.Error()
+	v.c.hits.Add(uint64(served))
+	if tr != nil {
+		tr.CacheHits = served
+		if err != nil {
+			tr.Err = err.Error()
+		}
 	}
 	return owner, hops, err
 }
@@ -238,21 +229,19 @@ func (v *View) route(pull bool, from, key ident.ID, tr *obs.LookupTrace) (owner 
 // Re-Chord state, and after churn exactly the peers the repair rewrote
 // are rebuilt — by whoever mutated the network, calling Publish.
 //
-// Lock-free clients route on View(): they read nothing of the network,
-// so they may run while it is stepped, and a table missing from the
-// view fails their lookup (their publisher uses PublishAll). Callers
-// serialized against mutation from outside (readers share, mutators
-// exclude) use Table, Resolve and RouteTraced, which publish first when
-// a mutator left without doing so and build a missing table on first
-// use, so a Cache nobody publishes to is still never stale. All state
-// is atomics: the cache holds no lock and every reader may run beside
-// every other.
+// There is one way to resolve a key: on a View, which reads nothing of
+// the network, so readers may run while it is stepped. Readers whose
+// mutator publishes for them (the workload's clients, the cluster
+// facade) take View(); Table, Resolve, RouteTraced and Prune are for
+// callers serialized against mutation who have no publisher, and
+// publish first when the network moved. All state is atomics: the cache
+// holds no lock and every reader may run beside every other.
 type Cache struct {
 	nw   *rechord.Network
 	view atomic.Pointer[View]
-	// clock is the network's epoch clock as of the last publish: while
-	// it and the view's membership version equal the network's, every
-	// table the view holds is fresh.
+	// clock is the network's epoch clock as of the last publish (-1
+	// before the first): while it and the view's membership version
+	// equal the network's, every member's table is in the view and fresh.
 	clock atomic.Int64
 
 	// hits counts tables served from the view, misses tables built,
@@ -262,11 +251,11 @@ type Cache struct {
 }
 
 // NewCache creates a cache over the network holding its membership and
-// no tables yet.
+// no tables yet: the first Publish builds them.
 func NewCache(nw *rechord.Network) *Cache {
 	c := &Cache{nw: nw}
 	c.view.Store(c.newView(nil))
-	c.clock.Store(int64(nw.EpochClock()))
+	c.clock.Store(-1)
 	return c
 }
 
@@ -288,93 +277,67 @@ func (c *Cache) newView(old *View) *View {
 	return v
 }
 
-// build derives the peer's table from the network and swaps it into
-// its slot.
-func (c *Cache) build(v *View, slot int, id ident.ID) (*Table, error) {
-	t, err := TableOf(c.nw, id)
-	if err != nil {
-		return nil, err
-	}
-	c.misses.Add(1)
-	v.tables[slot].Store(t)
-	return t, nil
-}
-
-// Publish levels the view with the network: a new membership snapshot
-// when a peer joined or departed, and a rebuilt table in every slot
-// whose table was read under another generation or epoch than its peer
-// reports now; nothing when neither the epoch clock nor the membership
-// moved. Tables the view does not hold stay unbuilt. The caller must be
-// serialized against network mutation (normally: is the mutator).
-func (c *Cache) Publish() { c.current() }
-
-// PublishAll is Publish plus a table for every member still without
-// one, for lock-free clients, who cannot build.
-func (c *Cache) PublishAll() { c.publish(true) }
-
-func (c *Cache) publish(all bool) {
+// Publish levels the view with the network and returns it: a new
+// membership snapshot when a peer joined or departed, and a table built
+// for every member without one or whose table was read under another
+// generation or epoch than its peer reports now. It does nothing when
+// neither the epoch clock nor the membership moved since the last
+// publish. The caller must be serialized against network mutation
+// (normally: is the mutator).
+func (c *Cache) Publish() *View {
 	v := c.view.Load()
 	if v.version != c.nw.MembershipVersion() {
 		v = c.newView(v)
+	} else if c.clock.Load() == int64(c.nw.EpochClock()) {
+		return v
 	}
 	for _, id := range v.peers {
 		slot, gen, epoch, _ := c.nw.PeerSlotEpoch(id)
-		switch t := v.tables[slot].Load(); {
-		case t == nil:
-			if !all {
+		if t := v.tables[slot].Load(); t != nil {
+			if t.Self == id && t.gen == gen && t.epoch == epoch {
 				continue
 			}
-		case t.Self == id && t.gen == gen && t.epoch == epoch:
-			continue
-		default:
 			c.invalidations.Add(1)
 		}
-		_, _ = c.build(v, slot, id) // a member always has a table to derive
+		t, _ := TableOf(c.nw, id) // a member always has a table to derive
+		c.misses.Add(1)
+		v.tables[slot].Store(t)
 	}
 	c.clock.Store(int64(c.nw.EpochClock()))
 	c.view.Store(v)
+	return v
 }
 
 // View returns the last published view.
 func (c *Cache) View() *View { return c.view.Load() }
 
-// current is View for callers serialized against mutation: it
-// publishes first when the network moved since the last publish.
-func (c *Cache) current() *View {
-	if c.view.Load().version != c.nw.MembershipVersion() || c.clock.Load() != int64(c.nw.EpochClock()) {
-		c.publish(false)
-	}
-	return c.view.Load()
-}
-
-// Table returns the peer's current routing table, building it on first
-// use. The returned table is shared and must not be mutated.
+// Table returns the peer's current routing table. The returned table is
+// shared and must not be mutated.
 func (c *Cache) Table(id ident.ID) (*Table, error) {
-	t, hit, err := c.current().table(true, id)
-	if hit {
+	t, err := c.Publish().table(id)
+	if err == nil {
 		c.hits.Add(1)
 	}
 	return t, err
 }
 
-// Resolve performs a table-based Chord lookup through the cache, under
-// the name the DHT's resolver plug expects.
+// Resolve performs a table-based Chord lookup on the view, published
+// first when the network moved, under the name the DHT's resolver plug
+// expects.
 func (c *Cache) Resolve(from, key ident.ID) (owner ident.ID, hops int, err error) {
-	return c.current().route(true, from, key, nil)
+	return c.Publish().ResolveTraced(from, key, nil)
 }
 
-// RouteTraced is Resolve with a per-lookup trace: besides the visited
-// path, every table fetch along the lookup is attributed to the trace
-// as a cache hit or miss.
+// RouteTraced is Resolve with a per-lookup trace.
 func (c *Cache) RouteTraced(from, key ident.ID, tr *obs.LookupTrace) (owner ident.ID, hops int, err error) {
-	return c.current().route(true, from, key, tr)
+	return c.Publish().ResolveTraced(from, key, tr)
 }
 
 // Prune drops the tables of departed peers (publishing first when the
 // network moved, so nothing stale is left either), bounding the held
 // tables under sustained churn. It returns how many were dropped.
 func (c *Cache) Prune() int {
-	v := c.current()
+	v := c.Publish()
 	dropped := 0
 	for slot := range v.tables {
 		t := v.tables[slot].Load()
@@ -413,9 +376,23 @@ func (c *Cache) Invalidations() uint64 {
 	return c.invalidations.Load()
 }
 
+// ViewResolver is the serving path's resolver, shared by the workload
+// engine and the cluster facade: the table lookup on the cache's last
+// published view. It reads nothing of the network; whoever mutates the
+// network publishes. A lookup that cannot complete on a mid-repair view
+// fails, and the caller retries on a later view or reports it.
+type ViewResolver struct {
+	Cache *Cache
+}
+
+func (r ViewResolver) Resolve(from, key ident.ID) (ident.ID, int, error) {
+	return r.Cache.View().Resolve(from, key)
+}
+
 // Walker adapts the state-walk Route (which hops along raw Re-Chord
-// edges and tolerates mid-stabilization state) to the same Resolve
-// shape as Cache, so the DHT can take either.
+// edges) to the same Resolve shape: the paper's lookup experiment and
+// the oracle the table lookup is tested against. It reads the network,
+// so mutators must be excluded.
 type Walker struct {
 	NW *rechord.Network
 }
@@ -424,45 +401,6 @@ type Walker struct {
 // number of inter-peer hops (obs.PathHops of the walk's visited path
 // — the same definition routeTables counts directly).
 func (w Walker) Resolve(from, key ident.ID) (owner ident.ID, hops int, err error) {
-	return w.ResolveTraced(from, key, nil)
-}
-
-// ResolveTraced is Resolve with a per-lookup trace carrying the
-// visited path. The state walk never consults the table cache, so the
-// trace's cache counters stay zero.
-func (w Walker) ResolveTraced(from, key ident.ID, tr *obs.LookupTrace) (owner ident.ID, hops int, err error) {
-	owner, path, routeErr := Route(w.NW, from, key)
-	if tr != nil {
-		tr.From, tr.Key, tr.Owner = from, key, owner
-		tr.Path = append(tr.Path[:0], path...)
-		if routeErr != nil {
-			tr.Err = routeErr.Error()
-		}
-	}
-	hops = obs.PathHops(path)
-	if routeErr != nil {
-		return 0, hops, routeErr
-	}
-	return owner, hops, nil
-}
-
-// Failover routes through the table router and falls back to the state
-// walk when a table is incomplete or stale mid-churn — table routing is
-// the fast path, the walk is the one that tolerates partially repaired
-// state. Both read the network: it is for callers serialized against
-// mutation, who have no publisher to wait for (the workload engine's
-// clients have one, and retry on the next published view instead).
-type Failover struct {
-	Cache *Cache
-	// Fallbacks counts the lookups the state walk had to recover.
-	Fallbacks *atomic.Int64
-}
-
-func (r Failover) Resolve(from, key ident.ID) (ident.ID, int, error) {
-	owner, hops, err := r.Cache.Resolve(from, key)
-	if err == nil || errors.Is(err, ErrUnknownPeer) {
-		return owner, hops, err
-	}
-	r.Fallbacks.Add(1)
-	return Walker{NW: r.Cache.nw}.Resolve(from, key)
+	owner, path, err := Route(w.NW, from, key)
+	return owner, obs.PathHops(path), err
 }

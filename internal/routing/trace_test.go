@@ -48,20 +48,19 @@ func TestHopAccountingUnified(t *testing.T) {
 		if len(tr.Path) == 0 || tr.Path[0] != from {
 			t.Fatalf("trace path %v does not start at %s", tr.Path, from)
 		}
-		if tr.CacheHits+tr.CacheMisses == 0 {
+		if tr.CacheHits == 0 {
 			t.Fatal("traced lookup attributed no table fetches")
 		}
 
-		wtr := &obs.LookupTrace{}
-		wowner, whops, err := walker.ResolveTraced(from, key, wtr)
+		wowner, whops, err := walker.Resolve(from, key)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if wowner != want {
 			t.Fatalf("walker owner %s, want %s", wowner, want)
 		}
-		if got := wtr.Hops(); got != whops {
-			t.Fatalf("walker PathHops = %d, Resolve hops = %d", got, whops)
+		if _, path, _ := Route(nw, from, key); obs.PathHops(path) != whops {
+			t.Fatalf("walker PathHops = %d, Resolve hops = %d", obs.PathHops(path), whops)
 		}
 	}
 	if inv := cache.Invalidations(); inv != 0 {

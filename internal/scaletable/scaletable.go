@@ -4,8 +4,8 @@
 // it held per peer. The suites append entries into SCALE.json as they
 // pass (gated on the SCALE_JSON environment variable so ordinary test
 // runs stay write-free), CI uploads the file as an artifact, and
-// cmd/scalemd turns it into the markdown table published in the job's
-// step summary.
+// `benchdiff scale` turns it into the markdown table published in the
+// job's step summary.
 package scaletable
 
 import (

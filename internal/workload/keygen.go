@@ -20,6 +20,17 @@ const (
 	DistHotspot = "hotspot"
 )
 
+// The shapes of the skewed distributions: no caller varies them, so they
+// are constants, not configuration.
+const (
+	zipfS = 1.2 // Zipf-Mandelbrot exponent
+	zipfV = 1   // and offset
+
+	hotFraction   = 0.9  // share of the traffic that goes to the hot window
+	hotKeysDiv    = 64   // the window is Keyspace/hotKeysDiv keys wide
+	hotShiftEvery = 1000 // ops between two jumps of the window
+)
+
 type uniformGen struct {
 	rng *rand.Rand
 	n   int
@@ -28,30 +39,28 @@ type uniformGen struct {
 func (g *uniformGen) next(int) int { return g.rng.Intn(g.n) }
 
 // zipfGen skews toward low key indices with the standard Zipf-Mandelbrot
-// law; s and v are the generator's exponent and offset.
+// law.
 type zipfGen struct {
 	z *rand.Zipf
 }
 
 func (g *zipfGen) next(int) int { return int(g.z.Uint64()) }
 
-// hotspotGen sends hotFrac of the traffic to a window of hotKeys
-// contiguous keys whose position jumps every shiftEvery ops — the
+// hotspotGen sends hotFraction of the traffic to a window of hotKeys
+// contiguous keys whose position jumps every hotShiftEvery ops — the
 // shifting-hotspot model: caches and buckets that tuned themselves to
 // one hot set see it move out from under them mid-run.
 type hotspotGen struct {
-	rng        *rand.Rand
-	n          int
-	hotKeys    int
-	hotFrac    float64
-	shiftEvery int
+	rng     *rand.Rand
+	n       int
+	hotKeys int
 }
 
 func (g *hotspotGen) next(i int) int {
-	if g.rng.Float64() < g.hotFrac {
+	if g.rng.Float64() < hotFraction {
 		// The window start strides by a large odd constant so
 		// successive windows land far apart on the keyspace.
-		base := (i / g.shiftEvery) * (g.hotKeys*7 + 1) % g.n
+		base := (i / hotShiftEvery) * (g.hotKeys*7 + 1) % g.n
 		return (base + g.rng.Intn(g.hotKeys)) % g.n
 	}
 	return g.rng.Intn(g.n)
@@ -64,31 +73,9 @@ func newKeyGen(cfg Config, rng *rand.Rand) (keyGen, error) {
 	case DistUniform, "":
 		return &uniformGen{rng: rng, n: cfg.Keyspace}, nil
 	case DistZipf:
-		s, v := cfg.ZipfS, cfg.ZipfV
-		if s <= 1 {
-			s = 1.2
-		}
-		if v < 1 {
-			v = 1
-		}
-		return &zipfGen{z: rand.NewZipf(rng, s, v, uint64(cfg.Keyspace-1))}, nil
+		return &zipfGen{z: rand.NewZipf(rng, zipfS, zipfV, uint64(cfg.Keyspace-1))}, nil
 	case DistHotspot:
-		hot := cfg.HotKeys
-		if hot <= 0 {
-			hot = cfg.Keyspace / 64
-			if hot < 1 {
-				hot = 1
-			}
-		}
-		frac := cfg.HotFraction
-		if frac <= 0 || frac > 1 {
-			frac = 0.9
-		}
-		shift := cfg.HotShiftEvery
-		if shift <= 0 {
-			shift = 1000
-		}
-		return &hotspotGen{rng: rng, n: cfg.Keyspace, hotKeys: hot, hotFrac: frac, shiftEvery: shift}, nil
+		return &hotspotGen{rng: rng, n: cfg.Keyspace, hotKeys: max(cfg.Keyspace/hotKeysDiv, 1)}, nil
 	default:
 		return nil, fmt.Errorf("workload: unknown distribution %q (want %s, %s or %s)",
 			cfg.Distribution, DistUniform, DistZipf, DistHotspot)

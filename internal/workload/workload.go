@@ -100,15 +100,9 @@ type Config struct {
 	// Keyspace is the number of distinct keys (default 4096; must be
 	// at least Workers).
 	Keyspace int
-	// Distribution is uniform, zipf or hotspot (default uniform).
+	// Distribution is uniform, zipf or hotspot (default uniform); the
+	// shapes of the last two are constants (keygen.go).
 	Distribution string
-	// ZipfS, ZipfV parameterize the zipf distribution (default 1.2, 1).
-	ZipfS, ZipfV float64
-	// HotFraction, HotKeys, HotShiftEvery parameterize the shifting
-	// hotspot (defaults 0.9, Keyspace/64, 1000 ops).
-	HotFraction   float64
-	HotKeys       int
-	HotShiftEvery int
 	// GetFrac, PutFrac, DeleteFrac is the op mix (default .80/.15/.05;
 	// must sum to ~1).
 	GetFrac, PutFrac, DeleteFrac float64
@@ -307,7 +301,10 @@ func Run(ctx context.Context, sched rechord.Scheduler, cfg Config) (*Result, err
 	// report stays a per-run delta either way.
 	e.cacheHits0, e.cacheMisses0 = e.cache.Stats()
 	e.publish()
-	e.store = dht.NewWithResolver(nw, e)
+	// The table lookup on the last published view, which reads nothing
+	// of the network: a lookup that cannot complete on a mid-repair view
+	// fails there and is retried by its worker on the next publish.
+	e.store = dht.NewWithResolver(nw, routing.ViewResolver{Cache: e.cache})
 
 	homes := nw.Peers()
 	if len(homes) == 0 {
@@ -401,16 +398,8 @@ func Run(ctx context.Context, sched rechord.Scheduler, cfg Config) (*Result, err
 // included, and tells waiting clients that a newer state is out. Only
 // the churn driver calls it, and Run before any client starts.
 func (e *engine) publish() {
-	e.cache.PublishAll()
+	e.cache.Publish()
 	e.published.Add(1)
-}
-
-// Resolve is the store's resolver: the table lookup on the last
-// published view, which reads nothing of the network. A lookup that
-// cannot complete on a mid-repair view fails here and is retried by its
-// worker on the next publish.
-func (e *engine) Resolve(from, key ident.ID) (ident.ID, int, error) {
-	return e.cache.View().Resolve(from, key)
 }
 
 // awaitPublish parks a client whose lookup failed on the state
@@ -477,6 +466,8 @@ func (e *engine) worker(ctx context.Context, w int, homes []ident.ID, start time
 		t0 := time.Now()
 		var hops int
 		var opErr error
+		var outcome obs.Outcome
+		var routed bool // an owner was resolved (for a not-found too)
 		for {
 			seq := e.published.Load()
 			home := aliveHome(e.cache.View(), homes, hi)
@@ -488,65 +479,35 @@ func (e *engine) worker(ctx context.Context, w int, homes []ident.ID, start time
 			case opDelete:
 				_, hops, opErr = e.store.Delete(home, key)
 			}
-			if opErr == nil || errorsIsNotFound(opErr) || !e.awaitPublish(ctx, seq) {
+			outcome = dht.Outcome(opErr)
+			routed = outcome == obs.OpOK || outcome == obs.OpNotFound
+			if routed || !e.awaitPublish(ctx, seq) {
 				break
 			}
 			out.retries++
 		}
 		lat := float64(time.Since(t0).Nanoseconds())
-		if cfg.Obs != nil {
-			cfg.Obs.InFlight.Add(-1)
-		}
 
 		out.ops++
 		out.count[kind]++
 		out.lat.Observe(lat)
 		out.perLat[kind].Observe(lat)
-		routed := opErr == nil || errorsIsNotFound(opErr)
-		switch {
-		case opErr == nil:
+		// A routed op contributes its hop count; a routing failure is an
+		// error instead.
+		if routed {
 			out.hops.Observe(float64(hops))
 			out.perHops[kind].Observe(float64(hops))
-		case errorsIsNotFound(opErr):
-			out.notFound++
-			out.hops.Observe(float64(hops))
-			out.perHops[kind].Observe(float64(hops))
-		default:
+		} else {
 			out.errs[kind]++
 		}
+		if outcome == obs.OpNotFound {
+			out.notFound++
+		}
 		if cfg.Obs != nil {
-			e.observeOp(w, kind, lat, hops, routed, opErr)
+			cfg.Obs.InFlight.Add(-1)
+			cfg.Obs.ObserveOp(w, kind, hops, outcome, lat)
 		}
 		e.opsDone.Add(1)
-	}
-}
-
-// observeOp mirrors one completed op into the live metrics set. It
-// observes into worker-sharded histograms, so concurrent workers never
-// contend, and routed ops (including not-found, which resolved an
-// owner) contribute their hop count while routing failures feed the
-// error taxonomy instead.
-func (e *engine) observeOp(w, kind int, lat float64, hops int, routed bool, opErr error) {
-	m := e.cfg.Obs
-	m.Ops.Inc()
-	m.LatencyNS.Observe(w, lat)
-	op := m.Op(kind)
-	op.Ops.Inc()
-	op.LatencyNS.Observe(w, lat)
-	if routed {
-		m.Hops.Observe(w, float64(hops))
-		op.Hops.Observe(w, float64(hops))
-	}
-	switch {
-	case opErr == nil:
-	case errorsIsNotFound(opErr):
-		m.NotFound.Inc()
-	case errors.Is(opErr, dht.ErrUnknownPeer):
-		m.UnknownPeer.Inc()
-		op.Errors.Inc()
-	default:
-		m.RouteErrors.Inc()
-		op.Errors.Inc()
 	}
 }
 
@@ -699,10 +660,6 @@ func mix64(x uint64) uint64 {
 	x ^= x >> 31
 	return x
 }
-
-// errorsIsNotFound reports whether the op failed only because the key
-// was absent at its owner.
-func errorsIsNotFound(err error) bool { return errors.Is(err, dht.ErrNotFound) }
 
 // sleepCtx sleeps for d or until the context is done, reporting true
 // when the full sleep elapsed.
