@@ -61,10 +61,6 @@ type Cluster struct {
 	// by the facade KV methods and every RunWorkload call so Metrics()
 	// accumulates across runs. It is read without mu; see Metrics.
 	met *obs.WorkloadMetrics
-
-	// wire is the optional caller-owned wire-layer counter set
-	// (WithWireMetrics); nil when the process has no wire transport.
-	wire *obs.WireMetrics
 }
 
 // New builds a cluster from the options. The default is 32 peers,
@@ -99,7 +95,7 @@ func New(opts ...Option) (*Cluster, error) {
 		nw = generators()[cfg.topology].Build(ids, rng, rcfg)
 	}
 
-	c := &Cluster{cfg: cfg, nw: nw, rng: rng, wire: cfg.wireMetrics}
+	c := &Cluster{cfg: cfg, nw: nw, rng: rng}
 	// Histogram shards cover the widest worker pool a workload run may
 	// use plus the facade's own slot; extra shards only cost idle
 	// zero-value histograms.

@@ -44,7 +44,6 @@ func (c *Cluster) Metrics() MetricsSnapshot {
 	s.Routing.CacheInvalidations = c.cache.Invalidations()
 	s.Routing.CacheEntries = c.cache.Len()
 	s.Routing.LookupHops = obs.SummarizeHist(c.met.Hops.Merged())
-	s.Wire = c.wire.Snapshot() // nil-safe: all-zero without WithWireMetrics
 	return s
 }
 

@@ -5,8 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 // TestSubscriberOverflowCounted pins the event bus's drop accounting:
@@ -46,40 +44,6 @@ func TestSubscriberOverflowCounted(t *testing.T) {
 	ev := <-events
 	if ev.Kind != EventPeerJoined {
 		t.Fatalf("buffered event kind = %v, want %v", ev.Kind, EventPeerJoined)
-	}
-}
-
-// TestWithWireMetrics pins the wire section of the snapshot: a
-// caller-owned obs.WireMetrics attached at construction surfaces its
-// counters through Metrics(), and without the option the section is
-// present but all-zero (the nil-safe snapshot).
-func TestWithWireMetrics(t *testing.T) {
-	var wm obs.WireMetrics
-	wm.FramesSent.Add(7)
-	wm.BytesSent.Add(1234)
-	wm.BucketUpdates.Add(3)
-
-	c, err := New(WithSize(8), WithSeed(2), WithWireMetrics(&wm))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	s := c.Metrics()
-	if s.Wire.FramesSent != 7 || s.Wire.BytesSent != 1234 || s.Wire.BucketUpdates != 3 {
-		t.Fatalf("wire section not surfaced: %+v", s.Wire)
-	}
-	wm.FramesRecv.Inc()
-	if c.Metrics().Wire.FramesRecv != 1 {
-		t.Fatal("snapshot is not live against the shared counter set")
-	}
-
-	plain, err := New(WithSize(8), WithSeed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	if got := plain.Metrics().Wire; got != (obs.WireSnapshot{}) {
-		t.Fatalf("wire section without the option should be zero, got %+v", got)
 	}
 }
 

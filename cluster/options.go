@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/obs"
 	"repro/internal/rechord"
 	"repro/internal/topogen"
 	"repro/internal/workload"
@@ -54,7 +53,6 @@ type config struct {
 	async             bool
 	asyncProb         float64
 	asyncDelay        DelayModel
-	wireMetrics       *obs.WireMetrics
 }
 
 func defaultConfig() config {
@@ -176,17 +174,6 @@ func ParseDelayModel(spec string) (DelayModel, error) {
 		return DelayPareto(alpha, int(max)), nil
 	}
 	return nil, bad()
-}
-
-// WithWireMetrics attaches a wire-layer counter set (the one threaded
-// through internal/wire encoders, decoders and node runners) so the
-// cluster's Metrics() snapshot — and therefore the /metrics endpoint —
-// carries frame, byte and effect counts alongside the engine and
-// workload sections. The set stays caller-owned: a process embedding
-// both a serving cluster and a wire node passes the same instance to
-// both.
-func WithWireMetrics(m *obs.WireMetrics) Option {
-	return func(c *config) { c.wireMetrics = m }
 }
 
 // WithAsync switches the cluster from the paper's synchronous round

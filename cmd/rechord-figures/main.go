@@ -1,6 +1,7 @@
 // Command rechord-figures regenerates every figure and theorem-level
-// experiment of the paper's evaluation (see DESIGN.md's experiment
-// index and EXPERIMENTS.md for paper-vs-measured results).
+// experiment of the paper's evaluation (DESIGN.md §6 has the experiment
+// index; the fits and notes printed under each table are the
+// paper-vs-measured reading).
 //
 // Usage:
 //
@@ -21,26 +22,7 @@ import (
 	"sort"
 
 	"repro/internal/experiments"
-	"repro/internal/export"
 )
-
-var runners = map[string]func(experiments.Config) (*experiments.Result, error){
-	"fig5":        experiments.Fig5,
-	"fig6":        experiments.Fig6,
-	"fig7":        experiments.Fig7,
-	"convergence": experiments.Convergence,
-	"join":        experiments.Join,
-	"leave":       experiments.Leave,
-	"fail":        experiments.Fail,
-	"fact21":      experiments.Fact21,
-	"chordfail":   experiments.ChordFail,
-	"budget":      experiments.Budget,
-	"lookup":      experiments.Lookup,
-	"messages":    experiments.Messages,
-	"healing":     experiments.Healing,
-	"ablation":    experiments.Ablation,
-	"async":       experiments.Async,
-}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -70,9 +52,9 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *list {
-		names := make([]string, 0, len(runners))
-		for n := range runners {
-			names = append(names, n)
+		names := make([]string, 0, len(experiments.Runners))
+		for _, r := range experiments.Runners {
+			names = append(names, r.Name)
 		}
 		sort.Strings(names)
 		for _, n := range names {
@@ -97,48 +79,24 @@ func run(args []string, stdout io.Writer) error {
 		cfg.Reps = *reps
 	}
 
-	var names []string
-	switch {
-	case *fig != 0:
-		names = []string{fmt.Sprintf("fig%d", *fig)}
-	case *exp != "":
-		names = []string{*exp}
-	default:
-		names = []string{"fig5", "fig6", "fig7", "convergence", "join", "leave", "fail",
-			"fact21", "chordfail", "budget", "lookup", "messages", "healing", "ablation",
-			"async"}
+	// One sweep for the whole invocation: the figures that read the same
+	// converged runs share them.
+	sweep := experiments.NewSweep(cfg)
+	want, ran := *exp, false
+	if *fig != 0 {
+		want = fmt.Sprintf("fig%d", *fig)
 	}
-
-	for _, name := range names {
-		runner, ok := runners[name]
-		if !ok {
-			return fmt.Errorf("unknown experiment %q (try -list)", name)
+	for _, r := range experiments.Runners {
+		if want != "" && r.Name != want {
+			continue
 		}
-		res, err := runner(cfg)
+		ran = true
+		res, err := r.Run(sweep)
 		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+			return fmt.Errorf("%s: %w", r.Name, err)
 		}
-		fmt.Fprintln(stdout)
-		if err := res.Table.WriteText(stdout); err != nil {
+		if err := res.WriteText(stdout, *plot); err != nil {
 			return err
-		}
-		if *plot && len(res.Series) > 0 {
-			fmt.Fprintln(stdout)
-			if err := export.Plot(stdout, res.Name, 64, 14, res.Series...); err != nil {
-				fmt.Fprintln(stdout, err)
-			}
-		}
-		keys := make([]string, 0, len(res.Fits))
-		for k := range res.Fits {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			f := res.Fits[k]
-			fmt.Fprintf(stdout, "fit: %-22s ~ %8.3f * %-9s (R2 %.3f)\n", k, f.C, f.Shape.Name, f.R2)
-		}
-		for _, n := range res.Notes {
-			fmt.Fprintf(stdout, "note: %s\n", n)
 		}
 		if *csvDir != "" {
 			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
@@ -158,6 +116,9 @@ func run(args []string, stdout io.Writer) error {
 			}
 			fmt.Fprintf(stdout, "csv: %s\n", path)
 		}
+	}
+	if !ran {
+		return fmt.Errorf("unknown experiment %q (try -list)", want)
 	}
 	return nil
 }

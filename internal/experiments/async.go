@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/export"
 	"repro/internal/rechord"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/topogen"
 )
 
@@ -24,56 +22,31 @@ var asyncProbs = []float64{1.0, 0.5, 0.25}
 // roughly the expected 1/p factor while still reaching the unique
 // stable topology from every weakly connected start — the measured
 // answer to the open question.
-func Async(cfg Config) (*Result, error) {
-	cols := []string{"real_nodes"}
+func (s *Sweep) Async() (*Result, error) {
+	var cols []column
 	for _, p := range asyncProbs {
-		cols = append(cols, fmt.Sprintf("steps_p%.0f", 100*p))
-	}
-	tab := export.NewTable("Async convergence: steps to the stable state vs activation probability (uniform delay 1..2, means over reps)", cols...)
-
-	xs := make([]float64, 0, len(cfg.Sizes))
-	perProb := make([][]float64, len(asyncProbs))
-	for _, n := range cfg.Sizes {
-		row := []interface{}{n}
-		for pi, p := range asyncProbs {
-			var steps []float64
-			for rep := 0; rep < cfg.Reps; rep++ {
-				rng := cfg.rng(n, rep)
-				ids := topogen.RandomIDs(n, rng)
-				nw := topogen.Random().Build(ids, rng, rechord.Config{Workers: cfg.Workers})
-				runner := rechord.NewAsyncRunner(nw, rechord.AsyncConfig{
-					ActivationProb: p,
-					MaxDelay:       2,
-				}, rng)
-				res, err := sim.RunToStable(context.Background(), runner, sim.Options{})
-				if err != nil {
-					return nil, fmt.Errorf("async: n=%d p=%.2f rep=%d: %w", n, p, rep, err)
-				}
-				if err := rechord.ComputeIdeal(ids).Matches(nw); err != nil {
-					return nil, fmt.Errorf("async: n=%d p=%.2f rep=%d converged to wrong state: %w", n, p, rep, err)
-				}
-				steps = append(steps, float64(res.Rounds))
-			}
-			m := stats.Summarize(steps).Mean
-			row = append(row, m)
-			perProb[pi] = append(perProb[pi], m)
-		}
-		tab.AddRow(row...)
-		xs = append(xs, float64(n))
-	}
-
-	fits := map[string]stats.Fit{}
-	notes := []string{"open question of the paper's conclusion, measured: the protocol converges under asynchrony"}
-	series := make([]export.Series, 0, len(asyncProbs))
-	for pi, p := range asyncProbs {
 		name := fmt.Sprintf("steps_p%.0f", 100*p)
-		series = append(series, export.Series{Name: name, X: xs, Y: perProb[pi]})
-		if f, err := stats.BestFit(xs, perProb[pi]); err == nil {
-			fits[name] = f
-		}
-		if g, err := stats.GrowthExponent(xs, perProb[pi]); err == nil {
-			notes = append(notes, fmt.Sprintf("p=%.2f: growth exponent %.2f", p, g))
-		}
+		cols = append(cols, column{name: name, fit: name, series: name,
+			growth: fmt.Sprintf("p=%.2f", p) + ": growth exponent %.2f"})
 	}
-	return &Result{Name: "async", Table: tab, Series: series, Fits: fits, Notes: notes}, nil
+	return s.perSize("async", "Async convergence: steps to the stable state vs activation probability (uniform delay 1..2, means over reps)",
+		cols, []string{"open question of the paper's conclusion, measured: the protocol converges under asynchrony"},
+		func(n int) ([][]float64, error) {
+			steps := make([][]float64, len(asyncProbs))
+			for pi, p := range asyncProbs {
+				for rep := 0; rep < s.cfg.Reps; rep++ {
+					rng, ids, nw := s.cfg.build(n, rep, topogen.Random(), rechord.Config{})
+					runner := rechord.NewAsyncRunner(nw, rechord.AsyncConfig{ActivationProb: p, MaxDelay: 2}, rng)
+					res, err := sim.RunToStable(context.Background(), runner, sim.Options{})
+					if err != nil {
+						return nil, fmt.Errorf("async: n=%d p=%.2f rep=%d: %w", n, p, rep, err)
+					}
+					if err := rechord.ComputeIdeal(ids).Matches(nw); err != nil {
+						return nil, fmt.Errorf("async: n=%d p=%.2f rep=%d converged to wrong state: %w", n, p, rep, err)
+					}
+					steps[pi] = append(steps[pi], float64(res.Rounds))
+				}
+			}
+			return steps, nil
+		})
 }

@@ -11,20 +11,29 @@
 //	Budget     — Section 2.2 edge-count bounds
 //	Lookup     — O(log n) routing over the stable network
 //	Ablation   — what breaks without ring or connection edges
+//	Async      — convergence under the asynchronous adversary
+//
+// The paper runs one experiment — random weakly connected graphs per
+// size, each to its fixed point — and reads its figures off those runs.
+// A Sweep (sweep.go) is that experiment: it simulates each (generator,
+// size, rep) at most once and keeps what the figures read; Fig5, Fig6,
+// Fig7, Messages, Budget, Fact21 and Convergence are projections of it.
 package experiments
 
 import (
 	"context"
 	"fmt"
+	"io"
+	"maps"
+	"math/bits"
 	"math/rand"
+	"slices"
 
 	"repro/internal/chord"
 	"repro/internal/churn"
 	"repro/internal/export"
-	"repro/internal/graph"
 	"repro/internal/ident"
 	"repro/internal/rechord"
-	"repro/internal/ref"
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -64,141 +73,110 @@ type Result struct {
 	Notes  []string
 }
 
+// WriteText renders the result as rechord-figures prints it: a blank
+// line, the table, the ASCII plot of the series if asked for, the fits
+// by name, the notes.
+func (r *Result) WriteText(w io.Writer, plot bool) error {
+	fmt.Fprintln(w)
+	if err := r.Table.WriteText(w); err != nil {
+		return err
+	}
+	if plot && len(r.Series) > 0 {
+		fmt.Fprintln(w)
+		if err := export.Plot(w, r.Name, 64, 14, r.Series...); err != nil {
+			fmt.Fprintln(w, err)
+		}
+	}
+	for _, k := range slices.Sorted(maps.Keys(r.Fits)) {
+		f := r.Fits[k]
+		fmt.Fprintf(w, "fit: %-22s ~ %8.3f * %-9s (R2 %.3f)\n", k, f.C, f.Shape.Name, f.R2)
+	}
+	for _, n := range r.Notes {
+		fmt.Fprintf(w, "note: %s\n", n)
+	}
+	return nil
+}
+
+// Runner is one experiment under the name rechord-figures knows it by.
+type Runner struct {
+	Name string
+	Run  func(*Sweep) (*Result, error)
+}
+
+// Runners lists every experiment in the order a full run executes them.
+var Runners = []Runner{
+	{"fig5", (*Sweep).Fig5}, {"fig6", (*Sweep).Fig6}, {"fig7", (*Sweep).Fig7},
+	{"convergence", (*Sweep).Convergence},
+	{"join", func(s *Sweep) (*Result, error) {
+		return s.recovery(churn.Join, "Theorem 4.1: recovery rounds after an isolated join (O(log^2 n))")
+	}},
+	{"leave", func(s *Sweep) (*Result, error) {
+		return s.recovery(churn.Leave, "Theorem 4.2: recovery rounds after an isolated leave (O(log n))")
+	}},
+	{"fail", func(s *Sweep) (*Result, error) {
+		return s.recovery(churn.Fail, "Theorem 4.2: recovery rounds after a crash failure (O(log n))")
+	}},
+	{"fact21", (*Sweep).Fact21}, {"chordfail", (*Sweep).ChordFail}, {"budget", (*Sweep).Budget},
+	{"lookup", (*Sweep).Lookup}, {"messages", (*Sweep).Messages}, {"healing", (*Sweep).Healing},
+	{"ablation", (*Sweep).Ablation}, {"async", (*Sweep).Async},
+}
+
 func (c Config) rng(size, rep int) *rand.Rand {
 	return rand.New(rand.NewSource(c.Seed + int64(size)*1_000_003 + int64(rep)*7919))
 }
 
-// runOne builds one random weakly connected network of n peers, runs
-// it to the fixed point, and verifies it converged to the oracle
-// state.
-func (c Config) runOne(n, rep int, gen topogen.Generator) (sim.Result, *rechord.Network, error) {
+// build draws rep's random peer set of n and hands it to gen: the
+// initial state of every experiment that starts from an unstable
+// network. The returned rng continues the stream the build consumed.
+func (c Config) build(n, rep int, gen topogen.Generator, rc rechord.Config) (*rand.Rand, []ident.ID, *rechord.Network) {
 	rng := c.rng(n, rep)
 	ids := topogen.RandomIDs(n, rng)
-	nw := gen.Build(ids, rng, rechord.Config{Workers: c.Workers})
-	idl := rechord.ComputeIdeal(ids)
-	res, err := sim.RunToStable(context.Background(), nw, sim.Options{Ideal: idl})
-	if err != nil {
-		return res, nw, err
-	}
-	if err := idl.Matches(nw); err != nil {
-		return res, nw, fmt.Errorf("experiments: n=%d rep=%d converged to wrong state: %w", n, rep, err)
-	}
-	return res, nw, nil
+	rc.Workers = c.Workers
+	return rng, ids, gen.Build(ids, rng, rc)
 }
 
 // Fig5 regenerates Figure 5: mean normal edges, connection edges and
 // virtual nodes at the stabilization state, per real-node count.
-func Fig5(cfg Config) (*Result, error) {
-	tab := export.NewTable("Figure 5: edges and nodes at stabilization (means over reps)",
-		"real_nodes", "normal_edges", "connection_edges", "virtual_nodes")
-	var xs, normal, conn, virt []float64
-	for _, n := range cfg.Sizes {
-		var ne, ce, vn []float64
-		for rep := 0; rep < cfg.Reps; rep++ {
-			_, nw, err := cfg.runOne(n, rep, topogen.Random())
-			if err != nil {
-				return nil, err
-			}
-			final := sim.Measure(nw)
-			ne = append(ne, float64(final.NormalEdges()))
-			ce = append(ce, float64(final.ConnectionEdges))
-			vn = append(vn, float64(final.VirtualNodes))
-		}
-		sne, sce, svn := stats.Summarize(ne), stats.Summarize(ce), stats.Summarize(vn)
-		tab.AddRow(n, sne.Mean, sce.Mean, svn.Mean)
-		xs = append(xs, float64(n))
-		normal = append(normal, sne.Mean)
-		conn = append(conn, sce.Mean)
-		virt = append(virt, svn.Mean)
-	}
-	fits := map[string]stats.Fit{}
-	for name, ys := range map[string][]float64{
-		"normal_edges": normal, "connection_edges": conn, "virtual_nodes": virt,
-	} {
-		if f, err := stats.BestFit(xs, ys); err == nil {
-			fits[name] = f
-		}
-	}
-	return &Result{
-		Name:  "fig5",
-		Table: tab,
-		Series: []export.Series{
-			{Name: "normal edges", X: xs, Y: normal, Marker: 'n'},
-			{Name: "connection edges", X: xs, Y: conn, Marker: 'c'},
-			{Name: "virtual nodes", X: xs, Y: virt, Marker: 'v'},
-		},
-		Fits: fits,
-		Notes: []string{
-			"paper: normal edges slightly superlinear, connection edges ~ c*n*log^2(n) growing fastest, virtual nodes ~ n log n",
-		},
-	}, nil
+func (s *Sweep) Fig5() (*Result, error) {
+	return s.perSize("fig5", "Figure 5: edges and nodes at stabilization (means over reps)", []column{
+		{name: "normal_edges", fit: "normal_edges", series: "normal edges", marker: 'n',
+			of: func(r *record) (float64, bool) { return float64(r.final.NormalEdges()), true }},
+		{name: "connection_edges", fit: "connection_edges", series: "connection edges", marker: 'c',
+			of: func(r *record) (float64, bool) { return float64(r.final.ConnectionEdges), true }},
+		{name: "virtual_nodes", fit: "virtual_nodes", series: "virtual nodes", marker: 'v',
+			of: func(r *record) (float64, bool) { return float64(r.final.VirtualNodes), true }},
+	}, []string{"paper: normal edges slightly superlinear, connection edges ~ c*n*log^2(n) growing fastest, virtual nodes ~ n log n"}, nil)
 }
+
+// rounds is the rounds-to-stable column of Fig6 and Convergence.
+func rounds(r *record) (float64, bool) { return float64(r.Rounds), true }
 
 // Fig6 regenerates Figure 6: rounds to the stable state and to the
 // "almost stable" state (all desired edges present).
-func Fig6(cfg Config) (*Result, error) {
-	tab := export.NewTable("Figure 6: rounds to stable and almost-stable state (means over reps)",
-		"real_nodes", "rounds_stable", "rounds_almost_stable")
-	var xs, st, al []float64
-	for _, n := range cfg.Sizes {
-		var rs, ra []float64
-		for rep := 0; rep < cfg.Reps; rep++ {
-			res, _, err := cfg.runOne(n, rep, topogen.Random())
-			if err != nil {
-				return nil, err
-			}
-			rs = append(rs, float64(res.Rounds))
-			if res.AlmostStableRound >= 0 {
-				ra = append(ra, float64(res.AlmostStableRound))
-			}
-		}
-		srs, sra := stats.Summarize(rs), stats.Summarize(ra)
-		tab.AddRow(n, srs.Mean, sra.Mean)
-		xs = append(xs, float64(n))
-		st = append(st, srs.Mean)
-		al = append(al, sra.Mean)
-	}
-	fits := map[string]stats.Fit{}
-	notes := []string{"paper: steps grow sublinearly (at most linearly), well below the O(n log n) bound"}
-	if f, err := stats.BestFit(xs, st); err == nil {
-		fits["rounds_stable"] = f
-	}
-	if f, err := stats.BestFit(xs, al); err == nil {
-		fits["rounds_almost_stable"] = f
-	}
-	if p, err := stats.GrowthExponent(xs, st); err == nil {
-		notes = append(notes, fmt.Sprintf("measured growth exponent of rounds_stable: %.2f (sublinear if < 1)", p))
-	}
-	return &Result{
-		Name:  "fig6",
-		Table: tab,
-		Series: []export.Series{
-			{Name: "rounds to stable", X: xs, Y: st, Marker: 's'},
-			{Name: "rounds to almost stable", X: xs, Y: al, Marker: 'a'},
-		},
-		Fits:  fits,
-		Notes: notes,
-	}, nil
+func (s *Sweep) Fig6() (*Result, error) {
+	return s.perSize("fig6", "Figure 6: rounds to stable and almost-stable state (means over reps)", []column{
+		{name: "rounds_stable", fit: "rounds_stable", series: "rounds to stable", marker: 's', of: rounds,
+			growth: "measured growth exponent of rounds_stable: %.2f (sublinear if < 1)"},
+		{name: "rounds_almost_stable", fit: "rounds_almost_stable", series: "rounds to almost stable", marker: 'a',
+			of: func(r *record) (float64, bool) { return float64(r.AlmostStableRound), r.AlmostStableRound >= 0 }},
+	}, []string{"paper: steps grow sublinearly (at most linearly), well below the O(n log n) bound"}, nil)
 }
 
 // Fig7 regenerates Figure 7: total edges against total nodes in the
 // final graph, one point per run.
-func Fig7(cfg Config) (*Result, error) {
+func (s *Sweep) Fig7() (*Result, error) {
 	tab := export.NewTable("Figure 7: total edges vs total nodes in the final graph",
 		"total_nodes", "total_edges")
 	var xs, ys []float64
-	for _, n := range cfg.Sizes {
-		for rep := 0; rep < cfg.Reps; rep++ {
-			_, nw, err := cfg.runOne(n, rep, topogen.Random())
+	for _, n := range s.cfg.Sizes {
+		for rep := 0; rep < s.cfg.Reps; rep++ {
+			rec, err := s.run(topogen.Random(), n, rep)
 			if err != nil {
 				return nil, err
 			}
-			final := sim.Measure(nw)
-			tn := float64(final.TotalNodes())
-			te := float64(final.TotalEdges())
-			tab.AddRow(final.TotalNodes(), final.TotalEdges())
-			xs = append(xs, tn)
-			ys = append(ys, te)
+			tab.AddRow(rec.final.TotalNodes(), rec.final.TotalEdges())
+			xs = append(xs, float64(rec.final.TotalNodes()))
+			ys = append(ys, float64(rec.final.TotalEdges()))
 		}
 	}
 	fits := map[string]stats.Fit{}
@@ -216,74 +194,40 @@ func Fig7(cfg Config) (*Result, error) {
 
 // Convergence exercises Theorem 1.1: rounds to stabilize from every
 // adversarial topology generator, with growth-shape fits.
-func Convergence(cfg Config) (*Result, error) {
-	tab := export.NewTable("Theorem 1.1: rounds to stable state per initial topology (means over reps)",
-		append([]string{"real_nodes"}, genNames()...)...)
-	xs := make([]float64, 0, len(cfg.Sizes))
-	perGen := map[string][]float64{}
-	for _, n := range cfg.Sizes {
-		row := []interface{}{n}
-		for _, gen := range topogen.All() {
-			var rs []float64
-			for rep := 0; rep < cfg.Reps; rep++ {
-				res, _, err := cfg.runOne(n, rep, gen)
-				if err != nil {
-					return nil, err
-				}
-				rs = append(rs, float64(res.Rounds))
-			}
-			m := stats.Summarize(rs).Mean
-			row = append(row, m)
-			perGen[gen.Name] = append(perGen[gen.Name], m)
-		}
-		tab.AddRow(row...)
-		xs = append(xs, float64(n))
-	}
-	fits := map[string]stats.Fit{}
-	notes := []string{"paper bound: O(n log n) from any weakly connected state"}
-	for name, ys := range perGen {
-		if f, err := stats.BestFit(xs, ys); err == nil {
-			fits[name] = f
-		}
-		if p, err := stats.GrowthExponent(xs, ys); err == nil {
-			notes = append(notes, fmt.Sprintf("%s: growth exponent %.2f", name, p))
-		}
-	}
-	return &Result{Name: "convergence", Table: tab, Fits: fits, Notes: notes}, nil
-}
-
-func genNames() []string {
-	var out []string
+func (s *Sweep) Convergence() (*Result, error) {
+	var cols []column
 	for _, g := range topogen.All() {
-		out = append(out, g.Name)
+		cols = append(cols, column{name: g.Name, gen: g, of: rounds, fit: g.Name, growth: g.Name + ": growth exponent %.2f"})
 	}
-	return out
+	return s.perSize("convergence", "Theorem 1.1: rounds to stable state per initial topology (means over reps)",
+		cols, []string{"paper bound: O(n log n) from any weakly connected state"}, nil)
 }
 
-// Join exercises Theorem 4.1: rounds to re-stabilize after one join
-// into a stable network, per network size.
-func Join(cfg Config) (*Result, error) {
-	return churnExperiment(cfg, churn.Join, "Theorem 4.1: recovery rounds after an isolated join (O(log^2 n))")
+// Messages measures the communication cost of stabilization: total
+// messages until the fixed point per network size (the paper bounds
+// work, not messages, but the edge budgets of Section 2.2 imply the
+// per-round message load; this quantifies it).
+func (s *Sweep) Messages() (*Result, error) {
+	return s.perSize("messages", "Communication cost: messages until stabilization (means over reps)", []column{
+		{name: "total_messages", fit: "total_messages", series: "total messages",
+			of: func(r *record) (float64, bool) { return float64(r.TotalMessages), true }},
+		{name: "messages_per_round",
+			of: func(r *record) (float64, bool) { return float64(r.TotalMessages) / float64(r.Rounds), r.Rounds > 0 }},
+	}, nil, nil)
 }
 
-// Leave exercises Theorem 4.2 for graceful leaves.
-func Leave(cfg Config) (*Result, error) {
-	return churnExperiment(cfg, churn.Leave, "Theorem 4.2: recovery rounds after an isolated leave (O(log n))")
-}
-
-// Fail exercises Theorem 4.2 for crash failures.
-func Fail(cfg Config) (*Result, error) {
-	return churnExperiment(cfg, churn.Fail, "Theorem 4.2: recovery rounds after a crash failure (O(log n))")
-}
-
-func churnExperiment(cfg Config, kind churn.Kind, title string) (*Result, error) {
-	tab := export.NewTable(title, "real_nodes", "recovery_rounds_mean", "recovery_rounds_max")
-	var xs, ys []float64
-	for _, n := range cfg.Sizes {
+// recovery exercises Theorem 4.1 (join) and Theorem 4.2 (graceful leave,
+// crash failure): rounds to re-stabilize after one such event in a
+// stable network, per network size.
+func (s *Sweep) recovery(kind churn.Kind, title string) (*Result, error) {
+	return s.perSize(string(kind), title, []column{
+		{name: "recovery_rounds_mean", fit: "recovery_rounds", series: "recovery rounds"},
+		{name: "recovery_rounds_max", agg: func(rs []float64) float64 { return stats.Summarize(rs).Max }},
+	}, nil, func(n int) ([][]float64, error) {
 		var rs []float64
-		for rep := 0; rep < cfg.Reps; rep++ {
-			rng := cfg.rng(n, rep)
-			nw, ids, err := churn.StableNetwork(context.Background(), n, rng, rechord.Config{Workers: cfg.Workers})
+		for rep := 0; rep < s.cfg.Reps; rep++ {
+			rng := s.cfg.rng(n, rep)
+			nw, ids, err := churn.StableNetwork(context.Background(), n, rng, rechord.Config{Workers: s.cfg.Workers})
 			if err != nil {
 				return nil, err
 			}
@@ -306,95 +250,25 @@ func churnExperiment(cfg Config, kind churn.Kind, title string) (*Result, error)
 			}
 			rs = append(rs, float64(rec.Rounds))
 		}
-		s := stats.Summarize(rs)
-		tab.AddRow(n, s.Mean, s.Max)
-		xs = append(xs, float64(n))
-		ys = append(ys, s.Mean)
-	}
-	fits := map[string]stats.Fit{}
-	if f, err := stats.BestFit(xs, ys); err == nil {
-		fits["recovery_rounds"] = f
-	}
-	return &Result{
-		Name:   string(kind),
-		Table:  tab,
-		Series: []export.Series{{Name: "recovery rounds", X: xs, Y: ys}},
-		Fits:   fits,
-	}, nil
+		return [][]float64{rs, rs}, nil
+	})
 }
 
-// Messages measures the communication cost of stabilization: total
-// messages until the fixed point per network size (the paper bounds
-// work, not messages, but the edge budgets of Section 2.2 imply the
-// per-round message load; this quantifies it).
-func Messages(cfg Config) (*Result, error) {
-	tab := export.NewTable("Communication cost: messages until stabilization (means over reps)",
-		"real_nodes", "total_messages", "messages_per_round")
-	var xs, ys []float64
-	for _, n := range cfg.Sizes {
-		var total, perRound []float64
-		for rep := 0; rep < cfg.Reps; rep++ {
-			res, _, err := cfg.runOne(n, rep, topogen.Random())
-			if err != nil {
-				return nil, err
-			}
-			total = append(total, float64(res.TotalMessages))
-			if res.Rounds > 0 {
-				perRound = append(perRound, float64(res.TotalMessages)/float64(res.Rounds))
-			}
-		}
-		st, sp := stats.Summarize(total), stats.Summarize(perRound)
-		tab.AddRow(n, st.Mean, sp.Mean)
-		xs = append(xs, float64(n))
-		ys = append(ys, st.Mean)
-	}
-	fits := map[string]stats.Fit{}
-	if f, err := stats.BestFit(xs, ys); err == nil {
-		fits["total_messages"] = f
-	}
-	return &Result{Name: "messages", Table: tab, Fits: fits,
-		Series: []export.Series{{Name: "total messages", X: xs, Y: ys}}}, nil
-}
-
-// Fact21 verifies Fact 2.1 on converged networks: every edge of the
-// correct Chord topology appears in E_ReChord (unmarked and ring edges
-// projected onto real nodes). Chord edges that wrap around the 1.0
-// boundary are a documented special case: the formal rules define the
-// closest right real neighbor in the linear order, so a peer whose
-// deepest virtual node does not itself wrap reaches its wrapped
-// successor through the ring edges instead of a direct edge; for those
-// edges the check verifies short-path reachability in E_ReChord and
-// reports the maximum relay length.
-func Fact21(cfg Config) (*Result, error) {
+// Fact21 verifies Fact 2.1 (checkChord has the statement) on one
+// converged network per size.
+func (s *Sweep) Fact21() (*Result, error) {
 	tab := export.NewTable("Fact 2.1: Chord subgraph of stable Re-Chord",
 		"real_nodes", "chord_edges", "direct_in_rechord", "wrap_edges", "wrap_reachable", "max_wrap_hops")
-	for _, n := range cfg.Sizes {
-		_, nw, err := cfg.runOne(n, 0, topogen.Random())
+	for _, n := range s.cfg.Sizes {
+		rec, err := s.run(topogen.Random(), n, 0)
 		if err != nil {
 			return nil, err
 		}
-		idl := rechord.ComputeIdeal(nw.Peers())
-		cg := idl.ChordGraph()
-		rg := nw.ReChordGraph()
-		direct, wraps, maxHops := 0, 0, 0
-		for _, e := range cg.Edges(graph.Unmarked) {
-			if rg.HasEdge(e.From, e.To, graph.Unmarked) {
-				direct++
-				continue
-			}
-			if e.To.ID() > e.From.ID() {
-				return nil, fmt.Errorf("experiments: Fact 2.1 violated at n=%d: non-wrap edge %s->%s missing", n, e.From, e.To)
-			}
-			wraps++
-			hops := bfsDistance(rg, e.From, e.To)
-			if hops < 0 {
-				return nil, fmt.Errorf("experiments: Fact 2.1 violated at n=%d: wrap edge %s->%s unreachable", n, e.From, e.To)
-			}
-			if hops > maxHops {
-				maxHops = hops
-			}
+		c := rec.chord
+		if c.err != nil {
+			return nil, c.err
 		}
-		tab.AddRow(n, cg.NumEdges(graph.Unmarked), direct, wraps, true, maxHops)
+		tab.AddRow(n, c.edges, c.direct, c.wraps, true, c.maxHops)
 	}
 	return &Result{Name: "fact21", Table: tab,
 		Notes: []string{
@@ -403,80 +277,36 @@ func Fact21(cfg Config) (*Result, error) {
 		}}, nil
 }
 
-// bfsDistance returns the shortest directed path length from a to b in
-// the projected graph, or -1.
-func bfsDistance(g *graph.Graph, a, b ref.Ref) int {
-	adj := map[ref.Ref][]ref.Ref{}
-	for _, e := range g.AllEdges() {
-		adj[e.From] = append(adj[e.From], e.To)
-	}
-	type qe struct {
-		r ref.Ref
-		d int
-	}
-	queue := []qe{{a, 0}}
-	seen := map[ref.Ref]bool{a: true}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur.r == b {
-			return cur.d
-		}
-		for _, nx := range adj[cur.r] {
-			if !seen[nx] {
-				seen[nx] = true
-				queue = append(queue, qe{nx, cur.d + 1})
-			}
-		}
-	}
-	return -1
-}
-
 // ChordFail reproduces the motivation of Section 1: from a weakly
 // connected loopy state (one successor cycle winding several times
 // around the identifier circle), classic Chord's stabilize/notify/
 // fix-fingers protocol is at a fixed point and never recovers, while
 // Re-Chord converges to the correct topology from the same peer set
 // and the same initial connectivity.
-func ChordFail(cfg Config) (*Result, error) {
+func (s *Sweep) ChordFail() (*Result, error) {
 	tab := export.NewTable("Chord vs Re-Chord from a loopy state",
 		"real_nodes", "stride", "chord_rounds", "chord_recovered", "rechord_rounds", "rechord_recovered")
-	for _, n := range cfg.Sizes {
-		rng := cfg.rng(n, 0)
-		ids := topogen.RandomIDs(n, rng)
-		stride := chord.LoopyStride(n)
-
+	for _, n := range s.cfg.Sizes {
+		// The same adversarial shape for both: topogen.Loopy seeds each
+		// peer with an unmarked edge to its loopy "successor" only.
+		_, ids, nw := s.cfg.build(n, 0, topogen.Loopy(), rechord.Config{})
 		cs := chord.Loopy(ids)
 		// The loopy state is a fixed point of Chord's maintenance, so a
 		// bounded number of rounds demonstrates non-recovery; the unit
 		// tests additionally assert no successor pointer ever changes.
-		chordRounds := 4 * n
-		if chordRounds > 60 {
-			chordRounds = 60
-		}
+		chordRounds := min(4*n, 60)
 		for i := 0; i < chordRounds; i++ {
 			cs.Stabilize()
 		}
 		chordOK := cs.IsCorrectRing()
 
-		// The same adversarial shape for Re-Chord: seed each peer with
-		// an unmarked edge to its loopy "successor" only.
-		nw := rechord.NewNetwork(rechord.Config{Workers: cfg.Workers})
-		sorted := append([]ident.ID(nil), ids...)
-		ident.Sort(sorted)
-		for _, id := range sorted {
-			nw.AddPeer(id)
-		}
-		for i, id := range sorted {
-			nw.SeedEdge(ref.Real(id), ref.Real(sorted[(i+stride)%len(sorted)]), graph.Unmarked)
-		}
 		idl := rechord.ComputeIdeal(ids)
 		res, err := sim.RunToStable(context.Background(), nw, sim.Options{Ideal: idl})
 		if err != nil {
 			return nil, err
 		}
 		reOK := idl.Matches(nw) == nil
-		tab.AddRow(n, stride, chordRounds, chordOK, res.Rounds, reOK)
+		tab.AddRow(n, chord.LoopyStride(n), chordRounds, chordOK, res.Rounds, reOK)
 		if chordOK {
 			return nil, fmt.Errorf("experiments: Chord unexpectedly recovered at n=%d", n)
 		}
@@ -493,51 +323,41 @@ func ChordFail(cfg Config) (*Result, error) {
 // slots (successor plus one finger slot per virtual level, the
 // counting under which each Re-Chord node contributes at most 4
 // outgoing unmarked edges), and connection edges near c*n*log^2 n.
-func Budget(cfg Config) (*Result, error) {
+func (s *Sweep) Budget() (*Result, error) {
 	tab := export.NewTable("Section 2.2 edge budgets at stabilization",
 		"real_nodes", "eu_plus_er", "4x_chord_slots", "within_bound", "connection_edges", "n_log2_n")
-	for _, n := range cfg.Sizes {
-		_, nw, err := cfg.runOne(n, 0, topogen.Random())
+	for _, n := range s.cfg.Sizes {
+		rec, err := s.run(topogen.Random(), n, 0)
 		if err != nil {
 			return nil, err
 		}
-		idl := rechord.ComputeIdeal(nw.Peers())
-		slots := idl.ChordEdgeSlots()
-		final := sim.Measure(nw)
-		eur := final.NormalEdges()
-		within := eur <= 4*slots
-		nl := nLog2(n)
-		tab.AddRow(n, eur, 4*slots, within, final.ConnectionEdges, nl)
-		if !within {
+		eur, slots := rec.final.NormalEdges(), rec.chord.slots
+		tab.AddRow(n, eur, 4*slots, eur <= 4*slots, rec.final.ConnectionEdges, float64(n)*log2f(n)*log2f(n))
+		if eur > 4*slots {
 			return nil, fmt.Errorf("experiments: edge budget violated at n=%d: %d > 4*%d", n, eur, slots)
 		}
 	}
 	return &Result{Name: "budget", Table: tab}, nil
 }
 
-func nLog2(n int) float64 {
-	l := 0.0
-	for v := n; v > 1; v >>= 1 {
-		l++
-	}
-	return float64(n) * l * l
-}
+// log2f is floor(log2 n) for n >= 1.
+func log2f(n int) float64 { return float64(bits.Len(uint(n)) - 1) }
 
 // Lookup measures routing hops over stable networks per size,
 // reproducing the O(log n) Chord-emulation claim.
-func Lookup(cfg Config) (*Result, error) {
-	tab := export.NewTable("Chord emulation: lookup path length over stable Re-Chord",
-		"real_nodes", "mean_hops", "p99_hops", "log2_n")
-	var xs, ys []float64
-	for _, n := range cfg.Sizes {
-		rng := cfg.rng(n, 0)
-		nw, ids, err := churn.StableNetwork(context.Background(), n, rng, rechord.Config{Workers: cfg.Workers})
+func (s *Sweep) Lookup() (*Result, error) {
+	return s.perSize("lookup", "Chord emulation: lookup path length over stable Re-Chord", []column{
+		{name: "mean_hops", fit: "mean_hops", series: "mean hops"},
+		{name: "p99_hops", agg: func(hops []float64) float64 { return stats.Percentile(hops, 99) }},
+		{name: "log2_n"},
+	}, nil, func(n int) ([][]float64, error) {
+		rng := s.cfg.rng(n, 0)
+		nw, ids, err := churn.StableNetwork(context.Background(), n, rng, rechord.Config{Workers: s.cfg.Workers})
 		if err != nil {
 			return nil, err
 		}
 		var hops []float64
-		trials := 20 * n
-		for i := 0; i < trials; i++ {
+		for i := 0; i < 20*n; i++ {
 			key := ident.ID(rng.Uint64())
 			want, _ := routing.Owner(nw, key)
 			got, path, err := routing.Route(nw, ids[rng.Intn(len(ids))], key)
@@ -549,50 +369,29 @@ func Lookup(cfg Config) (*Result, error) {
 			}
 			hops = append(hops, float64(len(path)-1))
 		}
-		s := stats.Summarize(hops)
-		tab.AddRow(n, s.Mean, stats.Percentile(hops, 99), log2f(n))
-		xs = append(xs, float64(n))
-		ys = append(ys, s.Mean)
-	}
-	fits := map[string]stats.Fit{}
-	if f, err := stats.BestFit(xs, ys); err == nil {
-		fits["mean_hops"] = f
-	}
-	return &Result{Name: "lookup", Table: tab, Fits: fits,
-		Series: []export.Series{{Name: "mean hops", X: xs, Y: ys}}}, nil
-}
-
-func log2f(n int) float64 {
-	l := 0.0
-	for v := n; v > 1; v >>= 1 {
-		l++
-	}
-	return l
+		return [][]float64{hops, hops, {log2f(n)}}, nil
+	})
 }
 
 // Ablation disables rule 6 (connection edges) and rule 5 (ring edges)
 // in turn, showing both are necessary: without connection edges the
 // virtual-node graph can stay disconnected; without ring edges no ring
 // forms (the state still linearizes into a sorted list).
-func Ablation(cfg Config) (*Result, error) {
+func (s *Sweep) Ablation() (*Result, error) {
 	tab := export.NewTable("Ablation: disabling rules 5/6 (per size, one run each)",
 		"real_nodes", "variant", "fixed_point", "unmarked_connected", "matches_ideal")
-	for _, n := range cfg.Sizes {
+	for _, n := range s.cfg.Sizes {
 		for _, variant := range []struct {
 			name string
 			cfg  rechord.Config
 		}{
-			{"full", rechord.Config{Workers: cfg.Workers}},
-			{"no-ring", rechord.Config{Workers: cfg.Workers, DisableRing: true}},
-			{"no-connection", rechord.Config{Workers: cfg.Workers, DisableConnection: true}},
+			{"full", rechord.Config{}},
+			{"no-ring", rechord.Config{DisableRing: true}},
+			{"no-connection", rechord.Config{DisableConnection: true}},
 		} {
-			rng := cfg.rng(n, 0)
-			ids := topogen.RandomIDs(n, rng)
-			nw := topogen.Random().Build(ids, rng, variant.cfg)
-			idl := rechord.ComputeIdeal(ids)
+			_, ids, nw := s.cfg.build(n, 0, topogen.Random(), variant.cfg)
 			res := sim.Run(context.Background(), nw, sim.Options{MaxRounds: sim.DefaultMaxRounds(n)})
-			g := nw.Graph()
-			tab.AddRow(n, variant.name, res.Stable, g.UnmarkedWeaklyConnected(), idl.Matches(nw) == nil)
+			tab.AddRow(n, variant.name, res.Stable, nw.Graph().UnmarkedWeaklyConnected(), rechord.ComputeIdeal(ids).Matches(nw) == nil)
 		}
 	}
 	return &Result{Name: "ablation", Table: tab,
@@ -608,13 +407,11 @@ func Ablation(cfg Config) (*Result, error) {
 // before almost-stability, well before the full fixed point). One
 // network per size; per round, a fixed sample of lookups is attempted
 // and checked against the consistent-hashing oracle.
-func Healing(cfg Config) (*Result, error) {
+func (s *Sweep) Healing() (*Result, error) {
 	tab := export.NewTable("Routability while healing (random init; lookups correct per round)",
 		"real_nodes", "round_50pct", "round_100pct", "almost_stable", "stable")
-	for _, n := range cfg.Sizes {
-		rng := cfg.rng(n, 0)
-		ids := topogen.RandomIDs(n, rng)
-		nw := topogen.Random().Build(ids, rng, rechord.Config{Workers: cfg.Workers})
+	for _, n := range s.cfg.Sizes {
+		rng, ids, nw := s.cfg.build(n, 0, topogen.Random(), rechord.Config{})
 		idl := rechord.ComputeIdeal(ids)
 
 		const samples = 40

@@ -1,74 +1,131 @@
 package experiments
 
 import (
+	"bytes"
+	"flag"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 )
 
-func checkResult(t *testing.T, r *Result, err error, wantCols ...string) {
+var update = flag.Bool("update", false, "rewrite testdata/quick.txt from the current runners")
+
+// The package's tests share one Quick() sweep, and each runner runs on
+// it at most once per test binary.
+var (
+	quickSweep   = NewSweep(Quick())
+	quickResults = map[string]*Result{}
+)
+
+// quickResult returns the named runner's result on the shared sweep,
+// checked for a non-empty table holding wantCols.
+func quickResult(t *testing.T, name string, wantCols ...string) *Result {
 	t.Helper()
-	if err != nil {
-		t.Fatal(err)
+	r, ok := quickResults[name]
+	if !ok {
+		i := slices.IndexFunc(Runners, func(rn Runner) bool { return rn.Name == name })
+		if i < 0 {
+			t.Fatalf("no runner named %q", name)
+		}
+		var err error
+		if r, err = Runners[i].Run(quickSweep); err != nil {
+			t.Fatal(err)
+		}
+		quickResults[name] = r
+	}
+	if r.Name != name {
+		t.Errorf("runner %q names its result %q", name, r.Name)
 	}
 	if r.Table == nil || len(r.Table.Rows) == 0 {
 		t.Fatalf("%s: empty table", r.Name)
 	}
 	var b strings.Builder
-	if err := r.Table.WriteText(&b); err != nil {
+	if err := r.WriteText(&b, false); err != nil {
 		t.Fatal(err)
 	}
-	out := b.String()
 	for _, c := range wantCols {
-		if !strings.Contains(out, c) {
-			t.Errorf("%s: table missing column %q:\n%s", r.Name, c, out)
+		if !strings.Contains(b.String(), c) {
+			t.Errorf("%s: table missing column %q:\n%s", r.Name, c, b.String())
 		}
 	}
-	t.Logf("%s:\n%s", r.Name, out)
-	for name, f := range r.Fits {
-		t.Logf("%s fit: %s ~ %.3f * %s (R2 %.3f)", r.Name, name, f.C, f.Shape.Name, f.R2)
+	return r
+}
+
+// TestQuickGolden is the byte-identity gate on the rendered evaluation:
+// the table, fits and notes of all fifteen runners at Quick() against
+// testdata/quick.txt (`go test ./internal/experiments -run
+// TestQuickGolden -update` rewrites it; do that only when the numbers
+// are meant to move).
+func TestQuickGolden(t *testing.T) {
+	const path = "testdata/quick.txt"
+	var got bytes.Buffer
+	for _, rn := range Runners {
+		if err := quickResult(t, rn.Name).WriteText(&got, false); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for _, n := range r.Notes {
-		t.Logf("note: %s", n)
+	if *update {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (record it with -update)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) && i < len(wl); i++ {
+			if gl[i] != wl[i] {
+				t.Fatalf("%s line %d:\n got  %q\n want %q", path, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("%s: got %d lines, want %d", path, len(gl), len(wl))
+	}
+}
+
+// TestSweepSimulatesEachRunOnce: all fifteen runners together cost one
+// convergence per (generator, size, rep) — 6 generators x 3 sizes x 3
+// reps at Quick(), where un-shared runners would simulate 96.
+func TestSweepSimulatesEachRunOnce(t *testing.T) {
+	for _, rn := range Runners {
+		quickResult(t, rn.Name)
+	}
+	if got, want := len(quickSweep.recs), 6*3*3; got != want {
+		t.Errorf("sweep simulated %d convergences, want %d", got, want)
 	}
 }
 
 func TestFig5Quick(t *testing.T) {
-	r, err := Fig5(Quick())
-	checkResult(t, r, err, "normal_edges", "connection_edges", "virtual_nodes")
+	quickResult(t, "fig5", "normal_edges", "connection_edges", "virtual_nodes")
 }
 
 func TestFig6Quick(t *testing.T) {
-	r, err := Fig6(Quick())
-	checkResult(t, r, err, "rounds_stable", "rounds_almost_stable")
+	quickResult(t, "fig6", "rounds_stable", "rounds_almost_stable")
 }
 
 func TestFig7Quick(t *testing.T) {
-	r, err := Fig7(Quick())
-	checkResult(t, r, err, "total_nodes", "total_edges")
+	r := quickResult(t, "fig7", "total_nodes", "total_edges")
 	if len(r.Table.Rows) != len(Quick().Sizes)*Quick().Reps {
 		t.Errorf("fig7 rows = %d, want one per run", len(r.Table.Rows))
 	}
 }
 
 func TestConvergenceQuick(t *testing.T) {
-	cfg := Quick()
-	cfg.Reps = 2
-	r, err := Convergence(cfg)
-	checkResult(t, r, err, "random", "clique", "garbage")
+	quickResult(t, "convergence", "random", "clique", "garbage")
 }
 
 func TestJoinLeaveFailQuick(t *testing.T) {
-	cfg := Quick()
-	cfg.Reps = 2
-	for _, fn := range []func(Config) (*Result, error){Join, Leave, Fail} {
-		r, err := fn(cfg)
-		checkResult(t, r, err, "recovery_rounds_mean")
+	for _, name := range []string{"join", "leave", "fail"} {
+		quickResult(t, name, "recovery_rounds_mean")
 	}
 }
 
 func TestFact21Quick(t *testing.T) {
-	r, err := Fact21(Quick())
-	checkResult(t, r, err, "direct_in_rechord", "wrap_reachable")
+	r := quickResult(t, "fact21", "direct_in_rechord", "wrap_reachable")
 	for _, row := range r.Table.Rows {
 		if row[4] != "true" {
 			t.Errorf("Fact 2.1 wrap edges not reachable: %v", row)
@@ -77,10 +134,7 @@ func TestFact21Quick(t *testing.T) {
 }
 
 func TestChordFailQuick(t *testing.T) {
-	cfg := Quick()
-	cfg.Sizes = []int{9, 13}
-	r, err := ChordFail(cfg)
-	checkResult(t, r, err, "chord_recovered", "rechord_recovered")
+	r := quickResult(t, "chordfail", "chord_recovered", "rechord_recovered")
 	for _, row := range r.Table.Rows {
 		if row[3] != "false" || row[5] != "true" {
 			t.Errorf("chordfail row unexpected: %v", row)
@@ -89,20 +143,15 @@ func TestChordFailQuick(t *testing.T) {
 }
 
 func TestBudgetQuick(t *testing.T) {
-	r, err := Budget(Quick())
-	checkResult(t, r, err, "within_bound")
+	quickResult(t, "budget", "within_bound")
 }
 
 func TestLookupQuick(t *testing.T) {
-	r, err := Lookup(Quick())
-	checkResult(t, r, err, "mean_hops")
+	quickResult(t, "lookup", "mean_hops")
 }
 
 func TestAblationQuick(t *testing.T) {
-	cfg := Quick()
-	cfg.Sizes = []int{15}
-	r, err := Ablation(cfg)
-	checkResult(t, r, err, "variant", "matches_ideal")
+	r := quickResult(t, "ablation", "variant", "matches_ideal")
 	sawFullOK, sawNoRingBad := false, false
 	for _, row := range r.Table.Rows {
 		if row[1] == "full" && row[4] == "true" {
@@ -121,13 +170,11 @@ func TestAblationQuick(t *testing.T) {
 }
 
 func TestMessagesQuick(t *testing.T) {
-	r, err := Messages(Quick())
-	checkResult(t, r, err, "total_messages", "messages_per_round")
+	quickResult(t, "messages", "total_messages", "messages_per_round")
 }
 
 func TestHealingQuick(t *testing.T) {
-	r, err := Healing(Quick())
-	checkResult(t, r, err, "round_100pct", "almost_stable")
+	r := quickResult(t, "healing", "round_100pct", "almost_stable")
 	for _, row := range r.Table.Rows {
 		if row[1] == "-1" {
 			t.Errorf("healing never reached 50%% routability: %v", row)
@@ -136,10 +183,7 @@ func TestHealingQuick(t *testing.T) {
 }
 
 func TestAsyncQuick(t *testing.T) {
-	cfg := Quick()
-	cfg.Reps = 2
-	r, err := Async(cfg)
-	checkResult(t, r, err, "steps_p100", "steps_p50", "steps_p25")
+	r := quickResult(t, "async", "steps_p100", "steps_p50", "steps_p25")
 	if len(r.Series) != len(asyncProbs) {
 		t.Errorf("async series = %d, want one per activation probability", len(r.Series))
 	}

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"math/rand"
 
-	"repro/internal/graph"
 	"repro/internal/ident"
 )
 
@@ -223,13 +222,10 @@ func (a *AsyncRunner) clearScheduled(n *RealNode) {
 // Network returns the wrapped network.
 func (a *AsyncRunner) Network() *Network { return a.nw }
 
-// Steps returns the number of asynchronous steps executed. The
+// Time returns the number of asynchronous steps executed. The
 // network's synchronous round counter is untouched by the runner, so
 // round-based telemetry (epochs, event timestamps) never conflates
 // rounds with steps.
-func (a *AsyncRunner) Steps() int { return a.step }
-
-// Time is Steps under the Scheduler interface's name.
 func (a *AsyncRunner) Time() int { return a.step }
 
 // LastChange returns the most recent step whose execution changed the
@@ -541,31 +537,6 @@ func (a *AsyncRunner) RunUntilLegal(idl *Ideal, maxSteps, every int) (int, bool)
 		}
 	}
 	return a.step, idl.Matches(a.nw) == nil
-}
-
-// PendingMessages returns the number of messages currently in flight
-// (InFlight under the legacy name).
-func (a *AsyncRunner) PendingMessages() int { return a.InFlight() }
-
-// PendingByKind breaks the in-flight messages down by edge kind, for
-// the async experiments.
-func (a *AsyncRunner) PendingByKind() map[graph.Kind]int {
-	out := map[graph.Kind]int{}
-	for _, ev := range a.events {
-		if ev.kind != evDelivery {
-			continue
-		}
-		for _, msg := range ev.msgs {
-			out[msg.Kind]++
-		}
-	}
-	for _, node := range a.nw.pt.nodes {
-		if node == nil {
-			continue
-		}
-		node.eachPending(func(msg Message) { out[msg.Kind]++ })
-	}
-	return out
 }
 
 var _ Scheduler = (*AsyncRunner)(nil)

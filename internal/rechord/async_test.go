@@ -33,9 +33,31 @@ func TestAsyncConvergesFromRandomStates(t *testing.T) {
 			if !ok {
 				t.Fatalf("async run did not reach the legal state in %d steps", steps)
 			}
-			t.Logf("legal state after %d async steps (%d pending msgs)", steps, runner.PendingMessages())
+			t.Logf("legal state after %d async steps (%d pending msgs)", steps, runner.InFlight())
 		})
 	}
+}
+
+// TestAsyncOneShotInputDoesNotSettle is the run of the asynchronous
+// figure (experiments seed 1, n = 45, activation 0.25, uniform delay
+// 1..2, rep 14) that used to quiesce one ring edge short of the legal
+// state: a peer whose run consumed one-shot messages and happened to
+// reproduce its previous state and output settled, although a re-run
+// without that input produces something else. Such a peer stays on the
+// frontier, so the first quiescence is the legal state.
+func TestAsyncOneShotInputDoesNotSettle(t *testing.T) {
+	const n, rep = 45, 14
+	rng := rand.New(rand.NewSource(1 + n*1_000_003 + rep*7919))
+	ids := topogen.RandomIDs(n, rng)
+	nw := topogen.Random().Build(ids, rng, rechord.Config{})
+	runner := rechord.NewAsyncRunner(nw, rechord.AsyncConfig{ActivationProb: 0.25, MaxDelay: 2}, rng)
+	if _, err := sim.RunToStable(context.Background(), runner, sim.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rechord.ComputeIdeal(ids).Matches(nw); err != nil {
+		t.Errorf("first quiescence (step %d) is not the legal state: %v", runner.Time(), err)
+	}
+	rechord.AssertCleanPeersStable(t, runner)
 }
 
 // TestAsyncDegeneratesToSynchronous: activation 1.0 with delay 1
@@ -173,9 +195,9 @@ func TestAsyncDeterminism(t *testing.T) {
 	if fp1 != fp2 {
 		t.Fatalf("same seed, different event order: %016x vs %016x", fp1, fp2)
 	}
-	if a1.Steps() != a2.Steps() || a1.InFlight() != a2.InFlight() {
+	if a1.Time() != a2.Time() || a1.InFlight() != a2.InFlight() {
 		t.Fatalf("same seed, different telemetry: steps %d/%d inflight %d/%d",
-			a1.Steps(), a2.Steps(), a1.InFlight(), a2.InFlight())
+			a1.Time(), a2.Time(), a1.InFlight(), a2.InFlight())
 	}
 	if !a1.Network().TakeSnapshot().Equal(a2.Network().TakeSnapshot()) {
 		t.Fatal("same seed, different final state")
@@ -244,8 +266,8 @@ func TestAsyncEpochsTrackStateChanges(t *testing.T) {
 	if got := nw.Round(); got != round {
 		t.Errorf("async steps advanced the synchronous round counter: %d -> %d", round, got)
 	}
-	if runner.Steps() < 200 {
-		t.Errorf("Steps = %d, want the async steps counted separately", runner.Steps())
+	if runner.Time() < 200 {
+		t.Errorf("Time = %d, want the async steps counted separately", runner.Time())
 	}
 }
 
@@ -256,13 +278,12 @@ func TestAsyncConfigDefaults(t *testing.T) {
 	runner := rechord.NewAsyncRunner(nw, rechord.AsyncConfig{ActivationProb: -1, MaxDelay: 0}, rng)
 	// Defaults applied; stepping must not panic and must count.
 	runner.Step()
-	if runner.Steps() != 1 {
-		t.Errorf("Steps = %d, want 1", runner.Steps())
+	if runner.Time() != 1 {
+		t.Errorf("Time = %d, want 1", runner.Time())
 	}
-	if runner.PendingMessages() < 0 {
-		t.Error("PendingMessages negative")
+	if runner.InFlight() < 0 {
+		t.Error("InFlight negative")
 	}
-	_ = runner.PendingByKind()
 	if runner.Network() != nw {
 		t.Error("Network accessor broken")
 	}

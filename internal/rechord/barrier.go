@@ -129,13 +129,10 @@ type worker struct {
 
 // tally is what a worker counted over one batch, summed over the workers
 // and zeroed by the epilogue: plain integers, so the hot path never
-// touches shared state. anyInbox records that deliver consumed a
-// one-shot message (a global-state change even when no peer state
-// moved).
+// touches shared state.
 type tally struct {
 	made, killed, delivered int
 	fired                   [obs.NumRules]uint64
-	anyInbox                bool
 }
 
 // resetArena empties a per-batch buffer. It releases the storage once a
@@ -222,6 +219,11 @@ type prepOut struct {
 	ownerChanged bool // the peer's level span moved
 	outChanged   bool // total output differs from lastFlow
 	stateChanged bool // the content hashes moved: the settle decision
+	// consumed: deliver drained a one-shot inbox. That input will not
+	// repeat, so this run is no evidence that a re-run reproduces the
+	// peer's state and output: the peer does not settle on it, and the
+	// global state changed even when the peer's own did not.
+	consumed bool
 
 	// viewRefs lists the virtual refs whose published rl/rr entry
 	// changed this batch (merged into the barrier's viewChanged map by
@@ -288,11 +290,7 @@ type commitShard struct {
 // pre-round copy is needed.
 func (nw *Network) deliverPhase(w *worker, i int) {
 	n := nw.pt.nodes[nw.bActive[i]]
-	if len(n.inbox) > 0 {
-		// Consuming a one-shot message changes the global state even
-		// when the peer's own state ends up unchanged.
-		w.anyInbox = true
-	}
+	nw.prep[i].consumed = len(n.inbox) > 0
 	w.delivered += nw.deliver(n)
 	nw.purge(n, w)
 }
@@ -305,12 +303,12 @@ func (nw *Network) executePhase(w *worker, i int) {
 	slot := nw.bActive[i]
 	n := nw.pt.nodes[slot]
 	nw.runRules(n, w)
-	p := prepOut{stateChanged: nw.refreshHashSlot(slot, n)}
+	p := &nw.prep[i]
+	p.stateChanged = nw.refreshHashSlot(slot, n)
 	p.outChanged = !flowEqualsOutput(n.lastFlow, w.out, w)
 	if p.outChanged {
 		p.newFlow = freezeFlow(w.out, w)
 	}
-	nw.prep[i] = p
 }
 
 // preparePhase is the parallel prepare body: the publish diff, and the

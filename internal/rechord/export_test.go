@@ -86,17 +86,15 @@ func cleanPeersStable(nw *Network, stable func(ident.ID, *worker) bool) error {
 // off the frontier passes LocallyStable, where the scheduler's model
 // defines that:
 //   - A partition replays only the peers it hosts (its stubs replicate
-//     published state, not edge sets), and only in runs without churn:
-//     a departure's final output reaches a remote recipient twice, from
-//     the local shadow bucket and again through the exchange.
+//     published state, not edge sets).
 //   - The asynchronous scheduler is checked at quiescence only, and for
 //     the state half of the predicate only. A handoff revokes the
 //     sender's standing bucket at once and arrives later as one-shots,
 //     and the bucket comes back silently when the sender next repeats
 //     itself, so while anything is in flight or scheduled a clean peer
-//     may hold input it has not been replayed against; and a peer whose
-//     last run consumed one-shots it will not see again may have recorded
-//     an output a replay does not reproduce.
+//     may hold input it has not been replayed against, and at quiescence
+//     a returned bucket may make a replay emit what the peer's last run,
+//     made while the bucket was revoked, did not.
 func AssertCleanPeersStable(t testing.TB, s Scheduler) {
 	t.Helper()
 	nw := s.Network()

@@ -270,6 +270,10 @@ func runGoldenPartition(t *testing.T, c goldenCase, nprocs int) (goldenPartition
 		}
 		for _, p := range parts {
 			p.Step()
+			// Under churn too: a departure's final output reaches a
+			// remote recipient twice (shadow bucket, then exchange), and
+			// the run that consumed it does not settle.
+			rechord.AssertCleanPeersStable(t, p)
 		}
 		exchanged := false
 		for k, s := range sinks {

@@ -718,7 +718,7 @@ func (nw *Network) epilogue(active []uint32, stats *RoundStats) (changed bool, e
 			nw.bumpEpoch(n)
 			epochBumpN++
 		}
-		if p.outChanged || p.stateChanged {
+		if p.outChanged || p.stateChanged || p.consumed {
 			// Not a local fixed point yet: stay on the frontier.
 			nw.markDirtyIdx(slot)
 			unsettledN++
@@ -756,7 +756,6 @@ func (nw *Network) epilogue(active []uint32, stats *RoundStats) (changed bool, e
 		stats.VirtualMade += w.made
 		stats.VirtualKilled += w.killed
 		delivered += w.delivered
-		changed = changed || w.anyInbox
 		for k, f := range w.fired {
 			if f != 0 {
 				m.RuleFired[k].Add(f)

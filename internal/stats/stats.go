@@ -1,7 +1,7 @@
 // Package stats provides the summary statistics and curve fits the
 // experiment harness uses: per-sweep means and deviations, and
 // least-squares fits against the asymptotic shapes the paper proves —
-// n, n log n, log n and log^2 n — so EXPERIMENTS.md can report which
+// n, n log n, log n and log^2 n — so rechord-figures can report which
 // shape each measured series follows.
 package stats
 
