@@ -1,6 +1,7 @@
 package rechord
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -103,6 +104,7 @@ func TestAsyncDepartedPeerChurn(t *testing.T) {
 			a.Step()
 		}
 		asyncBucketInvariant(t, nw)
+		CheckDepIndex(t, nw, fmt.Sprintf("seed=%d after churn", seed))
 		if err := idl.Matches(nw); err != nil {
 			t.Fatalf("seed=%d: wrong state after churn: %v", seed, err)
 		}
@@ -119,6 +121,7 @@ func TestAsyncRemovePeerFinalOutput(t *testing.T) {
 	for !a.Quiescent() {
 		a.Step()
 	}
+	CheckDepIndex(t, nw, "settled")
 	// At the fixed point every peer holds standing buckets. Pick a
 	// recipient of the victim's flow before failing it.
 	victim := ids[3]
@@ -159,7 +162,11 @@ func TestAsyncRemovePeerFinalOutput(t *testing.T) {
 	if steps, ok := a.RunUntilLegal(idl, 10000, 4); !ok {
 		t.Fatalf("did not restabilize after failure in %d steps", steps)
 	}
+	for !a.Quiescent() {
+		a.Step()
+	}
 	asyncBucketInvariant(t, nw)
+	CheckDepIndex(t, nw, "after failure")
 }
 
 // TestAsyncStaleFrontierCompaction: a long async run with repeated
@@ -177,6 +184,7 @@ func TestAsyncStaleFrontierCompaction(t *testing.T) {
 		for !a.Quiescent() {
 			a.Step()
 		}
+		CheckDepIndex(t, nw, fmt.Sprintf("cycle %d", i))
 	}
 	if got, limit := len(nw.frontier), 4*nw.NumPeers()+65; got > limit {
 		t.Fatalf("frontier grew to %d entries (> %d) across wake/settle cycles", got, limit)

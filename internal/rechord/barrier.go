@@ -1,6 +1,7 @@
 package rechord
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -23,25 +24,26 @@ import (
 // arenas holding what crosses the barrier. What is indexed by active
 // position (prepOut) is a fixed-size record.
 //
-//   - Deliver (parallel over active indexes): apply the pending inbox
-//     and purge stale references. Reads the interner's tables, writes
-//     the peer's own state.
-//   - Execute (parallel): rules 1-6 into the worker's out, the hash
-//     refresh (the settle verdict), the diff of out against the peer's
-//     own lastFlow, and — when it differs — the freeze of out into the
-//     new template. Reads the peer's own state and lastFlow plus the
-//     published view; writes the peer's own state and vhash slot and
-//     prep[i]. out is dead when the body returns: the verdicts and the
-//     template carry everything later phases need, so it never crosses
-//     a barrier.
+//   - Deliver (parallel over active indexes): copy the peer's edge sets
+//     into the worker's image arenas (the pre-round image), then apply
+//     the pending inbox and purge stale references. Reads the interner's
+//     tables, writes the peer's own state.
+//   - Execute (parallel): rules 1-6 into the worker's out, the diff of
+//     out against the peer's own lastFlow, and — when it differs — the
+//     freeze of out into the new template. Reads the peer's own state
+//     and lastFlow plus the published view; writes the peer's own state
+//     and prep[i]. out is dead when the body returns: the verdicts and
+//     the template carry everything later phases need, so it never
+//     crosses a barrier.
 //   - Prepare (parallel): each active peer publishes its own view/level
-//     slot (no other peer's prepare reads them), diffs its edge sets
-//     against its stored dependency multiset, and has its scheduler's
-//     plan step turn the output into bucket ops — appended ONLY to the
-//     running worker's arenas, prep[i] recording the ranges. Buckets and
-//     the dep index are read, never written. Every plan step funnels
-//     through planOp, the single place the rewrite / quiet-repoint /
-//     delete decision is made.
+//     slot (no other peer's prepare reads them), merges its edge sets
+//     against its pre-round image — the settle verdict and the edge-set
+//     dep deltas in one pass — and has its scheduler's plan step turn
+//     the output into bucket ops — appended ONLY to the running worker's
+//     arenas, prep[i] recording the ranges. Buckets and the dep index
+//     are read, never written. Every plan step funnels through planOp,
+//     the single place the rewrite / quiet-repoint / delete decision is
+//     made.
 //   - Commit (parallel over commit shards): recipients are partitioned
 //     by slot (slot % shards) and dependency-index shards by
 //     depShardOf(id) % shards, so every standing bucket, dirty flag and
@@ -73,10 +75,10 @@ import (
 //
 // Dep-index deltas tolerate any application order within a shard: every
 // remove emitted by prepare refers to a reference that was counted in
-// the index before the batch (old bucket contents, old stateDeps
-// entries — disjoint categories), so at any prefix of any interleaving
-// the entry's count is at least the remaining removes and the underflow
-// panic cannot fire spuriously.
+// the index before the batch (old bucket contents, references of the
+// pre-round image — disjoint categories), so at any prefix of any
+// interleaving the entry's count is at least the remaining removes and
+// the underflow panic cannot fire spuriously.
 
 // flowRouter is what a scheduler adds around the barrier pipeline.
 type flowRouter interface {
@@ -107,24 +109,33 @@ type worker struct {
 	realID                            []ident.ID
 
 	// Freeze scratch: the output-diff cursors, the recipient and symbol
-	// collectors of freezeFlow, the stateDeps diff buffers, and the
-	// per-level entries prepare publishes.
+	// collectors of freezeFlow, and the per-level entries prepare
+	// publishes.
 	cursors []uint32
 	spans   []flowSpan
 	syms    []ident.ID
-	owners  []ident.ID
-	counts  []ownerCount
 	views   []PublishedView
 
 	tally
 
-	// The barrier payload of the peers this worker prepared: the commit
-	// and the epilogue read it through the ranges in prepOut. Reset (and
-	// released once a contracted frontier left it mostly unused) when
-	// the batch ends.
+	// The pre-round images of the peers this worker delivered (prepare
+	// reads them through the ranges in prepOut) and the barrier payload
+	// of the peers it prepared (the commit and the epilogue read it the
+	// same way). Reset (and released once a contracted frontier left it
+	// mostly unused) when the batch ends.
+	imgLv    []imgLevel
+	imgRefs  []ref.Ref
 	viewRefs []ref.Ref
 	ops      []bucketOp
 	deps     []depDelta
+}
+
+// imgLevel is one level of a peer's pre-round image: whether the level
+// existed and the lengths of its three edge sets, whose references
+// follow in the image's reference range in graph.Kind order.
+type imgLevel struct {
+	lens   [3]int32
+	exists bool
 }
 
 // tally is what a worker counted over one batch, summed over the workers
@@ -218,12 +229,16 @@ func (nw *Network) runParallel(n int, f func(nw *Network, w *worker, i int)) {
 type prepOut struct {
 	ownerChanged bool // the peer's level span moved
 	outChanged   bool // total output differs from lastFlow
-	stateChanged bool // the content hashes moved: the settle decision
+	stateChanged bool // the state differs from the pre-round image: the settle decision
 	// consumed: deliver drained a one-shot inbox. That input will not
 	// repeat, so this run is no evidence that a re-run reproduces the
 	// peer's state and output: the peer does not settle on it, and the
 	// global state changed even when the peer's own did not.
 	consumed bool
+
+	// The peer's pre-round image, in the delivering worker's arenas.
+	imgLv   []imgLevel
+	imgRefs []ref.Ref
 
 	// viewRefs lists the virtual refs whose published rl/rr entry
 	// changed this batch (merged into the barrier's viewChanged map by
@@ -284,36 +299,55 @@ type commitShard struct {
 	flow       flowTally
 }
 
-// deliverPhase is the parallel deliver body for active index i. The
-// settle check compares the stored content hashes (which describe the
-// pre-round state by invariant) against execute's recomputation, so no
-// pre-round copy is needed.
+// deliverPhase is the parallel deliver body for active index i: the
+// pre-round image, then delivery and purge.
 func (nw *Network) deliverPhase(w *worker, i int) {
 	n := nw.pt.nodes[nw.bActive[i]]
-	nw.prep[i].consumed = len(n.inbox) > 0
+	p := &nw.prep[i]
+	w.takeImage(n, p)
+	p.consumed = len(n.inbox) > 0
 	w.delivered += nw.deliver(n)
 	nw.purge(n, w)
 }
 
-// executePhase is the parallel execute body: rules 1-6, the hash refresh
-// that is the settle verdict, and the freeze — the diff of the worker's
-// out against the peer's own lastFlow and, when it differs, the new
-// template packed straight from out.
+// takeImage appends the peer's edge sets to w's image arenas — per level
+// whether it exists and the three set lengths, then the references in
+// order — and records the ranges in p. The level span and rl/rr need no
+// copy: the interner's maxLv and the published view hold their
+// pre-round values until prepare diffs them.
+func (w *worker) takeImage(n *RealNode, p *prepOut) {
+	l0, r0 := len(w.imgLv), len(w.imgRefs)
+	for _, v := range n.vnodes {
+		var lv imgLevel
+		if v != nil {
+			lv.exists = true
+			for k, s := range v.sets() {
+				lv.lens[k] = int32(s.Len())
+				w.imgRefs = append(w.imgRefs, s.Slice()...)
+			}
+		}
+		w.imgLv = append(w.imgLv, lv)
+	}
+	p.imgLv, p.imgRefs = w.imgLv[l0:], w.imgRefs[r0:]
+}
+
+// executePhase is the parallel execute body: rules 1-6 and the freeze —
+// the diff of the worker's out against the peer's own lastFlow and, when
+// it differs, the new template packed straight from out.
 func (nw *Network) executePhase(w *worker, i int) {
-	slot := nw.bActive[i]
-	n := nw.pt.nodes[slot]
+	n := nw.pt.nodes[nw.bActive[i]]
 	nw.runRules(n, w)
 	p := &nw.prep[i]
-	p.stateChanged = nw.refreshHashSlot(slot, n)
 	p.outChanged = !flowEqualsOutput(n.lastFlow, w.out, w)
 	if p.outChanged {
 		p.newFlow = freezeFlow(w.out, w)
 	}
 }
 
-// preparePhase is the parallel prepare body: the publish diff, and the
-// bucket ops and dep deltas the commit will apply. Writes touch only the
-// peer's own view/maxLv/stateDeps slots, w's arenas and prep[i].
+// preparePhase is the parallel prepare body: the publish diff, the
+// settle verdict, and the bucket ops and dep deltas the commit will
+// apply. Writes touch only the peer's own view/maxLv slots, w's arenas
+// and prep[i].
 func (nw *Network) preparePhase(w *worker, i int) {
 	slot := nw.bActive[i]
 	n := nw.pt.nodes[slot]
@@ -339,11 +373,10 @@ func (nw *Network) preparePhase(w *worker, i int) {
 	}
 	w.viewRefs = nw.publishViews(slot, n.id, w.views, w.viewRefs)
 
-	if p.stateChanged {
-		// The peer's edge sets changed: re-derive its dependency
-		// contribution and turn the diff into commit deltas.
-		nw.prepStateDeps(slot, n, w)
-	}
+	// The settle verdict, read by the plan step: the state the rules left
+	// differs from the pre-round state in its edge sets (diffImage), its
+	// level span or its rl/rr (the two publish diffs above).
+	p.stateChanged = diffImage(slot, n, p, w) || p.ownerChanged || len(w.viewRefs) > v0
 	if nw.router != nil {
 		nw.router.planFlow(n, p, w)
 	} else {
@@ -352,60 +385,55 @@ func (nw *Network) preparePhase(w *worker, i int) {
 	p.viewRefs, p.ops, p.deps = w.viewRefs[v0:], w.ops[o0:], w.deps[d0:]
 }
 
-// prepStateDeps recomputes the peer's edge-set dependency multiset: the
-// result replaces the peer's own stateDeps slot (an own-slot write) and
-// the difference against the stored one becomes index deltas for the
-// commit. Linear in the peer's own edge sets, and only spent when its
-// content hash changed.
-func (nw *Network) prepStateDeps(slot uint32, n *RealNode, w *worker) {
-	buf := w.owners[:0]
-	for _, v := range n.vnodes {
-		if v == nil {
-			continue
+// diffImage merges the peer's edge sets level by level against its
+// pre-round image, appends a -1 dep delta for every reference that
+// vanished and a +1 for every one that appeared, and reports whether
+// any level differs (a set, or whether the level exists at all).
+func diffImage(slot uint32, n *RealNode, p *prepOut, w *worker) bool {
+	changed := len(n.vnodes) != len(p.imgLv)
+	refs := p.imgRefs
+	for l := range max(len(n.vnodes), len(p.imgLv)) {
+		var lv imgLevel
+		if l < len(p.imgLv) {
+			lv = p.imgLv[l]
 		}
-		for _, r := range v.Nu.Slice() {
-			buf = append(buf, r.Owner)
-		}
-		for _, r := range v.Nr.Slice() {
-			buf = append(buf, r.Owner)
-		}
-		for _, r := range v.Nc.Slice() {
-			buf = append(buf, r.Owner)
+		v := n.VNode(l)
+		changed = changed || lv.exists != (v != nil)
+		for k, ln := range lv.lens {
+			old := refs[:ln]
+			refs = refs[ln:]
+			var cur []ref.Ref
+			if v != nil {
+				cur = v.sets()[k].Slice()
+			}
+			if !slices.Equal(old, cur) {
+				changed = true
+				w.deps = appendSetDiff(w.deps, old, cur, slot)
+			}
 		}
 	}
-	ident.Sort(buf)
-	w.owners = buf
+	return changed
+}
 
-	nc := w.counts[:0]
-	for i := 0; i < len(buf); {
-		j := i
-		for j < len(buf) && buf[j] == buf[i] {
-			j++
-		}
-		nc = append(nc, ownerCount{owner: buf[i], cnt: uint32(j - i)})
-		i = j
-	}
-	w.counts = nc
-
-	old := nw.stateDeps[slot]
+// appendSetDiff merges two sorted reference sets and appends one dep
+// delta per reference present in only one of them: -1 for old, +1 for
+// cur.
+func appendSetDiff(deps []depDelta, old, cur []ref.Ref, slot uint32) []depDelta {
 	i, j := 0, 0
-	for i < len(old) || j < len(nc) {
+	for i < len(old) || j < len(cur) {
 		switch {
-		case j == len(nc) || (i < len(old) && old[i].owner < nc[j].owner):
-			w.deps = append(w.deps, depDelta{id: old[i].owner, slot: slot, k: -int32(old[i].cnt)})
+		case j == len(cur) || (i < len(old) && old[i].Less(cur[j])):
+			deps = append(deps, depDelta{id: old[i].Owner, slot: slot, k: -1})
 			i++
-		case i == len(old) || nc[j].owner < old[i].owner:
-			w.deps = append(w.deps, depDelta{id: nc[j].owner, slot: slot, k: int32(nc[j].cnt)})
+		case i == len(old) || cur[j].Less(old[i]):
+			deps = append(deps, depDelta{id: cur[j].Owner, slot: slot, k: 1})
 			j++
 		default:
-			if nc[j].cnt != old[i].cnt {
-				w.deps = append(w.deps, depDelta{id: nc[j].owner, slot: slot, k: int32(nc[j].cnt) - int32(old[i].cnt)})
-			}
 			i++
 			j++
 		}
 	}
-	nw.stateDeps[slot] = append(old[:0], nc...)
+	return deps
 }
 
 // planRewrite is the synchronous plan step (the partition's too): when

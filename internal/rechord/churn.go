@@ -109,8 +109,7 @@ func (nw *Network) removePeer(id ident.ID, hosted func(ident.ID) bool) {
 		nw.rewriteBucket(n.in[len(n.in)-1].sender, id, nil, -1, false)
 	}
 	nw.view[n.idx] = nil
-	nw.vhash[n.idx] = nw.vhash[n.idx][:0]
-	nw.dropStateDeps(n.idx)
+	nw.dropStateDeps(n)
 	nw.pt.release(n)
 	nw.removeOrder(id)
 	// The moved messages leave the dependency index with the bucket: the

@@ -34,9 +34,12 @@ import (
 // the same (vacuous) case.
 //
 // Maintenance points:
-//   - edge sets: re-derived per peer in the barrier's prepare
-//     (prepStateDeps), gated on the peer's content hash having changed,
-//     and adjusted in place by SeedEdge, AddPeer and removePeer;
+//   - edge sets: the barrier's prepare merges every active peer's sets
+//     against its pre-round image (diffImage) and emits a delta per
+//     reference that appeared or vanished; SeedEdge adds its one new
+//     reference and removePeer walks the departing peer's sets. Nothing
+//     else updates them, so a direct write to a peer's sets outside
+//     these points must adjust the index itself;
 //   - buckets: every bucket write is planned by planOp, which emits the
 //     index deltas alongside the op (see barrier.go).
 
@@ -162,36 +165,19 @@ func (d *depIndex) dependents(id ident.ID) []depEntry {
 	return nil
 }
 
-// ownerCount is one (referenced owner, reference count) entry of a
-// peer's edge-set dependency multiset, kept sorted by owner.
-type ownerCount struct {
-	owner ident.ID
-	cnt   uint32
-}
-
-// stateDepAdd records one more edge-set reference from the peer slot
-// to the owner in the stored per-peer multiset (the index itself is
-// updated by the caller). Used by SeedEdge's incremental path.
-func (nw *Network) stateDepAdd(slot uint32, owner ident.ID) {
-	l := nw.stateDeps[slot]
-	i := sort.Search(len(l), func(i int) bool { return l[i].owner >= owner })
-	if i < len(l) && l[i].owner == owner {
-		l[i].cnt++
-		return
+// dropStateDeps removes the departing peer's edge-set references from
+// the index, one per reference its sets hold.
+func (nw *Network) dropStateDeps(n *RealNode) {
+	for _, v := range n.vnodes {
+		if v == nil {
+			continue
+		}
+		for _, s := range v.sets() {
+			for _, r := range s.Slice() {
+				nw.deps.remove(r.Owner, n.idx, 1)
+			}
+		}
 	}
-	l = append(l, ownerCount{})
-	copy(l[i+1:], l[i:])
-	l[i] = ownerCount{owner: owner, cnt: 1}
-	nw.stateDeps[slot] = l
-}
-
-// dropStateDeps removes the peer's entire edge-set contribution from
-// the index (departure).
-func (nw *Network) dropStateDeps(slot uint32) {
-	for _, oc := range nw.stateDeps[slot] {
-		nw.deps.remove(oc.owner, slot, oc.cnt)
-	}
-	nw.stateDeps[slot] = nw.stateDeps[slot][:0]
 }
 
 // holdsRef reports whether the peer's own state — edge sets, pending

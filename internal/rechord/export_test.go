@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ident"
+	"repro/internal/ref"
 )
 
 // Test support shared by the in-package and the rechord_test suites: the
@@ -119,17 +120,87 @@ func AssertCleanPeersStable(t testing.TB, s Scheduler) {
 	}
 }
 
+// CheckDepIndex rebuilds the expected dependency counts from the peers'
+// actual state (edge sets plus standing buckets) and compares them with
+// the live index, both directions. The index is kept only by diffs, so
+// a missed delta anywhere shows up here.
+func CheckDepIndex(t testing.TB, nw *Network, when string) {
+	t.Helper()
+	want := map[ident.ID]map[uint32]uint32{}
+	bump := func(id ident.ID, slot uint32) {
+		m := want[id]
+		if m == nil {
+			m = map[uint32]uint32{}
+			want[id] = m
+		}
+		m[slot]++
+	}
+	for slot, n := range nw.pt.nodes {
+		if n == nil {
+			continue
+		}
+		for _, v := range n.vnodes {
+			if v == nil {
+				continue
+			}
+			for _, s := range v.sets() {
+				for _, r := range s.Slice() {
+					bump(r.Owner, uint32(slot))
+				}
+			}
+		}
+		for _, b := range n.in {
+			sp := b.flow.spans[b.span]
+			for _, pm := range b.flow.packed[sp.start:sp.end] {
+				bump(b.flow.syms[pm.sym], uint32(slot))
+			}
+		}
+	}
+	for id, m := range want {
+		got := nw.deps.dependents(id)
+		if len(got) != len(m) {
+			t.Fatalf("%s: index for %s has %d dependents, want %d", when, id, len(got), len(m))
+		}
+		for _, e := range got {
+			if m[e.peer] != e.cnt {
+				t.Fatalf("%s: index for %s slot %d count %d, want %d", when, id, e.peer, e.cnt, m[e.peer])
+			}
+		}
+	}
+	for si := range nw.deps.shards {
+		for id, key := range nw.deps.shards[si].keyOf {
+			if want[id] == nil {
+				t.Fatalf("%s: index holds %s (%d dependents) not present in the state", when, id, len(nw.deps.shards[si].deps[key]))
+			}
+		}
+	}
+}
+
+// RemoveNu deletes r from the peer's level-`level` unmarked set out of
+// band, the way a fault damages a peer. A direct write becomes part of
+// the next run's pre-round state — no epoch bump, no index delta — so
+// the helper takes the reference out of the dependency index itself.
+// The caller still has to Wake the peer.
+func (nw *Network) RemoveNu(id ident.ID, level int, r ref.Ref) {
+	n := nw.node(id)
+	if n.VNode(level).Nu.Remove(r) {
+		nw.deps.remove(r.Owner, n.idx, 1)
+	}
+}
+
 // Lockstep drives any number of product networks (say Workers 1 and 4)
 // and the reference through the same rounds and membership events.
 type Lockstep struct {
 	Nets []*Network
 	Ref  *Reference
+
+	bumped []int // per net, the last round during which its epoch clock moved
 }
 
 // NewLockstep pairs networks built from the same initial state, none of
 // which has stepped yet, with a reference copied from the first.
 func NewLockstep(nets ...*Network) *Lockstep {
-	return &Lockstep{Nets: nets, Ref: NewReference(nets[0])}
+	return &Lockstep{Nets: nets, Ref: NewReference(nets[0]), bumped: make([]int, len(nets))}
 }
 
 type membership interface {
@@ -169,24 +240,31 @@ func (l *Lockstep) Fail(id ident.ID) error {
 // clean peer that should have run is a difference in the next round's
 // state, since the reference runs everybody.
 //
-// LastChange may exceed the reference's by one: the product counts a
-// round in which two senders swapped a message for the same recipient
-// (its buckets changed, its pending multiset did not) as a change.
-// TestLockstepRoundCountsAgree pins exact agreement on its seeds.
+// LastChange may exceed the reference's by one only when the product's
+// epoch clock did not move during round LastChange: no peer's state
+// changed in it, only standing outputs were swapped (two senders traded
+// a message for the same recipient, whose buckets changed while its
+// pending multiset did not). Epochs advance exactly on state change, so
+// the check is exact. TestLockstepRoundCountsAgree pins exact agreement
+// on its seeds.
 func (l *Lockstep) Step() error {
 	l.Ref.Step()
 	want := l.Ref.Snapshot()
 	for i, nw := range l.Nets {
 		clock := nw.EpochClock()
 		nw.Step()
+		if nw.EpochClock() != clock {
+			l.bumped[i] = nw.round
+		}
+		last, refLast := nw.LastChange(), l.Ref.LastChange()
 		var what string
 		switch {
 		case !nw.TakeSnapshot().Equal(want):
 			what = "global state"
 		case nw.InFlight() != l.Ref.InFlight():
 			what = fmt.Sprintf("in-flight count %d vs %d", nw.InFlight(), l.Ref.InFlight())
-		case nw.Quiescent() && (nw.LastChange() < l.Ref.LastChange() || nw.LastChange() > l.Ref.LastChange()+1):
-			what = fmt.Sprintf("rounds-to-stable %d vs %d", nw.LastChange(), l.Ref.LastChange())
+		case nw.Quiescent() && last != refLast && (last != refLast+1 || l.bumped[i] == last):
+			what = fmt.Sprintf("rounds-to-stable %d vs %d (last epoch bump in round %d)", last, refLast, l.bumped[i])
 		}
 		for _, id := range nw.order {
 			if what != "" {

@@ -401,7 +401,8 @@ func TestGoldenFingerprints(t *testing.T) {
 
 // TestGoldenScriptsMatchReference replays every case's script on the
 // synchronous engine, Workers 1 and 8, against the reference engine,
-// compared after every round, until quiescent past the script's end.
+// compared — and the dependency index audited — after every round,
+// until quiescent past the script's end.
 func TestGoldenScriptsMatchReference(t *testing.T) {
 	for _, c := range goldenCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -414,6 +415,9 @@ func TestGoldenScriptsMatchReference(t *testing.T) {
 				script.apply(t, step, l.Ref.Peers, l.Join, l.Leave, l.Fail)
 				if err := l.Step(); err != nil {
 					t.Fatal(err)
+				}
+				for _, nw := range l.Nets {
+					rechord.CheckDepIndex(t, nw, fmt.Sprintf("step %d", step))
 				}
 			}
 		})

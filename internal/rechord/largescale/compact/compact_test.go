@@ -4,11 +4,11 @@
 // the rung reachable: the dense slot-addressed state (this package's
 // original n=65536 target — the map-keyed layout ran ~2.2x slower
 // with ~1.5x the resident state) and the incremental dependency
-// machinery (inverted wake index + per-level settle hashing), which
-// removed the last two per-barrier terms that scaled with n instead
-// of with the frontier. The runs are single-core
-// memory-bandwidth-bound (every active round sweeps every active
-// peer's standing flow), so the tests live in their own package and
+// machinery (inverted wake index + a settle verdict that costs only the
+// active peers' own state), which removed the last two per-barrier
+// terms that scaled with n instead of with the frontier. The runs are
+// single-core memory-bandwidth-bound (every active round sweeps every
+// active peer's standing flow), so the tests live in their own package and
 // never crowd the rest of the largescale suite; the multi-minute
 // rungs budget-check the binary's deadline (see needBudget) and skip
 // when it cannot fit them, so a plain `go test ./...` stays green at
@@ -191,8 +191,8 @@ func TestCompactHandleSmoke(t *testing.T) {
 // doublings past the n=65536 rung the compact-handle relayout bought,
 // reachable because a barrier now costs O(frontier), not O(n): the
 // inverted wake index finds the dependents of the round's changed
-// peers directly, and the per-level settle hash replaced the
-// per-barrier deep clone. Churn handling at scale is exercised by
+// peers directly, and a per-batch image of the active peers' edge sets
+// replaced the per-barrier deep clone. Churn handling at scale is exercised by
 // TestCompactHandleSmoke (and the largescale suite's n=1024 failure
 // test); repeating it here adds tens of minutes of runtime without
 // adding coverage, and the whole binary must stay inside one go-test
@@ -211,8 +211,8 @@ func TestN131072ConvergesToIdeal(t *testing.T) {
 	}
 	// The dense layout's whole point: the settled per-peer footprint —
 	// dominated by the standing message flows (~300 messages per peer),
-	// with the protocol state, per-level hashes, and the inverted
-	// index's dependent lists on top — must stay small enough that
+	// with the protocol state and the inverted index's dependent lists
+	// on top — must stay small enough that
 	// n=131072 fits comfortably in memory. The map layout measured
 	// ~72 KiB/peer at n=16384 where this layout (with settled peers
 	// releasing their rule scratch and right-sized flow buffers)
@@ -282,7 +282,7 @@ func TestN262144ConvergesToIdeal(t *testing.T) {
 // probability 0.5, messages delayed up to 3 steps — must settle
 // n=8192 to the exact oracle state. The async barrier shares the
 // synchronous engine's incremental machinery (the wake index and
-// settle hashes are maintained by the same runBatch), so the rung
+// pre-round image are maintained by the same runBatch), so the rung
 // also pins that the index survives the async delivery paths at
 // scale.
 func TestAsyncN8192ConvergesToIdeal(t *testing.T) {

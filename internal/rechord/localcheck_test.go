@@ -58,13 +58,11 @@ func TestLocalCheckDetectsPerturbation(t *testing.T) {
 			nw.CountLocallyStable(), nw.NumPeers())
 	}
 	// Remove a closest-neighbor edge from one peer.
-	victim := nw.Peer(ids[4])
-	v := victim.VNode(0)
-	target, ok := v.Nu.Max()
+	target, ok := nw.Peer(ids[4]).VNode(0).Nu.Max()
 	if !ok {
 		t.Fatal("victim has empty neighborhood")
 	}
-	v.Nu.Remove(target)
+	nw.RemoveNu(ids[4], 0, target)
 	nw.Wake(ids[4]) // out-of-band mutation: tell the scheduler
 	if nw.LocallyStable(ids[4]) {
 		t.Fatal("peer with damaged neighborhood passes the local check")
@@ -76,6 +74,7 @@ func TestLocalCheckDetectsPerturbation(t *testing.T) {
 	if err := rechord.ComputeIdeal(ids).Matches(nw); err != nil {
 		t.Fatalf("network did not repair the perturbation: %v", err)
 	}
+	rechord.CheckDepIndex(t, nw, "after repair")
 }
 
 func TestLocallyStableUnknownPeer(t *testing.T) {

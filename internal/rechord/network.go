@@ -89,20 +89,10 @@ type Network struct {
 	// map representation only stored non-zero entries).
 	view [][]PublishedView
 
-	// vhash is the per-(slot, level) content hash of every peer's
-	// virtual nodes, the incremental settle check's state (see
-	// hash.go). Between batches vhash[slot] describes the peer's
-	// current state; the execute phase recomputes it for the peers that
-	// ran.
-	vhash [][]uint64
-
 	// deps is the inverted dependency index (see depindex.go):
 	// referenced owner identifier -> peers whose edge sets or standing
-	// buckets mention it. stateDeps[slot] is the peer's own edge-set
-	// contribution (sorted owner multiset), diffed against the index at
-	// the barrier when the peer's content hash changed.
-	deps      depIndex
-	stateDeps [][]ownerCount
+	// buckets mention it.
+	deps depIndex
 
 	// frontier lists the slots of peers whose dirty flag is set.
 	// Entries may be stale (peer departed, slot re-collected); Step
@@ -185,12 +175,6 @@ func (nw *Network) Reserve(n int) {
 	if cap(nw.view)-len(nw.view) < n {
 		nw.view = append(make([][]PublishedView, 0, len(nw.view)+n), nw.view...)
 	}
-	if cap(nw.vhash)-len(nw.vhash) < n {
-		nw.vhash = append(make([][]uint64, 0, len(nw.vhash)+n), nw.vhash...)
-	}
-	if cap(nw.stateDeps)-len(nw.stateDeps) < n {
-		nw.stateDeps = append(make([][]ownerCount, 0, len(nw.stateDeps)+n), nw.stateDeps...)
-	}
 	if cap(nw.order)-len(nw.order) < n {
 		nw.order = append(make([]ident.ID, 0, len(nw.order)+n), nw.order...)
 	}
@@ -209,13 +193,8 @@ func (nw *Network) AddPeer(id ident.ID) *RealNode {
 	slot := nw.pt.intern(n)
 	for int(slot) >= len(nw.view) {
 		nw.view = append(nw.view, nil)
-		nw.vhash = append(nw.vhash, nil)
-		nw.stateDeps = append(nw.stateDeps, nil)
 	}
-	nw.view[slot] = nw.view[slot][:0]
-	nw.view[slot] = append(nw.view[slot], PublishedView{})
-	nw.vhash[slot] = append(nw.vhash[slot][:0], hashVNode(n.vnodes[0]))
-	nw.stateDeps[slot] = nw.stateDeps[slot][:0] // a fresh peer references nothing
+	nw.view[slot] = append(nw.view[slot][:0], PublishedView{})
 	nw.bumpEpoch(n)
 	nw.insertOrder(id)
 	nw.markDirtyIdx(slot)
@@ -273,10 +252,13 @@ func (nw *Network) markDirtyIdx(slot uint32) {
 // through the public API (Step, Join, Leave, Fail, SeedEdge) wakes the
 // affected peers automatically; callers that mutate a peer's state out
 // of band (fault injection, perturbation tests) must Wake it so the
-// activity scheduler notices the change. Waking an identifier that is
-// unknown — never present, or departed (including via a now-stale
-// rejoin) — is an explicit no-op: there is no peer to schedule, and a
-// later AddPeer under the same identifier starts dirty anyway.
+// activity scheduler notices the change. Such a write is part of the
+// next run's pre-round state: it advances no epoch and no index entry,
+// so the writer adjusts the index for each edge-set reference it moves.
+// Waking an identifier that is unknown — never present, or departed
+// (including via a now-stale rejoin) — is an explicit no-op: there is
+// no peer to schedule, and a later AddPeer under the same identifier
+// starts dirty anyway.
 func (nw *Network) Wake(id ident.ID) {
 	slot, ok := nw.pt.lookup(id)
 	if !ok {
@@ -393,21 +375,10 @@ func (nw *Network) SeedEdge(from, to ref.Ref, k graph.Kind) {
 			added = v.Nc.Add(to)
 		}
 	}
-	// Out-of-band state mutation: keep the stored content hashes and
-	// the inverted dependency index describing the current state. Bulk
-	// seeding (topogen) calls SeedEdge once per edge, so the update is
-	// incremental — new levels are hashed as they appear, the touched
-	// level is rehashed, and the one new reference enters the index —
-	// instead of a whole-peer refresh per call.
-	hs := nw.vhash[slot]
-	for len(hs) < len(n.vnodes) {
-		hs = append(hs, hashVNode(n.vnodes[len(hs)]))
-	}
-	hs[from.Level] = hashVNode(v)
-	nw.vhash[slot] = hs
+	// Out-of-band state mutation: the one new reference enters the
+	// dependency index, which the barrier otherwise keeps by diff.
 	if added {
 		nw.deps.add(to.Owner, slot, 1)
-		nw.stateDepAdd(slot, to.Owner)
 	}
 	nw.bumpEpoch(n)
 	nw.markDirtyIdx(slot)
@@ -762,6 +733,7 @@ func (nw *Network) epilogue(active []uint32, stats *RoundStats) (changed bool, e
 			}
 		}
 		w.tally = tally{}
+		w.imgLv, w.imgRefs = resetArena(w.imgLv), resetArena(w.imgRefs)
 		w.viewRefs, w.ops, w.deps = resetArena(w.viewRefs), resetArena(w.ops), resetArena(w.deps)
 	}
 	nw.prep = resetArena(nw.prep)

@@ -31,7 +31,7 @@ import (
 // file.
 //
 // What it must never share: the choice of which peers run, standing
-// per-sender storage and the templates behind it, content hashes, the
+// per-sender storage and the templates behind it, the pre-round image, the
 // inverted index of references, the goroutine set, and the product's
 // fixed-point test. A bug in any of those is a divergence from this
 // engine; a bug in a rule body is not — rules_test.go, ComputeIdeal and

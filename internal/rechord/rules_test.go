@@ -51,43 +51,6 @@ func (nw *Network) rebuildView() {
 	}
 }
 
-func (nw *Network) rebuildHashes() {
-	for len(nw.vhash) < len(nw.pt.nodes) {
-		nw.vhash = append(nw.vhash, nil)
-	}
-	for slot, n := range nw.pt.nodes {
-		if n == nil {
-			nw.vhash[slot] = nw.vhash[slot][:0]
-			continue
-		}
-		nw.refreshHashSlot(uint32(slot), n)
-	}
-}
-
-func (nw *Network) rebuildDeps() {
-	nw.deps = depIndex{}
-	for len(nw.stateDeps) < len(nw.pt.nodes) {
-		nw.stateDeps = append(nw.stateDeps, nil)
-	}
-	for slot := range nw.stateDeps {
-		nw.stateDeps[slot] = nw.stateDeps[slot][:0]
-	}
-	nw.commitW = 1
-	var w worker
-	for slot, n := range nw.pt.nodes {
-		if n == nil {
-			continue
-		}
-		nw.prepStateDeps(uint32(slot), n, &w)
-		for _, b := range n.in {
-			appendSpanDeps(&w.deps, b.flow, b.span, uint32(slot), 1)
-		}
-	}
-	for _, d := range w.deps {
-		nw.commitDepDelta(d)
-	}
-}
-
 func (f *fx) peer(x float64) *RealNode { return f.nw.Peer(ident.FromFloat(x)) }
 
 // nodeResult is what one fixture run of rules 1-6 produced.
@@ -98,11 +61,10 @@ type nodeResult struct {
 
 func (f *fx) run(x float64) nodeResult {
 	// The fixture mutates peer state directly between runs, so the
-	// incrementally maintained caches are rebuilt wholesale.
+	// incrementally maintained caches the rules read are rebuilt
+	// wholesale.
 	f.nw.rebuildLevels()
 	f.nw.rebuildView()
-	f.nw.rebuildHashes()
-	f.nw.rebuildDeps()
 	var w worker
 	f.nw.runRules(f.peer(x), &w)
 	return nodeResult{out: w.out, made: w.made, killed: w.killed}

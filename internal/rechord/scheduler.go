@@ -44,7 +44,9 @@ type Scheduler interface {
 
 	// LastChange returns the most recent time whose execution changed
 	// the global state (0 if nothing changed yet): the quantity
-	// convergence experiments report.
+	// convergence experiments report. A time that changed no peer's
+	// state (the epoch clock did not move) but swapped standing outputs
+	// still counts, so this may exceed the literal rounds-to-stable by one.
 	LastChange() int
 
 	// Quiescent reports whether the execution is at its fixed point: no

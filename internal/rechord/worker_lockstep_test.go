@@ -2,6 +2,7 @@ package rechord_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -51,6 +52,9 @@ func runWorkersAsync(t *testing.T, seed int64, n int, gen topogen.Generator, ste
 		for _, a := range runs {
 			a.Step()
 			rechord.AssertCleanPeersStable(t, a)
+			if a.Quiescent() {
+				rechord.CheckDepIndex(t, a.Network(), fmt.Sprintf("seed=%d step=%d", seed, s+1))
+			}
 		}
 		if fa, fb := nets[0].StateFingerprint(nil), nets[1].StateFingerprint(nil); fa != fb {
 			t.Logf("seed=%d n=%d gen=%s: fingerprint diverged at step %d: %x vs %x", seed, n, gen.Name, s+1, fa, fb)
