@@ -234,21 +234,24 @@ func TestWakeIndexMatchesScan(t *testing.T) {
 	})
 }
 
-// TestSettleVerdictAgreesUnderChurn proves the settle verdict agrees
-// with clone-and-compare through two crashes: the reference clones the
-// global state around every round, and Lockstep demands a fresh change
-// epoch for every peer whose clone differs.
-func TestSettleVerdictAgreesUnderChurn(t *testing.T) {
-	nw, ids := seedLine(40, 53, Config{Workers: 1})
-	l := NewLockstep(nw)
-	settleLockstep(t, l)
-	if err := errors.Join(l.Fail(ids[4]), l.Fail(ids[13])); err != nil {
-		t.Fatal(err)
-	}
-	settleLockstep(t, l)
-	if err := ComputeIdeal(nw.Peers()).Matches(nw); err != nil {
-		t.Fatalf("wrong state after churn: %v", err)
-	}
+// TestSettleHashMatchesClone proves the settle verdict (now an exact
+// pre-round image, no longer a hash) agrees with clone-and-compare
+// through two crashes: the reference clones the global state around
+// every round, and Lockstep demands a fresh change epoch for every peer
+// whose clone differs.
+func TestSettleHashMatchesClone(t *testing.T) {
+	t.Run("agrees-under-churn", func(t *testing.T) {
+		nw, ids := seedLine(40, 53, Config{Workers: 1})
+		l := NewLockstep(nw)
+		settleLockstep(t, l)
+		if err := errors.Join(l.Fail(ids[4]), l.Fail(ids[13])); err != nil {
+			t.Fatal(err)
+		}
+		settleLockstep(t, l)
+		if err := ComputeIdeal(nw.Peers()).Matches(nw); err != nil {
+			t.Fatalf("wrong state after churn: %v", err)
+		}
+	})
 }
 
 // TestWakeUnknownNoOp pins Wake's contract for identifiers that do not
