@@ -428,11 +428,13 @@ func BenchmarkChurnRecoveryLarge(b *testing.B) {
 
 // BenchmarkConverge is the work-path ledger row for a fat frontier: 320
 // peers from a random weakly connected graph to the fixed point, the
-// shape of the end-to-end `converge` workload. Workers: 1, so allocs/op
-// and B/op repeat exactly and the `work` group can gate them.
+// shape of the end-to-end `converge` workload. Workers: 1, so allocs/op,
+// B/op and activations/op (peer rule executions, the work itself) repeat
+// exactly and the `work` group can gate them.
 func BenchmarkConverge(b *testing.B) {
 	b.Run("n=320", func(b *testing.B) {
 		b.ReportAllocs()
+		var acts uint64
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			nw, _ := buildRandom(320, int64(i), 1)
@@ -440,14 +442,16 @@ func BenchmarkConverge(b *testing.B) {
 			if _, err := sim.RunToStable(context.Background(), nw, sim.Options{}); err != nil {
 				b.Fatal(err)
 			}
+			acts += nw.Obs().Activated.Value()
 		}
+		b.ReportMetric(float64(acts)/float64(b.N), "activations/op")
 	})
 }
 
 // BenchmarkRepairCycle is the work-path ledger row for a thin frontier:
 // a join, a graceful leave and a crash on a stable n=512 network, each
 // run to the fixed point — the shape of the end-to-end `repair`
-// workload. Workers: 1 for repeatable allocation counts.
+// workload. Workers: 1 for repeatable allocation and activation counts.
 func BenchmarkRepairCycle(b *testing.B) {
 	b.Run("n=512", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
@@ -456,6 +460,7 @@ func BenchmarkRepairCycle(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
+		acts := nw.Obs().Activated.Value()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, kind := range []churn.Kind{churn.Join, churn.Leave, churn.Fail} {
@@ -469,6 +474,7 @@ func BenchmarkRepairCycle(b *testing.B) {
 				}
 			}
 		}
+		b.ReportMetric(float64(nw.Obs().Activated.Value()-acts)/float64(b.N), "activations/op")
 	})
 }
 

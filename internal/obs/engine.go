@@ -40,8 +40,12 @@ type EngineMetrics struct {
 	// inbox entries plus standing-bucket messages read in phase 1.
 	Delivered Counter
 	// Settled / Unsettled count the per-peer settle decisions at the
-	// barrier: a settled peer reached a local fixed point and leaves
-	// the frontier; an unsettled one stays dirty.
+	// barrier. A settled peer's run left its state as it found it and
+	// consumed no one-shot input, so a re-run would reproduce its state
+	// and output: it leaves the frontier, on the run that changed its
+	// output if that was all that changed (the asynchronous scheduler
+	// still keeps such a peer for one confirmation run). An unsettled
+	// one stays dirty.
 	Settled   Counter
 	Unsettled Counter
 	// EpochBumps counts routing-epoch invalidations published by

@@ -368,7 +368,14 @@ func (a *AsyncRunner) drainFrontier(start int, immediate *[]uint32) {
 //     bucket-carried handoffs destabilize convergence (stale replays).
 //   - A contribution that vanished revokes the bucket and wakes the
 //     recipient, whichever kind of run dropped it.
+//
+// A changed output also keeps the sender on the frontier for one
+// confirmation run, which the synchronous engines skip (a peer whose
+// state did not move settles there on the run that changed its output):
+// dropping it here would redraw the activation coins of every later
+// step, and the asynchronous settle semantics are open work.
 func (a *AsyncRunner) planFlow(n *RealNode, p *prepOut, w *worker) {
+	p.rerun = p.rerun || p.outChanged
 	nw, h := a.nw, n.h()
 	var old, cur []flowSpan
 	if n.lastFlow != nil {
@@ -391,8 +398,8 @@ func (a *AsyncRunner) planFlow(n *RealNode, p *prepOut, w *worker) {
 		stood := i < len(old) && old[i].owner == cur[j].owner
 		op := bucketOp{span: int32(j)}
 		switch {
-		case stood && (!p.outChanged || spansEqual(n.lastFlow, int32(i), nf, op.span)):
-			// run-stable: silent install
+		case !p.outChanged || p.kept[j] >= 0:
+			// run-stable (so it stood): silent install
 		case p.stateChanged:
 			op.oneShot = true // handoff
 		default:

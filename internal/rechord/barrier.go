@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/ident"
 	"repro/internal/obs"
@@ -84,7 +85,8 @@ import (
 type flowRouter interface {
 	// planFlow stages the bucket ops for sender n's output in w's arenas
 	// (through planOp), on a pool goroutine: it reads shared state and
-	// writes only w. p.outChanged, p.stateChanged and p.newFlow are set.
+	// writes only w. p.outChanged, p.stateChanged, p.newFlow and p.kept
+	// are set.
 	planFlow(n *RealNode, p *prepOut, w *worker)
 	// emitFlow runs after the commit, serially and in active order, with
 	// the template the ops point into, for every sender that has ops or
@@ -108,12 +110,15 @@ type worker struct {
 	levels                            []int
 	realID                            []ident.ID
 
-	// Freeze scratch: the output-diff cursors, the recipient and symbol
-	// collectors of freezeFlow, and the per-level entries prepare
-	// publishes.
+	// Freeze scratch: the per-recipient verdicts of diffFlow, the span
+	// cursors, new symbols and symbol translation of freezeFlow, and the
+	// per-level entries prepare publishes.
+	diff    []spanDiff
+	order   []int32
+	at      []int32
 	cursors []uint32
-	spans   []flowSpan
 	syms    []ident.ID
+	symMap  []uint32
 	views   []PublishedView
 
 	tally
@@ -125,6 +130,7 @@ type worker struct {
 	// mostly unused) when the batch ends.
 	imgLv    []imgLevel
 	imgRefs  []ref.Ref
+	kept     []int32
 	viewRefs []ref.Ref
 	ops      []bucketOp
 	deps     []depDelta
@@ -147,12 +153,13 @@ type tally struct {
 }
 
 // resetArena empties a per-batch buffer. It releases the storage once a
-// batch used under 1/64 of it (beyond a constant floor that keeps the
-// thin, fluctuating frontiers of a repair from ever regrowing it): a
-// settled network does not retain its peak round's payload, and a
-// converging one pays at most a few regrowths of by-then small buffers.
+// batch used under 1/64 of it (beyond a floor of 4096 entries, at most
+// 64 KiB, that keeps the thin, fluctuating frontiers of a repair from
+// ever regrowing it): a settled network does not retain its peak round's
+// payload, and a converging one pays at most a few regrowths of
+// by-then small buffers.
 func resetArena[T any](s []T) []T {
-	if cap(s) > 64*len(s)+4096 {
+	if floor := min(4096, 64<<10/int(unsafe.Sizeof(*new(T)))); cap(s) > 64*len(s)+floor {
 		return nil
 	}
 	return s[:0]
@@ -229,16 +236,23 @@ func (nw *Network) runParallel(n int, f func(nw *Network, w *worker, i int)) {
 type prepOut struct {
 	ownerChanged bool // the peer's level span moved
 	outChanged   bool // total output differs from lastFlow
-	stateChanged bool // the state differs from the pre-round image: the settle decision
-	// consumed: deliver drained a one-shot inbox. That input will not
-	// repeat, so this run is no evidence that a re-run reproduces the
-	// peer's state and output: the peer does not settle on it, and the
-	// global state changed even when the peer's own did not.
-	consumed bool
+	stateChanged bool // the state differs from the pre-round image
+	// rerun keeps a peer whose state did not change on the frontier: this
+	// run is no evidence that a re-run reproduces the peer. Deliver sets it
+	// when it drained a one-shot inbox — that input will not repeat, and
+	// the global state changed even when the peer's own did not; the
+	// asynchronous plan step sets it for a changed output (its
+	// confirmation run, AsyncRunner.planFlow).
+	rerun bool
 
 	// The peer's pre-round image, in the delivering worker's arenas.
 	imgLv   []imgLevel
 	imgRefs []ref.Ref
+
+	// kept holds, per span of newFlow, the span of lastFlow it repeats
+	// message for message, or -1: the recipient verdicts of the output
+	// diff, in the executing worker's arena.
+	kept []int32
 
 	// viewRefs lists the virtual refs whose published rl/rr entry
 	// changed this batch (merged into the barrier's viewChanged map by
@@ -305,7 +319,7 @@ func (nw *Network) deliverPhase(w *worker, i int) {
 	n := nw.pt.nodes[nw.bActive[i]]
 	p := &nw.prep[i]
 	w.takeImage(n, p)
-	p.consumed = len(n.inbox) > 0
+	p.rerun = len(n.inbox) > 0
 	w.delivered += nw.deliver(n)
 	nw.purge(n, w)
 }
@@ -333,15 +347,26 @@ func (w *worker) takeImage(n *RealNode, p *prepOut) {
 
 // executePhase is the parallel execute body: rules 1-6 and the freeze —
 // the diff of the worker's out against the peer's own lastFlow and, when
-// it differs, the new template packed straight from out.
+// it differs, the new template built from lastFlow and the changed
+// recipients' messages, with the per-recipient verdicts kept for the plan
+// step.
 func (nw *Network) executePhase(w *worker, i int) {
 	n := nw.pt.nodes[nw.bActive[i]]
 	nw.runRules(n, w)
 	p := &nw.prep[i]
-	p.outChanged = !flowEqualsOutput(n.lastFlow, w.out, w)
-	if p.outChanged {
-		p.newFlow = freezeFlow(w.out, w)
+	if p.outChanged = diffFlow(n.lastFlow, w.out, w); !p.outChanged {
+		return
 	}
+	p.newFlow = freezeFlow(n.lastFlow, w.out, w)
+	k0 := len(w.kept)
+	for _, d := range w.order {
+		sd := w.diff[d]
+		if !sd.same {
+			sd.old = -1
+		}
+		w.kept = append(w.kept, sd.old)
+	}
+	p.kept = w.kept[k0:]
 }
 
 // preparePhase is the parallel prepare body: the publish diff, the

@@ -120,6 +120,29 @@ func AssertCleanPeersStable(t testing.TB, s Scheduler) {
 	}
 }
 
+// CheckFreeze replays every frontier peer the way LocallyStable does —
+// deliver, purge and rules 1-6 on a clone, with a private worker — and
+// holds the diff of its output against its lastFlow and the template
+// frozen from it to the from-scratch oracles (checkFreeze). It returns
+// how many peers it replayed.
+func CheckFreeze(t testing.TB, nw *Network) int {
+	t.Helper()
+	w, replayed := new(worker), 0
+	for _, id := range nw.order {
+		n := nw.node(id)
+		if !n.dirty {
+			continue
+		}
+		clone := n.clone()
+		nw.deliver(clone)
+		nw.purge(clone, w)
+		nw.runRules(clone, w)
+		checkFreeze(t, n.lastFlow, w.out, w)
+		replayed++
+	}
+	return replayed
+}
+
 // CheckDepIndex rebuilds the expected dependency counts from the peers'
 // actual state (edge sets plus standing buckets) and compares them with
 // the live index, both directions. The index is kept only by diffs, so

@@ -27,10 +27,12 @@ import (
 //
 // Messages are stored packed: the Add owner (the only full ident.ID a
 // standing message carries besides its recipient) is interned into a
-// per-template sorted symbol table, and the two levels plus the edge
-// kind share one meta word. A packed record is 8 bytes against
-// Message's 40; the recipient owner is stored once per span, not per
-// message.
+// sorted symbol table, and the two levels plus the edge kind share one
+// meta word. A packed record is 8 bytes against Message's 40; the
+// recipient owner is stored once per span, not per message. A new
+// generation is built from its predecessor (freezeFlow): the spans whose
+// messages did not change are copied record for record, and the symbol
+// table is the predecessor's own array while its set is unchanged.
 
 const (
 	// pmLevelBits is wide enough for ident.MaxLevel (62) with room to
@@ -69,7 +71,7 @@ type flowTemplate struct {
 	private bool // shadow- or clone-owned; never shared across peers
 	packed  []packedMsg
 	spans   []flowSpan // sorted by owner
-	syms    []ident.ID // sorted, deduped Add owners
+	syms    []ident.ID // sorted, deduped Add owners; may be a predecessor's array
 }
 
 // footprint is the resident size of the template itself.
@@ -155,100 +157,216 @@ func spansEqual(a *flowTemplate, ai int32, b *flowTemplate, bi int32) bool {
 		return true
 	}
 	sa, sb := a.spans[ai], b.spans[bi]
-	if sa.end-sa.start != sb.end-sb.start {
+	if sa.owner != sb.owner || sa.end-sa.start != sb.end-sb.start {
 		return false
 	}
-	for k := uint32(0); k < sa.end-sa.start; k++ {
-		if a.msgAt(sa.owner, sa.start+k) != b.msgAt(sb.owner, sb.start+k) {
+	pa, pb := a.packed[sa.start:sa.end], b.packed[sb.start:sb.end]
+	for k := range pa {
+		if pa[k].meta != pb[k].meta || a.syms[pa[k].sym] != b.syms[pb[k].sym] {
 			return false
 		}
 	}
 	return true
 }
 
+// packMeta packs m's kind and levels into a meta word, or returns ^0 —
+// which no packed record carries — when a level exceeds the packed range.
+func packMeta(m Message) uint32 {
+	if uint(m.To.Level) > pmLevelMask || uint(m.Add.Level) > pmLevelMask {
+		return ^uint32(0)
+	}
+	return uint32(m.Kind)<<pmKindShift | uint32(m.To.Level)<<pmLevelBits | uint32(m.Add.Level)
+}
+
 // packMsg encodes m against the sorted symbol table.
 func packMsg(m Message, syms []ident.ID) packedMsg {
-	lo, hi := 0, len(syms)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if syms[mid] < m.Add.Owner {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if uint(m.To.Level) > pmLevelMask || uint(m.Add.Level) > pmLevelMask {
+	meta := packMeta(m)
+	if meta == ^uint32(0) {
 		panic("rechord: message level exceeds packed-storage range")
 	}
-	return packedMsg{
-		sym:  uint32(lo),
-		meta: uint32(m.Kind)<<pmKindShift | uint32(m.To.Level)<<pmLevelBits | uint32(m.Add.Level),
-	}
+	sym, _ := slices.BinarySearch(syms, m.Add.Owner)
+	return packedMsg{sym: uint32(sym), meta: meta}
 }
 
-// freezeFlow freezes one run's output into a fresh template carrying one
-// reference for the caller, reading out in place: a first pass collects
-// the sorted distinct recipients with their message counts and the Add
-// owners (into w's scratch), a prefix sum turns the counts into spans,
-// and a second pass packs each message at its span's cursor — so spans
-// come out sorted by recipient with emission order preserved inside, and
-// the only allocations are the template's own exact-size arrays.
-func freezeFlow(out []Message, w *worker) *flowTemplate {
-	spans, syms := w.spans[:0], w.syms[:0]
-	for _, m := range out {
-		syms = append(syms, m.Add.Owner)
-		i, ok := searchSpans(spans, m.To.Owner)
-		if !ok {
-			spans = slices.Insert(spans, i, flowSpan{owner: m.To.Owner})
+// spanDiff is one recipient of a run's output held against the sender's
+// previous template: how many messages the output addresses to it, its
+// span in the previous template (-1: none), and whether that span holds
+// exactly these messages in emission order.
+type spanDiff struct {
+	owner ident.ID
+	n     uint32
+	old   int32
+	same  bool
+}
+
+// diffFlow compares out with old recipient by recipient and reports
+// whether they differ: a recipient's messages changed (order within a
+// recipient included), a recipient appeared, or one vanished.
+// Cross-recipient interleaving is not compared: delivery is per recipient
+// (each bucket replays its own span), and the deterministic rules emit
+// per-recipient sequences in a fixed order anyway.
+//
+// The per-recipient verdicts stay in w for freezeFlow: w.diff in order of
+// first appearance in out, w.order the same entries sorted by recipient,
+// w.at the entry of each message of out. One search of the (small) sorted
+// recipient list per message, skipped while consecutive messages share a
+// recipient, and one comparison with the old span's record at the
+// recipient's cursor.
+func diffFlow(old *flowTemplate, out []Message, w *worker) bool {
+	diff, order, at := w.diff[:0], w.order[:0], w.at[:0]
+	d := int32(-1)
+	for mi := range out {
+		m := &out[mi]
+		owner := m.To.Owner
+		if d < 0 || diff[d].owner != owner {
+			i, hi := 0, len(order)
+			for i < hi {
+				if mid := int(uint(i+hi) >> 1); diff[order[mid]].owner < owner {
+					i = mid + 1
+				} else {
+					hi = mid
+				}
+			}
+			if i < len(order) && diff[order[i]].owner == owner {
+				d = order[i]
+			} else {
+				d = int32(len(diff))
+				sd := spanDiff{owner: owner, old: -1}
+				if old != nil {
+					sd.old = old.findSpan(owner)
+					sd.same = sd.old >= 0
+				}
+				diff = append(diff, sd)
+				order = slices.Insert(order, i, d)
+			}
 		}
-		spans[i].end++
+		sd := &diff[d]
+		if sd.same {
+			// The recipient matches by construction; compare the rest packed.
+			sp := old.spans[sd.old]
+			i := sp.start + sd.n
+			sd.same = i < sp.end && old.packed[i].meta == packMeta(*m) && old.syms[old.packed[i].sym] == m.Add.Owner
+		}
+		sd.n++
+		at = append(at, d)
 	}
-	ident.Sort(syms)
-	w.spans, w.syms = spans, syms
+	w.diff, w.order, w.at = diff, order, at
+	changed := false
+	for k := range diff {
+		sd := &diff[k]
+		sd.same = sd.same && int(sd.n) == old.spanLen(sd.old)
+		changed = changed || !sd.same
+	}
+	if old != nil {
+		// Every recipient matched a distinct old span, so one vanished
+		// exactly when the counts differ.
+		return changed || len(diff) != len(old.spans)
+	}
+	return changed
+}
+
+// freezeFlow packs out into a fresh template carrying one reference for
+// the caller, on top of the verdicts diffFlow(old, out, w) just left in
+// w: spans come out sorted by recipient with emission order preserved
+// inside; a recipient whose messages did not change copies its packed
+// records from old, and only the others are packed from out. Building
+// from nothing is the old == nil case. The result equals a from-scratch
+// build field by field (TestFreezeMatchesScratch); the only allocations
+// are the template's own exact-size arrays, and not even the symbol table
+// when its set did not change.
+func freezeFlow(old *flowTemplate, out []Message, w *worker) *flowTemplate {
 	t := &flowTemplate{
 		packed: make([]packedMsg, len(out)),
-		spans:  slices.Clone(spans),
-		syms:   slices.Clone(slices.Compact(syms)),
+		spans:  make([]flowSpan, len(w.order)),
 	}
-	cur := w.cursors[:0]
+	cur := slices.Grow(w.cursors[:0], len(w.diff))[:len(w.diff)]
 	at := uint32(0)
-	for i := range t.spans {
-		sp := &t.spans[i]
-		sp.start, sp.end = at, at+sp.end
-		cur = append(cur, at)
-		at = sp.end
+	for si, d := range w.order {
+		t.spans[si] = flowSpan{owner: w.diff[d].owner, start: at, end: at + w.diff[d].n}
+		cur[d] = at
+		at += w.diff[d].n
 	}
 	w.cursors = cur
-	for _, m := range out {
-		si := t.findSpan(m.To.Owner)
-		t.packed[cur[si]] = packMsg(m, t.syms)
-		cur[si]++
+	var remap bool
+	t.syms, remap = w.freezeSyms(old, out)
+	for si, d := range w.order {
+		if sd := w.diff[d]; sd.same {
+			sp := old.spans[sd.old]
+			dst := t.packed[t.spans[si].start:t.spans[si].end]
+			copy(dst, old.packed[sp.start:sp.end])
+			if remap {
+				for k := range dst {
+					dst[k].sym = w.symMap[dst[k].sym]
+				}
+			}
+		}
+	}
+	for i, m := range out {
+		if d := w.at[i]; !w.diff[d].same {
+			t.packed[cur[d]] = packMsg(m, t.syms)
+			cur[d]++
+		}
 	}
 	t.refs.Store(1)
 	return t
 }
 
-// buildPrivateFlow freezes one recipient's contribution into a
-// single-span private template (ref 1). Used for partition shadow
-// buckets — never shared.
-func buildPrivateFlow(owner ident.ID, ms []Message) *flowTemplate {
-	symbuf := make([]ident.ID, 0, len(ms))
-	for _, m := range ms {
-		symbuf = append(symbuf, m.Add.Owner)
+// freezeSyms returns the symbol table of the template freezeFlow builds:
+// the sorted distinct Add owners of out. Those of the copied spans are
+// old symbols by construction, so old's table is reused as is when the
+// changed spans bring no new owner and no old one fell out of use;
+// otherwise the used old symbols and the new owners are merged into a
+// fresh table, and remap reports that w.symMap translates an old symbol
+// index into the new table.
+func (w *worker) freezeSyms(old *flowTemplate, out []Message) (syms []ident.ID, remap bool) {
+	var oldSyms []ident.ID
+	if old != nil {
+		oldSyms = old.syms
 	}
-	ident.Sort(symbuf)
-	syms := slices.Compact(symbuf)
-	t := &flowTemplate{
-		private: true,
-		packed:  make([]packedMsg, 0, len(ms)),
-		spans:   []flowSpan{{owner: owner, end: uint32(len(ms))}},
-		syms:    syms,
+	used := slices.Grow(w.symMap[:0], len(oldSyms))[:len(oldSyms)]
+	clear(used)
+	for _, sd := range w.diff {
+		if sd.same {
+			sp := old.spans[sd.old]
+			for _, pm := range old.packed[sp.start:sp.end] {
+				used[pm.sym] = 1
+			}
+		}
 	}
-	for _, m := range ms {
-		t.packed = append(t.packed, packMsg(m, syms))
+	fresh := w.syms[:0]
+	for i, m := range out {
+		if w.diff[w.at[i]].same {
+			continue
+		}
+		if k, ok := slices.BinarySearch(oldSyms, m.Add.Owner); ok {
+			used[k] = 1
+		} else {
+			fresh = append(fresh, m.Add.Owner)
+		}
 	}
-	t.refs.Store(1)
-	return t
+	w.symMap, w.syms = used, fresh
+	if len(fresh) == 0 && !slices.Contains(used, 0) {
+		return oldSyms, false
+	}
+	ident.Sort(fresh)
+	fresh = slices.Compact(fresh)
+	n := len(fresh)
+	for _, u := range used {
+		n += int(u)
+	}
+	syms = make([]ident.ID, 0, n)
+	j := 0
+	for k, id := range oldSyms {
+		if used[k] == 0 {
+			continue
+		}
+		for ; j < len(fresh) && fresh[j] < id; j++ {
+			syms = append(syms, fresh[j])
+		}
+		used[k] = uint32(len(syms))
+		syms = append(syms, id)
+	}
+	return append(syms, fresh[j:]...), true
 }
 
 // cloneSpan freezes span si of t into a fresh private single-span
@@ -268,41 +386,6 @@ func (t *flowTemplate) cloneSpan(si int32) *flowTemplate {
 	}
 	c.refs.Store(1)
 	return c
-}
-
-// flowEqualsOutput reports whether out carries exactly t's messages
-// with per-recipient order preserved. Cross-recipient interleaving is
-// not compared: delivery is per-recipient (each bucket replays its own
-// span), so outputs that agree group-by-group produce identical
-// behavior, and the deterministic rules emit per-recipient sequences
-// in a fixed order anyway. The per-span cursors are w's scratch.
-func flowEqualsOutput(t *flowTemplate, out []Message, w *worker) bool {
-	if t == nil {
-		return len(out) == 0
-	}
-	if len(out) != len(t.packed) {
-		return false
-	}
-	cur := w.cursors[:0]
-	for range t.spans {
-		cur = append(cur, 0)
-	}
-	w.cursors = cur
-	for _, m := range out {
-		si := t.findSpan(m.To.Owner)
-		if si < 0 {
-			return false
-		}
-		sp := t.spans[si]
-		i := sp.start + cur[si]
-		if i >= sp.end || t.msgAt(sp.owner, i) != m {
-			return false
-		}
-		cur[si]++
-	}
-	// Total lengths match and no span overflowed, so every span is
-	// exactly consumed.
-	return true
 }
 
 // bucket is one standing contribution at a recipient: span si of the

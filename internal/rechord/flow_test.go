@@ -2,6 +2,7 @@ package rechord
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -10,8 +11,165 @@ import (
 )
 
 // White-box regressions for the shared flow-template storage: the
-// immutability the sharing rests on, the refcount/tally bookkeeping, and
-// the packed round-trip.
+// immutability the sharing rests on, the refcount/tally bookkeeping, the
+// packed round-trip, and the incremental freeze against a from-scratch
+// build.
+
+// freezeScratch is the oracle freezeFlow is held to: out frozen with no
+// predecessor and no scratch reuse — recipients sorted with emission
+// order kept inside each, every Add owner interned into a fresh sorted
+// table, every message packed.
+func freezeScratch(out []Message) *flowTemplate {
+	t := &flowTemplate{packed: make([]packedMsg, 0, len(out))}
+	for _, m := range out {
+		t.syms = append(t.syms, m.Add.Owner)
+		if i, ok := searchSpans(t.spans, m.To.Owner); !ok {
+			t.spans = slices.Insert(t.spans, i, flowSpan{owner: m.To.Owner})
+		}
+	}
+	ident.Sort(t.syms)
+	t.syms = slices.Compact(t.syms)
+	for i := range t.spans {
+		sp := &t.spans[i]
+		sp.start = uint32(len(t.packed))
+		for _, m := range out {
+			if m.To.Owner == sp.owner {
+				t.packed = append(t.packed, packMsg(m, t.syms))
+			}
+		}
+		sp.end = uint32(len(t.packed))
+	}
+	return t
+}
+
+// recipientMsgs is out's messages to owner, in emission order.
+func recipientMsgs(out []Message, owner ident.ID) []Message {
+	var ms []Message
+	for _, m := range out {
+		if m.To.Owner == owner {
+			ms = append(ms, m)
+		}
+	}
+	return ms
+}
+
+// checkFreeze holds diffFlow and freezeFlow on (old, out) to the oracles:
+// the verdict and every recipient's verdict to a plain comparison of
+// per-recipient message sequences, and the template, field by field, to
+// freezeScratch(out). It returns the template.
+func checkFreeze(t testing.TB, old *flowTemplate, out []Message, w *worker) *flowTemplate {
+	t.Helper()
+	changed := diffFlow(old, out, w)
+	plain := freezeScratch(out)
+	var oldSpans []flowSpan
+	if old != nil {
+		oldSpans = old.spans
+	}
+	want := len(plain.spans) != len(oldSpans)
+	for _, d := range w.order {
+		sd := w.diff[d]
+		i, ok := searchSpans(oldSpans, sd.owner)
+		same := ok && slices.Equal(old.appendSpan(nil, int32(i)), recipientMsgs(out, sd.owner))
+		if sd.same != same {
+			t.Fatalf("recipient %s: verdict same=%v, plain comparison %v", sd.owner, sd.same, same)
+		}
+		want = want || !same
+	}
+	if changed != want {
+		t.Fatalf("diffFlow reports changed=%v, plain comparison %v", changed, want)
+	}
+	got := freezeFlow(old, out, w)
+	if !slices.Equal(got.packed, plain.packed) || !slices.Equal(got.spans, plain.spans) || !slices.Equal(got.syms, plain.syms) {
+		t.Fatalf("incremental freeze differs from the from-scratch build:\n got %+v %+v %v\nwant %+v %+v %v",
+			got.spans, got.packed, got.syms, plain.spans, plain.packed, plain.syms)
+	}
+	return got
+}
+
+// TestFreezeMatchesScratch: over random (old, out) pairs, the diff's
+// verdicts equal a plain comparison and the template built on top of it
+// equals the from-scratch build. out is derived from old's own output so
+// that every case occurs: unchanged, changed, new and dropped recipients,
+// Add owners that are new or fall out of use, a reshuffled interleaving,
+// an empty out and no old at all. One worker serves every pair, so stale
+// scratch would show.
+func TestFreezeMatchesScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	w := new(worker)
+	id := func(pool int) ident.ID { return ident.ID(1 + rng.Intn(pool)) }
+	msg := func(to ident.ID) Message {
+		return Message{
+			To:   ref.Ref{Owner: to, Level: rng.Intn(3)},
+			Kind: graph.Kind(rng.Intn(3)),
+			Add:  ref.Ref{Owner: id(40), Level: rng.Intn(3)},
+		}
+	}
+	reused, merged := 0, 0
+	for iter := 0; iter < 20000; iter++ {
+		var out0 []Message
+		for range rng.Intn(30) {
+			out0 = append(out0, msg(id(8)))
+		}
+		var old *flowTemplate
+		if rng.Intn(8) > 0 {
+			old = freezeScratch(out0)
+		}
+		var out []Message
+		switch rng.Intn(8) {
+		case 0: // unchanged
+			out = slices.Clone(out0)
+		case 1: // empty
+		case 2: // same per-recipient sequences, another interleaving
+			queues := map[ident.ID][]Message{}
+			var owners []ident.ID
+			for _, m := range out0 {
+				if queues[m.To.Owner] == nil {
+					owners = append(owners, m.To.Owner)
+				}
+				queues[m.To.Owner] = append(queues[m.To.Owner], m)
+			}
+			for len(owners) > 0 {
+				k := rng.Intn(len(owners))
+				q := queues[owners[k]]
+				out = append(out, q[0])
+				if queues[owners[k]] = q[1:]; len(q) == 1 {
+					owners = slices.Delete(owners, k, k+1)
+				}
+			}
+		default:
+			drop := id(8) // a recipient that disappears
+			for _, m := range out0 {
+				switch r := rng.Intn(20); {
+				case m.To.Owner == drop && rng.Intn(2) == 0:
+				case r == 0: // dropped message
+				case r == 1: // new Add owner
+					m.Add.Owner = ident.ID(100 + rng.Intn(5))
+					out = append(out, m)
+				case r == 2:
+					m.Add.Level++
+					out = append(out, m)
+				default:
+					out = append(out, m)
+				}
+				if rng.Intn(15) == 0 {
+					out = append(out, msg(id(12))) // possibly a new recipient
+				}
+			}
+		}
+		got := checkFreeze(t, old, out, w)
+		switch {
+		case old == nil || len(got.syms) == 0:
+		case len(old.syms) > 0 && &got.syms[0] == &old.syms[0]:
+			reused++
+		default:
+			merged++
+		}
+	}
+	// Both ways to a symbol table are exercised.
+	if reused < 1000 || merged < 1000 {
+		t.Fatalf("symbol table reused %d times, merged %d times", reused, merged)
+	}
+}
 
 // stableFlowNet builds a small line network and runs it to quiescence.
 func stableFlowNet(t *testing.T, n int, cfg Config) (*Network, []ident.ID) {

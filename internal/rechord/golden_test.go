@@ -424,6 +424,31 @@ func TestGoldenScriptsMatchReference(t *testing.T) {
 	}
 }
 
+// TestFreezeMatchesScratchGoldenScripts replays every case's script on the
+// synchronous engine and, after every round, replays each frontier peer:
+// the output diff and the incremental freeze must equal the from-scratch
+// oracles on the outputs the protocol actually produces.
+func TestFreezeMatchesScratchGoldenScripts(t *testing.T) {
+	for _, c := range goldenCases() {
+		t.Run(c.name, func(t *testing.T) {
+			nw := c.build(1)
+			script := newGoldenScript(c)
+			replayed := 0
+			for step := 1; step <= script.lastStep() || !nw.Quiescent(); step++ {
+				if step > goldenMaxSteps {
+					t.Fatalf("not quiescent after %d rounds", goldenMaxSteps)
+				}
+				script.apply(t, step, nw.Peers, nw.Join, nw.Leave, nw.Fail)
+				nw.Step()
+				replayed += rechord.CheckFreeze(t, nw)
+			}
+			if replayed == 0 {
+				t.Fatal("no frontier peer replayed")
+			}
+		})
+	}
+}
+
 // TestPartitionSinkOrderDeterministic: two identical partitioned runs
 // emit the identical ordered (kind, from, to, len) sink log — the
 // "ordered sink traffic" contract of the barrier, which a map-order

@@ -47,9 +47,9 @@ func (nw *Network) locallyStable(id ident.ID, w *worker) bool {
 	// pending inbox is input, not part of the compared state (the
 	// standing buckets regenerate from the neighbors' repeated
 	// outputs). And the regenerated output must match what the peer
-	// actually sent last round — the engine's own settle predicate —
+	// actually sent last round — the barrier's own output diff —
 	// otherwise neighbors would observe different inboxes next round.
-	return n.vnodesEqual(clone.vnodes) && flowEqualsOutput(n.lastFlow, w.out, w)
+	return n.vnodesEqual(clone.vnodes) && !diffFlow(n.lastFlow, w.out, w)
 }
 
 // CountLocallyStable returns how many peers currently pass the local

@@ -689,8 +689,12 @@ func (nw *Network) epilogue(active []uint32, stats *RoundStats) (changed bool, e
 			nw.bumpEpoch(n)
 			epochBumpN++
 		}
-		if p.outChanged || p.stateChanged || p.consumed {
-			// Not a local fixed point yet: stay on the frontier.
+		if p.stateChanged || p.rerun {
+			// Not a local fixed point yet: stay on the frontier. A run that
+			// changed only the output settles on it: a re-run reads the
+			// same state, standing buckets and view, so it reproduces the
+			// output — and whatever of those moves wakes the peer (bucket
+			// ops, its self-addressed bucket included; wakeDependents).
 			nw.markDirtyIdx(slot)
 			unsettledN++
 		} else {
@@ -733,7 +737,7 @@ func (nw *Network) epilogue(active []uint32, stats *RoundStats) (changed bool, e
 			}
 		}
 		w.tally = tally{}
-		w.imgLv, w.imgRefs = resetArena(w.imgLv), resetArena(w.imgRefs)
+		w.imgLv, w.imgRefs, w.kept = resetArena(w.imgLv), resetArena(w.imgRefs), resetArena(w.kept)
 		w.viewRefs, w.ops, w.deps = resetArena(w.viewRefs), resetArena(w.ops), resetArena(w.deps)
 	}
 	nw.prep = resetArena(nw.prep)

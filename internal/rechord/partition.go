@@ -211,21 +211,21 @@ func (p *Partition) flushPublishes() {
 // to apply at every process: at the sender's own host the shadow was
 // already written and the rewrite dedups to a no-op; elsewhere it
 // keeps the stub-to-stub shadows consistent. The contribution lives in
-// a private single-span template — the stub sender has no local flow
-// generation to share.
+// a private template frozen from nothing — the stub sender has no local
+// flow generation to share. Messages addressed to anyone but u.To have
+// no span to install and are dropped.
 func (p *Partition) ApplyBucket(u BucketUpdate) {
 	nw := p.nw
 	from := nw.pt.node(u.From)
 	if from == nil {
 		return // sender departed via an op this process already applied
 	}
-	if len(u.Msgs) == 0 {
-		nw.rewriteBucket(from.h(), u.To, nil, -1, true)
-		return
-	}
-	t := buildPrivateFlow(u.To, u.Msgs)
+	w := nw.serial()
+	diffFlow(nil, u.Msgs, w)
+	t := freezeFlow(nil, u.Msgs, w)
+	t.private = true
 	nw.flow.tallyBirth(t)
-	nw.rewriteBucket(from.h(), u.To, t, 0, true)
+	nw.rewriteBucket(from.h(), u.To, t, t.findSpan(u.To), true)
 	releaseFlow(t, &nw.flow)
 }
 

@@ -370,25 +370,21 @@ func (c *ruleContext) ruleConnectionEdges() {
 			continue
 		}
 		// w = max{x in N_u(u_i) ∪ S(u_i) : x < v}. The candidate set is
-		// loop-invariant: forwarding removes connection edges and sends
-		// messages, but never touches N_u or the sibling set.
+		// loop-invariant: forwarding sends messages but never touches N_u,
+		// the sibling set or N_c, and every branch retires the edge, so
+		// N_c is emptied once after the loop.
 		cand := &c.w.cand
 		cand.MergeSorted(ui.Nu.Slice(), sibSet.Slice())
-		c.w.snap = append(c.w.snap[:0], ui.Nc.Slice()...)
-		for _, v := range c.w.snap {
-			w, ok := cand.MaxBelow(v.ID())
-			switch {
-			case ok && w != ui.Self:
+		for _, v := range ui.Nc.Slice() {
+			if w, ok := cand.MaxBelow(v.ID()); ok && w != ui.Self {
 				c.send(w, graph.Connection, v)
-				ui.Nc.Remove(v)
-			default:
+			} else {
 				// u_i itself is the largest known node below v (or
 				// nothing below v is known): create the unmarked
-				// backward edge (v, u_i) and retire the connection
-				// edge.
+				// backward edge (v, u_i).
 				c.send(v, graph.Unmarked, ui.Self)
-				ui.Nc.Remove(v)
 			}
 		}
+		ui.Nc.Clear()
 	}
 }
