@@ -25,7 +25,7 @@ func asyncSteady(b *testing.B, n int) *rechord.AsyncRunner {
 	rng := rand.New(rand.NewSource(int64(n)))
 	ids := topogen.RandomIDs(n, rng)
 	nw := topogen.PreStabilized().Build(ids, rng, rechord.Config{})
-	runner := rechord.NewAsyncRunner(nw, rechord.AsyncConfig{ActivationProb: 0.5, MaxDelay: 3}, rng)
+	runner := rechord.NewAsyncRunner(nw, rechord.AsyncConfig{ActivationProb: 0.5, Delay: rechord.UniformDelay{Max: 3}}, rng)
 	if _, err := sim.RunToStable(context.Background(), runner, sim.Options{}); err != nil {
 		b.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func BenchmarkAsyncChurnRecovery(b *testing.B) {
 		rng := rand.New(rand.NewSource(int64(i)))
 		ids := topogen.RandomIDs(n, rng)
 		nw := topogen.PreStabilized().Build(ids, rng, rechord.Config{})
-		runner := rechord.NewAsyncRunner(nw, rechord.AsyncConfig{ActivationProb: 0.5, MaxDelay: 2}, rng)
+		runner := rechord.NewAsyncRunner(nw, rechord.AsyncConfig{ActivationProb: 0.5, Delay: rechord.UniformDelay{Max: 2}}, rng)
 		if _, err := sim.RunToStable(context.Background(), runner, sim.Options{}); err != nil {
 			b.Fatal(err)
 		}
@@ -95,7 +95,7 @@ func BenchmarkAsyncConvergence(b *testing.B) {
 				rng := rand.New(rand.NewSource(int64(i)))
 				ids := topogen.RandomIDs(n, rng)
 				nw := topogen.Random().Build(ids, rng, rechord.Config{})
-				runner := rechord.NewAsyncRunner(nw, rechord.AsyncConfig{ActivationProb: 0.5, MaxDelay: 2}, rng)
+				runner := rechord.NewAsyncRunner(nw, rechord.AsyncConfig{ActivationProb: 0.5, Delay: rechord.UniformDelay{Max: 2}}, rng)
 				b.StartTimer()
 				res, err := sim.RunToStable(context.Background(), runner, sim.Options{})
 				if err != nil {

@@ -36,7 +36,7 @@ func (s *Sweep) Async() (*Result, error) {
 			for pi, p := range asyncProbs {
 				for rep := 0; rep < s.cfg.Reps; rep++ {
 					rng, ids, nw := s.cfg.build(n, rep, topogen.Random(), rechord.Config{})
-					runner := rechord.NewAsyncRunner(nw, rechord.AsyncConfig{ActivationProb: p, MaxDelay: 2}, rng)
+					runner := rechord.NewAsyncRunner(nw, rechord.AsyncConfig{ActivationProb: p, Delay: rechord.UniformDelay{Max: 2}}, rng)
 					res, err := sim.RunToStable(context.Background(), runner, sim.Options{})
 					if err != nil {
 						return nil, fmt.Errorf("async: n=%d p=%.2f rep=%d: %w", n, p, rep, err)

@@ -43,9 +43,8 @@ type EngineMetrics struct {
 	// barrier. A settled peer's run left its state as it found it and
 	// consumed no one-shot input, so a re-run would reproduce its state
 	// and output: it leaves the frontier, on the run that changed its
-	// output if that was all that changed (the asynchronous scheduler
-	// still keeps such a peer for one confirmation run). An unsettled
-	// one stays dirty.
+	// output if that was all that changed, under every scheduler. An
+	// unsettled one stays dirty.
 	Settled   Counter
 	Unsettled Counter
 	// EpochBumps counts routing-epoch invalidations published by

@@ -28,21 +28,22 @@ import (
 // Message flow is two-tier, matching how the activity-tracked engine
 // models the paper's repeating output flow:
 //
-//   - A link contribution that CHANGED at a sender's run travels as
-//     one-shot messages with a drawn delay, consumed exactly once by
-//     the recipient — the faithful per-emission semantics. Replaying
+//   - A link contribution that CHANGED at a run that changed the
+//     sender's state (a handoff) travels as one-shot messages with a
+//     drawn delay, consumed exactly once by the recipient — the
+//     faithful per-emission semantics. Replaying
 //     changing (transient) versions out of a standing bucket instead
 //     provably destabilizes the system: when the delay spread is
 //     comparable to the inter-activation gap, repeated re-consumption
 //     of already superseded flow keeps re-perturbing settled regions
 //     and the network never quiesces.
-//   - A link contribution that survived two consecutive runs unchanged
-//     is run-stable: it is installed as the sender's standing
-//     per-sender inbox bucket (without waking the recipient, which
-//     already received the version's one-shots) and from then on
-//     represents the sender's repeating flow — recipients re-consume
-//     it at every activation, and a peer at a local fixed point costs
-//     nothing while still "sending" every step.
+//   - Every other contribution is the sender's standing per-sender
+//     inbox bucket, installed as the synchronous engine does: it wakes
+//     the recipient only when its content is new there (a changed relay,
+//     or a bucket re-installed after a handoff revoked it), and from
+//     then on represents the sender's repeating flow — recipients
+//     re-consume it at every activation, and a peer at a local fixed
+//     point costs nothing while still "sending" every step.
 //
 // With ActivationProb = 1 and every delay equal to 1, the runner
 // executes the synchronous schedule step for step: the global state —
@@ -86,11 +87,9 @@ type AsyncConfig struct {
 	// executes its rules. 1 with delay 1 degenerates to the synchronous
 	// schedule.
 	ActivationProb float64
-	// MaxDelay is the maximum message delay in steps (minimum 1) of the
-	// default uniform delay model. Ignored when Delay is set.
-	MaxDelay int
-	// Delay, when non-nil, replaces the uniform 1..MaxDelay model; see
-	// UniformDelay, GeometricDelay, ParetoDelay and LinkDelay.
+	// Delay draws message delays; see UniformDelay, GeometricDelay,
+	// ParetoDelay and LinkDelay. nil is UniformDelay{Max: 1}, the
+	// synchronous timing.
 	Delay DelayModel
 }
 
@@ -146,41 +145,33 @@ func NewAsyncRunner(nw *Network, cfg AsyncConfig, rng *rand.Rand) *AsyncRunner {
 	if cfg.ActivationProb <= 0 || cfg.ActivationProb > 1 {
 		cfg.ActivationProb = 0.5
 	}
-	if cfg.MaxDelay < 1 {
-		cfg.MaxDelay = 1
-	}
 	if cfg.Delay == nil {
-		cfg.Delay = UniformDelay{Max: cfg.MaxDelay}
-	} else {
-		// MaxDelay only sizes step budgets when a custom model is set;
-		// infer a typical delay from the known models so callers need
-		// not duplicate their parameters.
-		switch m := cfg.Delay.(type) {
-		case UniformDelay:
-			if m.Max > cfg.MaxDelay {
-				cfg.MaxDelay = m.Max
-			}
-		case GeometricDelay:
-			if m.P > 0 && m.P < 1 {
-				if d := int(2 / m.P); d > cfg.MaxDelay {
-					cfg.MaxDelay = d
-				}
-			}
-		case ParetoDelay:
-			if d := m.Max; d > 0 && d > cfg.MaxDelay {
-				cfg.MaxDelay = d
-			} else if m.Max <= 0 && cfg.MaxDelay < 8 {
-				cfg.MaxDelay = 8
-			}
-		case LinkDelay:
-			if m.Max > cfg.MaxDelay {
-				cfg.MaxDelay = m.Max
-			}
-		}
+		cfg.Delay = UniformDelay{Max: 1}
 	}
 	a := &AsyncRunner{nw: nw, cfg: cfg, rng: rng}
 	nw.router = a
 	return a
+}
+
+// typicalDelay infers a typical delay (at least 1) from the known models
+// for sizing step budgets, so callers need not restate their parameters.
+func typicalDelay(m DelayModel) int {
+	d := 1
+	switch m := m.(type) {
+	case UniformDelay:
+		d = m.Max
+	case GeometricDelay:
+		if m.P > 0 && m.P < 1 {
+			d = int(2 / m.P)
+		}
+	case ParetoDelay:
+		if d = m.Max; m.Max <= 0 {
+			d = 8
+		}
+	case LinkDelay:
+		d = m.Max
+	}
+	return max(d, 1)
 }
 
 // eventTarget resolves an event's target peer: the handle while the
@@ -251,13 +242,10 @@ func (a *AsyncRunner) InFlight() int { return a.inflight + a.nw.InFlight() }
 
 // StepBudgetScale reports how many asynchronous steps one synchronous
 // round is worth, for sizing run budgets: activation slows the
-// frontier by 1/p and deliveries add up to MaxDelay steps of latency.
+// frontier by 1/p and deliveries add about the delay model's typical
+// delay (its bound, where it has one) of latency.
 func (a *AsyncRunner) StepBudgetScale() float64 {
-	d := float64(a.cfg.MaxDelay)
-	if d < 1 {
-		d = 1
-	}
-	return (d + 1) / a.cfg.ActivationProb
+	return float64(typicalDelay(a.cfg.Delay)+1) / a.cfg.ActivationProb
 }
 
 // EventFingerprint returns a hash over the ordered stream of executed
@@ -346,10 +334,6 @@ func (a *AsyncRunner) drainFrontier(start int, immediate *[]uint32) {
 // sorted by recipient, so ops come out in identifier order. Per
 // recipient link:
 //
-//   - An unchanged contribution is (if not yet) installed as the
-//     standing bucket, silently: its content already reached the
-//     recipient when it last changed, the bucket is just the repeating
-//     representation from then on.
 //   - A changed contribution of a STATE-CHANGING run revokes the
 //     standing bucket and travels as one-shot messages (emitFlow). This
 //     is the faithful per-emission semantics for knowledge handoffs: a
@@ -357,25 +341,22 @@ func (a *AsyncRunner) drainFrontier(start int, immediate *[]uint32) {
 //     message, so it must arrive exactly once and never be destroyed by
 //     a bucket rewrite — and, conversely, must not be replayed out of a
 //     bucket after the system moved past it.
-//   - A changed contribution of a STATE-STABLE run is rewritten into
-//     the standing bucket exactly like the synchronous barrier does.
-//     These are the self-regenerating relay flows (rules 3, 5 and 6
-//     keep re-deriving them from unchanged state every run); carrying
-//     them in buckets gives every downstream run the same input view,
-//     so relay chains stop flapping with arrival phases and the
-//     network can actually quiesce. Either failure mode is real:
-//     one-shot relays never settle (phase-dependent outputs forever),
-//     bucket-carried handoffs destabilize convergence (stale replays).
+//   - Every other contribution is installed as the standing bucket with
+//     a wake, exactly like the synchronous barrier does; planOp drops
+//     the wake when identical content stands. It fires for a changed
+//     relay (the self-regenerating flows of rules 3, 5 and 6: carried in
+//     buckets, they give every downstream run the same input view, so
+//     relay chains stop flapping with arrival phases) and for a bucket
+//     that comes back after a revoke, whose content the recipient's
+//     last run did not see. Either failure mode is real: one-shot relays
+//     never settle (phase-dependent outputs forever), bucket-carried
+//     handoffs destabilize convergence (stale replays).
 //   - A contribution that vanished revokes the bucket and wakes the
 //     recipient, whichever kind of run dropped it.
 //
-// A changed output also keeps the sender on the frontier for one
-// confirmation run, which the synchronous engines skip (a peer whose
-// state did not move settles there on the run that changed its output):
-// dropping it here would redraw the activation coins of every later
-// step, and the asynchronous settle semantics are open work.
+// A state-stable run therefore plans no handoffs and settles by the
+// epilogue's rule, as under the synchronous engines.
 func (a *AsyncRunner) planFlow(n *RealNode, p *prepOut, w *worker) {
-	p.rerun = p.rerun || p.outChanged
 	nw, h := a.nw, n.h()
 	var old, cur []flowSpan
 	if n.lastFlow != nil {
@@ -396,16 +377,8 @@ func (a *AsyncRunner) planFlow(n *RealNode, p *prepOut, w *worker) {
 			continue
 		}
 		stood := i < len(old) && old[i].owner == cur[j].owner
-		op := bucketOp{span: int32(j)}
-		switch {
-		case !p.outChanged || p.kept[j] >= 0:
-			// run-stable (so it stood): silent install
-		case p.stateChanged:
-			op.oneShot = true // handoff
-		default:
-			op.wake = true // relay
-		}
-		nw.planOp(h, cur[j].owner, nf, op, w)
+		handoff := p.outChanged && p.kept[j] < 0 && p.stateChanged
+		nw.planOp(h, cur[j].owner, nf, bucketOp{span: int32(j), wake: !handoff, oneShot: handoff}, w)
 		if stood {
 			i++
 		}
@@ -417,14 +390,19 @@ func (a *AsyncRunner) planFlow(n *RealNode, p *prepOut, w *worker) {
 // (identifier) order, draw the delay and either land the span in the
 // recipient's inbox now (delay 1, the synchronous timing: consumed next
 // step) or queue a delivery event. Serial and ordered, so the rng draw
-// sequence is reproducible for any worker count.
+// sequence is reproducible for any worker count. A waking install marks
+// its bucket unread, so a revoke before the recipient runs delivers it
+// (commitBucketOp).
 func (a *AsyncRunner) emitFlow(n *RealNode, tpl *flowTemplate, ops []bucketOp, _ bool) {
 	nw := a.nw
 	for _, op := range ops {
+		dst := nw.pt.nodes[op.dstSlot]
 		if !op.oneShot {
+			if op.wake && op.span >= 0 {
+				dst.in[dst.findBucket(n.h())].unread = true
+			}
 			continue
 		}
-		dst := nw.pt.nodes[op.dstSlot]
 		d := clampDelay(a.cfg.Delay.Delay(a.rng, n.id, dst.id), 0)
 		if d <= 1 {
 			a.mixEvent(evDelivery, a.step, dst.id)

@@ -71,7 +71,7 @@ func buildAsyncLine(n int, seed int64) (*Network, []ident.ID, *rand.Rand) {
 func TestAsyncDepartedPeerChurn(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		nw, ids, rng := buildAsyncLine(12, seed)
-		a := NewAsyncRunner(nw, AsyncConfig{ActivationProb: 0.5, MaxDelay: 4}, rng)
+		a := NewAsyncRunner(nw, AsyncConfig{ActivationProb: 0.5, Delay: UniformDelay{Max: 4}}, rng)
 		if _, ok := a.RunUntilLegal(ComputeIdeal(ids), 60000, 8); !ok {
 			t.Fatalf("seed=%d: initial convergence failed", seed)
 		}
@@ -117,7 +117,7 @@ func TestAsyncDepartedPeerChurn(t *testing.T) {
 // are woken to consume it — the messages are not silently dropped.
 func TestAsyncRemovePeerFinalOutput(t *testing.T) {
 	nw, ids, rng := buildAsyncLine(8, 99)
-	a := NewAsyncRunner(nw, AsyncConfig{ActivationProb: 1, MaxDelay: 1}, rng)
+	a := NewAsyncRunner(nw, AsyncConfig{ActivationProb: 1}, rng)
 	for !a.Quiescent() {
 		a.Step()
 	}
@@ -175,7 +175,7 @@ func TestAsyncRemovePeerFinalOutput(t *testing.T) {
 // compaction instead).
 func TestAsyncStaleFrontierCompaction(t *testing.T) {
 	nw, ids, rng := buildAsyncLine(10, 7)
-	a := NewAsyncRunner(nw, AsyncConfig{ActivationProb: 0.5, MaxDelay: 2}, rng)
+	a := NewAsyncRunner(nw, AsyncConfig{ActivationProb: 0.5, Delay: UniformDelay{Max: 2}}, rng)
 	for !a.Quiescent() {
 		a.Step()
 	}

@@ -19,9 +19,9 @@ func TestAsyncConvergesFromRandomStates(t *testing.T) {
 		name string
 		cfg  rechord.AsyncConfig
 	}{
-		{"half-activation", rechord.AsyncConfig{ActivationProb: 0.5, MaxDelay: 1}},
-		{"delayed-messages", rechord.AsyncConfig{ActivationProb: 1.0, MaxDelay: 4}},
-		{"slow-and-delayed", rechord.AsyncConfig{ActivationProb: 0.3, MaxDelay: 3}},
+		{"half-activation", rechord.AsyncConfig{ActivationProb: 0.5}},
+		{"delayed-messages", rechord.AsyncConfig{ActivationProb: 1.0, Delay: rechord.UniformDelay{Max: 4}}},
+		{"slow-and-delayed", rechord.AsyncConfig{ActivationProb: 0.3, Delay: rechord.UniformDelay{Max: 3}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(91))
@@ -50,7 +50,7 @@ func TestAsyncOneShotInputDoesNotSettle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1 + n*1_000_003 + rep*7919))
 	ids := topogen.RandomIDs(n, rng)
 	nw := topogen.Random().Build(ids, rng, rechord.Config{})
-	runner := rechord.NewAsyncRunner(nw, rechord.AsyncConfig{ActivationProb: 0.25, MaxDelay: 2}, rng)
+	runner := rechord.NewAsyncRunner(nw, rechord.AsyncConfig{ActivationProb: 0.25, Delay: rechord.UniformDelay{Max: 2}}, rng)
 	if _, err := sim.RunToStable(context.Background(), runner, sim.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestAsyncDegeneratesToSynchronous(t *testing.T) {
 	}
 
 	asyncNW := topogen.Line().Build(ids, rand.New(rand.NewSource(93)), rechord.Config{Workers: 1})
-	runner := rechord.NewAsyncRunner(asyncNW, rechord.AsyncConfig{ActivationProb: 1.0, MaxDelay: 1}, rng)
+	runner := rechord.NewAsyncRunner(asyncNW, rechord.AsyncConfig{ActivationProb: 1.0}, rng)
 	steps, ok := runner.RunUntilLegal(rechord.ComputeIdeal(ids), 10*sim.DefaultMaxRounds(len(ids)), 1)
 	if !ok {
 		t.Fatal("degenerate async did not converge")
@@ -90,7 +90,7 @@ func TestAsyncChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(94))
 	ids := topogen.RandomIDs(10, rng)
 	nw := topogen.PreStabilized().Build(ids, rng, rechord.Config{Workers: 1})
-	runner := rechord.NewAsyncRunner(nw, rechord.AsyncConfig{ActivationProb: 0.6, MaxDelay: 2}, rng)
+	runner := rechord.NewAsyncRunner(nw, rechord.AsyncConfig{ActivationProb: 0.6, Delay: rechord.UniformDelay{Max: 2}}, rng)
 	if _, ok := runner.RunUntilLegal(rechord.ComputeIdeal(ids), 4000, 4); !ok {
 		t.Fatal("async settling failed")
 	}
@@ -124,7 +124,7 @@ func TestAsyncLockstepMatchesSyncUnderChurn(t *testing.T) {
 			}
 			syncNW := build()
 			runner := rechord.NewAsyncRunner(build(),
-				rechord.AsyncConfig{ActivationProb: 1, MaxDelay: 1}, rand.New(rand.NewSource(7)))
+				rechord.AsyncConfig{ActivationProb: 1}, rand.New(rand.NewSource(7)))
 			asyncNW := runner.Network()
 
 			churnAt := map[int]int{9: 0, 21: 1, 33: 2} // step -> event kind
@@ -174,7 +174,7 @@ func TestAsyncDeterminism(t *testing.T) {
 		ids := topogen.RandomIDs(14, rng)
 		nw := topogen.Random().Build(ids, rng, rechord.Config{Workers: 2})
 		runner := rechord.NewAsyncRunner(nw,
-			rechord.AsyncConfig{ActivationProb: 0.4, MaxDelay: 3}, rand.New(rand.NewSource(seed+1)))
+			rechord.AsyncConfig{ActivationProb: 0.4, Delay: rechord.UniformDelay{Max: 3}}, rand.New(rand.NewSource(seed+1)))
 		for s := 0; s < 160; s++ {
 			if s == 30 {
 				if err := nw.Join(ident.ID(0x7777777777777777), ids[0]); err != nil {
@@ -248,7 +248,7 @@ func TestAsyncEpochsTrackStateChanges(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	ids := topogen.RandomIDs(12, rng)
 	nw := topogen.Random().Build(ids, rng, rechord.Config{Workers: 1})
-	runner := rechord.NewAsyncRunner(nw, rechord.AsyncConfig{ActivationProb: 0.6, MaxDelay: 3}, rng)
+	runner := rechord.NewAsyncRunner(nw, rechord.AsyncConfig{ActivationProb: 0.6, Delay: rechord.UniformDelay{Max: 3}}, rng)
 	if _, err := sim.RunToStable(context.Background(), runner, sim.Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestAsyncConfigDefaults(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
 	nw := rechord.NewNetwork(rechord.Config{})
 	nw.AddPeer(1)
-	runner := rechord.NewAsyncRunner(nw, rechord.AsyncConfig{ActivationProb: -1, MaxDelay: 0}, rng)
+	runner := rechord.NewAsyncRunner(nw, rechord.AsyncConfig{ActivationProb: -1}, rng)
 	// Defaults applied; stepping must not panic and must count.
 	runner.Step()
 	if runner.Time() != 1 {

@@ -237,13 +237,11 @@ type prepOut struct {
 	ownerChanged bool // the peer's level span moved
 	outChanged   bool // total output differs from lastFlow
 	stateChanged bool // the state differs from the pre-round image
-	// rerun keeps a peer whose state did not change on the frontier: this
-	// run is no evidence that a re-run reproduces the peer. Deliver sets it
-	// when it drained a one-shot inbox — that input will not repeat, and
-	// the global state changed even when the peer's own did not; the
-	// asynchronous plan step sets it for a changed output (its
-	// confirmation run, AsyncRunner.planFlow).
-	rerun bool
+	// consumed: deliver drained a one-shot inbox. That input will not
+	// repeat, so this run is no evidence that a re-run reproduces the
+	// peer, and the global state changed even when the peer's own did
+	// not: the peer stays on the frontier.
+	consumed bool
 
 	// The peer's pre-round image, in the delivering worker's arenas.
 	imgLv   []imgLevel
@@ -319,7 +317,7 @@ func (nw *Network) deliverPhase(w *worker, i int) {
 	n := nw.pt.nodes[nw.bActive[i]]
 	p := &nw.prep[i]
 	w.takeImage(n, p)
-	p.rerun = len(n.inbox) > 0
+	p.consumed = len(n.inbox) > 0
 	w.delivered += nw.deliver(n)
 	nw.purge(n, w)
 }
@@ -567,16 +565,22 @@ func (nw *Network) commitPhase(_ *worker, c int) {
 func (nw *Network) commitBucketOp(sender handle, nf *flowTemplate, op *bucketOp, sh *commitShard) {
 	dst := nw.pt.nodes[op.dstSlot]
 	sh.bucketMsgs += int(op.delta)
+	wake := op.wake
 	if op.span < 0 || op.oneShot {
 		if bi := dst.findBucket(sender); bi >= 0 {
 			old := dst.in[bi]
+			if old.unread {
+				// Content sent but never delivered arrives once, as one-shots.
+				dst.inbox = old.flow.appendSpan(dst.inbox, old.span)
+				wake = true
+			}
 			dst.delBucketAt(bi)
 			releaseBucket(old, &sh.flow)
 		}
 	} else {
 		installBucket(dst, sender, nf, op.span, &sh.flow)
 	}
-	if op.wake && !dst.dirty {
+	if wake && !dst.dirty {
 		dst.dirty = true
 		sh.frontier = append(sh.frontier, op.dstSlot)
 	}

@@ -211,7 +211,7 @@ func TestWakeIndexMatchesScan(t *testing.T) {
 	t.Run("async", func(t *testing.T) {
 		nw, ids := stableNetCfg(t, 32, 41, Config{Workers: 1})
 		rng := rand.New(rand.NewSource(43))
-		a := NewAsyncRunner(nw, AsyncConfig{ActivationProb: 0.5, MaxDelay: 3}, rng)
+		a := NewAsyncRunner(nw, AsyncConfig{ActivationProb: 0.5, Delay: UniformDelay{Max: 3}}, rng)
 		if err := nw.Fail(ids[9]); err != nil {
 			t.Fatal(err)
 		}

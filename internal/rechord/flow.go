@@ -394,6 +394,7 @@ func (t *flowTemplate) cloneSpan(si int32) *flowTemplate {
 type bucket struct {
 	sender handle
 	span   int32
+	unread bool // installed with a wake by the async runner, not yet delivered
 	flow   *flowTemplate
 }
 
@@ -430,7 +431,7 @@ func (n *RealNode) setBucket(sender handle, t *flowTemplate, si int32) (old buck
 	}
 	if lo < len(n.in) && n.in[lo].sender == sender {
 		old = n.in[lo]
-		n.in[lo] = bucket{sender: sender, span: si, flow: t}
+		n.in[lo] = bucket{sender: sender, span: si, unread: old.unread, flow: t}
 		return old, true
 	}
 	n.in = append(n.in, bucket{})

@@ -9,8 +9,10 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/ident"
 	"repro/internal/rechord"
+	"repro/internal/ref"
 	"repro/internal/topogen"
 )
 
@@ -154,22 +156,78 @@ func (c goldenCase) build(workers int) *rechord.Network {
 
 const goldenMaxSteps = 20000
 
+// cutWatch applies membership changes to a network and remembers
+// whether its real graph was cut from outside the protocol: seeded
+// disconnected, or disconnected by a Fail itself (liveConnected true
+// just before the call and false just after). Theorem 1.1 promises the
+// ideal topology from any weakly connected state, so a quiescent network
+// must match the oracle unless it ends disconnected after such a cut. A
+// graceful Leave is the protocol's own and is never exempt here.
+type cutWatch struct {
+	*rechord.Network
+	cut bool
+}
+
+func newCutWatch(nw *rechord.Network) *cutWatch {
+	return &cutWatch{Network: nw, cut: !liveConnected(nw)}
+}
+
+func (c *cutWatch) Fail(id ident.ID) error { return c.watch(c.Network.Fail, id) }
+
+func (c *cutWatch) watch(change func(ident.ID) error, id ident.ID) error {
+	before := liveConnected(c.Network)
+	err := change(id)
+	c.cut = c.cut || before && !liveConnected(c.Network)
+	return err
+}
+
+// offOracle reports how the quiescent network differs from the oracle's
+// state, or nil if it does not or the exemption above applies.
+func (c *cutWatch) offOracle() error {
+	err := rechord.ComputeIdeal(c.Peers()).Matches(c.Network)
+	if err != nil && c.cut && !liveConnected(c.Network) {
+		return nil
+	}
+	return err
+}
+
+// liveConnected reports whether the graph the real nodes give is weakly
+// connected over the live peers. A reference to an identifier nobody
+// holds (a crashed peer's, or one seeded at random) joins nothing: the
+// next purge drops it, so it must not bridge two components here.
+func liveConnected(nw *rechord.Network) bool {
+	g := graph.New()
+	for _, id := range nw.Peers() {
+		g.AddNode(ref.Real(id))
+	}
+	for _, e := range nw.Graph().AllEdges() {
+		if nw.Peer(e.To.Owner) != nil {
+			g.AddEdge(ref.Real(e.From.Owner), ref.Real(e.To.Owner), e.Kind)
+		}
+	}
+	return g.RealWeaklyConnected()
+}
+
 // runGoldenScheduler drives the case through sched (the synchronous
 // engine or an AsyncRunner over nw) until it is quiescent past the
-// script's end.
+// script's end. Quiescence must be the oracle's state (see cutWatch).
 func runGoldenScheduler(t *testing.T, c goldenCase, nw *rechord.Network, sched rechord.Scheduler) goldenRun {
 	t.Helper()
 	script := newGoldenScript(c)
 	chain := uint64(0xcbf29ce484222325)
+	cw := newCutWatch(nw)
 	for step := 1; ; step++ {
 		if step > goldenMaxSteps {
 			t.Fatalf("%s: not quiescent after %d steps", c.name, goldenMaxSteps)
 		}
-		script.apply(t, step, nw.Peers, nw.Join, nw.Leave, nw.Fail)
+		script.apply(t, step, nw.Peers, cw.Join, cw.Leave, cw.Fail)
 		sched.Step()
 		rechord.AssertCleanPeersStable(t, sched)
 		chain = chainMix(chainMix(chain, nw.StateFingerprint(nil)), uint64(sched.InFlight()))
 		if step >= script.lastStep() && sched.Quiescent() {
+			if err := cw.offOracle(); err != nil {
+				t.Fatalf("%s: quiescent at step %d outside the oracle's state: %v", c.name, step, err)
+			}
 			run := goldenRun{Chain: hex(chain), Steps: step, InFlight: sched.InFlight()}
 			if a, ok := sched.(*rechord.AsyncRunner); ok {
 				run.Events = hex(a.EventFingerprint())
@@ -326,7 +384,7 @@ var goldenSchedulers = []struct {
 	cfg  *rechord.AsyncConfig
 }{
 	{"sync", nil},
-	{"async_uniform", &rechord.AsyncConfig{ActivationProb: 0.5, MaxDelay: 3}},
+	{"async_uniform", &rechord.AsyncConfig{ActivationProb: 0.5, Delay: rechord.UniformDelay{Max: 3}}},
 	{"async_pareto", &rechord.AsyncConfig{ActivationProb: 0.5, Delay: rechord.ParetoDelay{Alpha: 1.5, Max: 12}}},
 }
 

@@ -113,7 +113,7 @@ func TestAsyncN2048Converges(t *testing.T) {
 	rng := rand.New(rand.NewSource(2048))
 	ids := topogen.RandomIDs(n, rng)
 	nw := topogen.PreStabilized().Build(ids, rng, rechord.Config{})
-	runner := rechord.NewAsyncRunner(nw, rechord.AsyncConfig{ActivationProb: 0.5, MaxDelay: 3}, rng)
+	runner := rechord.NewAsyncRunner(nw, rechord.AsyncConfig{ActivationProb: 0.5, Delay: rechord.UniformDelay{Max: 3}}, rng)
 	start := time.Now()
 	res, err := sim.RunToStable(context.Background(), runner, sim.Options{})
 	if err != nil {

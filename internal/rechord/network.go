@@ -516,7 +516,10 @@ func (nw *Network) deliver(n *RealNode) int {
 		apply(msg)
 	}
 	n.inbox = n.inbox[:0]
-	for _, b := range n.in {
+	for bi, b := range n.in {
+		if b.unread {
+			n.in[bi].unread = false
+		}
 		sp := b.flow.spans[b.span]
 		delivered += int(sp.end - sp.start)
 		for i := sp.start; i < sp.end; i++ {
@@ -689,12 +692,13 @@ func (nw *Network) epilogue(active []uint32, stats *RoundStats) (changed bool, e
 			nw.bumpEpoch(n)
 			epochBumpN++
 		}
-		if p.stateChanged || p.rerun {
-			// Not a local fixed point yet: stay on the frontier. A run that
-			// changed only the output settles on it: a re-run reads the
-			// same state, standing buckets and view, so it reproduces the
-			// output — and whatever of those moves wakes the peer (bucket
-			// ops, its self-addressed bucket included; wakeDependents).
+		if p.stateChanged || p.consumed {
+			// Not a local fixed point yet: stay on the frontier. Under every
+			// scheduler a run that changed only the output settles on it: a
+			// re-run reads the same state, standing buckets and view, so it
+			// reproduces the output — and whatever of those moves wakes the
+			// peer (bucket ops, its self-addressed bucket and a bucket
+			// re-installed after a revoke included; wakeDependents).
 			nw.markDirtyIdx(slot)
 			unsettledN++
 		} else {

@@ -41,7 +41,7 @@ func runWorkersAsync(t *testing.T, seed int64, n int, gen topogen.Generator, ste
 	for i, workers := range []int{1, 8} {
 		rng := rand.New(rand.NewSource(seed))
 		nets[i] = gen.Build(topogen.RandomIDs(n, rng), rng, rechord.Config{Workers: workers})
-		runs[i] = rechord.NewAsyncRunner(nets[i], rechord.AsyncConfig{ActivationProb: 0.5, MaxDelay: 3}, rand.New(rand.NewSource(seed+99)))
+		runs[i] = rechord.NewAsyncRunner(nets[i], rechord.AsyncConfig{ActivationProb: 0.5, Delay: rechord.UniformDelay{Max: 3}}, rand.New(rand.NewSource(seed+99)))
 	}
 	script := lockstepScript{events: events}
 	for s := 0; s < steps; s++ {
@@ -79,17 +79,20 @@ func runWorkersAsync(t *testing.T, seed int64, n int, gen topogen.Generator, ste
 // across worker counts).
 func TestWorkersLockstepChurn(t *testing.T) {
 	gens := []topogen.Generator{topogen.Random(), topogen.Garbage(), topogen.PreStabilized()}
-	for _, mode := range []string{"sync", "async"} {
-		t.Run(mode, func(t *testing.T) {
+	for _, mode := range []struct {
+		name  string
+		count int
+	}{{"sync", 8}, {"async", 64}} {
+		t.Run(mode.name, func(t *testing.T) {
 			f := func(seed int64, sizeRaw, genRaw uint8, evRaw [5]uint8) bool {
 				n, gen := 4+int(sizeRaw)%12, gens[int(genRaw)%len(gens)]
 				events := churnScript(seed, evRaw[:], 4, 9)
-				if mode == "async" {
+				if mode.name == "async" {
 					return runWorkersAsync(t, seed, n, gen, 90, events) // activation prob 0.5 stretches convergence
 				}
 				return runLockstep(t, seed, n, gen, []int{1, 8}, 60, events)
 			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
+			if err := quick.Check(f, &quick.Config{MaxCount: mode.count}); err != nil {
 				t.Error(err)
 			}
 		})

@@ -154,7 +154,7 @@ func TestMeasureMatchesGraphExport(t *testing.T) {
 		name := "sync"
 		if async {
 			name = "async"
-			s = rechord.NewAsyncRunner(nw, rechord.AsyncConfig{ActivationProb: 0.5, MaxDelay: 3}, rand.New(rand.NewSource(5)))
+			s = rechord.NewAsyncRunner(nw, rechord.AsyncConfig{ActivationProb: 0.5, Delay: rechord.UniformDelay{Max: 3}}, rand.New(rand.NewSource(5)))
 		}
 		check := func(when string) {
 			t.Helper()

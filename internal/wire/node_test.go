@@ -110,7 +110,7 @@ func runAsync(t *testing.T, s *Script) uint64 {
 	}
 	ar := rechord.NewAsyncRunner(nw, rechord.AsyncConfig{
 		ActivationProb: 0.7,
-		MaxDelay:       3,
+		Delay:          rechord.UniformDelay{Max: 3},
 	}, rand.New(rand.NewSource(s.Seed+1)))
 	next := 0
 	budget := int(float64(s.MaxRounds) * ar.StepBudgetScale())
