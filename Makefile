@@ -56,8 +56,12 @@ BENCH_RECORD_async = { \
 BENCH_GATE_async = -fail-allocs 'BenchmarkAsyncStep'
 
 # wire: the warm symbol-table message encode/decode hot path, pinned at
-# <= 2 allocs/op (currently 0).
-BENCH_RECORD_wire = $(GO) test -cpu 1 -run '^$$' -bench 'BenchmarkEncodeMessage|BenchmarkDecodeMessage' -benchmem -benchtime=10000x ./internal/wire/
+# <= 2 allocs/op (currently 0), and a whole 4-rank cluster over the
+# in-process transport on the bench's wire script shape (warn-only; it
+# reports rounds/op beside the run's cost).
+BENCH_RECORD_wire = { \
+	$(GO) test -cpu 1 -run '^$$' -bench 'BenchmarkEncodeMessage|BenchmarkDecodeMessage' -benchmem -benchtime=10000x ./internal/wire/ ; \
+	$(GO) test -cpu 1 -run '^$$' -bench 'BenchmarkChanCluster' -benchmem -benchtime=3x ./internal/wire/ ; }
 BENCH_GATE_wire = -fail-allocs 'BenchmarkEncodeMessage|BenchmarkDecodeMessage'
 
 # mem: resident bytes per peer of a settled network, standing flows

@@ -195,7 +195,7 @@ func TestEventApplyAcrossMemberships(t *testing.T) {
 	for k := uint64(0); k < 2; k++ {
 		k, nw := k, build()
 		hosted := func(id ident.ID) bool { return uint64(id)%2 == k }
-		targets = append(targets, target{fmt.Sprintf("partition %d/2", k), rechord.NewPartition(nw, hosted, nil), nw})
+		targets = append(targets, target{fmt.Sprintf("partition %d/2", k), rechord.NewPartition(nw, hosted), nw})
 	}
 
 	fresh, absent := ident.ID(0x5A5A_0000_0000_0001), ident.ID(0x7777_0000_0000_0003)

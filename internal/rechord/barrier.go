@@ -60,9 +60,9 @@ import (
 // A scheduler differs from the synchronous engine only in its
 // flowRouter: what it plans (read-only, in the parallel prepare) and
 // what it emits (in the epilogue, in active order, ops in plan order).
-// The asynchronous runner draws its delays and the partition feeds its
-// sink from emit, so RNG consumption and sink order cannot depend on
-// the worker count.
+// The asynchronous runner draws its delays and the partition appends
+// its effects from emit, so RNG consumption and effect order cannot
+// depend on the worker count.
 //
 // Why Workers=1 and Workers=N stay snapshot-for-snapshot identical:
 // which worker runs a peer decides where scratch lives, never what is
@@ -92,7 +92,7 @@ type flowRouter interface {
 	// the template the ops point into, for every sender that has ops or
 	// whose published state (level span or an rl/rr entry) moved this
 	// batch: whatever the scheduler sends besides standing buckets
-	// (delayed one-shots, sink mirrors, state publishes).
+	// (delayed one-shots, bucket mirrors, state publishes).
 	emitFlow(n *RealNode, tpl *flowTemplate, ops []bucketOp, published bool)
 }
 
@@ -500,9 +500,8 @@ func (nw *Network) planOp(sender handle, dstID ident.ID, t *flowTemplate, op buc
 		old := dst.in[bi]
 		if install && spansEqual(old.flow, old.span, t, op.span) {
 			// Content identical: repoint shared storage at the sender's
-			// current generation so the old one can die. A private bucket
-			// (a partition's shadow) pins no generation.
-			if old.flow != t && !old.flow.private {
+			// current generation so the old one can die.
+			if old.flow != t {
 				op.wake = false
 				w.ops = append(w.ops, op)
 			}
@@ -616,7 +615,7 @@ func (nw *Network) mergeShards() {
 }
 
 // rewriteBucket is the pipeline run serially for one bucket, for the
-// mutation points outside a batch (churn, the partition's Apply calls):
+// mutation points outside a batch (churn, the partition's Apply):
 // plan the op on the caller's own worker, then commit it as a one-shard
 // commit.
 func (nw *Network) rewriteBucket(sender handle, dstID ident.ID, t *flowTemplate, si int32, wake bool) {

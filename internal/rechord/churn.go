@@ -28,13 +28,23 @@ func (nw *Network) Join(id ident.ID, contact ident.ID) error {
 // Leave removes a peer gracefully (Section 4.2): before departing,
 // each of its virtual nodes introduces its unmarked neighbors to one
 // another, so the sorted order survives without the departed node, and
-// the closest-real knowledge is handed over too. The introductions are
-// delivered as ordinary next-round messages.
+// the closest-real knowledge is handed over too (goodbyes). The
+// introductions are delivered as ordinary next-round messages.
 func (nw *Network) Leave(id ident.ID) error {
 	n := nw.pt.node(id)
 	if n == nil {
 		return fmt.Errorf("rechord: leave: peer %s not in network", id)
 	}
+	nw.goodbyes(n, func(m Message) { nw.routeMessage(m.To.Owner, m) })
+	nw.removePeer(id, nil)
+	return nil
+}
+
+// goodbyes passes to send, in order, the one-shot introductions a
+// leaving peer makes: every pair of what each virtual node knows, and
+// each ring or connection edge it holds handed to a neighbour. Every
+// graceful leave, partitioned or not, says goodbye through it.
+func (nw *Network) goodbyes(n *RealNode, send func(Message)) {
 	for _, v := range n.vnodes {
 		if v == nil {
 			continue
@@ -50,31 +60,29 @@ func (nw *Network) Leave(id ident.ID) error {
 		if v.HasRR {
 			know.Add(v.RR)
 		}
-		know.RemoveIf(func(r ref.Ref) bool { return r.Owner == id })
+		know.RemoveIf(func(r ref.Ref) bool { return r.Owner == n.id })
 		peers := know.Slice()
 		for _, a := range peers {
 			for _, b := range peers {
 				if a != b {
-					nw.routeMessage(Message{To: a, Kind: graph.Unmarked, Add: b})
+					send(Message{To: a, Kind: graph.Unmarked, Add: b})
 				}
 			}
 		}
 		// Ring and connection edges it held are handed to a neighbor
 		// rather than silently dropped.
 		for _, w := range v.Nr.Slice() {
-			if w.Owner == id {
+			if w.Owner == n.id {
 				continue
 			}
 			for _, a := range peers {
 				if a != w {
-					nw.routeMessage(Message{To: a, Kind: graph.Ring, Add: w})
+					send(Message{To: a, Kind: graph.Ring, Add: w})
 					break
 				}
 			}
 		}
 	}
-	nw.removePeer(id, nil)
-	return nil
 }
 
 // Fail removes a peer abruptly: no goodbyes, its edges dangle until
@@ -96,12 +104,11 @@ func (nw *Network) Fail(id ident.ID) error {
 // every peer that references the departed identifier is woken so its
 // next purge drops the stale references.
 //
-// hosted is nil for a peer this process executes: its lastFlow names
-// the recipients of its standing output. A partition removing a stub
-// passes its hosting predicate instead — the stub has no trustworthy
-// flow template, so every local peer is scanned for the departed
-// handle, and only hosted recipients get the final delivery (stub
-// recipients just drop the shadow; their own hosts flush their copies).
+// The final delivery scans every peer for the departed handle's bucket
+// and delivers it where hosted says the recipient runs here (nil: every
+// peer does); elsewhere the bucket, a partition's shadow, is dropped —
+// the recipient's own host delivers its copy. A partition removes a
+// peer this way at every process, whether it hosted the peer or not.
 func (nw *Network) removePeer(id ident.ID, hosted func(ident.ID) bool) {
 	n := nw.pt.node(id)
 	h := n.h() // the incarnation's handle, before the generation bump
@@ -115,28 +122,19 @@ func (nw *Network) removePeer(id ident.ID, hosted func(ident.ID) bool) {
 	// The moved messages leave the dependency index with the bucket: the
 	// recipient is dirty from here on, and one-shot inboxes are not
 	// indexed.
-	flush := func(dst *RealNode, deliver bool) {
+	for _, dst := range nw.pt.nodes {
+		if dst == nil {
+			continue
+		}
 		bi := dst.findBucket(h)
 		if bi < 0 {
-			return
+			continue
 		}
+		deliver := hosted == nil || hosted(dst.id)
 		if deliver {
 			dst.inbox = dst.in[bi].flow.appendSpan(dst.inbox, dst.in[bi].span)
 		}
 		nw.rewriteBucket(h, dst.id, nil, -1, deliver)
-	}
-	if hosted != nil {
-		for _, dst := range nw.pt.nodes {
-			if dst != nil {
-				flush(dst, hosted(dst.id))
-			}
-		}
-	} else if n.lastFlow != nil {
-		for _, sp := range n.lastFlow.spans {
-			if dst := nw.pt.node(sp.owner); dst != nil {
-				flush(dst, true)
-			}
-		}
 	}
 	if n.lastFlow != nil {
 		releaseFlow(n.lastFlow, &nw.flow)
@@ -146,12 +144,12 @@ func (nw *Network) removePeer(id ident.ID, hosted func(ident.ID) bool) {
 	nw.wakeDependents(map[ident.ID]bool{id: true}, nil)
 }
 
-// routeMessage enqueues a one-shot message directly (used by graceful
-// leave, whose goodbyes are delivered like any other delayed
-// assignment) and wakes the recipient.
-func (nw *Network) routeMessage(msg Message) {
-	if slot, ok := nw.pt.lookup(msg.To.Owner); ok {
-		nw.pt.nodes[slot].inbox = append(nw.pt.nodes[slot].inbox, msg)
+// routeMessage enqueues one-shot messages directly in a peer's inbox
+// (graceful leave's goodbyes, a partition's received one-shots) and
+// wakes it.
+func (nw *Network) routeMessage(to ident.ID, msgs ...Message) {
+	if slot, ok := nw.pt.lookup(to); ok {
+		nw.pt.nodes[slot].inbox = append(nw.pt.nodes[slot].inbox, msgs...)
 		nw.markDirtyIdx(slot)
 	}
 }

@@ -301,3 +301,23 @@ func (l *Lockstep) Exports() error {
 	}
 	return nil
 }
+
+// Goodbyes lists, in order, the introductions a graceful leave of id
+// would send now.
+func (nw *Network) Goodbyes(id ident.ID) []Message {
+	var out []Message
+	nw.goodbyes(nw.pt.node(id), func(m Message) { out = append(out, m) })
+	return out
+}
+
+// Recipients lists the peers holding a standing bucket from id.
+func (nw *Network) Recipients(id ident.ID) []ident.ID {
+	h := nw.pt.node(id).h()
+	var out []ident.ID
+	for _, n := range nw.pt.nodes {
+		if n != nil && n.findBucket(h) >= 0 {
+			out = append(out, n.id)
+		}
+	}
+	return out
+}

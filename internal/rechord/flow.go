@@ -68,7 +68,7 @@ type flowSpan struct {
 // sharded commit releases old buckets from parallel workers.
 type flowTemplate struct {
 	refs    atomic.Int32
-	private bool // shadow- or clone-owned; never shared across peers
+	private bool // one bucket's own copy: a clone's, or a remote sender's at its recipient's host
 	packed  []packedMsg
 	spans   []flowSpan // sorted by owner
 	syms    []ident.ID // sorted, deduped Add owners; may be a predecessor's array

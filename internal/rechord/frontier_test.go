@@ -76,7 +76,7 @@ func TestFrontierRedirtyOnLateMessage(t *testing.T) {
 			other = id
 		}
 	}
-	nw.routeMessage(Message{To: ref.Real(target), Kind: graph.Unmarked, Add: ref.Real(other)})
+	nw.routeMessage(target, Message{To: ref.Real(target), Kind: graph.Unmarked, Add: ref.Real(other)})
 	if nw.Quiescent() {
 		t.Fatal("late inbox message did not re-dirty the recipient")
 	}

@@ -24,8 +24,8 @@ import (
 // one-commit-path refactor, and
 // this test asserts every later engine reproduces it bit for bit —
 // per-step state, RNG consumption (EventFingerprint), time to
-// quiescence, the in-flight message count, and the ordered
-// cross-partition sink traffic.
+// quiescence, the in-flight message count, and the partitions' ordered
+// cross-partition effects.
 //
 // Regenerate (only when behaviour is MEANT to change) with
 //
@@ -237,14 +237,6 @@ func runGoldenScheduler(t *testing.T, c goldenCase, nw *rechord.Network, sched r
 	}
 }
 
-// logSink records one partition's cross-partition effects as a single
-// ordered stream (the memSink of partition_test.go keeps one list per
-// kind, which hides cross-kind order).
-type logSink struct {
-	memSink
-	log []sinkEvent
-}
-
 type sinkEvent struct {
 	kind     byte // 'B' bucket, 'O' one-shot, 'P' publish
 	from, to ident.ID
@@ -262,37 +254,38 @@ func msgsDigest(ms []rechord.Message) uint64 {
 	return h
 }
 
-func (s *logSink) SendBucket(u rechord.BucketUpdate) {
-	s.memSink.SendBucket(u)
-	s.log = append(s.log, sinkEvent{'B', u.From, u.To, len(u.Msgs), msgsDigest(u.Msgs)})
-}
-
-func (s *logSink) SendOneShot(u rechord.OneShot) {
-	s.memSink.SendOneShot(u)
-	s.log = append(s.log, sinkEvent{'O', 0, u.To, len(u.Msgs), msgsDigest(u.Msgs)})
-}
-
-func (s *logSink) PublishState(p rechord.PeerPublish) {
-	s.memSink.PublishState(p)
-	h := chainMix(0xcbf29ce484222325, uint64(p.MaxLevel))
-	for _, v := range p.Views {
-		for _, w := range [...]uint64{uint64(v.RL.Owner), uint64(v.RL.Level), uint64(v.RR.Owner), uint64(v.RR.Level)} {
-			h = chainMix(h, w)
-		}
-		if v.HasRL {
-			h = chainMix(h, 1)
-		}
-		if v.HasRR {
-			h = chainMix(h, 2)
-		}
+// effectLog lists one process's effects as sink events: buckets, then
+// one-shots, then publishes, each kind in emission order.
+func effectLog(e *rechord.Effects) []sinkEvent {
+	var log []sinkEvent
+	for _, u := range e.Buckets {
+		log = append(log, sinkEvent{'B', u.From, u.To, len(u.Msgs), msgsDigest(u.Msgs)})
 	}
-	s.log = append(s.log, sinkEvent{'P', p.Owner, 0, len(p.Views), h})
+	for _, u := range e.OneShots {
+		log = append(log, sinkEvent{'O', 0, u.To, len(u.Msgs), msgsDigest(u.Msgs)})
+	}
+	for _, p := range e.Publishes {
+		h := chainMix(0xcbf29ce484222325, uint64(p.MaxLevel))
+		for _, v := range p.Views {
+			for _, w := range [...]uint64{uint64(v.RL.Owner), uint64(v.RL.Level), uint64(v.RR.Owner), uint64(v.RR.Level)} {
+				h = chainMix(h, w)
+			}
+			if v.HasRL {
+				h = chainMix(h, 1)
+			}
+			if v.HasRR {
+				h = chainMix(h, 2)
+			}
+		}
+		log = append(log, sinkEvent{'P', p.Owner, 0, len(p.Views), h})
+	}
+	return log
 }
 
 // goldenPartitionRun is the pinned outcome of one P-way partitioned
 // execution.
 type goldenPartitionRun struct {
-	SinkLog     string `json:"sink_log"` // digest of every rank's ordered sink stream, round by round
+	SinkLog     string `json:"sink_log"` // digest of every rank's effects (effectLog), round by round
 	SinkEvents  int    `json:"sink_events"`
 	Rounds      int    `json:"rounds"`
 	Fingerprint string `json:"fingerprint"` // XOR of the partitions' final fingerprints
@@ -304,13 +297,8 @@ type goldenPartitionRun struct {
 func runGoldenPartition(t *testing.T, c goldenCase, nprocs int) (goldenPartitionRun, []sinkEvent) {
 	t.Helper()
 	var parts []*rechord.Partition
-	var sinks []*logSink
 	for k := 0; k < nprocs; k++ {
-		nw := c.build(1)
-		rank := uint64(k)
-		sink := &logSink{}
-		sinks = append(sinks, sink)
-		parts = append(parts, rechord.NewPartition(nw, func(id ident.ID) bool { return uint64(id)%uint64(nprocs) == rank }, sink))
+		parts = append(parts, rechord.NewPartition(c.build(1), hostedBy(k, nprocs)))
 	}
 	scripts := make([]*goldenScript, nprocs)
 	for k := range scripts {
@@ -328,37 +316,23 @@ func runGoldenPartition(t *testing.T, c goldenCase, nprocs int) (goldenPartition
 		}
 		for _, p := range parts {
 			p.Step()
-			// Under churn too: a departure's final output reaches a
-			// remote recipient twice (shadow bucket, then exchange), and
-			// the run that consumed it does not settle.
+			// Under churn too: a departure's final output reaches each
+			// recipient once, at its host, in the round of the departure.
 			rechord.AssertCleanPeersStable(t, p)
 		}
 		exchanged := false
-		for k, s := range sinks {
-			for _, ev := range s.log {
+		for k, e := range exchangeEffects(parts) {
+			for _, ev := range effectLog(&e) {
 				for _, w := range [...]uint64{uint64(round), uint64(k), uint64(ev.kind), uint64(ev.from), uint64(ev.to), uint64(ev.n), ev.sum} {
 					digest = chainMix(digest, w)
 				}
 				full = append(full, ev)
 			}
-			s.log = s.log[:0]
-			exchanged = exchanged || !s.empty()
-			for _, p := range parts {
-				for _, u := range s.buckets {
-					p.ApplyBucket(u)
-				}
-				for _, u := range s.oneShots {
-					p.ApplyOneShot(u)
-				}
-				for _, u := range s.publishes {
-					p.ApplyPublish(u)
-				}
-			}
+			exchanged = exchanged || e.Len() > 0
 		}
 		quiet := !exchanged && ops == 0 && round >= scripts[0].lastStep()
-		for k, s := range sinks {
-			s.clear()
-			quiet = quiet && parts[k].Quiescent()
+		for _, p := range parts {
+			quiet = quiet && p.Quiescent()
 		}
 		if quiet {
 			var fp uint64

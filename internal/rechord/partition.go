@@ -29,12 +29,17 @@ import (
 // equivalence gate checks via StateFingerprint.
 //
 // Each round, every process: applies the round's membership ops, steps
-// its hosted frontier, hands the resulting cross-partition effects to
-// its PartitionSink, and then applies the effects received from every
-// other process before the next round begins. The exchange protocol
-// itself (frames, transports, the lockstep barrier) lives in
-// internal/wire; this file only defines the effect payloads and their
-// local application.
+// its hosted frontier, hands the round's Effects to the caller
+// (Drain), and applies every process's Effects (Apply) before the
+// next round begins. One rule decides where an effect lands: it is
+// applied once, by its recipient's host — a bucket or one-shot where
+// its recipient is hosted, a publish wherever its owner is a stub. A
+// departure is handled identically at every process: each flushes the
+// departed peer's standing output to the recipients it hosts, and only
+// a leaver's host sends its goodbyes. The exchange protocol itself
+// (frames, transports, the lockstep barrier) lives in internal/wire;
+// this file only defines the effect payloads and their local
+// application.
 
 // BucketUpdate mirrors one sender's standing contribution at one
 // recipient: the wire form of a waking bucket op. Empty Msgs deletes
@@ -44,9 +49,8 @@ type BucketUpdate struct {
 	Msgs     []Message
 }
 
-// OneShot delivers messages to one peer's one-shot inbox: goodbye
-// introductions from a graceful leave and final flushes of a departed
-// sender's standing flow travel this way.
+// OneShot delivers messages to one peer's one-shot inbox: the goodbye
+// introductions of a graceful leave travel this way.
 type OneShot struct {
 	To   ident.ID
 	Msgs []Message
@@ -62,17 +66,17 @@ type PeerPublish struct {
 	Views    []PublishedView
 }
 
-// PartitionSink receives the cross-partition effects of one local
-// round. Buckets and one-shots are addressed (the recipient's hosting
-// process applies them; applying them everywhere is also sound, since
-// bucket rewrites are idempotent and one-shot application is
-// hosted-gated); publishes are broadcast. Slices passed in are owned
-// by the callee.
-type PartitionSink interface {
-	SendBucket(u BucketUpdate)
-	SendOneShot(u OneShot)
-	PublishState(p PeerPublish)
+// Effects is one process's cross-partition output, in emission order
+// per kind: bucket updates and one-shots for remote recipients, and
+// publishes of its hosted peers' state for every other process.
+type Effects struct {
+	Buckets   []BucketUpdate
+	OneShots  []OneShot
+	Publishes []PeerPublish
 }
+
+// Len counts the effects.
+func (e *Effects) Len() int { return len(e.Buckets) + len(e.OneShots) + len(e.Publishes) }
 
 // Partition executes the hosted subset of a replicated Network. The
 // network must be built identically at every process (same topology
@@ -81,7 +85,7 @@ type PartitionSink interface {
 type Partition struct {
 	nw     *Network
 	hosted func(ident.ID) bool
-	sink   PartitionSink
+	out    Effects // this process's effects since the last Drain
 
 	// pub lists, in identifier order, the slots of the hosted owners
 	// whose published state (view or max level) changed in the running
@@ -91,14 +95,21 @@ type Partition struct {
 
 var _ Scheduler = (*Partition)(nil)
 
-// NewPartition wraps the network for partitioned execution. hosted
-// decides which peers this process runs; sink (may be nil for
-// single-process use) receives the cross-partition effects. The
-// network's flow router is claimed by the partition.
-func NewPartition(nw *Network, hosted func(ident.ID) bool, sink PartitionSink) *Partition {
-	p := &Partition{nw: nw, hosted: hosted, sink: sink}
+// NewPartition wraps the network for partitioned execution; hosted
+// decides which peers this process runs. The network's flow router is
+// claimed by the partition.
+func NewPartition(nw *Network, hosted func(ident.ID) bool) *Partition {
+	p := &Partition{nw: nw, hosted: hosted}
 	nw.router = p
 	return p
+}
+
+// Drain returns the effects this process produced since the last call
+// (by Step and by membership ops) and starts a new buffer.
+func (p *Partition) Drain() Effects {
+	e := p.out
+	p.out = Effects{}
+	return e
 }
 
 // Network returns the underlying (replicated) network.
@@ -152,10 +163,9 @@ func (p *Partition) HostedPeers() int {
 
 // Step runs one global round's hosted share: the round engine's body
 // with the stubs filtered out (their hosting processes run them), then
-// the batch's state publishes. Cross-partition effects stream into the
-// sink during the call; the caller exchanges them and applies the
-// other processes' effects (ApplyBucket/ApplyOneShot/ApplyPublish)
-// before the next Step.
+// the batch's state publishes. Cross-partition effects accumulate for
+// Drain; the caller exchanges them and applies every process's effects
+// (Apply) before the next Step.
 func (p *Partition) Step() RoundStats {
 	stats := p.nw.stepRound(p.hosted)
 	p.flushPublishes()
@@ -168,17 +178,14 @@ func (p *Partition) Step() RoundStats {
 func (p *Partition) planFlow(n *RealNode, pr *prepOut, w *worker) { p.nw.planRewrite(n, pr, w) }
 
 // emitFlow mirrors every bucket op that changed a remote recipient's
-// standing input to the sink, in plan order, and notes a sender whose
-// published state moved for the broadcast that follows the batch. An
-// owner-level change (max level moved) and any per-level view change
+// standing input into the effects, in plan order, and notes a sender
+// whose published state moved for the broadcast that follows the batch.
+// An owner-level change (max level moved) and any per-level view change
 // funnel into one full-state publish — receivers diff, so the wake sets
 // stay exact — and the epilogue's active order is identifier order, so
-// the sink stream (and with it frame contents and the wire's
-// symbol-table assignment) is identical between identical runs.
+// the effects (and with them frame contents and the wire's symbol-table
+// assignment) are identical between identical runs.
 func (p *Partition) emitFlow(n *RealNode, tpl *flowTemplate, ops []bucketOp, published bool) {
-	if p.sink == nil {
-		return
-	}
 	if published {
 		p.pub = append(p.pub, n.idx)
 	}
@@ -191,14 +198,14 @@ func (p *Partition) emitFlow(n *RealNode, tpl *flowTemplate, ops []bucketOp, pub
 		if op.span >= 0 {
 			u.Msgs = tpl.appendSpan(make([]Message, 0, tpl.spanLen(op.span)), op.span)
 		}
-		p.sink.SendBucket(u)
+		p.out.Buckets = append(p.out.Buckets, u)
 	}
 }
 
 // flushPublishes emits the batch's state publishes.
 func (p *Partition) flushPublishes() {
 	for _, slot := range p.pub {
-		p.sink.PublishState(PeerPublish{
+		p.out.Publishes = append(p.out.Publishes, PeerPublish{
 			Owner:    p.nw.pt.ids[slot],
 			MaxLevel: int(p.nw.pt.maxLv[slot]),
 			Views:    slices.Clone(p.nw.view[slot]),
@@ -207,14 +214,34 @@ func (p *Partition) flushPublishes() {
 	p.pub = p.pub[:0]
 }
 
-// ApplyBucket installs a remote sender's standing contribution. Safe
-// to apply at every process: at the sender's own host the shadow was
-// already written and the rewrite dedups to a no-op; elsewhere it
-// keeps the stub-to-stub shadows consistent. The contribution lives in
-// a private template frozen from nothing — the stub sender has no local
-// flow generation to share. Messages addressed to anyone but u.To have
-// no span to install and are dropped.
-func (p *Partition) ApplyBucket(u BucketUpdate) {
+// Apply applies one process's effects — its own included — here. Each
+// effect lands once, at its recipient's host: a bucket update or
+// one-shot only where its recipient is hosted, a publish only where its
+// owner is a stub (the local copy of a hosted peer is authoritative).
+func (p *Partition) Apply(e *Effects) {
+	for _, u := range e.Buckets {
+		if p.hosted(u.To) {
+			p.applyBucket(u)
+		}
+	}
+	for _, u := range e.OneShots {
+		if p.hosted(u.To) {
+			p.nw.routeMessage(u.To, u.Msgs...)
+		}
+	}
+	for _, u := range e.Publishes {
+		if !p.hosted(u.Owner) {
+			p.applyPublish(u)
+		}
+	}
+}
+
+// applyBucket installs a remote sender's standing contribution at a
+// hosted recipient. The contribution lives in a private template frozen
+// from nothing — the stub sender has no local flow generation to share.
+// Messages addressed to anyone but u.To have no span to install and are
+// dropped.
+func (p *Partition) applyBucket(u BucketUpdate) {
 	nw := p.nw
 	from := nw.pt.node(u.From)
 	if from == nil {
@@ -229,31 +256,10 @@ func (p *Partition) ApplyBucket(u BucketUpdate) {
 	releaseFlow(t, &nw.flow)
 }
 
-// ApplyOneShot delivers messages to a hosted recipient's inbox.
-// Non-hosted recipients are skipped: their own host applies its copy,
-// and accepting it here would re-enter the stub-inbox sweep.
-func (p *Partition) ApplyOneShot(u OneShot) {
-	if !p.hosted(u.To) {
-		return
-	}
-	nw := p.nw
-	slot, ok := nw.pt.lookup(u.To)
-	if !ok {
-		return
-	}
-	n := nw.pt.nodes[slot]
-	n.inbox = append(n.inbox, u.Msgs...)
-	nw.markDirtyIdx(slot)
-}
-
-// ApplyPublish updates a stub's replicated published state, diffing it
+// applyPublish updates a stub's replicated published state, diffing it
 // against the current replica and waking exactly the local dependents
-// the monolith barrier would have woken. Publishes about peers hosted
-// here are ignored (the local copy is authoritative).
-func (p *Partition) ApplyPublish(u PeerPublish) {
-	if p.hosted(u.Owner) {
-		return
-	}
+// the monolith barrier would have woken.
+func (p *Partition) applyPublish(u PeerPublish) {
 	nw := p.nw
 	slot, ok := nw.pt.lookup(u.Owner)
 	if !ok {
@@ -284,7 +290,7 @@ func (p *Partition) Join(id, contact ident.ID) error {
 	if err := p.nw.Join(id, contact); err != nil {
 		return err
 	}
-	if p.hosted(id) || p.sink == nil {
+	if p.hosted(id) {
 		return nil
 	}
 	for _, s := range p.nw.pt.nodes {
@@ -295,52 +301,42 @@ func (p *Partition) Join(id, contact ident.ID) error {
 		if si < 0 {
 			continue
 		}
-		p.sink.SendBucket(BucketUpdate{From: s.id, To: id, Msgs: s.lastFlow.appendSpan(nil, si)})
+		p.out.Buckets = append(p.out.Buckets, BucketUpdate{From: s.id, To: id, Msgs: s.lastFlow.appendSpan(nil, si)})
 	}
 	return nil
 }
 
-// Leave integrates a graceful leave. Only the departing peer's host
-// generates the goodbye introductions (it holds the live state they
-// are derived from); every other process performs the scan-based
-// removal. Goodbyes and final bucket flushes addressed to remote peers
-// land in stub inboxes and are swept to the sink.
-func (p *Partition) Leave(id ident.ID) error { return p.depart(id, p.nw.Leave) }
-
-// Fail integrates an abrupt failure: removal everywhere, no goodbyes.
-func (p *Partition) Fail(id ident.ID) error { return p.depart(id, p.nw.Fail) }
-
-// depart removes a peer: through the network's own departure when it
-// is hosted here, as a stub (removePeer with the hosting predicate)
-// otherwise.
-func (p *Partition) depart(id ident.ID, hostedDeparture func(ident.ID) error) error {
-	if p.hosted(id) {
-		if err := hostedDeparture(id); err != nil {
-			return err
-		}
-	} else {
-		if p.nw.pt.node(id) == nil {
-			return fmt.Errorf("rechord: partition: departing peer %s not in network", id)
-		}
-		p.nw.removePeer(id, p.hosted)
+// Leave integrates a graceful leave: Fail's removal, after the
+// goodbye introductions. Only the leaver's host sends those (it holds
+// the live state they are derived from): to hosted recipients directly,
+// to each remote one as one one-shot.
+func (p *Partition) Leave(id ident.ID) error {
+	if n := p.nw.pt.node(id); n != nil && p.hosted(id) {
+		at := map[ident.ID]int{} // remote recipient -> its one-shot
+		p.nw.goodbyes(n, func(m Message) {
+			to := m.To.Owner
+			if p.hosted(to) {
+				p.nw.routeMessage(to, m)
+				return
+			}
+			i, ok := at[to]
+			if !ok {
+				i, at[to] = len(p.out.OneShots), len(p.out.OneShots)
+				p.out.OneShots = append(p.out.OneShots, OneShot{To: to})
+			}
+			p.out.OneShots[i].Msgs = append(p.out.OneShots[i].Msgs, m)
+		})
 	}
-	p.sweepStubInboxes()
-	return nil
+	return p.Fail(id)
 }
 
-// sweepStubInboxes forwards one-shot messages that churn handling
-// parked on local stubs to the sink (their hosts deliver them for
-// real). Only op application parks messages on stubs, so the sweep
-// runs after ops, not every round.
-func (p *Partition) sweepStubInboxes() {
-	if p.sink == nil {
-		return
+// Fail integrates an abrupt failure, identically at every process:
+// each flushes the departed peer's standing output to the recipients it
+// hosts.
+func (p *Partition) Fail(id ident.ID) error {
+	if p.nw.pt.node(id) == nil {
+		return fmt.Errorf("rechord: partition: departing peer %s not in network", id)
 	}
-	for _, n := range p.nw.pt.nodes {
-		if n == nil || len(n.inbox) == 0 || p.hosted(n.id) {
-			continue
-		}
-		p.sink.SendOneShot(OneShot{To: n.id, Msgs: append([]Message(nil), n.inbox...)})
-		n.inbox = n.inbox[:0]
-	}
+	p.nw.removePeer(id, p.hosted)
+	return nil
 }

@@ -1,11 +1,16 @@
 package rechord_test
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/churn"
+	"repro/internal/graph"
 	"repro/internal/ident"
 	"repro/internal/rechord"
+	"repro/internal/ref"
 	"repro/internal/topogen"
 )
 
@@ -15,27 +20,9 @@ import (
 // transport), which isolates the partitioned-execution semantics from
 // the wire layer built on top of them (internal/wire).
 
-// memSink buffers one partition's outgoing effects for the test's
-// exchange step, preserving emission order per kind (the order the
-// wire protocol preserves too).
-type memSink struct {
-	buckets   []rechord.BucketUpdate
-	oneShots  []rechord.OneShot
-	publishes []rechord.PeerPublish
-}
-
-func (s *memSink) SendBucket(u rechord.BucketUpdate)  { s.buckets = append(s.buckets, u) }
-func (s *memSink) SendOneShot(u rechord.OneShot)      { s.oneShots = append(s.oneShots, u) }
-func (s *memSink) PublishState(p rechord.PeerPublish) { s.publishes = append(s.publishes, p) }
-func (s *memSink) empty() bool {
-	return len(s.buckets) == 0 && len(s.oneShots) == 0 && len(s.publishes) == 0
-}
-func (s *memSink) clear() { s.buckets, s.oneShots, s.publishes = nil, nil, nil }
-
-// partedNetwork is a P-way partitioned replica set plus its sinks.
+// partedNetwork is a P-way partitioned replica set.
 type partedNetwork struct {
 	parts []*rechord.Partition
-	sinks []*memSink
 }
 
 func buildParted(nprocs, n int, seed int64, gen topogen.Generator, cfg rechord.Config) ([]ident.ID, *partedNetwork) {
@@ -45,41 +32,40 @@ func buildParted(nprocs, n int, seed int64, gen topogen.Generator, cfg rechord.C
 		rng := rand.New(rand.NewSource(seed))
 		ids = topogen.RandomIDs(n, rng)
 		nw := gen.Build(ids, rng, cfg)
-		rank := uint64(k)
-		hosted := func(id ident.ID) bool { return uint64(id)%uint64(nprocs) == rank }
-		sink := &memSink{}
-		pn.sinks = append(pn.sinks, sink)
-		pn.parts = append(pn.parts, rechord.NewPartition(nw, hosted, sink))
+		pn.parts = append(pn.parts, rechord.NewPartition(nw, hostedBy(k, nprocs)))
 	}
 	return ids, pn
 }
 
-// exchange applies every partition's buffered effects at every
-// partition (the Apply methods gate by hosting where needed, exactly
-// as the wire node does with the broadcast bundle) and reports whether
-// anything was exchanged.
+// hostedBy is rank k's hosting predicate among nprocs: id mod nprocs.
+func hostedBy(k, nprocs int) func(ident.ID) bool {
+	return func(id ident.ID) bool { return uint64(id)%uint64(nprocs) == uint64(k) }
+}
+
+// exchangeEffects drains every partition's effects and applies each at every
+// partition, in rank order — what the wire node does with the merged
+// bundle — and returns them by rank.
+func exchangeEffects(parts []*rechord.Partition) []rechord.Effects {
+	out := make([]rechord.Effects, len(parts))
+	for k, p := range parts {
+		out[k] = p.Drain()
+	}
+	for k := range out {
+		for _, p := range parts {
+			p.Apply(&out[k])
+		}
+	}
+	return out
+}
+
+// exchange reports whether anything was exchanged.
 func (pn *partedNetwork) exchange() bool {
-	any := false
-	for _, s := range pn.sinks {
-		if !s.empty() {
-			any = true
-		}
-		for _, p := range pn.parts {
-			for _, u := range s.buckets {
-				p.ApplyBucket(u)
-			}
-			for _, u := range s.oneShots {
-				p.ApplyOneShot(u)
-			}
-			for _, u := range s.publishes {
-				p.ApplyPublish(u)
-			}
+	for _, e := range exchangeEffects(pn.parts) {
+		if e.Len() > 0 {
+			return true
 		}
 	}
-	for _, s := range pn.sinks {
-		s.clear()
-	}
-	return any
+	return false
 }
 
 func (pn *partedNetwork) fingerprint() uint64 {
@@ -153,14 +139,6 @@ func TestPartitionLockstepMatchesMonolith(t *testing.T) {
 	}
 }
 
-// partOp is one scripted membership change.
-type partOp struct {
-	round   int
-	kind    int // 0 join, 1 leave, 2 fail
-	id      ident.ID
-	contact ident.ID
-}
-
 // TestPartitionChurnConvergesToMonolith: with joins, graceful leaves
 // and abrupt failures in the schedule, partitioned delivery timing
 // skews from the monolith by a round around each op (goodbyes and
@@ -182,33 +160,12 @@ func TestPartitionChurnConvergesToMonolith(t *testing.T) {
 
 	joinA := ident.ID(0x5A5A_0000_0000_0001)
 	joinB := ident.ID(0xA5A5_0000_0000_0002)
-	ops := []partOp{
-		{round: 3, kind: 0, id: joinA, contact: ids[0]},
-		{round: 6, kind: 1, id: ids[3]},
-		{round: 9, kind: 2, id: ids[7]},
-		{round: 12, kind: 0, id: joinB, contact: joinA},
-		{round: 15, kind: 1, id: ids[11]},
-	}
-
-	applyMono := func(op partOp) error {
-		switch op.kind {
-		case 0:
-			return mono.Join(op.id, op.contact)
-		case 1:
-			return mono.Leave(op.id)
-		default:
-			return mono.Fail(op.id)
-		}
-	}
-	applyPart := func(p *rechord.Partition, op partOp) error {
-		switch op.kind {
-		case 0:
-			return p.Join(op.id, op.contact)
-		case 1:
-			return p.Leave(op.id)
-		default:
-			return p.Fail(op.id)
-		}
+	ops := []churn.Event{
+		{Round: 3, Kind: churn.Join, ID: joinA, Contact: ids[0]},
+		{Round: 6, Kind: churn.Leave, ID: ids[3]},
+		{Round: 9, Kind: churn.Fail, ID: ids[7]},
+		{Round: 12, Kind: churn.Join, ID: joinB, Contact: joinA},
+		{Round: 15, Kind: churn.Leave, ID: ids[11]},
 	}
 
 	// Monolith run.
@@ -217,8 +174,8 @@ func TestPartitionChurnConvergesToMonolith(t *testing.T) {
 		if r > maxR {
 			t.Fatalf("monolith: no convergence in %d rounds", maxR)
 		}
-		for next < len(ops) && ops[next].round == r {
-			if err := applyMono(ops[next]); err != nil {
+		for next < len(ops) && ops[next].Round == r {
+			if err := ops[next].Apply(mono); err != nil {
 				t.Fatalf("monolith op %d: %v", next, err)
 			}
 			next++
@@ -236,9 +193,9 @@ func TestPartitionChurnConvergesToMonolith(t *testing.T) {
 			t.Fatalf("partitions: no convergence in %d rounds", maxR)
 		}
 		opsAt := 0
-		for next < len(ops) && ops[next].round == r {
+		for next < len(ops) && ops[next].Round == r {
 			for _, p := range pn.parts {
-				if err := applyPart(p, ops[next]); err != nil {
+				if err := ops[next].Apply(p); err != nil {
 					t.Fatalf("partition op %d: %v", next, err)
 				}
 			}
@@ -259,5 +216,126 @@ func TestPartitionChurnConvergesToMonolith(t *testing.T) {
 	}
 	if err := rechord.ComputeIdeal(mono.Peers()).Matches(mono); err != nil {
 		t.Fatalf("monolith did not reach the ideal topology: %v", err)
+	}
+}
+
+// stableParted is a 4-way partitioned n=20 random network stepped and
+// exchanged to quiescence, so every peer has standing output.
+func stableParted(t *testing.T) ([]ident.ID, *partedNetwork) {
+	t.Helper()
+	ids, pn := buildParted(4, 20, 1701, topogen.Random(), rechord.Config{Workers: 1})
+	for r := 0; ; r++ {
+		if r > 4000 {
+			t.Fatal("no convergence in 4000 rounds")
+		}
+		for _, p := range pn.parts {
+			p.Step()
+		}
+		if !pn.exchange() && pn.quiescent() {
+			return ids, pn
+		}
+	}
+}
+
+// TestApplyAtRecipientHostOnly: a bucket update is installed only at
+// its recipient's host — applied where the recipient is a stub, it
+// leaves the standing messages unchanged.
+func TestApplyAtRecipientHostOnly(t *testing.T) {
+	ids, pn := buildParted(2, 20, 1701, topogen.Random(), rechord.Config{Workers: 1})
+	p := pn.parts[0]
+	var stub, hosted ident.ID
+	for _, id := range ids {
+		if hostedBy(0, 2)(id) {
+			hosted = id
+		} else {
+			stub = id
+		}
+	}
+	for _, c := range []struct {
+		to   ident.ID
+		grow int
+	}{{stub, 0}, {hosted, 1}} {
+		from := ids[0]
+		if from == c.to {
+			from = ids[1]
+		}
+		before := p.Network().InFlight()
+		p.Apply(&rechord.Effects{Buckets: []rechord.BucketUpdate{{From: from, To: c.to,
+			Msgs: []rechord.Message{{To: ref.Real(c.to), Kind: graph.Unmarked, Add: ref.Real(from)}}}}})
+		if got := p.Network().InFlight() - before; got != c.grow {
+			t.Errorf("bucket to %s (hosted %v): in-flight grew by %d, want %d", c.to, c.to == hosted, got, c.grow)
+		}
+	}
+}
+
+// TestPartitionFailSendsNothing: every process flushes a crashed peer's
+// standing output to the recipients it hosts, so no process has
+// anything to send for a crash, even where the crashed peer had remote
+// recipients.
+func TestPartitionFailSendsNothing(t *testing.T) {
+	ids, pn := stableParted(t)
+	victim := ids[5]
+	host := int(uint64(victim) % 4)
+	remote := 0
+	for _, r := range pn.parts[host].Network().Recipients(victim) {
+		if !hostedBy(host, 4)(r) {
+			remote++
+		}
+	}
+	if remote == 0 {
+		t.Fatal("victim has no remote recipients; pick another")
+	}
+	for _, p := range pn.parts {
+		if err := p.Fail(victim); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k, p := range pn.parts {
+		if e := p.Drain(); len(e.OneShots) > 0 {
+			t.Errorf("rank %d sends %d one-shots for a crash", k, len(e.OneShots))
+		}
+	}
+}
+
+// TestPartitionLeaveSendsGoodbyes: the one-shots a graceful leave puts
+// on the exchange are exactly the leaver's goodbyes to remote
+// recipients, from the leaver's host only.
+func TestPartitionLeaveSendsGoodbyes(t *testing.T) {
+	ids, pn := stableParted(t)
+	victim := ids[5]
+	host := int(uint64(victim) % 4)
+	want := map[ident.ID][]rechord.Message{} // per remote recipient, in order
+	for _, m := range pn.parts[host].Network().Goodbyes(victim) {
+		if to := m.To.Owner; !hostedBy(host, 4)(to) {
+			want[to] = append(want[to], m)
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("victim has no remote goodbyes; pick another")
+	}
+	for _, p := range pn.parts {
+		if err := p.Leave(victim); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := map[ident.ID][]rechord.Message{}
+	for k, p := range pn.parts {
+		for _, u := range p.Drain().OneShots {
+			if k != host {
+				t.Errorf("rank %d, not the leaver's host, sends a one-shot to %s", k, u.To)
+			}
+			if got[u.To] != nil {
+				t.Errorf("two one-shots to %s", u.To)
+			}
+			for _, m := range u.Msgs {
+				if m.To.Owner != u.To {
+					t.Errorf("one-shot to %s carries a message to %s", u.To, m.To.Owner)
+				}
+			}
+			got[u.To] = u.Msgs
+		}
+	}
+	if !maps.EqualFunc(got, want, slices.Equal) {
+		t.Fatalf("one-shots after the leave:\n got %v\nwant %v", got, want)
 	}
 }

@@ -21,7 +21,7 @@ import "repro/internal/ident"
 //     came up.
 //   - *Partition: one process's share of a replicated network. Step is
 //     the round engine's round restricted to the hosted peers, with the
-//     cross-partition effects handed to a sink.
+//     cross-partition effects collected for the exchange.
 //
 // All share the dirty-set infrastructure: a peer at a local fixed
 // point is skipped and its repeating output flow is represented by its

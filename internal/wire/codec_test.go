@@ -30,25 +30,27 @@ func richRound() *RoundFrame {
 	return &RoundFrame{
 		Round:   7,
 		Changed: true,
-		Buckets: []rechord.BucketUpdate{
-			{From: 0x1111, To: 0x2222, Msgs: []rechord.Message{
-				msg(0x2222, 0, graph.Ring, 0x3333, 2),
-				msg(0x2222, 1, graph.Connection, 0x1111, 0),
-			}},
-			{From: 0x3333, To: 0x1111, Msgs: nil}, // bucket deletion
-		},
-		OneShots: []rechord.OneShot{
-			{To: 0x2222, Msgs: []rechord.Message{msg(0x1111, 3, graph.Unmarked, 0x4444, 0)}},
-		},
-		Publishes: []rechord.PeerPublish{
-			{Owner: 0x1111, MaxLevel: 3, Views: []rechord.PublishedView{
-				{}, // neither side set
-				{RL: ref.Ref{Owner: 0x2222, Level: 1}, HasRL: true},
-				{RR: ref.Ref{Owner: 0x3333, Level: 2}, HasRR: true},
-				{RL: ref.Ref{Owner: 0x4444, Level: 3}, HasRL: true,
-					RR: ref.Ref{Owner: 0x1111, Level: 3}, HasRR: true},
-			}},
-			{Owner: 0x4444, MaxLevel: 0, Views: nil},
+		Effects: rechord.Effects{
+			Buckets: []rechord.BucketUpdate{
+				{From: 0x1111, To: 0x2222, Msgs: []rechord.Message{
+					msg(0x2222, 0, graph.Ring, 0x3333, 2),
+					msg(0x2222, 1, graph.Connection, 0x1111, 0),
+				}},
+				{From: 0x3333, To: 0x1111, Msgs: nil}, // bucket deletion
+			},
+			OneShots: []rechord.OneShot{
+				{To: 0x2222, Msgs: []rechord.Message{msg(0x1111, 3, graph.Unmarked, 0x4444, 0)}},
+			},
+			Publishes: []rechord.PeerPublish{
+				{Owner: 0x1111, MaxLevel: 3, Views: []rechord.PublishedView{
+					{}, // neither side set
+					{RL: ref.Ref{Owner: 0x2222, Level: 1}, HasRL: true},
+					{RR: ref.Ref{Owner: 0x3333, Level: 2}, HasRR: true},
+					{RL: ref.Ref{Owner: 0x4444, Level: 3}, HasRL: true,
+						RR: ref.Ref{Owner: 0x1111, Level: 3}, HasRR: true},
+				}},
+				{Owner: 0x4444, MaxLevel: 0, Views: nil},
+			},
 		},
 	}
 }

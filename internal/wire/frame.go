@@ -38,9 +38,7 @@ type RoundFrame struct {
 	Changed bool // this round changed state somewhere (bundle: anywhere)
 	Done    bool // bundle only: the cluster is quiescent, stop after applying
 
-	Buckets   []rechord.BucketUpdate
-	OneShots  []rechord.OneShot
-	Publishes []rechord.PeerPublish
+	rechord.Effects
 }
 
 // Fin closes a worker's participation: its local fingerprint and
@@ -54,11 +52,6 @@ type Fin struct {
 func (*Hello) frame()      {}
 func (*RoundFrame) frame() {}
 func (*Fin) frame()        {}
-
-// payloadLen reports whether the frame carries any effects.
-func (f *RoundFrame) payloadLen() int {
-	return len(f.Buckets) + len(f.OneShots) + len(f.Publishes)
-}
 
 // Round frame body flags.
 const (

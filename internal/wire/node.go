@@ -16,10 +16,11 @@ import (
 // The cluster is a star around rank 0 (the seed): each worker sends
 // its round frame to the seed, the seed merges all frames (its own
 // included) in rank order into one bundle, decides termination, and
-// broadcasts the bundle back. Every process applies the full bundle —
-// the Apply methods make re-applying one's own effects a no-op — so
-// all replicas stay consistent without a full mesh or a distributed
-// termination protocol.
+// broadcasts the bundle back. Every process hands the full bundle to
+// Partition.Apply, which applies each effect only at its recipient's
+// host (a publish wherever its owner is a stub), so all replicas stay
+// consistent without a full mesh or a distributed termination
+// protocol.
 type Node struct {
 	Rank  int
 	Procs int
@@ -66,43 +67,13 @@ func (nd *Node) validate() error {
 }
 
 // newPartition builds this rank's partition over a fresh replica.
-func (nd *Node) newPartition(sink rechord.PartitionSink) (*rechord.Partition, error) {
+func (nd *Node) newPartition() (*rechord.Partition, error) {
 	nw, err := nd.Script.Build(nd.Config)
 	if err != nil {
 		return nil, err
 	}
 	rank, procs := uint64(nd.Rank), uint64(nd.Procs)
-	hosted := func(id ident.ID) bool { return uint64(id)%procs == rank }
-	return rechord.NewPartition(nw, hosted, sink), nil
-}
-
-// frameSink buffers a round's outgoing effects into a RoundFrame.
-type frameSink struct{ fr RoundFrame }
-
-func (s *frameSink) SendBucket(u rechord.BucketUpdate)  { s.fr.Buckets = append(s.fr.Buckets, u) }
-func (s *frameSink) SendOneShot(u rechord.OneShot)      { s.fr.OneShots = append(s.fr.OneShots, u) }
-func (s *frameSink) PublishState(p rechord.PeerPublish) { s.fr.Publishes = append(s.fr.Publishes, p) }
-
-// take returns the buffered frame for round r and resets the buffer.
-func (s *frameSink) take(r int, changed bool) *RoundFrame {
-	fr := s.fr
-	fr.Round = r
-	fr.Changed = changed || fr.payloadLen() > 0
-	s.fr = RoundFrame{}
-	return &fr
-}
-
-// applyBundle applies a merged round bundle to the local partition.
-func applyBundle(p *rechord.Partition, fr *RoundFrame) {
-	for _, u := range fr.Buckets {
-		p.ApplyBucket(u)
-	}
-	for _, u := range fr.OneShots {
-		p.ApplyOneShot(u)
-	}
-	for _, pub := range fr.Publishes {
-		p.ApplyPublish(pub)
-	}
+	return rechord.NewPartition(nw, func(id ident.ID) bool { return uint64(id)%procs == rank }), nil
 }
 
 // mergeFrame appends one rank's round effects to the bundle.
@@ -135,8 +106,7 @@ func recvRound(c Conn, r int) (*RoundFrame, error) {
 // Done, broadcast); opsDone tells it whether the script is exhausted.
 // The result covers the local partition.
 func (nd *Node) runRounds(exchange func(own *RoundFrame, opsDone bool) (*RoundFrame, error)) (*Result, error) {
-	sink := &frameSink{}
-	p, err := nd.newPartition(sink)
+	p, err := nd.newPartition()
 	if err != nil {
 		return nil, err
 	}
@@ -149,11 +119,13 @@ func (nd *Node) runRounds(exchange func(own *RoundFrame, opsDone bool) (*RoundFr
 		p.Step()
 		changed := due != next || p.LastChange() == p.Time()
 		next = due
-		bundle, err := exchange(sink.take(r, changed), next == len(nd.Script.Ops))
+		own := &RoundFrame{Round: r, Effects: p.Drain()}
+		own.Changed = changed || own.Len() > 0
+		bundle, err := exchange(own, next == len(nd.Script.Ops))
 		if err != nil {
 			return nil, err
 		}
-		applyBundle(p, bundle)
+		p.Apply(&bundle.Effects)
 		if bundle.Done {
 			return &Result{Fingerprint: p.Fingerprint(), Peers: p.HostedPeers(), Rounds: r}, nil
 		}

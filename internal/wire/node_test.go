@@ -58,7 +58,7 @@ func GateScript(t *testing.T) *Script {
 
 // runChanCluster executes the script as a procs-node star cluster over
 // the in-process transport and returns the seed's combined result.
-func runChanCluster(t *testing.T, s *Script, procs int, delay rechord.DelayModel, met *obs.WireMetrics) *Result {
+func runChanCluster(t testing.TB, s *Script, procs int, delay rechord.DelayModel, met *obs.WireMetrics) *Result {
 	t.Helper()
 	cn := NewChanNet(delay, s.Seed, met)
 	ln, err := cn.Listen("seed")
