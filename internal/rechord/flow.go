@@ -67,8 +67,11 @@ type flowSpan struct {
 // reference plus one per recipient bucket; it is atomic because the
 // sharded commit releases old buckets from parallel workers.
 type flowTemplate struct {
-	refs    atomic.Int32
-	private bool // one bucket's own copy: a clone's, or a remote sender's at its recipient's host
+	refs atomic.Int32
+	// private marks a copy, not a sender's own generation: a clone's
+	// single span, or, at the host of a remote sender's recipients,
+	// the spans of one run of its updates (Partition.applyRun).
+	private bool
 	packed  []packedMsg
 	spans   []flowSpan // sorted by owner
 	syms    []ident.ID // sorted, deduped Add owners; may be a predecessor's array

@@ -87,6 +87,22 @@ type Partition struct {
 	hosted func(ident.ID) bool
 	out    Effects // this process's effects since the last Drain
 
+	// msgs and views back out's message lists and published views;
+	// Drain hands them out and the next Step or membership op reuses
+	// them.
+	msgs  []Message
+	views []PublishedView
+
+	// run and runMsgs gather one sender run of Apply: its hosted
+	// updates and their messages.
+	run     []BucketUpdate
+	runMsgs []Message
+
+	// changed and refs are applyPublish's scratch: the views a publish
+	// changed, as a list and as the wake set.
+	changed []ref.Ref
+	refs    map[ref.Ref]bool
+
 	// pub lists, in identifier order, the slots of the hosted owners
 	// whose published state (view or max level) changed in the running
 	// batch and must be broadcast after it.
@@ -105,11 +121,27 @@ func NewPartition(nw *Network, hosted func(ident.ID) bool) *Partition {
 }
 
 // Drain returns the effects this process produced since the last call
-// (by Step and by membership ops) and starts a new buffer.
+// (by Step and by membership ops). They live in the partition's
+// buffers: valid until the next Step or membership op, which reuse
+// them, so a caller that keeps them longer must copy them. Apply does
+// not touch them.
 func (p *Partition) Drain() Effects {
-	e := p.out
-	p.out = Effects{}
+	e := Effects{
+		Buckets:   slices.Clip(p.out.Buckets),
+		OneShots:  slices.Clip(p.out.OneShots),
+		Publishes: slices.Clip(p.out.Publishes),
+	}
+	p.out = Effects{Buckets: e.Buckets[:0], OneShots: e.OneShots[:0], Publishes: e.Publishes[:0]}
+	p.msgs, p.views = p.msgs[:0], p.views[:0]
 	return e
+}
+
+// appendSpan copies span si of t into the message buffer and returns
+// the copy.
+func (p *Partition) appendSpan(t *flowTemplate, si int32) []Message {
+	start := len(p.msgs)
+	p.msgs = t.appendSpan(p.msgs, si)
+	return p.msgs[start:len(p.msgs):len(p.msgs)]
 }
 
 // Network returns the underlying (replicated) network.
@@ -196,7 +228,7 @@ func (p *Partition) emitFlow(n *RealNode, tpl *flowTemplate, ops []bucketOp, pub
 		}
 		u := BucketUpdate{From: n.id, To: dst}
 		if op.span >= 0 {
-			u.Msgs = tpl.appendSpan(make([]Message, 0, tpl.spanLen(op.span)), op.span)
+			u.Msgs = p.appendSpan(tpl, op.span)
 		}
 		p.out.Buckets = append(p.out.Buckets, u)
 	}
@@ -205,10 +237,12 @@ func (p *Partition) emitFlow(n *RealNode, tpl *flowTemplate, ops []bucketOp, pub
 // flushPublishes emits the batch's state publishes.
 func (p *Partition) flushPublishes() {
 	for _, slot := range p.pub {
+		start := len(p.views)
+		p.views = append(p.views, p.nw.view[slot]...)
 		p.out.Publishes = append(p.out.Publishes, PeerPublish{
 			Owner:    p.nw.pt.ids[slot],
 			MaxLevel: int(p.nw.pt.maxLv[slot]),
-			Views:    slices.Clone(p.nw.view[slot]),
+			Views:    p.views[start:len(p.views):len(p.views)],
 		})
 	}
 	p.pub = p.pub[:0]
@@ -218,12 +252,25 @@ func (p *Partition) flushPublishes() {
 // effect lands once, at its recipient's host: a bucket update or
 // one-shot only where its recipient is hosted, a publish only where its
 // owner is a stub (the local copy of a hosted peer is authoritative).
+// The hosted bucket updates are installed in order, one sender run at a
+// time (applyRun).
 func (p *Partition) Apply(e *Effects) {
+	run := p.run[:0]
 	for _, u := range e.Buckets {
-		if p.hosted(u.To) {
-			p.applyBucket(u)
+		if !p.hosted(u.To) {
+			continue
 		}
+		if len(run) > 0 && (run[0].From != u.From || hasRecipient(run, u.To)) {
+			p.applyRun(run)
+			run = run[:0]
+		}
+		run = append(run, u)
 	}
+	if len(run) > 0 {
+		p.applyRun(run)
+	}
+	clear(run)
+	p.run = run[:0]
 	for _, u := range e.OneShots {
 		if p.hosted(u.To) {
 			p.nw.routeMessage(u.To, u.Msgs...)
@@ -236,23 +283,46 @@ func (p *Partition) Apply(e *Effects) {
 	}
 }
 
-// applyBucket installs a remote sender's standing contribution at a
-// hosted recipient. The contribution lives in a private template frozen
-// from nothing — the stub sender has no local flow generation to share.
-// Messages addressed to anyone but u.To have no span to install and are
-// dropped.
-func (p *Partition) applyBucket(u BucketUpdate) {
+// hasRecipient reports whether an update in run is addressed to to.
+func hasRecipient(run []BucketUpdate, to ident.ID) bool {
+	for _, u := range run {
+		if u.To == to {
+			return true
+		}
+	}
+	return false
+}
+
+// applyRun installs a sender run — consecutive hosted updates from one
+// remote sender to distinct recipients — at its recipients. The run's
+// messages live in one private template frozen from nothing (the stub
+// sender has no local flow generation to share), and each recipient's
+// bucket is its span of it, or none for a deletion. A message addressed
+// to anyone but its update's recipient has no span to install and is
+// dropped before the freeze.
+func (p *Partition) applyRun(run []BucketUpdate) {
 	nw := p.nw
-	from := nw.pt.node(u.From)
+	from := nw.pt.node(run[0].From)
 	if from == nil {
 		return // sender departed via an op this process already applied
 	}
+	msgs := p.runMsgs[:0]
+	for _, u := range run {
+		for _, m := range u.Msgs {
+			if m.To.Owner == u.To {
+				msgs = append(msgs, m)
+			}
+		}
+	}
+	p.runMsgs = msgs
 	w := nw.serial()
-	diffFlow(nil, u.Msgs, w)
-	t := freezeFlow(nil, u.Msgs, w)
+	diffFlow(nil, msgs, w)
+	t := freezeFlow(nil, msgs, w)
 	t.private = true
 	nw.flow.tallyBirth(t)
-	nw.rewriteBucket(from.h(), u.To, t, t.findSpan(u.To), true)
+	for _, u := range run {
+		nw.rewriteBucket(from.h(), u.To, t, t.findSpan(u.To), true)
+	}
 	releaseFlow(t, &nw.flow)
 }
 
@@ -270,15 +340,19 @@ func (p *Partition) applyPublish(u PeerPublish) {
 		nw.pt.maxLv[slot] = int32(u.MaxLevel)
 		owners = map[ident.ID]bool{u.Owner: true}
 	}
-	changed := nw.publishViews(slot, u.Owner, u.Views, nil)
+	changed := nw.publishViews(slot, u.Owner, u.Views, p.changed[:0])
+	p.changed = changed
 	if len(owners) == 0 && len(changed) == 0 {
 		return
 	}
-	refs := make(map[ref.Ref]bool, len(changed))
-	for _, r := range changed {
-		refs[r] = true
+	if p.refs == nil {
+		p.refs = make(map[ref.Ref]bool)
 	}
-	nw.wakeDependents(owners, refs)
+	clear(p.refs)
+	for _, r := range changed {
+		p.refs[r] = true
+	}
+	nw.wakeDependents(owners, p.refs)
 }
 
 // Join integrates a join: the membership change is replicated
@@ -301,7 +375,7 @@ func (p *Partition) Join(id, contact ident.ID) error {
 		if si < 0 {
 			continue
 		}
-		p.out.Buckets = append(p.out.Buckets, BucketUpdate{From: s.id, To: id, Msgs: s.lastFlow.appendSpan(nil, si)})
+		p.out.Buckets = append(p.out.Buckets, BucketUpdate{From: s.id, To: id, Msgs: p.appendSpan(s.lastFlow, si)})
 	}
 	return nil
 }

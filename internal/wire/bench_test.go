@@ -57,20 +57,10 @@ func BenchmarkDecodeMessage(b *testing.B) {
 // BenchmarkChanCluster runs the bench's wire script shape — a random
 // n=192 network with a join, a graceful leave and a crash at rounds 5,
 // 10 and 15 — as 4 ranks over the in-process transport, end to end:
-// replica builds, lockstep rounds, codec and the seed's merge. rounds/op
+// replica builds, lockstep rounds, codec and the seed's route. rounds/op
 // is the lockstep round count of one run.
 func BenchmarkChanCluster(b *testing.B) {
-	s := &Script{Topology: "random", N: 192, Seed: 1, MaxRounds: DefaultMaxRounds}
-	nw, err := s.Build(testConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	ids := nw.Peers()
-	s.Ops = []Op{
-		{Round: 5, Kind: OpJoin, ID: 0x5a5a000000000001, Contact: ids[0]},
-		{Round: 10, Kind: OpLeave, ID: ids[3]},
-		{Round: 15, Kind: OpFail, ID: ids[7]},
-	}
+	s := benchScript(b)
 	b.ReportAllocs()
 	rounds := 0
 	for b.Loop() {

@@ -55,11 +55,33 @@ func richRound() *RoundFrame {
 	}
 }
 
+// leanRound has fewer buckets, shorter message lists and fewer views
+// than richRound: decoded after it on the same decoder, whose round
+// storage is reused, none of richRound's content may show through.
+func leanRound() *RoundFrame {
+	return &RoundFrame{
+		Round: 8,
+		Effects: rechord.Effects{
+			Buckets: []rechord.BucketUpdate{
+				{From: 0x3333, To: 0x2222, Msgs: []rechord.Message{msg(0x2222, 0, graph.Ring, 0x1111, 1)}},
+			},
+			Publishes: []rechord.PeerPublish{
+				{Owner: 0x2222, MaxLevel: 1, Views: []rechord.PublishedView{{RL: ref.Ref{Owner: 0x1111}, HasRL: true}}},
+			},
+		},
+	}
+}
+
+// TestFrameRoundTrip: every frame kind decodes to itself, and a
+// decoder's reused round storage does not leak from one round into the
+// next (rich, lean, empty, rich again); empty lists decode as nil.
 func TestFrameRoundTrip(t *testing.T) {
 	frames := []Frame{
 		&Hello{Rank: 3, Procs: 4},
 		richRound(),
-		&RoundFrame{Round: 8, Done: true}, // empty bundle
+		leanRound(),
+		&RoundFrame{Round: 9, Done: true}, // empty share
+		richRound(),
 		&Fin{Fingerprint: 0xDEADBEEFCAFE0123, Peers: 12, Rounds: 97},
 	}
 	var met obs.WireMetrics

@@ -31,12 +31,12 @@ type Hello struct {
 }
 
 // RoundFrame carries one process's cross-partition effects for one
-// global round — or, sent by the seed, the merged bundle of every
-// process's effects plus the termination decision.
+// global round — or, sent by the seed, one rank's share of every
+// process's effects plus the cluster-wide verdicts.
 type RoundFrame struct {
 	Round   int
-	Changed bool // this round changed state somewhere (bundle: anywhere)
-	Done    bool // bundle only: the cluster is quiescent, stop after applying
+	Changed bool // this round changed state somewhere (share: anywhere)
+	Done    bool // share only: the cluster is quiescent, stop after applying
 
 	rechord.Effects
 }
@@ -176,13 +176,24 @@ func (e *Encoder) appendRound(body []byte, f *RoundFrame) []byte {
 	return body
 }
 
-// Decoder reads frames from one stream direction, strictly.
+// Decoder reads frames from one stream direction, strictly. Round
+// frames are decoded into storage the decoder keeps and reuses, so a
+// warm decoder allocates nothing per round.
 type Decoder struct {
 	r          *bufio.Reader
 	sym        SymReader
 	buf        []byte
 	met        *obs.WireMetrics
 	readHeader bool
+
+	round RoundFrame // the last decoded round frame
+	store struct {   // backing arrays of round's slices
+		buckets  []rechord.BucketUpdate
+		oneShots []rechord.OneShot
+		pubs     []rechord.PeerPublish
+		msgs     []rechord.Message
+		views    []rechord.PublishedView
+	}
 }
 
 // NewDecoder returns a decoder reading from r. met may be nil.
@@ -191,7 +202,10 @@ func NewDecoder(r io.Reader, met *obs.WireMetrics) *Decoder {
 }
 
 // Decode reads the next frame. io.EOF is returned cleanly at a frame
-// boundary; any malformed input wraps ErrMalformed.
+// boundary; any malformed input wraps ErrMalformed. A returned
+// *RoundFrame, and every slice in it, is valid until the next Decode,
+// which reuses its storage; a caller that keeps a round frame longer
+// must copy it.
 func (d *Decoder) Decode() (Frame, error) {
 	if !d.readHeader {
 		var hdr [4]byte
@@ -296,12 +310,13 @@ func (d *Decoder) parseRound(b []byte) (Frame, []byte, error) {
 		return nil, nil, malformed("unknown round flags %#x", flags)
 	}
 	b = b[1:]
-	f := &RoundFrame{
-		Round:   int(round),
-		Changed: flags&flagChanged != 0,
-		Done:    flags&flagDone != 0,
-	}
+	st := &d.store
+	st.buckets, st.oneShots, st.pubs = st.buckets[:0], st.oneShots[:0], st.pubs[:0]
+	st.msgs, st.views = st.msgs[:0], st.views[:0]
 
+	// readMsgs appends one message list to the message store and
+	// returns its span, capped so an append by the caller cannot run
+	// into the next list.
 	readMsgs := func(b []byte) ([]rechord.Message, []byte, error) {
 		cnt, n := binary.Uvarint(b)
 		if n <= 0 {
@@ -313,10 +328,7 @@ func (d *Decoder) parseRound(b []byte) (Frame, []byte, error) {
 		if err := checkCount(cnt, 5, b); err != nil {
 			return nil, nil, err
 		}
-		var ms []rechord.Message
-		if cnt > 0 {
-			ms = make([]rechord.Message, 0, cnt)
-		}
+		start := len(st.msgs)
 		for i := uint64(0); i < cnt; i++ {
 			var m rechord.Message
 			var err error
@@ -324,9 +336,9 @@ func (d *Decoder) parseRound(b []byte) (Frame, []byte, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			ms = append(ms, m)
+			st.msgs = append(st.msgs, m)
 		}
-		return ms, b, nil
+		return span(st.msgs, start), b, nil
 	}
 
 	cnt, n := binary.Uvarint(b)
@@ -352,7 +364,7 @@ func (d *Decoder) parseRound(b []byte) (Frame, []byte, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		f.Buckets = append(f.Buckets, u)
+		st.buckets = append(st.buckets, u)
 	}
 
 	cnt, n = binary.Uvarint(b)
@@ -374,7 +386,7 @@ func (d *Decoder) parseRound(b []byte) (Frame, []byte, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		f.OneShots = append(f.OneShots, u)
+		st.oneShots = append(st.oneShots, u)
 	}
 
 	cnt, n = binary.Uvarint(b)
@@ -406,9 +418,7 @@ func (d *Decoder) parseRound(b []byte) (Frame, []byte, error) {
 		if err := checkCount(vcnt, 1, b); err != nil {
 			return nil, nil, err
 		}
-		if vcnt > 0 {
-			p.Views = make([]rechord.PublishedView, 0, vcnt)
-		}
+		start := len(st.views)
 		for j := uint64(0); j < vcnt; j++ {
 			if len(b) == 0 {
 				return nil, nil, malformed("truncated view entry")
@@ -433,9 +443,29 @@ func (d *Decoder) parseRound(b []byte) (Frame, []byte, error) {
 					return nil, nil, err
 				}
 			}
-			p.Views = append(p.Views, v)
+			st.views = append(st.views, v)
 		}
-		f.Publishes = append(f.Publishes, p)
+		p.Views = span(st.views, start)
+		st.pubs = append(st.pubs, p)
 	}
-	return f, b, nil
+	d.round = RoundFrame{
+		Round:   int(round),
+		Changed: flags&flagChanged != 0,
+		Done:    flags&flagDone != 0,
+		Effects: rechord.Effects{
+			Buckets:   span(st.buckets, 0),
+			OneShots:  span(st.oneShots, 0),
+			Publishes: span(st.pubs, 0),
+		},
+	}
+	return &d.round, b, nil
+}
+
+// span returns s[start:] capped at its length, or nil when it is
+// empty: a decoded empty list is nil, as the encoder's input may be.
+func span[T any](s []T, start int) []T {
+	if start == len(s) {
+		return nil
+	}
+	return s[start:len(s):len(s)]
 }

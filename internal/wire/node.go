@@ -14,13 +14,15 @@ import (
 // exchanges round frames over a Transport.
 //
 // The cluster is a star around rank 0 (the seed): each worker sends
-// its round frame to the seed, the seed merges all frames (its own
-// included) in rank order into one bundle, decides termination, and
-// broadcasts the bundle back. Every process hands the full bundle to
-// Partition.Apply, which applies each effect only at its recipient's
-// host (a publish wherever its owner is a stub), so all replicas stay
-// consistent without a full mesh or a distributed termination
-// protocol.
+// its round frame to the seed, and the seed, gathering the frames in
+// rank order, routes every effect into the share of the rank that
+// applies it — a bucket update or one-shot to its recipient's host
+// (hostOf), a publish to every rank but its owner's host. It decides
+// termination and sends each worker only its share; every share
+// carries the cluster-wide Changed and Done. Each rank hands its share
+// to Partition.Apply, whose hosted filter is the apply rule itself (the
+// route only spares the bytes), so all replicas stay consistent without
+// a full mesh or a distributed termination protocol.
 type Node struct {
 	Rank  int
 	Procs int
@@ -66,22 +68,66 @@ func (nd *Node) validate() error {
 	return nil
 }
 
+// hostOf is the rank that hosts peer id among procs ranks: the one
+// hosting rule of a partitioned run, used by every rank's partition
+// and by the seed's router.
+func hostOf(id ident.ID, procs int) int { return int(uint64(id) % uint64(procs)) }
+
 // newPartition builds this rank's partition over a fresh replica.
 func (nd *Node) newPartition() (*rechord.Partition, error) {
 	nw, err := nd.Script.Build(nd.Config)
 	if err != nil {
 		return nil, err
 	}
-	rank, procs := uint64(nd.Rank), uint64(nd.Procs)
-	return rechord.NewPartition(nw, func(id ident.ID) bool { return uint64(id)%procs == rank }), nil
+	return rechord.NewPartition(nw, func(id ident.ID) bool { return hostOf(id, nd.Procs) == nd.Rank }), nil
 }
 
-// mergeFrame appends one rank's round effects to the bundle.
-func mergeFrame(bundle, f *RoundFrame) {
-	bundle.Changed = bundle.Changed || f.Changed
-	bundle.Buckets = append(bundle.Buckets, f.Buckets...)
-	bundle.OneShots = append(bundle.OneShots, f.OneShots...)
-	bundle.Publishes = append(bundle.Publishes, f.Publishes...)
+// router holds one round's per-rank shares, indexed by rank, which the
+// seed fills as it gathers the frames in rank order: a bucket update or
+// one-shot goes to its recipient's host, a publish to every rank except
+// its owner's host, so each share holds, in merge order, exactly what
+// its rank applies. The shares reuse their storage round after round;
+// they point into the gathered frames, so they are valid as long as
+// those.
+type router []RoundFrame
+
+// reset empties the shares for round r.
+func (rt router) reset(r int) {
+	for k := range rt {
+		sh := &rt[k]
+		*sh = RoundFrame{Round: r, Effects: rechord.Effects{
+			Buckets:   sh.Buckets[:0],
+			OneShots:  sh.OneShots[:0],
+			Publishes: sh.Publishes[:0],
+		}}
+	}
+}
+
+// route appends one rank's frame to the shares.
+func (rt router) route(f *RoundFrame) {
+	for _, u := range f.Buckets {
+		sh := &rt[hostOf(u.To, len(rt))]
+		sh.Buckets = append(sh.Buckets, u)
+	}
+	for _, u := range f.OneShots {
+		sh := &rt[hostOf(u.To, len(rt))]
+		sh.OneShots = append(sh.OneShots, u)
+	}
+	for _, u := range f.Publishes {
+		owner := hostOf(u.Owner, len(rt))
+		for k := range rt {
+			if k != owner {
+				rt[k].Publishes = append(rt[k].Publishes, u)
+			}
+		}
+	}
+}
+
+// decide stamps the round's cluster-wide verdicts on every share.
+func (rt router) decide(changed, done bool) {
+	for k := range rt {
+		rt[k].Changed, rt[k].Done = changed, done
+	}
 }
 
 // recvRound receives round r's frame: anything else means the peer is
@@ -100,17 +146,21 @@ func recvRound(c Conn, r int) (*RoundFrame, error) {
 
 // runRounds is the lockstep round loop of every rank: apply the due
 // script ops, step the hosted batch, exchange this rank's frame for
-// the round's merged bundle, apply the bundle, until a bundle says
-// Done. The exchange is the only per-rank difference (worker: send the
-// frame, receive the bundle; seed: gather, merge in rank order, decide
-// Done, broadcast); opsDone tells it whether the script is exhausted.
-// The result covers the local partition.
+// its share of the round's effects, apply the share, until a share
+// says Done. The exchange is the only per-rank difference (worker:
+// send the frame, receive the share; seed: gather in rank order, route
+// into shares, decide Done, send each worker its share); opsDone tells
+// it whether the script is exhausted. The frame handed to exchange
+// holds the drained effects, valid until the next Step; the share it
+// returns must stay valid until Apply has run. The result covers the
+// local partition.
 func (nd *Node) runRounds(exchange func(own *RoundFrame, opsDone bool) (*RoundFrame, error)) (*Result, error) {
 	p, err := nd.newPartition()
 	if err != nil {
 		return nil, err
 	}
 	next := 0
+	var own RoundFrame
 	for r := 1; ; r++ {
 		due, err := nd.Script.applyDue(p, next, r)
 		if err != nil {
@@ -119,14 +169,14 @@ func (nd *Node) runRounds(exchange func(own *RoundFrame, opsDone bool) (*RoundFr
 		p.Step()
 		changed := due != next || p.LastChange() == p.Time()
 		next = due
-		own := &RoundFrame{Round: r, Effects: p.Drain()}
+		own = RoundFrame{Round: r, Effects: p.Drain()}
 		own.Changed = changed || own.Len() > 0
-		bundle, err := exchange(own, next == len(nd.Script.Ops))
+		share, err := exchange(&own, next == len(nd.Script.Ops))
 		if err != nil {
 			return nil, err
 		}
-		p.Apply(&bundle.Effects)
-		if bundle.Done {
+		p.Apply(&share.Effects)
+		if share.Done {
 			return &Result{Fingerprint: p.Fingerprint(), Peers: p.HostedPeers(), Rounds: r}, nil
 		}
 	}
@@ -177,28 +227,32 @@ func (nd *Node) RunSeed(ln Listener) (*Result, error) {
 	nd.logf("seed: %d workers connected", nd.Procs-1)
 
 	var runErr error // non-convergence: the run still ends in lockstep
+	rt := make(router, nd.Procs)
 	res, err := nd.runRounds(func(own *RoundFrame, opsDone bool) (*RoundFrame, error) {
 		r := own.Round
-		bundle := &RoundFrame{Round: r}
-		mergeFrame(bundle, own)
+		rt.reset(r)
+		rt.route(own)
+		changed := own.Changed
 		for rank := 1; rank < nd.Procs; rank++ {
 			rf, err := recvRound(conns[rank], r)
 			if err != nil {
 				return nil, fmt.Errorf("wire: seed recv round %d from rank %d: %w", r, rank, err)
 			}
-			mergeFrame(bundle, rf)
+			rt.route(rf)
+			changed = changed || rf.Changed
 		}
-		bundle.Done = !bundle.Changed && opsDone
-		if r >= nd.Script.MaxRounds && !bundle.Done {
-			bundle.Done = true
+		done := !changed && opsDone
+		if r >= nd.Script.MaxRounds && !done {
+			done = true
 			runErr = fmt.Errorf("wire: cluster did not converge in %d rounds", nd.Script.MaxRounds)
 		}
+		rt.decide(changed, done)
 		for rank := 1; rank < nd.Procs; rank++ {
-			if err := conns[rank].Send(bundle); err != nil {
-				return nil, fmt.Errorf("wire: seed send bundle to rank %d: %w", rank, err)
+			if err := conns[rank].Send(&rt[rank]); err != nil {
+				return nil, fmt.Errorf("wire: seed send share to rank %d: %w", rank, err)
 			}
 		}
-		return bundle, nil
+		return &rt[0], nil
 	})
 	if err != nil {
 		return nil, err
@@ -238,11 +292,11 @@ func (nd *Node) RunWorker(c Conn) (*Result, error) {
 		if err := c.Send(own); err != nil {
 			return nil, fmt.Errorf("wire: worker send round %d: %w", own.Round, err)
 		}
-		bundle, err := recvRound(c, own.Round)
+		share, err := recvRound(c, own.Round)
 		if err != nil {
-			return nil, fmt.Errorf("wire: worker recv bundle %d: %w", own.Round, err)
+			return nil, fmt.Errorf("wire: worker recv share %d: %w", own.Round, err)
 		}
-		return bundle, nil
+		return share, nil
 	})
 	if err != nil {
 		return nil, err

@@ -60,8 +60,14 @@ func GateScript(t *testing.T) *Script {
 // the in-process transport and returns the seed's combined result.
 func runChanCluster(t testing.TB, s *Script, procs int, delay rechord.DelayModel, met *obs.WireMetrics) *Result {
 	t.Helper()
-	cn := NewChanNet(delay, s.Seed, met)
-	ln, err := cn.Listen("seed")
+	return runCluster(t, NewChanNet(delay, s.Seed, met), "seed", s, procs)
+}
+
+// runCluster executes the script as a procs-node star cluster over tr,
+// the seed listening on addr, and returns the seed's combined result.
+func runCluster(t testing.TB, tr Transport, addr string, s *Script, procs int) *Result {
+	t.Helper()
+	ln, err := tr.Listen(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,19 +75,18 @@ func runChanCluster(t testing.TB, s *Script, procs int, delay rechord.DelayModel
 
 	var wg sync.WaitGroup
 	errs := make([]error, procs)
-	results := make([]*Result, procs)
 	for rank := 1; rank < procs; rank++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			c, err := cn.Dial("seed")
+			c, err := tr.Dial(ln.Addr())
 			if err != nil {
 				errs[rank] = err
 				return
 			}
 			defer c.Close()
 			nd := &Node{Rank: rank, Procs: procs, Script: s, Config: testConfig()}
-			results[rank], errs[rank] = nd.RunWorker(c)
+			_, errs[rank] = nd.RunWorker(c)
 		}(rank)
 	}
 	seed := &Node{Rank: 0, Procs: procs, Script: s, Config: testConfig()}
@@ -168,54 +173,16 @@ func TestChanClusterDelayInvariance(t *testing.T) {
 	s := GateScript(t)
 	base := runChanCluster(t, s, 3, nil, nil)
 
-	delayed := runChanClusterWithNet(t, s, 3, rechord.ParetoDelay{Alpha: 1.5, Max: 64})
-	if delayed.res.Fingerprint != base.Fingerprint {
+	cn := NewChanNet(rechord.ParetoDelay{Alpha: 1.5, Max: 64}, s.Seed, nil)
+	delayed := runCluster(t, cn, "seed", s, 3)
+	if delayed.Fingerprint != base.Fingerprint {
 		t.Fatalf("delay model changed the outcome: %016x != %016x",
-			delayed.res.Fingerprint, base.Fingerprint)
+			delayed.Fingerprint, base.Fingerprint)
 	}
-	total, frames := delayed.net.SimLatency()
+	total, frames := cn.SimLatency()
 	if frames == 0 || total < frames {
 		t.Fatalf("delay accounting did not accumulate: total=%d frames=%d", total, frames)
 	}
-}
-
-type clusterRun struct {
-	res *Result
-	net *ChanNet
-}
-
-func runChanClusterWithNet(t *testing.T, s *Script, procs int, delay rechord.DelayModel) clusterRun {
-	t.Helper()
-	cn := NewChanNet(delay, s.Seed, nil)
-	ln, err := cn.Listen("seed")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	var wg sync.WaitGroup
-	for rank := 1; rank < procs; rank++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			c, err := cn.Dial("seed")
-			if err != nil {
-				t.Errorf("rank %d dial: %v", rank, err)
-				return
-			}
-			defer c.Close()
-			nd := &Node{Rank: rank, Procs: procs, Script: s, Config: testConfig()}
-			if _, err := nd.RunWorker(c); err != nil {
-				t.Errorf("rank %d: %v", rank, err)
-			}
-		}(rank)
-	}
-	seed := &Node{Rank: 0, Procs: procs, Script: s, Config: testConfig()}
-	res, err := seed.RunSeed(ln)
-	wg.Wait()
-	if err != nil {
-		t.Fatalf("seed: %v", err)
-	}
-	return clusterRun{res: res, net: cn}
 }
 
 // TestSeedErrorReleasesWorkers pins the close-on-error contract: when

@@ -29,6 +29,9 @@ type Listener interface {
 
 // Conn is one bidirectional frame stream. Send and Recv are each
 // internally serialized but may be used concurrently with one another.
+// Send encodes the frame before it returns, so the caller may reuse
+// it at once. A frame returned by Recv is valid until the next Recv
+// on the same Conn (the decoder reuses its storage).
 type Conn interface {
 	Send(f Frame) error
 	Recv() (Frame, error)
