@@ -112,14 +112,15 @@ func LevelFor(u ID, reals []ID) int {
 	// The smallest clockwise distance from u to a known real node
 	// determines m: we need 1/2^m strictly below that distance, i.e.
 	// 2^(64-m) < d.
-	var best uint64 = math.MaxUint64
+	var best uint64
 	found := false
 	for _, r := range reals {
 		if r == u {
 			continue
 		}
-		d := Dist(u, r)
-		if d < best {
+		// The found flag, not a sentinel best, admits the farthest
+		// possible neighbor: u-1 at distance 2^64-1.
+		if d := Dist(u, r); !found || d < best {
 			best = d
 			found = true
 		}

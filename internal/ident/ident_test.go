@@ -212,6 +212,15 @@ func TestLevelForNoReals(t *testing.T) {
 	}
 }
 
+func TestLevelForFarthestNeighbor(t *testing.T) {
+	// u-1 lies at clockwise distance 2^64-1, the largest there is: it
+	// still counts as u's closest real node, as LevelForDist says.
+	u := FromFloat(0.3)
+	if got, want := LevelFor(u, []ID{u - 1}), LevelForDist(math.MaxUint64); got != want || got != 1 {
+		t.Errorf("LevelFor(u, {u-1}) = %d, want %d (LevelForDist) = 1", got, want)
+	}
+}
+
 func TestLevelForWraparound(t *testing.T) {
 	u := FromFloat(0.9)
 	reals := []ID{FromFloat(0.15)} // clockwise distance 0.25 across the wrap

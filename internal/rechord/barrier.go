@@ -103,12 +103,13 @@ type flowRouter interface {
 // peers it ran this batch.
 type worker struct {
 	// Rule scratch (rules.go): the output buffer send appends to, the
-	// derived sets and orders rules 1-6 iterate.
-	out                               []Message
-	known, reals, cand, sibSet, ksTmp ref.Set
-	sibs, snap, lefts, rights         []ref.Ref
-	levels                            []int
-	realID                            []ident.ID
+	// orders rules 1-6 iterate, and the known real identifiers rules 1
+	// and 3 read. The rules answer every other query in place, on the
+	// peer's own sets.
+	out                       []Message
+	sibs, snap, lefts, rights []ref.Ref
+	levels                    []int
+	realID                    []ident.ID
 
 	// Freeze scratch: the per-recipient verdicts of diffFlow, the span
 	// cursors, new symbols and symbol translation of freezeFlow, and the

@@ -5,7 +5,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/graph"
+	"repro/internal/ident"
 	"repro/internal/rechord"
+	"repro/internal/ref"
 	"repro/internal/sim"
 	"repro/internal/topogen"
 )
@@ -28,5 +31,26 @@ func TestConvergenceSmall(t *testing.T) {
 		}
 		t.Logf("n=%d: stable after %d rounds (almost stable %d), %d msgs",
 			n, res.Rounds, res.AlmostStableRound, res.TotalMessages)
+	}
+}
+
+// TestAdjacentPeersConverge runs peers u-1 and u from one seeded edge to
+// the fixed point. u-1 is u's closest real node at clockwise distance
+// 2^64-1, the largest there is, so u must drop to level 1 like the
+// oracle says.
+func TestAdjacentPeersConverge(t *testing.T) {
+	u := ident.FromFloat(0.6)
+	ids := []ident.ID{u - 1, u}
+	nw := rechord.NewNetwork(rechord.Config{Workers: 1})
+	for _, id := range ids {
+		nw.AddPeer(id)
+	}
+	nw.SeedEdge(ref.Real(u-1), ref.Real(u), graph.Unmarked)
+	idl := rechord.ComputeIdeal(ids)
+	if _, err := sim.RunToStable(context.Background(), nw, sim.Options{Ideal: idl}); err != nil {
+		t.Fatal(err)
+	}
+	if err := idl.Matches(nw); err != nil {
+		t.Fatalf("fixed point is not the oracle's: %v", err)
 	}
 }

@@ -184,7 +184,7 @@ func (id *Ideal) Matches(nw *Network) error {
 	}
 	for i, u := range id.reals {
 		if peers[i] != u {
-			return fmt.Errorf("peer set mismatch at %d: %s vs %s", i, peers[i], u)
+			return fmt.Errorf("peer set mismatch at %d: %016x vs %016x", i, uint64(peers[i]), uint64(u))
 		}
 	}
 	exists := make(map[ref.Ref]bool, len(id.nodes))
@@ -194,13 +194,13 @@ func (id *Ideal) Matches(nw *Network) error {
 	for _, u := range id.reals {
 		n := nw.Peer(u)
 		if got, want := n.MaxLevel(), id.level[u]; got != want {
-			return fmt.Errorf("peer %s: m = %d, want %d", u, got, want)
+			return fmt.Errorf("peer %016x: m = %d, want %d", uint64(u), got, want)
 		}
 		for _, l := range n.Levels() {
 			x := ref.Virtual(u, l)
 			v := n.VNode(l)
 			if !v.Nu.Equal(id.nu[x]) {
-				return fmt.Errorf("node %s: Nu = %s, want %s", x, &v.Nu, id.nu[x].String())
+				return fmt.Errorf("node %s: Nu = %s, want %s", exact(x), exactSet(v.Nu), exactSet(id.nu[x]))
 			}
 			// Ring edges: the two edges between the global extremes are
 			// required; additionally, the stable state carries in-flight
@@ -211,45 +211,61 @@ func (id *Ideal) Matches(nw *Network) error {
 			wantRing := id.ring[x]
 			for _, y := range wantRing.Slice() {
 				if !v.Nr.Contains(y) {
-					return fmt.Errorf("node %s: missing ring edge to %s", x, y)
+					return fmt.Errorf("node %s: missing ring edge to %s", exact(x), exact(y))
 				}
 			}
 			if len(id.nodes) > 1 {
 				mn, mx := id.nodes[0], id.nodes[len(id.nodes)-1]
 				for _, y := range v.Nr.Slice() {
 					if y != mn && y != mx {
-						return fmt.Errorf("node %s: stray ring edge to %s", x, y)
+						return fmt.Errorf("node %s: stray ring edge to %s", exact(x), exact(y))
 					}
 				}
 			}
 			if wrl, ok := id.rl[x]; ok {
 				if !v.HasRL || v.RL != wrl {
-					return fmt.Errorf("node %s: rl = %v(%v), want %s", x, v.RL, v.HasRL, wrl)
+					return fmt.Errorf("node %s: rl = %s(%v), want %s", exact(x), exact(v.RL), v.HasRL, exact(wrl))
 				}
 			} else if v.HasRL {
-				return fmt.Errorf("node %s: rl set to %s, want unset", x, v.RL)
+				return fmt.Errorf("node %s: rl set to %s, want unset", exact(x), exact(v.RL))
 			}
 			if wrr, ok := id.rr[x]; ok {
 				if !v.HasRR || v.RR != wrr {
-					return fmt.Errorf("node %s: rr = %v(%v), want %s", x, v.RR, v.HasRR, wrr)
+					return fmt.Errorf("node %s: rr = %s(%v), want %s", exact(x), exact(v.RR), v.HasRR, exact(wrr))
 				}
 			} else if v.HasRR {
-				return fmt.Errorf("node %s: rr set to %s, want unset", x, v.RR)
+				return fmt.Errorf("node %s: rr set to %s, want unset", exact(x), exact(v.RR))
 			}
 			for _, y := range v.Nc.Slice() {
 				if !exists[y] {
-					return fmt.Errorf("node %s: connection edge to nonexistent %s", x, y)
+					return fmt.Errorf("node %s: connection edge to nonexistent %s", exact(x), exact(y))
 				}
 				if x.ID() >= y.ID() {
 					// Connection edges always point from below: created
 					// between consecutive siblings and forwarded to nodes
 					// strictly below the target.
-					return fmt.Errorf("node %s: connection edge to %s points the wrong way", x, y)
+					return fmt.Errorf("node %s: connection edge to %s points the wrong way", exact(x), exact(y))
 				}
 			}
 		}
 	}
 	return nil
+}
+
+// exact renders a reference for the errors above with its full hex
+// owner and level: ref.String rounds to six digits, so adjacent peers
+// such as u and u-1 would print alike.
+func exact(r ref.Ref) string { return fmt.Sprintf("%016x@%d", uint64(r.Owner), r.Level) }
+
+func exactSet(s ref.Set) string {
+	b := []byte{'['}
+	for i, r := range s.Slice() {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = append(b, exact(r)...)
+	}
+	return string(append(b, ']'))
 }
 
 // ChordEdgeSlots counts Chord's edge slots with multiplicity: one

@@ -1,6 +1,8 @@
 package rechord
 
 import (
+	"slices"
+
 	"repro/internal/graph"
 	"repro/internal/ident"
 	"repro/internal/ref"
@@ -11,9 +13,12 @@ import (
 // append to w.out. Every scratch buffer the rules touch lives on the
 // executing worker (see barrier.go), never on the peer, so a peer at
 // rest holds protocol state only and a worker's buffers are reused by
-// every peer it runs. cur is the index (0-based, obs.RuleNames order) of
-// the rule currently executing, so send can attribute each message to
-// its rule with a plain local increment.
+// every peer it runs. The rules' guards are order queries on sets the
+// peer already holds ("the closest real node below u_i", "min{x ∈ N(u)
+// ∪ N_r(u_i) : x > w}"); each is answered by binary searches on those
+// sets, never on a materialised N(u). cur is the index (0-based,
+// obs.RuleNames order) of the rule currently executing, so send can
+// attribute each message to its rule with a plain local increment.
 type ruleContext struct {
 	nw  *Network
 	n   *RealNode
@@ -122,29 +127,18 @@ func (c *ruleContext) ruleOverlappingNeighborhood() {
 		uiID := ui.Self.ID()
 		c.w.snap = append(c.w.snap[:0], ui.Nu.Slice()...)
 		for _, w := range c.w.snap {
+			// Sibling identifiers are distinct, so the sibling closest to
+			// w strictly between w and u_i is the first one past w toward
+			// u_i, provided it falls short of u_i.
 			wID := w.ID()
-			// Find the sibling closest to w strictly between w and u_i
-			// in the linear order.
 			var best ref.Ref
 			found := false
-			for _, s := range sibs {
-				sID := s.ID()
-				if s == ui.Self {
-					continue
-				}
-				inLeft := wID < sID && sID < uiID  // w < u_j < u_i
-				inRight := wID > sID && sID > uiID // w > u_j > u_i
-				if !inLeft && !inRight {
-					continue
-				}
-				if !found {
-					best, found = s, true
-					continue
-				}
-				// closest to w: minimal |s - w| on the line
-				if absDiff(sID, wID) < absDiff(best.ID(), wID) {
-					best = s
-				}
+			if wID < uiID {
+				best, found = ref.MinAbove(sibs, wID)
+				found = found && best.ID() < uiID
+			} else if wID > uiID {
+				best, found = ref.MaxBelow(sibs, wID)
+				found = found && best.ID() > uiID
 			}
 			if found {
 				// An immediate intra-peer handoff is rule 2's action.
@@ -156,13 +150,6 @@ func (c *ruleContext) ruleOverlappingNeighborhood() {
 	}
 }
 
-func absDiff(a, b ident.ID) uint64 {
-	if a > b {
-		return uint64(a - b)
-	}
-	return uint64(b - a)
-}
-
 // ruleClosestRealNeighbor implements rule 3: every virtual node finds
 // the closest real node to its left and right within the peer's known
 // neighborhood N(u_i), stores them in rl/rr, keeps them in N_u, and
@@ -170,23 +157,30 @@ func absDiff(a, b ident.ID) uint64 {
 // over their published rl/rr.
 func (c *ruleContext) ruleClosestRealNeighbor() {
 	n := c.n
-	c.w.knownSet(n)
-	// The closest real candidates are the same for all siblings except
-	// for the strict </> constraint; scan the ordered known set once.
-	reals := &c.w.reals
-	reals.Clear()
-	for _, r := range c.w.known.Slice() {
-		if r.IsReal() {
-			reals.Add(r)
+	// The candidates are the real nodes of N(u): the peer itself (its
+	// only real sibling) and the real references of its unmarked sets,
+	// held as sorted identifiers, since a real node's identifier is its
+	// owner. Adding rl/rr to N_u below adds no new candidate.
+	reals := append(c.w.realID[:0], n.id)
+	for _, v := range n.vnodes {
+		for _, r := range v.Nu.Slice() {
+			if r.IsReal() {
+				reals = append(reals, r.Owner)
+			}
 		}
 	}
+	slices.Sort(reals)
+	reals = slices.Compact(reals)
+	c.w.realID = reals
 	nw := c.nw
 	for _, level := range c.w.levels {
 		ui := n.vnodes[level]
 		uiID := ui.Self.ID()
+		i, exact := slices.BinarySearch(reals, uiID)
 
 		// left-realneighbor
-		if v, ok := reals.MaxBelow(uiID); ok {
+		if i > 0 {
+			v := ref.Real(reals[i-1])
 			ui.HasRL = true
 			ui.RL = v
 			ui.addNu(v)
@@ -205,7 +199,11 @@ func (c *ruleContext) ruleClosestRealNeighbor() {
 		}
 
 		// right-realneighbor
-		if v, ok := reals.MinAbove(uiID); ok {
+		if exact {
+			i++
+		}
+		if i < len(reals) {
+			v := ref.Real(reals[i])
 			ui.HasRR = true
 			ui.RR = v
 			ui.addNu(v)
@@ -286,22 +284,18 @@ func (c *ruleContext) ruleLinearization() {
 // they know a node beyond the edge's target.
 func (c *ruleContext) ruleRingEdges() {
 	n := c.n
-	c.w.knownSet(n)
-	known := &c.w.known
+	// The rule touches only N_r, so N(u)'s extremes hold throughout.
+	lo, hi := c.knownBounds()
 
 	// create-all-ring-edges
 	for _, level := range c.w.levels {
 		ui := n.vnodes[level]
 		uiID := ui.Self.ID()
-		if _, hasLeft := ui.Nu.MaxBelow(uiID); !hasLeft {
-			if v, ok := known.Max(); ok && v != ui.Self {
-				c.send(v, graph.Ring, ui.Self)
-			}
+		if _, hasLeft := ui.Nu.MaxBelow(uiID); !hasLeft && hi != ui.Self {
+			c.send(hi, graph.Ring, ui.Self)
 		}
-		if _, hasRight := ui.Nu.MinAbove(uiID); !hasRight {
-			if v, ok := known.Min(); ok && v != ui.Self {
-				c.send(v, graph.Ring, ui.Self)
-			}
+		if _, hasRight := ui.Nu.MinAbove(uiID); !hasRight && lo != ui.Self {
+			c.send(lo, graph.Ring, ui.Self)
 		}
 	}
 
@@ -313,26 +307,24 @@ func (c *ruleContext) ruleRingEdges() {
 		for _, w := range c.w.snap {
 			wID := w.ID()
 			// candidates x come from N(u_i) ∪ N_r(u_i)
-			cand := &c.w.cand
-			cand.MergeSorted(known.Slice(), ui.Nr.Slice())
 			switch {
 			case wID > uiID:
 				// w believes it is the global maximum. If someone
 				// beyond w is known, hand w that connection; else
 				// forward the ring edge toward the global minimum.
-				if x, ok := cand.MinAbove(wID); ok {
+				if x, ok := c.knownAbove(ui.Nr, wID); ok {
 					c.send(x, graph.Unmarked, w)
 					ui.Nr.Remove(w)
-				} else if v, ok := known.Min(); ok && v != ui.Self {
-					c.send(v, graph.Ring, w)
+				} else if lo != ui.Self {
+					c.send(lo, graph.Ring, w)
 					ui.Nr.Remove(w)
 				}
 			case wID < uiID:
-				if x, ok := cand.MaxBelow(wID); ok {
+				if x, ok := c.knownBelow(ui.Nr, wID); ok {
 					c.send(x, graph.Unmarked, w)
 					ui.Nr.Remove(w)
-				} else if v, ok := known.Max(); ok && v != ui.Self {
-					c.send(v, graph.Ring, w)
+				} else if hi != ui.Self {
+					c.send(hi, graph.Ring, w)
 					ui.Nr.Remove(w)
 				}
 			default:
@@ -343,6 +335,59 @@ func (c *ruleContext) ruleRingEdges() {
 			}
 		}
 	}
+}
+
+// knownBounds returns the least and the greatest element of N(u), the
+// siblings plus every level's N_u: the extremes of each set's own.
+func (c *ruleContext) knownBounds() (lo, hi ref.Ref) {
+	lo, hi = c.w.sibs[0], c.w.sibs[len(c.w.sibs)-1]
+	for _, v := range c.n.vnodes {
+		if x, ok := v.Nu.Min(); ok && x.Less(lo) {
+			lo = x
+		}
+		if x, ok := v.Nu.Max(); ok && hi.Less(x) {
+			hi = x
+		}
+	}
+	return lo, hi
+}
+
+// knownAbove returns min{x ∈ N(u) ∪ nr : x > id} and knownBelow
+// max{x ∈ N(u) ∪ nr : x < id}: the extreme of each set's own answer,
+// with no union built.
+func (c *ruleContext) knownAbove(nr ref.Set, id ident.ID) (ref.Ref, bool) {
+	x, ok := nr.MinAbove(id)
+	x, ok = above(x, ok, c.w.sibs, id)
+	for _, v := range c.n.vnodes {
+		x, ok = above(x, ok, v.Nu.Slice(), id)
+	}
+	return x, ok
+}
+
+func (c *ruleContext) knownBelow(nr ref.Set, id ident.ID) (ref.Ref, bool) {
+	x, ok := nr.MaxBelow(id)
+	x, ok = below(x, ok, c.w.sibs, id)
+	for _, v := range c.n.vnodes {
+		x, ok = below(x, ok, v.Nu.Slice(), id)
+	}
+	return x, ok
+}
+
+// above folds the Less-sorted rs's smallest element above id into the
+// running minimum x (ok reports whether x is set); below folds its
+// largest element below id into a running maximum.
+func above(x ref.Ref, ok bool, rs []ref.Ref, id ident.ID) (ref.Ref, bool) {
+	if y, yok := ref.MinAbove(rs, id); yok && (!ok || y.Less(x)) {
+		return y, true
+	}
+	return x, ok
+}
+
+func below(x ref.Ref, ok bool, rs []ref.Ref, id ident.ID) (ref.Ref, bool) {
+	if y, yok := ref.MaxBelow(rs, id); yok && (!ok || x.Less(y)) {
+		return y, true
+	}
+	return x, ok
 }
 
 // ruleConnectionEdges implements rule 6: contiguous virtual siblings
@@ -359,24 +404,19 @@ func (c *ruleContext) ruleConnectionEdges() {
 	}
 
 	// forward-all-cedges
-	sibSet := &c.w.sibSet
-	sibSet.Clear()
-	for _, s := range sibs {
-		sibSet.Add(s)
-	}
 	for _, level := range c.w.levels {
 		ui := n.vnodes[level]
 		if ui.Nc.Empty() {
 			continue
 		}
-		// w = max{x in N_u(u_i) ∪ S(u_i) : x < v}. The candidate set is
-		// loop-invariant: forwarding sends messages but never touches N_u,
-		// the sibling set or N_c, and every branch retires the edge, so
-		// N_c is emptied once after the loop.
-		cand := &c.w.cand
-		cand.MergeSorted(ui.Nu.Slice(), sibSet.Slice())
+		// Forwarding sends messages but never touches N_u, the sibling
+		// set or N_c, and every branch retires the edge, so N_c is
+		// emptied once after the loop.
 		for _, v := range ui.Nc.Slice() {
-			if w, ok := cand.MaxBelow(v.ID()); ok && w != ui.Self {
+			// w = max{x in N_u(u_i) ∪ S(u_i) : x < v}
+			vID := v.ID()
+			w, ok := ui.Nu.MaxBelow(vID)
+			if w, ok = below(w, ok, sibs, vID); ok && w != ui.Self {
 				c.send(w, graph.Connection, v)
 			} else {
 				// u_i itself is the largest known node below v (or

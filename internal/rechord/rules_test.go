@@ -1,6 +1,7 @@
 package rechord
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
@@ -425,5 +426,69 @@ func TestDisableConnectionSkipsRule6(t *testing.T) {
 	}
 	if !f.peer(0.1).VNode(0).Nc.Empty() {
 		t.Error("Nc populated with DisableConnection")
+	}
+}
+
+// TestUnionQueriesMatchMerge compares the in-place answers of the rule
+// 5 and 6 guards — N(u)'s extremes, min/max over N(u) ∪ N_r(u_i), and
+// max over N_u(u_i) ∪ S(u_i) — with the reference's literal form: the
+// merged set and a linear scan. The random peers' sets mix their own
+// siblings with foreign references, and real nodes placed exactly on a
+// virtual node's position, so equal identifiers are common.
+func TestUnionQueriesMatchMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	var lit literal
+	for range 200 {
+		u := ident.ID(rng.Uint64())
+		levels := 1 + rng.Intn(4)
+		var pool []ref.Ref
+		for _, b := range []ident.ID{u, ident.ID(rng.Uint64()), ident.ID(rng.Uint64())} {
+			for l := 0; l <= levels; l++ {
+				pool = append(pool, ref.Virtual(b, l))
+				if l > 0 {
+					pool = append(pool, ref.Real(ident.Sibling(b, l)))
+				}
+			}
+		}
+		n := &RealNode{id: u}
+		for l := 0; l <= levels; l++ {
+			v := n.ensureLevel(l)
+			for _, r := range pool {
+				switch rng.Intn(4) {
+				case 0:
+					v.addNu(r)
+				case 1:
+					v.addNr(r)
+				}
+			}
+		}
+		w := &worker{}
+		w.sibs = n.siblingsInto(nil)
+		c := ruleContext{n: n, w: w}
+		lit.knownSet(n, w.sibs)
+		if lo, hi := c.knownBounds(); lo != lit.known[0] || hi != lit.known[len(lit.known)-1] {
+			t.Fatalf("knownBounds = %v,%v, want %v,%v", lo, hi, lit.known[0], lit.known[len(lit.known)-1])
+		}
+		for _, ui := range n.vnodes {
+			cand := mergeSorted(nil, lit.known, ui.Nr.Slice())
+			six := mergeSorted(nil, ui.Nu.Slice(), w.sibs)
+			for _, r := range pool {
+				for _, id := range []ident.ID{r.ID() - 1, r.ID(), r.ID() + 1} {
+					x, ok := c.knownAbove(ui.Nr, id)
+					if y, yok := scanMinAbove(cand, id); x != y || ok != yok {
+						t.Fatalf("knownAbove(%v) = %v,%v, want %v,%v", id, x, ok, y, yok)
+					}
+					x, ok = c.knownBelow(ui.Nr, id)
+					if y, yok := scanMaxBelow(cand, id); x != y || ok != yok {
+						t.Fatalf("knownBelow(%v) = %v,%v, want %v,%v", id, x, ok, y, yok)
+					}
+					x, ok = ui.Nu.MaxBelow(id)
+					x, ok = below(x, ok, w.sibs, id)
+					if y, yok := scanMaxBelow(six, id); x != y || ok != yok {
+						t.Fatalf("rule 6 max below %v = %v,%v, want %v,%v", id, x, ok, y, yok)
+					}
+				}
+			}
+		}
 	}
 }

@@ -231,55 +231,10 @@ func (n *RealNode) vnodesByLevel() []*VNode {
 	return out
 }
 
-// knownSet fills w.known with N(u). The union is built by linear
-// merges of the (already sorted) per-level neighborhoods instead of
-// element-wise sorted insertion: at large m this is the single hottest
-// operation of a round. w.sibs must hold the peer's current siblings
-// (rule 1 caches them once the level set is final).
-func (w *worker) knownSet(n *RealNode) {
-	w.known.MergeSorted(w.sibs, nil)
-	cur, other := &w.known, &w.ksTmp
-	for _, v := range n.vnodes {
-		if v == nil || v.Nu.Empty() {
-			continue
-		}
-		other.MergeSorted(cur.Slice(), v.Nu.Slice())
-		cur, other = other, cur
-	}
-	if cur != &w.known {
-		w.known.CopyFrom(*cur)
-	}
-}
-
-// knownReals lists the identifiers of all real nodes this peer has an
-// outgoing edge to (any marking), used to compute m.
-func (n *RealNode) knownReals() []ident.ID {
-	seen := map[ident.ID]bool{}
-	add := func(s ref.Set) {
-		for _, r := range s.Slice() {
-			if r.IsReal() && r.Owner != n.id {
-				seen[r.Owner] = true
-			}
-		}
-	}
-	for _, v := range n.vnodes {
-		if v == nil {
-			continue
-		}
-		add(v.Nu)
-		add(v.Nr)
-		add(v.Nc)
-	}
-	out := make([]ident.ID, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	return out
-}
-
-// knownRealsInto collects the same identifiers into buf without
-// deduplicating (ident.LevelFor takes a minimum, so duplicates are
-// harmless) to keep rule 1 allocation-free.
+// knownRealsInto collects the identifiers of all real nodes this peer
+// has an outgoing edge to (any marking), used to compute m, into buf
+// without deduplicating (ident.LevelFor takes a minimum, so duplicates
+// are harmless) to keep rule 1 allocation-free.
 func (n *RealNode) knownRealsInto(buf []ident.ID) []ident.ID {
 	buf = buf[:0]
 	for _, v := range n.vnodes {

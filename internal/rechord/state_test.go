@@ -139,13 +139,13 @@ func TestKnownRealsExcludesSelfAndVirtuals(t *testing.T) {
 	v.addNu(ref.Real(ident.FromFloat(0.7)))       // real: counted
 	v.addNu(ref.Virtual(ident.FromFloat(0.3), 1)) // virtual: not an edge to a real node
 	v.addNr(ref.Real(ident.FromFloat(0.2)))       // ring edges count too
-	reals := n.knownReals()
+	reals := n.knownRealsInto(nil)
 	if len(reals) != 2 {
-		t.Fatalf("knownReals = %v, want two entries", reals)
+		t.Fatalf("knownRealsInto = %v, want two entries", reals)
 	}
 	for _, r := range reals {
 		if r == u {
-			t.Error("knownReals contains self")
+			t.Error("knownRealsInto contains self")
 		}
 	}
 }

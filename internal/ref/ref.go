@@ -16,7 +16,6 @@ package ref
 import (
 	"cmp"
 	"fmt"
-	"sort"
 
 	"repro/internal/ident"
 )
@@ -95,8 +94,21 @@ func (s Set) Len() int { return len(s.rs) }
 // Empty reports whether the set has no elements.
 func (s Set) Empty() bool { return len(s.rs) == 0 }
 
+// search returns the index of the first element not Less than r: a
+// closure-free binary search that derives the probe's identifier once.
 func (s Set) search(r Ref) int {
-	return sort.Search(len(s.rs), func(i int) bool { return !s.rs[i].Less(r) })
+	id := r.ID()
+	lo, hi := 0, len(s.rs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		x := s.rs[m]
+		if xid := x.ID(); xid < id || xid == id && (x.Owner < r.Owner || x.Owner == r.Owner && x.Level < r.Level) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // Contains reports whether r is in the set.
@@ -134,45 +146,6 @@ func (s *Set) AddAll(o Set) {
 	}
 }
 
-// MergeSorted sets s to the deduplicated union of the two sorted ref
-// slices (both ordered by Less, duplicates within an input allowed),
-// reusing s's storage. A linear two-pointer merge: unions of many sets
-// build in O(total) instead of Add's per-element binary search plus
-// insertion shift. The inputs must not alias s's storage.
-func (s *Set) MergeSorted(a, b []Ref) {
-	out := s.rs[:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		var r Ref
-		switch {
-		case a[i] == b[j]:
-			r = a[i]
-			i++
-			j++
-		case a[i].Less(b[j]):
-			r = a[i]
-			i++
-		default:
-			r = b[j]
-			j++
-		}
-		if len(out) == 0 || out[len(out)-1] != r {
-			out = append(out, r)
-		}
-	}
-	for ; i < len(a); i++ {
-		if len(out) == 0 || out[len(out)-1] != a[i] {
-			out = append(out, a[i])
-		}
-	}
-	for ; j < len(b); j++ {
-		if len(out) == 0 || out[len(out)-1] != b[j] {
-			out = append(out, b[j])
-		}
-	}
-	s.rs = out
-}
-
 // Slice returns the elements in increasing order. The returned slice
 // aliases the set's storage; callers must not mutate it or hold it
 // across set mutations.
@@ -183,11 +156,6 @@ func (s Set) Clone() Set {
 	c := Set{rs: make([]Ref, len(s.rs))}
 	copy(c.rs, s.rs)
 	return c
-}
-
-// CopyFrom makes s an exact copy of o, reusing s's storage.
-func (s *Set) CopyFrom(o Set) {
-	s.rs = append(s.rs[:0], o.rs...)
 }
 
 // Equal reports whether both sets hold exactly the same elements.
@@ -225,41 +193,45 @@ func (s Set) Max() (r Ref, ok bool) {
 // MaxBelow returns the largest element whose identifier is strictly
 // smaller than id (linear order), as used by guards of the form
 // "max{x : x < v}".
-func (s Set) MaxBelow(id ident.ID) (Ref, bool) {
-	var best Ref
-	ok := false
-	for i := len(s.rs) - 1; i >= 0; i-- {
-		if s.rs[i].ID() < id {
-			// Slice is ordered by (id, owner, level); the first hit
-			// scanning from the top is the maximum below id.
-			best, ok = s.rs[i], true
-			break
-		}
-	}
-	return best, ok
-}
+func (s Set) MaxBelow(id ident.ID) (Ref, bool) { return MaxBelow(s.rs, id) }
 
 // MinAbove returns the smallest element whose identifier is strictly
 // greater than id (linear order).
-func (s Set) MinAbove(id ident.ID) (Ref, bool) {
-	for _, r := range s.rs {
-		if r.ID() > id {
-			return r, true
-		}
+func (s Set) MinAbove(id ident.ID) (Ref, bool) { return MinAbove(s.rs, id) }
+
+// MaxBelow is Set.MaxBelow over a slice sorted by Less. Identifiers
+// never decrease along such a slice, so the answer is the element just
+// before the first one whose identifier reaches id.
+func MaxBelow(rs []Ref, id ident.ID) (Ref, bool) {
+	if i := firstID(rs, id, false); i > 0 {
+		return rs[i-1], true
 	}
 	return Ref{}, false
 }
 
-// Filter returns a new set with the elements for which keep returns
-// true.
-func (s Set) Filter(keep func(Ref) bool) Set {
-	var out Set
-	for _, r := range s.rs {
-		if keep(r) {
-			out.rs = append(out.rs, r)
+// MinAbove is Set.MinAbove over a slice sorted by Less: the first
+// element whose identifier exceeds id.
+func MinAbove(rs []Ref, id ident.ID) (Ref, bool) {
+	if i := firstID(rs, id, true); i < len(rs) {
+		return rs[i], true
+	}
+	return Ref{}, false
+}
+
+// firstID returns the index of the first element of the Less-sorted rs
+// whose identifier is at least id, or, when above is set, greater than
+// id.
+func firstID(rs []Ref, id ident.ID, above bool) int {
+	lo, hi := 0, len(rs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if x := rs[m].ID(); x < id || above && x == id {
+			lo = m + 1
+		} else {
+			hi = m
 		}
 	}
-	return out
+	return lo
 }
 
 // RemoveIf deletes every element for which drop returns true and

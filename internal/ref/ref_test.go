@@ -2,6 +2,7 @@ package ref
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -150,6 +151,74 @@ func TestMaxBelowMinAbove(t *testing.T) {
 	}
 }
 
+// collidingRefs returns distinct references of which many share an
+// identifier: for each owner b, the virtual node V(b,l) and the real
+// node R(b+2^(64-l)) sit at the same position.
+func collidingRefs(rng *rand.Rand) []Ref {
+	var pool []Ref
+	for range 3 {
+		b := ident.ID(rng.Uint64())
+		for l := 0; l <= 3; l++ {
+			pool = append(pool, Virtual(b, l))
+			if l > 0 {
+				pool = append(pool, Real(ident.Sibling(b, l)))
+			}
+		}
+	}
+	return pool
+}
+
+// TestSearchesMatchLinearScan compares MaxBelow, MinAbove and Contains,
+// in their method and slice forms, with a linear scan over random sets
+// in which distinct references share identifiers.
+func TestSearchesMatchLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for range 300 {
+		pool := collidingRefs(rng)
+		var s Set
+		for _, r := range pool {
+			if rng.Intn(2) == 0 {
+				s.Add(r)
+			}
+		}
+		rs := s.Slice()
+		for i := 1; i < len(rs); i++ {
+			if !rs[i-1].Less(rs[i]) {
+				t.Fatalf("set not strictly sorted: %v", rs)
+			}
+		}
+		for _, r := range pool {
+			if got, want := s.Contains(r), slices.Contains(rs, r); got != want {
+				t.Fatalf("Contains(%v) = %v, want %v in %v", r, got, want, rs)
+			}
+			for _, id := range []ident.ID{r.ID() - 1, r.ID(), r.ID() + 1, ident.ID(rng.Uint64())} {
+				var below, above Ref
+				var bok, aok bool
+				for _, x := range rs {
+					if x.ID() < id {
+						below, bok = x, true // the last one wins: the greatest
+					}
+					if x.ID() > id && !aok {
+						above, aok = x, true
+					}
+				}
+				if x, ok := s.MaxBelow(id); x != below || ok != bok {
+					t.Fatalf("MaxBelow(%v) = %v,%v, want %v,%v in %v", id, x, ok, below, bok, rs)
+				}
+				if x, ok := MaxBelow(rs, id); x != below || ok != bok {
+					t.Fatalf("slice MaxBelow(%v) = %v,%v, want %v,%v", id, x, ok, below, bok)
+				}
+				if x, ok := s.MinAbove(id); x != above || ok != aok {
+					t.Fatalf("MinAbove(%v) = %v,%v, want %v,%v in %v", id, x, ok, above, aok, rs)
+				}
+				if x, ok := MinAbove(rs, id); x != above || ok != aok {
+					t.Fatalf("slice MinAbove(%v) = %v,%v, want %v,%v", id, x, ok, above, aok)
+				}
+			}
+		}
+	}
+}
+
 func TestSetCloneIndependent(t *testing.T) {
 	var s Set
 	s.Add(Real(ident.FromFloat(0.5)))
@@ -175,17 +244,10 @@ func TestSetAddAll(t *testing.T) {
 	}
 }
 
-func TestSetFilterRemoveIf(t *testing.T) {
+func TestSetRemoveIf(t *testing.T) {
 	var s Set
 	for _, x := range []float64{0.1, 0.2, 0.3, 0.4} {
 		s.Add(Real(ident.FromFloat(x)))
-	}
-	f := s.Filter(func(r Ref) bool { return r.ID() < ident.FromFloat(0.25) })
-	if f.Len() != 2 {
-		t.Errorf("Filter size = %d, want 2", f.Len())
-	}
-	if s.Len() != 4 {
-		t.Error("Filter mutated receiver")
 	}
 	n := s.RemoveIf(func(r Ref) bool { return r.ID() > ident.FromFloat(0.25) })
 	if n != 2 || s.Len() != 2 {
