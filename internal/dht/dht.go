@@ -107,21 +107,33 @@ func NewWithResolver(nw *rechord.Network, r Resolver) *Store {
 // KeyID returns the identifier a key hashes to.
 func KeyID(key string) ident.ID { return ident.Hash(key) }
 
+// Key is a key's name together with the identifier it hashes to. The
+// store's operations take a Key, so a caller that issues many
+// operations on the same key hashes it once (KeyOf) instead of on every
+// operation; the string-keyed methods hash on each call.
+type Key struct {
+	Name string
+	ID   ident.ID
+}
+
+// KeyOf hashes a key's name.
+func KeyOf(name string) Key { return Key{Name: name, ID: KeyID(name)} }
+
 func (s *Store) shardOf(owner ident.ID) *shard {
 	return &s.shards[uint64(owner)>>(64-6)] // top 6 bits: numShards = 64
 }
 
 // locate routes from the home peer to the key's owner for the named
 // operation, translating the resolver's errors into the store's.
-func (s *Store) locate(op string, home ident.ID, key string) (ident.ID, int, error) {
-	owner, hops, err := s.resolve.Resolve(home, KeyID(key))
+func (s *Store) locate(op string, home ident.ID, k Key) (ident.ID, int, error) {
+	owner, hops, err := s.resolve.Resolve(home, k.ID)
 	switch {
 	case err == nil:
 		return owner, hops, nil
 	case errors.Is(err, routing.ErrUnknownPeer):
-		return 0, 0, fmt.Errorf("dht: %s %q: %w: %s", op, key, ErrUnknownPeer, home)
+		return 0, 0, fmt.Errorf("dht: %s %q: %w: %s", op, k.Name, ErrUnknownPeer, home)
 	default:
-		return 0, hops, fmt.Errorf("dht: %s %q: %w", op, key, err)
+		return 0, hops, fmt.Errorf("dht: %s %q: %w", op, k.Name, err)
 	}
 }
 
@@ -129,14 +141,24 @@ func (s *Store) locate(op string, home ident.ID, key string) (ident.ID, int, err
 // touching stored data, returning the owner and the number of
 // inter-peer hops the lookup took.
 func (s *Store) ResolveKey(home ident.ID, key string) (ident.ID, int, error) {
-	return s.locate("lookup", home, key)
+	return s.Locate(home, KeyOf(key))
+}
+
+// Locate is ResolveKey for a hashed key.
+func (s *Store) Locate(home ident.ID, k Key) (ident.ID, int, error) {
+	return s.locate("lookup", home, k)
 }
 
 // Put stores the key-value pair, routing from the given home peer to
 // the key's owner. It returns the owner and the number of inter-peer
 // hops the lookup took.
 func (s *Store) Put(home ident.ID, key, value string) (ident.ID, int, error) {
-	owner, hops, err := s.locate("put", home, key)
+	return s.PutKey(home, KeyOf(key), value)
+}
+
+// PutKey is Put for a hashed key.
+func (s *Store) PutKey(home ident.ID, k Key, value string) (ident.ID, int, error) {
+	owner, hops, err := s.locate("put", home, k)
 	if err != nil {
 		return 0, hops, err
 	}
@@ -147,26 +169,32 @@ func (s *Store) Put(home ident.ID, key, value string) (ident.ID, int, error) {
 		b = make(map[string]string)
 		sh.buckets[owner] = b
 	}
-	b[key] = value
+	b[k.Name] = value
 	sh.mu.Unlock()
 	return owner, hops, nil
 }
 
 // Get fetches the value for a key, routing from the home peer. A nil
-// error means the key was found; ErrNotFound means routing reached the
-// owner but the key is absent there; any other error is a routing
-// failure, after which nothing is known about the key.
+// error means the key was found; ErrNotFound, returned bare so a miss
+// costs no formatting, means routing reached the owner but the key is
+// absent there; any other error is a routing failure, after which
+// nothing is known about the key.
 func (s *Store) Get(home ident.ID, key string) (string, int, error) {
-	owner, hops, err := s.locate("get", home, key)
+	return s.GetKey(home, KeyOf(key))
+}
+
+// GetKey is Get for a hashed key.
+func (s *Store) GetKey(home ident.ID, k Key) (string, int, error) {
+	owner, hops, err := s.locate("get", home, k)
 	if err != nil {
 		return "", hops, err
 	}
 	sh := s.shardOf(owner)
 	sh.mu.RLock()
-	v, ok := sh.buckets[owner][key]
+	v, ok := sh.buckets[owner][k.Name]
 	sh.mu.RUnlock()
 	if !ok {
-		return "", hops, fmt.Errorf("dht: get %q at %s: %w", key, owner, ErrNotFound)
+		return "", hops, ErrNotFound
 	}
 	return v, hops, nil
 }
@@ -174,17 +202,23 @@ func (s *Store) Get(home ident.ID, key string) (string, int, error) {
 // Delete removes a key, routing from the home peer. It reports whether
 // the key existed.
 func (s *Store) Delete(home ident.ID, key string) (bool, int, error) {
-	owner, hops, err := s.locate("delete", home, key)
+	return s.DeleteKey(home, KeyOf(key))
+}
+
+// DeleteKey is Delete for a hashed key.
+func (s *Store) DeleteKey(home ident.ID, k Key) (bool, int, error) {
+	owner, hops, err := s.locate("delete", home, k)
 	if err != nil {
 		return false, hops, err
 	}
 	sh := s.shardOf(owner)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, ok := sh.buckets[owner][key]; !ok {
+	b := sh.buckets[owner]
+	if _, ok := b[k.Name]; !ok {
 		return false, hops, nil
 	}
-	delete(sh.buckets[owner], key)
+	delete(b, k.Name)
 	return true, hops, nil
 }
 

@@ -1,20 +1,21 @@
 // Package obs is the telemetry layer: allocation-free counters and
-// gauges for the engine's hot path, mutex-sharded histograms for the
-// concurrent serving path, and JSON-ready snapshot types that every
-// exposure surface (cluster.Metrics, the rechord-dht /metrics
-// endpoint, the largescale METRICS_JSON artifact) shares.
+// gauges for the engine's hot path, cache-line-padded sharded counters
+// and gauges and mutex-sharded histograms for the concurrent serving
+// path, and JSON-ready snapshot types that every exposure surface
+// (cluster.Metrics, the rechord-dht /metrics endpoint, the largescale
+// METRICS_JSON artifact) shares.
 //
 // The design contract, enforced by BenchmarkObsHotPath and the CI
 // bench-diff gate: recording on the hot path is a single atomic add
-// (Counter, Gauge) or one uncontended mutex acquisition plus a
-// histogram bucket increment (Hist, ShardedHist) — never an
-// allocation, never a map lookup, never formatting. All aggregation
-// (merging shards, computing percentiles, building snapshots) is lazy
-// and happens only when a reader asks. The round engine goes further:
-// it tallies into plain shard-local integers inside a batch and
-// flushes one atomic add per counter per batch (see
-// rechord.Network.runBatch), so a quiescent Step pays exactly one
-// atomic increment.
+// (Counter, Gauge), an add on the writer's own shard (ShardedCounter,
+// ShardedGauge), or one uncontended mutex acquisition plus a histogram
+// bucket increment (Hist, ShardedHist) — never an allocation, never a
+// map lookup, never formatting. All aggregation (summing and merging
+// shards, computing percentiles, building snapshots) is lazy and
+// happens only when a reader asks. The round engine goes further: it
+// tallies into plain shard-local integers inside a batch and flushes
+// one atomic add per counter per batch (see rechord.Network.runBatch),
+// so a quiescent Step pays exactly one atomic increment.
 package obs
 
 import (
@@ -49,6 +50,82 @@ func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
+
+// cacheLine is the stride that keeps two shards' words on different
+// cache lines, so writers on different shards never write the same line.
+const cacheLine = 64
+
+// shardIndex reduces any int, math.MinInt included, to a shard index in
+// [0, n): the unsigned modulo needs no negation that could overflow.
+func shardIndex(shard, n int) int { return int(uint(shard) % uint(n)) }
+
+// ShardedCounter is a Counter split into cache-line-padded shards:
+// concurrent writers that each add on a shard of their own never write
+// a common cache line, and Value sums the shards.
+type ShardedCounter struct {
+	shards []counterShard
+}
+
+type counterShard struct {
+	v atomic.Uint64
+	_ [cacheLine - 8]byte
+}
+
+// NewShardedCounter returns a counter with n shards (minimum 1).
+func NewShardedCounter(n int) *ShardedCounter {
+	return &ShardedCounter{shards: make([]counterShard, max(n, 1))}
+}
+
+// Add increments the counter by n on the writer's shard. Callers pass
+// a stable per-writer index; any int is safe (reduced modulo the shard
+// count).
+func (c *ShardedCounter) Add(shard int, n uint64) {
+	c.shards[shardIndex(shard, len(c.shards))].v.Add(n)
+}
+
+// Inc increments the counter by one on the writer's shard.
+func (c *ShardedCounter) Inc(shard int) { c.Add(shard, 1) }
+
+// Value returns the sum of the shards.
+func (c *ShardedCounter) Value() uint64 {
+	var v uint64
+	for i := range c.shards {
+		v += c.shards[i].v.Load()
+	}
+	return v
+}
+
+// ShardedGauge is a Gauge split into cache-line-padded shards, the
+// gauge counterpart of ShardedCounter: a writer moves its own shard and
+// Value sums them.
+type ShardedGauge struct {
+	shards []gaugeShard
+}
+
+type gaugeShard struct {
+	v atomic.Int64
+	_ [cacheLine - 8]byte
+}
+
+// NewShardedGauge returns a gauge with n shards (minimum 1).
+func NewShardedGauge(n int) *ShardedGauge {
+	return &ShardedGauge{shards: make([]gaugeShard, max(n, 1))}
+}
+
+// Add moves the writer's shard by d (negative to decrement); any int
+// is a valid shard.
+func (g *ShardedGauge) Add(shard int, d int64) {
+	g.shards[shardIndex(shard, len(g.shards))].v.Add(d)
+}
+
+// Value returns the sum of the shards.
+func (g *ShardedGauge) Value() int64 {
+	var v int64
+	for i := range g.shards {
+		v += g.shards[i].v.Load()
+	}
+	return v
+}
 
 // Hist is a mutex-guarded stats.Histogram: safe for concurrent
 // Observe and Snapshot, allocation-free after the first Observe (the
@@ -101,10 +178,7 @@ func NewShardedHist(n int) *ShardedHist {
 // Observe records v into the worker's shard. Callers pass a stable
 // per-worker index; any int is safe (reduced modulo the shard count).
 func (s *ShardedHist) Observe(worker int, v float64) {
-	if worker < 0 {
-		worker = -worker
-	}
-	s.shards[worker%len(s.shards)].Observe(v)
+	s.shards[shardIndex(worker, len(s.shards))].Observe(v)
 }
 
 // Merged folds every shard into one fresh histogram.

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -146,18 +147,20 @@ func sampleSnapshot() Snapshot {
 	em.FlowInstallsCopied.Set(100)
 
 	wm := NewWorkloadMetrics(2, "get", "put")
-	wm.InFlight.Add(3)
-	wm.Ops.Add(50)
-	wm.NotFound.Add(4)
-	wm.UnknownPeer.Add(1)
-	wm.RouteErrors.Add(2)
+	wm.InFlight.Add(0, 2)
+	wm.InFlight.Add(1, 1)
+	wm.Ops.Add(0, 20)
+	wm.Ops.Add(1, 30)
+	wm.NotFound.Add(1, 4)
+	wm.UnknownPeer.Add(0, 1)
+	wm.RouteErrors.Add(1, 2)
 	for i := 0; i < 20; i++ {
 		wm.LatencyNS.Observe(i, float64(100+i))
 		wm.Hops.Observe(i, float64(i%5))
 	}
-	wm.perOp[0].Ops.Add(30)
+	wm.perOp[0].Ops.Add(0, 30)
 	wm.perOp[0].LatencyNS.Observe(0, 111)
-	wm.perOp[1].Errors.Add(2)
+	wm.perOp[1].Errors.Add(1, 2)
 	wm.perOp[1].Hops.Observe(1, 3)
 
 	var hops stats.Histogram
@@ -299,12 +302,66 @@ func TestWorkloadMetricsNilSnapshot(t *testing.T) {
 	}
 }
 
+// TestShardedHistOverflowShard pins that any int is a valid shard
+// index for the sharded histogram, counter and gauge: reduced modulo
+// the shard count, negative ones and math.MinInt included, whether or
+// not the count is a power of two.
 func TestShardedHistOverflowShard(t *testing.T) {
-	sh := NewShardedHist(2)
-	sh.Observe(17, 5) // reduced modulo shard count
-	sh.Observe(-3, 5) // negative worker index is tolerated
-	if got := sh.Merged().N(); got != 2 {
-		t.Fatalf("N = %d, want 2", got)
+	workers := []int{17, -3, math.MinInt, math.MaxInt}
+	for _, n := range []int{2, 3} {
+		sh := NewShardedHist(n)
+		c := NewShardedCounter(n)
+		g := NewShardedGauge(n)
+		for _, w := range workers {
+			sh.Observe(w, 5)
+			c.Inc(w)
+			g.Add(w, -2)
+		}
+		if got := sh.Merged().N(); got != len(workers) {
+			t.Fatalf("%d shards: N = %d, want %d", n, got, len(workers))
+		}
+		if got := c.Value(); got != uint64(len(workers)) {
+			t.Fatalf("%d shards: counter = %d, want %d", n, got, len(workers))
+		}
+		if got := g.Value(); got != -2*int64(len(workers)) {
+			t.Fatalf("%d shards: gauge = %d, want %d", n, got, -2*len(workers))
+		}
+		_ = fmt.Sprintf("%v", sh.Summary())
 	}
-	_ = fmt.Sprintf("%v", sh.Summary())
+}
+
+// TestObserveOpConcurrentExact is the sharded metrics' race gate (run
+// it with -race): concurrent workers recording through ObserveOp and
+// the in-flight gauge, more workers than shards so some share one,
+// leave every counter in the snapshot exact and the gauge at zero.
+func TestObserveOpConcurrentExact(t *testing.T) {
+	const workers, ops = 8, 10_000
+	m := NewWorkloadMetrics(6, "get", "put")
+	outcomes := [...]Outcome{OpOK, OpNotFound, OpUnknownPeer, OpRouteError}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < ops; i++ {
+				m.InFlight.Add(w, 1)
+				m.InFlight.Add(w, -1)
+				m.ObserveOp(w, i%2, 3, outcomes[i%4], float64(i))
+			}
+		}(w)
+	}
+	wg.Wait()
+	s := m.Snapshot()
+	const total, quarter = workers * ops, workers * ops / 4
+	if s.InFlight != 0 || s.Ops != total || s.NotFound != quarter || s.UnknownPeer != quarter ||
+		s.RouteErrors != quarter || s.LatencyNS.Count != total || s.Hops.Count != total/2 {
+		t.Fatalf("snapshot %+v: want %d ops, %d of each outcome, in-flight 0", s, total, quarter)
+	}
+	// Op kind i%2 and outcome i%4: gets see OK and unknown-peer, puts
+	// not-found and route errors.
+	for _, op := range s.PerOp {
+		if op.Ops != total/2 || op.Errors != quarter || op.Hops.Count != quarter {
+			t.Errorf("%s: %+v, want %d ops, %d errors, %d routed", op.Name, op, total/2, quarter, quarter)
+		}
+	}
 }

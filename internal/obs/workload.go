@@ -1,23 +1,24 @@
 package obs
 
 // WorkloadMetrics is the serving path's live metric set: an in-flight
-// gauge, an error taxonomy, and sharded latency/hop histograms that
-// concurrent workers write without contending. The workload engine
-// and the cluster facade's KV methods feed it through ObserveOp;
-// readers merge shards lazily via Snapshot. Construct with
-// NewWorkloadMetrics; the instance is long-lived and cumulative
-// across workload runs.
+// gauge, an error taxonomy, and latency/hop histograms, all sharded so
+// that concurrent workers with shards of their own never contend (the
+// counters and the gauge keep each shard on a cache line of its own).
+// The workload engine and the cluster facade's KV methods feed it
+// through ObserveOp; readers sum and merge shards lazily via Snapshot.
+// Construct with NewWorkloadMetrics; the instance is long-lived and
+// cumulative across workload runs.
 type WorkloadMetrics struct {
 	// InFlight is the number of operations currently executing.
-	InFlight Gauge
+	InFlight *ShardedGauge
 	// Ops counts completed operations (successful or not).
-	Ops Counter
+	Ops *ShardedCounter
 	// Error taxonomy. NotFound is a semantic miss (the key has no
 	// value at its owner), UnknownPeer a request through a departed
 	// home, RouteErrors everything else the routing layer refused.
-	NotFound    Counter
-	UnknownPeer Counter
-	RouteErrors Counter
+	NotFound    *ShardedCounter
+	UnknownPeer *ShardedCounter
+	RouteErrors *ShardedCounter
 	// LatencyNS and Hops are the aggregate distributions over all op
 	// types (latency in nanoseconds; hops as defined by PathHops).
 	LatencyNS *ShardedHist
@@ -29,24 +30,30 @@ type WorkloadMetrics struct {
 // OpMetrics is one op type's slice of the workload metrics.
 type OpMetrics struct {
 	Name      string
-	Ops       Counter
-	Errors    Counter
+	Ops       *ShardedCounter
+	Errors    *ShardedCounter
 	LatencyNS *ShardedHist
 	Hops      *ShardedHist
 }
 
-// NewWorkloadMetrics builds a metric set with the given histogram
-// shard count and one OpMetrics per name (e.g. "get", "put",
-// "delete").
+// NewWorkloadMetrics builds a metric set with the given shard count
+// and one OpMetrics per name (e.g. "get", "put", "delete").
 func NewWorkloadMetrics(shards int, opNames ...string) *WorkloadMetrics {
 	m := &WorkloadMetrics{
-		LatencyNS: NewShardedHist(shards),
-		Hops:      NewShardedHist(shards),
-		perOp:     make([]OpMetrics, len(opNames)),
+		InFlight:    NewShardedGauge(shards),
+		Ops:         NewShardedCounter(shards),
+		NotFound:    NewShardedCounter(shards),
+		UnknownPeer: NewShardedCounter(shards),
+		RouteErrors: NewShardedCounter(shards),
+		LatencyNS:   NewShardedHist(shards),
+		Hops:        NewShardedHist(shards),
+		perOp:       make([]OpMetrics, len(opNames)),
 	}
 	for i, name := range opNames {
 		m.perOp[i] = OpMetrics{
 			Name:      name,
+			Ops:       NewShardedCounter(shards),
+			Errors:    NewShardedCounter(shards),
 			LatencyNS: NewShardedHist(shards),
 			Hops:      NewShardedHist(shards),
 		}
@@ -69,27 +76,28 @@ const (
 // ObserveOp mirrors one completed operation of op type kind into the
 // set: the op and taxonomy counters and, for an operation that reached
 // an owner (a not-found did; a routing failure feeds the error taxonomy
-// instead), its hop count. It observes into the shard's histograms, so
-// concurrent workers with shards of their own never contend. A negative
+// instead), its hop count. It adds and observes on the shard's own
+// counters and histograms only, so concurrent workers with shards of
+// their own never contend. A negative
 // latNS records no latency (the facade's single-op methods pass one).
 func (m *WorkloadMetrics) ObserveOp(shard, kind, hops int, out Outcome, latNS float64) {
-	m.Ops.Inc()
+	m.Ops.Inc(shard)
 	op := &m.perOp[kind]
-	op.Ops.Inc()
+	op.Ops.Inc(shard)
 	if latNS >= 0 {
 		m.LatencyNS.Observe(shard, latNS)
 		op.LatencyNS.Observe(shard, latNS)
 	}
 	switch out {
 	case OpNotFound:
-		m.NotFound.Inc()
+		m.NotFound.Inc(shard)
 	case OpUnknownPeer:
-		m.UnknownPeer.Inc()
-		op.Errors.Inc()
+		m.UnknownPeer.Inc(shard)
+		op.Errors.Inc(shard)
 		return
 	case OpRouteError:
-		m.RouteErrors.Inc()
-		op.Errors.Inc()
+		m.RouteErrors.Inc(shard)
+		op.Errors.Inc(shard)
 		return
 	}
 	m.Hops.Observe(shard, float64(hops))

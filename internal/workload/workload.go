@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -199,6 +200,7 @@ type Result struct {
 	Errors     int           // routing failures surfaced to clients
 	NotFound   int           // Gets that reached the owner but missed
 	Fallbacks  int           // lookup retries on a later published view
+	RetryWait  time.Duration // client time parked waiting for those views, summed over workers
 	Elapsed    time.Duration // wall-clock of the measured phase
 	Throughput float64       // ops per second
 
@@ -222,15 +224,17 @@ type Result struct {
 
 // Summary renders the headline numbers as one line.
 func (r *Result) Summary() string {
-	return fmt.Sprintf("%d ops in %v (%.0f ops/s), lat p50=%s p99=%s p99.9=%s, hops mean=%.2f p99=%.0f, errors=%d notfound=%d fallbacks=%d",
+	return fmt.Sprintf("%d ops in %v (%.0f ops/s), lat p50=%s p99=%s p99.9=%s, hops mean=%.2f p99=%.0f, errors=%d notfound=%d fallbacks=%d retry_wait=%s",
 		r.Ops, r.Elapsed.Round(time.Millisecond), r.Throughput,
 		time.Duration(r.Latency.Percentile(50)), time.Duration(r.Latency.Percentile(99)),
 		time.Duration(r.Latency.Percentile(99.9)),
-		r.Hops.Mean(), r.Hops.Percentile(99), r.Errors, r.NotFound, r.Fallbacks)
+		r.Hops.Mean(), r.Hops.Percentile(99), r.Errors, r.NotFound, r.Fallbacks, r.RetryWait)
 }
 
 // workerResult is one worker's private telemetry shard; merged after
-// the run so the hot path shares nothing.
+// the run so the hot path shares nothing. Only ops is read while the
+// run is live, by the churn driver pacing its events. The trailing pad
+// keeps the next worker's shard off this one's last cache line.
 type workerResult struct {
 	lat, hops stats.Histogram
 	perLat    [numOps]stats.Histogram
@@ -239,9 +243,14 @@ type workerResult struct {
 	errs      [numOps]int
 	notFound  int
 	retries   int
-	ops       int
+	retryWait time.Duration
+	ops       atomic.Int64 // written by its worker alone
 	opsHash   uint64
+	_         [cacheLine]byte
 }
+
+// cacheLine is the padding that keeps two workers' shards apart.
+const cacheLine = 64
 
 type engine struct {
 	// sched and nw belong to the churn driver (and to Run before any
@@ -252,7 +261,9 @@ type engine struct {
 	store *dht.Store
 	cache *routing.Cache // holds the view the clients read
 
-	opsDone  atomic.Int64
+	// results are the workers' telemetry shards; the churn driver sums
+	// their op counts to pace its events.
+	results  []workerResult
 	deadline time.Time
 
 	// repairing is set while an applied event has not settled and
@@ -315,7 +326,7 @@ func Run(ctx context.Context, sched rechord.Scheduler, cfg Config) (*Result, err
 	// later fate is deterministic too, because only the worker owning
 	// i's residue class ever writes it.
 	for i := 0; i < cfg.Preload && i < cfg.Keyspace; i++ {
-		if _, _, err := e.store.Put(homes[i%len(homes)], keyName(i), fmt.Sprintf("seed#%d", i)); err != nil {
+		if _, _, err := e.store.Put(homes[i%len(homes)], keyName(i), seedValue(i)); err != nil {
 			return nil, fmt.Errorf("workload: preload: %w", err)
 		}
 	}
@@ -327,7 +338,7 @@ func Run(ctx context.Context, sched rechord.Scheduler, cfg Config) (*Result, err
 		events = churn.RandomEvents(nw, cfg.Churn.Events, rand.New(rand.NewSource(cfg.Seed^churnSeedMask)))
 	}
 
-	results := make([]workerResult, cfg.Workers)
+	e.results = make([]workerResult, cfg.Workers)
 	start := time.Now()
 	if cfg.Duration > 0 {
 		e.deadline = start.Add(cfg.Duration)
@@ -347,7 +358,7 @@ func Run(ctx context.Context, sched rechord.Scheduler, cfg Config) (*Result, err
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			e.worker(ctx, w, homes, start, &results[w])
+			e.worker(ctx, w, homes, start, &e.results[w])
 		}(w)
 	}
 	wg.Wait()
@@ -365,11 +376,12 @@ func Run(ctx context.Context, sched rechord.Scheduler, cfg Config) (*Result, err
 	for k := 0; k < numOps; k++ {
 		res.PerOp[k] = OpStats{Name: opNames[k], Latency: &stats.Histogram{}, Hops: &stats.Histogram{}}
 	}
-	for w := range results {
-		r := &results[w]
-		res.Ops += r.ops
+	for w := range e.results {
+		r := &e.results[w]
+		res.Ops += int(r.ops.Load())
 		res.NotFound += r.notFound
 		res.Fallbacks += r.retries
+		res.RetryWait += r.retryWait
 		res.Latency.Merge(&r.lat)
 		res.Hops.Merge(&r.hops)
 		for k := 0; k < numOps; k++ {
@@ -423,6 +435,11 @@ func (e *engine) awaitPublish(ctx context.Context, seq int64) bool {
 // is retried on the next published state, at the latest the settled
 // one; only a failure no newer state can cure is surfaced. It returns
 // early when the context is done.
+//
+// An op pays for its route, its shard lock and its own telemetry: its
+// key is rendered and hashed once per run (keyTable), a miss comes back
+// as the bare dht.ErrNotFound, and every counter it moves, out's and
+// the live metrics' shard w, is written by this worker alone.
 func (e *engine) worker(ctx context.Context, w int, homes []ident.ID, start time.Time, out *workerResult) {
 	cfg := e.cfg
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(w+1)*int64(0x9E3779B97F4A7C15>>1)))
@@ -430,6 +447,7 @@ func (e *engine) worker(ctx context.Context, w int, homes []ident.ID, start time
 	// fail.
 	gen, _ := newKeyGen(cfg, rng)
 	n := opsFor(cfg, w)
+	keys := newKeyTable(cfg, n)
 	var interval time.Duration
 	if cfg.Rate > 0 {
 		interval = time.Duration(float64(cfg.Workers) / cfg.Rate * float64(time.Second))
@@ -456,12 +474,12 @@ func (e *engine) worker(ctx context.Context, w int, homes []ident.ID, start time
 		if kind != opGet {
 			idx = writeSlot(idx, w, cfg)
 		}
-		key := keyName(idx)
+		key := keys.key(idx)
 		out.opsHash = fnvMix(out.opsHash, kind, idx)
 		hi := rng.Intn(len(homes))
 
 		if cfg.Obs != nil {
-			cfg.Obs.InFlight.Add(1)
+			cfg.Obs.InFlight.Add(w, 1)
 		}
 		t0 := time.Now()
 		var hops int
@@ -473,22 +491,27 @@ func (e *engine) worker(ctx context.Context, w int, homes []ident.ID, start time
 			home := aliveHome(e.cache.View(), homes, hi)
 			switch kind {
 			case opGet:
-				_, hops, opErr = e.store.Get(home, key)
+				_, hops, opErr = e.store.GetKey(home, key)
 			case opPut:
-				_, hops, opErr = e.store.Put(home, key, fmt.Sprintf("w%d#%d", w, i))
+				_, hops, opErr = e.store.PutKey(home, key, putValue(w, i))
 			case opDelete:
-				_, hops, opErr = e.store.Delete(home, key)
+				_, hops, opErr = e.store.DeleteKey(home, key)
 			}
 			outcome = dht.Outcome(opErr)
 			routed = outcome == obs.OpOK || outcome == obs.OpNotFound
-			if routed || !e.awaitPublish(ctx, seq) {
+			if routed {
+				break
+			}
+			parked := time.Now()
+			retry := e.awaitPublish(ctx, seq)
+			out.retryWait += time.Since(parked)
+			if !retry {
 				break
 			}
 			out.retries++
 		}
 		lat := float64(time.Since(t0).Nanoseconds())
 
-		out.ops++
 		out.count[kind]++
 		out.lat.Observe(lat)
 		out.perLat[kind].Observe(lat)
@@ -504,10 +527,11 @@ func (e *engine) worker(ctx context.Context, w int, homes []ident.ID, start time
 			out.notFound++
 		}
 		if cfg.Obs != nil {
-			cfg.Obs.InFlight.Add(-1)
+			cfg.Obs.InFlight.Add(w, -1)
 			cfg.Obs.ObserveOp(w, kind, hops, outcome, lat)
 		}
-		e.opsDone.Add(1)
+		// The worker is ops' only writer: a store, not a locked add.
+		out.ops.Store(out.ops.Load() + 1)
 	}
 }
 
@@ -542,7 +566,7 @@ func (e *engine) churnDriver(ctx context.Context, events []churn.Event, done <-c
 	defer e.repairing.Store(false)
 	for i, ev := range events {
 		target := int64(i+1) * int64(e.cfg.Churn.EveryOps)
-		for e.opsDone.Load() < target {
+		for e.opsDone() < target {
 			select {
 			case <-ctx.Done():
 				return applied, nil
@@ -601,6 +625,15 @@ func (e *engine) churnDriver(ctx context.Context, events []churn.Event, done <-c
 	return applied, nil
 }
 
+// opsDone sums the workers' completed op counts.
+func (e *engine) opsDone() int64 {
+	var n int64
+	for w := range e.results {
+		n += e.results[w].ops.Load()
+	}
+	return n
+}
+
 // opsFor splits cfg.Ops across workers, remainder to the low indices.
 func opsFor(cfg Config, w int) int {
 	n := cfg.Ops / cfg.Workers
@@ -635,8 +668,62 @@ func writeSlot(idx, w int, cfg Config) int {
 	return slot
 }
 
-// keyName renders a key index as the stored key.
-func keyName(idx int) string { return fmt.Sprintf("key-%06d", idx) }
+// keyTable renders and hashes each key index a worker touches at most
+// once per run. It is dense, indexed by key index, when the worker may
+// touch every key, and a map otherwise, so it holds at most
+// min(Keyspace, ops) entries either way.
+type keyTable struct {
+	dense  []dht.Key // a zero Name marks an index not yet rendered
+	sparse map[int]dht.Key
+}
+
+// newKeyTable sizes the table of a worker that runs n ops under cfg.
+func newKeyTable(cfg Config, n int) keyTable {
+	if cfg.Duration <= 0 && n < cfg.Keyspace {
+		return keyTable{sparse: make(map[int]dht.Key)}
+	}
+	return keyTable{dense: make([]dht.Key, cfg.Keyspace)}
+}
+
+// key returns key index idx, rendering and hashing it on first use.
+func (t *keyTable) key(idx int) dht.Key {
+	if t.dense != nil {
+		k := &t.dense[idx]
+		if k.Name == "" {
+			*k = dht.KeyOf(keyName(idx))
+		}
+		return *k
+	}
+	k, ok := t.sparse[idx]
+	if !ok {
+		k = dht.KeyOf(keyName(idx))
+		t.sparse[idx] = k
+	}
+	return k
+}
+
+// keyName renders a key index as the stored key, "key-%06d".
+func keyName(idx int) string {
+	var buf [32]byte
+	b := append(buf[:0], "key-"...)
+	for pad := 100000; pad > 1 && idx < pad; pad /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(idx), 10))
+}
+
+// putValue renders the value worker w's op i puts, "w%d#%d".
+func putValue(w, i int) string {
+	var buf [48]byte
+	b := strconv.AppendInt(append(buf[:0], 'w'), int64(w), 10)
+	return string(strconv.AppendInt(append(b, '#'), int64(i), 10))
+}
+
+// seedValue renders the value preloaded under key index i, "seed#%d".
+func seedValue(i int) string {
+	var buf [32]byte
+	return string(strconv.AppendInt(append(buf[:0], "seed#"...), int64(i), 10))
+}
 
 // fnvMix folds one (kind, key index) op into a running FNV-1a hash.
 func fnvMix(h uint64, kind, idx int) uint64 {

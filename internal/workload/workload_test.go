@@ -3,6 +3,7 @@ package workload
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -38,6 +39,9 @@ func TestRunSmoke(t *testing.T) {
 	}
 	if res.Errors != 0 {
 		t.Fatalf("%d routing errors on a stable network", res.Errors)
+	}
+	if res.Fallbacks != 0 || res.RetryWait != 0 {
+		t.Errorf("churn-free run retried %d ops, parked %v", res.Fallbacks, res.RetryWait)
 	}
 	if res.Latency.N() != 800 || res.Hops.N() == 0 {
 		t.Fatalf("telemetry incomplete: lat n=%d hops n=%d", res.Latency.N(), res.Hops.N())
@@ -105,7 +109,7 @@ func TestRunReproducible(t *testing.T) {
 // sides but the publish. Run with -race (the CI race job does).
 func TestRaceWorkersAgainstChurn(t *testing.T) {
 	const events, ops = 12, 24_000
-	retried := 0
+	retried, waited := 0, time.Duration(0)
 	for _, seed := range []int64{1, 2, 4, 6, 7, 9} {
 		nw, _ := stableNet(t, 48, seed)
 		kinds := map[churn.Kind]int{} // written by the churn driver, read after Run
@@ -138,11 +142,15 @@ func TestRaceWorkersAgainstChurn(t *testing.T) {
 			t.Errorf("seed %d: network left the legal state: %v", seed, err)
 		}
 		retried += res.Fallbacks
+		waited += res.RetryWait
 		t.Logf("seed %d: %s", seed, res.Summary())
 	}
 	// Zero errors prove the retry only if some lookup needed it.
 	if retried == 0 {
 		t.Error("no lookup was retried on a later view: the race exercised no mid-repair failure")
+	}
+	if waited <= 0 {
+		t.Errorf("%d retries but RetryWait = %v: the time parked for a newer view went unrecorded", retried, waited)
 	}
 }
 
@@ -360,6 +368,96 @@ func TestNotFoundNotCountedAsError(t *testing.T) {
 	}
 	if res.NotFound != 100 {
 		t.Errorf("NotFound = %d, want 100", res.NotFound)
+	}
+}
+
+// TestOpPathAllocs pins what one client op pays beyond its route and
+// shard lock: nothing that allocates. Over a published view through
+// routing.ViewResolver, a hashed Get that hits, a Get that misses (the
+// bare ErrNotFound, no formatted error), a Delete of an absent key, and
+// the live metrics' in-flight adds around ObserveOp all run with zero
+// allocations.
+func TestOpPathAllocs(t *testing.T) {
+	nw, ids := stableNet(t, 32, 4)
+	cache := routing.NewCache(nw)
+	cache.Publish()
+	store := dht.NewWithResolver(nw, routing.ViewResolver{Cache: cache})
+	hit, miss := dht.KeyOf(keyName(1)), dht.KeyOf(keyName(2))
+	if _, _, err := store.PutKey(ids[0], hit, "v"); err != nil {
+		t.Fatal(err)
+	}
+	met := obs.NewWorkloadMetrics(4, opNames[:]...)
+	home := ids[len(ids)/2]
+	for _, c := range []struct {
+		name string
+		op   func()
+	}{
+		{"get hit", func() {
+			if _, _, err := store.GetKey(home, hit); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"get miss", func() {
+			if _, _, err := store.GetKey(home, miss); err != dht.ErrNotFound {
+				t.Fatalf("miss returned %v, want the bare ErrNotFound", err)
+			}
+		}},
+		{"delete absent", func() {
+			if existed, _, err := store.DeleteKey(home, miss); existed || err != nil {
+				t.Fatalf("delete absent = %v, %v", existed, err)
+			}
+		}},
+		{"observe op", func() {
+			met.InFlight.Add(3, 1)
+			met.InFlight.Add(3, -1)
+			met.ObserveOp(3, opGet, 4, obs.OpNotFound, 1500)
+		}},
+	} {
+		if got := testing.AllocsPerRun(200, c.op); got != 0 {
+			t.Errorf("%s: %.1f allocs per op, want 0", c.name, got)
+		}
+	}
+}
+
+// TestRenderMatchesFormat pins the strconv renderings of key names and
+// stored values to the formats they replace, byte for byte: the store
+// fingerprint of a run depends on them.
+func TestRenderMatchesFormat(t *testing.T) {
+	for _, i := range []int{0, 1, 9, 10, 99, 12345, 99999, 100000, 999999, 1000000, 123456789} {
+		if got, want := keyName(i), fmt.Sprintf("key-%06d", i); got != want {
+			t.Errorf("keyName(%d) = %q, want %q", i, got, want)
+		}
+		if got, want := seedValue(i), fmt.Sprintf("seed#%d", i); got != want {
+			t.Errorf("seedValue(%d) = %q, want %q", i, got, want)
+		}
+		if got, want := putValue(i%17, i), fmt.Sprintf("w%d#%d", i%17, i); got != want {
+			t.Errorf("putValue(%d, %d) = %q, want %q", i%17, i, got, want)
+		}
+	}
+}
+
+// TestKeyTableBounded pins the per-worker key table's memory to
+// min(Keyspace, ops) entries: a worker with fewer ops than keys keeps
+// only the keys it touched, one with more keeps one slot per key, and
+// either way a key is the hashed rendering of its index.
+func TestKeyTableBounded(t *testing.T) {
+	cfg := Config{Keyspace: 1000}
+	few := newKeyTable(cfg, 10)
+	for i := 0; i < 10; i++ {
+		few.key(i * 37 % cfg.Keyspace)
+		few.key(i * 37 % cfg.Keyspace)
+	}
+	if few.dense != nil || len(few.sparse) != 10 {
+		t.Errorf("10 ops over 1000 keys: dense %d, sparse %d entries, want a 10-entry map", len(few.dense), len(few.sparse))
+	}
+	many := newKeyTable(cfg, 5000)
+	if many.sparse != nil || len(many.dense) != cfg.Keyspace {
+		t.Errorf("5000 ops over 1000 keys: dense %d, sparse %d entries, want 1000 slots", len(many.dense), len(many.sparse))
+	}
+	for _, kt := range []*keyTable{&few, &many} {
+		if got, want := kt.key(370), dht.KeyOf("key-000370"); got != want {
+			t.Errorf("key(370) = %+v, want %+v", got, want)
+		}
 	}
 }
 
