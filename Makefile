@@ -80,13 +80,15 @@ BENCH_GATE_mem = -metric bytes/peer -metric-tol 0.10 -fail-metric 'BenchmarkMemo
 # leave, crash on a stable n=512), one crash absorbed at n=1024, and the
 # n=4096 hot-frontier transient, all but the crash at Workers 1, where
 # the counts repeat exactly. The converge and repair rows also gate the
-# work itself, activations/op (peer rule executions) within 2%: a run
-# that allocates nothing is invisible to the allocation gate.
+# work itself within 2%: activations/op (peer rule executions) and the
+# commit's bucket-ops/op and dep-deltas/op. A run that allocates nothing
+# is invisible to the allocation gate.
 BENCH_RECORD_work = { \
 	$(GO) test -cpu $(BENCH_CPU) -run '^$$' -bench 'BenchmarkConverge$$|BenchmarkRepairCycle|BenchmarkChurnRecoveryLarge' -benchmem -benchtime=1x . ; \
 	$(GO) test -cpu $(BENCH_CPU) -run '^$$' -bench 'BenchmarkBarrierCommit/serial/n=4096' -benchmem -benchtime=1x ./internal/rechord/ ; }
 BENCH_GATE_work = -allocs-tol 0.10 -fail-allocs 'BenchmarkConverge|BenchmarkRepairCycle|BenchmarkChurnRecoveryLarge|BenchmarkBarrierCommit' \
-	-metric activations/op -metric-tol 0.02 -fail-metric 'BenchmarkConverge|BenchmarkRepairCycle'
+	-metric activations/op -metric bucket-ops/op -metric dep-deltas/op -metric-tol 0.02 \
+	-fail-metric 'BenchmarkConverge|BenchmarkRepairCycle'
 
 # lookups: the serving layer — table routing over the published view
 # against the baseline that re-derives every hop's table (the cached

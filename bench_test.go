@@ -429,12 +429,13 @@ func BenchmarkChurnRecoveryLarge(b *testing.B) {
 // BenchmarkConverge is the work-path ledger row for a fat frontier: 320
 // peers from a random weakly connected graph to the fixed point, the
 // shape of the end-to-end `converge` workload. Workers: 1, so allocs/op,
-// B/op and activations/op (peer rule executions, the work itself) repeat
-// exactly and the `work` group can gate them.
+// B/op, activations/op (peer rule executions, the work itself) and the
+// commit's work, bucket-ops/op and dep-deltas/op, repeat exactly and the
+// `work` group can gate them.
 func BenchmarkConverge(b *testing.B) {
 	b.Run("n=320", func(b *testing.B) {
 		b.ReportAllocs()
-		var acts uint64
+		var acts, ops, deps uint64
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			nw, _ := buildRandom(320, int64(i), 1)
@@ -442,16 +443,20 @@ func BenchmarkConverge(b *testing.B) {
 			if _, err := sim.RunToStable(context.Background(), nw, sim.Options{}); err != nil {
 				b.Fatal(err)
 			}
-			acts += nw.Obs().Activated.Value()
+			m := nw.Obs()
+			acts, ops, deps = acts+m.Activated.Value(), ops+m.BucketOps.Value(), deps+m.DepDeltas.Value()
 		}
 		b.ReportMetric(float64(acts)/float64(b.N), "activations/op")
+		b.ReportMetric(float64(ops)/float64(b.N), "bucket-ops/op")
+		b.ReportMetric(float64(deps)/float64(b.N), "dep-deltas/op")
 	})
 }
 
 // BenchmarkRepairCycle is the work-path ledger row for a thin frontier:
 // a join, a graceful leave and a crash on a stable n=512 network, each
 // run to the fixed point — the shape of the end-to-end `repair`
-// workload. Workers: 1 for repeatable allocation and activation counts.
+// workload. Workers: 1 for repeatable allocation, activation, bucket-op
+// and dep-delta counts.
 func BenchmarkRepairCycle(b *testing.B) {
 	b.Run("n=512", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
@@ -460,7 +465,8 @@ func BenchmarkRepairCycle(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
-		acts := nw.Obs().Activated.Value()
+		m := nw.Obs()
+		acts, ops, deps := m.Activated.Value(), m.BucketOps.Value(), m.DepDeltas.Value()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for _, kind := range []churn.Kind{churn.Join, churn.Leave, churn.Fail} {
@@ -474,7 +480,9 @@ func BenchmarkRepairCycle(b *testing.B) {
 				}
 			}
 		}
-		b.ReportMetric(float64(nw.Obs().Activated.Value()-acts)/float64(b.N), "activations/op")
+		b.ReportMetric(float64(m.Activated.Value()-acts)/float64(b.N), "activations/op")
+		b.ReportMetric(float64(m.BucketOps.Value()-ops)/float64(b.N), "bucket-ops/op")
+		b.ReportMetric(float64(m.DepDeltas.Value()-deps)/float64(b.N), "dep-deltas/op")
 	})
 }
 

@@ -39,6 +39,12 @@ type EngineMetrics struct {
 	// Delivered counts messages applied at delivery time: one-shot
 	// inbox entries plus standing-bucket messages read in phase 1.
 	Delivered Counter
+	// BucketOps counts the standing-bucket rewrites and deletions the
+	// barrier commit applies; DepDeltas the dependency-index adjustments
+	// it applies beside them. Together they are the commit's work, which
+	// activation counts do not show.
+	BucketOps Counter
+	DepDeltas Counter
 	// Settled / Unsettled count the per-peer settle decisions at the
 	// barrier. A settled peer's run left its state as it found it and
 	// consumed no one-shot input, so a re-run would reproduce its state
@@ -98,6 +104,8 @@ type EngineSnapshot struct {
 	Activated       uint64                 `json:"activated"`
 	Woken           uint64                 `json:"woken"`
 	Delivered       uint64                 `json:"delivered"`
+	BucketOps       uint64                 `json:"bucket_ops"`
+	DepDeltas       uint64                 `json:"dep_deltas"`
 	Settled         uint64                 `json:"settled"`
 	Unsettled       uint64                 `json:"unsettled"`
 	EpochBumps      uint64                 `json:"epoch_bumps"`
@@ -127,6 +135,8 @@ func (m *EngineMetrics) Snapshot() EngineSnapshot {
 		Activated:       m.Activated.Value(),
 		Woken:           m.Woken.Value(),
 		Delivered:       m.Delivered.Value(),
+		BucketOps:       m.BucketOps.Value(),
+		DepDeltas:       m.DepDeltas.Value(),
 		Settled:         m.Settled.Value(),
 		Unsettled:       m.Unsettled.Value(),
 		EpochBumps:      m.EpochBumps.Value(),

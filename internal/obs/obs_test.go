@@ -128,6 +128,8 @@ func sampleSnapshot() Snapshot {
 	em.Activated.Add(900)
 	em.Woken.Add(12)
 	em.Delivered.Add(3000)
+	em.BucketOps.Add(400)
+	em.DepDeltas.Add(600)
 	em.Settled.Add(800)
 	em.Unsettled.Add(100)
 	em.EpochBumps.Add(7)

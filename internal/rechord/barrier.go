@@ -304,12 +304,14 @@ type depDelta struct {
 }
 
 // commitShard is one commit worker's private output: the frontier
-// slots it dirtied, its bucketMsgs adjustment, and its flow-storage
-// accounting, merged serially after the commit barrier.
+// slots it dirtied, its bucketMsgs adjustment, its flow-storage
+// accounting and the bucket ops and dep deltas it applied, merged
+// serially after the commit barrier.
 type commitShard struct {
 	frontier   []uint32
 	bucketMsgs int
 	flow       flowTally
+	ops, deps  int
 }
 
 // deliverPhase is the parallel deliver body for active index i: the
@@ -549,6 +551,7 @@ func (nw *Network) commitPhase(_ *worker, c int) {
 					continue
 				}
 				nw.commitBucketOp(h, tpl, op, sh)
+				sh.ops++
 			}
 		}
 		for _, d := range p.deps {
@@ -556,6 +559,7 @@ func (nw *Network) commitPhase(_ *worker, c int) {
 				continue
 			}
 			nw.commitDepDelta(d)
+			sh.deps++
 		}
 	}
 }
@@ -604,14 +608,23 @@ func (nw *Network) beginCommit(w int) {
 }
 
 // mergeShards folds the commit workers' private outputs into the
-// network and resets them for the next commit.
+// network, flushes their op and delta counts (one atomic add each per
+// commit) and resets them for the next commit.
 func (nw *Network) mergeShards() {
+	var ops, deps int
 	for w := range nw.commit {
 		sh := &nw.commit[w]
 		nw.bucketMsgs += sh.bucketMsgs
 		nw.frontier = append(nw.frontier, sh.frontier...)
 		nw.flow.add(&sh.flow)
-		sh.bucketMsgs, sh.frontier, sh.flow = 0, sh.frontier[:0], flowTally{}
+		ops, deps = ops+sh.ops, deps+sh.deps
+		*sh = commitShard{frontier: sh.frontier[:0]}
+	}
+	if ops > 0 {
+		nw.met.BucketOps.Add(uint64(ops))
+	}
+	if deps > 0 {
+		nw.met.DepDeltas.Add(uint64(deps))
 	}
 }
 
@@ -624,12 +637,14 @@ func (nw *Network) rewriteBucket(sender handle, dstID ident.ID, t *flowTemplate,
 	o0, d0 := len(w.ops), len(w.deps)
 	nw.planOp(sender, dstID, t, bucketOp{span: si, wake: wake}, w)
 	nw.beginCommit(1)
+	sh := &nw.commit[0]
 	for k := range w.ops[o0:] {
-		nw.commitBucketOp(sender, t, &w.ops[o0+k], &nw.commit[0])
+		nw.commitBucketOp(sender, t, &w.ops[o0+k], sh)
 	}
 	for _, d := range w.deps[d0:] {
 		nw.commitDepDelta(d)
 	}
+	sh.ops, sh.deps = sh.ops+len(w.ops)-o0, sh.deps+len(w.deps)-d0
 	w.ops, w.deps = w.ops[:o0], w.deps[:d0]
 	nw.mergeShards()
 }
