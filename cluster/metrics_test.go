@@ -99,9 +99,9 @@ func TestMetricsSnapshot(t *testing.T) {
 	}
 	// The flow-storage gauges ride along: a stabilized network holds
 	// live shared templates, and its standing buckets reference them.
-	if s.Engine.FlowTemplates <= 0 || s.Engine.FlowResidentBytes <= 0 {
+	if s.Engine.FlowContribs <= 0 || s.Engine.FlowResidentBytes <= 0 {
 		t.Fatalf("flow gauges empty after stabilization: templates=%d resident=%d",
-			s.Engine.FlowTemplates, s.Engine.FlowResidentBytes)
+			s.Engine.FlowContribs, s.Engine.FlowResidentBytes)
 	}
 	if s.Engine.FlowSharedBytes <= 0 || s.Engine.FlowTemplateHit <= 0 {
 		t.Fatalf("shared-storage gauges empty: shared=%d hit=%v",

@@ -63,17 +63,19 @@ type EngineMetrics struct {
 	// RuleNames: messages sent by the rule, plus rule 1's virtual-node
 	// creations/removals and rule 2's immediate edge handoffs.
 	RuleFired [NumRules]Counter
-	// Flow-storage gauges: the resident footprint of the shared flow
-	// templates that back standing buckets. Set once per batch (or
-	// churn operation) from the engine's serial accounting — never on
-	// the per-message path. FlowTemplates is the number of live
-	// templates; FlowResidentBytes their packed footprint;
-	// FlowSharedBytes / FlowUniqueBytes classify the deep-copy
-	// equivalent bytes of the standing buckets by whether they
-	// reference a shared template or a private copy; the
+	// Flow-storage gauges: the resident footprint of the standing-flow
+	// contributions (one sender's immutable messages to one recipient)
+	// that back standing buckets. Set once per batch (or churn
+	// operation) from the engine's serial accounting — never on the
+	// per-message path. FlowContribs is the number of live
+	// contributions; FlowResidentBytes their packed blocks plus the
+	// senders' indexes of them; FlowSharedBytes / FlowUniqueBytes
+	// classify the deep-copy equivalent bytes of the standing buckets by
+	// whether they point at their sender's own contribution or at a
+	// private one (a partition's copy of a remote sender's); the
 	// FlowInstalls* pair counts bucket installs by the same split
-	// (shared installs are the template hit rate's numerator).
-	FlowTemplates      Gauge
+	// (shared installs are the hit rate's numerator).
+	FlowContribs       Gauge
 	FlowResidentBytes  Gauge
 	FlowSharedBytes    Gauge
 	FlowUniqueBytes    Gauge
@@ -112,8 +114,11 @@ type EngineSnapshot struct {
 	AsyncDeliveries uint64                 `json:"async_deliveries"`
 	RuleFired       map[string]uint64      `json:"rule_fired"`
 	PhaseNS         map[string]HistSummary `json:"phase_ns"`
-	// Flow-storage snapshot (see the FlowTemplates gauge group).
-	FlowTemplates      int64   `json:"flow_templates"`
+	// Flow-storage snapshot (see the FlowContribs gauge group).
+	// FlowTemplateHit is the share of bucket installs that point at the
+	// sender's own contribution; the name dates from whole-output
+	// templates.
+	FlowContribs       int64   `json:"flow_contribs"`
 	FlowResidentBytes  int64   `json:"flow_resident_bytes"`
 	FlowSharedBytes    int64   `json:"flow_shared_bytes"`
 	FlowUniqueBytes    int64   `json:"flow_unique_bytes"`
@@ -152,7 +157,7 @@ func (m *EngineMetrics) Snapshot() EngineSnapshot {
 	s.PhaseNS["prepare"] = m.PhasePrepare.Summary()
 	s.PhaseNS["publish"] = m.PhasePublish.Summary()
 	s.PhaseNS["reroute"] = m.PhaseReroute.Summary()
-	s.FlowTemplates = m.FlowTemplates.Value()
+	s.FlowContribs = m.FlowContribs.Value()
 	s.FlowResidentBytes = m.FlowResidentBytes.Value()
 	s.FlowSharedBytes = m.FlowSharedBytes.Value()
 	s.FlowUniqueBytes = m.FlowUniqueBytes.Value()

@@ -141,7 +141,7 @@ func sampleSnapshot() Snapshot {
 		h.Observe(1000)
 		h.Observe(2000)
 	}
-	em.FlowTemplates.Set(42)
+	em.FlowContribs.Set(42)
 	em.FlowResidentBytes.Set(81920)
 	em.FlowSharedBytes.Set(65536)
 	em.FlowUniqueBytes.Set(4096)

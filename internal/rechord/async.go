@@ -111,7 +111,7 @@ type asyncEvent struct {
 	kind       int
 	peer       ident.ID // activation: who runs; delivery: the recipient
 	hidx, hgen uint32   // the target incarnation's handle
-	msgs       []Message
+	msgs       *contrib // delivery: the messages, an immutable contribution
 }
 
 // eventQueue is a min-heap ordered by (at, seq): virtual time first,
@@ -358,27 +358,20 @@ func (a *AsyncRunner) drainFrontier(start int, immediate *[]uint32) {
 // epilogue's rule, as under the synchronous engines.
 func (a *AsyncRunner) planFlow(n *RealNode, p *prepOut, w *worker) {
 	nw, h := a.nw, n.h()
-	var old, cur []flowSpan
-	if n.lastFlow != nil {
-		old = n.lastFlow.spans
-	}
-	nf := p.newFlow
-	if !p.outChanged {
-		nf = n.lastFlow // every contribution is run-stable
-	}
-	if nf != nil {
-		cur = nf.spans
+	old, cur := n.lastFlow, n.lastFlow // every contribution is run-stable
+	if p.outChanged {
+		cur = p.flow
 	}
 	i, j := 0, 0
 	for i < len(old) || j < len(cur) {
-		if j == len(cur) || (i < len(old) && old[i].owner < cur[j].owner) {
-			nw.planOp(h, old[i].owner, nf, bucketOp{span: -1, wake: true}, w)
+		if j == len(cur) || (i < len(old) && old[i].owner() < cur[j].owner()) {
+			nw.planOp(h, old[i].owner(), bucketOp{wake: true}, w)
 			i++
 			continue
 		}
-		stood := i < len(old) && old[i].owner == cur[j].owner
-		handoff := p.outChanged && p.kept[j] < 0 && p.stateChanged
-		nw.planOp(h, cur[j].owner, nf, bucketOp{span: int32(j), wake: !handoff, oneShot: handoff}, w)
+		stood := i < len(old) && old[i].owner() == cur[j].owner()
+		handoff := p.stateChanged && !(stood && old[i] == cur[j])
+		nw.planOp(h, cur[j].owner(), bucketOp{c: cur[j], wake: !handoff, oneShot: handoff}, w)
 		if stood {
 			i++
 		}
@@ -393,12 +386,12 @@ func (a *AsyncRunner) planFlow(n *RealNode, p *prepOut, w *worker) {
 // sequence is reproducible for any worker count. A waking install marks
 // its bucket unread, so a revoke before the recipient runs delivers it
 // (commitBucketOp).
-func (a *AsyncRunner) emitFlow(n *RealNode, tpl *flowTemplate, ops []bucketOp, _ bool) {
+func (a *AsyncRunner) emitFlow(n *RealNode, ops []bucketOp, _ bool) {
 	nw := a.nw
 	for _, op := range ops {
 		dst := nw.pt.nodes[op.dstSlot]
 		if !op.oneShot {
-			if op.wake && op.span >= 0 {
+			if op.wake && op.c != nil {
 				dst.in[dst.findBucket(n.h())].unread = true
 			}
 			continue
@@ -406,15 +399,14 @@ func (a *AsyncRunner) emitFlow(n *RealNode, tpl *flowTemplate, ops []bucketOp, _
 		d := clampDelay(a.cfg.Delay.Delay(a.rng, n.id, dst.id), 0)
 		if d <= 1 {
 			a.mixEvent(evDelivery, a.step, dst.id)
-			dst.inbox = tpl.appendSpan(dst.inbox, op.span)
+			dst.inbox = op.c.appendMsgs(dst.inbox)
 			nw.markDirtyIdx(op.dstSlot)
 			continue
 		}
-		msgs := tpl.appendSpan(make([]Message, 0, tpl.spanLen(op.span)), op.span)
 		a.seq++
 		a.deliveries++
-		a.inflight += len(msgs)
-		heap.Push(&a.events, &asyncEvent{at: a.step + d, seq: a.seq, kind: evDelivery, peer: dst.id, hidx: dst.idx, hgen: dst.gen, msgs: msgs})
+		a.inflight += int(op.c.n)
+		heap.Push(&a.events, &asyncEvent{at: a.step + d, seq: a.seq, kind: evDelivery, peer: dst.id, hidx: dst.idx, hgen: dst.gen, msgs: op.c})
 	}
 }
 
@@ -443,11 +435,11 @@ func (a *AsyncRunner) Step() RoundStats {
 		switch ev.kind {
 		case evDelivery:
 			a.deliveries--
-			a.inflight -= len(ev.msgs)
+			a.inflight -= int(ev.msgs.n)
 			fired++
 			if dst, slot, ok := a.eventTarget(ev); ok {
 				a.mixEvent(evDelivery, ev.at, ev.peer)
-				dst.inbox = append(dst.inbox, ev.msgs...)
+				dst.inbox = ev.msgs.appendMsgs(dst.inbox)
 				nw.markDirtyIdx(slot)
 				changed = true
 			}

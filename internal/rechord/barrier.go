@@ -1,6 +1,7 @@
 package rechord
 
 import (
+	"cmp"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -31,11 +32,12 @@ import (
 //     tables, writes the peer's own state.
 //   - Execute (parallel): rules 1-6 into the worker's out, the diff of
 //     out against the peer's own lastFlow, and — when it differs — the
-//     freeze of out into the new template. Reads the peer's own state
-//     and lastFlow plus the published view; writes the peer's own state
-//     and prep[i]. out is dead when the body returns: the verdicts and
-//     the template carry everything later phases need, so it never
-//     crosses a barrier.
+//     freeze of out into the new flow index: fresh contributions for the
+//     changed recipients, the old ones for the rest. Reads the peer's own
+//     state and lastFlow plus the published view; writes the peer's own
+//     state and prep[i]. out is dead when the body returns: the flow
+//     index carries everything later phases need, so it never crosses a
+//     barrier.
 //   - Prepare (parallel): each active peer publishes its own view/level
 //     slot (no other peer's prepare reads them), merges its edge sets
 //     against its pre-round image — the settle verdict and the edge-set
@@ -43,8 +45,7 @@ import (
 //     the output into bucket ops — appended ONLY to the running worker's
 //     arenas, prep[i] recording the ranges. Buckets and the dep index
 //     are read, never written. Every plan step funnels through planOp,
-//     the single place the rewrite / quiet-repoint / delete decision is
-//     made.
+//     the single place the rewrite / delete decision is made.
 //   - Commit (parallel over commit shards): recipients are partitioned
 //     by slot (slot % shards) and dependency-index shards by
 //     depShardOf(id) % shards, so every standing bucket, dirty flag and
@@ -69,15 +70,17 @@ import (
 // computed (every buffer is reset before use, tallies are sums); every
 // commit write is keyed by (sender handle, recipient slot) or
 // (referenced id, dependent slot) and each key is written at most once
-// per batch (a plan step emits at most one op per recipient), so the
-// final buckets are order-independent; dep index counts commute; the
+// per batch (a plan step emits at most one op per recipient, and at most
+// one dep delta per referenced id and recipient), so the final buckets
+// are order-independent; dep index counts commute; the
 // frontier is an order-insensitive SET (sorted by identifier before it
 // is consumed); and everything order-sensitive runs in the epilogue.
 //
 // Dep-index deltas tolerate any application order within a shard: every
-// remove emitted by prepare refers to a reference that was counted in
-// the index before the batch (old bucket contents, references of the
-// pre-round image — disjoint categories), so at any prefix of any
+// remove emitted by prepare refers to references that were counted in
+// the index before the batch (a rewritten bucket's net remove per Add
+// owner is at most that owner's count in the old bucket; references of
+// the pre-round image — disjoint categories), so at any prefix of any
 // interleaving the entry's count is at least the remaining removes and
 // the underflow panic cannot fire spuriously.
 
@@ -85,15 +88,14 @@ import (
 type flowRouter interface {
 	// planFlow stages the bucket ops for sender n's output in w's arenas
 	// (through planOp), on a pool goroutine: it reads shared state and
-	// writes only w. p.outChanged, p.stateChanged, p.newFlow and p.kept
-	// are set.
+	// writes only w. p.outChanged, p.stateChanged and p.flow are set.
 	planFlow(n *RealNode, p *prepOut, w *worker)
-	// emitFlow runs after the commit, serially and in active order, with
-	// the template the ops point into, for every sender that has ops or
-	// whose published state (level span or an rl/rr entry) moved this
-	// batch: whatever the scheduler sends besides standing buckets
-	// (delayed one-shots, bucket mirrors, state publishes).
-	emitFlow(n *RealNode, tpl *flowTemplate, ops []bucketOp, published bool)
+	// emitFlow runs after the commit, serially and in active order, for
+	// every sender that has ops or whose published state (level span or
+	// an rl/rr entry) moved this batch: whatever the scheduler sends
+	// besides standing buckets (delayed one-shots, bucket mirrors, state
+	// publishes).
+	emitFlow(n *RealNode, ops []bucketOp, published bool)
 }
 
 // worker is one pool goroutine's execution arena (workers[0] doubles as
@@ -111,16 +113,16 @@ type worker struct {
 	levels                    []int
 	realID                    []ident.ID
 
-	// Freeze scratch: the per-recipient verdicts of diffFlow, the span
-	// cursors, new symbols and symbol translation of freezeFlow, and the
-	// per-level entries prepare publishes.
-	diff    []spanDiff
-	order   []int32
-	at      []int32
-	cursors []uint32
-	syms    []ident.ID
-	symMap  []uint32
-	views   []PublishedView
+	// Freeze scratch: the per-recipient verdicts of diffFlow, the
+	// records freezeFlow still has to fill, the per-level entries prepare
+	// publishes, and the Add owners of a rewritten bucket's old and new
+	// messages, which the plan step nets into dep deltas.
+	diff  []spanDiff
+	order []int32
+	at    []int32
+	fill  [][]cmsg
+	views []PublishedView
+	adds  []depDelta
 
 	tally
 
@@ -131,7 +133,7 @@ type worker struct {
 	// mostly unused) when the batch ends.
 	imgLv    []imgLevel
 	imgRefs  []ref.Ref
-	kept     []int32
+	flows    []*contrib
 	viewRefs []ref.Ref
 	ops      []bucketOp
 	deps     []depDelta
@@ -231,8 +233,8 @@ func (nw *Network) runParallel(n int, f func(nw *Network, w *worker, i int)) {
 }
 
 // prepOut is what crosses the barrier for one active index: the
-// verdicts, the frozen output, and the ranges of the preparing worker's
-// arenas holding its commit payload. The epilogue zeroes each record, so
+// verdicts, the frozen output, and the ranges of the workers' arenas
+// holding it and the commit payload. The epilogue zeroes each record, so
 // nothing here outlives the batch.
 type prepOut struct {
 	ownerChanged bool // the peer's level span moved
@@ -248,51 +250,38 @@ type prepOut struct {
 	imgLv   []imgLevel
 	imgRefs []ref.Ref
 
-	// kept holds, per span of newFlow, the span of lastFlow it repeats
-	// message for message, or -1: the recipient verdicts of the output
-	// diff, in the executing worker's arena.
-	kept []int32
-
 	// viewRefs lists the virtual refs whose published rl/rr entry
 	// changed this batch (merged into the barrier's viewChanged map by
 	// the epilogue).
 	viewRefs []ref.Ref
 
-	// newFlow is the freshly frozen template of this batch's output,
-	// built whenever outChanged. It carries one reference that the
-	// epilogue hands to the peer's lastFlow.
-	newFlow *flowTemplate
+	// flow is the flow index of this batch's output, built whenever
+	// outChanged, in the executing worker's arena: per recipient, the
+	// lastFlow contribution where its messages did not change and a
+	// fresh one where they did. The epilogue makes it the peer's
+	// lastFlow.
+	flow []*contrib
 
-	// The commit payload: the bucket rewrites this sender wants (spans
-	// of newFlow when the output changed, of lastFlow otherwise) and the
+	// The commit payload: the bucket rewrites this sender wants and the
 	// dep-index deltas they plus the peer's edge-set diff imply.
 	ops  []bucketOp
 	deps []depDelta
 }
 
-// flow is the template p's ops point into: the batch template when the
-// output changed, the sender's standing lastFlow otherwise.
-func (p *prepOut) flow(n *RealNode) *flowTemplate {
-	if p.newFlow != nil {
-		return p.newFlow
-	}
-	return n.lastFlow
-}
-
 // bucketOp is one standing-bucket rewrite: the sender points the
-// recipient's bucket at span `span` of its template; span -1 deletes
-// the bucket. wake puts the recipient on the frontier — ops without it
-// change storage only (a content-identical bucket repointed at the new
-// template generation, so at most one generation per sender stays live
-// at rest) or install content the recipient has already consumed. A
-// oneShot op revokes the bucket instead of installing the span: the
-// scheduler's emit step sends the span as one-shot messages.
+// recipient's bucket at c, or deletes it when c is nil. wake puts the
+// recipient on the frontier; an op without it installs content the
+// recipient has already consumed. A oneShot op revokes the bucket
+// instead of installing c: the scheduler's emit step sends c as one-shot
+// messages. private marks a contribution built from a partition's
+// bucket update, which no sender's lastFlow holds.
 type bucketOp struct {
+	c       *contrib
 	dstSlot uint32
 	delta   int32 // bucketMsgs adjustment (new len - old len)
-	span    int32
 	wake    bool
 	oneShot bool
+	private bool
 }
 
 // depDelta is one inverted-index adjustment: k > 0 adds, k < 0 removes
@@ -348,26 +337,15 @@ func (w *worker) takeImage(n *RealNode, p *prepOut) {
 
 // executePhase is the parallel execute body: rules 1-6 and the freeze —
 // the diff of the worker's out against the peer's own lastFlow and, when
-// it differs, the new template built from lastFlow and the changed
-// recipients' messages, with the per-recipient verdicts kept for the plan
-// step.
+// it differs, the new flow index: lastFlow's contributions for the
+// recipients whose messages did not change, fresh ones for the rest.
 func (nw *Network) executePhase(w *worker, i int) {
 	n := nw.pt.nodes[nw.bActive[i]]
 	nw.runRules(n, w)
 	p := &nw.prep[i]
-	if p.outChanged = diffFlow(n.lastFlow, w.out, w); !p.outChanged {
-		return
+	if p.outChanged = diffFlow(n.lastFlow, w.out, w); p.outChanged {
+		p.flow = w.freezeFlow(n.lastFlow, w.out)
 	}
-	p.newFlow = freezeFlow(n.lastFlow, w.out, w)
-	k0 := len(w.kept)
-	for _, d := range w.order {
-		sd := w.diff[d]
-		if !sd.same {
-			sd.old = -1
-		}
-		w.kept = append(w.kept, sd.old)
-	}
-	p.kept = w.kept[k0:]
 }
 
 // preparePhase is the parallel prepare body: the publish diff, the
@@ -463,72 +441,94 @@ func appendSetDiff(deps []depDelta, old, cur []ref.Ref, slot uint32) []depDelta 
 }
 
 // planRewrite is the synchronous plan step (the partition's too): when
-// the output changed, every recipient's standing bucket is rewritten to
-// the new contribution and wakes the recipient. Recipients of the old
-// flow with no new contribution come first, then the new spans.
+// the output changed, the bucket of every recipient whose contribution
+// vanished is deleted, then every recipient with a fresh contribution has
+// its bucket rewritten to it, each in identifier order and with a wake.
+// A recipient that keeps its contribution is not visited: its bucket
+// already points at it.
 func (nw *Network) planRewrite(n *RealNode, p *prepOut, w *worker) {
 	if !p.outChanged {
 		return
 	}
-	nf := p.newFlow
-	if old := n.lastFlow; old != nil {
-		for _, sp := range old.spans {
-			if nf.findSpan(sp.owner) < 0 {
-				nw.planOp(n.h(), sp.owner, nf, bucketOp{span: -1, wake: true}, w)
-			}
+	old, cur := n.lastFlow, p.flow
+	j := 0
+	for _, c := range old {
+		for j < len(cur) && cur[j].owner() < c.owner() {
+			j++
+		}
+		if j == len(cur) || cur[j].owner() != c.owner() {
+			nw.planOp(n.h(), c.owner(), bucketOp{wake: true}, w)
 		}
 	}
-	for si := range nf.spans {
-		nw.planOp(n.h(), nf.spans[si].owner, nf, bucketOp{span: int32(si), wake: true}, w)
+	i := 0
+	for _, c := range cur {
+		for i < len(old) && old[i].owner() < c.owner() {
+			i++
+		}
+		if i == len(old) || old[i] != c {
+			nw.planOp(n.h(), c.owner(), bucketOp{c: c, wake: true}, w)
+		}
 	}
 }
 
 // planOp decides what happens to the sender's standing bucket at one
-// recipient and records the rewrite and its dep deltas in w's arenas. op says
-// what the sender wants — its contribution (op.span of t, or none when
-// negative), whether a content change wakes the recipient, whether the
-// span travels as one-shots instead — and planOp fills in the rest
-// against the bucket that stands. It is the only place that decision is
-// made; buckets are only read here (concurrent prepares may read the
-// same recipient's table).
-func (nw *Network) planOp(sender handle, dstID ident.ID, t *flowTemplate, op bucketOp, w *worker) {
+// recipient and records the rewrite and its dep deltas in w's arenas. op
+// says what the sender wants — its contribution op.c (nil: none),
+// whether a change wakes the recipient, whether c travels as one-shots
+// instead — and planOp fills in the rest against the bucket that stands:
+// nothing when the bucket already points at c, or when nothing stands and
+// there is nothing to send. It is the only place that decision is made;
+// buckets are only read here (concurrent prepares may read the same
+// recipient's table).
+func (nw *Network) planOp(sender handle, dstID ident.ID, op bucketOp, w *worker) {
 	slot, ok := nw.pt.lookup(dstID)
 	if !ok {
 		return // destination departed
 	}
 	op.dstSlot = slot
 	dst := nw.pt.nodes[slot]
-	install := op.span >= 0 && !op.oneShot
+	install := op.c != nil && !op.oneShot
+	var old *contrib
 	if bi := dst.findBucket(sender); bi >= 0 {
-		old := dst.in[bi]
-		if install && spansEqual(old.flow, old.span, t, op.span) {
-			// Content identical: repoint shared storage at the sender's
-			// current generation so the old one can die.
-			if old.flow != t {
-				op.wake = false
-				w.ops = append(w.ops, op)
-			}
+		if old = dst.in[bi].c; install && old == op.c {
 			return
 		}
-		op.delta = -int32(old.flow.spanLen(old.span))
-		appendSpanDeps(&w.deps, old.flow, old.span, slot, -1)
-	} else if op.span < 0 {
+		op.delta = -int32(old.n)
+	} else if op.c == nil {
 		return // nothing stands, nothing to revoke
 	}
+	var cur *contrib
 	if install {
-		op.delta += int32(t.spanLen(op.span))
-		appendSpanDeps(&w.deps, t, op.span, slot, 1)
+		cur = op.c
+		op.delta += int32(cur.n)
 	}
+	w.appendDepDiff(old, cur, slot)
 	w.ops = append(w.ops, op)
 }
 
-// appendSpanDeps emits one dep delta of weight k per message in span si
-// of t, keyed by the message's Add owner.
-func appendSpanDeps(deps *[]depDelta, t *flowTemplate, si int32, slot uint32, k int32) {
-	sp := t.spans[si]
-	for i := sp.start; i < sp.end; i++ {
-		*deps = append(*deps, depDelta{id: t.syms[t.packed[i].sym], slot: slot, k: k})
+// appendDepDiff appends the dep deltas that turn the Add-owner counts of
+// old into those of cur (either may be nil) at the recipient slot: one
+// delta per owner whose count changes.
+func (w *worker) appendDepDiff(old, cur *contrib, slot uint32) {
+	adds := w.adds[:0]
+	for k, c := range [2]*contrib{old, cur} {
+		if c != nil {
+			for _, r := range c.recs() {
+				adds = append(adds, depDelta{id: r.add(), k: int32(2*k - 1)})
+			}
+		}
 	}
+	slices.SortFunc(adds, func(a, b depDelta) int { return cmp.Compare(a.id, b.id) })
+	for i := 0; i < len(adds); {
+		d := depDelta{id: adds[i].id, slot: slot}
+		for ; i < len(adds) && adds[i].id == d.id; i++ {
+			d.k += adds[i].k
+		}
+		if d.k != 0 {
+			w.deps = append(w.deps, d)
+		}
+	}
+	w.adds = adds
 }
 
 // commitPhase applies commit shard c: bucket ops whose recipient slot
@@ -543,14 +543,13 @@ func (nw *Network) commitPhase(_ *worker, c int) {
 	for i := range nw.bActive {
 		p := &nw.prep[i]
 		if len(p.ops) > 0 {
-			n := nw.pt.nodes[nw.bActive[i]]
-			h, tpl := n.h(), p.flow(n)
+			h := nw.pt.nodes[nw.bActive[i]].h()
 			for k := range p.ops {
 				op := &p.ops[k]
 				if op.dstSlot%uc != uw {
 					continue
 				}
-				nw.commitBucketOp(h, tpl, op, sh)
+				nw.commitBucketOp(h, op, sh)
 				sh.ops++
 			}
 		}
@@ -566,23 +565,23 @@ func (nw *Network) commitPhase(_ *worker, c int) {
 
 // commitBucketOp rewrites one standing bucket; nothing else writes
 // RealNode.in or bucketMsgs.
-func (nw *Network) commitBucketOp(sender handle, nf *flowTemplate, op *bucketOp, sh *commitShard) {
+func (nw *Network) commitBucketOp(sender handle, op *bucketOp, sh *commitShard) {
 	dst := nw.pt.nodes[op.dstSlot]
 	sh.bucketMsgs += int(op.delta)
 	wake := op.wake
-	if op.span < 0 || op.oneShot {
+	if op.c == nil || op.oneShot {
 		if bi := dst.findBucket(sender); bi >= 0 {
 			old := dst.in[bi]
 			if old.unread {
 				// Content sent but never delivered arrives once, as one-shots.
-				dst.inbox = old.flow.appendSpan(dst.inbox, old.span)
+				dst.inbox = old.c.appendMsgs(dst.inbox)
 				wake = true
 			}
 			dst.delBucketAt(bi)
 			releaseBucket(old, &sh.flow)
 		}
 	} else {
-		installBucket(dst, sender, nf, op.span, &sh.flow)
+		installBucket(dst, bucket{sender: sender, c: op.c, private: op.private}, &sh.flow)
 	}
 	if wake && !dst.dirty {
 		dst.dirty = true
@@ -630,16 +629,16 @@ func (nw *Network) mergeShards() {
 
 // rewriteBucket is the pipeline run serially for one bucket, for the
 // mutation points outside a batch (churn, the partition's Apply):
-// plan the op on the caller's own worker, then commit it as a one-shard
+// plan op on the caller's own worker, then commit it as a one-shard
 // commit.
-func (nw *Network) rewriteBucket(sender handle, dstID ident.ID, t *flowTemplate, si int32, wake bool) {
+func (nw *Network) rewriteBucket(sender handle, dstID ident.ID, op bucketOp) {
 	w := nw.serial()
 	o0, d0 := len(w.ops), len(w.deps)
-	nw.planOp(sender, dstID, t, bucketOp{span: si, wake: wake}, w)
+	nw.planOp(sender, dstID, op, w)
 	nw.beginCommit(1)
 	sh := &nw.commit[0]
 	for k := range w.ops[o0:] {
-		nw.commitBucketOp(sender, t, &w.ops[o0+k], sh)
+		nw.commitBucketOp(sender, &w.ops[o0+k], sh)
 	}
 	for _, d := range w.deps[d0:] {
 		nw.commitDepDelta(d)

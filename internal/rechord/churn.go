@@ -113,7 +113,7 @@ func (nw *Network) removePeer(id ident.ID, hosted func(ident.ID) bool) {
 	n := nw.pt.node(id)
 	h := n.h() // the incarnation's handle, before the generation bump
 	for len(n.in) > 0 {
-		nw.rewriteBucket(n.in[len(n.in)-1].sender, id, nil, -1, false)
+		nw.rewriteBucket(n.in[len(n.in)-1].sender, id, bucketOp{})
 	}
 	nw.view[n.idx] = nil
 	nw.dropStateDeps(n)
@@ -132,14 +132,11 @@ func (nw *Network) removePeer(id ident.ID, hosted func(ident.ID) bool) {
 		}
 		deliver := hosted == nil || hosted(dst.id)
 		if deliver {
-			dst.inbox = dst.in[bi].flow.appendSpan(dst.inbox, dst.in[bi].span)
+			dst.inbox = dst.in[bi].c.appendMsgs(dst.inbox)
 		}
-		nw.rewriteBucket(h, dst.id, nil, -1, deliver)
+		nw.rewriteBucket(h, dst.id, bucketOp{wake: deliver})
 	}
-	if n.lastFlow != nil {
-		releaseFlow(n.lastFlow, &nw.flow)
-		n.lastFlow = nil
-	}
+	nw.flow.adoptFlow(n, nil)
 	nw.flushFlowGauges()
 	nw.wakeDependents(map[ident.ID]bool{id: true}, nil)
 }

@@ -199,10 +199,8 @@ func (n *RealNode) holdsRef(r ref.Ref) bool {
 		}
 	}
 	for _, b := range n.in {
-		sp := b.flow.spans[b.span]
-		for i := sp.start; i < sp.end; i++ {
-			pm := b.flow.packed[i]
-			if b.flow.syms[pm.sym] == r.Owner && int(pm.meta&pmLevelMask) == r.Level {
+		for _, rec := range b.c.recs() {
+			if rec.add() == r.Owner && int(rec.meta&pmLevelMask) == r.Level {
 				return true
 			}
 		}

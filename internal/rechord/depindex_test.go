@@ -108,10 +108,8 @@ func (n *RealNode) holdsDependent(owners map[ident.ID]bool, refs map[ref.Ref]boo
 		}
 	}
 	for _, b := range n.in {
-		sp := b.flow.spans[b.span]
-		for i := sp.start; i < sp.end; i++ {
-			pm := b.flow.packed[i]
-			add := ref.Ref{Owner: b.flow.syms[pm.sym], Level: int(pm.meta & pmLevelMask)}
+		for _, r := range b.c.recs() {
+			add := ref.Ref{Owner: r.add(), Level: int(r.meta & pmLevelMask)}
 			if owners[add.Owner] || refs[add] {
 				return true
 			}

@@ -128,6 +128,96 @@ func CheckFreeze(t testing.TB, nw *Network) int {
 	return replayed
 }
 
+// CheckStandingFlow holds every standing bucket to the contribution
+// invariant: a bucket from a sender that runs here (a partition's hosted
+// peer; every peer otherwise) points at that sender's own lastFlow
+// contribution for the recipient, the very block, and only a bucket from
+// a sender that runs elsewhere may hold a private one. Buckets from
+// departed incarnations fail it too.
+func CheckStandingFlow(t testing.TB, s Scheduler, when string) {
+	t.Helper()
+	nw, local := s.Network(), func(ident.ID) bool { return true }
+	if p, ok := s.(*Partition); ok {
+		local = p.hosted
+	}
+	for _, n := range nw.pt.nodes {
+		if n == nil {
+			continue
+		}
+		for _, b := range n.in {
+			from := nw.pt.nodes[uint32(b.sender>>32)]
+			switch {
+			case from == nil || from.h() != b.sender:
+				t.Fatalf("%s: %s holds a bucket from a departed sender incarnation", when, n.id)
+			case b.private && local(from.id):
+				t.Fatalf("%s: %s holds a private bucket from %s, which runs here", when, n.id, from.id)
+			case !b.private && b.c != findContrib(from.lastFlow, n.id):
+				t.Fatalf("%s: %s's bucket from %s is not the sender's lastFlow contribution", when, n.id, from.id)
+			case b.c.owner() != n.id:
+				t.Fatalf("%s: %s's bucket from %s is addressed to %s", when, n.id, from.id, b.c.owner())
+			}
+		}
+	}
+}
+
+// bucketKey names one standing bucket: its recipient and its sender.
+type bucketKey struct {
+	to   ident.ID
+	from handle
+}
+
+// BucketWatch is every standing bucket of a network and the commit's op
+// count at one instant, for Check.
+type BucketWatch struct {
+	nw      *Network
+	ops     uint64
+	buckets map[bucketKey]*contrib
+}
+
+// WatchBuckets takes a BucketWatch of nw.
+func WatchBuckets(nw *Network) *BucketWatch {
+	bw := &BucketWatch{nw: nw, ops: nw.met.BucketOps.Value(), buckets: map[bucketKey]*contrib{}}
+	for _, n := range nw.pt.nodes {
+		if n != nil {
+			for _, b := range n.in {
+				bw.buckets[bucketKey{n.id, b.sender}] = b.c
+			}
+		}
+	}
+	return bw
+}
+
+// Check holds the bucket ops committed since the watch was taken to the
+// buckets that changed: one op per bucket installed, deleted or
+// rewritten, and every rewrite changes the bucket's messages — so no op
+// repointed a bucket at equal content or rewrote it to the block that
+// stood. Valid across one batch, which writes each bucket at most once.
+func (bw *BucketWatch) Check(t testing.TB, when string) {
+	t.Helper()
+	now := WatchBuckets(bw.nw)
+	changed := 0
+	for k, c := range now.buckets {
+		old, ok := bw.buckets[k]
+		switch {
+		case !ok:
+			changed++
+		case old != c:
+			if slices.Equal(old.recs(), c.recs()) {
+				t.Fatalf("%s: the bucket from %x at %s was repointed at equal messages", when, k.from, k.to)
+			}
+			changed++
+		}
+	}
+	for k := range bw.buckets {
+		if _, ok := now.buckets[k]; !ok {
+			changed++
+		}
+	}
+	if ops := now.ops - bw.ops; ops != uint64(changed) {
+		t.Fatalf("%s: the commit applied %d bucket ops, %d buckets changed", when, ops, changed)
+	}
+}
+
 // CheckDepIndex rebuilds the expected dependency counts from the peers'
 // actual state (edge sets plus standing buckets) and compares them with
 // the live index, both directions. The index is kept only by diffs, so
@@ -158,9 +248,8 @@ func CheckDepIndex(t testing.TB, nw *Network, when string) {
 			}
 		}
 		for _, b := range n.in {
-			sp := b.flow.spans[b.span]
-			for _, pm := range b.flow.packed[sp.start:sp.end] {
-				bump(b.flow.syms[pm.sym], uint32(slot))
+			for _, r := range b.c.recs() {
+				bump(r.add(), uint32(slot))
 			}
 		}
 	}
@@ -318,6 +407,16 @@ func (nw *Network) Recipients(id ident.ID) []ident.ID {
 		if n != nil && n.findBucket(h) >= 0 {
 			out = append(out, n.id)
 		}
+	}
+	return out
+}
+
+// Standing returns the standing buckets at id by sender identifier, each
+// as its messages in emission order.
+func (nw *Network) Standing(id ident.ID) map[ident.ID][]Message {
+	out := map[ident.ID][]Message{}
+	for _, b := range nw.pt.node(id).in {
+		out[nw.pt.ids[uint32(b.sender>>32)]] = b.c.appendMsgs(nil)
 	}
 	return out
 }

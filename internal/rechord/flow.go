@@ -1,8 +1,8 @@
 package rechord
 
 import (
+	"cmp"
 	"slices"
-	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/graph"
@@ -10,29 +10,32 @@ import (
 	"repro/internal/ref"
 )
 
-// Shared flow templates: the compact at-rest representation of
-// standing flows. At stability a sender's relay output repeats
-// verbatim every round, so the recipient-side deep copies of those
-// messages are pure duplication. A flowTemplate freezes one batch's
-// output into an immutable, refcounted object; the sender's lastFlow
-// and every recipient bucket reference spans of the same template
-// instead of each holding a []Message copy.
+// Standing-flow contributions: the compact at-rest representation of
+// standing flows. At stability a sender's relay output repeats verbatim
+// every round, so recipient-side deep copies of those messages would be
+// pure duplication. A contribution freezes one sender's messages to one
+// recipient into an immutable block; the sender's lastFlow indexes its
+// contributions by recipient, and the recipient's bucket points at the
+// same block.
+//
+// The contribution is also the unit of change. When a sender's output
+// changes, diffFlow's per-recipient verdicts decide which recipients get
+// a fresh contribution; every other recipient keeps the very block its
+// bucket points at, so the plan step leaves its bucket, its dep-index
+// entries and its dirty flag alone (barrier.go).
 //
 // Immutability is what makes the sharing safe: the engine only ever
-// *replaces* a bucket (the bucket-replace invariant — rules never edit
-// standing messages in place), so once built, a template's bytes are
-// never written again. The reference engine's messages are private
-// copies, so an in-place write shows up as a divergence from it
-// (TestInPlaceTemplateWriteDivergesFromReference).
+// *replaces* a bucket's contribution (the bucket-replace invariant —
+// rules never edit standing messages in place), so once built, a
+// contribution's bytes are never written again. The reference engine's
+// messages are private copies, so an in-place write shows up as a
+// divergence from it (TestInPlaceTemplateWriteDivergesFromReference).
 //
-// Messages are stored packed: the Add owner (the only full ident.ID a
-// standing message carries besides its recipient) is interned into a
-// sorted symbol table, and the two levels plus the edge kind share one
-// meta word. A packed record is 8 bytes against Message's 40; the
-// recipient owner is stored once per span, not per message. A new
-// generation is built from its predecessor (freezeFlow): the spans whose
-// messages did not change are copied record for record, and the symbol
-// table is the predecessor's own array while its set is unchanged.
+// Layout: one allocation per contribution — a 12-byte header holding the
+// recipient and the message count, then one 12-byte record per message
+// holding the Add owner and a meta word that packs the kind and both
+// levels — against Message's 40 bytes. The recipient is stored once, in
+// the header.
 
 const (
 	// pmLevelBits is wide enough for ident.MaxLevel (62) with room to
@@ -43,137 +46,81 @@ const (
 
 	// msgBytes is the deep-copy cost of one standing message — the
 	// unit the shared-vs-unique telemetry reports so the numbers are
-	// directly comparable with the pre-sharing representation.
+	// directly comparable with a []Message representation.
 	msgBytes = int(unsafe.Sizeof(Message{}))
+	// recBytes is the at-rest cost of one standing message, ptrBytes
+	// that of one lastFlow index entry.
+	recBytes = int(unsafe.Sizeof(cmsg{}))
+	ptrBytes = int(unsafe.Sizeof((*contrib)(nil)))
 )
 
-// packedMsg is one standing message at rest: the Add owner as an index
-// into the template's symbol table, and kind + To.Level + Add.Level
-// packed into meta. The To owner is implicit in the enclosing span.
-type packedMsg struct {
-	sym  uint32
-	meta uint32
+// cmsg is one standing message at rest: the Add owner as two words (so
+// a record is 12 bytes and 4-aligned) and kind + To.Level + Add.Level
+// packed into meta.
+type cmsg struct {
+	lo, hi, meta uint32
 }
 
-// flowSpan is one recipient's contiguous slice of the packed stream,
-// in emission order.
-type flowSpan struct {
-	owner      ident.ID
-	start, end uint32
+// contrib is the header of a contribution block: the recipient, as two
+// words, and the number of records that follow it in the same
+// allocation. It has cmsg's layout, so a block is a []cmsg whose first
+// element is the header.
+type contrib struct {
+	lo, hi, n uint32
 }
 
-// flowTemplate is an immutable snapshot of one sender's per-round
-// output, grouped by recipient. refs counts the sender's lastFlow
-// reference plus one per recipient bucket; it is atomic because the
-// sharded commit releases old buckets from parallel workers.
-type flowTemplate struct {
-	refs atomic.Int32
-	// private marks a copy, not a sender's own generation: a clone's
-	// single span, or, at the host of a remote sender's recipients,
-	// the spans of one run of its updates (Partition.applyRun).
-	private bool
-	packed  []packedMsg
-	spans   []flowSpan // sorted by owner
-	syms    []ident.ID // sorted, deduped Add owners; may be a predecessor's array
+// newContrib allocates a contribution to owner with room for n records.
+func newContrib(owner ident.ID, n int) *contrib {
+	blk := make([]cmsg, n+1)
+	c := (*contrib)(unsafe.Pointer(&blk[0]))
+	c.lo, c.hi, c.n = uint32(owner), uint32(owner>>32), uint32(n)
+	return c
 }
 
-// footprint is the resident size of the template itself.
-func (t *flowTemplate) footprint() int {
-	return int(unsafe.Sizeof(*t)) +
-		len(t.packed)*int(unsafe.Sizeof(packedMsg{})) +
-		len(t.spans)*int(unsafe.Sizeof(flowSpan{})) +
-		len(t.syms)*8
-}
-
-// retain takes one reference and returns t for call-site convenience.
-func (t *flowTemplate) retain() *flowTemplate {
-	t.refs.Add(1)
-	return t
-}
-
-// release drops one reference and reports whether it was the last; the
-// caller owns the accounting, the garbage collector owns the bytes.
-func (t *flowTemplate) release() bool {
-	return t.refs.Add(-1) == 0
-}
-
-// searchSpans finds owner in a span list sorted by recipient: its index,
-// or where it would be inserted.
-func searchSpans(spans []flowSpan, owner ident.ID) (int, bool) {
-	lo, hi := 0, len(spans)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if spans[mid].owner < owner {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// packContrib freezes msgs, all addressed to owner, into a contribution.
+func packContrib(owner ident.ID, msgs []Message) *contrib {
+	c := newContrib(owner, len(msgs))
+	for i, m := range msgs {
+		c.recs()[i] = packRec(m)
 	}
-	return lo, lo < len(spans) && spans[lo].owner == owner
+	return c
 }
 
-// findSpan returns the index of owner's span, or -1.
-func (t *flowTemplate) findSpan(owner ident.ID) int32 {
-	if i, ok := searchSpans(t.spans, owner); ok {
-		return int32(i)
+// owner is the recipient.
+func (c *contrib) owner() ident.ID { return ident.ID(c.hi)<<32 | ident.ID(c.lo) }
+
+// recs returns the records in emission order.
+func (c *contrib) recs() []cmsg {
+	return unsafe.Slice((*cmsg)(unsafe.Pointer(c)), c.n+1)[1:]
+}
+
+// footprint is the resident size of the block.
+func (c *contrib) footprint() int { return (int(c.n) + 1) * recBytes }
+
+// appendMsgs reconstitutes the messages onto dst in emission order.
+func (c *contrib) appendMsgs(dst []Message) []Message {
+	owner := c.owner()
+	for _, r := range c.recs() {
+		dst = append(dst, r.msg(owner))
 	}
-	return -1
+	return dst
 }
 
-// spanLen is the number of messages in span si.
-func (t *flowTemplate) spanLen(si int32) int {
-	sp := t.spans[si]
-	return int(sp.end - sp.start)
-}
+// add is the record's Add owner.
+func (r cmsg) add() ident.ID { return ident.ID(r.hi)<<32 | ident.ID(r.lo) }
 
-// msgAt reconstitutes the full Message at packed index i, addressed to
-// owner (the enclosing span's recipient).
-func (t *flowTemplate) msgAt(owner ident.ID, i uint32) Message {
-	pm := t.packed[i]
+// msg reconstitutes the full Message, addressed to owner (the
+// contribution's recipient).
+func (r cmsg) msg(owner ident.ID) Message {
 	return Message{
-		To:   ref.Ref{Owner: owner, Level: int(pm.meta >> pmLevelBits & pmLevelMask)},
-		Kind: graph.Kind(pm.meta >> pmKindShift),
-		Add:  ref.Ref{Owner: t.syms[pm.sym], Level: int(pm.meta & pmLevelMask)},
+		To:   ref.Ref{Owner: owner, Level: int(r.meta >> pmLevelBits & pmLevelMask)},
+		Kind: graph.Kind(r.meta >> pmKindShift),
+		Add:  ref.Ref{Owner: r.add(), Level: int(r.meta & pmLevelMask)},
 	}
-}
-
-// appendSpan reconstitutes span si onto dst in emission order.
-func (t *flowTemplate) appendSpan(dst []Message, si int32) []Message {
-	sp := t.spans[si]
-	for i := sp.start; i < sp.end; i++ {
-		dst = append(dst, t.msgAt(sp.owner, i))
-	}
-	return dst
-}
-
-// appendAll reconstitutes the whole template onto dst.
-func (t *flowTemplate) appendAll(dst []Message) []Message {
-	for si := range t.spans {
-		dst = t.appendSpan(dst, int32(si))
-	}
-	return dst
-}
-
-// spansEqual compares span ai of a with span bi of b element-wise.
-func spansEqual(a *flowTemplate, ai int32, b *flowTemplate, bi int32) bool {
-	if a == b && ai == bi {
-		return true
-	}
-	sa, sb := a.spans[ai], b.spans[bi]
-	if sa.owner != sb.owner || sa.end-sa.start != sb.end-sb.start {
-		return false
-	}
-	pa, pb := a.packed[sa.start:sa.end], b.packed[sb.start:sb.end]
-	for k := range pa {
-		if pa[k].meta != pb[k].meta || a.syms[pa[k].sym] != b.syms[pb[k].sym] {
-			return false
-		}
-	}
-	return true
 }
 
 // packMeta packs m's kind and levels into a meta word, or returns ^0 —
-// which no packed record carries — when a level exceeds the packed range.
+// which no record carries — when a level exceeds the packed range.
 func packMeta(m Message) uint32 {
 	if uint(m.To.Level) > pmLevelMask || uint(m.Add.Level) > pmLevelMask {
 		return ^uint32(0)
@@ -181,20 +128,33 @@ func packMeta(m Message) uint32 {
 	return uint32(m.Kind)<<pmKindShift | uint32(m.To.Level)<<pmLevelBits | uint32(m.Add.Level)
 }
 
-// packMsg encodes m against the sorted symbol table.
-func packMsg(m Message, syms []ident.ID) packedMsg {
+// packRec encodes m as a record.
+func packRec(m Message) cmsg {
 	meta := packMeta(m)
 	if meta == ^uint32(0) {
 		panic("rechord: message level exceeds packed-storage range")
 	}
-	sym, _ := slices.BinarySearch(syms, m.Add.Owner)
-	return packedMsg{sym: uint32(sym), meta: meta}
+	return cmsg{lo: uint32(m.Add.Owner), hi: uint32(m.Add.Owner >> 32), meta: meta}
+}
+
+// searchFlow finds owner in a flow index sorted by recipient: its
+// index, or where it would be inserted.
+func searchFlow(flow []*contrib, owner ident.ID) (int, bool) {
+	return slices.BinarySearchFunc(flow, owner, func(c *contrib, id ident.ID) int { return cmp.Compare(c.owner(), id) })
+}
+
+// findContrib returns owner's contribution in a flow index, or nil.
+func findContrib(flow []*contrib, owner ident.ID) *contrib {
+	if i, ok := searchFlow(flow, owner); ok {
+		return flow[i]
+	}
+	return nil
 }
 
 // spanDiff is one recipient of a run's output held against the sender's
-// previous template: how many messages the output addresses to it, its
-// span in the previous template (-1: none), and whether that span holds
-// exactly these messages in emission order.
+// previous flow: how many messages the output addresses to it, the index
+// of its previous contribution (-1: none), and whether that contribution
+// holds exactly these messages in emission order.
 type spanDiff struct {
 	owner ident.ID
 	n     uint32
@@ -206,16 +166,16 @@ type spanDiff struct {
 // whether they differ: a recipient's messages changed (order within a
 // recipient included), a recipient appeared, or one vanished.
 // Cross-recipient interleaving is not compared: delivery is per recipient
-// (each bucket replays its own span), and the deterministic rules emit
-// per-recipient sequences in a fixed order anyway.
+// (each bucket replays its own contribution), and the deterministic rules
+// emit per-recipient sequences in a fixed order anyway.
 //
 // The per-recipient verdicts stay in w for freezeFlow: w.diff in order of
 // first appearance in out, w.order the same entries sorted by recipient,
 // w.at the entry of each message of out. One search of the (small) sorted
 // recipient list per message, skipped while consecutive messages share a
-// recipient, and one comparison with the old span's record at the
-// recipient's cursor.
-func diffFlow(old *flowTemplate, out []Message, w *worker) bool {
+// recipient, and one comparison with the old contribution's record at
+// the recipient's cursor.
+func diffFlow(old []*contrib, out []Message, w *worker) bool {
 	diff, order, at := w.diff[:0], w.order[:0], w.at[:0]
 	d := int32(-1)
 	for mi := range out {
@@ -235,9 +195,8 @@ func diffFlow(old *flowTemplate, out []Message, w *worker) bool {
 			} else {
 				d = int32(len(diff))
 				sd := spanDiff{owner: owner, old: -1}
-				if old != nil {
-					sd.old = old.findSpan(owner)
-					sd.same = sd.old >= 0
+				if k, ok := searchFlow(old, owner); ok {
+					sd.old, sd.same = int32(k), true
 				}
 				diff = append(diff, sd)
 				order = slices.Insert(order, i, d)
@@ -246,226 +205,120 @@ func diffFlow(old *flowTemplate, out []Message, w *worker) bool {
 		sd := &diff[d]
 		if sd.same {
 			// The recipient matches by construction; compare the rest packed.
-			sp := old.spans[sd.old]
-			i := sp.start + sd.n
-			sd.same = i < sp.end && old.packed[i].meta == packMeta(*m) && old.syms[old.packed[i].sym] == m.Add.Owner
+			recs := old[sd.old].recs()
+			sd.same = int(sd.n) < len(recs) && recs[sd.n] == cmsg{lo: uint32(m.Add.Owner), hi: uint32(m.Add.Owner >> 32), meta: packMeta(*m)}
 		}
 		sd.n++
 		at = append(at, d)
 	}
 	w.diff, w.order, w.at = diff, order, at
-	changed := false
+	changed := len(diff) != len(old) // every recipient matched a distinct old one
 	for k := range diff {
 		sd := &diff[k]
-		sd.same = sd.same && int(sd.n) == old.spanLen(sd.old)
+		sd.same = sd.same && sd.n == old[sd.old].n
 		changed = changed || !sd.same
-	}
-	if old != nil {
-		// Every recipient matched a distinct old span, so one vanished
-		// exactly when the counts differ.
-		return changed || len(diff) != len(old.spans)
 	}
 	return changed
 }
 
-// freezeFlow packs out into a fresh template carrying one reference for
-// the caller, on top of the verdicts diffFlow(old, out, w) just left in
-// w: spans come out sorted by recipient with emission order preserved
-// inside; a recipient whose messages did not change copies its packed
-// records from old, and only the others are packed from out. Building
-// from nothing is the old == nil case. The result equals a from-scratch
-// build field by field (TestFreezeMatchesScratch); the only allocations
-// are the template's own exact-size arrays, and not even the symbol table
-// when its set did not change.
-func freezeFlow(old *flowTemplate, out []Message, w *worker) *flowTemplate {
-	t := &flowTemplate{
-		packed: make([]packedMsg, len(out)),
-		spans:  make([]flowSpan, len(w.order)),
-	}
-	cur := slices.Grow(w.cursors[:0], len(w.diff))[:len(w.diff)]
-	at := uint32(0)
-	for si, d := range w.order {
-		t.spans[si] = flowSpan{owner: w.diff[d].owner, start: at, end: at + w.diff[d].n}
-		cur[d] = at
-		at += w.diff[d].n
-	}
-	w.cursors = cur
-	var remap bool
-	t.syms, remap = w.freezeSyms(old, out)
-	for si, d := range w.order {
-		if sd := w.diff[d]; sd.same {
-			sp := old.spans[sd.old]
-			dst := t.packed[t.spans[si].start:t.spans[si].end]
-			copy(dst, old.packed[sp.start:sp.end])
-			if remap {
-				for k := range dst {
-					dst[k].sym = w.symMap[dst[k].sym]
-				}
-			}
+// freezeFlow builds the flow index of out into w.flows and returns it,
+// on top of the verdicts diffFlow(old, out, w) just left in w: per
+// recipient in identifier order, old's own contribution where the
+// recipient's messages did not change, a fresh one packed from out in
+// emission order otherwise. The result equals a from-scratch build
+// record for record (TestFreezeMatchesScratch); the fresh contributions
+// are its only allocations.
+func (w *worker) freezeFlow(old []*contrib, out []Message) []*contrib {
+	k0 := len(w.flows)
+	fill := slices.Grow(w.fill[:0], len(w.diff))[:len(w.diff)]
+	for _, d := range w.order {
+		sd := w.diff[d]
+		c := (*contrib)(nil)
+		if sd.same {
+			c = old[sd.old]
+		} else {
+			c = newContrib(sd.owner, int(sd.n))
+			fill[d] = c.recs()
 		}
+		w.flows = append(w.flows, c)
 	}
 	for i, m := range out {
 		if d := w.at[i]; !w.diff[d].same {
-			t.packed[cur[d]] = packMsg(m, t.syms)
-			cur[d]++
+			fill[d][0] = packRec(m)
+			fill[d] = fill[d][1:]
 		}
 	}
-	t.refs.Store(1)
-	return t
+	clear(fill)
+	w.fill = fill
+	return w.flows[k0:]
 }
 
-// freezeSyms returns the symbol table of the template freezeFlow builds:
-// the sorted distinct Add owners of out. Those of the copied spans are
-// old symbols by construction, so old's table is reused as is when the
-// changed spans bring no new owner and no old one fell out of use;
-// otherwise the used old symbols and the new owners are merged into a
-// fresh table, and remap reports that w.symMap translates an old symbol
-// index into the new table.
-func (w *worker) freezeSyms(old *flowTemplate, out []Message) (syms []ident.ID, remap bool) {
-	var oldSyms []ident.ID
-	if old != nil {
-		oldSyms = old.syms
-	}
-	used := slices.Grow(w.symMap[:0], len(oldSyms))[:len(oldSyms)]
-	clear(used)
-	for _, sd := range w.diff {
-		if sd.same {
-			sp := old.spans[sd.old]
-			for _, pm := range old.packed[sp.start:sp.end] {
-				used[pm.sym] = 1
-			}
-		}
-	}
-	fresh := w.syms[:0]
-	for i, m := range out {
-		if w.diff[w.at[i]].same {
-			continue
-		}
-		if k, ok := slices.BinarySearch(oldSyms, m.Add.Owner); ok {
-			used[k] = 1
-		} else {
-			fresh = append(fresh, m.Add.Owner)
-		}
-	}
-	w.symMap, w.syms = used, fresh
-	if len(fresh) == 0 && !slices.Contains(used, 0) {
-		return oldSyms, false
-	}
-	ident.Sort(fresh)
-	fresh = slices.Compact(fresh)
-	n := len(fresh)
-	for _, u := range used {
-		n += int(u)
-	}
-	syms = make([]ident.ID, 0, n)
-	j := 0
-	for k, id := range oldSyms {
-		if used[k] == 0 {
-			continue
-		}
-		for ; j < len(fresh) && fresh[j] < id; j++ {
-			syms = append(syms, fresh[j])
-		}
-		used[k] = uint32(len(syms))
-		syms = append(syms, id)
-	}
-	return append(syms, fresh[j:]...), true
-}
-
-// cloneSpan freezes span si of t into a fresh private single-span
-// template that *shares* t's packed records and symbol table — safe
-// because template bytes are immutable once built (the bucket-replace
-// invariant), and release only drops refcounts, never frees or edits
-// storage. Snapshot clones use it: they take no reference, so they
-// don't appear in the engine's flow accounting, and the GC keeps the
-// shared arrays alive for as long as the snapshot needs them.
-func (t *flowTemplate) cloneSpan(si int32) *flowTemplate {
-	sp := t.spans[si]
-	c := &flowTemplate{
-		private: true,
-		packed:  t.packed[sp.start:sp.end:sp.end],
-		spans:   []flowSpan{{owner: sp.owner, end: sp.end - sp.start}},
-		syms:    t.syms,
-	}
-	c.refs.Store(1)
-	return c
-}
-
-// bucket is one standing contribution at a recipient: span si of the
-// sender's flow template. ~24 bytes against the former map entry plus
-// []Message backing.
+// bucket is one standing contribution at a recipient: 24 bytes. private
+// marks a contribution the bucket owns alone — at the host of a remote
+// sender's recipient, built from a bucket update (Partition.Apply) —
+// rather than one of its sender's lastFlow.
 type bucket struct {
-	sender handle
-	span   int32
-	unread bool // installed with a wake by the async runner, not yet delivered
-	flow   *flowTemplate
+	sender  handle
+	c       *contrib
+	unread  bool // installed with a wake by the async runner, not yet delivered
+	private bool
 }
 
 // findBucket returns the index of sender's bucket in the sorted table,
 // or -1.
 func (n *RealNode) findBucket(sender handle) int {
-	lo, hi := 0, len(n.in)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if n.in[mid].sender < sender {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(n.in) && n.in[lo].sender == sender {
-		return lo
+	if i, ok := n.searchBucket(sender); ok {
+		return i
 	}
 	return -1
 }
 
+// searchBucket finds sender's bucket in the sorted table: its index, or
+// where it would be inserted.
+func (n *RealNode) searchBucket(sender handle) (int, bool) {
+	return slices.BinarySearchFunc(n.in, sender, func(b bucket, h handle) int { return cmp.Compare(b.sender, h) })
+}
+
 // setBucket inserts or replaces sender's bucket, keeping the table
-// sorted. Returns the replaced bucket, if any. Refcounts are the
+// sorted. Returns the replaced bucket, if any. Accounting is the
 // caller's responsibility.
-func (n *RealNode) setBucket(sender handle, t *flowTemplate, si int32) (old bucket, existed bool) {
-	lo, hi := 0, len(n.in)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if n.in[mid].sender < sender {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(n.in) && n.in[lo].sender == sender {
-		old = n.in[lo]
-		n.in[lo] = bucket{sender: sender, span: si, unread: old.unread, flow: t}
+func (n *RealNode) setBucket(b bucket) (old bucket, existed bool) {
+	i, ok := n.searchBucket(b.sender)
+	if ok {
+		old = n.in[i]
+		b.unread = old.unread
+		n.in[i] = b
 		return old, true
 	}
-	n.in = append(n.in, bucket{})
-	copy(n.in[lo+1:], n.in[lo:])
-	n.in[lo] = bucket{sender: sender, span: si, flow: t}
+	n.in = slices.Insert(n.in, i, b)
 	return bucket{}, false
 }
 
-// delBucketAt removes the bucket at index bi. Refcounts are the
+// delBucketAt removes the bucket at index bi. Accounting is the
 // caller's responsibility.
 func (n *RealNode) delBucketAt(bi int) {
-	copy(n.in[bi:], n.in[bi+1:])
-	n.in[len(n.in)-1] = bucket{}
-	n.in = n.in[:len(n.in)-1]
+	n.in = slices.Delete(n.in, bi, bi+1)
 }
 
 // flowTally accumulates flow-storage accounting. The Network holds the
 // authoritative copy; each commitShard accumulates a local one during
-// the parallel commit, merged at the barrier.
+// the parallel commit, merged at the barrier. A contribution is live
+// while a sender's lastFlow indexes it or, when private, while its
+// bucket stands; the commit keeps every other bucket on its sender's
+// lastFlow contribution, so that is every contribution a bucket holds.
 type flowTally struct {
-	births, deaths int // templates created / fully released
-	residentBytes  int // footprint delta of created minus released
-	sharedBytes    int // deep-equivalent bytes of buckets on shared templates
-	uniqueBytes    int // deep-equivalent bytes of buckets on private templates
+	contribs       int // live contributions
+	adopted        int // changed outputs adopted into a lastFlow
+	residentBytes  int // live contributions' blocks plus the lastFlow indexes
+	sharedBytes    int // deep-equivalent bytes of buckets on their sender's contributions
+	uniqueBytes    int // deep-equivalent bytes of buckets on private contributions
 	installsShared int
 	installsCopied int
 }
 
 func (ft *flowTally) add(o *flowTally) {
-	ft.births += o.births
-	ft.deaths += o.deaths
+	ft.contribs += o.contribs
+	ft.adopted += o.adopted
 	ft.residentBytes += o.residentBytes
 	ft.sharedBytes += o.sharedBytes
 	ft.uniqueBytes += o.uniqueBytes
@@ -473,47 +326,72 @@ func (ft *flowTally) add(o *flowTally) {
 	ft.installsCopied += o.installsCopied
 }
 
-// tallyBirth records a freshly built template.
-func (ft *flowTally) tallyBirth(t *flowTemplate) {
-	ft.births++
-	ft.residentBytes += t.footprint()
+// live accounts a contribution becoming live (k = 1) or dying (k = -1).
+func (ft *flowTally) live(c *contrib, k int) {
+	ft.contribs += k
+	ft.residentBytes += k * c.footprint()
 }
 
-// releaseFlow drops a non-bucket reference (lastFlow, or a builder's
-// handoff reference) and accounts the death if it was the last.
-func releaseFlow(t *flowTemplate, ft *flowTally) {
-	fp := t.footprint()
-	if t.release() {
-		ft.deaths++
-		ft.residentBytes -= fp
+// adoptFlow makes flow (sorted by recipient) n's lastFlow, reusing the
+// index's storage, and accounts the contributions it drops and gains and
+// the index's growth. A nil flow releases the index.
+func (ft *flowTally) adoptFlow(n *RealNode, flow []*contrib) {
+	old := n.lastFlow
+	i, j := 0, 0
+	for i < len(old) || j < len(flow) {
+		switch {
+		case j == len(flow) || (i < len(old) && old[i].owner() < flow[j].owner()):
+			ft.live(old[i], -1)
+			i++
+		case i == len(old) || flow[j].owner() < old[i].owner():
+			ft.live(flow[j], 1)
+			j++
+		default:
+			if old[i] != flow[j] {
+				ft.live(old[i], -1)
+				ft.live(flow[j], 1)
+			}
+			i++
+			j++
+		}
 	}
-}
-
-// releaseBucket drops a bucket's reference including its
-// shared/unique byte classification.
-func releaseBucket(b bucket, ft *flowTally) {
-	bytes := b.flow.spanLen(b.span) * msgBytes
-	if b.flow.private {
-		ft.uniqueBytes -= bytes
+	c0 := cap(old)
+	if flow == nil {
+		n.lastFlow = nil
 	} else {
-		ft.sharedBytes -= bytes
+		ft.adopted++
+		n.lastFlow = append(old[:0], flow...)
+		if len(flow) < len(old) {
+			clear(old[len(flow):]) // drop the dead tail's pointers
+		}
 	}
-	releaseFlow(b.flow, ft)
+	ft.residentBytes += (cap(n.lastFlow) - c0) * ptrBytes
 }
 
-// installBucket points dst's bucket for sender at span si of t. Handles
-// refcounts and tally only; deps, bucketMsgs, and dirty are the caller's.
-func installBucket(dst *RealNode, sender handle, t *flowTemplate, si int32, ft *flowTally) {
-	t.retain()
-	bytes := t.spanLen(si) * msgBytes
-	if t.private {
+// installBucket points dst's bucket for sender at c. Handles the tally
+// only; deps, bucketMsgs, and dirty are the caller's.
+func installBucket(dst *RealNode, b bucket, ft *flowTally) {
+	bytes := int(b.c.n) * msgBytes
+	if b.private {
+		ft.live(b.c, 1)
 		ft.uniqueBytes += bytes
 		ft.installsCopied++
 	} else {
 		ft.sharedBytes += bytes
 		ft.installsShared++
 	}
-	if old, existed := dst.setBucket(sender, t, si); existed {
+	if old, existed := dst.setBucket(b); existed {
 		releaseBucket(old, ft)
+	}
+}
+
+// releaseBucket accounts a bucket that is replaced or deleted.
+func releaseBucket(b bucket, ft *flowTally) {
+	bytes := int(b.c.n) * msgBytes
+	if b.private {
+		ft.live(b.c, -1)
+		ft.uniqueBytes -= bytes
+	} else {
+		ft.sharedBytes -= bytes
 	}
 }

@@ -10,36 +10,34 @@ import (
 	"repro/internal/ref"
 )
 
-// White-box regressions for the shared flow-template storage: the
-// immutability the sharing rests on, the refcount/tally bookkeeping, the
-// packed round-trip, and the incremental freeze against a from-scratch
-// build.
+// White-box regressions for the standing-flow contributions: the
+// immutability the sharing rests on, the tally bookkeeping, the packed
+// round-trip, and the incremental freeze against a from-scratch build.
 
 // freezeScratch is the oracle freezeFlow is held to: out frozen with no
-// predecessor and no scratch reuse — recipients sorted with emission
-// order kept inside each, every Add owner interned into a fresh sorted
-// table, every message packed.
-func freezeScratch(out []Message) *flowTemplate {
-	t := &flowTemplate{packed: make([]packedMsg, 0, len(out))}
+// predecessor and no scratch reuse — one fresh contribution per
+// recipient, recipients sorted, emission order kept inside each.
+func freezeScratch(out []Message) []*contrib {
+	var owners []ident.ID
 	for _, m := range out {
-		t.syms = append(t.syms, m.Add.Owner)
-		if i, ok := searchSpans(t.spans, m.To.Owner); !ok {
-			t.spans = slices.Insert(t.spans, i, flowSpan{owner: m.To.Owner})
+		if i, ok := slices.BinarySearch(owners, m.To.Owner); !ok {
+			owners = slices.Insert(owners, i, m.To.Owner)
 		}
 	}
-	ident.Sort(t.syms)
-	t.syms = slices.Compact(t.syms)
-	for i := range t.spans {
-		sp := &t.spans[i]
-		sp.start = uint32(len(t.packed))
-		for _, m := range out {
-			if m.To.Owner == sp.owner {
-				t.packed = append(t.packed, packMsg(m, t.syms))
-			}
-		}
-		sp.end = uint32(len(t.packed))
+	var flow []*contrib
+	for _, o := range owners {
+		flow = append(flow, packContrib(o, recipientMsgs(out, o)))
 	}
-	return t
+	return flow
+}
+
+// appendFlow reconstitutes a flow index onto dst, recipient by
+// recipient.
+func appendFlow(dst []Message, flow []*contrib) []Message {
+	for _, c := range flow {
+		dst = c.appendMsgs(dst)
+	}
+	return dst
 }
 
 // recipientMsgs is out's messages to owner, in emission order.
@@ -55,21 +53,19 @@ func recipientMsgs(out []Message, owner ident.ID) []Message {
 
 // checkFreeze holds diffFlow and freezeFlow on (old, out) to the oracles:
 // the verdict and every recipient's verdict to a plain comparison of
-// per-recipient message sequences, and the template, field by field, to
-// freezeScratch(out). It returns the template.
-func checkFreeze(t testing.TB, old *flowTemplate, out []Message, w *worker) *flowTemplate {
+// per-recipient message sequences, and the flow index, record for
+// record, to freezeScratch(out). A recipient keeps old's contribution
+// exactly when its verdict is "same". It returns the index, a copy out
+// of w's arena.
+func checkFreeze(t testing.TB, old []*contrib, out []Message, w *worker) []*contrib {
 	t.Helper()
 	changed := diffFlow(old, out, w)
 	plain := freezeScratch(out)
-	var oldSpans []flowSpan
-	if old != nil {
-		oldSpans = old.spans
-	}
-	want := len(plain.spans) != len(oldSpans)
+	want := len(plain) != len(old)
 	for _, d := range w.order {
 		sd := w.diff[d]
-		i, ok := searchSpans(oldSpans, sd.owner)
-		same := ok && slices.Equal(old.appendSpan(nil, int32(i)), recipientMsgs(out, sd.owner))
+		oc := findContrib(old, sd.owner)
+		same := oc != nil && slices.Equal(oc.appendMsgs(nil), recipientMsgs(out, sd.owner))
 		if sd.same != same {
 			t.Fatalf("recipient %s: verdict same=%v, plain comparison %v", sd.owner, sd.same, same)
 		}
@@ -78,10 +74,19 @@ func checkFreeze(t testing.TB, old *flowTemplate, out []Message, w *worker) *flo
 	if changed != want {
 		t.Fatalf("diffFlow reports changed=%v, plain comparison %v", changed, want)
 	}
-	got := freezeFlow(old, out, w)
-	if !slices.Equal(got.packed, plain.packed) || !slices.Equal(got.spans, plain.spans) || !slices.Equal(got.syms, plain.syms) {
-		t.Fatalf("incremental freeze differs from the from-scratch build:\n got %+v %+v %v\nwant %+v %+v %v",
-			got.spans, got.packed, got.syms, plain.spans, plain.packed, plain.syms)
+	got := slices.Clone(w.freezeFlow(old, out))
+	w.flows = w.flows[:0]
+	if len(got) != len(plain) {
+		t.Fatalf("incremental freeze has %d recipients, the from-scratch build %d", len(got), len(plain))
+	}
+	for k, c := range got {
+		if c.owner() != plain[k].owner() || !slices.Equal(c.recs(), plain[k].recs()) {
+			t.Fatalf("incremental freeze differs from the from-scratch build at recipient %s:\n got %v\nwant %v",
+				plain[k].owner(), c.appendMsgs(nil), plain[k].appendMsgs(nil))
+		}
+		if kept := c == findContrib(old, c.owner()); kept != w.diff[w.order[k]].same {
+			t.Fatalf("recipient %s: kept its contribution %v, verdict same=%v", c.owner(), kept, !kept)
+		}
 	}
 	return got
 }
@@ -104,13 +109,13 @@ func TestFreezeMatchesScratch(t *testing.T) {
 			Add:  ref.Ref{Owner: id(40), Level: rng.Intn(3)},
 		}
 	}
-	reused, merged := 0, 0
+	reused, fresh := 0, 0
 	for iter := 0; iter < 20000; iter++ {
 		var out0 []Message
 		for range rng.Intn(30) {
 			out0 = append(out0, msg(id(8)))
 		}
-		var old *flowTemplate
+		var old []*contrib
 		if rng.Intn(8) > 0 {
 			old = freezeScratch(out0)
 		}
@@ -156,18 +161,17 @@ func TestFreezeMatchesScratch(t *testing.T) {
 				}
 			}
 		}
-		got := checkFreeze(t, old, out, w)
-		switch {
-		case old == nil || len(got.syms) == 0:
-		case len(old.syms) > 0 && &got.syms[0] == &old.syms[0]:
-			reused++
-		default:
-			merged++
+		for _, c := range checkFreeze(t, old, out, w) {
+			if c == findContrib(old, c.owner()) {
+				reused++
+			} else {
+				fresh++
+			}
 		}
 	}
-	// Both ways to a symbol table are exercised.
-	if reused < 1000 || merged < 1000 {
-		t.Fatalf("symbol table reused %d times, merged %d times", reused, merged)
+	// Both ways to a contribution are exercised.
+	if reused < 1000 || fresh < 1000 {
+		t.Fatalf("contributions reused %d times, built %d times", reused, fresh)
 	}
 }
 
@@ -200,10 +204,10 @@ func stableFlowNet(t *testing.T, n int, cfg Config) (*Network, []ident.ID) {
 	return nw, ids
 }
 
-// TestInPlaceTemplateWriteDivergesFromReference: templates are immutable
-// by construction (buckets are replaced, never edited). The reference's
-// messages are private copies, so a write into a live shared template —
-// which silently edits the standing bucket of every recipient aliasing
+// TestInPlaceTemplateWriteDivergesFromReference: contributions are
+// immutable by construction (buckets are replaced, never edited). The
+// reference's messages are private copies, so a write into a live
+// contribution — which silently edits the standing bucket that shares
 // it — must fail the comparison within one delivery; the same wake
 // without the write passes.
 func TestInPlaceTemplateWriteDivergesFromReference(t *testing.T) {
@@ -213,7 +217,7 @@ func TestInPlaceTemplateWriteDivergesFromReference(t *testing.T) {
 		settleLockstep(t, l)
 		var victim *RealNode
 		for _, n := range nw.pt.nodes {
-			if n != nil && n.lastFlow != nil && len(n.lastFlow.packed) > 0 {
+			if n != nil && len(n.lastFlow) > 0 && n.lastFlow[0].n > 0 {
 				victim = n
 				break
 			}
@@ -221,10 +225,11 @@ func TestInPlaceTemplateWriteDivergesFromReference(t *testing.T) {
 		if victim == nil {
 			t.Fatal("no peer with a standing flow at quiescence")
 		}
+		c := victim.lastFlow[0]
 		if mutate {
-			victim.lastFlow.packed[0].meta ^= 1 // the forbidden in-place write
+			c.recs()[0].meta ^= 1 // the forbidden in-place write
 		}
-		nw.Wake(victim.lastFlow.spans[0].owner) // the recipient delivers the span again
+		nw.Wake(c.owner()) // the recipient delivers the contribution again
 		if err := l.Step(); (err != nil) != mutate {
 			t.Fatalf("mutate=%v: comparison with the reference returned %v", mutate, err)
 		}
@@ -233,7 +238,7 @@ func TestInPlaceTemplateWriteDivergesFromReference(t *testing.T) {
 
 // TestFlowTallyMatchesRecount: after stabilization and churn, the
 // engine's incremental flow accounting must equal a from-scratch walk
-// over every live template and bucket.
+// over every lastFlow and bucket.
 func TestFlowTallyMatchesRecount(t *testing.T) {
 	nw, ids := stableFlowNet(t, 12, Config{Workers: 2})
 	if err := nw.Fail(ids[3]); err != nil {
@@ -249,30 +254,31 @@ func TestFlowTallyMatchesRecount(t *testing.T) {
 		nw.Step()
 	}
 
-	live := map[*flowTemplate]bool{}
-	shared, unique := 0, 0
+	CheckStandingFlow(t, nw, "after churn")
+	live := map[*contrib]bool{}
+	resident, shared, unique := 0, 0, 0
 	for _, n := range nw.pt.nodes {
 		if n == nil {
 			continue
 		}
-		if n.lastFlow != nil {
-			live[n.lastFlow] = true
+		resident += cap(n.lastFlow) * ptrBytes
+		for _, c := range n.lastFlow {
+			live[c] = true
 		}
 		for _, b := range n.in {
-			live[b.flow] = true
-			if b.flow.private {
-				unique += b.flow.spanLen(b.span) * msgBytes
+			if b.private {
+				live[b.c] = true
+				unique += int(b.c.n) * msgBytes
 			} else {
-				shared += b.flow.spanLen(b.span) * msgBytes
+				shared += int(b.c.n) * msgBytes
 			}
 		}
 	}
-	resident := 0
-	for tpl := range live {
-		resident += tpl.footprint()
+	for c := range live {
+		resident += c.footprint()
 	}
-	if got := nw.flow.births - nw.flow.deaths; got != len(live) {
-		t.Errorf("live templates %d, tally %d", len(live), got)
+	if nw.flow.contribs != len(live) {
+		t.Errorf("live contributions %d, tally %d", len(live), nw.flow.contribs)
 	}
 	if nw.flow.residentBytes != resident {
 		t.Errorf("resident bytes %d, tally %d", resident, nw.flow.residentBytes)
@@ -284,8 +290,8 @@ func TestFlowTallyMatchesRecount(t *testing.T) {
 		t.Errorf("installs shared/copied = %d/%d, want all shared", nw.flow.installsShared, nw.flow.installsCopied)
 	}
 	// The gauges mirror the tally after every batch and churn op.
-	if got := nw.met.FlowTemplates.Value(); got != int64(len(live)) {
-		t.Errorf("FlowTemplates gauge %d, live %d", got, len(live))
+	if got := nw.met.FlowContribs.Value(); got != int64(len(live)) {
+		t.Errorf("FlowContribs gauge %d, live %d", got, len(live))
 	}
 	if got := nw.met.FlowResidentBytes.Value(); got != int64(resident) {
 		t.Errorf("FlowResidentBytes gauge %d, recount %d", got, resident)
@@ -294,7 +300,7 @@ func TestFlowTallyMatchesRecount(t *testing.T) {
 
 // TestPackedMessageRoundTrip: every standing message reconstitutes
 // bit-identically from the packed form at quiescence (delivery reads go
-// through msgAt, so the equivalence suite exercises this indirectly;
+// through cmsg.msg, so the equivalence suite exercises this indirectly;
 // this pins it directly against the sender's regenerated output).
 func TestPackedMessageRoundTrip(t *testing.T) {
 	nw, _ := stableFlowNet(t, 10, Config{Workers: 1})
@@ -308,7 +314,7 @@ func TestPackedMessageRoundTrip(t *testing.T) {
 		var w worker
 		nw.purge(clone, &w)
 		nw.runRules(clone, &w)
-		got := sortedMessages(n.lastFlow.appendAll(nil))
+		got := sortedMessages(appendFlow(nil, n.lastFlow))
 		want := sortedMessages(w.out)
 		if len(got) != len(want) {
 			t.Fatalf("peer %s: template carries %d messages, replay produced %d", n.id, len(got), len(want))

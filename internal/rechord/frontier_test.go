@@ -158,7 +158,7 @@ func TestFrontierBucketAccounting(t *testing.T) {
 				continue
 			}
 			for _, b := range n.in {
-				c += b.flow.spanLen(b.span)
+				c += int(b.c.n)
 			}
 		}
 		return c

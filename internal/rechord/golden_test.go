@@ -500,3 +500,66 @@ func TestPartitionSinkOrderDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestStandingFlowGoldenScripts replays every case's script under the
+// synchronous engine and the 2- and 4-way partitions. After every
+// membership op, step and exchange the standing buckets must keep the
+// contribution invariant (CheckStandingFlow), and every op a step
+// commits must be a rewrite to other messages or a deletion
+// (BucketWatch.Check).
+func TestStandingFlowGoldenScripts(t *testing.T) {
+	type executor interface {
+		rechord.Scheduler
+		Join(id, contact ident.ID) error
+		Leave(id ident.ID) error
+		Fail(id ident.ID) error
+	}
+	for _, c := range goldenCases() {
+		for _, nprocs := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/%d-way", c.name, nprocs), func(t *testing.T) {
+				var execs []executor
+				var parts []*rechord.Partition
+				if nprocs == 1 {
+					execs = append(execs, c.build(1))
+				}
+				for k := 0; nprocs > 1 && k < nprocs; k++ {
+					p := rechord.NewPartition(c.build(1), hostedBy(k, nprocs))
+					execs, parts = append(execs, p), append(parts, p)
+				}
+				scripts := make([]*goldenScript, nprocs)
+				for k := range scripts {
+					scripts[k] = newGoldenScript(c)
+				}
+				for round := 1; ; round++ {
+					if round > goldenMaxSteps {
+						t.Fatalf("not quiescent after %d rounds", goldenMaxSteps)
+					}
+					ops := 0
+					for k, e := range execs {
+						ops = scripts[k].apply(t, round, e.Network().Peers, e.Join, e.Leave, e.Fail)
+						rechord.CheckStandingFlow(t, e, fmt.Sprintf("round %d, rank %d, after the ops", round, k))
+					}
+					for k, e := range execs {
+						when := fmt.Sprintf("round %d, rank %d, after the step", round, k)
+						w := rechord.WatchBuckets(e.Network())
+						e.Step()
+						w.Check(t, when)
+						rechord.CheckStandingFlow(t, e, when)
+					}
+					exchanged := false
+					for _, eff := range exchangeEffects(parts) {
+						exchanged = exchanged || eff.Len() > 0
+					}
+					quiet := !exchanged && ops == 0 && round >= scripts[0].lastStep()
+					for k, e := range execs {
+						rechord.CheckStandingFlow(t, e, fmt.Sprintf("round %d, rank %d, after the exchange", round, k))
+						quiet = quiet && e.Quiescent()
+					}
+					if quiet {
+						return
+					}
+				}
+			})
+		}
+	}
+}

@@ -113,8 +113,9 @@ type Network struct {
 	// per-round message flow of the current schedule.
 	bucketMsgs int
 
-	// flow is the authoritative flow-storage accounting (live templates,
-	// resident bytes, shared vs unique bucket bytes, install tallies).
+	// flow is the authoritative flow-storage accounting (live
+	// contributions, resident bytes, shared vs unique bucket bytes,
+	// install tallies).
 	// The commit accumulates per-worker tallies merged at the barrier.
 	// Flushed to the telemetry gauges by flushFlowGauges.
 	flow flowTally
@@ -206,11 +207,11 @@ func (nw *Network) AddPeer(id ident.ID) *RealNode {
 		// hold stale references to the id behave differently now that it
 		// resolves again, so they are woken too.
 		for _, s := range nw.pt.nodes {
-			if s == nil || s == n || s.lastFlow == nil {
+			if s == nil || s == n {
 				continue
 			}
-			if si := s.lastFlow.findSpan(id); si >= 0 {
-				nw.rewriteBucket(s.h(), id, s.lastFlow, si, true)
+			if c := findContrib(s.lastFlow, id); c != nil {
+				nw.rewriteBucket(s.h(), id, bucketOp{c: c, wake: true})
 			}
 		}
 		nw.flushFlowGauges()
@@ -520,10 +521,9 @@ func (nw *Network) deliver(n *RealNode) int {
 		if b.unread {
 			n.in[bi].unread = false
 		}
-		sp := b.flow.spans[b.span]
-		delivered += int(sp.end - sp.start)
-		for i := sp.start; i < sp.end; i++ {
-			apply(b.flow.msgAt(sp.owner, i))
+		delivered += int(b.c.n)
+		for _, r := range b.c.recs() {
+			apply(r.msg(n.id))
 		}
 	}
 	return delivered
@@ -685,7 +685,7 @@ func (nw *Network) epilogue(active []uint32, stats *RoundStats) (changed bool, e
 		published := p.ownerChanged || len(p.viewRefs) > 0
 		if nw.router != nil && (len(p.ops) > 0 || published) {
 			rt := time.Now()
-			nw.router.emitFlow(n, p.flow(n), p.ops, published)
+			nw.router.emitFlow(n, p.ops, published)
 			emitNS += time.Since(rt)
 		}
 		if p.stateChanged {
@@ -704,17 +704,12 @@ func (nw *Network) epilogue(active []uint32, stats *RoundStats) (changed bool, e
 		} else {
 			settledN++
 		}
-		// lastFlow adopts the batch template (taking over the builder's
-		// reference); the old generation loses its sender reference and
-		// dies once the commit's quiet repoints have migrated every
-		// surviving bucket.
+		// lastFlow adopts the batch's flow index: the contributions it
+		// replaced are no bucket's any more (the commit rewrote or deleted
+		// them).
 		if p.outChanged {
 			changed = true
-			if n.lastFlow != nil {
-				releaseFlow(n.lastFlow, &nw.flow)
-			}
-			n.lastFlow = p.newFlow
-			nw.flow.tallyBirth(p.newFlow)
+			nw.flow.adoptFlow(n, p.flow)
 		}
 		*p = prepOut{} // nothing of the batch outlives it
 	}
@@ -741,7 +736,8 @@ func (nw *Network) epilogue(active []uint32, stats *RoundStats) (changed bool, e
 			}
 		}
 		w.tally = tally{}
-		w.imgLv, w.imgRefs, w.kept = resetArena(w.imgLv), resetArena(w.imgRefs), resetArena(w.kept)
+		clear(w.flows) // the contributions stay alive only as long as their holders
+		w.imgLv, w.imgRefs, w.flows = resetArena(w.imgLv), resetArena(w.imgRefs), resetArena(w.flows)
 		w.viewRefs, w.ops, w.deps = resetArena(w.viewRefs), resetArena(w.ops), resetArena(w.deps)
 	}
 	nw.prep = resetArena(nw.prep)
@@ -762,7 +758,7 @@ func (nw *Network) epilogue(active []uint32, stats *RoundStats) (changed bool, e
 // reach this — its telemetry cost stays one atomic increment.
 func (nw *Network) flushFlowGauges() {
 	m := &nw.met
-	m.FlowTemplates.Set(int64(nw.flow.births - nw.flow.deaths))
+	m.FlowContribs.Set(int64(nw.flow.contribs))
 	m.FlowResidentBytes.Set(int64(nw.flow.residentBytes))
 	m.FlowSharedBytes.Set(int64(nw.flow.sharedBytes))
 	m.FlowUniqueBytes.Set(int64(nw.flow.uniqueBytes))

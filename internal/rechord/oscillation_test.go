@@ -132,9 +132,9 @@ func dumpPeer(nw *Network, id ident.ID) string {
 		}
 		b.WriteByte('\n')
 	}
-	if n.lastFlow != nil {
-		fmt.Fprintf(&b, "  out (%d msgs):", len(n.lastFlow.packed))
-		for _, m := range n.lastFlow.appendAll(nil) {
+	if out := appendFlow(nil, n.lastFlow); len(out) > 0 {
+		fmt.Fprintf(&b, "  out (%d msgs):", len(out))
+		for _, m := range out {
 			fmt.Fprintf(&b, " {to %v kind %v add %v}", m.To, m.Kind, m.Add)
 		}
 		b.WriteByte('\n')

@@ -93,10 +93,9 @@ type Partition struct {
 	msgs  []Message
 	views []PublishedView
 
-	// run and runMsgs gather one sender run of Apply: its hosted
-	// updates and their messages.
-	run     []BucketUpdate
-	runMsgs []Message
+	// upd gathers the messages of one applied bucket update that are
+	// addressed to its recipient.
+	upd []Message
 
 	// changed and refs are applyPublish's scratch: the views a publish
 	// changed, as a list and as the wake set.
@@ -136,11 +135,11 @@ func (p *Partition) Drain() Effects {
 	return e
 }
 
-// appendSpan copies span si of t into the message buffer and returns
+// appendMsgs copies c's messages into the message buffer and returns
 // the copy.
-func (p *Partition) appendSpan(t *flowTemplate, si int32) []Message {
+func (p *Partition) appendMsgs(c *contrib) []Message {
 	start := len(p.msgs)
-	p.msgs = t.appendSpan(p.msgs, si)
+	p.msgs = c.appendMsgs(p.msgs)
 	return p.msgs[start:len(p.msgs):len(p.msgs)]
 }
 
@@ -217,7 +216,7 @@ func (p *Partition) planFlow(n *RealNode, pr *prepOut, w *worker) { p.nw.planRew
 // stay exact — and the epilogue's active order is identifier order, so
 // the effects (and with them frame contents and the wire's symbol-table
 // assignment) are identical between identical runs.
-func (p *Partition) emitFlow(n *RealNode, tpl *flowTemplate, ops []bucketOp, published bool) {
+func (p *Partition) emitFlow(n *RealNode, ops []bucketOp, published bool) {
 	if published {
 		p.pub = append(p.pub, n.idx)
 	}
@@ -227,8 +226,8 @@ func (p *Partition) emitFlow(n *RealNode, tpl *flowTemplate, ops []bucketOp, pub
 			continue
 		}
 		u := BucketUpdate{From: n.id, To: dst}
-		if op.span >= 0 {
-			u.Msgs = p.appendSpan(tpl, op.span)
+		if op.c != nil {
+			u.Msgs = p.appendMsgs(op.c)
 		}
 		p.out.Buckets = append(p.out.Buckets, u)
 	}
@@ -252,25 +251,13 @@ func (p *Partition) flushPublishes() {
 // effect lands once, at its recipient's host: a bucket update or
 // one-shot only where its recipient is hosted, a publish only where its
 // owner is a stub (the local copy of a hosted peer is authoritative).
-// The hosted bucket updates are installed in order, one sender run at a
-// time (applyRun).
+// The hosted bucket updates are installed in order (applyBucket).
 func (p *Partition) Apply(e *Effects) {
-	run := p.run[:0]
 	for _, u := range e.Buckets {
-		if !p.hosted(u.To) {
-			continue
+		if p.hosted(u.To) {
+			p.applyBucket(u)
 		}
-		if len(run) > 0 && (run[0].From != u.From || hasRecipient(run, u.To)) {
-			p.applyRun(run)
-			run = run[:0]
-		}
-		run = append(run, u)
 	}
-	if len(run) > 0 {
-		p.applyRun(run)
-	}
-	clear(run)
-	p.run = run[:0]
 	for _, u := range e.OneShots {
 		if p.hosted(u.To) {
 			p.nw.routeMessage(u.To, u.Msgs...)
@@ -283,47 +270,30 @@ func (p *Partition) Apply(e *Effects) {
 	}
 }
 
-// hasRecipient reports whether an update in run is addressed to to.
-func hasRecipient(run []BucketUpdate, to ident.ID) bool {
-	for _, u := range run {
-		if u.To == to {
-			return true
-		}
-	}
-	return false
-}
-
-// applyRun installs a sender run — consecutive hosted updates from one
-// remote sender to distinct recipients — at its recipients. The run's
-// messages live in one private template frozen from nothing (the stub
-// sender has no local flow generation to share), and each recipient's
-// bucket is its span of it, or none for a deletion. A message addressed
-// to anyone but its update's recipient has no span to install and is
-// dropped before the freeze.
-func (p *Partition) applyRun(run []BucketUpdate) {
+// applyBucket installs a hosted bucket update from a remote sender: its
+// messages become a private contribution (the stub sender has no local
+// lastFlow to share) and the recipient's bucket points at it, or is
+// deleted when the update carries none. A message addressed to anyone
+// but the update's recipient has no place in its contribution and is
+// dropped.
+func (p *Partition) applyBucket(u BucketUpdate) {
 	nw := p.nw
-	from := nw.pt.node(run[0].From)
+	from := nw.pt.node(u.From)
 	if from == nil {
 		return // sender departed via an op this process already applied
 	}
-	msgs := p.runMsgs[:0]
-	for _, u := range run {
-		for _, m := range u.Msgs {
-			if m.To.Owner == u.To {
-				msgs = append(msgs, m)
-			}
+	msgs := p.upd[:0]
+	for _, m := range u.Msgs {
+		if m.To.Owner == u.To {
+			msgs = append(msgs, m)
 		}
 	}
-	p.runMsgs = msgs
-	w := nw.serial()
-	diffFlow(nil, msgs, w)
-	t := freezeFlow(nil, msgs, w)
-	t.private = true
-	nw.flow.tallyBirth(t)
-	for _, u := range run {
-		nw.rewriteBucket(from.h(), u.To, t, t.findSpan(u.To), true)
+	p.upd = msgs
+	op := bucketOp{wake: true, private: true}
+	if len(msgs) > 0 {
+		op.c = packContrib(u.To, msgs)
 	}
-	releaseFlow(t, &nw.flow)
+	nw.rewriteBucket(from.h(), u.To, op)
 }
 
 // applyPublish updates a stub's replicated published state, diffing it
@@ -359,7 +329,10 @@ func (p *Partition) applyPublish(u PeerPublish) {
 // everywhere (Network.Join), and if the joiner is hosted elsewhere, the
 // hosted senders' standing flow that AddPeer re-materialized into the
 // local stub is mirrored to the joiner's host, which cannot see those
-// senders' flow templates.
+// senders' lastFlow. A hosted sender still addresses the joiner's
+// identifier when that identifier departed earlier in the same round
+// (TestPartitionRejoinMirrorsStandingFlow): the departure woke the
+// sender, but it has not run since.
 func (p *Partition) Join(id, contact ident.ID) error {
 	if err := p.nw.Join(id, contact); err != nil {
 		return err
@@ -368,14 +341,12 @@ func (p *Partition) Join(id, contact ident.ID) error {
 		return nil
 	}
 	for _, s := range p.nw.pt.nodes {
-		if s == nil || s.id == id || !p.hosted(s.id) || s.lastFlow == nil {
+		if s == nil || s.id == id || !p.hosted(s.id) {
 			continue
 		}
-		si := s.lastFlow.findSpan(id)
-		if si < 0 {
-			continue
+		if c := findContrib(s.lastFlow, id); c != nil {
+			p.out.Buckets = append(p.out.Buckets, BucketUpdate{From: s.id, To: id, Msgs: p.appendMsgs(c)})
 		}
-		p.out.Buckets = append(p.out.Buckets, BucketUpdate{From: s.id, To: id, Msgs: p.appendSpan(s.lastFlow, si)})
 	}
 	return nil
 }

@@ -339,3 +339,58 @@ func TestPartitionLeaveSendsGoodbyes(t *testing.T) {
 		t.Fatalf("one-shots after the leave:\n got %v\nwant %v", got, want)
 	}
 }
+
+// TestPartitionRejoinMirrorsStandingFlow: an identifier that departs and
+// rejoins in the same round is still addressed by the senders that held
+// it, since none of them has run since the departure. AddPeer
+// re-materializes their standing flow at the joiner, and Partition.Join
+// mirrors the flow of the senders it hosts to the joiner's host: after
+// one exchange the joiner holds exactly the buckets it held before it
+// departed, the remote senders' included.
+func TestPartitionRejoinMirrorsStandingFlow(t *testing.T) {
+	ids, pn := stableParted(t)
+	remote := 0
+	var victim ident.ID
+	var before map[ident.ID][]rechord.Message
+	for _, id := range ids[1:] {
+		host := int(uint64(id) % 4)
+		before = pn.parts[host].Network().Standing(id)
+		delete(before, id) // its own bucket departs with its incarnation
+		remote = 0
+		for from := range before {
+			if !hostedBy(host, 4)(from) {
+				remote++
+			}
+		}
+		if remote > 0 {
+			victim = id
+			break
+		}
+	}
+	if remote == 0 {
+		t.Fatal("no peer has a standing bucket from a remote sender")
+	}
+	for _, p := range pn.parts {
+		if err := p.Fail(victim); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Join(victim, ids[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mirrors := 0
+	for _, e := range exchangeEffects(pn.parts) {
+		for _, u := range e.Buckets {
+			if u.To == victim {
+				mirrors++
+			}
+		}
+	}
+	if mirrors != remote {
+		t.Errorf("%d bucket updates to the rejoined peer, want one per remote sender (%d)", mirrors, remote)
+	}
+	got := pn.parts[uint64(victim)%4].Network().Standing(victim)
+	if !maps.EqualFunc(got, before, slices.Equal) {
+		t.Fatalf("standing buckets at the rejoined peer:\n got %v\nwant %v", got, before)
+	}
+}

@@ -115,9 +115,9 @@ type RealNode struct {
 	idx, gen uint32
 
 	// in holds the peer's standing inbox as per-sender buckets, sorted
-	// by the sender's handle: the bucket for sender s references s's
-	// contribution (one span of s's immutable flow template, see
-	// flow.go) as emitted at its most recently executed round. In the
+	// by the sender's handle: the bucket for sender s points at s's
+	// contribution (the immutable block of s's messages to this peer,
+	// see flow.go) as emitted at its most recently executed round. In the
 	// synchronous model a peer at a local fixed point regenerates the
 	// same output every round, so the bucket doubles as that repeating
 	// flow: the scheduler replaces a bucket only when the sender's
@@ -132,11 +132,11 @@ type RealNode struct {
 	// consumed on delivery; buckets are not.
 	inbox []Message
 	// lastFlow records the messages generated in the peer's most recent
-	// executed round as an immutable template (grouped by recipient),
-	// for the local stability check and the scheduler's output diff;
-	// recipients' buckets alias its spans. Derived state, not part of
-	// global-state equality.
-	lastFlow *flowTemplate
+	// executed round as its contributions sorted by recipient, for the
+	// local stability check and the scheduler's output diff; recipients'
+	// buckets point at the same contributions. Derived state, not part
+	// of global-state equality.
+	lastFlow []*contrib
 
 	// dirty marks the peer as a member of the round frontier: its
 	// inputs may have changed since it last ran, so the next Step must
@@ -253,8 +253,8 @@ func (n *RealNode) knownRealsInto(buf []ident.ID) []ident.ID {
 }
 
 // eachPending calls f for every message pending at the peer, in
-// place: the one-shot inbox, then the standing buckets' spans straight
-// off the senders' templates. The order is unspecified; delivery is a
+// place: the one-shot inbox, then the standing buckets' messages
+// straight off the senders' contributions. The order is unspecified; delivery is a
 // commutative set-union, and consumers that need a canonical order sort
 // what they collect.
 func (n *RealNode) eachPending(f func(Message)) {
@@ -262,9 +262,8 @@ func (n *RealNode) eachPending(f func(Message)) {
 		f(m)
 	}
 	for _, b := range n.in {
-		sp := b.flow.spans[b.span]
-		for i := sp.start; i < sp.end; i++ {
-			f(b.flow.msgAt(sp.owner, i))
+		for _, r := range b.c.recs() {
+			f(r.msg(n.id))
 		}
 	}
 }
@@ -276,15 +275,9 @@ func (n *RealNode) clone() *RealNode {
 			c.vnodes[l] = v.clone()
 		}
 	}
-	if len(n.in) > 0 {
-		// Buckets are rematerialized as private single-span templates so
-		// the clone neither pins the engine's shared templates alive nor
-		// appears in its flow accounting.
-		c.in = make([]bucket, 0, len(n.in))
-		for _, b := range n.in {
-			c.in = append(c.in, bucket{sender: b.sender, span: 0, flow: b.flow.cloneSpan(b.span)})
-		}
-	}
+	// Contributions are immutable, so the clone's buckets share them;
+	// the clone is outside the engine's flow accounting.
+	c.in = slices.Clone(n.in)
 	c.inbox = append([]Message(nil), n.inbox...)
 	// lastFlow is derived scheduler state with no consumer on clones;
 	// it stays nil.
