@@ -358,9 +358,9 @@ func (a *AsyncRunner) drainFrontier(start int, immediate *[]uint32) {
 // epilogue's rule, as under the synchronous engines.
 func (a *AsyncRunner) planFlow(n *RealNode, p *prepOut, w *worker) {
 	nw, h := a.nw, n.h()
-	old, cur := n.lastFlow, n.lastFlow // every contribution is run-stable
-	if p.outChanged {
-		cur = p.flow
+	old, cur := n.lastFlow, p.flow
+	if !p.outChanged {
+		cur = old // every contribution is run-stable
 	}
 	i, j := 0, 0
 	for i < len(old) || j < len(cur) {

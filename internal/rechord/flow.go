@@ -80,8 +80,9 @@ func newContrib(owner ident.ID, n int) *contrib {
 // packContrib freezes msgs, all addressed to owner, into a contribution.
 func packContrib(owner ident.ID, msgs []Message) *contrib {
 	c := newContrib(owner, len(msgs))
+	recs := c.recs()
 	for i, m := range msgs {
-		c.recs()[i] = packRec(m)
+		recs[i] = packRec(m)
 	}
 	return c
 }
@@ -128,13 +129,19 @@ func packMeta(m Message) uint32 {
 	return uint32(m.Kind)<<pmKindShift | uint32(m.To.Level)<<pmLevelBits | uint32(m.Add.Level)
 }
 
-// packRec encodes m as a record.
+// recOf encodes m as a record; its meta is ^0 when a level exceeds the
+// packed range, so it equals no stored record.
+func recOf(m Message) cmsg {
+	return cmsg{lo: uint32(m.Add.Owner), hi: uint32(m.Add.Owner >> 32), meta: packMeta(m)}
+}
+
+// packRec encodes m as a record to store.
 func packRec(m Message) cmsg {
-	meta := packMeta(m)
-	if meta == ^uint32(0) {
+	r := recOf(m)
+	if r.meta == ^uint32(0) {
 		panic("rechord: message level exceeds packed-storage range")
 	}
-	return cmsg{lo: uint32(m.Add.Owner), hi: uint32(m.Add.Owner >> 32), meta: meta}
+	return r
 }
 
 // searchFlow finds owner in a flow index sorted by recipient: its
@@ -206,7 +213,7 @@ func diffFlow(old []*contrib, out []Message, w *worker) bool {
 		if sd.same {
 			// The recipient matches by construction; compare the rest packed.
 			recs := old[sd.old].recs()
-			sd.same = int(sd.n) < len(recs) && recs[sd.n] == cmsg{lo: uint32(m.Add.Owner), hi: uint32(m.Add.Owner >> 32), meta: packMeta(*m)}
+			sd.same = int(sd.n) < len(recs) && recs[sd.n] == recOf(*m)
 		}
 		sd.n++
 		at = append(at, d)
@@ -359,7 +366,6 @@ func (ft *flowTally) adoptFlow(n *RealNode, flow []*contrib) {
 	if flow == nil {
 		n.lastFlow = nil
 	} else {
-		ft.adopted++
 		n.lastFlow = append(old[:0], flow...)
 		if len(flow) < len(old) {
 			clear(old[len(flow):]) // drop the dead tail's pointers
@@ -368,7 +374,7 @@ func (ft *flowTally) adoptFlow(n *RealNode, flow []*contrib) {
 	ft.residentBytes += (cap(n.lastFlow) - c0) * ptrBytes
 }
 
-// installBucket points dst's bucket for sender at c. Handles the tally
+// installBucket sets b as dst's bucket for b.sender. Handles the tally
 // only; deps, bucketMsgs, and dirty are the caller's.
 func installBucket(dst *RealNode, b bucket, ft *flowTally) {
 	bytes := int(b.c.n) * msgBytes

@@ -709,6 +709,7 @@ func (nw *Network) epilogue(active []uint32, stats *RoundStats) (changed bool, e
 		// them).
 		if p.outChanged {
 			changed = true
+			nw.flow.adopted++
 			nw.flow.adoptFlow(n, p.flow)
 		}
 		*p = prepOut{} // nothing of the batch outlives it
@@ -736,7 +737,7 @@ func (nw *Network) epilogue(active []uint32, stats *RoundStats) (changed bool, e
 			}
 		}
 		w.tally = tally{}
-		clear(w.flows) // the contributions stay alive only as long as their holders
+		clear(w.flows) // so the arena pins no dead contribution
 		w.imgLv, w.imgRefs, w.flows = resetArena(w.imgLv), resetArena(w.imgRefs), resetArena(w.flows)
 		w.viewRefs, w.ops, w.deps = resetArena(w.viewRefs), resetArena(w.ops), resetArena(w.deps)
 	}
