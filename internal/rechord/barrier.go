@@ -511,7 +511,7 @@ func (nw *Network) planOp(sender handle, dstID ident.ID, op bucketOp, w *worker)
 // delta per owner whose count changes.
 func (w *worker) appendDepDiff(old, cur *contrib, slot uint32) {
 	adds := w.adds[:0]
-	for k, c := range [2]*contrib{old, cur} {
+	for k, c := range [2]*contrib{old, cur} { // -1 per old message, +1 per new one
 		if c != nil {
 			for _, r := range c.recs() {
 				adds = append(adds, depDelta{id: r.add(), k: int32(2*k - 1)})
