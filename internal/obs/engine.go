@@ -68,8 +68,9 @@ type EngineMetrics struct {
 	// that back standing buckets. Set once per batch (or churn
 	// operation) from the engine's serial accounting — never on the
 	// per-message path. FlowContribs is the number of live
-	// contributions; FlowResidentBytes their packed blocks plus the
-	// senders' indexes of them; FlowSharedBytes / FlowUniqueBytes
+	// contributions (a dead one waiting for reuse is not);
+	// FlowResidentBytes their packed blocks plus the senders' indexes
+	// of them; FlowSharedBytes / FlowUniqueBytes
 	// classify the deep-copy equivalent bytes of the standing buckets by
 	// whether they point at their sender's own contribution or at a
 	// private one (a partition's copy of a remote sender's); the

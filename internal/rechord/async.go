@@ -405,7 +405,8 @@ func (a *AsyncRunner) emitFlow(n *RealNode, ops []bucketOp, _ bool) {
 		}
 		a.seq++
 		a.deliveries++
-		a.inflight += int(op.c.n)
+		a.inflight += op.c.count()
+		op.c.nf |= pinned // the event holds it past the sender's next change
 		heap.Push(&a.events, &asyncEvent{at: a.step + d, seq: a.seq, kind: evDelivery, peer: dst.id, hidx: dst.idx, hgen: dst.gen, msgs: op.c})
 	}
 }
@@ -435,7 +436,7 @@ func (a *AsyncRunner) Step() RoundStats {
 		switch ev.kind {
 		case evDelivery:
 			a.deliveries--
-			a.inflight -= int(ev.msgs.n)
+			a.inflight -= ev.msgs.count()
 			fired++
 			if dst, slot, ok := a.eventTarget(ev); ok {
 				a.mixEvent(evDelivery, ev.at, ev.peer)

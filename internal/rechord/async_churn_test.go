@@ -133,7 +133,7 @@ func TestAsyncRemovePeerFinalOutput(t *testing.T) {
 		// own virtual nodes); the victim is no recipient of its own
 		// final output.
 		if dst != nil && dst.id != victim {
-			if bi := dst.findBucket(vicH); bi >= 0 && dst.in[bi].c.n > 0 {
+			if bi := dst.findBucket(vicH); bi >= 0 && dst.in[bi].c.count() > 0 {
 				recipient, found = dst.id, true
 				break
 			}
@@ -144,7 +144,7 @@ func TestAsyncRemovePeerFinalOutput(t *testing.T) {
 	}
 	rcp := nw.node(recipient)
 	rb := rcp.in[rcp.findBucket(vicH)]
-	want := int(rb.c.n)
+	want := rb.c.count()
 	if err := nw.Fail(victim); err != nil {
 		t.Fatal(err)
 	}

@@ -137,6 +137,9 @@ type worker struct {
 	viewRefs []ref.Ref
 	ops      []bucketOp
 	deps     []depDelta
+
+	// free is the blocks of dead contributions the freeze reuses.
+	free contribPool
 }
 
 // imgLevel is one level of a peer's pre-round image: whether the level
@@ -493,14 +496,14 @@ func (nw *Network) planOp(sender handle, dstID ident.ID, op bucketOp, w *worker)
 		if old = dst.in[bi].c; install && old == op.c {
 			return
 		}
-		op.delta = -int32(old.n)
+		op.delta = -int32(old.count())
 	} else if op.c == nil {
 		return // nothing stands, nothing to revoke
 	}
 	var cur *contrib
 	if install {
 		cur = op.c
-		op.delta += int32(cur.n)
+		op.delta += int32(cur.count())
 	}
 	w.appendDepDiff(old, cur, slot)
 	w.ops = append(w.ops, op)
@@ -644,6 +647,7 @@ func (nw *Network) rewriteBucket(sender handle, dstID ident.ID, op bucketOp) {
 		nw.commitDepDelta(d)
 	}
 	sh.ops, sh.deps = sh.ops+len(w.ops)-o0, sh.deps+len(w.deps)-d0
+	clear(w.ops[o0:]) // so the arena pins no replaced contribution
 	w.ops, w.deps = w.ops[:o0], w.deps[:d0]
 	nw.mergeShards()
 }

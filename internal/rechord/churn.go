@@ -136,7 +136,7 @@ func (nw *Network) removePeer(id ident.ID, hosted func(ident.ID) bool) {
 		}
 		nw.rewriteBucket(h, dst.id, bucketOp{wake: deliver})
 	}
-	nw.flow.adoptFlow(n, nil) // its contributions die with it
+	nw.flow.adoptFlow(n, nil, nil) // its contributions die with it
 	nw.flushFlowGauges()
 	nw.wakeDependents(map[ident.ID]bool{id: true}, nil)
 }

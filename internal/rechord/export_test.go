@@ -133,18 +133,46 @@ func CheckFreeze(t testing.TB, nw *Network) int {
 // peer; every peer otherwise) points at that sender's own lastFlow
 // contribution for the recipient, the very block, and only a bucket from
 // a sender that runs elsewhere may hold a private one. Buckets from
-// departed incarnations fail it too.
+// departed incarnations fail it too. And no block the workers' pools
+// hold for reuse is live: none is a bucket's, a lastFlow's or a pending
+// async delivery's, and none is pinned.
 func CheckStandingFlow(t testing.TB, s Scheduler, when string) {
 	t.Helper()
 	nw, local := s.Network(), func(ident.ID) bool { return true }
 	if p, ok := s.(*Partition); ok {
 		local = p.hosted
 	}
+	pooled := map[*contrib]bool{}
+	for _, w := range nw.workers {
+		for n, cs := range w.free {
+			for _, c := range cs {
+				if c.count() != n || c.nf&pinned != 0 {
+					t.Fatalf("%s: a pooled block of %d records has count word %#x", when, n, c.nf)
+				}
+				pooled[c] = true
+			}
+		}
+	}
+	if a, ok := s.(*AsyncRunner); ok {
+		for _, ev := range a.events {
+			if ev.msgs != nil && (pooled[ev.msgs] || ev.msgs.nf&pinned == 0) {
+				t.Fatalf("%s: a pending delivery to %s holds an unpinned or pooled block", when, ev.peer)
+			}
+		}
+	}
 	for _, n := range nw.pt.nodes {
 		if n == nil {
 			continue
 		}
+		for _, c := range n.lastFlow {
+			if pooled[c] {
+				t.Fatalf("%s: %s's lastFlow contribution to %s is pooled for reuse", when, n.id, c.owner())
+			}
+		}
 		for _, b := range n.in {
+			if pooled[b.c] {
+				t.Fatalf("%s: %s's bucket holds a block pooled for reuse", when, n.id)
+			}
 			from := nw.pt.nodes[uint32(b.sender>>32)]
 			switch {
 			case from == nil || from.h() != b.sender:

@@ -31,11 +31,22 @@ import (
 // messages are private copies, so an in-place write shows up as a
 // divergence from it (TestInPlaceTemplateWriteDivergesFromReference).
 //
-// Layout: one allocation per contribution — a 12-byte header holding the
+// Layout: one block per contribution — a 12-byte header holding the
 // recipient and the message count, then one 12-byte record per message
 // holding the Add owner and a meta word that packs the kind and both
 // levels — against Message's 40 bytes. The recipient is stored once, in
 // the header.
+//
+// Blocks are recycled rather than left to the collector: the contributions
+// a batch's epilogue drops from lastFlow are no bucket's any more (the
+// commit rewrote or deleted every bucket on them), so the next batch's
+// freezes reuse their blocks (contribPool). A block can only be reused
+// while nothing else holds it, which is every holder but one: a delayed
+// async handoff keeps its contribution past the sender's next change, so
+// emitFlow pins it (pinned), and a pinned block goes to the collector.
+// A partition's private contributions are carved per sender run from one
+// block (carve) and never recycled: they die with their buckets, one by
+// one.
 
 const (
 	// pmLevelBits is wide enough for ident.MaxLevel (62) with room to
@@ -52,6 +63,12 @@ const (
 	// that of one lastFlow index entry.
 	recBytes = int(unsafe.Sizeof(cmsg{}))
 	ptrBytes = int(unsafe.Sizeof((*contrib)(nil)))
+
+	// pinned marks, in a contribution's count word, a block that must not
+	// be recycled; maxPooled is the largest record count contribPool
+	// keeps blocks for.
+	pinned    = 1 << 31
+	maxPooled = 32
 )
 
 // cmsg is one standing message at rest: the Add owner as two words (so
@@ -62,41 +79,40 @@ type cmsg struct {
 }
 
 // contrib is the header of a contribution block: the recipient, as two
-// words, and the number of records that follow it in the same
-// allocation. It has cmsg's layout, so a block is a []cmsg whose first
-// element is the header.
+// words, and the number of records that follow it in the same block
+// (plus the pinned flag). It has cmsg's layout, so a block is a []cmsg
+// whose first element is the header.
 type contrib struct {
-	lo, hi, n uint32
+	lo, hi, nf uint32
 }
 
 // newContrib allocates a contribution to owner with room for n records.
 func newContrib(owner ident.ID, n int) *contrib {
-	blk := make([]cmsg, n+1)
-	c := (*contrib)(unsafe.Pointer(&blk[0]))
-	c.lo, c.hi, c.n = uint32(owner), uint32(owner>>32), uint32(n)
+	c, _ := carve(make([]cmsg, n+1), owner, n)
 	return c
 }
 
-// packContrib freezes msgs, all addressed to owner, into a contribution.
-func packContrib(owner ident.ID, msgs []Message) *contrib {
-	c := newContrib(owner, len(msgs))
-	recs := c.recs()
-	for i, m := range msgs {
-		recs[i] = packRec(m)
-	}
-	return c
+// carve lays a contribution to owner with room for n records at the
+// start of blk and returns it and the rest of blk.
+func carve(blk []cmsg, owner ident.ID, n int) (*contrib, []cmsg) {
+	c := (*contrib)(unsafe.Pointer(&blk[0]))
+	c.lo, c.hi, c.nf = uint32(owner), uint32(owner>>32), uint32(n)
+	return c, blk[n+1:]
 }
 
 // owner is the recipient.
 func (c *contrib) owner() ident.ID { return ident.ID(c.hi)<<32 | ident.ID(c.lo) }
 
+// count is the number of records.
+func (c *contrib) count() int { return int(c.nf &^ pinned) }
+
 // recs returns the records in emission order.
 func (c *contrib) recs() []cmsg {
-	return unsafe.Slice((*cmsg)(unsafe.Pointer(c)), c.n+1)[1:]
+	return unsafe.Slice((*cmsg)(unsafe.Pointer(c)), c.count()+1)[1:]
 }
 
-// footprint is the resident size of the block.
-func (c *contrib) footprint() int { return (int(c.n) + 1) * recBytes }
+// footprint is the resident size of the contribution.
+func (c *contrib) footprint() int { return (c.count() + 1) * recBytes }
 
 // appendMsgs reconstitutes the messages onto dst in emission order.
 func (c *contrib) appendMsgs(dst []Message) []Message {
@@ -222,7 +238,7 @@ func diffFlow(old []*contrib, out []Message, w *worker) bool {
 	changed := len(diff) != len(old) // every recipient matched a distinct old one
 	for k := range diff {
 		sd := &diff[k]
-		sd.same = sd.same && sd.n == old[sd.old].n
+		sd.same = sd.same && int(sd.n) == old[sd.old].count()
 		changed = changed || !sd.same
 	}
 	return changed
@@ -234,7 +250,7 @@ func diffFlow(old []*contrib, out []Message, w *worker) bool {
 // recipient's messages did not change, a fresh one packed from out in
 // emission order otherwise. The result equals a from-scratch build
 // record for record (TestFreezeMatchesScratch); the fresh contributions
-// are its only allocations.
+// come from w's pool, or are its only allocations.
 func (w *worker) freezeFlow(old []*contrib, out []Message) []*contrib {
 	k0 := len(w.flows)
 	fill := slices.Grow(w.fill[:0], len(w.diff))[:len(w.diff)]
@@ -244,7 +260,7 @@ func (w *worker) freezeFlow(old []*contrib, out []Message) []*contrib {
 		if sd.same {
 			c = old[sd.old]
 		} else {
-			c = newContrib(sd.owner, int(sd.n))
+			c = w.free.get(sd.owner, int(sd.n))
 			fill[d] = c.recs()
 		}
 		w.flows = append(w.flows, c)
@@ -258,6 +274,62 @@ func (w *worker) freezeFlow(old []*contrib, out []Message) []*contrib {
 	clear(fill)
 	w.fill = fill
 	return w.flows[k0:]
+}
+
+// contribPool is a worker's blocks for reuse, by record count: the
+// contributions the last epilogue dropped (Network.recycle). A block
+// waits there for one batch at most, so a network that stops changing
+// holds none.
+type contribPool [maxPooled + 1][]*contrib
+
+// get returns a contribution to owner with room for n records, a reused
+// block when the pool has one of that size.
+func (p *contribPool) get(owner ident.ID, n int) *contrib {
+	if n <= maxPooled {
+		if s := p[n]; len(s) > 0 {
+			c := s[len(s)-1]
+			s[len(s)-1] = nil
+			p[n] = s[:len(s)-1]
+			c.lo, c.hi = uint32(owner), uint32(owner>>32)
+			return c
+		}
+	}
+	return newContrib(owner, n)
+}
+
+// reset drops the blocks the last batch left unused, and the pool's
+// storage with them on release.
+func (p *contribPool) reset(release bool) {
+	for k, s := range p {
+		clear(s)
+		p[k] = s[:0]
+		if release {
+			p[k] = nil
+		}
+	}
+}
+
+// recycle hands the contributions the epilogue dropped to the workers'
+// pools, dealt round-robin, after dropping what the pools still held. A
+// batch that dropped none releases the pools' storage too, so a network
+// that stops changing keeps no trace of them.
+func (nw *Network) recycle() {
+	release := len(nw.dead) == 0
+	for _, w := range nw.workers {
+		w.free.reset(release)
+	}
+	if release {
+		nw.dead = nil
+		return
+	}
+	for k, c := range nw.dead {
+		p := &nw.workers[k%len(nw.workers)].free
+		if n := c.count(); n <= maxPooled {
+			p[n] = append(p[n], c)
+		}
+	}
+	clear(nw.dead)
+	nw.dead = nw.dead[:0]
 }
 
 // bucket is one standing contribution at a recipient: 24 bytes. private
@@ -341,21 +413,28 @@ func (ft *flowTally) live(c *contrib, k int) {
 
 // adoptFlow makes flow (sorted by recipient) n's lastFlow, reusing the
 // index's storage, and accounts the contributions it drops and gains and
-// the index's growth. A nil flow releases the index.
-func (ft *flowTally) adoptFlow(n *RealNode, flow []*contrib) {
+// the index's growth. A nil flow releases the index. When dead is not
+// nil, the dropped contributions that are not pinned are appended to it.
+func (ft *flowTally) adoptFlow(n *RealNode, flow []*contrib, dead *[]*contrib) {
 	old := n.lastFlow
+	drop := func(c *contrib) {
+		ft.live(c, -1)
+		if dead != nil && c.nf&pinned == 0 {
+			*dead = append(*dead, c)
+		}
+	}
 	i, j := 0, 0
 	for i < len(old) || j < len(flow) {
 		switch {
 		case j == len(flow) || (i < len(old) && old[i].owner() < flow[j].owner()):
-			ft.live(old[i], -1)
+			drop(old[i])
 			i++
 		case i == len(old) || flow[j].owner() < old[i].owner():
 			ft.live(flow[j], 1)
 			j++
 		default:
 			if old[i] != flow[j] {
-				ft.live(old[i], -1)
+				drop(old[i])
 				ft.live(flow[j], 1)
 			}
 			i++
@@ -377,7 +456,7 @@ func (ft *flowTally) adoptFlow(n *RealNode, flow []*contrib) {
 // installBucket sets b as dst's bucket for b.sender. Handles the tally
 // only; deps, bucketMsgs, and dirty are the caller's.
 func installBucket(dst *RealNode, b bucket, ft *flowTally) {
-	bytes := int(b.c.n) * msgBytes
+	bytes := b.c.count() * msgBytes
 	if b.private {
 		ft.live(b.c, 1)
 		ft.uniqueBytes += bytes
@@ -393,7 +472,7 @@ func installBucket(dst *RealNode, b bucket, ft *flowTally) {
 
 // releaseBucket accounts a bucket that is replaced or deleted.
 func releaseBucket(b bucket, ft *flowTally) {
-	bytes := int(b.c.n) * msgBytes
+	bytes := b.c.count() * msgBytes
 	if b.private {
 		ft.live(b.c, -1)
 		ft.uniqueBytes -= bytes

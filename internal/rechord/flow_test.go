@@ -26,7 +26,12 @@ func freezeScratch(out []Message) []*contrib {
 	}
 	var flow []*contrib
 	for _, o := range owners {
-		flow = append(flow, packContrib(o, recipientMsgs(out, o)))
+		msgs := recipientMsgs(out, o)
+		c := newContrib(o, len(msgs))
+		for i, m := range msgs {
+			c.recs()[i] = packRec(m)
+		}
+		flow = append(flow, c)
 	}
 	return flow
 }
@@ -217,7 +222,7 @@ func TestInPlaceTemplateWriteDivergesFromReference(t *testing.T) {
 		settleLockstep(t, l)
 		var victim *RealNode
 		for _, n := range nw.pt.nodes {
-			if n != nil && len(n.lastFlow) > 0 && n.lastFlow[0].n > 0 {
+			if n != nil && len(n.lastFlow) > 0 && n.lastFlow[0].count() > 0 {
 				victim = n
 				break
 			}
@@ -268,9 +273,9 @@ func TestFlowTallyMatchesRecount(t *testing.T) {
 		for _, b := range n.in {
 			if b.private {
 				live[b.c] = true
-				unique += int(b.c.n) * msgBytes
+				unique += b.c.count() * msgBytes
 			} else {
-				shared += int(b.c.n) * msgBytes
+				shared += b.c.count() * msgBytes
 			}
 		}
 	}

@@ -158,7 +158,7 @@ func TestFrontierBucketAccounting(t *testing.T) {
 				continue
 			}
 			for _, b := range n.in {
-				c += int(b.c.n)
+				c += b.c.count()
 			}
 		}
 		return c

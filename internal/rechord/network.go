@@ -119,6 +119,8 @@ type Network struct {
 	// The commit accumulates per-worker tallies merged at the barrier.
 	// Flushed to the telemetry gauges by flushFlowGauges.
 	flow flowTally
+	// dead collects the contributions the epilogue drops, for recycle.
+	dead []*contrib
 
 	// router is the stepping scheduler's plan/emit policy around the
 	// barrier pipeline (see barrier.go); nil is the synchronous engine.
@@ -521,7 +523,7 @@ func (nw *Network) deliver(n *RealNode) int {
 		if b.unread {
 			n.in[bi].unread = false
 		}
-		delivered += int(b.c.n)
+		delivered += b.c.count()
 		for _, r := range b.c.recs() {
 			apply(r.msg(n.id))
 		}
@@ -710,7 +712,7 @@ func (nw *Network) epilogue(active []uint32, stats *RoundStats) (changed bool, e
 		if p.outChanged {
 			changed = true
 			nw.flow.adopted++
-			nw.flow.adoptFlow(n, p.flow)
+			nw.flow.adoptFlow(n, p.flow, &nw.dead)
 		}
 		*p = prepOut{} // nothing of the batch outlives it
 	}
@@ -737,11 +739,13 @@ func (nw *Network) epilogue(active []uint32, stats *RoundStats) (changed bool, e
 			}
 		}
 		w.tally = tally{}
-		clear(w.flows) // so the arena pins no dead contribution
+		clear(w.flows) // so the arenas pin no dead contribution
+		clear(w.ops)
 		w.imgLv, w.imgRefs, w.flows = resetArena(w.imgLv), resetArena(w.imgRefs), resetArena(w.flows)
 		w.viewRefs, w.ops, w.deps = resetArena(w.viewRefs), resetArena(w.ops), resetArena(w.deps)
 	}
 	nw.prep = resetArena(nw.prep)
+	nw.recycle()
 	m.Batches.Inc()
 	m.Activated.Add(uint64(len(active)))
 	m.Delivered.Add(uint64(delivered))

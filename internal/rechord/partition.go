@@ -93,9 +93,8 @@ type Partition struct {
 	msgs  []Message
 	views []PublishedView
 
-	// upd gathers the messages of one applied bucket update that are
-	// addressed to its recipient.
-	upd []Message
+	// run gathers Apply's current sender run.
+	run []BucketUpdate
 
 	// changed and refs are applyPublish's scratch: the views a publish
 	// changed, as a list and as the wake set.
@@ -251,13 +250,26 @@ func (p *Partition) flushPublishes() {
 // effect lands once, at its recipient's host: a bucket update or
 // one-shot only where its recipient is hosted, a publish only where its
 // owner is a stub (the local copy of a hosted peer is authoritative).
-// The hosted bucket updates are installed in order (applyBucket).
+// The hosted bucket updates are installed in order, one sender run —
+// consecutive hosted updates from one remote sender — at a time
+// (applyRun).
 func (p *Partition) Apply(e *Effects) {
+	run := p.run[:0]
 	for _, u := range e.Buckets {
-		if p.hosted(u.To) {
-			p.applyBucket(u)
+		if !p.hosted(u.To) {
+			continue
 		}
+		if len(run) > 0 && run[0].From != u.From {
+			p.applyRun(run)
+			run = run[:0]
+		}
+		run = append(run, u)
 	}
+	if len(run) > 0 {
+		p.applyRun(run)
+	}
+	clear(run)
+	p.run = run[:0]
 	for _, u := range e.OneShots {
 		if p.hosted(u.To) {
 			p.nw.routeMessage(u.To, u.Msgs...)
@@ -270,30 +282,49 @@ func (p *Partition) Apply(e *Effects) {
 	}
 }
 
-// applyBucket installs a hosted bucket update from a remote sender: its
-// messages become a private contribution (the stub sender has no local
-// lastFlow to share) and the recipient's bucket points at it, or is
-// deleted when the update carries none. A message addressed to anyone
-// but the update's recipient has no place in its contribution and is
-// dropped.
-func (p *Partition) applyBucket(u BucketUpdate) {
+// applyRun installs a sender run at its recipients, in order: each
+// update's messages become a private contribution (the stub sender has
+// no local lastFlow to share) and the recipient's bucket points at it,
+// or is deleted when the update carries none. The run's contributions
+// are carved from one block. A message addressed to anyone but its
+// update's recipient has no place in its contribution and is dropped.
+func (p *Partition) applyRun(run []BucketUpdate) {
 	nw := p.nw
-	from := nw.pt.node(u.From)
+	from := nw.pt.node(run[0].From)
 	if from == nil {
 		return // sender departed via an op this process already applied
 	}
-	msgs := p.upd[:0]
-	for _, m := range u.Msgs {
-		if m.To.Owner == u.To {
-			msgs = append(msgs, m)
+	size := 0
+	for _, u := range run {
+		if k := addressed(u); k > 0 {
+			size += k + 1
 		}
 	}
-	p.upd = msgs
-	op := bucketOp{wake: true, private: true}
-	if len(msgs) > 0 {
-		op.c = packContrib(u.To, msgs)
+	blk := make([]cmsg, size)
+	for _, u := range run {
+		op := bucketOp{wake: true, private: true}
+		if k := addressed(u); k > 0 {
+			op.c, blk = carve(blk, u.To, k)
+			recs := op.c.recs()[:0]
+			for _, m := range u.Msgs {
+				if m.To.Owner == u.To {
+					recs = append(recs, packRec(m))
+				}
+			}
+		}
+		nw.rewriteBucket(from.h(), u.To, op)
 	}
-	nw.rewriteBucket(from.h(), u.To, op)
+}
+
+// addressed counts the messages of u addressed to its recipient.
+func addressed(u BucketUpdate) int {
+	k := 0
+	for _, m := range u.Msgs {
+		if m.To.Owner == u.To {
+			k++
+		}
+	}
+	return k
 }
 
 // applyPublish updates a stub's replicated published state, diffing it

@@ -276,7 +276,8 @@ func (n *RealNode) clone() *RealNode {
 		}
 	}
 	// Contributions are immutable, so the clone's buckets share them;
-	// the clone is outside the engine's flow accounting.
+	// the clone is outside the engine's flow accounting and must not
+	// outlive the batch (the epilogue recycles the blocks it drops).
 	c.in = slices.Clone(n.in)
 	c.inbox = append([]Message(nil), n.inbox...)
 	// lastFlow is derived scheduler state with no consumer on clones;
