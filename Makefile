@@ -22,7 +22,7 @@ BENCH_GROUPS := rounds async wire mem work lookups
 # for N != 1) and the default worker-pool size are the same on any
 # machine and a gated name cannot go missing because the box has other
 # cores than the recorder's. The round, async, work and lookups groups
-# run on 2 processors (the sharded barrier rows need real parallelism,
+# run on 2 processors (the Workers 4 barrier row needs real parallelism,
 # the workload rows a core for the clients beside the stepping engine);
 # wire and mem on 1, as their committed baselines were recorded.
 BENCH_CPU := 2
@@ -33,16 +33,16 @@ BENCH_CPU := 2
 # indexed series — the scan series is the O(n) equivalence baseline and
 # takes minutes at the larger size; the two sizes must stay flat
 # relative to each other, the frontier-proportional claim in numbers),
-# the sharded barrier split (prepare vs commit per batch under the
-# n=4096 hot-frontier transient at Workers 4; warn-only, its allocation
-# counts vary with the worker pool — the serial row is gated in the work
+# the barrier split (prepare vs commit per batch under the n=4096
+# hot-frontier transient at Workers 4; warn-only, its allocation counts
+# vary with the worker pool — the Workers 1 row is gated in the work
 # group; the n=16384 series is for by-hand runs) and the telemetry hot
 # path.
 BENCH_RECORD_rounds = { \
 	$(GO) test -cpu $(BENCH_CPU) -run '^$$' -bench 'BenchmarkStepSteadyState' -benchmem -benchtime=1000x . ; \
 	$(GO) test -cpu $(BENCH_CPU) -run '^$$' -bench 'BenchmarkRound$$' -benchmem -benchtime=1x . ; \
 	$(GO) test -cpu $(BENCH_CPU) -run '^$$' -bench 'BenchmarkWakeDependents/indexed' -benchmem -benchtime=1000x ./internal/rechord/ ; \
-	$(GO) test -cpu $(BENCH_CPU) -run '^$$' -bench 'BenchmarkBarrierCommit/sharded/n=4096' -benchmem -benchtime=1x ./internal/rechord/ ; \
+	$(GO) test -cpu $(BENCH_CPU) -run '^$$' -bench 'BenchmarkBarrierCommit/workers=4/n=4096' -benchmem -benchtime=1x ./internal/rechord/ ; \
 	$(GO) test -cpu $(BENCH_CPU) -run '^$$' -bench 'BenchmarkObsHotPath' -benchmem -benchtime=1000x ./internal/obs/ ; }
 BENCH_GATE_rounds = -fail-allocs 'BenchmarkStepSteadyState|BenchmarkWakeDependents|BenchmarkObsHotPath'
 
@@ -85,7 +85,7 @@ BENCH_GATE_mem = -metric bytes/peer -metric-tol 0.10 -fail-metric 'BenchmarkMemo
 # is invisible to the allocation gate.
 BENCH_RECORD_work = { \
 	$(GO) test -cpu $(BENCH_CPU) -run '^$$' -bench 'BenchmarkConverge$$|BenchmarkRepairCycle|BenchmarkChurnRecoveryLarge' -benchmem -benchtime=1x . ; \
-	$(GO) test -cpu $(BENCH_CPU) -run '^$$' -bench 'BenchmarkBarrierCommit/serial/n=4096' -benchmem -benchtime=1x ./internal/rechord/ ; }
+	$(GO) test -cpu $(BENCH_CPU) -run '^$$' -bench 'BenchmarkBarrierCommit/workers=1/n=4096' -benchmem -benchtime=1x ./internal/rechord/ ; }
 BENCH_GATE_work = -allocs-tol 0.10 -fail-allocs 'BenchmarkConverge|BenchmarkRepairCycle|BenchmarkChurnRecoveryLarge|BenchmarkBarrierCommit' \
 	-metric activations/op -metric bucket-ops/op -metric dep-deltas/op -metric-tol 0.02 \
 	-fail-metric 'BenchmarkConverge|BenchmarkRepairCycle'

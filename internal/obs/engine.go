@@ -28,7 +28,7 @@ type EngineMetrics struct {
 	// (synchronous rounds and asynchronous time steps alike).
 	Steps Counter
 	// Batches counts non-quiescent steps: steps whose frontier was
-	// non-empty and that therefore ran the three-phase barrier.
+	// non-empty and that therefore ran the barrier.
 	Batches Counter
 	// Activated counts peer rule executions (frontier size summed over
 	// batches).
@@ -85,13 +85,11 @@ type EngineMetrics struct {
 	// Per-phase barrier wall-clock, in nanoseconds per batch. Deliver
 	// is phase 1 (inbox/bucket application and reference purging),
 	// Execute is phase 2 (the parallel rule run), Prepare is phase 3a
-	// (the parallel view-publish and output/dependency diffing),
-	// Reroute is phase 3b — the sharded bucket/index commit under the
-	// synchronous engine, or the time spent inside a serial scheduler's
-	// route callback — and Publish is the serial epilogue (settle
-	// bookkeeping, change-set merge, dependent wakes). The ROADMAP's
-	// "serial publish/reroute phase" is now the prepare+reroute pair,
-	// parallel and measured.
+	// (the parallel view-publish, output/dependency diffing and the
+	// scheduler's plan step), Reroute is phase 3b — the serial
+	// bucket/index commit plus the time spent inside the scheduler's
+	// emit step — and Publish is the rest of the serial epilogue (settle
+	// bookkeeping, lastFlow swaps, dependent wakes).
 	PhaseDeliver Hist
 	PhaseExecute Hist
 	PhasePrepare Hist

@@ -385,7 +385,7 @@ func (a *AsyncRunner) planFlow(n *RealNode, p *prepOut, w *worker) {
 // step) or queue a delivery event. Serial and ordered, so the rng draw
 // sequence is reproducible for any worker count. A waking install marks
 // its bucket unread, so a revoke before the recipient runs delivers it
-// (commitBucketOp).
+// (apply).
 func (a *AsyncRunner) emitFlow(n *RealNode, ops []bucketOp, _ bool) {
 	nw := a.nw
 	for _, op := range ops {

@@ -16,7 +16,7 @@ import (
 // the one pipeline through which a standing bucket is rewritten, for
 // every scheduler. A batch is deliver -> execute -> prepare -> commit ->
 // epilogue (runBatch, network.go); out-of-band mutation points (churn,
-// the partition's Apply calls) run the same planner and applier serially
+// the partition's Apply calls) run the same planner and applier
 // through rewriteBucket.
 //
 // Ownership. Everything a batch allocates that does not outlive it
@@ -46,17 +46,15 @@ import (
 //     arenas, prep[i] recording the ranges. Buckets and the dep index
 //     are read, never written. Every plan step funnels through planOp,
 //     the single place the rewrite / delete decision is made.
-//   - Commit (parallel over commit shards): recipients are partitioned
-//     by slot (slot % shards) and dependency-index shards by
-//     depShardOf(id) % shards, so every standing bucket, dirty flag and
-//     index shard has exactly one writing worker. commitBucketOp and
-//     commitDepDelta are the only code that writes RealNode.in,
-//     bucketMsgs and bucket dep references, or wakes a recipient because
-//     its standing input changed.
+//   - Commit (serial, active order, on the caller's goroutine): apply
+//     takes each active peer's bucket ops, then its dep deltas. It is
+//     the only code that writes RealNode.in, bucketMsgs and bucket dep
+//     references, or wakes a recipient because its standing input
+//     changed; rewriteBucket calls it too.
 //   - Epilogue (serial, active order): epoch bumps, settle bookkeeping,
-//     lastFlow swaps, the change-set merge feeding wakeDependents, and
-//     the scheduler's emit step; then the workers' tallies are summed
-//     and their arenas reset.
+//     lastFlow swaps, the scheduler's emit step, and the wakes of the
+//     peers depending on a moved level span or view; then the workers'
+//     tallies are summed and their arenas reset.
 //
 // A scheduler differs from the synchronous engine only in its
 // flowRouter: what it plans (read-only, in the parallel prepare) and
@@ -65,24 +63,23 @@ import (
 // its effects from emit, so RNG consumption and effect order cannot
 // depend on the worker count.
 //
-// Why Workers=1 and Workers=N stay snapshot-for-snapshot identical:
+// Why Workers=1 and Workers=N stay snapshot-for-snapshot identical: the
+// commit and the epilogue run serially in active order whatever the
+// worker count, so they are the Workers=1 commit and epilogue (the
+// dependent wakes read the workers' arenas one by one, so the frontier's
+// append order varies, but the frontier is a set, sorted by identifier
+// before use). What is left are the three parallel phases, and they
+// write nothing shared:
 // which worker runs a peer decides where scratch lives, never what is
-// computed (every buffer is reset before use, tallies are sums); every
-// commit write is keyed by (sender handle, recipient slot) or
-// (referenced id, dependent slot) and each key is written at most once
-// per batch (a plan step emits at most one op per recipient, and at most
-// one dep delta per referenced id and recipient), so the final buckets
-// are order-independent; dep index counts commute; the
-// frontier is an order-insensitive SET (sorted by identifier before it
-// is consumed); and everything order-sensitive runs in the epilogue.
+// computed (every buffer is reset before use, tallies are sums), and each
+// peer's deliver, execute and prepare write only its own state, its own
+// view and level slots, prep[i] and the running worker's arenas.
 //
-// Dep-index deltas tolerate any application order within a shard: every
-// remove emitted by prepare refers to references that were counted in
-// the index before the batch (a rewritten bucket's net remove per Add
-// owner is at most that owner's count in the old bucket; references of
-// the pre-round image — disjoint categories), so at any prefix of any
-// interleaving the entry's count is at least the remaining removes and
-// the underflow panic cannot fire spuriously.
+// No dep-index remove can underflow: every remove emitted by prepare
+// refers to references that were counted in the index before the batch
+// (a rewritten bucket's net remove per Add owner is at most that owner's
+// count in the old bucket; references of the pre-round image — disjoint
+// categories).
 
 // flowRouter is what a scheduler adds around the barrier pipeline.
 type flowRouter interface {
@@ -129,7 +126,7 @@ type worker struct {
 	// The pre-round images of the peers this worker delivered (prepare
 	// reads them through the ranges in prepOut) and the barrier payload
 	// of the peers it prepared (the commit and the epilogue read it the
-	// same way). Reset (and released once a contracted frontier left it
+	// same way; the epilogue wakes the dependents of viewRefs whole). Reset (and released once a contracted frontier left it
 	// mostly unused) when the batch ends.
 	imgLv    []imgLevel
 	imgRefs  []ref.Ref
@@ -212,9 +209,8 @@ func (nw *Network) serial() *worker {
 }
 
 // runParallel fans f(w, i) for i in [0, n) over the workers; f must only
-// touch its worker and per-index/per-peer state (or, for the commit
-// phase, state its index exclusively owns). One worker — or a single
-// item — runs inline on the caller's goroutine.
+// touch its worker and per-index/per-peer state. One worker — or a
+// single item — runs inline on the caller's goroutine.
 func (nw *Network) runParallel(n int, f func(nw *Network, w *worker, i int)) {
 	w0 := nw.serial()
 	k := min(len(nw.workers), n)
@@ -254,8 +250,7 @@ type prepOut struct {
 	imgRefs []ref.Ref
 
 	// viewRefs lists the virtual refs whose published rl/rr entry
-	// changed this batch (merged into the barrier's viewChanged map by
-	// the epilogue).
+	// changed this batch.
 	viewRefs []ref.Ref
 
 	// flow is the flow index of this batch's output, built whenever
@@ -293,17 +288,6 @@ type depDelta struct {
 	id   ident.ID
 	slot uint32
 	k    int32
-}
-
-// commitShard is one commit worker's private output: the frontier
-// slots it dirtied, its bucketMsgs adjustment, its flow-storage
-// accounting and the bucket ops and dep deltas it applied, merged
-// serially after the commit barrier.
-type commitShard struct {
-	frontier   []uint32
-	bucketMsgs int
-	flow       flowTally
-	ops, deps  int
 }
 
 // deliverPhase is the parallel deliver body for active index i: the
@@ -534,94 +518,46 @@ func (w *worker) appendDepDiff(old, cur *contrib, slot uint32) {
 	w.adds = adds
 }
 
-// commitPhase applies commit shard c: bucket ops whose recipient slot
-// it owns and dep deltas whose index shard it owns. Scanning every
-// prepOut is cheap relative to applying (ops are only emitted for
-// changed buckets); the writes are the expensive part and they are
-// perfectly partitioned.
-func (nw *Network) commitPhase(_ *worker, c int) {
-	sh := &nw.commit[c]
-	uw := uint32(c)
-	uc := uint32(nw.commitW)
-	for i := range nw.bActive {
-		p := &nw.prep[i]
-		if len(p.ops) > 0 {
-			h := nw.pt.nodes[nw.bActive[i]].h()
-			for k := range p.ops {
-				op := &p.ops[k]
-				if op.dstSlot%uc != uw {
-					continue
+// apply commits one sender's planned bucket ops, then its dep deltas:
+// the barrier calls it for every active peer in active order, and
+// rewriteBucket for one op. Nothing else writes RealNode.in or
+// bucketMsgs. The caller counts the ops and deltas (countCommit).
+func (nw *Network) apply(sender handle, ops []bucketOp, deps []depDelta) {
+	for k := range ops {
+		op := &ops[k]
+		dst := nw.pt.nodes[op.dstSlot]
+		nw.bucketMsgs += int(op.delta)
+		wake := op.wake
+		if op.c == nil || op.oneShot {
+			if bi := dst.findBucket(sender); bi >= 0 {
+				old := dst.in[bi]
+				if old.unread {
+					// Content sent but never delivered arrives once, as one-shots.
+					dst.inbox = old.c.appendMsgs(dst.inbox)
+					wake = true
 				}
-				nw.commitBucketOp(h, op, sh)
-				sh.ops++
+				dst.delBucketAt(bi)
+				releaseBucket(old, &nw.flow)
 			}
+		} else {
+			installBucket(dst, bucket{sender: sender, c: op.c, private: op.private}, &nw.flow)
 		}
-		for _, d := range p.deps {
-			if depShardOf(d.id)%uc != uw {
-				continue
-			}
-			nw.commitDepDelta(d)
-			sh.deps++
+		if wake {
+			nw.markDirtyIdx(op.dstSlot)
 		}
 	}
-}
-
-// commitBucketOp rewrites one standing bucket; nothing else writes
-// RealNode.in or bucketMsgs.
-func (nw *Network) commitBucketOp(sender handle, op *bucketOp, sh *commitShard) {
-	dst := nw.pt.nodes[op.dstSlot]
-	sh.bucketMsgs += int(op.delta)
-	wake := op.wake
-	if op.c == nil || op.oneShot {
-		if bi := dst.findBucket(sender); bi >= 0 {
-			old := dst.in[bi]
-			if old.unread {
-				// Content sent but never delivered arrives once, as one-shots.
-				dst.inbox = old.c.appendMsgs(dst.inbox)
-				wake = true
-			}
-			dst.delBucketAt(bi)
-			releaseBucket(old, &sh.flow)
+	for _, d := range deps {
+		if d.k > 0 {
+			nw.deps.add(d.id, d.slot, uint32(d.k))
+		} else {
+			nw.deps.remove(d.id, d.slot, uint32(-d.k))
 		}
-	} else {
-		installBucket(dst, bucket{sender: sender, c: op.c, private: op.private}, &sh.flow)
-	}
-	if wake && !dst.dirty {
-		dst.dirty = true
-		sh.frontier = append(sh.frontier, op.dstSlot)
 	}
 }
 
-// commitDepDelta applies one inverted-index adjustment.
-func (nw *Network) commitDepDelta(d depDelta) {
-	if d.k > 0 {
-		nw.deps.add(d.id, d.slot, uint32(d.k))
-	} else {
-		nw.deps.remove(d.id, d.slot, uint32(-d.k))
-	}
-}
-
-// beginCommit sets up a commit partitioned over w workers.
-func (nw *Network) beginCommit(w int) {
-	nw.commitW = w
-	if len(nw.commit) < w {
-		nw.commit = append(nw.commit, make([]commitShard, w-len(nw.commit))...)
-	}
-}
-
-// mergeShards folds the commit workers' private outputs into the
-// network, flushes their op and delta counts (one atomic add each per
-// commit) and resets them for the next commit.
-func (nw *Network) mergeShards() {
-	var ops, deps int
-	for w := range nw.commit {
-		sh := &nw.commit[w]
-		nw.bucketMsgs += sh.bucketMsgs
-		nw.frontier = append(nw.frontier, sh.frontier...)
-		nw.flow.add(&sh.flow)
-		ops, deps = ops+sh.ops, deps+sh.deps
-		*sh = commitShard{frontier: sh.frontier[:0]}
-	}
+// countCommit flushes the op and delta counts of one commit: one atomic
+// add each.
+func (nw *Network) countCommit(ops, deps int) {
 	if ops > 0 {
 		nw.met.BucketOps.Add(uint64(ops))
 	}
@@ -630,24 +566,15 @@ func (nw *Network) mergeShards() {
 	}
 }
 
-// rewriteBucket is the pipeline run serially for one bucket, for the
-// mutation points outside a batch (churn, the partition's Apply):
-// plan op on the caller's own worker, then commit it as a one-shard
-// commit.
+// rewriteBucket is the pipeline run for one bucket, for the mutation
+// points outside a batch (churn, the partition's Apply): plan the op on
+// the caller's own worker, then apply it.
 func (nw *Network) rewriteBucket(sender handle, dstID ident.ID, op bucketOp) {
 	w := nw.serial()
 	o0, d0 := len(w.ops), len(w.deps)
 	nw.planOp(sender, dstID, op, w)
-	nw.beginCommit(1)
-	sh := &nw.commit[0]
-	for k := range w.ops[o0:] {
-		nw.commitBucketOp(sender, &w.ops[o0+k], sh)
-	}
-	for _, d := range w.deps[d0:] {
-		nw.commitDepDelta(d)
-	}
-	sh.ops, sh.deps = sh.ops+len(w.ops)-o0, sh.deps+len(w.deps)-d0
+	nw.apply(sender, w.ops[o0:], w.deps[d0:])
+	nw.countCommit(len(w.ops)-o0, len(w.deps)-d0)
 	clear(w.ops[o0:]) // so the arena pins no replaced contribution
 	w.ops, w.deps = w.ops[:o0], w.deps[:d0]
-	nw.mergeShards()
 }

@@ -20,22 +20,23 @@ import (
 // convergence proofs).
 const barrierBenchRounds = 48
 
-// BenchmarkBarrierCommit pins the phase-3 split the sharded barrier
-// introduced: prepare (parallel publish + output/dependency diffing)
-// versus commit (the ownership-partitioned bucket/index rewrite),
-// under the hot frontier of the ideal-seeded transient. The serial
-// series runs Workers=1 (prepare, commit and the epilogue all on the
-// caller), the sharded series Workers=4; ns/op is the whole window,
-// and the per-batch phase means come from the engine's own telemetry
-// so the split is visible in BENCH_rounds.json next to the wall-clock.
+// BenchmarkBarrierCommit pins the phase-3 split of the barrier: prepare
+// (parallel publish, output/dependency diffing and planning) versus
+// commit (the serial bucket/index rewrite, reported with the emit step
+// as commit-ns/batch), under the hot frontier of the ideal-seeded
+// transient. The workers=1 series runs everything on the caller, the
+// workers=4 series fans the parallel phases over four workers; both
+// commit serially. ns/op is the whole window, and the per-batch phase
+// means come from the engine's own telemetry so the split is visible in
+// the BENCH files next to the wall-clock.
 func BenchmarkBarrierCommit(b *testing.B) {
 	for _, n := range []int{4096, 16384} {
 		for _, bc := range []struct {
 			name    string
 			workers int
 		}{
-			{"serial", 1},
-			{"sharded", 4},
+			{"workers=1", 1},
+			{"workers=4", 4},
 		} {
 			b.Run(fmt.Sprintf("%s/n=%d", bc.name, n), func(b *testing.B) {
 				b.ReportAllocs()

@@ -138,7 +138,7 @@ func (nw *Network) removePeer(id ident.ID, hosted func(ident.ID) bool) {
 	}
 	nw.flow.adoptFlow(n, nil, nil) // its contributions die with it
 	nw.flushFlowGauges()
-	nw.wakeDependents(map[ident.ID]bool{id: true}, nil)
+	nw.wakeDependents([]ident.ID{id}, nil)
 }
 
 // routeMessage enqueues one-shot messages directly in a peer's inbox

@@ -50,38 +50,12 @@ type depEntry struct {
 	cnt  uint32
 }
 
-// depShardCount fixes the number of internal index shards. It is a
-// property of the data structure, not of Config.Workers: the sharded
-// barrier commit (see barrier.go) partitions the shard space over
-// however many commit workers a batch runs, so the stored state is
-// identical for every worker count. 16 shards keep the partition
-// balanced for any plausible core count while the per-shard maps stay
-// dense.
-const depShardCount = 16
-
-// depShardOf maps a referenced identifier to its index shard. The
-// multiplicative mix spreads structured test identifiers as well as the
-// uniform random ones; the function is pure, so shard ownership is a
-// static property of the identifier.
-func depShardOf(id ident.ID) uint32 {
-	return uint32((uint64(id) * 0x9E3779B97F4A7C15) >> 60)
-}
-
-// depIndex maps identifiers to their dependents, split into
-// depShardCount independent shards keyed by depShardOf. Within a shard,
-// identifiers get dense keys through keyOf (recycled via a free list
-// when their last dependent disappears); each dependents list is kept
-// sorted by slot so updates are binary searches. Two mutations touching
-// different shards are independent — the property the barrier's
-// parallel commit relies on (each commit worker owns a disjoint set of
-// shards). Reference counts commute, so the stored state after a batch
-// of deltas is independent of application order within a shard too.
+// depIndex maps identifiers to their dependents. Identifiers get dense
+// keys through keyOf (recycled via a free list when their last dependent
+// disappears); each dependents list is kept sorted by slot so updates
+// are binary searches. Reference counts commute, so the stored state
+// after a batch of deltas is independent of their order.
 type depIndex struct {
-	shards [depShardCount]depShard
-}
-
-// depShard is one independent slice of the index.
-type depShard struct {
 	keyOf map[ident.ID]uint32
 	deps  [][]depEntry
 	free  []uint32
@@ -89,28 +63,24 @@ type depShard struct {
 
 // add records k more references from the peer slot to id.
 func (d *depIndex) add(id ident.ID, peer uint32, k uint32) {
-	d.shards[depShardOf(id)].add(id, peer, k)
-}
-
-func (s *depShard) add(id ident.ID, peer uint32, k uint32) {
 	if k == 0 {
 		return
 	}
-	if s.keyOf == nil {
-		s.keyOf = make(map[ident.ID]uint32)
+	if d.keyOf == nil {
+		d.keyOf = make(map[ident.ID]uint32)
 	}
-	key, ok := s.keyOf[id]
+	key, ok := d.keyOf[id]
 	if !ok {
-		if n := len(s.free); n > 0 {
-			key = s.free[n-1]
-			s.free = s.free[:n-1]
+		if n := len(d.free); n > 0 {
+			key = d.free[n-1]
+			d.free = d.free[:n-1]
 		} else {
-			key = uint32(len(s.deps))
-			s.deps = append(s.deps, nil)
+			key = uint32(len(d.deps))
+			d.deps = append(d.deps, nil)
 		}
-		s.keyOf[id] = key
+		d.keyOf[id] = key
 	}
-	l := s.deps[key]
+	l := d.deps[key]
 	i := sort.Search(len(l), func(i int) bool { return l[i].peer >= peer })
 	if i < len(l) && l[i].peer == peer {
 		l[i].cnt += k
@@ -119,25 +89,21 @@ func (s *depShard) add(id ident.ID, peer uint32, k uint32) {
 	l = append(l, depEntry{})
 	copy(l[i+1:], l[i:])
 	l[i] = depEntry{peer: peer, cnt: k}
-	s.deps[key] = l
+	d.deps[key] = l
 }
 
 // remove forgets k references from the peer slot to id, panicking on
 // underflow: an underflow means some maintenance point missed an update
 // and the index no longer mirrors the true state.
 func (d *depIndex) remove(id ident.ID, peer uint32, k uint32) {
-	d.shards[depShardOf(id)].remove(id, peer, k)
-}
-
-func (s *depShard) remove(id ident.ID, peer uint32, k uint32) {
 	if k == 0 {
 		return
 	}
-	key, ok := s.keyOf[id]
+	key, ok := d.keyOf[id]
 	var l []depEntry
 	var i int
 	if ok {
-		l = s.deps[key]
+		l = d.deps[key]
 		i = sort.Search(len(l), func(i int) bool { return l[i].peer >= peer })
 	}
 	if !ok || i >= len(l) || l[i].peer != peer || l[i].cnt < k {
@@ -146,10 +112,10 @@ func (s *depShard) remove(id ident.ID, peer uint32, k uint32) {
 	l[i].cnt -= k
 	if l[i].cnt == 0 {
 		l = append(l[:i], l[i+1:]...)
-		s.deps[key] = l
+		d.deps[key] = l
 		if len(l) == 0 {
-			delete(s.keyOf, id)
-			s.free = append(s.free, key)
+			delete(d.keyOf, id)
+			d.free = append(d.free, key)
 		}
 	}
 }
@@ -158,9 +124,8 @@ func (s *depShard) remove(id ident.ID, peer uint32, k uint32) {
 // returned slice aliases the index; callers must not hold it across
 // mutations.
 func (d *depIndex) dependents(id ident.ID) []depEntry {
-	s := &d.shards[depShardOf(id)]
-	if key, ok := s.keyOf[id]; ok {
-		return s.deps[key]
+	if key, ok := d.keyOf[id]; ok {
+		return d.deps[key]
 	}
 	return nil
 }
@@ -214,17 +179,17 @@ func (n *RealNode) holdsRef(r ref.Ref) bool {
 // changed (rule 3's guards read them). Owner changes wake the indexed
 // dependents directly; ref changes verify each candidate with holdsRef
 // first, so the woken set is exactly what a scan of every peer's state
-// computes (wakeSetScan in depindex_test.go is that scan).
-func (nw *Network) wakeDependents(owners map[ident.ID]bool, refs map[ref.Ref]bool) {
-	for id := range owners {
+// computes (wakeSetScan in depindex_test.go is that scan). Repeats in
+// either list are harmless (a dirty peer is not woken twice), and a ref
+// whose owner is in owners, in this call or an earlier one, finds every
+// candidate already dirty.
+func (nw *Network) wakeDependents(owners []ident.ID, refs []ref.Ref) {
+	for _, id := range owners {
 		for _, e := range nw.deps.dependents(id) {
 			nw.markDirtyIdx(e.peer)
 		}
 	}
-	for r := range refs {
-		if owners[r.Owner] {
-			continue
-		}
+	for _, r := range refs {
 		for _, e := range nw.deps.dependents(r.Owner) {
 			n := nw.pt.nodes[e.peer]
 			if n == nil || n.dirty {

@@ -139,19 +139,19 @@ func (nw *Network) wakeSetScan(owners map[ident.ID]bool, refs map[ref.Ref]bool, 
 func checkWakeSets(t *testing.T, nw *Network, ids []ident.ID, departed ident.ID, rng *rand.Rand) {
 	t.Helper()
 	cases := []struct {
-		owners map[ident.ID]bool
-		refs   map[ref.Ref]bool
+		owners []ident.ID
+		refs   []ref.Ref
 	}{
-		{owners: map[ident.ID]bool{ids[rng.Intn(len(ids))]: true}},
-		{owners: map[ident.ID]bool{departed: true}},
-		{owners: map[ident.ID]bool{ident.ID(rng.Uint64() | 1): true}},
-		{refs: map[ref.Ref]bool{ref.Real(ids[rng.Intn(len(ids))]): true}},
-		{refs: map[ref.Ref]bool{ref.Virtual(ids[rng.Intn(len(ids))], 1+rng.Intn(4)): true}},
+		{owners: []ident.ID{ids[rng.Intn(len(ids))]}},
+		{owners: []ident.ID{departed}},
+		{owners: []ident.ID{ident.ID(rng.Uint64() | 1)}},
+		{refs: []ref.Ref{ref.Real(ids[rng.Intn(len(ids))])}},
+		{refs: []ref.Ref{ref.Virtual(ids[rng.Intn(len(ids))], 1+rng.Intn(4))}},
 		{
-			owners: map[ident.ID]bool{ids[rng.Intn(len(ids))]: true, departed: true},
-			refs: map[ref.Ref]bool{
-				ref.Virtual(ids[rng.Intn(len(ids))], 2): true,
-				ref.Real(ids[rng.Intn(len(ids))]):       true,
+			owners: []ident.ID{ids[rng.Intn(len(ids))], departed},
+			refs: []ref.Ref{
+				ref.Virtual(ids[rng.Intn(len(ids))], 2),
+				ref.Real(ids[rng.Intn(len(ids))]),
 			},
 		},
 	}
@@ -159,7 +159,7 @@ func checkWakeSets(t *testing.T, nw *Network, ids []ident.ID, departed ident.ID,
 		if !nw.Quiescent() {
 			t.Fatalf("case %d: the wake sets are compared on a quiescent network", i)
 		}
-		scan := nw.wakeSetScan(c.owners, c.refs, nil)
+		scan := nw.wakeSetScan(setOf(c.owners), setOf(c.refs), nil)
 		base := len(nw.frontier) // an asynchronous runner leaves stale entries behind
 		nw.wakeDependents(c.owners, c.refs)
 		idx := slices.Clone(nw.frontier[base:])
@@ -173,6 +173,15 @@ func checkWakeSets(t *testing.T, nw *Network, ids []ident.ID, departed ident.ID,
 			t.Fatalf("case %d: indexed wake set %v != scan %v (owners=%v refs=%v)", i, idx, scan, c.owners, c.refs)
 		}
 	}
+}
+
+// setOf is the scan's form of a wake list.
+func setOf[K comparable](l []K) map[K]bool {
+	m := make(map[K]bool, len(l))
+	for _, k := range l {
+		m[k] = true
+	}
+	return m
 }
 
 // TestWakeIndexMatchesScan drives convergence and churn through both

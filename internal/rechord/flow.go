@@ -379,12 +379,11 @@ func (n *RealNode) delBucketAt(bi int) {
 	n.in = slices.Delete(n.in, bi, bi+1)
 }
 
-// flowTally accumulates flow-storage accounting. The Network holds the
-// authoritative copy; each commitShard accumulates a local one during
-// the parallel commit, merged at the barrier. A contribution is live
-// while a sender's lastFlow indexes it or, when private, while its
-// bucket stands; the commit keeps every other bucket on its sender's
-// lastFlow contribution, so that is every contribution a bucket holds.
+// flowTally accumulates flow-storage accounting; the Network holds the
+// one copy. A contribution is live while a sender's lastFlow indexes it
+// or, when private, while its bucket stands; the commit keeps every
+// other bucket on its sender's lastFlow contribution, so that is every
+// contribution a bucket holds.
 type flowTally struct {
 	contribs       int // live contributions
 	adopted        int // changed outputs adopted into a lastFlow
@@ -393,16 +392,6 @@ type flowTally struct {
 	uniqueBytes    int // deep-equivalent bytes of buckets on private contributions
 	installsShared int
 	installsCopied int
-}
-
-func (ft *flowTally) add(o *flowTally) {
-	ft.contribs += o.contribs
-	ft.adopted += o.adopted
-	ft.residentBytes += o.residentBytes
-	ft.sharedBytes += o.sharedBytes
-	ft.uniqueBytes += o.uniqueBytes
-	ft.installsShared += o.installsShared
-	ft.installsCopied += o.installsCopied
 }
 
 // live accounts a contribution becoming live (k = 1) or dying (k = -1).

@@ -513,7 +513,9 @@ func (a asyncExec) Fail(id ident.ID) error          { return a.Network().Fail(id
 // (pareto delays, so handoffs stay in flight across changes). After
 // every membership op, step and exchange the standing buckets must keep
 // the contribution invariant and no recycled block may be live
-// (CheckStandingFlow), and every op a step commits must be a rewrite to
+// (CheckStandingFlow), every rank's dependency index must mirror its
+// state (CheckDepIndex; Partition.Apply writes it through the same
+// applier as the barrier), and every op a step commits must be a rewrite to
 // other messages or a deletion (BucketWatch.Check; not under the async
 // runner, whose one-shot handoffs are ops that leave no bucket).
 func TestStandingFlowGoldenScripts(t *testing.T) {
@@ -548,6 +550,10 @@ func TestStandingFlowGoldenScripts(t *testing.T) {
 				for k := range scripts {
 					scripts[k] = newGoldenScript(c)
 				}
+				check := func(e executor, when string) {
+					rechord.CheckStandingFlow(t, e, when)
+					rechord.CheckDepIndex(t, e.Network(), when)
+				}
 				for round := 1; ; round++ {
 					if round > goldenMaxSteps {
 						t.Fatalf("not quiescent after %d rounds", goldenMaxSteps)
@@ -555,7 +561,7 @@ func TestStandingFlowGoldenScripts(t *testing.T) {
 					ops := 0
 					for k, e := range execs {
 						ops = scripts[k].apply(t, round, e.Network().Peers, e.Join, e.Leave, e.Fail)
-						rechord.CheckStandingFlow(t, e, fmt.Sprintf("round %d, rank %d, after the ops", round, k))
+						check(e, fmt.Sprintf("round %d, rank %d, after the ops", round, k))
 					}
 					for k, e := range execs {
 						when := fmt.Sprintf("round %d, rank %d, after the step", round, k)
@@ -564,7 +570,7 @@ func TestStandingFlowGoldenScripts(t *testing.T) {
 						if !async {
 							w.Check(t, when)
 						}
-						rechord.CheckStandingFlow(t, e, when)
+						check(e, when)
 					}
 					exchanged := false
 					for _, eff := range exchangeEffects(parts) {
@@ -572,7 +578,7 @@ func TestStandingFlowGoldenScripts(t *testing.T) {
 					}
 					quiet := !exchanged && ops == 0 && round >= scripts[0].lastStep()
 					for k, e := range execs {
-						rechord.CheckStandingFlow(t, e, fmt.Sprintf("round %d, rank %d, after the exchange", round, k))
+						check(e, fmt.Sprintf("round %d, rank %d, after the exchange", round, k))
 						quiet = quiet && e.Quiescent()
 					}
 					if quiet {

@@ -115,8 +115,7 @@ type Network struct {
 
 	// flow is the authoritative flow-storage accounting (live
 	// contributions, resident bytes, shared vs unique bucket bytes,
-	// install tallies).
-	// The commit accumulates per-worker tallies merged at the barrier.
+	// install tallies), written by the commit and the epilogue.
 	// Flushed to the telemetry gauges by flushFlowGauges.
 	flow flowTally
 	// dead collects the contributions the epilogue drops, for recycle.
@@ -134,23 +133,18 @@ type Network struct {
 	active  []uint32
 
 	// prep holds the fixed-size per-active-index records that cross the
-	// barrier and commit the per-shard commit outputs (see barrier.go);
-	// both reuse their storage across batches.
-	prep   []prepOut
-	commit []commitShard
+	// barrier (see barrier.go), reusing its storage across batches.
+	prep []prepOut
 
 	// br is the persistent batch fan-out machinery reused across
-	// batches; bActive/commitW are the running batch's parameters, read
-	// by the phase bodies.
+	// batches; bActive is the running batch's active list, read by the
+	// phase bodies.
 	br      batchRun
 	bActive []uint32
-	commitW int
 
-	// ownerChangedB/viewChangedB are the reusable per-barrier change
-	// sets feeding wakeDependents — cleared, never reallocated, after
-	// each batch.
-	ownerChangedB map[ident.ID]bool
-	viewChangedB  map[ref.Ref]bool
+	// owners is the epilogue's reusable list of the peers whose level
+	// span moved this batch, fed to wakeDependents.
+	owners []ident.ID
 
 	// met is the engine's always-on telemetry (shared with any
 	// AsyncRunner driving this network). The hot-path contract: a
@@ -217,7 +211,7 @@ func (nw *Network) AddPeer(id ident.ID) *RealNode {
 			}
 		}
 		nw.flushFlowGauges()
-		nw.wakeDependents(map[ident.ID]bool{id: true}, nil)
+		nw.wakeDependents([]ident.ID{id}, nil)
 	}
 	return n
 }
@@ -628,9 +622,10 @@ func (nw *Network) sortSlotsByID(slots []uint32) {
 }
 
 // runBatch executes one phased batch over the active (sorted) peers —
-// deliver, execute, prepare and the sharded commit on the workers, then
-// the serial epilogue (the phase bodies and what each may read and write
-// are in barrier.go) — and reports whether the global state changed.
+// deliver, execute and prepare on the workers, then the commit and the
+// epilogue serially in active order (the phase bodies and what each may
+// read and write are in barrier.go) — and reports whether the global
+// state changed.
 func (nw *Network) runBatch(active []uint32, stats *RoundStats) bool {
 	t0 := time.Now()
 	nw.bActive = active
@@ -643,17 +638,20 @@ func (nw *Network) runBatch(active []uint32, stats *RoundStats) bool {
 	tPrepare := time.Now()
 	// The commit span (plus the scheduler's emit steps in the epilogue)
 	// is the engine's reroute time.
-	nw.beginCommit(len(nw.workers))
-	nw.runParallel(nw.commitW, (*Network).commitPhase)
-	nw.mergeShards()
+	var ops, deps int
+	for i, slot := range active {
+		p := &nw.prep[i]
+		nw.apply(nw.pt.nodes[slot].h(), p.ops, p.deps)
+		ops, deps = ops+len(p.ops), deps+len(p.deps)
+	}
+	nw.countCommit(ops, deps)
 	rerouteNS := time.Since(tPrepare)
 	changed, emitNS := nw.epilogue(active, stats)
 	rerouteNS += emitNS
 
 	// The publish series is the serial epilogue minus the time spent
 	// inside the scheduler's emit step; it still includes the settle
-	// bookkeeping and the dependent wakes, which share the serial
-	// barrier with the change-set merge.
+	// bookkeeping and the dependent wakes.
 	m := &nw.met
 	m.PhaseDeliver.Observe(float64(tDeliver.Sub(t0)))
 	m.PhaseExecute.Observe(float64(tExecute.Sub(tDeliver)))
@@ -665,24 +663,17 @@ func (nw *Network) runBatch(active []uint32, stats *RoundStats) bool {
 
 // epilogue is the serial tail of a batch, in active order: everything
 // that is ordered state — epoch stamps, settle bookkeeping, lastFlow
-// swaps, the change-set merge feeding wakeDependents, the scheduler's
-// emit step (whose time it returns) — plus the telemetry flush: the
-// workers' plain-integer tallies become one atomic add per counter.
+// swaps, the scheduler's emit step (whose time it returns), the wakes of
+// the peers depending on a moved level span or view — plus the telemetry
+// flush: the workers' plain-integer tallies become one atomic add per
+// counter.
 func (nw *Network) epilogue(active []uint32, stats *RoundStats) (changed bool, emitNS time.Duration) {
-	if nw.ownerChangedB == nil {
-		nw.ownerChangedB = make(map[ident.ID]bool)
-		nw.viewChangedB = make(map[ref.Ref]bool)
-	}
-	ownerChanged, viewChanged := nw.ownerChangedB, nw.viewChangedB
 	var settledN, unsettledN, epochBumpN int
 	for i, slot := range active {
 		n := nw.pt.nodes[slot]
 		p := &nw.prep[i]
 		if p.ownerChanged {
-			ownerChanged[n.id] = true
-		}
-		for _, r := range p.viewRefs {
-			viewChanged[r] = true
+			nw.owners = append(nw.owners, n.id)
 		}
 		published := p.ownerChanged || len(p.viewRefs) > 0
 		if nw.router != nil && (len(p.ops) > 0 || published) {
@@ -718,14 +709,15 @@ func (nw *Network) epilogue(active []uint32, stats *RoundStats) (changed bool, e
 	}
 	changed = changed || unsettledN > 0
 
-	woken := 0
-	if len(ownerChanged) > 0 || len(viewChanged) > 0 {
-		fBefore := len(nw.frontier)
-		nw.wakeDependents(ownerChanged, viewChanged)
-		woken = len(nw.frontier) - fBefore
-		clear(ownerChanged)
-		clear(viewChanged)
+	// The owners go first: a ref whose owner changed then finds every
+	// candidate already dirty.
+	fBefore := len(nw.frontier)
+	nw.wakeDependents(nw.owners, nil)
+	for _, w := range nw.workers {
+		nw.wakeDependents(nil, w.viewRefs)
 	}
+	woken := len(nw.frontier) - fBefore
+	nw.owners = nw.owners[:0]
 
 	m := &nw.met
 	var delivered int

@@ -96,10 +96,8 @@ type Partition struct {
 	// run gathers Apply's current sender run.
 	run []BucketUpdate
 
-	// changed and refs are applyPublish's scratch: the views a publish
-	// changed, as a list and as the wake set.
+	// changed is applyPublish's scratch: the views a publish changed.
 	changed []ref.Ref
-	refs    map[ref.Ref]bool
 
 	// pub lists, in identifier order, the slots of the hosted owners
 	// whose published state (view or max level) changed in the running
@@ -336,24 +334,13 @@ func (p *Partition) applyPublish(u PeerPublish) {
 	if !ok {
 		return
 	}
-	var owners map[ident.ID]bool
+	var owners []ident.ID
 	if int32(u.MaxLevel) != nw.pt.maxLv[slot] {
 		nw.pt.maxLv[slot] = int32(u.MaxLevel)
-		owners = map[ident.ID]bool{u.Owner: true}
+		owners = []ident.ID{u.Owner}
 	}
-	changed := nw.publishViews(slot, u.Owner, u.Views, p.changed[:0])
-	p.changed = changed
-	if len(owners) == 0 && len(changed) == 0 {
-		return
-	}
-	if p.refs == nil {
-		p.refs = make(map[ref.Ref]bool)
-	}
-	clear(p.refs)
-	for _, r := range changed {
-		p.refs[r] = true
-	}
-	nw.wakeDependents(owners, p.refs)
+	p.changed = nw.publishViews(slot, u.Owner, u.Views, p.changed[:0])
+	nw.wakeDependents(owners, p.changed)
 }
 
 // Join integrates a join: the membership change is replicated

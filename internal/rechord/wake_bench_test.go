@@ -54,8 +54,9 @@ func BenchmarkWakeDependents(b *testing.B) {
 	for _, n := range []int{2048, 8192} {
 		nw := settledBenchNet(b, n)
 		victim := nw.Peers()[n/2]
-		owners := map[ident.ID]bool{victim: true}
-		refs := map[ref.Ref]bool{ref.Real(victim): true}
+		owners := []ident.ID{victim}
+		refs := []ref.Ref{ref.Real(victim)}
+		ownerSet, refSet := setOf(owners), setOf(refs)
 
 		b.Run(fmt.Sprintf("indexed/n=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
@@ -69,7 +70,7 @@ func BenchmarkWakeDependents(b *testing.B) {
 			b.ReportAllocs()
 			var buf []uint32
 			for i := 0; i < b.N; i++ {
-				buf = nw.wakeSetScan(owners, refs, buf[:0])
+				buf = nw.wakeSetScan(ownerSet, refSet, buf[:0])
 			}
 		})
 	}

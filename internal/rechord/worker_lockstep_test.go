@@ -12,17 +12,19 @@ import (
 	"repro/internal/topogen"
 )
 
-// The sharded barrier (barrier.go) claims exact worker-count
-// independence: Workers=1 and Workers=N must produce identical global
-// state at every round boundary, under any churn, in every scheduler.
-// The synchronous engine is compared at both counts with the reference
-// through the Lockstep harness; the asynchronous adversary, whose random
-// schedule the synchronous reference cannot shadow, is compared with
-// itself across the two counts — state, fingerprint and RNG consumption
-// after every step — with the clean-peer invariant checked on both
-// sides. CI runs this file under -race at GOMAXPROCS 1 and 4: every
-// standing bucket, dirty flag and index shard having exactly one writing
-// commit worker is what the race detector proves there.
+// The barrier (barrier.go) claims exact worker-count independence:
+// Workers=1 and Workers=N must produce identical global state at every
+// round boundary, under any churn, in every scheduler. The commit and
+// the epilogue are serial in active order at every count, so the claim
+// rests on the parallel deliver, execute and prepare phases writing
+// nothing shared. The synchronous engine is compared at both counts with
+// the reference through the Lockstep harness; the asynchronous
+// adversary, whose random schedule the synchronous reference cannot
+// shadow, is compared with itself across the two counts — state,
+// fingerprint and RNG consumption after every step — with the
+// clean-peer invariant checked on both sides. CI runs this file under
+// -race at GOMAXPROCS 1 and 4: that no two parallel phase bodies write
+// the same memory is what the race detector proves there.
 
 // netPair applies a membership event to both networks of an asynchronous
 // pair, which hold identical peer sets by induction.
@@ -66,7 +68,7 @@ func runWorkersAsync(t *testing.T, seed int64, n int, gen topogen.Generator, ste
 		}
 	}
 	if runs[0].LastChange() != runs[1].LastChange() || runs[0].EventFingerprint() != runs[1].EventFingerprint() {
-		t.Logf("seed=%d: last change %d vs %d, event fingerprint %x vs %x — the sharded barrier consumed RNG",
+		t.Logf("seed=%d: last change %d vs %d, event fingerprint %x vs %x — the barrier consumed RNG",
 			seed, runs[0].LastChange(), runs[1].LastChange(), runs[0].EventFingerprint(), runs[1].EventFingerprint())
 		return false
 	}
