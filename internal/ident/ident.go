@@ -59,14 +59,11 @@ func Hash(addr string) ID {
 }
 
 // Sibling returns the identifier of the level-i virtual node of a:
-// a + 1/2^i (mod 1). Sibling(a, 0) is a itself.
+// a + 1/2^i (mod 1). Sibling(a, 0) is a itself, and so is every level
+// outside 1..64: the shift count 64-uint(level) is then at least 64
+// (level <= 0, or level >= 65 wrapping the unsigned subtraction), and a
+// Go shift by at least the operand's width yields 0.
 func Sibling(a ID, level int) ID {
-	if level <= 0 {
-		return a
-	}
-	if level > 64 {
-		return a
-	}
 	return a + ID(uint64(1)<<(64-uint(level)))
 }
 

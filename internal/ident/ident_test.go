@@ -75,6 +75,27 @@ func TestSiblingLevelZero(t *testing.T) {
 	}
 }
 
+// TestSiblingMatchesBranchyDefinition holds the branch-free Sibling to
+// the two-branch definition it replaced, at the levels on and beyond both
+// edges of 1..64, for random identifiers.
+func TestSiblingMatchesBranchyDefinition(t *testing.T) {
+	branchy := func(a ID, level int) ID {
+		if level <= 0 || level > 64 {
+			return a
+		}
+		return a + ID(uint64(1)<<(64-uint(level)))
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, level := range []int{-1, 0, 1, 2, 63, 64, 65, 200} {
+		for range 1000 {
+			a := ID(rng.Uint64())
+			if got, want := Sibling(a, level), branchy(a, level); got != want {
+				t.Fatalf("Sibling(%#x, %d) = %#x, want %#x", uint64(a), level, uint64(got), uint64(want))
+			}
+		}
+	}
+}
+
 func TestSiblingWraparound(t *testing.T) {
 	u := FromFloat(0.75)
 	s := Sibling(u, 1) // 0.75 + 0.5 = 0.25 mod 1

@@ -37,7 +37,7 @@ type EngineMetrics struct {
 	// index after a batch published changes.
 	Woken Counter
 	// Delivered counts messages applied at delivery time: one-shot
-	// inbox entries plus standing-bucket messages read in phase 1.
+	// inbox entries plus standing-bucket messages read by deliver.
 	Delivered Counter
 	// BucketOps counts the standing-bucket rewrites and deletions the
 	// barrier commit applies; DepDeltas the dependency-index adjustments
@@ -82,14 +82,19 @@ type EngineMetrics struct {
 	FlowUniqueBytes    Gauge
 	FlowInstallsShared Gauge
 	FlowInstallsCopied Gauge
-	// Per-phase barrier wall-clock, in nanoseconds per batch. Deliver
-	// is phase 1 (inbox/bucket application and reference purging),
-	// Execute is phase 2 (the parallel rule run), Prepare is phase 3a
-	// (the parallel view-publish, output/dependency diffing and the
-	// scheduler's plan step), Reroute is phase 3b — the serial
-	// bucket/index commit plus the time spent inside the scheduler's
-	// emit step — and Publish is the rest of the serial epilogue (settle
-	// bookkeeping, lastFlow swaps, dependent wakes).
+	// Per-phase barrier time, in nanoseconds per batch. One parallel
+	// pass runs each active peer's deliver, execute and prepare back to
+	// back on a worker, so those three are summed worker time — every
+	// worker's time inside the phase's bodies over the batch, which
+	// equals wall-clock at Workers 1 and may exceed it at Workers N.
+	// Deliver is inbox/bucket application and reference purging,
+	// Execute the rule run plus the output diff and freeze, Prepare the
+	// view/level diff, the settle verdict and the scheduler's plan step.
+	// Reroute and Publish are serial wall-clock: Reroute is the commit —
+	// the staged level/view publishes and the bucket/index applier —
+	// plus the time spent inside the scheduler's emit step, and Publish
+	// is the rest of the epilogue (settle bookkeeping, lastFlow swaps,
+	// dependent wakes).
 	PhaseDeliver Hist
 	PhaseExecute Hist
 	PhasePrepare Hist

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 	"unsafe"
 
 	"repro/internal/ident"
@@ -14,66 +15,72 @@ import (
 
 // This file is the round barrier: the worker pool's execution arenas and
 // the one pipeline through which a standing bucket is rewritten, for
-// every scheduler. A batch is deliver -> execute -> prepare -> commit ->
-// epilogue (runBatch, network.go); out-of-band mutation points (churn,
-// the partition's Apply calls) run the same planner and applier
-// through rewriteBucket.
+// every scheduler. A batch is one parallel pass -> commit -> epilogue
+// (runBatch, network.go); out-of-band mutation points (churn, the
+// partition's Apply calls) run the same planner and applier through
+// rewriteBucket.
 //
 // Ownership. Everything a batch allocates that does not outlive it
 // belongs to the pool worker that runs the peer, never to the peer or
 // its active index: the rule scratch, the single output buffer the
-// rules append to, the freeze scratch, the batch tallies, and the
-// arenas holding what crosses the barrier. What is indexed by active
-// position (prepOut) is a fixed-size record.
+// rules append to, the pre-round image, the freeze scratch, the batch
+// tallies, and the arenas holding what crosses the barrier. What is
+// indexed by active position (prepOut) is a fixed-size record.
 //
-//   - Deliver (parallel over active indexes): copy the peer's edge sets
-//     into the worker's image arenas (the pre-round image), then apply
-//     the pending inbox and purge stale references. Reads the interner's
-//     tables, writes the peer's own state.
-//   - Execute (parallel): rules 1-6 into the worker's out, the diff of
-//     out against the peer's own lastFlow, and — when it differs — the
-//     freeze of out into the new flow index: fresh contributions for the
-//     changed recipients, the old ones for the rest. Reads the peer's own
-//     state and lastFlow plus the published view; writes the peer's own
-//     state and prep[i]. out is dead when the body returns: the flow
-//     index carries everything later phases need, so it never crosses a
-//     barrier.
-//   - Prepare (parallel): each active peer publishes its own view/level
-//     slot (no other peer's prepare reads them), merges its edge sets
-//     against its pre-round image — the settle verdict and the edge-set
-//     dep deltas in one pass — and has its scheduler's plan step turn
-//     the output into bucket ops — appended ONLY to the running worker's
-//     arenas, prep[i] recording the ranges. Buckets and the dep index
+//   - The pass (parallel over active indexes, activate): one worker runs
+//     a peer's deliver, execute and prepare back to back, so what only
+//     the peer's own later phases read (the pre-round image, the rules'
+//     output) stays in the worker's scratch.
+//   - Deliver: copy the peer's edge sets into the image scratch, then
+//     apply the pending inbox and purge stale references. Reads the
+//     interner's tables, the levels other peers published and the
+//     peer's own buckets; writes the peer's own state.
+//   - Execute: rules 1-6 into the worker's out, the diff of out against
+//     the peer's own lastFlow and — when it differs — the freeze of out
+//     into the new flow index: fresh contributions for the changed
+//     recipients, the old ones for the rest. Reads the peer's own state
+//     and lastFlow plus the published view; writes the peer's own state.
+//   - Prepare: the peer's new level span and view entries, diffed against
+//     the published ones and staged in prep[i] and the worker's arenas;
+//     the merge of its edge sets against the image — the settle verdict
+//     and the edge-set dep deltas in one pass — and its scheduler's plan
+//     step turning the output into bucket ops. Buckets and the dep index
 //     are read, never written. Every plan step funnels through planOp,
 //     the single place the rewrite / delete decision is made.
-//   - Commit (serial, active order, on the caller's goroutine): apply
-//     takes each active peer's bucket ops, then its dep deltas. It is
-//     the only code that writes RealNode.in, bucketMsgs and bucket dep
-//     references, or wakes a recipient because its standing input
-//     changed; rewriteBucket calls it too.
+//   - Commit (serial, active order, on the caller's goroutine): first the
+//     staged writes other peers' passes could have observed — every
+//     active peer's level span and view entries, and the unread flags of
+//     the async buckets its deliver consumed — then apply takes each
+//     active peer's bucket ops, then its dep deltas. It is the only code
+//     that writes RealNode.in, bucketMsgs and bucket dep references, or
+//     wakes a recipient because its standing input changed;
+//     rewriteBucket calls it too.
 //   - Epilogue (serial, active order): epoch bumps, settle bookkeeping,
 //     lastFlow swaps, the scheduler's emit step, and the wakes of the
 //     peers depending on a moved level span or view; then the workers'
 //     tallies are summed and their arenas reset.
 //
 // A scheduler differs from the synchronous engine only in its
-// flowRouter: what it plans (read-only, in the parallel prepare) and
-// what it emits (in the epilogue, in active order, ops in plan order).
-// The asynchronous runner draws its delays and the partition appends
-// its effects from emit, so RNG consumption and effect order cannot
-// depend on the worker count.
+// flowRouter: what it plans (read-only, in the parallel pass) and what
+// it emits (in the epilogue, in active order, ops in plan order). The
+// asynchronous runner draws its delays and the partition appends its
+// effects from emit, so RNG consumption and effect order cannot depend
+// on the worker count.
 //
 // Why Workers=1 and Workers=N stay snapshot-for-snapshot identical: the
 // commit and the epilogue run serially in active order whatever the
 // worker count, so they are the Workers=1 commit and epilogue (the
 // dependent wakes read the workers' arenas one by one, so the frontier's
 // append order varies, but the frontier is a set, sorted by identifier
-// before use). What is left are the three parallel phases, and they
-// write nothing shared:
-// which worker runs a peer decides where scratch lives, never what is
-// computed (every buffer is reset before use, tallies are sums), and each
-// peer's deliver, execute and prepare write only its own state, its own
-// view and level slots, prep[i] and the running worker's arenas.
+// before use). What is left is the parallel pass, and it writes nothing
+// another peer's pass reads: which worker runs a peer decides where
+// scratch lives, never what is computed (every buffer is reset before
+// use, tallies are sums), and a peer's pass writes only its own state,
+// prep[i] and the running worker's arenas. The state other peers read —
+// the interner's level spans, the published view, the buckets planOp
+// searches — is written only by the commit, so every pass reads it as
+// it stood when the batch began, as the paper's round-start snapshot
+// has it.
 //
 // No dep-index remove can underflow: every remove emitted by prepare
 // refers to references that were counted in the index before the batch
@@ -110,27 +117,37 @@ type worker struct {
 	levels                    []int
 	realID                    []ident.ID
 
-	// Freeze scratch: the per-recipient verdicts of diffFlow, the
-	// records freezeFlow still has to fill, the per-level entries prepare
-	// publishes, and the Add owners of a rewritten bucket's old and new
+	// The pre-round image of the peer the worker is running: per level
+	// whether it exists and its set lengths, then the references, which
+	// prepare merges against the peer's state.
+	imgLv   []imgLevel
+	imgRefs []ref.Ref
+
+	// Freeze scratch (flow.go): the per-recipient verdicts of diffFlow,
+	// in order of first appearance and sorted by recipient, the sorted
+	// recipients, the entry of each message of out, out's records packed
+	// by recipient, and the stamped recipient table that groups them.
+	// adds holds the Add owners of a rewritten bucket's old and new
 	// messages, which the plan step nets into dep deltas.
-	diff  []spanDiff
-	order []int32
-	at    []int32
-	fill  [][]cmsg
-	views []PublishedView
-	adds  []depDelta
+	diff       []spanDiff
+	order      []int32
+	rcpt       []ident.ID
+	at         []int32
+	packed     []cmsg
+	groups     []groupSlot
+	stamp      uint32
+	groupShift uint8
+	adds       []depDelta
 
 	tally
 
-	// The pre-round images of the peers this worker delivered (prepare
-	// reads them through the ranges in prepOut) and the barrier payload
-	// of the peers it prepared (the commit and the epilogue read it the
-	// same way; the epilogue wakes the dependents of viewRefs whole). Reset (and released once a contracted frontier left it
-	// mostly unused) when the batch ends.
-	imgLv    []imgLevel
-	imgRefs  []ref.Ref
+	// The barrier payload of the peers the worker ran this batch (the
+	// commit and the epilogue read it through the ranges in prepOut; the
+	// epilogue wakes the dependents of viewRefs whole). Reset (and
+	// released once a contracted frontier left it mostly unused) when the
+	// batch ends.
 	flows    []*contrib
+	views    []PublishedView
 	viewRefs []ref.Ref
 	ops      []bucketOp
 	deps     []depDelta
@@ -149,10 +166,12 @@ type imgLevel struct {
 
 // tally is what a worker counted over one batch, summed over the workers
 // and zeroed by the epilogue: plain integers, so the hot path never
-// touches shared state.
+// touches shared state. The phase times are the worker's time inside
+// each phase body.
 type tally struct {
-	made, killed, delivered int
-	fired                   [obs.NumRules]uint64
+	made, killed, delivered      int
+	fired                        [obs.NumRules]uint64
+	deliverNS, executeNS, prepNS time.Duration
 }
 
 // resetArena empties a per-batch buffer. It releases the storage once a
@@ -169,8 +188,8 @@ func resetArena[T any](s []T) []T {
 }
 
 // batchRun is the persistent fan-out machinery of runBatch: one task
-// closure per worker, a WaitGroup and a work counter, reused across
-// every batch and phase.
+// closure per pool worker, a WaitGroup and a work counter, reused across
+// every batch.
 type batchRun struct {
 	wg    sync.WaitGroup
 	next  atomic.Int64
@@ -179,10 +198,22 @@ type batchRun struct {
 	tasks []func()
 }
 
+// drain runs f on w for the indexes it claims until none is left.
+func (br *batchRun) drain(nw *Network, w *worker) {
+	for {
+		i := int(br.next.Add(1)) - 1
+		if i >= br.n {
+			return
+		}
+		br.f(nw, w, i)
+	}
+}
+
 // serial returns workers[0], the caller's own arena, building the
 // workers on first use: one per configured goroutine (Config.Workers, 0
 // meaning one per schedulable CPU), sized from the configuration and not
-// from any one round's frontier.
+// from any one round's frontier. workers[0] runs on the caller, every
+// other one is a pool task.
 func (nw *Network) serial() *worker {
 	if nw.workers == nil {
 		k := nw.cfg.Workers
@@ -190,18 +221,13 @@ func (nw *Network) serial() *worker {
 			k = defaultWorkers()
 		}
 		br := &nw.br
-		for ; k > 0; k-- {
+		nw.workers = append(nw.workers, &worker{})
+		for ; k > 1; k-- {
 			w := &worker{}
 			nw.workers = append(nw.workers, w)
 			br.tasks = append(br.tasks, func() {
 				defer br.wg.Done()
-				for {
-					i := int(br.next.Add(1)) - 1
-					if i >= br.n {
-						return
-					}
-					br.f(nw, w, i)
-				}
+				br.drain(nw, w)
 			})
 		}
 	}
@@ -209,8 +235,10 @@ func (nw *Network) serial() *worker {
 }
 
 // runParallel fans f(w, i) for i in [0, n) over the workers; f must only
-// touch its worker and per-index/per-peer state. One worker — or a
-// single item — runs inline on the caller's goroutine.
+// touch its worker and per-index/per-peer state. The caller claims
+// indexes too, on workers[0], so a batch too thin to need the pool is
+// done before a pool goroutine wakes. One worker — or a single item —
+// runs inline.
 func (nw *Network) runParallel(n int, f func(nw *Network, w *worker, i int)) {
 	w0 := nw.serial()
 	k := min(len(nw.workers), n)
@@ -220,21 +248,22 @@ func (nw *Network) runParallel(n int, f func(nw *Network, w *worker, i int)) {
 		}
 		return
 	}
-	pool := nw.ensurePool(len(nw.workers))
+	pool := nw.ensurePool(len(nw.br.tasks))
 	br := &nw.br
 	br.n, br.f = n, f
 	br.next.Store(0)
-	br.wg.Add(k)
-	for _, task := range br.tasks[:k] {
+	br.wg.Add(k - 1)
+	for _, task := range br.tasks[:k-1] {
 		pool.tasks <- task
 	}
+	br.drain(nw, w0)
 	br.wg.Wait()
 }
 
 // prepOut is what crosses the barrier for one active index: the
-// verdicts, the frozen output, and the ranges of the workers' arenas
-// holding it and the commit payload. The epilogue zeroes each record, so
-// nothing here outlives the batch.
+// verdicts, the staged publishes, the frozen output, and the ranges of
+// the workers' arenas holding it and the commit payload. The epilogue
+// zeroes each record, so nothing here outlives the batch.
 type prepOut struct {
 	ownerChanged bool // the peer's level span moved
 	outChanged   bool // total output differs from lastFlow
@@ -244,13 +273,15 @@ type prepOut struct {
 	// peer, and the global state changed even when the peer's own did
 	// not: the peer stays on the frontier.
 	consumed bool
+	// unread: deliver consumed a bucket the async runner marked unread;
+	// the commit clears the marks.
+	unread bool
 
-	// The peer's pre-round image, in the delivering worker's arenas.
-	imgLv   []imgLevel
-	imgRefs []ref.Ref
-
-	// viewRefs lists the virtual refs whose published rl/rr entry
-	// changed this batch.
+	// maxLv and views are the peer's level span and per-level published
+	// entries after its run, which the commit publishes; viewRefs lists
+	// the virtual refs whose published rl/rr entry they change.
+	maxLv    int32
+	views    []PublishedView
 	viewRefs []ref.Ref
 
 	// flow is the flow index of this batch's output, built whenever
@@ -290,24 +321,40 @@ type depDelta struct {
 	k    int32
 }
 
-// deliverPhase is the parallel deliver body for active index i: the
-// pre-round image, then delivery and purge.
+// activate is the parallel pass's body for active index i: the peer's
+// deliver, execute and prepare, back to back on w, each timed into w's
+// tally.
+func (nw *Network) activate(w *worker, i int) {
+	t0 := time.Now()
+	nw.deliverPhase(w, i)
+	t1 := time.Now()
+	nw.executePhase(w, i)
+	t2 := time.Now()
+	nw.preparePhase(w, i)
+	w.deliverNS += t1.Sub(t0)
+	w.executeNS += t2.Sub(t1)
+	w.prepNS += time.Since(t2)
+}
+
+// deliverPhase is the deliver body for active index i: the pre-round
+// image, then delivery and purge.
 func (nw *Network) deliverPhase(w *worker, i int) {
 	n := nw.pt.nodes[nw.bActive[i]]
 	p := &nw.prep[i]
-	w.takeImage(n, p)
+	w.takeImage(n)
 	p.consumed = len(n.inbox) > 0
-	w.delivered += nw.deliver(n)
+	delivered, unread := nw.deliver(n)
+	w.delivered += delivered
+	p.unread = unread
 	nw.purge(n, w)
 }
 
-// takeImage appends the peer's edge sets to w's image arenas — per level
-// whether it exists and the three set lengths, then the references in
-// order — and records the ranges in p. The level span and rl/rr need no
-// copy: the interner's maxLv and the published view hold their
-// pre-round values until prepare diffs them.
-func (w *worker) takeImage(n *RealNode, p *prepOut) {
-	l0, r0 := len(w.imgLv), len(w.imgRefs)
+// takeImage copies the peer's edge sets into w's image scratch — per
+// level whether it exists and the three set lengths, then the references
+// in order. The level span and rl/rr need no copy: the interner's maxLv
+// and the published view hold their pre-round values until the commit.
+func (w *worker) takeImage(n *RealNode) {
+	w.imgLv, w.imgRefs = w.imgLv[:0], w.imgRefs[:0]
 	for _, v := range n.vnodes {
 		var lv imgLevel
 		if v != nil {
@@ -319,42 +366,35 @@ func (w *worker) takeImage(n *RealNode, p *prepOut) {
 		}
 		w.imgLv = append(w.imgLv, lv)
 	}
-	p.imgLv, p.imgRefs = w.imgLv[l0:], w.imgRefs[r0:]
 }
 
-// executePhase is the parallel execute body: rules 1-6 and the freeze —
-// the diff of the worker's out against the peer's own lastFlow and, when
-// it differs, the new flow index: lastFlow's contributions for the
+// executePhase is the execute body: rules 1-6 and the freeze — the diff
+// of the worker's out against the peer's own lastFlow and, when it
+// differs, the new flow index: lastFlow's contributions for the
 // recipients whose messages did not change, fresh ones for the rest.
 func (nw *Network) executePhase(w *worker, i int) {
 	n := nw.pt.nodes[nw.bActive[i]]
 	nw.runRules(n, w)
 	p := &nw.prep[i]
 	if p.outChanged = diffFlow(n.lastFlow, w.out, w); p.outChanged {
-		p.flow = w.freezeFlow(n.lastFlow, w.out)
+		p.flow = w.freezeFlow(n.lastFlow)
 	}
 }
 
-// preparePhase is the parallel prepare body: the publish diff, the
-// settle verdict, and the bucket ops and dep deltas the commit will
-// apply. Writes touch only the peer's own view/maxLv slots, w's arenas
-// and prep[i].
+// preparePhase is the prepare body: the staged publishes, the settle
+// verdict, and the bucket ops and dep deltas the commit will apply.
+// Writes touch only w's arenas and prep[i].
 func (nw *Network) preparePhase(w *worker, i int) {
 	slot := nw.bActive[i]
 	n := nw.pt.nodes[slot]
 	p := &nw.prep[i]
-	v0, o0, d0 := len(w.viewRefs), len(w.ops), len(w.deps)
+	v0, r0, o0, d0 := len(w.views), len(w.viewRefs), len(w.ops), len(w.deps)
 
-	// Publish the peer's level so other peers' purges detect stale
-	// references to its deleted virtual nodes. Own-slot write: nothing
-	// else reads maxLv or the view during prepare.
-	newMax := n.MaxLevel()
-	if newMax != int(nw.pt.maxLv[slot]) {
-		nw.pt.maxLv[slot] = int32(newMax)
-		p.ownerChanged = true
-	}
-	// Publish rl/rr changes (including entries of deleted levels).
-	w.views = w.views[:0]
+	// The level span other peers' purges will resolve stale references
+	// to deleted virtual nodes against, and the rl/rr entries (including
+	// those of deleted levels) their rule-3 guards will read.
+	p.maxLv = int32(n.MaxLevel())
+	p.ownerChanged = p.maxLv != nw.pt.maxLv[slot]
 	for _, v := range n.vnodes {
 		e := PublishedView{}
 		if v != nil {
@@ -362,31 +402,50 @@ func (nw *Network) preparePhase(w *worker, i int) {
 		}
 		w.views = append(w.views, e)
 	}
-	w.viewRefs = nw.publishViews(slot, n.id, w.views, w.viewRefs)
+	p.views = w.views[v0:]
+	w.viewRefs = nw.diffViews(slot, n.id, p.views, w.viewRefs)
 
 	// The settle verdict, read by the plan step: the state the rules left
 	// differs from the pre-round state in its edge sets (diffImage), its
 	// level span or its rl/rr (the two publish diffs above).
-	p.stateChanged = diffImage(slot, n, p, w) || p.ownerChanged || len(w.viewRefs) > v0
+	p.stateChanged = diffImage(slot, n, w) || p.ownerChanged || len(w.viewRefs) > r0
 	if nw.router != nil {
 		nw.router.planFlow(n, p, w)
 	} else {
 		nw.planRewrite(n, p, w)
 	}
-	p.viewRefs, p.ops, p.deps = w.viewRefs[v0:], w.ops[o0:], w.deps[d0:]
+	p.viewRefs, p.ops, p.deps = w.viewRefs[r0:], w.ops[o0:], w.deps[d0:]
 }
 
-// diffImage merges the peer's edge sets level by level against its
-// pre-round image, appends a -1 dep delta for every reference that
+// publishStaged is the head of the commit for active index i: the level
+// span and view entries the peer's prepare staged, when they moved, and
+// the clearing of the unread marks its deliver consumed.
+func (nw *Network) publishStaged(slot uint32, p *prepOut) {
+	if p.ownerChanged {
+		nw.pt.maxLv[slot] = p.maxLv
+	}
+	if len(p.viewRefs) > 0 || len(p.views) != len(nw.view[slot]) {
+		nw.setViews(slot, p.views)
+	}
+	if p.unread {
+		in := nw.pt.nodes[slot].in
+		for bi := range in {
+			in[bi].unread = false
+		}
+	}
+}
+
+// diffImage merges the peer's edge sets level by level against the
+// pre-round image in w, appends a -1 dep delta for every reference that
 // vanished and a +1 for every one that appeared, and reports whether
 // any level differs (a set, or whether the level exists at all).
-func diffImage(slot uint32, n *RealNode, p *prepOut, w *worker) bool {
-	changed := len(n.vnodes) != len(p.imgLv)
-	refs := p.imgRefs
-	for l := range max(len(n.vnodes), len(p.imgLv)) {
+func diffImage(slot uint32, n *RealNode, w *worker) bool {
+	changed := len(n.vnodes) != len(w.imgLv)
+	refs := w.imgRefs
+	for l := range max(len(n.vnodes), len(w.imgLv)) {
 		var lv imgLevel
-		if l < len(p.imgLv) {
-			lv = p.imgLv[l]
+		if l < len(w.imgLv) {
+			lv = w.imgLv[l]
 		}
 		v := n.VNode(l)
 		changed = changed || lv.exists != (v != nil)

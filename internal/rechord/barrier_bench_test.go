@@ -20,15 +20,16 @@ import (
 // convergence proofs).
 const barrierBenchRounds = 48
 
-// BenchmarkBarrierCommit pins the phase-3 split of the barrier: prepare
-// (parallel publish, output/dependency diffing and planning) versus
-// commit (the serial bucket/index rewrite, reported with the emit step
-// as commit-ns/batch), under the hot frontier of the ideal-seeded
+// BenchmarkBarrierCommit pins the split of the barrier between prepare
+// (the view/level diff, dependency diffing and planning, summed over the
+// workers of the parallel pass) and commit (the serial staged publishes
+// and bucket/index rewrite, reported with the emit step as
+// commit-ns/batch), under the hot frontier of the ideal-seeded
 // transient. The workers=1 series runs everything on the caller, the
-// workers=4 series fans the parallel phases over four workers; both
-// commit serially. ns/op is the whole window, and the per-batch phase
-// means come from the engine's own telemetry so the split is visible in
-// the BENCH files next to the wall-clock.
+// workers=4 series fans the parallel pass over four workers; both commit
+// serially. ns/op is the whole window, and the per-batch phase means
+// come from the engine's own telemetry so the split is visible in the
+// BENCH files next to the wall-clock.
 func BenchmarkBarrierCommit(b *testing.B) {
 	for _, n := range []int{4096, 16384} {
 		for _, bc := range []struct {

@@ -2,6 +2,7 @@ package rechord
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 	"unsafe"
 
@@ -136,53 +137,44 @@ func (r cmsg) msg(owner ident.ID) Message {
 	}
 }
 
-// packMeta packs m's kind and levels into a meta word, or returns ^0 —
-// which no record carries — when a level exceeds the packed range.
-func packMeta(m Message) uint32 {
-	if uint(m.To.Level) > pmLevelMask || uint(m.Add.Level) > pmLevelMask {
-		return ^uint32(0)
-	}
-	return uint32(m.Kind)<<pmKindShift | uint32(m.To.Level)<<pmLevelBits | uint32(m.Add.Level)
-}
-
-// recOf encodes m as a record; its meta is ^0 when a level exceeds the
-// packed range, so it equals no stored record.
-func recOf(m Message) cmsg {
-	return cmsg{lo: uint32(m.Add.Owner), hi: uint32(m.Add.Owner >> 32), meta: packMeta(m)}
-}
-
-// packRec encodes m as a record to store.
+// packRec encodes m as a record to store. A level beyond the packed
+// range panics: no record could hold it.
 func packRec(m Message) cmsg {
-	r := recOf(m)
-	if r.meta == ^uint32(0) {
+	if uint(m.To.Level) > pmLevelMask || uint(m.Add.Level) > pmLevelMask {
 		panic("rechord: message level exceeds packed-storage range")
 	}
-	return r
+	meta := uint32(m.Kind)<<pmKindShift | uint32(m.To.Level)<<pmLevelBits | uint32(m.Add.Level)
+	return cmsg{lo: uint32(m.Add.Owner), hi: uint32(m.Add.Owner >> 32), meta: meta}
 }
 
-// searchFlow finds owner in a flow index sorted by recipient: its
-// index, or where it would be inserted.
-func searchFlow(flow []*contrib, owner ident.ID) (int, bool) {
-	return slices.BinarySearchFunc(flow, owner, func(c *contrib, id ident.ID) int { return cmp.Compare(c.owner(), id) })
-}
-
-// findContrib returns owner's contribution in a flow index, or nil.
+// findContrib returns owner's contribution in a flow index sorted by
+// recipient, or nil.
 func findContrib(flow []*contrib, owner ident.ID) *contrib {
-	if i, ok := searchFlow(flow, owner); ok {
+	if i, ok := slices.BinarySearchFunc(flow, owner, func(c *contrib, id ident.ID) int { return cmp.Compare(c.owner(), id) }); ok {
 		return flow[i]
 	}
 	return nil
 }
 
 // spanDiff is one recipient of a run's output held against the sender's
-// previous flow: how many messages the output addresses to it, the index
-// of its previous contribution (-1: none), and whether that contribution
-// holds exactly these messages in emission order.
+// previous flow: how many messages the output addresses to it, where its
+// records start in the packed output, the index of its previous
+// contribution (-1: none), and whether that contribution holds exactly
+// these messages in emission order.
 type spanDiff struct {
 	owner ident.ID
 	n     uint32
+	off   uint32
 	old   int32
 	same  bool
+}
+
+// groupSlot is one entry of a worker's recipient table: the recipient and
+// its spanDiff, valid while stamp equals the table's.
+type groupSlot struct {
+	owner ident.ID
+	stamp uint32
+	d     int32
 }
 
 // diffFlow compares out with old recipient by recipient and reports
@@ -192,87 +184,129 @@ type spanDiff struct {
 // (each bucket replays its own contribution), and the deterministic rules
 // emit per-recipient sequences in a fixed order anyway.
 //
-// The per-recipient verdicts stay in w for freezeFlow: w.diff in order of
-// first appearance in out, w.order the same entries sorted by recipient,
-// w.at the entry of each message of out. One search of the (small) sorted
-// recipient list per message, skipped while consecutive messages share a
-// recipient, and one comparison with the old contribution's record at
-// the recipient's cursor.
+// One sweep over out groups it by recipient through w's stamped hash
+// table; a counting sort then packs every message's record into w.packed,
+// recipients in identifier order and emission order within each, so a
+// merge-walk pairs each recipient with its old contribution and one slice
+// comparison decides it (packRec panics on a level beyond the packed
+// range, which no stored record could match). The verdicts stay in w for
+// freezeFlow: w.diff in order of first appearance in out, w.order the
+// same entries sorted by recipient.
 func diffFlow(old []*contrib, out []Message, w *worker) bool {
-	diff, order, at := w.diff[:0], w.order[:0], w.at[:0]
+	w.resetGroups()
+	diff, at := w.diff[:0], w.at[:0]
 	d := int32(-1)
 	for mi := range out {
-		m := &out[mi]
-		owner := m.To.Owner
+		owner := out[mi].To.Owner
 		if d < 0 || diff[d].owner != owner {
-			i, hi := 0, len(order)
-			for i < hi {
-				if mid := int(uint(i+hi) >> 1); diff[order[mid]].owner < owner {
-					i = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			if i < len(order) && diff[order[i]].owner == owner {
-				d = order[i]
-			} else {
-				d = int32(len(diff))
-				sd := spanDiff{owner: owner, old: -1}
-				if k, ok := searchFlow(old, owner); ok {
-					sd.old, sd.same = int32(k), true
-				}
-				diff = append(diff, sd)
-				order = slices.Insert(order, i, d)
-			}
+			d, diff = w.group(owner, diff)
 		}
-		sd := &diff[d]
-		if sd.same {
-			// The recipient matches by construction; compare the rest packed.
-			recs := old[sd.old].recs()
-			sd.same = int(sd.n) < len(recs) && recs[sd.n] == recOf(*m)
-		}
-		sd.n++
+		diff[d].n++
 		at = append(at, d)
 	}
-	w.diff, w.order, w.at = diff, order, at
-	changed := len(diff) != len(old) // every recipient matched a distinct old one
+	rcpt := w.rcpt[:0]
 	for k := range diff {
-		sd := &diff[k]
-		sd.same = sd.same && int(sd.n) == old[sd.old].count()
+		rcpt = append(rcpt, diff[k].owner)
+	}
+	slices.Sort(rcpt)
+	// Offsets in recipient order double as the counting sort's cursors.
+	order := w.order[:0]
+	off, i := uint32(0), 0
+	for _, owner := range rcpt {
+		d, _ := w.group(owner, diff)
+		order = append(order, d)
+		sd := &diff[d]
+		sd.off, off = off, off+sd.n
+		for i < len(old) && old[i].owner() < sd.owner {
+			i++
+		}
+		if sd.old = -1; i < len(old) && old[i].owner() == sd.owner {
+			sd.old = int32(i)
+		}
+	}
+	packed := slices.Grow(w.packed[:0], len(out))[:len(out)]
+	for mi := range out {
+		sd := &diff[at[mi]]
+		packed[sd.off] = packRec(out[mi])
+		sd.off++
+	}
+	changed := len(diff) != len(old) // every recipient matched a distinct old one
+	for _, d := range order {
+		sd := &diff[d]
+		sd.off -= sd.n
+		sd.same = sd.old >= 0 && slices.Equal(old[sd.old].recs(), packed[sd.off:sd.off+sd.n])
 		changed = changed || !sd.same
 	}
+	w.diff, w.order, w.at, w.packed, w.rcpt = diff, order, at, packed, rcpt
 	return changed
 }
 
-// freezeFlow builds the flow index of out into w.flows and returns it,
-// on top of the verdicts diffFlow(old, out, w) just left in w: per
-// recipient in identifier order, old's own contribution where the
-// recipient's messages did not change, a fresh one packed from out in
-// emission order otherwise. The result equals a from-scratch build
-// record for record (TestFreezeMatchesScratch); the fresh contributions
-// come from w's pool, or are its only allocations.
-func (w *worker) freezeFlow(old []*contrib, out []Message) []*contrib {
+// resetGroups empties w's recipient table by a new stamp (or, when the
+// stamp wraps, by clearing it).
+func (w *worker) resetGroups() {
+	if w.stamp++; w.stamp == 0 {
+		clear(w.groups)
+		w.stamp = 1
+	}
+}
+
+// group returns the index in diff of owner's entry, appending a fresh
+// one when owner is new to this output. The table doubles whenever it
+// would be more than half full, so it is sized by the most recipients
+// one output has had, not by its messages.
+func (w *worker) group(owner ident.ID, diff []spanDiff) (int32, []spanDiff) {
+	if 2*(len(diff)+1) > len(w.groups) {
+		w.growGroups(diff)
+	}
+	g := w.slot(owner)
+	if g.stamp != w.stamp {
+		*g = groupSlot{owner: owner, stamp: w.stamp, d: int32(len(diff))}
+		diff = append(diff, spanDiff{owner: owner})
+	}
+	return g.d, diff
+}
+
+// slot probes w's recipient table for owner: its slot, or the free one
+// where it belongs.
+func (w *worker) slot(owner ident.ID) *groupSlot {
+	mask := len(w.groups) - 1
+	for h := int(uint64(owner) * 0x9e3779b97f4a7c15 >> w.groupShift); ; h = (h + 1) & mask {
+		if g := &w.groups[h]; g.stamp != w.stamp || g.owner == owner {
+			return g
+		}
+	}
+}
+
+// growGroups doubles w's recipient table (16 slots at first) and enters
+// diff's recipients again.
+func (w *worker) growGroups(diff []spanDiff) {
+	size := max(16, 2*len(w.groups))
+	w.groups, w.groupShift, w.stamp = make([]groupSlot, size), uint8(64-bits.Len(uint(size-1))), 1
+	for d, sd := range diff {
+		*w.slot(sd.owner) = groupSlot{owner: sd.owner, stamp: 1, d: int32(d)}
+	}
+}
+
+// freezeFlow builds the flow index of the output diffFlow(old, out, w)
+// just judged into w.flows and returns it: per recipient in identifier
+// order, old's own contribution where the recipient's messages did not
+// change, a fresh one holding a copy of its packed records otherwise. The
+// result equals a from-scratch build record for record
+// (TestFreezeMatchesScratch); the fresh contributions come from w's pool,
+// or are its only allocations.
+func (w *worker) freezeFlow(old []*contrib) []*contrib {
 	k0 := len(w.flows)
-	fill := slices.Grow(w.fill[:0], len(w.diff))[:len(w.diff)]
 	for _, d := range w.order {
-		sd := w.diff[d]
+		sd := &w.diff[d]
 		c := (*contrib)(nil)
 		if sd.same {
 			c = old[sd.old]
 		} else {
 			c = w.free.get(sd.owner, int(sd.n))
-			fill[d] = c.recs()
+			copy(c.recs(), w.packed[sd.off:sd.off+sd.n])
 		}
 		w.flows = append(w.flows, c)
 	}
-	for i, m := range out {
-		if d := w.at[i]; !w.diff[d].same {
-			fill[d][0] = packRec(m)
-			fill[d] = fill[d][1:]
-		}
-	}
-	clear(fill)
-	w.fill = fill
 	return w.flows[k0:]
 }
 

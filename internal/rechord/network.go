@@ -138,7 +138,7 @@ type Network struct {
 
 	// br is the persistent batch fan-out machinery reused across
 	// batches; bActive is the running batch's active list, read by the
-	// phase bodies.
+	// pass's bodies.
 	br      batchRun
 	bActive []uint32
 
@@ -411,30 +411,33 @@ func (nw *Network) viewOf(r ref.Ref) PublishedView {
 	return vs[r.Level]
 }
 
-// publishViews replaces the slot's published entries with next, one per
-// level of the owner, and appends to changed the virtual refs whose
-// entry moved (those of levels that no longer exist included): the
-// publish diff of the barrier's prepare and of a partition's replica
-// alike, so both wake exactly the same dependents.
-func (nw *Network) publishViews(slot uint32, owner ident.ID, next []PublishedView, changed []ref.Ref) []ref.Ref {
+// diffViews appends to changed the virtual refs of the owner in the slot
+// whose published entry differs between the view and next, one entry per
+// level of the owner (entries of levels next no longer has included):
+// the publish diff of the barrier's prepare and of a partition's replica
+// alike, so both wake exactly the same dependents. It only reads.
+func (nw *Network) diffViews(slot uint32, owner ident.ID, next []PublishedView, changed []ref.Ref) []ref.Ref {
 	vs := nw.view[slot]
 	for lvl := len(next); lvl < len(vs); lvl++ {
 		if vs[lvl] != (PublishedView{}) {
 			changed = append(changed, ref.Virtual(owner, lvl))
 		}
 	}
-	vs = vs[:min(len(vs), len(next))]
 	for lvl, e := range next {
-		if lvl == len(vs) {
-			vs = append(vs, PublishedView{})
+		var cur PublishedView
+		if lvl < len(vs) {
+			cur = vs[lvl]
 		}
-		if vs[lvl] != e {
-			vs[lvl] = e
+		if cur != e {
 			changed = append(changed, ref.Virtual(owner, lvl))
 		}
 	}
-	nw.view[slot] = vs
 	return changed
+}
+
+// setViews replaces the slot's published entries with a copy of next.
+func (nw *Network) setViews(slot uint32, next []PublishedView) {
+	nw.view[slot] = append(nw.view[slot][:0], next...)
 }
 
 // resolve maps a reference onto a node that currently exists: dead
@@ -489,9 +492,11 @@ func (nw *Network) stale(r ref.Ref) bool {
 // virtual levels the peer no longer simulates are merged into the
 // closest surviving virtual node u_m, per rule 1's merge semantics.
 // Delivery is a commutative, idempotent set-union, so the iteration
-// order over buckets does not matter.
-func (nw *Network) deliver(n *RealNode) int {
-	delivered := len(n.inbox)
+// order over buckets does not matter. It reports the messages applied
+// and whether a bucket it read is marked unread; the marks stay for the
+// barrier's commit to clear.
+func (nw *Network) deliver(n *RealNode) (delivered int, unread bool) {
+	delivered = len(n.inbox)
 	apply := func(msg Message) {
 		var v *VNode
 		if msg.To.Level < len(n.vnodes) {
@@ -513,35 +518,34 @@ func (nw *Network) deliver(n *RealNode) int {
 		apply(msg)
 	}
 	n.inbox = n.inbox[:0]
-	for bi, b := range n.in {
-		if b.unread {
-			n.in[bi].unread = false
-		}
+	for _, b := range n.in {
+		unread = unread || b.unread
 		delivered += b.c.count()
 		for _, r := range b.c.recs() {
 			apply(r.msg(n.id))
 		}
 	}
-	return delivered
+	return delivered, unread
 }
 
-// workerPool is a persistent set of goroutines executing the parallel
-// rule phase, so Step does not respawn goroutines every round. The
-// workers reference only the task channel, never the Network, so the
-// Network stays collectable; a runtime cleanup closes the channel and
-// lets the workers exit when the Network is garbage collected.
+// workerPool is a persistent set of goroutines running the parallel
+// pass beside the caller, so Step does not respawn goroutines every
+// round. The goroutines reference only the task channel, never the
+// Network, so the Network stays collectable; a runtime cleanup closes
+// the channel and lets them exit when the Network is garbage collected.
 type workerPool struct {
 	tasks chan func()
-	size  int
 }
 
 // defaultWorkers is the Config.Workers=0 parallelism: one worker per
 // schedulable CPU.
 func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
+// ensurePool starts the pool with one goroutine per pool task on first
+// use.
 func (nw *Network) ensurePool(workers int) *workerPool {
 	if nw.pool == nil {
-		p := &workerPool{tasks: make(chan func()), size: workers}
+		p := &workerPool{tasks: make(chan func())}
 		for i := 0; i < workers; i++ {
 			go func() {
 				for f := range p.tasks {
@@ -621,23 +625,23 @@ func (nw *Network) sortSlotsByID(slots []uint32) {
 	slices.SortFunc(slots, func(a, b uint32) int { return cmp.Compare(ids[a], ids[b]) })
 }
 
-// runBatch executes one phased batch over the active (sorted) peers —
-// deliver, execute and prepare on the workers, then the commit and the
-// epilogue serially in active order (the phase bodies and what each may
-// read and write are in barrier.go) — and reports whether the global
-// state changed.
+// runBatch executes one batch over the active (sorted) peers — one
+// parallel pass running each peer's deliver, execute and prepare back to
+// back on a worker, then the commit and the epilogue serially in active
+// order (the phase bodies and what each may read and write are in
+// barrier.go) — and reports whether the global state changed.
 func (nw *Network) runBatch(active []uint32, stats *RoundStats) bool {
-	t0 := time.Now()
 	nw.bActive = active
 	nw.prep = slices.Grow(nw.prep[:0], len(active))[:len(active)]
-	nw.runParallel(len(active), (*Network).deliverPhase)
-	tDeliver := time.Now()
-	nw.runParallel(len(active), (*Network).executePhase)
-	tExecute := time.Now()
-	nw.runParallel(len(active), (*Network).preparePhase)
-	tPrepare := time.Now()
+	nw.runParallel(len(active), (*Network).activate)
+	tCommit := time.Now()
 	// The commit span (plus the scheduler's emit steps in the epilogue)
-	// is the engine's reroute time.
+	// is the engine's reroute time. The staged publishes go first: every
+	// pass read the pre-batch values, and apply must see the unread
+	// marks every deliver consumed cleared.
+	for i, slot := range active {
+		nw.publishStaged(slot, &nw.prep[i])
+	}
 	var ops, deps int
 	for i, slot := range active {
 		p := &nw.prep[i]
@@ -645,7 +649,7 @@ func (nw *Network) runBatch(active []uint32, stats *RoundStats) bool {
 		ops, deps = ops+len(p.ops), deps+len(p.deps)
 	}
 	nw.countCommit(ops, deps)
-	rerouteNS := time.Since(tPrepare)
+	rerouteNS := time.Since(tCommit)
 	changed, emitNS := nw.epilogue(active, stats)
 	rerouteNS += emitNS
 
@@ -653,11 +657,8 @@ func (nw *Network) runBatch(active []uint32, stats *RoundStats) bool {
 	// inside the scheduler's emit step; it still includes the settle
 	// bookkeeping and the dependent wakes.
 	m := &nw.met
-	m.PhaseDeliver.Observe(float64(tDeliver.Sub(t0)))
-	m.PhaseExecute.Observe(float64(tExecute.Sub(tDeliver)))
-	m.PhasePrepare.Observe(float64(tPrepare.Sub(tExecute)))
 	m.PhaseReroute.Observe(float64(rerouteNS))
-	m.PhasePublish.Observe(float64(time.Since(tPrepare) - rerouteNS))
+	m.PhasePublish.Observe(float64(time.Since(tCommit) - rerouteNS))
 	return changed
 }
 
@@ -666,7 +667,7 @@ func (nw *Network) runBatch(active []uint32, stats *RoundStats) bool {
 // swaps, the scheduler's emit step (whose time it returns), the wakes of
 // the peers depending on a moved level span or view — plus the telemetry
 // flush: the workers' plain-integer tallies become one atomic add per
-// counter.
+// counter, and their phase times, summed, one observation per phase.
 func (nw *Network) epilogue(active []uint32, stats *RoundStats) (changed bool, emitNS time.Duration) {
 	var settledN, unsettledN, epochBumpN int
 	for i, slot := range active {
@@ -721,10 +722,14 @@ func (nw *Network) epilogue(active []uint32, stats *RoundStats) (changed bool, e
 
 	m := &nw.met
 	var delivered int
+	var sum tally
 	for _, w := range nw.workers {
 		stats.VirtualMade += w.made
 		stats.VirtualKilled += w.killed
 		delivered += w.delivered
+		sum.deliverNS += w.deliverNS
+		sum.executeNS += w.executeNS
+		sum.prepNS += w.prepNS
 		for k, f := range w.fired {
 			if f != 0 {
 				m.RuleFired[k].Add(f)
@@ -733,8 +738,8 @@ func (nw *Network) epilogue(active []uint32, stats *RoundStats) (changed bool, e
 		w.tally = tally{}
 		clear(w.flows) // so the arenas pin no dead contribution
 		clear(w.ops)
-		w.imgLv, w.imgRefs, w.flows = resetArena(w.imgLv), resetArena(w.imgRefs), resetArena(w.flows)
-		w.viewRefs, w.ops, w.deps = resetArena(w.viewRefs), resetArena(w.ops), resetArena(w.deps)
+		w.flows, w.views, w.viewRefs = resetArena(w.flows), resetArena(w.views), resetArena(w.viewRefs)
+		w.ops, w.deps = resetArena(w.ops), resetArena(w.deps)
 	}
 	nw.prep = resetArena(nw.prep)
 	nw.recycle()
@@ -745,6 +750,9 @@ func (nw *Network) epilogue(active []uint32, stats *RoundStats) (changed bool, e
 	m.Unsettled.Add(uint64(unsettledN))
 	m.EpochBumps.Add(uint64(epochBumpN))
 	m.Woken.Add(uint64(woken))
+	m.PhaseDeliver.Observe(float64(sum.deliverNS))
+	m.PhaseExecute.Observe(float64(sum.executeNS))
+	m.PhasePrepare.Observe(float64(sum.prepNS))
 	nw.flushFlowGauges()
 	return changed, emitNS
 }

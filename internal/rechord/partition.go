@@ -339,7 +339,8 @@ func (p *Partition) applyPublish(u PeerPublish) {
 		nw.pt.maxLv[slot] = int32(u.MaxLevel)
 		owners = []ident.ID{u.Owner}
 	}
-	p.changed = nw.publishViews(slot, u.Owner, u.Views, p.changed[:0])
+	p.changed = nw.diffViews(slot, u.Owner, u.Views, p.changed[:0])
+	nw.setViews(slot, u.Views)
 	nw.wakeDependents(owners, p.changed)
 }
 

@@ -16,15 +16,16 @@ import (
 // Workers=1 and Workers=N must produce identical global state at every
 // round boundary, under any churn, in every scheduler. The commit and
 // the epilogue are serial in active order at every count, so the claim
-// rests on the parallel deliver, execute and prepare phases writing
-// nothing shared. The synchronous engine is compared at both counts with
+// rests on the parallel pass — each peer's deliver, execute and prepare
+// on one worker — writing nothing another peer's pass reads. The
+// synchronous engine is compared at both counts with
 // the reference through the Lockstep harness; the asynchronous
 // adversary, whose random schedule the synchronous reference cannot
 // shadow, is compared with itself across the two counts — state,
 // fingerprint and RNG consumption after every step — with the
 // clean-peer invariant checked on both sides. CI runs this file under
-// -race at GOMAXPROCS 1 and 4: that no two parallel phase bodies write
-// the same memory is what the race detector proves there.
+// -race at GOMAXPROCS 1 and 4: that no two peers' passes touch the same
+// memory with a write is what the race detector proves there.
 
 // netPair applies a membership event to both networks of an asynchronous
 // pair, which hold identical peer sets by induction.
