@@ -82,11 +82,13 @@ BENCH_GATE_mem = -metric bytes/peer -metric-tol 0.10 -fail-metric 'BenchmarkMemo
 # the counts repeat exactly. The converge and repair rows also gate the
 # work itself within 2%: activations/op (peer rule executions) and the
 # commit's bucket-ops/op and dep-deltas/op. A run that allocates nothing
-# is invisible to the allocation gate.
+# is invisible to the allocation gate. The oracle (ComputeIdeal plus
+# Matches on a settled n=512) rides along: every convergence check pays it.
 BENCH_RECORD_work = { \
 	$(GO) test -cpu $(BENCH_CPU) -run '^$$' -bench 'BenchmarkConverge$$|BenchmarkRepairCycle|BenchmarkChurnRecoveryLarge' -benchmem -benchtime=1x . ; \
-	$(GO) test -cpu $(BENCH_CPU) -run '^$$' -bench 'BenchmarkBarrierCommit/workers=1/n=4096' -benchmem -benchtime=1x ./internal/rechord/ ; }
-BENCH_GATE_work = -allocs-tol 0.10 -fail-allocs 'BenchmarkConverge|BenchmarkRepairCycle|BenchmarkChurnRecoveryLarge|BenchmarkBarrierCommit' \
+	$(GO) test -cpu $(BENCH_CPU) -run '^$$' -bench 'BenchmarkBarrierCommit/workers=1/n=4096' -benchmem -benchtime=1x ./internal/rechord/ ; \
+	$(GO) test -cpu $(BENCH_CPU) -run '^$$' -bench 'BenchmarkOracle/n=512' -benchmem -benchtime=1x ./internal/rechord/ ; }
+BENCH_GATE_work = -allocs-tol 0.10 -fail-allocs 'BenchmarkConverge|BenchmarkRepairCycle|BenchmarkChurnRecoveryLarge|BenchmarkBarrierCommit|BenchmarkOracle' \
 	-metric activations/op -metric bucket-ops/op -metric dep-deltas/op -metric-tol 0.02 \
 	-fail-metric 'BenchmarkConverge|BenchmarkRepairCycle'
 

@@ -77,7 +77,7 @@ import (
 // scratch lives, never what is computed (every buffer is reset before
 // use, tallies are sums), and a peer's pass writes only its own state,
 // prep[i] and the running worker's arenas. The state other peers read —
-// the interner's level spans, the published view, the buckets planOp
+// the published view (level spans included), the buckets planOp
 // searches — is written only by the commit, so every pass reads it as
 // it stood when the batch began, as the paper's round-start snapshot
 // has it.
@@ -277,10 +277,10 @@ type prepOut struct {
 	// the commit clears the marks.
 	unread bool
 
-	// maxLv and views are the peer's level span and per-level published
-	// entries after its run, which the commit publishes; viewRefs lists
-	// the virtual refs whose published rl/rr entry they change.
-	maxLv    int32
+	// views are the peer's per-level published entries after its run,
+	// which the commit publishes (their count is its level span);
+	// viewRefs lists the virtual refs whose published rl/rr entry they
+	// change.
 	views    []PublishedView
 	viewRefs []ref.Ref
 
@@ -351,8 +351,8 @@ func (nw *Network) deliverPhase(w *worker, i int) {
 
 // takeImage copies the peer's edge sets into w's image scratch — per
 // level whether it exists and the three set lengths, then the references
-// in order. The level span and rl/rr need no copy: the interner's maxLv
-// and the published view hold their pre-round values until the commit.
+// in order. The level span and rl/rr need no copy: the published view
+// holds their pre-round values until the commit.
 func (w *worker) takeImage(n *RealNode) {
 	w.imgLv, w.imgRefs = w.imgLv[:0], w.imgRefs[:0]
 	for _, v := range n.vnodes {
@@ -393,8 +393,7 @@ func (nw *Network) preparePhase(w *worker, i int) {
 	// The level span other peers' purges will resolve stale references
 	// to deleted virtual nodes against, and the rl/rr entries (including
 	// those of deleted levels) their rule-3 guards will read.
-	p.maxLv = int32(n.MaxLevel())
-	p.ownerChanged = p.maxLv != nw.pt.maxLv[slot]
+	p.ownerChanged = len(n.vnodes) != len(nw.view[slot])
 	for _, v := range n.vnodes {
 		e := PublishedView{}
 		if v != nil {
@@ -417,14 +416,12 @@ func (nw *Network) preparePhase(w *worker, i int) {
 	p.viewRefs, p.ops, p.deps = w.viewRefs[r0:], w.ops[o0:], w.deps[d0:]
 }
 
-// publishStaged is the head of the commit for active index i: the level
-// span and view entries the peer's prepare staged, when they moved, and
-// the clearing of the unread marks its deliver consumed.
+// publishStaged is the head of the commit for active index i: the view
+// entries (and with their count the level span) the peer's prepare
+// staged, when they moved, and the clearing of the unread marks its
+// deliver consumed.
 func (nw *Network) publishStaged(slot uint32, p *prepOut) {
-	if p.ownerChanged {
-		nw.pt.maxLv[slot] = p.maxLv
-	}
-	if len(p.viewRefs) > 0 || len(p.views) != len(nw.view[slot]) {
+	if len(p.viewRefs) > 0 || p.ownerChanged {
 		nw.setViews(slot, p.views)
 	}
 	if p.unread {

@@ -265,7 +265,7 @@ func effectLog(e *rechord.Effects) []sinkEvent {
 		log = append(log, sinkEvent{'O', 0, u.To, len(u.Msgs), msgsDigest(u.Msgs)})
 	}
 	for _, p := range e.Publishes {
-		h := chainMix(0xcbf29ce484222325, uint64(p.MaxLevel))
+		h := chainMix(0xcbf29ce484222325, uint64(len(p.Views)-1)) // m, the max level
 		for _, v := range p.Views {
 			for _, w := range [...]uint64{uint64(v.RL.Owner), uint64(v.RL.Level), uint64(v.RR.Owner), uint64(v.RR.Level)} {
 				h = chainMix(h, w)

@@ -9,12 +9,12 @@ import (
 // This file is the peer interner: the registry that maps the protocol's
 // public identifiers (ident.ID, carried inside every ref.Ref and
 // message) onto dense uint32 peer indices, so that all hot per-peer
-// state — the node table, the per-peer max level, the published rl/rr
-// view, frontier membership, standing inbox buckets — lives in slices
-// addressed by index instead of hash maps keyed by 8-byte IDs or
-// 16-byte refs. One uint64-keyed map (idxOf) remains as the single
-// point where an external reference is resolved to an index; everything
-// past that resolution is slice indexing.
+// state — the node table, the published rl/rr view (whose length is
+// the peer's level span), frontier membership, standing inbox buckets —
+// lives in slices addressed by index instead of hash maps keyed by
+// 8-byte IDs or 16-byte refs. One uint64-keyed map (idxOf) remains as
+// the single point where an external reference is resolved to an index;
+// everything past that resolution is slice indexing.
 //
 // Slots are recycled through a free-list. Each slot carries a
 // generation counter, bumped when the slot is released: a handle
@@ -41,13 +41,10 @@ type interner struct {
 	idxOf map[ident.ID]uint32
 
 	// Dense per-slot state. nodes[i] is nil while slot i is free;
-	// ids[i]/gens[i] stay valid for the current tenant. maxLv[i] is the
-	// peer's current maximum virtual level (-1 while free): the old
-	// levelOf map, consulted on every reference resolution.
+	// ids[i]/gens[i] stay valid for the current tenant.
 	nodes []*RealNode
 	ids   []ident.ID
 	gens  []uint32
-	maxLv []int32
 
 	free []uint32 // released slots, reused LIFO
 	live int
@@ -68,7 +65,6 @@ func (pt *interner) reserve(n int) {
 			pt.nodes = append(make([]*RealNode, 0, k), pt.nodes...)
 			pt.ids = append(make([]ident.ID, 0, k), pt.ids...)
 			pt.gens = append(make([]uint32, 0, k), pt.gens...)
-			pt.maxLv = append(make([]int32, 0, k), pt.maxLv...)
 		}
 		grow(len(pt.nodes) + n)
 	}
@@ -87,13 +83,11 @@ func (pt *interner) intern(n *RealNode) uint32 {
 		pt.free = pt.free[:k-1]
 		pt.nodes[i] = n
 		pt.ids[i] = n.id
-		pt.maxLv[i] = 0
 	} else {
 		i = uint32(len(pt.nodes))
 		pt.nodes = append(pt.nodes, n)
 		pt.ids = append(pt.ids, n.id)
 		pt.gens = append(pt.gens, 0)
-		pt.maxLv = append(pt.maxLv, 0)
 	}
 	n.idx = i
 	n.gen = pt.gens[i]
@@ -115,7 +109,6 @@ func (pt *interner) release(n *RealNode) {
 	delete(pt.idxOf, n.id)
 	pt.nodes[i] = nil
 	pt.gens[i]++
-	pt.maxLv[i] = -1
 	pt.free = append(pt.free, i)
 	pt.live--
 	pt.version++

@@ -82,11 +82,12 @@ type Network struct {
 
 	// view is the published rl/rr state of every virtual node,
 	// slot-indexed: view[slot][level] is the entry other peers' rule-3
-	// guards read. Inner slices track each peer's level span and are
-	// maintained incrementally at round barriers; rules read them
-	// concurrently during the parallel phase, writes happen only
-	// between phases. A zero entry means "nothing published" (the old
-	// map representation only stored non-zero entries).
+	// guards read, and len(view[slot]) is the peer's published level
+	// span m+1, which resolve reads. Inner slices are maintained
+	// incrementally at round barriers; rules read them concurrently
+	// during the parallel phase, writes happen only between phases. A
+	// zero entry means "nothing published" (the old map representation
+	// only stored non-zero entries).
 	view [][]PublishedView
 
 	// deps is the inverted dependency index (see depindex.go):
@@ -358,8 +359,10 @@ func (nw *Network) SeedEdge(from, to ref.Ref, k graph.Kind) {
 	}
 	n := nw.pt.nodes[slot]
 	v := n.ensureLevel(from.Level)
-	if int32(from.Level) > nw.pt.maxLv[slot] {
-		nw.pt.maxLv[slot] = int32(from.Level)
+	// A seeded level is published at once: the view grows to span it,
+	// its new entries zero until the peer's first run publishes them.
+	if k := from.Level + 1 - len(nw.view[slot]); k > 0 {
+		nw.view[slot] = append(nw.view[slot], make([]PublishedView, k)...)
 	}
 	added := false
 	if to != v.Self {
@@ -449,7 +452,7 @@ func (nw *Network) resolve(r ref.Ref) (ref.Ref, bool) {
 	if !ok {
 		return ref.Ref{}, false
 	}
-	if int32(r.Level) > nw.pt.maxLv[slot] {
+	if r.Level >= len(nw.view[slot]) {
 		return ref.Real(r.Owner), true
 	}
 	return r, true

@@ -2,7 +2,7 @@ package rechord
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/ident"
@@ -10,134 +10,132 @@ import (
 )
 
 // Ideal is the unique stable Re-Chord topology for a fixed set of
-// peers, computed directly from the sorted identifiers (the oracle the
-// experiments compare converged states against, and the basis of the
-// "almost stable" detector of Section 5).
+// peers (the oracle the experiments compare converged states against,
+// and the basis of the "almost stable" detector of Section 5). It is a
+// function of the sorted identifiers alone, so it stores nothing else:
+// a peer's m follows from its index in reals, and a node's desired
+// unmarked edges, closest reals and ring edge from its index in nodes.
 type Ideal struct {
 	reals []ident.ID // sorted peer identifiers
 	nodes []ref.Ref  // all real+virtual nodes, sorted by Less
-	level map[ident.ID]int
-
-	// nu holds the desired unmarked out-neighborhood per node; ring
-	// the desired ring edges; rl/rr the desired closest-real values.
-	nu   map[ref.Ref]ref.Set
-	ring map[ref.Ref]ref.Set
-	rl   map[ref.Ref]ref.Ref
-	rr   map[ref.Ref]ref.Ref
 }
 
 // ComputeIdeal builds the stable topology for the given peers.
 func ComputeIdeal(reals []ident.ID) *Ideal {
-	id := &Ideal{
-		reals: append([]ident.ID(nil), reals...),
-		level: make(map[ident.ID]int),
-		nu:    make(map[ref.Ref]ref.Set),
-		ring:  make(map[ref.Ref]ref.Set),
-		rl:    make(map[ref.Ref]ref.Ref),
-		rr:    make(map[ref.Ref]ref.Ref),
-	}
+	id := &Ideal{reals: slices.Clone(reals)}
 	ident.Sort(id.reals)
-	if len(id.reals) == 0 {
-		return id
-	}
-
-	// m per peer is determined by the distance to the clockwise real
-	// successor (the closest real node the peer knows in the stable
-	// state).
 	for i, u := range id.reals {
-		succ := id.reals[(i+1)%len(id.reals)]
-		m := ident.MaxLevel
-		if succ != u {
-			m = ident.LevelForDist(ident.Dist(u, succ))
-		}
-		id.level[u] = m
-		for l := 0; l <= m; l++ {
+		for l := range id.levelAt(i) + 1 {
 			id.nodes = append(id.nodes, ref.Virtual(u, l))
 		}
 	}
-	sort.Slice(id.nodes, func(i, j int) bool { return id.nodes[i].Less(id.nodes[j]) })
-
-	// Sorted-list neighborhoods plus closest reals.
-	for k, x := range id.nodes {
-		var nu ref.Set
-		if k > 0 {
-			nu.Add(id.nodes[k-1])
-		}
-		if k+1 < len(id.nodes) {
-			nu.Add(id.nodes[k+1])
-		}
-		if v, ok := id.closestRealLeft(k); ok {
-			nu.Add(v)
-			id.rl[x] = v
-		}
-		if v, ok := id.closestRealRight(k); ok {
-			nu.Add(v)
-			id.rr[x] = v
-		}
-		nu.Remove(x)
-		id.nu[x] = nu
-	}
-
-	// Ring edges: the global maximum holds a ring edge to the global
-	// minimum (which misses a left neighbor) and vice versa.
-	if len(id.nodes) > 1 {
-		mn, mx := id.nodes[0], id.nodes[len(id.nodes)-1]
-		s := ref.NewSet(mn)
-		id.ring[mx] = s
-		s2 := ref.NewSet(mx)
-		id.ring[mn] = s2
-	}
+	slices.SortFunc(id.nodes, ref.Ref.Compare)
 	return id
 }
 
-func (id *Ideal) closestRealLeft(k int) (ref.Ref, bool) {
-	x := id.nodes[k].ID()
-	// reals is sorted; find max real strictly below x.
-	i := sort.Search(len(id.reals), func(i int) bool { return id.reals[i] >= x })
-	if i == 0 {
-		return ref.Ref{}, false
+// levelAt is the stable m of the i-th peer: determined by the distance
+// to its clockwise real successor (the closest real node the peer knows
+// in the stable state).
+func (id *Ideal) levelAt(i int) int {
+	u, succ := id.reals[i], id.reals[(i+1)%len(id.reals)]
+	if succ == u {
+		return ident.MaxLevel
 	}
-	return ref.Real(id.reals[i-1]), true
+	return ident.LevelForDist(ident.Dist(u, succ))
 }
 
-func (id *Ideal) closestRealRight(k int) (ref.Ref, bool) {
-	x := id.nodes[k].ID()
-	i := sort.Search(len(id.reals), func(i int) bool { return id.reals[i] > x })
-	if i == len(id.reals) {
-		return ref.Ref{}, false
+// closestReals returns the desired rl and rr of nodes[k]: the largest
+// real strictly below it and the smallest real strictly above it.
+func (id *Ideal) closestReals(k int) (rl, rr ref.Ref, hasRL, hasRR bool) {
+	i, isReal := slices.BinarySearch(id.reals, id.nodes[k].ID())
+	if i > 0 {
+		rl, hasRL = ref.Real(id.reals[i-1]), true
 	}
-	return ref.Real(id.reals[i]), true
+	if isReal {
+		i++
+	}
+	if i < len(id.reals) {
+		rr, hasRR = ref.Real(id.reals[i]), true
+	}
+	return rl, rr, hasRL, hasRR
+}
+
+// nuAt appends the desired unmarked out-neighborhood of nodes[k] to buf
+// in set order: its list neighbours plus its closest reals. The closest
+// real to the left is a node of the list below nodes[k], so it is at or
+// before the left neighbour, and symmetrically on the right.
+func (id *Ideal) nuAt(k int, buf []ref.Ref) []ref.Ref {
+	rl, rr, hasRL, hasRR := id.closestReals(k)
+	if k > 0 {
+		if hasRL && rl != id.nodes[k-1] {
+			buf = append(buf, rl)
+		}
+		buf = append(buf, id.nodes[k-1])
+	}
+	if k+1 < len(id.nodes) {
+		buf = append(buf, id.nodes[k+1])
+		if hasRR && rr != id.nodes[k+1] {
+			buf = append(buf, rr)
+		}
+	}
+	return buf
+}
+
+// ringAt returns the desired ring edge of nodes[k]: the global maximum
+// holds one to the global minimum (which misses a left neighbour) and
+// vice versa.
+func (id *Ideal) ringAt(k int) (ref.Ref, bool) {
+	switch last := len(id.nodes) - 1; k {
+	case 0:
+		return id.nodes[last], true
+	case last:
+		return id.nodes[0], true
+	}
+	return ref.Ref{}, false
+}
+
+// index locates a node of the stable topology.
+func (id *Ideal) index(x ref.Ref) (int, bool) {
+	return slices.BinarySearchFunc(id.nodes, x, ref.Ref.Compare)
 }
 
 // Nodes returns all nodes of the stable topology in increasing order.
 func (id *Ideal) Nodes() []ref.Ref { return id.nodes }
 
-// Level returns the stable m of the peer.
-func (id *Ideal) Level(u ident.ID) int { return id.level[u] }
-
-// NumVirtual returns the total number of virtual nodes (levels >= 1).
-func (id *Ideal) NumVirtual() int {
-	n := 0
-	for _, m := range id.level {
-		n += m
+// Level returns the stable m of the peer (0 for a non-member).
+func (id *Ideal) Level(u ident.ID) int {
+	if i, ok := slices.BinarySearch(id.reals, u); ok {
+		return id.levelAt(i)
 	}
-	return n
+	return 0
 }
 
-// Nu returns the desired unmarked out-neighborhood of a node.
-func (id *Ideal) Nu(x ref.Ref) ref.Set { return id.nu[x] }
+// NumVirtual returns the total number of virtual nodes (levels >= 1).
+func (id *Ideal) NumVirtual() int { return len(id.nodes) - len(id.reals) }
+
+// Nu returns the desired unmarked out-neighborhood of a node (empty for
+// a node outside the stable topology).
+func (id *Ideal) Nu(x ref.Ref) ref.Set {
+	k, ok := id.index(x)
+	if !ok {
+		return ref.Set{}
+	}
+	var buf [4]ref.Ref
+	return ref.NewSet(id.nuAt(k, buf[:0])...)
+}
 
 // Graph returns the desired topology as a graph over all nodes, with
 // unmarked and ring edges (connection edges are transient flow and not
 // part of the target).
 func (id *Ideal) Graph() *graph.Graph {
 	g := graph.New()
-	for _, x := range id.nodes {
+	var buf [4]ref.Ref
+	for k, x := range id.nodes {
 		g.AddNode(x)
-		for _, y := range id.nu[x].Slice() {
+		for _, y := range id.nuAt(k, buf[:0]) {
 			g.AddEdge(x, y, graph.Unmarked)
 		}
-		for _, y := range id.ring[x].Slice() {
+		if y, ok := id.ringAt(k); ok {
 			g.AddEdge(x, y, graph.Ring)
 		}
 	}
@@ -148,7 +146,8 @@ func (id *Ideal) Graph() *graph.Graph {
 // topology is already present in the network — the paper's "almost
 // stable" state of Figure 6 (extra edges are allowed).
 func (id *Ideal) AlmostStable(nw *Network) bool {
-	for _, x := range id.nodes {
+	var buf [4]ref.Ref
+	for k, x := range id.nodes {
 		n := nw.Peer(x.Owner)
 		if n == nil {
 			return false
@@ -157,15 +156,13 @@ func (id *Ideal) AlmostStable(nw *Network) bool {
 		if v == nil {
 			return false
 		}
-		for _, y := range id.nu[x].Slice() {
+		for _, y := range id.nuAt(k, buf[:0]) {
 			if !v.Nu.Contains(y) {
 				return false
 			}
 		}
-		for _, y := range id.ring[x].Slice() {
-			if !v.Nr.Contains(y) {
-				return false
-			}
+		if y, ok := id.ringAt(k); ok && !v.Nr.Contains(y) {
+			return false
 		}
 	}
 	return true
@@ -178,74 +175,60 @@ func (id *Ideal) AlmostStable(nw *Network) bool {
 // from below to an existing node). A nil error means the state is the
 // legal stable state.
 func (id *Ideal) Matches(nw *Network) error {
-	peers := nw.Peers()
-	if len(peers) != len(id.reals) {
-		return fmt.Errorf("peer count %d, want %d", len(peers), len(id.reals))
+	if len(nw.order) != len(id.reals) {
+		return fmt.Errorf("peer count %d, want %d", len(nw.order), len(id.reals))
 	}
 	for i, u := range id.reals {
-		if peers[i] != u {
-			return fmt.Errorf("peer set mismatch at %d: %016x vs %016x", i, uint64(peers[i]), uint64(u))
+		if got := nw.order[i]; got != u {
+			return fmt.Errorf("peer set mismatch at %d: %016x vs %016x", i, uint64(got), uint64(u))
 		}
-	}
-	exists := make(map[ref.Ref]bool, len(id.nodes))
-	for _, x := range id.nodes {
-		exists[x] = true
-	}
-	for _, u := range id.reals {
-		n := nw.Peer(u)
-		if got, want := n.MaxLevel(), id.level[u]; got != want {
+		if got, want := nw.node(u).MaxLevel(), id.levelAt(i); got != want {
 			return fmt.Errorf("peer %016x: m = %d, want %d", uint64(u), got, want)
 		}
-		for _, l := range n.Levels() {
-			x := ref.Virtual(u, l)
-			v := n.VNode(l)
-			if !v.Nu.Equal(id.nu[x]) {
-				return fmt.Errorf("node %s: Nu = %s, want %s", exact(x), exactSet(v.Nu), exactSet(id.nu[x]))
+	}
+	// Every peer has its stable span, so walking the stable nodes visits
+	// each level slot of each peer once: a slot holding no virtual node
+	// is an error, not a level to skip.
+	var buf [4]ref.Ref
+	for k, x := range id.nodes {
+		v := nw.node(x.Owner).VNode(x.Level)
+		if v == nil {
+			return fmt.Errorf("node %s: missing", exact(x))
+		}
+		if want := id.nuAt(k, buf[:0]); !slices.Equal(v.Nu.Slice(), want) {
+			return fmt.Errorf("node %s: Nu = %s, want %s", exact(x), exactSet(v.Nu), exactSet(ref.NewSet(want...)))
+		}
+		// Ring edges: the two edges between the global extremes are
+		// required; additionally, the stable state carries in-flight
+		// ring edges — the extremes re-create their edge every round at
+		// their locally known max/min, and the edge travels hop by hop
+		// to the true extreme where it is absorbed — so any other ring
+		// edge must target one of the two global extremes.
+		if y, ok := id.ringAt(k); ok && !v.Nr.Contains(y) {
+			return fmt.Errorf("node %s: missing ring edge to %s", exact(x), exact(y))
+		}
+		mn, mx := id.nodes[0], id.nodes[len(id.nodes)-1]
+		for _, y := range v.Nr.Slice() {
+			if y != mn && y != mx {
+				return fmt.Errorf("node %s: stray ring edge to %s", exact(x), exact(y))
 			}
-			// Ring edges: the two edges between the global extremes are
-			// required; additionally, the stable state carries in-flight
-			// ring edges — the extremes re-create their edge every round
-			// at their locally known max/min, and the edge travels hop by
-			// hop to the true extreme where it is absorbed — so any other
-			// ring edge must target one of the two global extremes.
-			wantRing := id.ring[x]
-			for _, y := range wantRing.Slice() {
-				if !v.Nr.Contains(y) {
-					return fmt.Errorf("node %s: missing ring edge to %s", exact(x), exact(y))
-				}
+		}
+		wrl, wrr, hasRL, hasRR := id.closestReals(k)
+		if v.HasRL != hasRL || hasRL && v.RL != wrl {
+			return fmt.Errorf("node %s: rl = %s(%v), want %s(%v)", exact(x), exact(v.RL), v.HasRL, exact(wrl), hasRL)
+		}
+		if v.HasRR != hasRR || hasRR && v.RR != wrr {
+			return fmt.Errorf("node %s: rr = %s(%v), want %s(%v)", exact(x), exact(v.RR), v.HasRR, exact(wrr), hasRR)
+		}
+		for _, y := range v.Nc.Slice() {
+			if _, ok := id.index(y); !ok {
+				return fmt.Errorf("node %s: connection edge to nonexistent %s", exact(x), exact(y))
 			}
-			if len(id.nodes) > 1 {
-				mn, mx := id.nodes[0], id.nodes[len(id.nodes)-1]
-				for _, y := range v.Nr.Slice() {
-					if y != mn && y != mx {
-						return fmt.Errorf("node %s: stray ring edge to %s", exact(x), exact(y))
-					}
-				}
-			}
-			if wrl, ok := id.rl[x]; ok {
-				if !v.HasRL || v.RL != wrl {
-					return fmt.Errorf("node %s: rl = %s(%v), want %s", exact(x), exact(v.RL), v.HasRL, exact(wrl))
-				}
-			} else if v.HasRL {
-				return fmt.Errorf("node %s: rl set to %s, want unset", exact(x), exact(v.RL))
-			}
-			if wrr, ok := id.rr[x]; ok {
-				if !v.HasRR || v.RR != wrr {
-					return fmt.Errorf("node %s: rr = %s(%v), want %s", exact(x), exact(v.RR), v.HasRR, exact(wrr))
-				}
-			} else if v.HasRR {
-				return fmt.Errorf("node %s: rr set to %s, want unset", exact(x), exact(v.RR))
-			}
-			for _, y := range v.Nc.Slice() {
-				if !exists[y] {
-					return fmt.Errorf("node %s: connection edge to nonexistent %s", exact(x), exact(y))
-				}
-				if x.ID() >= y.ID() {
-					// Connection edges always point from below: created
-					// between consecutive siblings and forwarded to nodes
-					// strictly below the target.
-					return fmt.Errorf("node %s: connection edge to %s points the wrong way", exact(x), exact(y))
-				}
+			if x.ID() >= y.ID() {
+				// Connection edges always point from below: created
+				// between consecutive siblings and forwarded to nodes
+				// strictly below the target.
+				return fmt.Errorf("node %s: connection edge to %s points the wrong way", exact(x), exact(y))
 			}
 		}
 	}
@@ -274,11 +257,7 @@ func exactSet(s ref.Set) string {
 // way (each Re-Chord node contributes at most 4 outgoing unmarked
 // edges, and there is one Re-Chord node per Chord slot).
 func (id *Ideal) ChordEdgeSlots() int {
-	slots := len(id.reals)
-	for _, m := range id.level {
-		slots += m
-	}
-	return slots
+	return len(id.nodes)
 }
 
 // ChordGraph builds the classic Chord topology (Section 1.1) over the
@@ -296,7 +275,7 @@ func (id *Ideal) ChordGraph() *graph.Graph {
 	for i, u := range id.reals {
 		succ := id.reals[(i+1)%len(id.reals)]
 		g.AddEdge(ref.Real(u), ref.Real(succ), graph.Unmarked)
-		for lvl := 1; lvl <= id.level[u]; lvl++ {
+		for lvl, m := 1, id.levelAt(i); lvl <= m; lvl++ {
 			target := ident.Sibling(u, lvl)
 			f := ident.Successor(id.reals, target)
 			if f != u {

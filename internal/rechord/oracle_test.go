@@ -1,6 +1,7 @@
 package rechord
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -220,5 +221,55 @@ func TestAlmostStableSubset(t *testing.T) {
 	}
 	if !idl.AlmostStable(nw) {
 		t.Fatal("converged network must be almost stable")
+	}
+}
+
+// settledIdealNet is idealSeededNet stepped to quiescence: the legal
+// stable state, standing flow included.
+func settledIdealNet(tb testing.TB, n int) (*Network, *Ideal) {
+	nw, idl := idealSeededNet(Config{Workers: 1}, n)
+	for i := 0; !nw.Quiescent(); i++ {
+		if i == 10000 {
+			tb.Fatalf("n=%d did not settle", n)
+		}
+		nw.Step()
+	}
+	return nw, idl
+}
+
+func TestMatchesDetectsMissingVirtualNode(t *testing.T) {
+	nw, idl := settledIdealNet(t, 16)
+	if err := idl.Matches(nw); err != nil {
+		t.Fatalf("Matches rejected the settled state: %v", err)
+	}
+	// Remove a middle level out of band: the peer's span m is unchanged,
+	// only one of its virtual nodes is gone.
+	for _, u := range nw.Peers() {
+		if n := nw.Peer(u); n.MaxLevel() >= 2 {
+			n.vnodes[1] = nil
+			if err := idl.Matches(nw); err == nil {
+				t.Fatalf("Matches accepted peer %s without its level-1 virtual node", u)
+			}
+			return
+		}
+	}
+	t.Fatal("no peer with m >= 2")
+}
+
+// BenchmarkOracle times the oracle on a settled network: building the
+// stable topology from the membership and checking the state against it.
+func BenchmarkOracle(b *testing.B) {
+	for _, n := range []int{512} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			nw, _ := settledIdealNet(b, n)
+			peers := nw.Peers()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if err := ComputeIdeal(peers).Matches(nw); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -16,14 +16,14 @@ import (
 // The design exploits two properties of the round engine. First, a
 // peer's rules read only its own state, the published view of the
 // peers it references (viewOf), and the static config — so a process
-// that keeps its stubs' published views and max levels up to date can
-// execute its hosted peers exactly as the monolith would. Second, the
-// barrier's bucket ops and its wakeDependents call are the only points
-// where one peer's execution touches another peer's inputs — so
-// mirroring the waking bucket ops (emitFlow), one-shot deliveries, and
-// per-owner view publishes to the recipients' hosting processes is
-// sufficient for semantic equivalence. Churn-free runs
-// are round-for-round identical to the monolith; runs with churn skew
+// that keeps its stubs' published views (level spans included) up to
+// date can execute its hosted peers exactly as the monolith would.
+// Second, the barrier's bucket ops and its wakeDependents call are the
+// only points where one peer's execution touches another peer's inputs
+// — so mirroring the waking bucket ops (emitFlow), one-shot deliveries,
+// and per-owner view publishes to the recipients' hosting processes is
+// sufficient for semantic equivalence. Churn-free runs are
+// round-for-round identical to the monolith; runs with churn skew
 // by at most the op round and converge to the same unique stable
 // topology (the paper's self-stabilization theorem), which the wire
 // equivalence gate checks via StateFingerprint.
@@ -56,14 +56,14 @@ type OneShot struct {
 	Msgs []Message
 }
 
-// PeerPublish replicates one hosted peer's published state — max
-// virtual level and the full per-level view — to the processes holding
-// it as a stub. Receivers diff it against their replica, so applying
-// it reproduces the monolith barrier's exact wake set.
+// PeerPublish replicates one hosted peer's published state — the full
+// per-level view, one entry per level 0..m, so its length carries the
+// level span — to the processes holding it as a stub. Receivers diff it
+// against their replica, so applying it reproduces the monolith
+// barrier's exact wake set.
 type PeerPublish struct {
-	Owner    ident.ID
-	MaxLevel int
-	Views    []PublishedView
+	Owner ident.ID
+	Views []PublishedView
 }
 
 // Effects is one process's cross-partition output, in emission order
@@ -100,7 +100,7 @@ type Partition struct {
 	changed []ref.Ref
 
 	// pub lists, in identifier order, the slots of the hosted owners
-	// whose published state (view or max level) changed in the running
+	// whose published state (view or level span) changed in the running
 	// batch and must be broadcast after it.
 	pub []uint32
 }
@@ -208,7 +208,7 @@ func (p *Partition) planFlow(n *RealNode, pr *prepOut, w *worker) { p.nw.planRew
 // emitFlow mirrors every bucket op that changed a remote recipient's
 // standing input into the effects, in plan order, and notes a sender
 // whose published state moved for the broadcast that follows the batch.
-// An owner-level change (max level moved) and any per-level view change
+// An owner-level change (level span moved) and any per-level view change
 // funnel into one full-state publish — receivers diff, so the wake sets
 // stay exact — and the epilogue's active order is identifier order, so
 // the effects (and with them frame contents and the wire's symbol-table
@@ -236,9 +236,8 @@ func (p *Partition) flushPublishes() {
 		start := len(p.views)
 		p.views = append(p.views, p.nw.view[slot]...)
 		p.out.Publishes = append(p.out.Publishes, PeerPublish{
-			Owner:    p.nw.pt.ids[slot],
-			MaxLevel: int(p.nw.pt.maxLv[slot]),
-			Views:    p.views[start:len(p.views):len(p.views)],
+			Owner: p.nw.pt.ids[slot],
+			Views: p.views[start:len(p.views):len(p.views)],
 		})
 	}
 	p.pub = p.pub[:0]
@@ -335,8 +334,7 @@ func (p *Partition) applyPublish(u PeerPublish) {
 		return
 	}
 	var owners []ident.ID
-	if int32(u.MaxLevel) != nw.pt.maxLv[slot] {
-		nw.pt.maxLv[slot] = int32(u.MaxLevel)
+	if len(u.Views) != len(nw.view[slot]) {
 		owners = []ident.ID{u.Owner}
 	}
 	p.changed = nw.diffViews(slot, u.Owner, u.Views, p.changed[:0])

@@ -69,20 +69,19 @@ func NewReference(nw *Network) *Reference {
 	for _, id := range nw.order {
 		src := nw.node(id)
 		n := r.admit(src.clone())
-		r.env.pt.maxLv[n.idx] = nw.pt.maxLv[src.idx] // SeedEdge publishes a seeded level at once
-		r.env.view[n.idx] = slices.Clone(nw.view[src.idx])
+		r.env.view[n.idx] = slices.Clone(nw.view[src.idx]) // SeedEdge publishes a seeded level at once
 	}
 	return r
 }
 
 // admit registers a member: the registry entry other peers resolve
-// references against (published level 0) and an empty published view.
+// references against, its published view one zero entry (level 0).
 func (r *Reference) admit(n *RealNode) *RealNode {
 	slot := r.env.pt.intern(n)
 	for int(slot) >= len(r.env.view) {
 		r.env.view = append(r.env.view, nil)
 	}
-	r.env.view[slot] = nil
+	r.env.view[slot] = []PublishedView{{}}
 	r.env.insertOrder(n.id)
 	return n
 }
@@ -109,7 +108,6 @@ func (r *Reference) Step() {
 	// Everybody republishes; all of this round's reads saw the old values.
 	for _, id := range r.env.order {
 		n := r.env.node(id)
-		r.env.pt.maxLv[n.idx] = int32(n.MaxLevel())
 		view := r.env.view[n.idx][:0]
 		for _, v := range n.vnodes { // contiguous since rule 1 ran
 			var e PublishedView

@@ -22,18 +22,9 @@ func newFx(cfg Config, peers ...float64) *fx {
 	return &fx{nw: nw}
 }
 
-// The rebuild* helpers recompute the engine's incrementally maintained
-// caches from scratch: the fixture mutates peer state directly between
-// runs, behind the back of the barrier that normally maintains them.
-
-func (nw *Network) rebuildLevels() {
-	for slot, n := range nw.pt.nodes {
-		if n != nil {
-			nw.pt.maxLv[slot] = int32(n.MaxLevel())
-		}
-	}
-}
-
+// rebuildView recomputes the published view, the engine's incrementally
+// maintained cache, from scratch: the fixture mutates peer state directly
+// between runs, behind the back of the barrier that normally maintains it.
 func (nw *Network) rebuildView() {
 	for slot, n := range nw.pt.nodes {
 		if n == nil {
@@ -62,9 +53,7 @@ type nodeResult struct {
 
 func (f *fx) run(x float64) nodeResult {
 	// The fixture mutates peer state directly between runs, so the
-	// incrementally maintained caches the rules read are rebuilt
-	// wholesale.
-	f.nw.rebuildLevels()
+	// incrementally maintained view the rules read is rebuilt wholesale.
 	f.nw.rebuildView()
 	var w worker
 	f.nw.runRules(f.peer(x), &w)

@@ -36,8 +36,9 @@ import (
 const (
 	magic0, magic1, magic2 = 'R', 'C', 'W'
 
-	// Version is the codec version this package speaks.
-	Version = 1
+	// Version is the codec version this package speaks; it moves with
+	// every change to the frame layout.
+	Version = 2
 )
 
 // MaxFrame bounds one frame's encoded payload. The decoder rejects a

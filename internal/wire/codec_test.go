@@ -42,14 +42,14 @@ func richRound() *RoundFrame {
 				{To: 0x2222, Msgs: []rechord.Message{msg(0x1111, 3, graph.Unmarked, 0x4444, 0)}},
 			},
 			Publishes: []rechord.PeerPublish{
-				{Owner: 0x1111, MaxLevel: 3, Views: []rechord.PublishedView{
+				{Owner: 0x1111, Views: []rechord.PublishedView{
 					{}, // neither side set
 					{RL: ref.Ref{Owner: 0x2222, Level: 1}, HasRL: true},
 					{RR: ref.Ref{Owner: 0x3333, Level: 2}, HasRR: true},
 					{RL: ref.Ref{Owner: 0x4444, Level: 3}, HasRL: true,
 						RR: ref.Ref{Owner: 0x1111, Level: 3}, HasRR: true},
 				}},
-				{Owner: 0x4444, MaxLevel: 0, Views: nil},
+				{Owner: 0x4444, Views: []rechord.PublishedView{{}}},
 			},
 		},
 	}
@@ -66,7 +66,7 @@ func leanRound() *RoundFrame {
 				{From: 0x3333, To: 0x2222, Msgs: []rechord.Message{msg(0x2222, 0, graph.Ring, 0x1111, 1)}},
 			},
 			Publishes: []rechord.PeerPublish{
-				{Owner: 0x2222, MaxLevel: 1, Views: []rechord.PublishedView{{RL: ref.Ref{Owner: 0x1111}, HasRL: true}}},
+				{Owner: 0x2222, Views: []rechord.PublishedView{{RL: ref.Ref{Owner: 0x1111}, HasRL: true}}},
 			},
 		},
 	}
@@ -240,4 +240,15 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 	body = binary.AppendUvarint(body, 1) // symbol tag 1 -> empty table
 	frame := binary.AppendUvarint([]byte{magic0, magic1, magic2, Version}, uint64(len(body)))
 	mustReject("symbol index out of range", append(frame, body...))
+
+	// A publish without its level-0 view: every live peer publishes at
+	// least level 0, and the view count is the stub's level span.
+	buf.Reset()
+	noViews := &RoundFrame{Round: 1, Effects: rechord.Effects{
+		Publishes: []rechord.PeerPublish{{Owner: 0x4444}},
+	}}
+	if err := NewEncoder(&buf, nil).Encode(noViews); err != nil {
+		t.Fatal(err)
+	}
+	mustReject("publish without views", buf.Bytes())
 }

@@ -149,7 +149,6 @@ func (e *Encoder) appendRound(body []byte, f *RoundFrame) []byte {
 	body = binary.AppendUvarint(body, uint64(len(f.Publishes)))
 	for _, p := range f.Publishes {
 		body = s.AppendID(body, p.Owner)
-		body = binary.AppendUvarint(body, uint64(p.MaxLevel))
 		body = binary.AppendUvarint(body, uint64(len(p.Views)))
 		for _, v := range p.Views {
 			var vf byte
@@ -404,14 +403,10 @@ func (d *Decoder) parseRound(b []byte) (Frame, []byte, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		maxLv, n := binary.Uvarint(b)
-		if n <= 0 || maxLv > ref.MaxWireLevel {
-			return nil, nil, malformed("bad publish max level")
-		}
-		p.MaxLevel = int(maxLv)
-		b = b[n:]
+		// One view per level 0..m: every live peer publishes level 0,
+		// and the count is the level span the receiver resolves by.
 		vcnt, n := binary.Uvarint(b)
-		if n <= 0 || vcnt > ref.MaxWireLevel+1 {
+		if n <= 0 || vcnt == 0 || vcnt > ref.MaxWireLevel+1 {
 			return nil, nil, malformed("bad publish view count")
 		}
 		b = b[n:]

@@ -52,8 +52,8 @@ func buildArbitraryRound(data []byte) *RoundFrame {
 		f.OneShots = append(f.OneShots, rechord.OneShot{To: id(), Msgs: msgs()})
 	}
 	for i, n := 0, int(next())%3; i < n; i++ {
-		p := rechord.PeerPublish{Owner: id(), MaxLevel: int(next()) % (ref.MaxWireLevel + 1)}
-		for j, vn := 0, int(next())%4; j < vn; j++ {
+		p := rechord.PeerPublish{Owner: id()}
+		for j, vn := 0, 1+int(next())%4; j < vn; j++ { // level 0 is always published
 			var v rechord.PublishedView
 			if next()&1 != 0 {
 				v.HasRL, v.RL = true, rf()

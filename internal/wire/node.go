@@ -167,7 +167,7 @@ func (nd *Node) runRounds(exchange func(own *RoundFrame, opsDone bool) (*RoundFr
 			return nil, err
 		}
 		p.Step()
-		changed := due != next || p.LastChange() == p.Time()
+		changed := due != next || !p.Quiescent()
 		next = due
 		own = RoundFrame{Round: r, Effects: p.Drain()}
 		own.Changed = changed || own.Len() > 0
