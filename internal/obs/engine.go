@@ -45,6 +45,12 @@ type EngineMetrics struct {
 	// activation counts do not show.
 	BucketOps Counter
 	DepDeltas Counter
+	// Purges counts the deliveries that ran the stale-reference scan;
+	// PurgesSkipped those a peer's purge mark let skip it (no departure
+	// or shorter level span since its last purge, and nothing installed
+	// since that the mark cannot vouch for).
+	Purges        Counter
+	PurgesSkipped Counter
 	// Settled / Unsettled count the per-peer settle decisions at the
 	// barrier. A settled peer's run left its state as it found it and
 	// consumed no one-shot input, so a re-run would reproduce its state
@@ -112,6 +118,8 @@ type EngineSnapshot struct {
 	Delivered       uint64                 `json:"delivered"`
 	BucketOps       uint64                 `json:"bucket_ops"`
 	DepDeltas       uint64                 `json:"dep_deltas"`
+	Purges          uint64                 `json:"purges"`
+	PurgesSkipped   uint64                 `json:"purges_skipped"`
 	Settled         uint64                 `json:"settled"`
 	Unsettled       uint64                 `json:"unsettled"`
 	EpochBumps      uint64                 `json:"epoch_bumps"`
@@ -146,6 +154,8 @@ func (m *EngineMetrics) Snapshot() EngineSnapshot {
 		Delivered:       m.Delivered.Value(),
 		BucketOps:       m.BucketOps.Value(),
 		DepDeltas:       m.DepDeltas.Value(),
+		Purges:          m.Purges.Value(),
+		PurgesSkipped:   m.PurgesSkipped.Value(),
 		Settled:         m.Settled.Value(),
 		Unsettled:       m.Unsettled.Value(),
 		EpochBumps:      m.EpochBumps.Value(),

@@ -130,6 +130,8 @@ func sampleSnapshot() Snapshot {
 	em.Delivered.Add(3000)
 	em.BucketOps.Add(400)
 	em.DepDeltas.Add(600)
+	em.Purges.Add(700)
+	em.PurgesSkipped.Add(200)
 	em.Settled.Add(800)
 	em.Unsettled.Add(100)
 	em.EpochBumps.Add(7)

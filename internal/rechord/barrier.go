@@ -1,7 +1,6 @@
 package rechord
 
 import (
-	"cmp"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -32,9 +31,10 @@ import (
 //     the peer's own later phases read (the pre-round image, the rules'
 //     output) stays in the worker's scratch.
 //   - Deliver: copy the peer's edge sets into the image scratch, then
-//     apply the pending inbox and purge stale references. Reads the
-//     interner's tables, the levels other peers published and the
-//     peer's own buckets; writes the peer's own state.
+//     apply the pending inbox and purge stale references, unless the
+//     peer's purge mark says there can be none. Reads the interner's
+//     tables, the levels other peers published, the shrink count and the
+//     peer's own buckets; writes the peer's own state (the mark included).
 //   - Execute: rules 1-6 into the worker's out, the diff of out against
 //     the peer's own lastFlow and — when it differs — the freeze of out
 //     into the new flow index: fresh contributions for the changed
@@ -54,7 +54,9 @@ import (
 //     active peer's bucket ops, then its dep deltas. It is the only code
 //     that writes RealNode.in, bucketMsgs and bucket dep references, or
 //     wakes a recipient because its standing input changed;
-//     rewriteBucket calls it too.
+//     rewriteBucket calls it too. The staged publishes count the level
+//     spans that shrank (setViews), which the next batch's purge marks
+//     read.
 //   - Epilogue (serial, active order): epoch bumps, settle bookkeeping,
 //     lastFlow swaps, the scheduler's emit step, and the wakes of the
 //     peers depending on a moved level span or view; then the workers'
@@ -127,17 +129,17 @@ type worker struct {
 	// in order of first appearance and sorted by recipient, the sorted
 	// recipients, the entry of each message of out, out's records packed
 	// by recipient, and the stamped recipient table that groups them.
-	// adds holds the Add owners of a rewritten bucket's old and new
-	// messages, which the plan step nets into dep deltas.
-	diff       []spanDiff
-	order      []int32
-	rcpt       []ident.ID
-	at         []int32
-	packed     []cmsg
-	groups     []groupSlot
-	stamp      uint32
-	groupShift uint8
-	adds       []depDelta
+	// oldAdds and curAdds hold the Add owners of a rewritten bucket's old
+	// and new messages, which the plan step nets into dep deltas.
+	diff             []spanDiff
+	order            []int32
+	rcpt             []ident.ID
+	at               []int32
+	packed           []cmsg
+	groups           []groupSlot
+	stamp            uint32
+	groupShift       uint8
+	oldAdds, curAdds []ident.ID
 
 	tally
 
@@ -167,9 +169,11 @@ type imgLevel struct {
 // tally is what a worker counted over one batch, summed over the workers
 // and zeroed by the epilogue: plain integers, so the hot path never
 // touches shared state. The phase times are the worker's time inside
-// each phase body.
+// each phase body; purges and purgesSkipped count the deliveries that
+// ran the stale scan and those whose purge mark let them skip it.
 type tally struct {
 	made, killed, delivered      int
+	purges, purgesSkipped        int
 	fired                        [obs.NumRules]uint64
 	deliverNS, executeNS, prepNS time.Duration
 }
@@ -337,16 +341,31 @@ func (nw *Network) activate(w *worker, i int) {
 }
 
 // deliverPhase is the deliver body for active index i: the pre-round
-// image, then delivery and purge.
+// image, then delivery and purge. A purge that found nothing stale marks
+// the peer with the shrink count, and the next one is skipped while the
+// mark holds and the inbox is empty: with no departure or shorter span
+// since, every reference the peer held or its buckets carried is still
+// live, the commit's installs since are their senders' purged output,
+// and any other install or write cleared the mark.
 func (nw *Network) deliverPhase(w *worker, i int) {
 	n := nw.pt.nodes[nw.bActive[i]]
 	p := &nw.prep[i]
 	w.takeImage(n)
 	p.consumed = len(n.inbox) > 0
+	mark := nw.shrinks + 1
+	skip := !p.consumed && n.purged == mark
 	delivered, unread := nw.deliver(n)
 	w.delivered += delivered
 	p.unread = unread
-	nw.purge(n, w)
+	if skip {
+		w.purgesSkipped++
+		return
+	}
+	n.purged = 0
+	if nw.purge(n, w) {
+		n.purged = mark
+	}
+	w.purges++
 }
 
 // takeImage copies the peer's edge sets into w's image scratch — per
@@ -551,34 +570,52 @@ func (nw *Network) planOp(sender handle, dstID ident.ID, op bucketOp, w *worker)
 
 // appendDepDiff appends the dep deltas that turn the Add-owner counts of
 // old into those of cur (either may be nil) at the recipient slot: one
-// delta per owner whose count changes.
+// delta per owner whose count changes, in identifier order. Both owner
+// lists are sorted and merged, each owner's run netted as it passes.
 func (w *worker) appendDepDiff(old, cur *contrib, slot uint32) {
-	adds := w.adds[:0]
-	for k, c := range [2]*contrib{old, cur} { // -1 per old message, +1 per new one
-		if c != nil {
-			for _, r := range c.recs() {
-				adds = append(adds, depDelta{id: r.add(), k: int32(2*k - 1)})
-			}
+	w.oldAdds, w.curAdds = sortedAdds(w.oldAdds, old), sortedAdds(w.curAdds, cur)
+	a, b := w.oldAdds, w.curAdds
+	for len(a) > 0 || len(b) > 0 {
+		var id ident.ID
+		if len(b) == 0 || len(a) > 0 && a[0] < b[0] {
+			id = a[0]
+		} else {
+			id = b[0]
+		}
+		k := int32(0)
+		for ; len(a) > 0 && a[0] == id; a = a[1:] {
+			k--
+		}
+		for ; len(b) > 0 && b[0] == id; b = b[1:] {
+			k++
+		}
+		if k != 0 {
+			w.deps = append(w.deps, depDelta{id: id, slot: slot, k: k})
 		}
 	}
-	slices.SortFunc(adds, func(a, b depDelta) int { return cmp.Compare(a.id, b.id) })
-	for i := 0; i < len(adds); {
-		d := depDelta{id: adds[i].id, slot: slot}
-		for ; i < len(adds) && adds[i].id == d.id; i++ {
-			d.k += adds[i].k
+}
+
+// sortedAdds fills buf with the Add owners of c's messages (none for a
+// nil c), sorted.
+func sortedAdds(buf []ident.ID, c *contrib) []ident.ID {
+	buf = buf[:0]
+	if c != nil {
+		for _, r := range c.recs() {
+			buf = append(buf, r.add())
 		}
-		if d.k != 0 {
-			w.deps = append(w.deps, d)
-		}
+		slices.Sort(buf)
 	}
-	w.adds = adds
+	return buf
 }
 
 // apply commits one sender's planned bucket ops, then its dep deltas:
 // the barrier calls it for every active peer in active order, and
 // rewriteBucket for one op. Nothing else writes RealNode.in or
 // bucketMsgs. The caller counts the ops and deltas (countCommit).
-func (nw *Network) apply(sender handle, ops []bucketOp, deps []depDelta) {
+// keepMarks says the installs are a synchronous or partitioned commit's:
+// its senders' output, built from sets purged this batch. Any other
+// install clears the recipient's purge mark.
+func (nw *Network) apply(sender handle, ops []bucketOp, deps []depDelta, keepMarks bool) {
 	for k := range ops {
 		op := &ops[k]
 		dst := nw.pt.nodes[op.dstSlot]
@@ -597,6 +634,9 @@ func (nw *Network) apply(sender handle, ops []bucketOp, deps []depDelta) {
 			}
 		} else {
 			installBucket(dst, bucket{sender: sender, c: op.c, private: op.private}, &nw.flow)
+			if !keepMarks {
+				dst.purged = 0
+			}
 		}
 		if wake {
 			nw.markDirtyIdx(op.dstSlot)
@@ -629,7 +669,7 @@ func (nw *Network) rewriteBucket(sender handle, dstID ident.ID, op bucketOp) {
 	w := nw.serial()
 	o0, d0 := len(w.ops), len(w.deps)
 	nw.planOp(sender, dstID, op, w)
-	nw.apply(sender, w.ops[o0:], w.deps[d0:])
+	nw.apply(sender, w.ops[o0:], w.deps[d0:], false)
 	nw.countCommit(len(w.ops)-o0, len(w.deps)-d0)
 	clear(w.ops[o0:]) // so the arena pins no replaced contribution
 	w.ops, w.deps = w.ops[:o0], w.deps[:d0]

@@ -116,6 +116,7 @@ func (nw *Network) removePeer(id ident.ID, hosted func(ident.ID) bool) {
 		nw.rewriteBucket(n.in[len(n.in)-1].sender, id, bucketOp{})
 	}
 	nw.view[n.idx] = nil
+	nw.shrinks++ // every reference to the departed peer is stale now
 	nw.dropStateDeps(n)
 	nw.pt.release(n)
 	nw.removeOrder(id)

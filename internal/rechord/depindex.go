@@ -165,7 +165,7 @@ func (n *RealNode) holdsRef(r ref.Ref) bool {
 	}
 	for _, b := range n.in {
 		for _, rec := range b.c.recs() {
-			if rec.add() == r.Owner && int(rec.meta&pmLevelMask) == r.Level {
+			if rec.add() == r.Owner && int(rec.meta&pmLevelMask) == r.Level() {
 				return true
 			}
 		}

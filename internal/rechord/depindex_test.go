@@ -109,7 +109,7 @@ func (n *RealNode) holdsDependent(owners map[ident.ID]bool, refs map[ref.Ref]boo
 	}
 	for _, b := range n.in {
 		for _, r := range b.c.recs() {
-			add := ref.Ref{Owner: r.add(), Level: int(r.meta & pmLevelMask)}
+			add := r.addRef()
 			if owners[add.Owner] || refs[add] {
 				return true
 			}

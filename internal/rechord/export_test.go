@@ -299,6 +299,37 @@ func CheckDepIndex(t testing.TB, nw *Network, when string) {
 	}
 }
 
+// CheckPurgeMarks holds every peer whose purge mark is current to what
+// the mark promises: no reference in its edge sets or carried by its
+// standing buckets is stale, so the purge its next deliver skips would
+// find nothing. A departure or shorter level span the shrink count
+// missed shows up here.
+func CheckPurgeMarks(t testing.TB, nw *Network, when string) {
+	t.Helper()
+	for _, n := range nw.pt.nodes {
+		if n == nil || n.purged != nw.shrinks+1 {
+			continue
+		}
+		for _, v := range n.vnodes {
+			if v == nil {
+				continue
+			}
+			for _, s := range v.sets() {
+				if i := slices.IndexFunc(s.Slice(), nw.stale); i >= 0 {
+					t.Fatalf("%s: %s is marked purged but holds the stale %s", when, n.id, s.Slice()[i])
+				}
+			}
+		}
+		for _, b := range n.in {
+			for _, rec := range b.c.recs() {
+				if r := rec.addRef(); nw.stale(r) {
+					t.Fatalf("%s: %s is marked purged but a bucket carries the stale %s", when, n.id, r)
+				}
+			}
+		}
+	}
+}
+
 // RemoveNu deletes r from the peer's level-`level` unmarked set out of
 // band, the way a fault damages a peer. A direct write becomes part of
 // the next run's pre-round state — no epoch bump, no index delta — so

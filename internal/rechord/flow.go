@@ -50,8 +50,8 @@ import (
 // one.
 
 const (
-	// pmLevelBits is wide enough for ident.MaxLevel (62) with room to
-	// spare; two level fields and the kind share one uint32.
+	// pmLevelBits is wide enough for any Ref level (at most 64) with
+	// room to spare; two level fields and the kind share one uint32.
 	pmLevelBits = 14
 	pmLevelMask = 1<<pmLevelBits - 1
 	pmKindShift = 2 * pmLevelBits
@@ -127,23 +127,22 @@ func (c *contrib) appendMsgs(dst []Message) []Message {
 // add is the record's Add owner.
 func (r cmsg) add() ident.ID { return ident.ID(r.hi)<<32 | ident.ID(r.lo) }
 
+// toLevel is the level of the recipient's virtual node the record
+// extends, kind which of its edge sets, and addRef the node it inserts.
+func (r cmsg) toLevel() int     { return int(r.meta >> pmLevelBits & pmLevelMask) }
+func (r cmsg) kind() graph.Kind { return graph.Kind(r.meta >> pmKindShift) }
+func (r cmsg) addRef() ref.Ref  { return ref.Virtual(r.add(), int(r.meta&pmLevelMask)) }
+
 // msg reconstitutes the full Message, addressed to owner (the
 // contribution's recipient).
 func (r cmsg) msg(owner ident.ID) Message {
-	return Message{
-		To:   ref.Ref{Owner: owner, Level: int(r.meta >> pmLevelBits & pmLevelMask)},
-		Kind: graph.Kind(r.meta >> pmKindShift),
-		Add:  ref.Ref{Owner: r.add(), Level: int(r.meta & pmLevelMask)},
-	}
+	return Message{To: ref.Virtual(owner, r.toLevel()), Kind: r.kind(), Add: r.addRef()}
 }
 
-// packRec encodes m as a record to store. A level beyond the packed
-// range panics: no record could hold it.
+// packRec encodes m as a record to store. Every Ref level (at most 64)
+// fits its packed field.
 func packRec(m Message) cmsg {
-	if uint(m.To.Level) > pmLevelMask || uint(m.Add.Level) > pmLevelMask {
-		panic("rechord: message level exceeds packed-storage range")
-	}
-	meta := uint32(m.Kind)<<pmKindShift | uint32(m.To.Level)<<pmLevelBits | uint32(m.Add.Level)
+	meta := uint32(m.Kind)<<pmKindShift | uint32(m.To.Level())<<pmLevelBits | uint32(m.Add.Level())
 	return cmsg{lo: uint32(m.Add.Owner), hi: uint32(m.Add.Owner >> 32), meta: meta}
 }
 
@@ -188,8 +187,7 @@ type groupSlot struct {
 // table; a counting sort then packs every message's record into w.packed,
 // recipients in identifier order and emission order within each, so a
 // merge-walk pairs each recipient with its old contribution and one slice
-// comparison decides it (packRec panics on a level beyond the packed
-// range, which no stored record could match). The verdicts stay in w for
+// comparison decides it. The verdicts stay in w for
 // freezeFlow: w.diff in order of first appearance in out, w.order the
 // same entries sorted by recipient.
 func diffFlow(old []*contrib, out []Message, w *worker) bool {

@@ -109,9 +109,9 @@ func TestFreezeMatchesScratch(t *testing.T) {
 	id := func(pool int) ident.ID { return ident.ID(1 + rng.Intn(pool)) }
 	msg := func(to ident.ID) Message {
 		return Message{
-			To:   ref.Ref{Owner: to, Level: rng.Intn(3)},
+			To:   ref.Virtual(to, rng.Intn(3)),
 			Kind: graph.Kind(rng.Intn(3)),
-			Add:  ref.Ref{Owner: id(40), Level: rng.Intn(3)},
+			Add:  ref.Virtual(id(40), rng.Intn(3)),
 		}
 	}
 	reused, fresh := 0, 0
@@ -153,10 +153,10 @@ func TestFreezeMatchesScratch(t *testing.T) {
 				case m.To.Owner == drop && rng.Intn(2) == 0:
 				case r == 0: // dropped message
 				case r == 1: // new Add owner
-					m.Add.Owner = ident.ID(100 + rng.Intn(5))
+					m.Add = ref.Virtual(ident.ID(100+rng.Intn(5)), m.Add.Level())
 					out = append(out, m)
 				case r == 2:
-					m.Add.Level++
+					m.Add = ref.Virtual(m.Add.Owner, m.Add.Level()+1)
 					out = append(out, m)
 				default:
 					out = append(out, m)

@@ -247,7 +247,7 @@ type sinkEvent struct {
 func msgsDigest(ms []rechord.Message) uint64 {
 	h := uint64(0xcbf29ce484222325)
 	for _, m := range ms {
-		for _, w := range [...]uint64{uint64(m.To.Owner), uint64(m.To.Level), uint64(m.Kind), uint64(m.Add.Owner), uint64(m.Add.Level)} {
+		for _, w := range [...]uint64{uint64(m.To.Owner), uint64(m.To.Level()), uint64(m.Kind), uint64(m.Add.Owner), uint64(m.Add.Level())} {
 			h = chainMix(h, w)
 		}
 	}
@@ -267,7 +267,7 @@ func effectLog(e *rechord.Effects) []sinkEvent {
 	for _, p := range e.Publishes {
 		h := chainMix(0xcbf29ce484222325, uint64(len(p.Views)-1)) // m, the max level
 		for _, v := range p.Views {
-			for _, w := range [...]uint64{uint64(v.RL.Owner), uint64(v.RL.Level), uint64(v.RR.Owner), uint64(v.RR.Level)} {
+			for _, w := range [...]uint64{uint64(v.RL.Owner), uint64(v.RL.Level()), uint64(v.RR.Owner), uint64(v.RR.Level())} {
 				h = chainMix(h, w)
 			}
 			if v.HasRL {
@@ -450,6 +450,7 @@ func TestGoldenScriptsMatchReference(t *testing.T) {
 				}
 				for _, nw := range l.Nets {
 					rechord.CheckDepIndex(t, nw, fmt.Sprintf("step %d", step))
+					rechord.CheckPurgeMarks(t, nw, fmt.Sprintf("step %d", step))
 				}
 			}
 		})
@@ -553,6 +554,7 @@ func TestStandingFlowGoldenScripts(t *testing.T) {
 				check := func(e executor, when string) {
 					rechord.CheckStandingFlow(t, e, when)
 					rechord.CheckDepIndex(t, e.Network(), when)
+					rechord.CheckPurgeMarks(t, e.Network(), when)
 				}
 				for round := 1; ; round++ {
 					if round > goldenMaxSteps {

@@ -114,6 +114,12 @@ type Network struct {
 	// per-round message flow of the current schedule.
 	bucketMsgs int
 
+	// shrinks counts the events that can make a held reference stale: a
+	// departure (removePeer) and a level span published shorter
+	// (setViews). A peer's purge mark (RealNode.purged) holds while it is
+	// unchanged. Written only in serial sections, read by the pass.
+	shrinks uint64
+
 	// flow is the authoritative flow-storage accounting (live
 	// contributions, resident bytes, shared vs unique bucket bytes,
 	// install tallies), written by the commit and the epilogue.
@@ -262,6 +268,7 @@ func (nw *Network) Wake(id ident.ID) {
 	if !ok {
 		return
 	}
+	nw.pt.nodes[slot].purged = 0 // the write may have brought in a stale reference
 	nw.markDirtyIdx(slot)
 }
 
@@ -358,10 +365,10 @@ func (nw *Network) SeedEdge(from, to ref.Ref, k graph.Kind) {
 		panic(fmt.Sprintf("rechord: SeedEdge from unknown peer %s", from.Owner))
 	}
 	n := nw.pt.nodes[slot]
-	v := n.ensureLevel(from.Level)
+	v := n.ensureLevel(from.Level())
 	// A seeded level is published at once: the view grows to span it,
 	// its new entries zero until the peer's first run publishes them.
-	if k := from.Level + 1 - len(nw.view[slot]); k > 0 {
+	if k := from.Level() + 1 - len(nw.view[slot]); k > 0 {
 		nw.view[slot] = append(nw.view[slot], make([]PublishedView, k)...)
 	}
 	added := false
@@ -379,6 +386,7 @@ func (nw *Network) SeedEdge(from, to ref.Ref, k graph.Kind) {
 	// dependency index, which the barrier otherwise keeps by diff.
 	if added {
 		nw.deps.add(to.Owner, slot, 1)
+		n.purged = 0
 	}
 	nw.bumpEpoch(n)
 	nw.markDirtyIdx(slot)
@@ -407,11 +415,11 @@ func (nw *Network) viewOf(r ref.Ref) PublishedView {
 	if !ok {
 		return PublishedView{}
 	}
-	vs := nw.view[slot]
-	if r.Level >= len(vs) {
+	vs, l := nw.view[slot], r.Level()
+	if l >= len(vs) {
 		return PublishedView{}
 	}
-	return vs[r.Level]
+	return vs[l]
 }
 
 // diffViews appends to changed the virtual refs of the owner in the slot
@@ -438,8 +446,13 @@ func (nw *Network) diffViews(slot uint32, owner ident.ID, next []PublishedView, 
 	return changed
 }
 
-// setViews replaces the slot's published entries with a copy of next.
+// setViews replaces the slot's published entries with a copy of next,
+// counting a shorter level span as a shrink: references to the levels it
+// drops are stale from now on.
 func (nw *Network) setViews(slot uint32, next []PublishedView) {
+	if len(next) < len(nw.view[slot]) {
+		nw.shrinks++
+	}
 	nw.view[slot] = append(nw.view[slot][:0], next...)
 }
 
@@ -452,7 +465,7 @@ func (nw *Network) resolve(r ref.Ref) (ref.Ref, bool) {
 	if !ok {
 		return ref.Ref{}, false
 	}
-	if r.Level >= len(nw.view[slot]) {
+	if r.Level() >= len(nw.view[slot]) {
 		return ref.Real(r.Owner), true
 	}
 	return r, true
@@ -463,7 +476,10 @@ func (nw *Network) resolve(r ref.Ref) (ref.Ref, bool) {
 // detection, the substitution documented in DESIGN.md for the paper's
 // implicit fault model). It scans first: a set is copied (into w's
 // scratch) and rewritten only when it actually holds a stale reference.
-func (nw *Network) purge(n *RealNode, w *worker) {
+// It reports whether none did: then the buckets just delivered hold none
+// either, which the purge mark records (deliverPhase).
+func (nw *Network) purge(n *RealNode, w *worker) (clean bool) {
+	clean = true
 	for _, v := range n.vnodes {
 		if v == nil {
 			continue
@@ -472,6 +488,7 @@ func (nw *Network) purge(n *RealNode, w *worker) {
 			if !slices.ContainsFunc(s.Slice(), nw.stale) {
 				continue
 			}
+			clean = false
 			w.snap = append(w.snap[:0], s.Slice()...)
 			s.Clear()
 			for _, r := range w.snap {
@@ -481,6 +498,7 @@ func (nw *Network) purge(n *RealNode, w *worker) {
 			}
 		}
 	}
+	return clean
 }
 
 // stale reports whether the reference no longer resolves to itself.
@@ -491,41 +509,24 @@ func (nw *Network) stale(r ref.Ref) bool {
 
 // deliver applies the pending inbox of n: the one-shot messages (which
 // are consumed) and the standing per-sender buckets (which persist,
-// representing the senders' repeating output flow). Messages to
-// virtual levels the peer no longer simulates are merged into the
-// closest surviving virtual node u_m, per rule 1's merge semantics.
-// Delivery is a commutative, idempotent set-union, so the iteration
-// order over buckets does not matter. It reports the messages applied
-// and whether a bucket it read is marked unread; the marks stay for the
-// barrier's commit to clear.
+// representing the senders' repeating output flow), the records
+// straight from their packed fields. Messages to virtual levels the
+// peer no longer simulates are merged into the closest surviving virtual
+// node u_m, per rule 1's merge semantics. Delivery is a commutative,
+// idempotent set-union, so the iteration order over buckets does not
+// matter. It reports the messages applied and whether a bucket it read
+// is marked unread; the marks stay for the barrier's commit to clear.
 func (nw *Network) deliver(n *RealNode) (delivered int, unread bool) {
-	delivered = len(n.inbox)
-	apply := func(msg Message) {
-		var v *VNode
-		if msg.To.Level < len(n.vnodes) {
-			v = n.vnodes[msg.To.Level]
-		}
-		if v == nil {
-			v = n.vnodes[n.MaxLevel()]
-		}
-		switch msg.Kind {
-		case graph.Unmarked:
-			v.addNu(msg.Add)
-		case graph.Ring:
-			v.addNr(msg.Add)
-		case graph.Connection:
-			v.addNc(msg.Add)
-		}
-	}
 	for _, msg := range n.inbox {
-		apply(msg)
+		n.landing(msg.To.Level()).addEdge(msg.Kind, msg.Add)
 	}
+	delivered = len(n.inbox)
 	n.inbox = n.inbox[:0]
 	for _, b := range n.in {
 		unread = unread || b.unread
 		delivered += b.c.count()
 		for _, r := range b.c.recs() {
-			apply(r.msg(n.id))
+			n.landing(r.toLevel()).addEdge(r.kind(), r.addRef())
 		}
 	}
 	return delivered, unread
@@ -645,10 +646,13 @@ func (nw *Network) runBatch(active []uint32, stats *RoundStats) bool {
 	for i, slot := range active {
 		nw.publishStaged(slot, &nw.prep[i])
 	}
+	// The asynchronous runner's installs clear the recipients' purge
+	// marks; the synchronous and partitioned commits keep them.
+	_, async := nw.router.(*AsyncRunner)
 	var ops, deps int
 	for i, slot := range active {
 		p := &nw.prep[i]
-		nw.apply(nw.pt.nodes[slot].h(), p.ops, p.deps)
+		nw.apply(nw.pt.nodes[slot].h(), p.ops, p.deps, !async)
 		ops, deps = ops+len(p.ops), deps+len(p.deps)
 	}
 	nw.countCommit(ops, deps)
@@ -730,6 +734,8 @@ func (nw *Network) epilogue(active []uint32, stats *RoundStats) (changed bool, e
 		stats.VirtualMade += w.made
 		stats.VirtualKilled += w.killed
 		delivered += w.delivered
+		sum.purges += w.purges
+		sum.purgesSkipped += w.purgesSkipped
 		sum.deliverNS += w.deliverNS
 		sum.executeNS += w.executeNS
 		sum.prepNS += w.prepNS
@@ -749,6 +755,8 @@ func (nw *Network) epilogue(active []uint32, stats *RoundStats) (changed bool, e
 	m.Batches.Inc()
 	m.Activated.Add(uint64(len(active)))
 	m.Delivered.Add(uint64(delivered))
+	m.Purges.Add(uint64(sum.purges))
+	m.PurgesSkipped.Add(uint64(sum.purgesSkipped))
 	m.Settled.Add(uint64(settledN))
 	m.Unsettled.Add(uint64(unsettledN))
 	m.EpochBumps.Add(uint64(epochBumpN))
@@ -825,8 +833,8 @@ func (nw *Network) Census() Census {
 	mask := make([]uint64, nw.pt.span())
 	var extra []ref.Ref
 	node := func(r ref.Ref) {
-		if slot, ok := nw.pt.lookup(r.Owner); ok && uint(r.Level) < 64 {
-			mask[slot] |= 1 << r.Level
+		if slot, ok := nw.pt.lookup(r.Owner); ok && uint(r.Level()) < 64 {
+			mask[slot] |= 1 << r.Level()
 		} else {
 			extra = append(extra, r)
 		}
@@ -857,7 +865,7 @@ func (nw *Network) Census() Census {
 			}
 			node(m.To)
 			node(m.Add)
-			if v := n.VNode(m.To.Level); v == nil || !v.sets()[m.Kind].Contains(m.Add) {
+			if v := n.VNode(m.To.Level()); v == nil || !v.sets()[m.Kind].Contains(m.Add) {
 				pend = append(pend, m)
 			}
 		})

@@ -152,7 +152,7 @@ func (id *Ideal) AlmostStable(nw *Network) bool {
 		if n == nil {
 			return false
 		}
-		v := n.VNode(x.Level)
+		v := n.VNode(x.Level())
 		if v == nil {
 			return false
 		}
@@ -191,7 +191,7 @@ func (id *Ideal) Matches(nw *Network) error {
 	// is an error, not a level to skip.
 	var buf [4]ref.Ref
 	for k, x := range id.nodes {
-		v := nw.node(x.Owner).VNode(x.Level)
+		v := nw.node(x.Owner).VNode(x.Level())
 		if v == nil {
 			return fmt.Errorf("node %s: missing", exact(x))
 		}
@@ -238,7 +238,7 @@ func (id *Ideal) Matches(nw *Network) error {
 // exact renders a reference for the errors above with its full hex
 // owner and level: ref.String rounds to six digits, so adjacent peers
 // such as u and u-1 would print alike.
-func exact(r ref.Ref) string { return fmt.Sprintf("%016x@%d", uint64(r.Owner), r.Level) }
+func exact(r ref.Ref) string { return fmt.Sprintf("%016x@%d", uint64(r.Owner), r.Level()) }
 
 func exactSet(s ref.Set) string {
 	b := []byte{'['}

@@ -369,7 +369,7 @@ func (l *literal) overlappingNeighborhood(c *ruleContext) {
 			if found {
 				c.w.fired[c.cur]++
 				ui.Nu.Remove(w)
-				n.vnodes[best.Level].addNu(w)
+				n.vnodes[best.Level()].addNu(w)
 			}
 		}
 	}
@@ -484,7 +484,7 @@ func (l *literal) ringEdges(c *ruleContext) {
 func (l *literal) connectionEdges(c *ruleContext) {
 	n, sibs := c.n, c.w.sibs
 	for i := 0; i+1 < len(sibs); i++ {
-		n.vnodes[sibs[i].Level].addNc(sibs[i+1])
+		n.vnodes[sibs[i].Level()].addNc(sibs[i+1])
 	}
 	for _, level := range c.w.levels {
 		ui := n.vnodes[level]

@@ -15,10 +15,11 @@ import (
 // rest holds protocol state only and a worker's buffers are reused by
 // every peer it runs. The rules' guards are order queries on sets the
 // peer already holds ("the closest real node below u_i", "min{x ∈ N(u)
-// ∪ N_r(u_i) : x > w}"); each is answered by binary searches on those
-// sets, never on a materialised N(u). cur is the index (0-based,
-// obs.RuleNames order) of the rule currently executing, so send can
-// attribute each message to its rule with a plain local increment.
+// ∪ N_r(u_i) : x > w}"); each is answered by binary searches (or, in
+// rule 6, forward walks) on those sets, never on a materialised N(u).
+// cur is the index (0-based, obs.RuleNames order) of the rule currently
+// executing, so send can attribute each message to its rule with a
+// plain local increment.
 type ruleContext struct {
 	nw  *Network
 	n   *RealNode
@@ -80,6 +81,7 @@ func (c *ruleContext) ruleVirtualNodes() {
 	}
 	// delete-virtualnodes: inform u_m of each deleted node's
 	// neighborhood (N_u ∪ N_r ∪ N_c), then drop the node.
+	dropped := m+1 < len(n.vnodes)
 	um := n.vnodes[m]
 	for l := m + 1; l < len(n.vnodes); l++ {
 		v := n.vnodes[l]
@@ -88,7 +90,7 @@ func (c *ruleContext) ruleVirtualNodes() {
 		}
 		for _, s := range v.sets() {
 			for _, r := range s.Slice() {
-				if r.Owner == n.id && r.Level > m {
+				if r.Owner == n.id && r.Level() > m {
 					continue // reference to a sibling also being deleted
 				}
 				um.addNu(r)
@@ -101,12 +103,16 @@ func (c *ruleContext) ruleVirtualNodes() {
 	n.vnodes = n.vnodes[:m+1]
 	// Drop references to the peer's own no-longer-existing levels: the
 	// peer knows its own virtual node set exactly. After the create
-	// and delete passes the level set is contiguous 0..m.
-	for _, v := range n.vnodes {
-		for _, s := range v.sets() {
-			s.RemoveIf(func(r ref.Ref) bool {
-				return r.Owner == n.id && r.Level > m
-			})
+	// and delete passes the level set is contiguous 0..m. Only a drop
+	// leaves any: after purge no set holds a reference at or beyond the
+	// published span, which is the level span the peer began with.
+	if dropped {
+		for _, v := range n.vnodes {
+			for _, s := range v.sets() {
+				s.RemoveIf(func(r ref.Ref) bool {
+					return r.Owner == n.id && r.Level() > m
+				})
+			}
 		}
 	}
 	// The level set is final for this round: cache the derived orders
@@ -144,7 +150,7 @@ func (c *ruleContext) ruleOverlappingNeighborhood() {
 				// An immediate intra-peer handoff is rule 2's action.
 				c.w.fired[c.cur]++
 				ui.Nu.Remove(w)
-				n.vnodes[best.Level].addNu(w)
+				n.vnodes[best.Level()].addNu(w)
 			}
 		}
 	}
@@ -400,7 +406,7 @@ func (c *ruleContext) ruleConnectionEdges() {
 
 	// connect-virtual-nodes: consecutive siblings in sorted order.
 	for i := 0; i+1 < len(sibs); i++ {
-		n.vnodes[sibs[i].Level].addNc(sibs[i+1])
+		n.vnodes[sibs[i].Level()].addNc(sibs[i+1])
 	}
 
 	// forward-all-cedges
@@ -411,12 +417,30 @@ func (c *ruleContext) ruleConnectionEdges() {
 		}
 		// Forwarding sends messages but never touches N_u, the sibling
 		// set or N_c, and every branch retires the edge, so N_c is
-		// emptied once after the loop.
+		// emptied once after the loop. N_c ascends, so the hop for each
+		// edge is found by two cursors that only move forward: nu and sb
+		// count the elements of N_u(u_i) and of the sibling list below
+		// the current edge's identifier.
+		nuRefs := ui.Nu.Slice()
+		nu, sb := 0, 0
 		for _, v := range ui.Nc.Slice() {
 			// w = max{x in N_u(u_i) ∪ S(u_i) : x < v}
 			vID := v.ID()
-			w, ok := ui.Nu.MaxBelow(vID)
-			if w, ok = below(w, ok, sibs, vID); ok && w != ui.Self {
+			for nu < len(nuRefs) && nuRefs[nu].ID() < vID {
+				nu++
+			}
+			for sb < len(sibs) && sibs[sb].ID() < vID {
+				sb++
+			}
+			var w ref.Ref
+			ok := nu > 0
+			if ok {
+				w = nuRefs[nu-1]
+			}
+			if sb > 0 && (!ok || w.Less(sibs[sb-1])) {
+				w, ok = sibs[sb-1], true
+			}
+			if ok && w != ui.Self {
 				c.send(w, graph.Connection, v)
 			} else {
 				// u_i itself is the largest known node below v (or

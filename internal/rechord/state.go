@@ -73,6 +73,18 @@ func (v *VNode) addNc(r ref.Ref) {
 	}
 }
 
+// addEdge inserts r into the edge set of the kind, refusing self-loops.
+func (v *VNode) addEdge(k graph.Kind, r ref.Ref) {
+	switch k {
+	case graph.Unmarked:
+		v.addNu(r)
+	case graph.Ring:
+		v.addNr(r)
+	case graph.Connection:
+		v.addNc(r)
+	}
+}
+
 // sets returns the three edge sets, indexed by graph.Kind.
 func (v *VNode) sets() [3]*ref.Set {
 	return [...]*ref.Set{graph.Unmarked: &v.Nu, graph.Ring: &v.Nr, graph.Connection: &v.Nc}
@@ -150,6 +162,15 @@ type RealNode struct {
 	// derived state (a routing table) is still fresh. Like lastFlow it
 	// is derived scheduler state, outside global-state equality.
 	epoch int
+
+	// purged is the purge mark: Network.shrinks+1 as of the peer's last
+	// purge that found nothing stale, or 0 for none. While it matches,
+	// the peer's sets hold no stale reference and neither do its
+	// buckets, so a deliver with an empty inbox brings none in and the
+	// purge is skipped (deliverPhase). Whatever could break that clears
+	// it: a bucket installed other than by a synchronous or partitioned
+	// commit (apply), SeedEdge, and Wake, which out-of-band writes call.
+	purged uint64
 }
 
 // ID returns the peer's identifier.
@@ -179,6 +200,18 @@ func (n *RealNode) levelsInto(buf []int) []int {
 // MaxLevel returns the current m: the highest simulated level. The
 // last vnodes entry is non-nil by invariant.
 func (n *RealNode) MaxLevel() int { return len(n.vnodes) - 1 }
+
+// landing returns the virtual node a message to the level extends: the
+// level's own, or u_m, the closest surviving one, when the peer no
+// longer simulates it (rule 1's merge semantics).
+func (n *RealNode) landing(level int) *VNode {
+	if level < len(n.vnodes) {
+		if v := n.vnodes[level]; v != nil {
+			return v
+		}
+	}
+	return n.vnodes[len(n.vnodes)-1]
+}
 
 // VNode returns the virtual node at the level, or nil.
 func (n *RealNode) VNode(level int) *VNode {
@@ -303,13 +336,11 @@ func (n *RealNode) vnodesEqual(o []*VNode) bool {
 	return true
 }
 
-// compareMessages is the canonical message order: field by field, the
-// destination first. Any total order on the content serves (consumers
-// only need equal multisets to sort equal), so it skips the identifier
-// arithmetic of Ref.Compare.
+// compareMessages is the canonical message order: the destination, the
+// kind, then the node inserted. Any total order on the content serves
+// (consumers only need equal multisets to sort equal).
 func compareMessages(a, b Message) int {
-	return cmp.Or(cmp.Compare(a.To.Owner, b.To.Owner), cmp.Compare(a.To.Level, b.To.Level), cmp.Compare(a.Kind, b.Kind),
-		cmp.Compare(a.Add.Owner, b.Add.Owner), cmp.Compare(a.Add.Level, b.Add.Level))
+	return cmp.Or(a.To.Compare(b.To), cmp.Compare(a.Kind, b.Kind), a.Add.Compare(b.Add))
 }
 
 // Message is a delayed assignment (the paper's "A <= B"): an edge

@@ -55,6 +55,7 @@ func runWorkersAsync(t *testing.T, seed int64, n int, gen topogen.Generator, ste
 		for _, a := range runs {
 			a.Step()
 			rechord.AssertCleanPeersStable(t, a)
+			rechord.CheckPurgeMarks(t, a.Network(), fmt.Sprintf("seed=%d step=%d", seed, s+1))
 			if a.Quiescent() {
 				rechord.CheckDepIndex(t, a.Network(), fmt.Sprintf("seed=%d step=%d", seed, s+1))
 			}

@@ -6,61 +6,74 @@
 // its simulated virtual nodes u_i = u + 1/2^i (mod 1). An edge endpoint
 // therefore needs more than a bare identifier: two distinct virtual
 // nodes of different owners can in principle share an identifier. A Ref
-// carries the owner's identifier and the virtual level, from which the
-// node's own identifier is derived. Equality is on (owner, level);
-// ordering is by identifier with (owner, level) tie-breaking so that
-// every min/max/sort operation in the protocol rules is total and
-// deterministic.
+// is two words, the node's own identifier and its owner's, so every
+// order query reads a field instead of redoing the sibling arithmetic.
+// The virtual level is derived from the pair: the distance from owner
+// to identifier is 1/2^level, a single set bit, so Level is 64 minus
+// its trailing zeros (0 when the two coincide). Levels 0..64 are all
+// representable, and for a fixed owner distinct levels give distinct
+// identifiers, so equality of the pair is equality of (owner, level)
+// and ordering by (identifier, owner) is ordering by identifier with
+// (owner, level) tie-breaking: every min/max/sort operation in the
+// protocol rules is total and deterministic.
 package ref
 
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/ident"
 )
 
-// Ref identifies a node in the Re-Chord graph.
+// Ref identifies a node in the Re-Chord graph. Build one with Real or
+// Virtual; the zero value is the real node with identifier 0.
 type Ref struct {
+	// id is the node's position in the identifier space:
+	// ident.Sibling(Owner, level), computed once at construction.
+	id ident.ID
 	// Owner is the identifier of the real node (peer) this node
 	// belongs to. For a real node, Owner is the node's own identifier.
 	Owner ident.ID
-	// Level is the virtual-node level i in u_i = u + 1/2^i; level 0 is
-	// the real node itself.
-	Level int
 }
 
 // Real constructs a reference to the real node with identifier u.
-func Real(u ident.ID) Ref { return Ref{Owner: u} }
+func Real(u ident.ID) Ref { return Ref{id: u, Owner: u} }
 
-// Virtual constructs a reference to the level-i virtual node of u.
-func Virtual(u ident.ID, level int) Ref { return Ref{Owner: u, Level: level} }
+// Virtual constructs a reference to the level-i virtual node of u,
+// u_i = u + 1/2^i; level 0 is the real node itself. Levels outside
+// 0..64 have no virtual node and yield the real node, as ident.Sibling
+// does.
+func Virtual(u ident.ID, level int) Ref { return Ref{id: ident.Sibling(u, level), Owner: u} }
 
 // ID returns the node's position in the identifier space.
-func (r Ref) ID() ident.ID { return ident.Sibling(r.Owner, r.Level) }
+func (r Ref) ID() ident.ID { return r.id }
+
+// Level returns the virtual-node level i in u_i = u + 1/2^i: 64 minus
+// the trailing zeros of the owner-to-node distance 2^(64-i), and 0 for
+// the real node itself.
+func (r Ref) Level() int {
+	if d := uint64(r.id - r.Owner); d != 0 {
+		return 64 - bits.TrailingZeros64(d)
+	}
+	return 0
+}
 
 // IsReal reports whether the reference denotes a real node (a peer).
-func (r Ref) IsReal() bool { return r.Level == 0 }
+func (r Ref) IsReal() bool { return r.id == r.Owner }
 
 // Less imposes the total order used by all protocol rules: by
 // identifier first (the linear order on [0,1) the linearization rules
-// sort by), breaking identifier ties by owner and level so distinct
-// nodes never compare equal.
+// sort by), breaking identifier ties by owner, which fixes the level,
+// so distinct nodes never compare equal.
 func (r Ref) Less(o Ref) bool {
-	a, b := r.ID(), o.ID()
-	if a != b {
-		return a < b
-	}
-	if r.Owner != o.Owner {
-		return r.Owner < o.Owner
-	}
-	return r.Level < o.Level
+	return r.id < o.id || r.id == o.id && r.Owner < o.Owner
 }
 
 // Compare is the three-way form of Less, the comparison slices.SortFunc
 // takes.
 func (r Ref) Compare(o Ref) int {
-	return cmp.Or(cmp.Compare(r.ID(), o.ID()), cmp.Compare(r.Owner, o.Owner), cmp.Compare(r.Level, o.Level))
+	return cmp.Or(cmp.Compare(r.id, o.id), cmp.Compare(r.Owner, o.Owner))
 }
 
 // String renders the reference for logs and test failures.
@@ -68,7 +81,7 @@ func (r Ref) String() string {
 	if r.IsReal() {
 		return fmt.Sprintf("R(%s)", r.Owner)
 	}
-	return fmt.Sprintf("V(%s@%d=%s)", r.Owner, r.Level, r.ID())
+	return fmt.Sprintf("V(%s@%d=%s)", r.Owner, r.Level(), r.id)
 }
 
 // Set is an ordered set of Refs, sorted by Ref.Less. The zero value is
@@ -95,14 +108,12 @@ func (s Set) Len() int { return len(s.rs) }
 func (s Set) Empty() bool { return len(s.rs) == 0 }
 
 // search returns the index of the first element not Less than r: a
-// closure-free binary search that derives the probe's identifier once.
+// closure-free binary search.
 func (s Set) search(r Ref) int {
-	id := r.ID()
 	lo, hi := 0, len(s.rs)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		x := s.rs[m]
-		if xid := x.ID(); xid < id || xid == id && (x.Owner < r.Owner || x.Owner == r.Owner && x.Level < r.Level) {
+		if x := s.rs[m]; x.id < r.id || x.id == r.id && x.Owner < r.Owner {
 			lo = m + 1
 		} else {
 			hi = m
@@ -225,7 +236,7 @@ func firstID(rs []Ref, id ident.ID, above bool) int {
 	lo, hi := 0, len(rs)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if x := rs[m].ID(); x < id || above && x == id {
+		if x := rs[m].id; x < id || above && x == id {
 			lo = m + 1
 		} else {
 			hi = m
@@ -255,13 +266,7 @@ func (s Set) String() string {
 	return fmt.Sprintf("%v", s.rs)
 }
 
-// MaxWireLevel bounds Ref.Level in compact wire encodings: protocol
-// refs never exceed ident.MaxLevel, and the one-byte headroom keeps
-// the bound cheap for a strict decoder to enforce before it trusts a
-// level to size anything.
-const MaxWireLevel = 255
-
-// WireValid reports whether the reference may appear on the wire: a
-// non-negative level within MaxWireLevel. Encoders check it before
-// emitting, decoders after reading.
-func (r Ref) WireValid() bool { return r.Level >= 0 && r.Level <= MaxWireLevel }
+// MaxWireLevel bounds the level of a reference in compact wire
+// encodings: 64, the largest level a Ref represents, so a strict decoder
+// rejects any larger one before it trusts a level to size anything.
+const MaxWireLevel = 64

@@ -1,11 +1,13 @@
 package ref
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/ident"
 )
@@ -24,6 +26,89 @@ func TestRefID(t *testing.T) {
 	}
 	if !Real(u).IsReal() {
 		t.Error("real node reports !IsReal")
+	}
+}
+
+// randomOwners returns the owners the layout tests range over: the
+// extremes of the identifier space and random ones.
+func randomOwners(rng *rand.Rand, n int) []ident.ID {
+	owners := []ident.ID{0, 1, ^ident.ID(0), ident.ID(1) << 63}
+	for range n {
+		owners = append(owners, ident.ID(rng.Uint64()))
+	}
+	return owners
+}
+
+// TestVirtualLayout: every level 0..64 of every owner round-trips
+// through the stored identifier — Level recovers it, ID is the sibling
+// arithmetic, IsReal holds exactly at level 0.
+func TestVirtualLayout(t *testing.T) {
+	for _, u := range randomOwners(rand.New(rand.NewSource(5)), 200) {
+		for l := 0; l <= MaxWireLevel; l++ {
+			r := Virtual(u, l)
+			if r.Level() != l || r.ID() != ident.Sibling(u, l) || r.Owner != u || r.IsReal() != (l == 0) {
+				t.Fatalf("Virtual(%v, %d) = %v: level %d, id %v, owner %v, real %v; want level %d, id %v",
+					u, l, r, r.Level(), r.ID(), r.Owner, r.IsReal(), l, ident.Sibling(u, l))
+			}
+		}
+		if Real(u) != Virtual(u, 0) {
+			t.Fatalf("Real(%v) != Virtual(%v, 0)", u, u)
+		}
+	}
+	if got := unsafe.Sizeof(Ref{}); got != 16 {
+		t.Errorf("Ref is %d bytes, want 16", got)
+	}
+}
+
+// ownerLevelCompare is the order Ref had when it stored (owner, level)
+// and derived the identifier: by identifier, then owner, then level.
+func ownerLevelCompare(ao ident.ID, al int, bo ident.ID, bl int) int {
+	return cmp.Or(cmp.Compare(ident.Sibling(ao, al), ident.Sibling(bo, bl)), cmp.Compare(ao, bo), cmp.Compare(al, bl))
+}
+
+// TestOrderMatchesOwnerLevelOracle: Less, Compare and a Set's order
+// agree with the (identifier, owner, level) comparator over references
+// of which many share identifiers or owners.
+func TestOrderMatchesOwnerLevelOracle(t *testing.T) {
+	type ol struct {
+		owner ident.ID
+		level int
+	}
+	rng := rand.New(rand.NewSource(6))
+	for range 200 {
+		var pool []ol
+		for _, b := range randomOwners(rng, 3) {
+			for _, l := range []int{0, 1, 2, 3, 63, 64, rng.Intn(65)} {
+				pool = append(pool, ol{b, l})
+				// the real node sitting on b's level-l sibling
+				pool = append(pool, ol{ident.Sibling(b, l), 0})
+			}
+		}
+		var s Set
+		for _, a := range pool {
+			ra := Virtual(a.owner, a.level)
+			for _, b := range pool {
+				rb := Virtual(b.owner, b.level)
+				want := ownerLevelCompare(a.owner, a.level, b.owner, b.level)
+				if got := ra.Compare(rb); got != want {
+					t.Fatalf("%v.Compare(%v) = %d, want %d", ra, rb, got, want)
+				}
+				if got := ra.Less(rb); got != (want < 0) {
+					t.Fatalf("%v.Less(%v) = %v, want %v", ra, rb, got, want < 0)
+				}
+			}
+			s.Add(ra)
+		}
+		slices.SortFunc(pool, func(a, b ol) int { return ownerLevelCompare(a.owner, a.level, b.owner, b.level) })
+		pool = slices.Compact(pool)
+		if s.Len() != len(pool) {
+			t.Fatalf("set holds %d refs, want %d", s.Len(), len(pool))
+		}
+		for i, r := range s.Slice() {
+			if r != Virtual(pool[i].owner, pool[i].level) {
+				t.Fatalf("set element %d = %v, want %v@%d", i, r, pool[i].owner, pool[i].level)
+			}
+		}
 	}
 }
 
@@ -52,8 +137,8 @@ func TestLessTotalOrder(t *testing.T) {
 
 func TestLessIsStrictWeakOrder(t *testing.T) {
 	f := func(o1, o2 uint64, l1, l2 uint8) bool {
-		a := Ref{Owner: ident.ID(o1), Level: int(l1 % 63)}
-		b := Ref{Owner: ident.ID(o2), Level: int(l2 % 63)}
+		a := Virtual(ident.ID(o1), int(l1%63))
+		b := Virtual(ident.ID(o2), int(l2%63))
 		if a == b {
 			return !a.Less(b) && !b.Less(a)
 		}
@@ -96,7 +181,7 @@ func TestSetOrdering(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var s Set
 	for i := 0; i < 200; i++ {
-		s.Add(Ref{Owner: ident.ID(rng.Uint64()), Level: rng.Intn(5)})
+		s.Add(Virtual(ident.ID(rng.Uint64()), rng.Intn(5)))
 	}
 	rs := s.Slice()
 	if !sort.SliceIsSorted(rs, func(i, j int) bool { return rs[i].Less(rs[j]) }) {
@@ -270,7 +355,7 @@ func TestSetInvariantsQuick(t *testing.T) {
 		var s Set
 		refm := map[Ref]bool{}
 		for _, op := range ops {
-			r := Ref{Owner: ident.ID(op >> 2), Level: int(op % 4)}
+			r := Virtual(ident.ID(op>>2), int(op%4))
 			if op%2 == 0 {
 				s.Add(r)
 				refm[r] = true
@@ -303,7 +388,7 @@ func BenchmarkSetAdd(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	refs := make([]Ref, 64)
 	for i := range refs {
-		refs[i] = Ref{Owner: ident.ID(rng.Uint64()), Level: rng.Intn(6)}
+		refs[i] = Virtual(ident.ID(rng.Uint64()), rng.Intn(6))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -319,7 +404,7 @@ func BenchmarkSetContains(b *testing.B) {
 	var s Set
 	refs := make([]Ref, 64)
 	for i := range refs {
-		refs[i] = Ref{Owner: ident.ID(rng.Uint64()), Level: rng.Intn(6)}
+		refs[i] = Virtual(ident.ID(rng.Uint64()), rng.Intn(6))
 		s.Add(refs[i])
 	}
 	b.ResetTimer()

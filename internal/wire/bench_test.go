@@ -17,9 +17,9 @@ import (
 
 func benchMessage() rechord.Message {
 	return rechord.Message{
-		To:   ref.Ref{Owner: ident.ID(0x1111_2222_3333_4444), Level: 2},
+		To:   ref.Virtual(ident.ID(0x1111_2222_3333_4444), 2),
 		Kind: graph.Ring,
-		Add:  ref.Ref{Owner: ident.ID(0x5555_6666_7777_8888), Level: 5},
+		Add:  ref.Virtual(ident.ID(0x5555_6666_7777_8888), 5),
 	}
 }
 

@@ -110,15 +110,11 @@ func (s *SymReader) ReadID(b []byte) (ident.ID, []byte, error) {
 }
 
 // AppendRef appends a reference: the owner through the symbol table,
-// then the level as a uvarint. The reference must be WireValid (the
-// engine never produces one that isn't; a violation is a programming
-// error, not an input condition).
+// then the level as a uvarint (at most ref.MaxWireLevel, the largest a
+// reference has).
 func AppendRef(dst []byte, s *SymWriter, r ref.Ref) []byte {
-	if !r.WireValid() {
-		panic(fmt.Sprintf("wire: encoding invalid ref %+v", r))
-	}
 	dst = s.AppendID(dst, r.Owner)
-	return binary.AppendUvarint(dst, uint64(r.Level))
+	return binary.AppendUvarint(dst, uint64(r.Level()))
 }
 
 // ReadRef decodes one reference from the front of b.
@@ -131,7 +127,7 @@ func ReadRef(b []byte, s *SymReader) (ref.Ref, []byte, error) {
 	if n <= 0 || lvl > ref.MaxWireLevel {
 		return ref.Ref{}, nil, malformed("bad ref level")
 	}
-	return ref.Ref{Owner: owner, Level: int(lvl)}, b[n:], nil
+	return ref.Virtual(owner, int(lvl)), b[n:], nil
 }
 
 // maxKind is the highest valid edge marking (unmarked, ring,

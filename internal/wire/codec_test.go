@@ -17,9 +17,9 @@ import (
 
 func msg(toOwner uint64, toLvl int, kind graph.Kind, addOwner uint64, addLvl int) rechord.Message {
 	return rechord.Message{
-		To:   ref.Ref{Owner: ident.ID(toOwner), Level: toLvl},
+		To:   ref.Virtual(ident.ID(toOwner), toLvl),
 		Kind: kind,
-		Add:  ref.Ref{Owner: ident.ID(addOwner), Level: addLvl},
+		Add:  ref.Virtual(ident.ID(addOwner), addLvl),
 	}
 }
 
@@ -44,10 +44,10 @@ func richRound() *RoundFrame {
 			Publishes: []rechord.PeerPublish{
 				{Owner: 0x1111, Views: []rechord.PublishedView{
 					{}, // neither side set
-					{RL: ref.Ref{Owner: 0x2222, Level: 1}, HasRL: true},
-					{RR: ref.Ref{Owner: 0x3333, Level: 2}, HasRR: true},
-					{RL: ref.Ref{Owner: 0x4444, Level: 3}, HasRL: true,
-						RR: ref.Ref{Owner: 0x1111, Level: 3}, HasRR: true},
+					{RL: ref.Virtual(0x2222, 1), HasRL: true},
+					{RR: ref.Virtual(0x3333, 2), HasRR: true},
+					{RL: ref.Virtual(0x4444, 3), HasRL: true,
+						RR: ref.Virtual(0x1111, 3), HasRR: true},
 				}},
 				{Owner: 0x4444, Views: []rechord.PublishedView{{}}},
 			},
@@ -66,7 +66,7 @@ func leanRound() *RoundFrame {
 				{From: 0x3333, To: 0x2222, Msgs: []rechord.Message{msg(0x2222, 0, graph.Ring, 0x1111, 1)}},
 			},
 			Publishes: []rechord.PeerPublish{
-				{Owner: 0x2222, Views: []rechord.PublishedView{{RL: ref.Ref{Owner: 0x1111}, HasRL: true}}},
+				{Owner: 0x2222, Views: []rechord.PublishedView{{RL: ref.Real(0x1111), HasRL: true}}},
 			},
 		},
 	}
@@ -251,4 +251,35 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustReject("publish without views", buf.Bytes())
+
+	// A reference level past ref.MaxWireLevel, the largest a reference
+	// has: frames whose only difference is one message's Add level (63
+	// against the largest valid one) locate its byte, which then carries
+	// the first invalid level.
+	levelFrame := func(lvl int) []byte {
+		var b bytes.Buffer
+		f := &RoundFrame{Round: 1, Effects: rechord.Effects{
+			OneShots: []rechord.OneShot{{To: 0x2222, Msgs: []rechord.Message{msg(0x2222, 1, graph.Unmarked, 0x3333, lvl)}}},
+		}}
+		if err := NewEncoder(&b, nil).Encode(f); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	top, below := levelFrame(ref.MaxWireLevel), levelFrame(ref.MaxWireLevel-1)
+	at := -1
+	for i := range top {
+		if top[i] != below[i] {
+			at = i
+		}
+	}
+	if len(top) != len(below) || at < 0 || top[at] != ref.MaxWireLevel {
+		t.Fatalf("level byte not found: %x vs %x", top, below)
+	}
+	if got, err := NewDecoder(bytes.NewReader(top), nil).Decode(); err != nil ||
+		got.(*RoundFrame).Effects.OneShots[0].Msgs[0].Add != ref.Virtual(0x3333, ref.MaxWireLevel) {
+		t.Fatalf("level %d: decoded %v, %v", ref.MaxWireLevel, got, err)
+	}
+	top[at] = ref.MaxWireLevel + 1
+	mustReject("reference level beyond MaxWireLevel", top)
 }

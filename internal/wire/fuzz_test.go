@@ -30,7 +30,7 @@ func buildArbitraryRound(data []byte) *RoundFrame {
 		return ident.ID(uint64(next())<<8 | uint64(next()))
 	}
 	rf := func() ref.Ref {
-		return ref.Ref{Owner: id(), Level: int(next()) % (ref.MaxWireLevel + 1)}
+		return ref.Virtual(id(), int(next())%(ref.MaxWireLevel+1))
 	}
 	msgs := func() []rechord.Message {
 		n := int(next()) % 4
