@@ -49,11 +49,13 @@ BENCH_GATE_rounds = -fail-allocs 'BenchmarkStepSteadyState|BenchmarkWakeDependen
 # async: the asynchronous scheduler's steady-state step (must stay flat
 # in n; it needs iterations for a stable ns/op) and the churn-recovery
 # and convergence sweeps (their cost is in setup, so a fixed small
-# count).
+# count). Their allocs/op warn beyond 10 %, as the other groups' do:
+# n=32 alone reads 8,464-8,976 from run to run. The step stays pinned
+# at its 0 baseline, which no tolerance loosens.
 BENCH_RECORD_async = { \
 	$(GO) test -cpu $(BENCH_CPU) -run '^$$' -bench 'BenchmarkAsyncStep' -benchmem -benchtime=100000x . ; \
 	$(GO) test -cpu $(BENCH_CPU) -run '^$$' -bench 'BenchmarkAsyncConvergence|BenchmarkAsyncChurnRecovery' -benchmem -benchtime=3x . ; }
-BENCH_GATE_async = -fail-allocs 'BenchmarkAsyncStep'
+BENCH_GATE_async = -allocs-tol 0.10 -fail-allocs 'BenchmarkAsyncStep'
 
 # wire: the warm symbol-table message encode/decode hot path, pinned at
 # its 0 allocs/op (a zero baseline admits no increase under any

@@ -71,9 +71,6 @@ func New() *Graph {
 // AddNode inserts a node.
 func (g *Graph) AddNode(r ref.Ref) { g.nodes[r] = true }
 
-// HasNode reports whether r is a node of the graph.
-func (g *Graph) HasNode(r ref.Ref) bool { return g.nodes[r] }
-
 // AddEdge inserts a directed edge of the given kind, adding both
 // endpoints as nodes.
 func (g *Graph) AddEdge(from, to ref.Ref, k Kind) {
@@ -89,17 +86,6 @@ func (g *Graph) HasEdge(from, to ref.Ref, k Kind) bool {
 
 // NumNodes returns the number of nodes.
 func (g *Graph) NumNodes() int { return len(g.nodes) }
-
-// NumRealNodes returns the number of real (level-0) nodes.
-func (g *Graph) NumRealNodes() int {
-	n := 0
-	for r := range g.nodes {
-		if r.IsReal() {
-			n++
-		}
-	}
-	return n
-}
 
 // NumEdges returns the number of edges of the given kind.
 func (g *Graph) NumEdges(k Kind) int { return len(g.edges[k]) }
@@ -248,7 +234,7 @@ func (g *Graph) NumComponents() int {
 // 3.1.1). All real nodes participate even when isolated; virtual nodes
 // are identified with their owners.
 func (g *Graph) RealWeaklyConnected() bool {
-	comp := g.components(func(r ref.Ref) ref.Ref { return ref.Real(r.Owner) })
+	comp := g.components(func(r ref.Ref) ref.Ref { return ref.Real(r.Owner()) })
 	max := -1
 	for _, id := range comp {
 		if id > max {
@@ -272,53 +258,6 @@ func (g *Graph) UnmarkedWeaklyConnected() bool {
 	return sub.WeaklyConnected()
 }
 
-// OutDegree returns the number of outgoing edges of r summed over all
-// kinds.
-func (g *Graph) OutDegree(r ref.Ref) int {
-	d := 0
-	for _, k := range Kinds() {
-		for e := range g.edges[k] {
-			if e.From == r {
-				d++
-			}
-		}
-	}
-	return d
-}
-
-// DegreeStats summarizes the out-degree distribution.
-type DegreeStats struct {
-	Min, Max int
-	Mean     float64
-}
-
-// OutDegreeStats computes out-degree statistics over all nodes.
-func (g *Graph) OutDegreeStats() DegreeStats {
-	if len(g.nodes) == 0 {
-		return DegreeStats{}
-	}
-	deg := make(map[ref.Ref]int, len(g.nodes))
-	for _, k := range Kinds() {
-		for e := range g.edges[k] {
-			deg[e.From]++
-		}
-	}
-	st := DegreeStats{Min: int(^uint(0) >> 1)}
-	sum := 0
-	for r := range g.nodes {
-		d := deg[r]
-		if d < st.Min {
-			st.Min = d
-		}
-		if d > st.Max {
-			st.Max = d
-		}
-		sum += d
-	}
-	st.Mean = float64(sum) / float64(len(g.nodes))
-	return st
-}
-
 // Equal reports whether both graphs have identical node and edge sets.
 func (g *Graph) Equal(o *Graph) bool {
 	if len(g.nodes) != len(o.nodes) {
@@ -333,24 +272,6 @@ func (g *Graph) Equal(o *Graph) bool {
 		if len(g.edges[k]) != len(o.edges[k]) {
 			return false
 		}
-		for e := range g.edges[k] {
-			if !o.edges[k][e] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Subgraph reports whether every edge of g is present in o (same kind,
-// same direction) and every node of g is a node of o.
-func (g *Graph) Subgraph(o *Graph) bool {
-	for r := range g.nodes {
-		if !o.nodes[r] {
-			return false
-		}
-	}
-	for _, k := range Kinds() {
 		for e := range g.edges[k] {
 			if !o.edges[k][e] {
 				return false

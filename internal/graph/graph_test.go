@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,8 +16,8 @@ func v(x float64, lvl int) ref.Ref { return ref.Virtual(ident.FromFloat(x), lvl)
 func TestAddEdgeAddsNodes(t *testing.T) {
 	g := New()
 	g.AddEdge(r(0.1), r(0.2), Unmarked)
-	if !g.HasNode(r(0.1)) || !g.HasNode(r(0.2)) {
-		t.Error("AddEdge did not add endpoints")
+	if nodes := g.Nodes(); len(nodes) != 2 || !slices.Contains(nodes, r(0.1)) || !slices.Contains(nodes, r(0.2)) {
+		t.Errorf("AddEdge added nodes %v, want its two endpoints", nodes)
 	}
 	if !g.HasEdge(r(0.1), r(0.2), Unmarked) {
 		t.Error("edge missing")
@@ -51,8 +52,8 @@ func TestCounts(t *testing.T) {
 	if g.NumNodes() != 3 {
 		t.Errorf("NumNodes = %d, want 3", g.NumNodes())
 	}
-	if g.NumRealNodes() != 1 {
-		t.Errorf("NumRealNodes = %d, want 1", g.NumRealNodes())
+	if real := slices.DeleteFunc(g.Nodes(), func(x ref.Ref) bool { return !x.IsReal() }); len(real) != 1 {
+		t.Errorf("real nodes %v, want one", real)
 	}
 }
 
@@ -105,24 +106,6 @@ func TestUnmarkedWeaklyConnected(t *testing.T) {
 	}
 }
 
-func TestOutDegree(t *testing.T) {
-	g := New()
-	g.AddEdge(r(0.1), r(0.2), Unmarked)
-	g.AddEdge(r(0.1), r(0.3), Unmarked)
-	g.AddEdge(r(0.1), r(0.2), Ring)
-	g.AddEdge(r(0.2), r(0.1), Unmarked)
-	if d := g.OutDegree(r(0.1)); d != 3 {
-		t.Errorf("OutDegree = %d, want 3", d)
-	}
-	st := g.OutDegreeStats()
-	if st.Max != 3 || st.Min != 0 {
-		t.Errorf("OutDegreeStats = %+v, want Max 3 Min 0", st)
-	}
-	if st.Mean <= 0 {
-		t.Errorf("Mean = %v, want positive", st.Mean)
-	}
-}
-
 func TestEqualAndSubgraph(t *testing.T) {
 	a, b := New(), New()
 	a.AddEdge(r(0.1), r(0.2), Unmarked)
@@ -133,21 +116,6 @@ func TestEqualAndSubgraph(t *testing.T) {
 	b.AddEdge(r(0.2), r(0.3), Ring)
 	if a.Equal(b) {
 		t.Error("different graphs compare Equal")
-	}
-	if !a.Subgraph(b) {
-		t.Error("a must be subgraph of b")
-	}
-	if b.Subgraph(a) {
-		t.Error("b must not be subgraph of a")
-	}
-}
-
-func TestSubgraphKindSensitive(t *testing.T) {
-	a, b := New(), New()
-	a.AddEdge(r(0.1), r(0.2), Ring)
-	b.AddEdge(r(0.1), r(0.2), Unmarked)
-	if a.Subgraph(b) {
-		t.Error("ring edge must not match unmarked edge in Subgraph")
 	}
 }
 

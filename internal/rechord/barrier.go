@@ -51,7 +51,9 @@ import (
 //     staged writes other peers' passes could have observed — every
 //     active peer's level span and view entries, and the unread flags of
 //     the async buckets its deliver consumed — then apply takes each
-//     active peer's bucket ops, then its dep deltas. It is the only code
+//     active peer's bucket ops (those to a recipient that runs elsewhere
+//     are only mirrored, never applied), then its dep deltas. Its
+//     installs keep the recipients' purge marks. It is the only code
 //     that writes RealNode.in, bucketMsgs and bucket dep references, or
 //     wakes a recipient because its standing input changed;
 //     rewriteBucket calls it too. The staged publishes count the level
@@ -63,11 +65,13 @@ import (
 //     tallies are summed and their arenas reset.
 //
 // A scheduler differs from the synchronous engine only in its
-// flowRouter: what it plans (read-only, in the parallel pass) and what
-// it emits (in the epilogue, in active order, ops in plan order). The
-// asynchronous runner draws its delays and the partition appends its
-// effects from emit, so RNG consumption and effect order cannot depend
-// on the worker count.
+// flowRouter — what it plans (read-only, in the parallel pass) and what
+// it emits (in the epilogue, in active order, ops in plan order) — and
+// in the network's host predicate (runsHere), which markDirtyIdx, planOp
+// and apply read; nothing else asks which scheduler runs. The async
+// runner draws its delays and the partition appends its effects from
+// emit, so RNG consumption and effect order cannot depend on the worker
+// count.
 //
 // Why Workers=1 and Workers=N stay snapshot-for-snapshot identical: the
 // commit and the epilogue run serially in active order whatever the
@@ -489,10 +493,10 @@ func appendSetDiff(deps []depDelta, old, cur []ref.Ref, slot uint32) []depDelta 
 	for i < len(old) || j < len(cur) {
 		switch {
 		case j == len(cur) || (i < len(old) && old[i].Less(cur[j])):
-			deps = append(deps, depDelta{id: old[i].Owner, slot: slot, k: -1})
+			deps = append(deps, depDelta{id: old[i].Owner(), slot: slot, k: -1})
 			i++
 		case i == len(old) || cur[j].Less(old[i]):
-			deps = append(deps, depDelta{id: cur[j].Owner, slot: slot, k: 1})
+			deps = append(deps, depDelta{id: cur[j].Owner(), slot: slot, k: 1})
 			j++
 		default:
 			i++
@@ -539,9 +543,11 @@ func (nw *Network) planRewrite(n *RealNode, p *prepOut, w *worker) {
 // whether a change wakes the recipient, whether c travels as one-shots
 // instead — and planOp fills in the rest against the bucket that stands:
 // nothing when the bucket already points at c, or when nothing stands and
-// there is nothing to send. It is the only place that decision is made;
-// buckets are only read here (concurrent prepares may read the same
-// recipient's table).
+// there is nothing to send. To a recipient that runs elsewhere the op is
+// planned as asked, with no delta and no dep deltas, only for the emit
+// step to mirror: apply skips it. It is the only place that decision is
+// made; buckets are only read here (concurrent prepares may read the
+// same recipient's table).
 func (nw *Network) planOp(sender handle, dstID ident.ID, op bucketOp, w *worker) {
 	slot, ok := nw.pt.lookup(dstID)
 	if !ok {
@@ -549,6 +555,10 @@ func (nw *Network) planOp(sender handle, dstID ident.ID, op bucketOp, w *worker)
 	}
 	op.dstSlot = slot
 	dst := nw.pt.nodes[slot]
+	if !nw.runsHere(dst.id) {
+		w.ops = append(w.ops, op)
+		return
+	}
 	install := op.c != nil && !op.oneShot
 	var old *contrib
 	if bi := dst.findBucket(sender); bi >= 0 {
@@ -611,14 +621,20 @@ func sortedAdds(buf []ident.ID, c *contrib) []ident.ID {
 // apply commits one sender's planned bucket ops, then its dep deltas:
 // the barrier calls it for every active peer in active order, and
 // rewriteBucket for one op. Nothing else writes RealNode.in or
-// bucketMsgs. The caller counts the ops and deltas (countCommit).
-// keepMarks says the installs are a synchronous or partitioned commit's:
-// its senders' output, built from sets purged this batch. Any other
-// install clears the recipient's purge mark.
-func (nw *Network) apply(sender handle, ops []bucketOp, deps []depDelta, keepMarks bool) {
+// bucketMsgs. It skips the ops to recipients that run elsewhere and
+// returns the count it applied; the caller counts them and the deltas
+// (countCommit). The installs keep the recipients' purge marks: a
+// batch's are its senders' output, built from sets purged (or vouched
+// for by the sender's mark) against the view the batch began with, and
+// a shorter span the same commit publishes bumps the shrink count.
+func (nw *Network) apply(sender handle, ops []bucketOp, deps []depDelta) (applied int) {
 	for k := range ops {
 		op := &ops[k]
 		dst := nw.pt.nodes[op.dstSlot]
+		if !nw.runsHere(dst.id) {
+			continue
+		}
+		applied++
 		nw.bucketMsgs += int(op.delta)
 		wake := op.wake
 		if op.c == nil || op.oneShot {
@@ -634,9 +650,6 @@ func (nw *Network) apply(sender handle, ops []bucketOp, deps []depDelta, keepMar
 			}
 		} else {
 			installBucket(dst, bucket{sender: sender, c: op.c, private: op.private}, &nw.flow)
-			if !keepMarks {
-				dst.purged = 0
-			}
 		}
 		if wake {
 			nw.markDirtyIdx(op.dstSlot)
@@ -649,6 +662,7 @@ func (nw *Network) apply(sender handle, ops []bucketOp, deps []depDelta, keepMar
 			nw.deps.remove(d.id, d.slot, uint32(-d.k))
 		}
 	}
+	return applied
 }
 
 // countCommit flushes the op and delta counts of one commit: one atomic
@@ -664,13 +678,16 @@ func (nw *Network) countCommit(ops, deps int) {
 
 // rewriteBucket is the pipeline run for one bucket, for the mutation
 // points outside a batch (churn, the partition's Apply): plan the op on
-// the caller's own worker, then apply it.
+// the caller's own worker, then apply it. An install here is no batch
+// output, so it clears the recipient's purge mark.
 func (nw *Network) rewriteBucket(sender handle, dstID ident.ID, op bucketOp) {
 	w := nw.serial()
 	o0, d0 := len(w.ops), len(w.deps)
 	nw.planOp(sender, dstID, op, w)
-	nw.apply(sender, w.ops[o0:], w.deps[d0:], false)
-	nw.countCommit(len(w.ops)-o0, len(w.deps)-d0)
+	if len(w.ops) > o0 && op.c != nil && !op.oneShot {
+		nw.pt.nodes[w.ops[o0].dstSlot].purged = 0
+	}
+	nw.countCommit(nw.apply(sender, w.ops[o0:], w.deps[d0:]), len(w.deps)-d0)
 	clear(w.ops[o0:]) // so the arena pins no replaced contribution
 	w.ops, w.deps = w.ops[:o0], w.deps[:d0]
 }

@@ -35,8 +35,8 @@ func (nw *Network) Leave(id ident.ID) error {
 	if n == nil {
 		return fmt.Errorf("rechord: leave: peer %s not in network", id)
 	}
-	nw.goodbyes(n, func(m Message) { nw.routeMessage(m.To.Owner, m) })
-	nw.removePeer(id, nil)
+	nw.goodbyes(n, func(m Message) { nw.routeMessage(m.To.Owner(), m) })
+	nw.removePeer(id)
 	return nil
 }
 
@@ -60,7 +60,7 @@ func (nw *Network) goodbyes(n *RealNode, send func(Message)) {
 		if v.HasRR {
 			know.Add(v.RR)
 		}
-		know.RemoveIf(func(r ref.Ref) bool { return r.Owner == n.id })
+		know.RemoveIf(func(r ref.Ref) bool { return r.Owner() == n.id })
 		peers := know.Slice()
 		for _, a := range peers {
 			for _, b := range peers {
@@ -72,7 +72,7 @@ func (nw *Network) goodbyes(n *RealNode, send func(Message)) {
 		// Ring and connection edges it held are handed to a neighbor
 		// rather than silently dropped.
 		for _, w := range v.Nr.Slice() {
-			if w.Owner == n.id {
+			if w.Owner() == n.id {
 				continue
 			}
 			for _, a := range peers {
@@ -91,7 +91,7 @@ func (nw *Network) Fail(id ident.ID) error {
 	if _, ok := nw.pt.lookup(id); !ok {
 		return fmt.Errorf("rechord: fail: peer %s not in network", id)
 	}
-	nw.removePeer(id, nil)
+	nw.removePeer(id)
 	return nil
 }
 
@@ -104,12 +104,11 @@ func (nw *Network) Fail(id ident.ID) error {
 // every peer that references the departed identifier is woken so its
 // next purge drops the stale references.
 //
-// The final delivery scans every peer for the departed handle's bucket
-// and delivers it where hosted says the recipient runs here (nil: every
-// peer does); elsewhere the bucket, a partition's shadow, is dropped —
-// the recipient's own host delivers its copy. A partition removes a
-// peer this way at every process, whether it hosted the peer or not.
-func (nw *Network) removePeer(id ident.ID, hosted func(ident.ID) bool) {
+// The final delivery scans every peer for the departed handle's bucket.
+// Buckets stand only at peers that run here, so a partition removes a
+// peer this way at every process, whether it hosted the peer or not,
+// and each recipient's host delivers its copy.
+func (nw *Network) removePeer(id ident.ID) {
 	n := nw.pt.node(id)
 	h := n.h() // the incarnation's handle, before the generation bump
 	for len(n.in) > 0 {
@@ -127,15 +126,10 @@ func (nw *Network) removePeer(id ident.ID, hosted func(ident.ID) bool) {
 		if dst == nil {
 			continue
 		}
-		bi := dst.findBucket(h)
-		if bi < 0 {
-			continue
-		}
-		deliver := hosted == nil || hosted(dst.id)
-		if deliver {
+		if bi := dst.findBucket(h); bi >= 0 {
 			dst.inbox = dst.in[bi].c.appendMsgs(dst.inbox)
+			nw.rewriteBucket(h, dst.id, bucketOp{wake: true})
 		}
-		nw.rewriteBucket(h, dst.id, bucketOp{wake: deliver})
 	}
 	nw.flow.adoptFlow(n, nil, nil) // its contributions die with it
 	nw.flushFlowGauges()

@@ -139,7 +139,7 @@ func (nw *Network) dropStateDeps(n *RealNode) {
 		}
 		for _, s := range v.sets() {
 			for _, r := range s.Slice() {
-				nw.deps.remove(r.Owner, n.idx, 1)
+				nw.deps.remove(r.Owner(), n.idx, 1)
 			}
 		}
 	}
@@ -165,7 +165,7 @@ func (n *RealNode) holdsRef(r ref.Ref) bool {
 	}
 	for _, b := range n.in {
 		for _, rec := range b.c.recs() {
-			if rec.add() == r.Owner && int(rec.meta&pmLevelMask) == r.Level() {
+			if rec.add() == r.Owner() && int(rec.meta&pmLevelMask) == r.Level() {
 				return true
 			}
 		}
@@ -190,7 +190,7 @@ func (nw *Network) wakeDependents(owners []ident.ID, refs []ref.Ref) {
 		}
 	}
 	for _, r := range refs {
-		for _, e := range nw.deps.dependents(r.Owner) {
+		for _, e := range nw.deps.dependents(r.Owner()) {
 			n := nw.pt.nodes[e.peer]
 			if n == nil || n.dirty {
 				continue

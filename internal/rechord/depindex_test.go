@@ -87,30 +87,30 @@ func (n *RealNode) holdsDependent(owners map[ident.ID]bool, refs map[ref.Ref]boo
 			continue
 		}
 		for _, r := range v.Nu.Slice() {
-			if owners[r.Owner] || refs[r] {
+			if owners[r.Owner()] || refs[r] {
 				return true
 			}
 		}
 		for _, r := range v.Nr.Slice() {
-			if owners[r.Owner] || refs[r] {
+			if owners[r.Owner()] || refs[r] {
 				return true
 			}
 		}
 		for _, r := range v.Nc.Slice() {
-			if owners[r.Owner] || refs[r] {
+			if owners[r.Owner()] || refs[r] {
 				return true
 			}
 		}
 	}
 	for _, m := range n.inbox {
-		if owners[m.Add.Owner] || refs[m.Add] {
+		if owners[m.Add.Owner()] || refs[m.Add] {
 			return true
 		}
 	}
 	for _, b := range n.in {
 		for _, r := range b.c.recs() {
 			add := r.addRef()
-			if owners[add.Owner] || refs[add] {
+			if owners[add.Owner()] || refs[add] {
 				return true
 			}
 		}

@@ -90,16 +90,11 @@ func cleanPeersStable(nw *Network, stable func(ident.ID, *worker) bool) error {
 // revoked bucket whose one-shot is still in flight is legitimate.
 func AssertCleanPeersStable(t testing.TB, s Scheduler) {
 	t.Helper()
-	nw := s.Network()
-	stable := nw.locallyStable
-	switch s := s.(type) {
-	case *Partition:
-		stable = func(id ident.ID, w *worker) bool { return !s.hosted(id) || nw.locallyStable(id, w) }
-	case *AsyncRunner:
-		if !s.Quiescent() {
-			return
-		}
+	if a, ok := s.(*AsyncRunner); ok && !a.Quiescent() {
+		return
 	}
+	nw := s.Network()
+	stable := func(id ident.ID, w *worker) bool { return !nw.runsHere(id) || nw.locallyStable(id, w) }
 	if err := cleanPeersStable(nw, stable); err != nil {
 		t.Fatalf("time %d: %v", s.Time(), err)
 	}
@@ -133,15 +128,13 @@ func CheckFreeze(t testing.TB, nw *Network) int {
 // peer; every peer otherwise) points at that sender's own lastFlow
 // contribution for the recipient, the very block, and only a bucket from
 // a sender that runs elsewhere may hold a private one. Buckets from
-// departed incarnations fail it too. And no block the workers' pools
-// hold for reuse is live: none is a bucket's, a lastFlow's or a pending
-// async delivery's, and none is pinned.
+// departed incarnations fail it too. A peer that runs elsewhere (a
+// partition's stub) holds no bucket and is never dirty. And no block the
+// workers' pools hold for reuse is live: none is a bucket's, a
+// lastFlow's or a pending async delivery's, and none is pinned.
 func CheckStandingFlow(t testing.TB, s Scheduler, when string) {
 	t.Helper()
-	nw, local := s.Network(), func(ident.ID) bool { return true }
-	if p, ok := s.(*Partition); ok {
-		local = p.hosted
-	}
+	nw := s.Network()
 	pooled := map[*contrib]bool{}
 	for _, w := range nw.workers {
 		for n, cs := range w.free {
@@ -164,6 +157,9 @@ func CheckStandingFlow(t testing.TB, s Scheduler, when string) {
 		if n == nil {
 			continue
 		}
+		if !nw.runsHere(n.id) && (len(n.in) > 0 || n.dirty) {
+			t.Fatalf("%s: %s runs elsewhere but holds %d buckets (dirty %v)", when, n.id, len(n.in), n.dirty)
+		}
 		for _, c := range n.lastFlow {
 			if pooled[c] {
 				t.Fatalf("%s: %s's lastFlow contribution to %s is pooled for reuse", when, n.id, c.owner())
@@ -177,7 +173,7 @@ func CheckStandingFlow(t testing.TB, s Scheduler, when string) {
 			switch {
 			case from == nil || from.h() != b.sender:
 				t.Fatalf("%s: %s holds a bucket from a departed sender incarnation", when, n.id)
-			case b.private && local(from.id):
+			case b.private && nw.runsHere(from.id):
 				t.Fatalf("%s: %s holds a private bucket from %s, which runs here", when, n.id, from.id)
 			case !b.private && b.c != findContrib(from.lastFlow, n.id):
 				t.Fatalf("%s: %s's bucket from %s is not the sender's lastFlow contribution", when, n.id, from.id)
@@ -271,7 +267,7 @@ func CheckDepIndex(t testing.TB, nw *Network, when string) {
 			}
 			for _, s := range v.sets() {
 				for _, r := range s.Slice() {
-					bump(r.Owner, uint32(slot))
+					bump(r.Owner(), uint32(slot))
 				}
 			}
 		}
@@ -338,7 +334,7 @@ func CheckPurgeMarks(t testing.TB, nw *Network, when string) {
 func (nw *Network) RemoveNu(id ident.ID, level int, r ref.Ref) {
 	n := nw.node(id)
 	if n.VNode(level).Nu.Remove(r) {
-		nw.deps.remove(r.Owner, n.idx, 1)
+		nw.deps.remove(r.Owner(), n.idx, 1)
 	}
 }
 
@@ -456,13 +452,13 @@ func (nw *Network) Goodbyes(id ident.ID) []Message {
 	return out
 }
 
-// Recipients lists the peers holding a standing bucket from id.
+// Recipients lists the present peers id's standing flow (its lastFlow)
+// addresses, in identifier order.
 func (nw *Network) Recipients(id ident.ID) []ident.ID {
-	h := nw.pt.node(id).h()
 	var out []ident.ID
-	for _, n := range nw.pt.nodes {
-		if n != nil && n.findBucket(h) >= 0 {
-			out = append(out, n.id)
+	for _, c := range nw.pt.node(id).lastFlow {
+		if nw.pt.node(c.owner()) != nil {
+			out = append(out, c.owner())
 		}
 	}
 	return out

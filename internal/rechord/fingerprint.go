@@ -25,18 +25,18 @@ func hashVNode(v *VNode) uint64 {
 		return 0x9E3779B97F4A7C15
 	}
 	h := uint64(0x517CC1B727220A95)
-	h = mixWord(mixWord(h, uint64(v.Self.Owner)), uint64(v.Self.Level()))
+	h = mixWord(mixWord(h, uint64(v.Self.Owner())), uint64(v.Self.Level()))
 	h = mixWord(h, uint64(v.Nu.Len()))
 	for _, r := range v.Nu.Slice() {
-		h = mixWord(mixWord(h, uint64(r.Owner)), uint64(r.Level()))
+		h = mixWord(mixWord(h, uint64(r.Owner())), uint64(r.Level()))
 	}
 	h = mixWord(h, uint64(v.Nr.Len()))
 	for _, r := range v.Nr.Slice() {
-		h = mixWord(mixWord(h, uint64(r.Owner)), uint64(r.Level()))
+		h = mixWord(mixWord(h, uint64(r.Owner())), uint64(r.Level()))
 	}
 	h = mixWord(h, uint64(v.Nc.Len()))
 	for _, r := range v.Nc.Slice() {
-		h = mixWord(mixWord(h, uint64(r.Owner)), uint64(r.Level()))
+		h = mixWord(mixWord(h, uint64(r.Owner())), uint64(r.Level()))
 	}
 	var flags uint64
 	if v.HasRL {
@@ -47,10 +47,10 @@ func hashVNode(v *VNode) uint64 {
 	}
 	h = mixWord(h, flags)
 	if v.HasRL {
-		h = mixWord(mixWord(h, uint64(v.RL.Owner)), uint64(v.RL.Level()))
+		h = mixWord(mixWord(h, uint64(v.RL.Owner())), uint64(v.RL.Level()))
 	}
 	if v.HasRR {
-		h = mixWord(mixWord(h, uint64(v.RR.Owner)), uint64(v.RR.Level()))
+		h = mixWord(mixWord(h, uint64(v.RR.Owner())), uint64(v.RR.Level()))
 	}
 	return h
 }

@@ -142,8 +142,8 @@ func (r cmsg) msg(owner ident.ID) Message {
 // packRec encodes m as a record to store. Every Ref level (at most 64)
 // fits its packed field.
 func packRec(m Message) cmsg {
-	meta := uint32(m.Kind)<<pmKindShift | uint32(m.To.Level())<<pmLevelBits | uint32(m.Add.Level())
-	return cmsg{lo: uint32(m.Add.Owner), hi: uint32(m.Add.Owner >> 32), meta: meta}
+	u := m.Add.Owner()
+	return cmsg{lo: uint32(u), hi: uint32(u >> 32), meta: uint32(m.Kind)<<pmKindShift | uint32(m.To.Level())<<pmLevelBits | uint32(m.Add.Level())}
 }
 
 // findContrib returns owner's contribution in a flow index sorted by
@@ -195,7 +195,7 @@ func diffFlow(old []*contrib, out []Message, w *worker) bool {
 	diff, at := w.diff[:0], w.at[:0]
 	d := int32(-1)
 	for mi := range out {
-		owner := out[mi].To.Owner
+		owner := out[mi].To.Owner()
 		if d < 0 || diff[d].owner != owner {
 			d, diff = w.group(owner, diff)
 		}

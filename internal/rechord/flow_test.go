@@ -20,8 +20,8 @@ import (
 func freezeScratch(out []Message) []*contrib {
 	var owners []ident.ID
 	for _, m := range out {
-		if i, ok := slices.BinarySearch(owners, m.To.Owner); !ok {
-			owners = slices.Insert(owners, i, m.To.Owner)
+		if i, ok := slices.BinarySearch(owners, m.To.Owner()); !ok {
+			owners = slices.Insert(owners, i, m.To.Owner())
 		}
 	}
 	var flow []*contrib
@@ -49,7 +49,7 @@ func appendFlow(dst []Message, flow []*contrib) []Message {
 func recipientMsgs(out []Message, owner ident.ID) []Message {
 	var ms []Message
 	for _, m := range out {
-		if m.To.Owner == owner {
+		if m.To.Owner() == owner {
 			ms = append(ms, m)
 		}
 	}
@@ -133,10 +133,10 @@ func TestFreezeMatchesScratch(t *testing.T) {
 			queues := map[ident.ID][]Message{}
 			var owners []ident.ID
 			for _, m := range out0 {
-				if queues[m.To.Owner] == nil {
-					owners = append(owners, m.To.Owner)
+				if queues[m.To.Owner()] == nil {
+					owners = append(owners, m.To.Owner())
 				}
-				queues[m.To.Owner] = append(queues[m.To.Owner], m)
+				queues[m.To.Owner()] = append(queues[m.To.Owner()], m)
 			}
 			for len(owners) > 0 {
 				k := rng.Intn(len(owners))
@@ -150,13 +150,13 @@ func TestFreezeMatchesScratch(t *testing.T) {
 			drop := id(8) // a recipient that disappears
 			for _, m := range out0 {
 				switch r := rng.Intn(20); {
-				case m.To.Owner == drop && rng.Intn(2) == 0:
+				case m.To.Owner() == drop && rng.Intn(2) == 0:
 				case r == 0: // dropped message
 				case r == 1: // new Add owner
 					m.Add = ref.Virtual(ident.ID(100+rng.Intn(5)), m.Add.Level())
 					out = append(out, m)
 				case r == 2:
-					m.Add = ref.Virtual(m.Add.Owner, m.Add.Level()+1)
+					m.Add = ref.Virtual(m.Add.Owner(), m.Add.Level()+1)
 					out = append(out, m)
 				default:
 					out = append(out, m)

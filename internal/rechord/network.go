@@ -133,6 +133,11 @@ type Network struct {
 	// NewAsyncRunner and NewPartition claim it.
 	router flowRouter
 
+	// hosted says which peers run here (runsHere; nil: every peer), set
+	// once by NewPartition. A peer that runs elsewhere is a passive stub:
+	// never on the frontier, holding no bucket (markDirtyIdx, planOp, apply).
+	hosted func(ident.ID) bool
+
 	// pool is the goroutine set and workers the execution arenas it
 	// runs on (see barrier.go); workers[0] is also the caller's own.
 	pool    *workerPool
@@ -242,11 +247,15 @@ func (nw *Network) removeOrder(id ident.ID) {
 	}
 }
 
+// runsHere reports whether this process runs the peer's rules.
+func (nw *Network) runsHere(id ident.ID) bool { return nw.hosted == nil || nw.hosted(id) }
+
 // markDirtyIdx puts the peer in the slot on the frontier: its inputs
 // (inbox, purge environment, or published neighbor state) may have
-// changed, so the next Step must run its rules.
+// changed, so the next Step must run its rules. A peer that runs
+// elsewhere is left to its host.
 func (nw *Network) markDirtyIdx(slot uint32) {
-	if n := nw.pt.nodes[slot]; n != nil && !n.dirty {
+	if n := nw.pt.nodes[slot]; n != nil && !n.dirty && nw.runsHere(n.id) {
 		n.dirty = true
 		nw.frontier = append(nw.frontier, slot)
 	}
@@ -360,9 +369,9 @@ func (nw *Network) MembershipVersion() uint64 { return nw.pt.version }
 // edge of the kind, creating the source virtual node if needed. Used to
 // build arbitrary initial states.
 func (nw *Network) SeedEdge(from, to ref.Ref, k graph.Kind) {
-	slot, ok := nw.pt.lookup(from.Owner)
+	slot, ok := nw.pt.lookup(from.Owner())
 	if !ok {
-		panic(fmt.Sprintf("rechord: SeedEdge from unknown peer %s", from.Owner))
+		panic(fmt.Sprintf("rechord: SeedEdge from unknown peer %s", from.Owner()))
 	}
 	n := nw.pt.nodes[slot]
 	v := n.ensureLevel(from.Level())
@@ -385,7 +394,7 @@ func (nw *Network) SeedEdge(from, to ref.Ref, k graph.Kind) {
 	// Out-of-band state mutation: the one new reference enters the
 	// dependency index, which the barrier otherwise keeps by diff.
 	if added {
-		nw.deps.add(to.Owner, slot, 1)
+		nw.deps.add(to.Owner(), slot, 1)
 		n.purged = 0
 	}
 	nw.bumpEpoch(n)
@@ -411,7 +420,7 @@ func (nw *Network) Round() int { return nw.round }
 // and out-of-span levels read as the zero entry, exactly like the
 // absent keys of the old ref-keyed map.
 func (nw *Network) viewOf(r ref.Ref) PublishedView {
-	slot, ok := nw.pt.lookup(r.Owner)
+	slot, ok := nw.pt.lookup(r.Owner())
 	if !ok {
 		return PublishedView{}
 	}
@@ -461,14 +470,11 @@ func (nw *Network) setViews(slot uint32, next []PublishedView) {
 // peer fall back to the peer's real node, which in a deployment is the
 // process that answers for all of the peer's virtual addresses.
 func (nw *Network) resolve(r ref.Ref) (ref.Ref, bool) {
-	slot, ok := nw.pt.lookup(r.Owner)
-	if !ok {
-		return ref.Ref{}, false
+	slot, ok := nw.pt.lookup(r.Owner())
+	if ok && r.Level() >= len(nw.view[slot]) {
+		return ref.Real(r.Owner()), true
 	}
-	if r.Level() >= len(nw.view[slot]) {
-		return ref.Real(r.Owner), true
-	}
-	return r, true
+	return r, ok
 }
 
 // purge drops n's references to departed peers and redirects references
@@ -569,30 +575,14 @@ func (nw *Network) ensurePool(workers int) *workerPool {
 // barrier. Clean peers are skipped; their state and standing output
 // are what running them would recompute (the reference engine in
 // reference_test.go runs every peer every round, and the lockstep
-// suites compare the two after every round).
-func (nw *Network) Step() RoundStats { return nw.stepRound(nil) }
-
-// stepRound is the body of one round for both round schedulers: drain
-// the frontier, keep the slots whose peer passes keep (nil keeps all; a
-// Partition keeps its hosted peers), and run the batch. A round with
-// nothing to run is the identity on the global state.
-func (nw *Network) stepRound(keep func(ident.ID) bool) (stats RoundStats) {
+// suites compare the two after every round). A round with nothing to
+// run is the identity on the global state.
+func (nw *Network) Step() (stats RoundStats) {
 	nw.round++
 	nw.met.Steps.Inc()
 	stats = RoundStats{Round: nw.round}
 
 	active := nw.collectFrontier()
-	if keep != nil {
-		// The filter preserves the sorted order collectFrontier
-		// established.
-		kept := active[:0]
-		for _, slot := range active {
-			if keep(nw.pt.ids[slot]) {
-				kept = append(kept, slot)
-			}
-		}
-		active, nw.active = kept, kept
-	}
 	stats.Activated = len(active)
 	if len(active) > 0 && nw.runBatch(active, &stats) {
 		nw.lastChange = nw.round
@@ -646,14 +636,11 @@ func (nw *Network) runBatch(active []uint32, stats *RoundStats) bool {
 	for i, slot := range active {
 		nw.publishStaged(slot, &nw.prep[i])
 	}
-	// The asynchronous runner's installs clear the recipients' purge
-	// marks; the synchronous and partitioned commits keep them.
-	_, async := nw.router.(*AsyncRunner)
 	var ops, deps int
 	for i, slot := range active {
 		p := &nw.prep[i]
-		nw.apply(nw.pt.nodes[slot].h(), p.ops, p.deps, !async)
-		ops, deps = ops+len(p.ops), deps+len(p.deps)
+		ops += nw.apply(nw.pt.nodes[slot].h(), p.ops, p.deps)
+		deps += len(p.deps)
 	}
 	nw.countCommit(ops, deps)
 	rerouteNS := time.Since(tCommit)
@@ -833,7 +820,7 @@ func (nw *Network) Census() Census {
 	mask := make([]uint64, nw.pt.span())
 	var extra []ref.Ref
 	node := func(r ref.Ref) {
-		if slot, ok := nw.pt.lookup(r.Owner); ok && uint(r.Level()) < 64 {
+		if slot, ok := nw.pt.lookup(r.Owner()); ok && uint(r.Level()) < 64 {
 			mask[slot] |= 1 << r.Level()
 		} else {
 			extra = append(extra, r)
@@ -899,8 +886,8 @@ func (nw *Network) ReChordGraph() *graph.Graph {
 			}
 			for _, set := range []ref.Set{v.Nu, v.Nr} {
 				for _, r := range set.Slice() {
-					if r.Owner != id {
-						g.AddEdge(ref.Real(id), ref.Real(r.Owner), graph.Unmarked)
+					if r.Owner() != id {
+						g.AddEdge(ref.Real(id), ref.Real(r.Owner()), graph.Unmarked)
 					}
 				}
 			}

@@ -11,7 +11,7 @@ import (
 // This file is the partitioned scheduler: the piece that lets one
 // Re-Chord network be executed by several processes, each running the
 // rules for a subset of the peers ("hosted" peers) while holding the
-// full membership as passive stubs.
+// full membership as passive stubs (see Network.hosted).
 //
 // The design exploits two properties of the round engine. First, a
 // peer's rules read only its own state, the published view of the
@@ -83,9 +83,8 @@ func (e *Effects) Len() int { return len(e.Buckets) + len(e.OneShots) + len(e.Pu
 // generator, same seed, same op sequence) so that membership, slot
 // assignment and initial state agree everywhere.
 type Partition struct {
-	nw     *Network
-	hosted func(ident.ID) bool
-	out    Effects // this process's effects since the last Drain
+	nw  *Network
+	out Effects // this process's effects since the last Drain
 
 	// msgs and views back out's message lists and published views;
 	// Drain hands them out and the next Step or membership op reuses
@@ -107,12 +106,19 @@ type Partition struct {
 
 var _ Scheduler = (*Partition)(nil)
 
-// NewPartition wraps the network for partitioned execution; hosted
-// decides which peers this process runs. The network's flow router is
-// claimed by the partition.
+// NewPartition wraps a replica that has not stepped (every caller builds
+// one fresh, so no bucket stands yet) for partitioned execution: hosted,
+// which decides the peers this process runs, becomes the network's host
+// predicate, the stubs leave the frontier, and the partition claims the
+// network's flow router.
 func NewPartition(nw *Network, hosted func(ident.ID) bool) *Partition {
-	p := &Partition{nw: nw, hosted: hosted}
-	nw.router = p
+	p := &Partition{nw: nw}
+	nw.router, nw.hosted = p, hosted
+	for _, n := range nw.pt.nodes {
+		if n != nil && !hosted(n.id) {
+			n.dirty = false
+		}
+	}
 	return p
 }
 
@@ -150,59 +156,47 @@ func (p *Partition) Time() int { return p.nw.round }
 // hosted state.
 func (p *Partition) LastChange() int { return p.nw.lastChange }
 
-// InFlight counts locally standing messages (hosted and shadow
-// buckets plus pending inboxes).
+// InFlight counts the messages standing at the hosted peers: their
+// buckets and pending inboxes (stubs hold none).
 func (p *Partition) InFlight() int { return p.nw.InFlight() }
 
 // Wake schedules a hosted peer; waking a stub is a no-op at this
 // process (its host wakes it).
-func (p *Partition) Wake(id ident.ID) {
-	if p.hosted(id) {
-		p.nw.Wake(id)
-	}
-}
+func (p *Partition) Wake(id ident.ID) { p.nw.Wake(id) }
 
-// Quiescent reports whether any HOSTED peer is scheduled to run.
-// Stubs on the frontier don't count: they were woken as bookkeeping
-// side effects and are filtered out of every batch anyway.
-func (p *Partition) Quiescent() bool {
-	for _, slot := range p.nw.frontier {
-		if n := p.nw.pt.nodes[slot]; n != nil && n.dirty && p.hosted(n.id) {
-			return false
-		}
-	}
-	return true
-}
+// Quiescent reports whether no hosted peer is scheduled to run (stubs
+// never enter the frontier).
+func (p *Partition) Quiescent() bool { return p.nw.Quiescent() }
 
 // Fingerprint digests this partition's hosted protocol state. XOR of
 // every partition's value equals the monolith's StateFingerprint(nil).
-func (p *Partition) Fingerprint() uint64 { return p.nw.StateFingerprint(p.hosted) }
+func (p *Partition) Fingerprint() uint64 { return p.nw.StateFingerprint(p.nw.hosted) }
 
 // HostedPeers counts the peers this process executes.
 func (p *Partition) HostedPeers() int {
 	c := 0
 	for _, n := range p.nw.pt.nodes {
-		if n != nil && p.hosted(n.id) {
+		if n != nil && p.nw.runsHere(n.id) {
 			c++
 		}
 	}
 	return c
 }
 
-// Step runs one global round's hosted share: the round engine's body
-// with the stubs filtered out (their hosting processes run them), then
-// the batch's state publishes. Cross-partition effects accumulate for
-// Drain; the caller exchanges them and applies every process's effects
-// (Apply) before the next Step.
+// Step runs one global round's hosted share: the round engine's round
+// (stubs never enter its frontier; their hosting processes run them),
+// then the batch's state publishes. Cross-partition effects accumulate
+// for Drain; the caller exchanges them and applies every process's
+// effects (Apply) before the next Step.
 func (p *Partition) Step() RoundStats {
-	stats := p.nw.stepRound(p.hosted)
+	stats := p.nw.Step()
 	p.flushPublishes()
 	return stats
 }
 
-// planFlow: standing buckets are rewritten locally exactly as the
-// monolith does (stubs carry shadow buckets, so the sender-side dedup
-// state is complete).
+// planFlow plans as the monolith does: the lastFlow merge-walk plans an
+// op wherever a contribution changed, so a remote recipient needs no
+// local bucket for the dedup; emitFlow mirrors its op.
 func (p *Partition) planFlow(n *RealNode, pr *prepOut, w *worker) { p.nw.planRewrite(n, pr, w) }
 
 // emitFlow mirrors every bucket op that changed a remote recipient's
@@ -219,7 +213,7 @@ func (p *Partition) emitFlow(n *RealNode, ops []bucketOp, published bool) {
 	}
 	for _, op := range ops {
 		dst := p.nw.pt.ids[op.dstSlot]
-		if !op.wake || p.hosted(dst) {
+		if !op.wake || p.nw.runsHere(dst) {
 			continue
 		}
 		u := BucketUpdate{From: n.id, To: dst}
@@ -253,7 +247,7 @@ func (p *Partition) flushPublishes() {
 func (p *Partition) Apply(e *Effects) {
 	run := p.run[:0]
 	for _, u := range e.Buckets {
-		if !p.hosted(u.To) {
+		if !p.nw.runsHere(u.To) {
 			continue
 		}
 		if len(run) > 0 && run[0].From != u.From {
@@ -268,12 +262,12 @@ func (p *Partition) Apply(e *Effects) {
 	clear(run)
 	p.run = run[:0]
 	for _, u := range e.OneShots {
-		if p.hosted(u.To) {
+		if p.nw.runsHere(u.To) {
 			p.nw.routeMessage(u.To, u.Msgs...)
 		}
 	}
 	for _, u := range e.Publishes {
-		if !p.hosted(u.Owner) {
+		if !p.nw.runsHere(u.Owner) {
 			p.applyPublish(u)
 		}
 	}
@@ -304,7 +298,7 @@ func (p *Partition) applyRun(run []BucketUpdate) {
 			op.c, blk = carve(blk, u.To, k)
 			recs := op.c.recs()[:0]
 			for _, m := range u.Msgs {
-				if m.To.Owner == u.To {
+				if m.To.Owner() == u.To {
 					recs = append(recs, packRec(m))
 				}
 			}
@@ -317,7 +311,7 @@ func (p *Partition) applyRun(run []BucketUpdate) {
 func addressed(u BucketUpdate) int {
 	k := 0
 	for _, m := range u.Msgs {
-		if m.To.Owner == u.To {
+		if m.To.Owner() == u.To {
 			k++
 		}
 	}
@@ -344,9 +338,9 @@ func (p *Partition) applyPublish(u PeerPublish) {
 
 // Join integrates a join: the membership change is replicated
 // everywhere (Network.Join), and if the joiner is hosted elsewhere, the
-// hosted senders' standing flow that AddPeer re-materialized into the
-// local stub is mirrored to the joiner's host, which cannot see those
-// senders' lastFlow. A hosted sender still addresses the joiner's
+// hosted senders' standing flow addressed to it (which AddPeer
+// re-materializes only at a recipient that runs here) is mirrored to the
+// joiner's host, which cannot see those senders' lastFlow. A hosted sender still addresses the joiner's
 // identifier when that identifier departed earlier in the same round
 // (TestPartitionRejoinMirrorsStandingFlow): the departure woke the
 // sender, but it has not run since.
@@ -354,11 +348,11 @@ func (p *Partition) Join(id, contact ident.ID) error {
 	if err := p.nw.Join(id, contact); err != nil {
 		return err
 	}
-	if p.hosted(id) {
+	if p.nw.runsHere(id) {
 		return nil
 	}
 	for _, s := range p.nw.pt.nodes {
-		if s == nil || s.id == id || !p.hosted(s.id) {
+		if s == nil || s.id == id || !p.nw.runsHere(s.id) {
 			continue
 		}
 		if c := findContrib(s.lastFlow, id); c != nil {
@@ -373,11 +367,11 @@ func (p *Partition) Join(id, contact ident.ID) error {
 // the live state they are derived from): to hosted recipients directly,
 // to each remote one as one one-shot.
 func (p *Partition) Leave(id ident.ID) error {
-	if n := p.nw.pt.node(id); n != nil && p.hosted(id) {
+	if n := p.nw.pt.node(id); n != nil && p.nw.runsHere(id) {
 		at := map[ident.ID]int{} // remote recipient -> its one-shot
 		p.nw.goodbyes(n, func(m Message) {
-			to := m.To.Owner
-			if p.hosted(to) {
+			to := m.To.Owner()
+			if p.nw.runsHere(to) {
 				p.nw.routeMessage(to, m)
 				return
 			}
@@ -399,6 +393,6 @@ func (p *Partition) Fail(id ident.ID) error {
 	if p.nw.pt.node(id) == nil {
 		return fmt.Errorf("rechord: partition: departing peer %s not in network", id)
 	}
-	p.nw.removePeer(id, p.hosted)
+	p.nw.removePeer(id)
 	return nil
 }

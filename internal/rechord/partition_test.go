@@ -306,7 +306,7 @@ func TestPartitionLeaveSendsGoodbyes(t *testing.T) {
 	host := int(uint64(victim) % 4)
 	want := map[ident.ID][]rechord.Message{} // per remote recipient, in order
 	for _, m := range pn.parts[host].Network().Goodbyes(victim) {
-		if to := m.To.Owner; !hostedBy(host, 4)(to) {
+		if to := m.To.Owner(); !hostedBy(host, 4)(to) {
 			want[to] = append(want[to], m)
 		}
 	}
@@ -328,8 +328,8 @@ func TestPartitionLeaveSendsGoodbyes(t *testing.T) {
 				t.Errorf("two one-shots to %s", u.To)
 			}
 			for _, m := range u.Msgs {
-				if m.To.Owner != u.To {
-					t.Errorf("one-shot to %s carries a message to %s", u.To, m.To.Owner)
+				if m.To.Owner() != u.To {
+					t.Errorf("one-shot to %s carries a message to %s", u.To, m.To.Owner())
 				}
 			}
 			got[u.To] = u.Msgs

@@ -3,6 +3,7 @@ package rechord
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -23,6 +24,14 @@ import (
 // and steps the network to quiescence, auditing the marks every round.
 func markedNet(t *testing.T, n int, seed int64) (*Network, []ident.ID) {
 	t.Helper()
+	nw, ids := joinedNet(t, n, seed)
+	settle(t, nw, "build")
+	return nw, ids
+}
+
+// joinedNet is markedNet's network before its first step.
+func joinedNet(t *testing.T, n int, seed int64) (*Network, []ident.ID) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	nw := NewNetwork(Config{Workers: 4}) // the pass sets marks the commit clears
 	ids := make([]ident.ID, n)
@@ -35,7 +44,6 @@ func markedNet(t *testing.T, n int, seed int64) (*Network, []ident.ID) {
 			t.Fatal(err)
 		}
 	}
-	settle(t, nw, "build")
 	return nw, ids
 }
 
@@ -63,7 +71,7 @@ func holds(n *RealNode, owner ident.ID) bool {
 		}
 		for _, s := range v.sets() {
 			for _, r := range s.Slice() {
-				if r.Owner == owner {
+				if r.Owner() == owner {
 					return true
 				}
 			}
@@ -186,54 +194,131 @@ func TestPurgeMarkShorterViewFromPublish(t *testing.T) {
 	hosted := func(k int) func(ident.ID) bool {
 		return func(id ident.ID) bool { return int(uint64(id)%2) == k }
 	}
-	var x, r ident.ID
-	var uk ref.Ref
 	for k := range parts {
 		var nw *Network
-		nw, ids = markedNet(t, 24, 5)
-		if k == 0 {
-			for _, id := range ids {
-				switch {
-				case hosted(1)(id) && x == 0:
-					x = id
-				case hosted(0)(id) && r == 0:
-					r = id
-				}
-			}
-		}
-		uk = seedDroppedLevel(nw, x, r)
+		nw, ids = joinedNet(t, 24, 5)
 		parts[k] = NewPartition(nw, hosted(k))
 	}
-	local := parts[0].Network() // r's rank, where x is a stub
-	for round := 1; ; round++ {
-		if round > 2000 {
-			t.Fatal("no quiescence in 2000 rounds")
+	var x, r ident.ID
+	for _, id := range ids {
+		switch {
+		case hosted(1)(id) && x == 0:
+			x = id
+		case hosted(0)(id) && r == 0:
+			r = id
 		}
-		for _, p := range parts {
-			p.Step()
-		}
-		var effects [2]Effects
-		moved := false
-		for k, p := range parts {
-			effects[k] = p.Drain()
-			moved = moved || effects[k].Len() > 0
-		}
-		for k := range effects {
+	}
+	// settleParts steps both ranks, exchanging their effects, to
+	// quiescence, and audits the marks after every exchange.
+	settleParts := func(what string, check func(round int)) {
+		for round := 1; ; round++ {
+			if round > 2000 {
+				t.Fatalf("%s: no quiescence in 2000 rounds", what)
+			}
 			for _, p := range parts {
-				p.Apply(&effects[k])
+				p.Step()
+			}
+			var effects [2]Effects
+			moved := false
+			for k, p := range parts {
+				effects[k] = p.Drain()
+				moved = moved || effects[k].Len() > 0
+			}
+			for k := range effects {
+				for _, p := range parts {
+					p.Apply(&effects[k])
+				}
+			}
+			for k, p := range parts {
+				CheckPurgeMarks(t, p.Network(), fmt.Sprintf("%s: rank %d round %d", what, k, round))
+			}
+			check(round)
+			if !moved && parts[0].Quiescent() && parts[1].Quiescent() {
+				return
 			}
 		}
-		for k, p := range parts {
-			CheckPurgeMarks(t, p.Network(), fmt.Sprintf("rank %d round %d", k, round))
-		}
+	}
+	settleParts("build", func(int) {})
+	local := parts[0].Network() // r's rank, where x is a stub
+	// The published span is replicated; a stub's own levels are not.
+	uk := ref.Virtual(x, len(local.view[local.node(x).idx])+1)
+	for _, p := range parts {
+		p.Network().SeedEdge(uk, ref.Real(r), graph.Unmarked)
+		p.Network().SeedEdge(ref.Real(r), uk, graph.Unmarked)
+	}
+	settleParts("after the drop", func(round int) {
 		if round == 1 && len(local.view[local.node(x).idx]) >= uk.Level() {
 			t.Fatalf("the publish left %s's stub with its level %d", x, uk.Level())
 		}
-		if !moved && parts[0].Quiescent() && parts[1].Quiescent() {
-			break
-		}
-	}
+	})
 	if h := holders(local, uk); len(h) > 0 {
 		t.Fatalf("%v still hold the dropped %s at its rank", h, uk)
 	}
+}
+
+// TestPurgeMarkAsyncInstallKeepsMark: under the asynchronous runner
+// too, a batch commit's install is its sender's purged output, so it
+// keeps the recipient's mark, and the recipient's next deliver skips the
+// purge. A join into a settled network makes relays rewrite standing
+// buckets at peers that do not run in that step.
+func TestPurgeMarkAsyncInstallKeepsMark(t *testing.T) {
+	nw, ids := markedNet(t, 24, 7)
+	a := NewAsyncRunner(nw, AsyncConfig{ActivationProb: 1, Delay: UniformDelay{Max: 1}}, rand.New(rand.NewSource(7)))
+	if err := nw.Join(ident.ID(rand.New(rand.NewSource(8)).Uint64()), ids[3]); err != nil {
+		t.Fatal(err)
+	}
+	for step := 1; !a.Quiescent(); step++ {
+		if step > 2000 {
+			t.Fatal("no quiescence in 2000 steps")
+		}
+		// The buckets of the marked peers that will not run this step.
+		before := map[*RealNode][]bucket{}
+		for _, n := range nw.pt.nodes {
+			if n != nil && !n.dirty && nw.marked(n) {
+				before[n] = slices.Clone(n.in)
+			}
+		}
+		shrinks := nw.shrinks
+		a.Step()
+		CheckPurgeMarks(t, nw, fmt.Sprintf("step %d", step))
+		if nw.shrinks != shrinks {
+			continue
+		}
+		for n, in := range before {
+			if !installed(in, n.in) {
+				continue
+			}
+			if !nw.marked(n) {
+				t.Fatalf("step %d: a commit's install cleared %s's purge mark", step, n.id)
+			}
+			if !n.dirty || len(n.inbox) > 0 {
+				t.Fatalf("step %d: %s was not woken by the install alone", step, n.id)
+			}
+			want := 0 // the peers whose next deliver skips the purge
+			for _, m := range nw.pt.nodes {
+				if m != nil && m.dirty && nw.marked(m) && len(m.inbox) == 0 {
+					want++
+				}
+			}
+			skipped := nw.met.PurgesSkipped.Value()
+			a.Step()
+			if got := nw.met.PurgesSkipped.Value() - skipped; got != uint64(want) {
+				t.Fatalf("step %d: %d delivers skipped the purge, want %d (%s among them)", step+1, got, want, n.id)
+			}
+			return
+		}
+	}
+	t.Fatal("no commit installed a bucket at a marked peer that did not run")
+}
+
+// installed reports whether cur holds a bucket whose contribution is not
+// the one the same sender's bucket held in old.
+func installed(old, cur []bucket) bool {
+	for _, b := range cur {
+		i := slices.IndexFunc(old, func(o bucket) bool { return o.sender == b.sender })
+		if i < 0 || old[i].c != b.c {
+			return true
+		}
+	}
+	return false
 }

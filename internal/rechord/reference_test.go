@@ -130,7 +130,7 @@ func (r *Reference) Step() {
 // post puts a message into its recipient's inbox, if the recipient is a
 // member.
 func (r *Reference) post(m Message) {
-	if dst := r.env.node(m.To.Owner); dst != nil {
+	if dst := r.env.node(m.To.Owner()); dst != nil {
 		dst.inbox = append(dst.inbox, m)
 	}
 }
@@ -147,7 +147,7 @@ func (r *Reference) Join(id, contact ident.ID) error {
 	n.vnodes[0].addNu(ref.Real(contact))
 	for _, s := range r.env.order {
 		for _, m := range r.sent[s] {
-			if m.To.Owner == id {
+			if m.To.Owner() == id {
 				n.inbox = append(n.inbox, m)
 			}
 		}
@@ -191,7 +191,7 @@ func (r *Reference) Leave(id ident.ID) error {
 		if v.HasRR {
 			know.Add(v.RR)
 		}
-		know.RemoveIf(func(x ref.Ref) bool { return x.Owner == id })
+		know.RemoveIf(func(x ref.Ref) bool { return x.Owner() == id })
 		for _, a := range know.Slice() {
 			for _, b := range know.Slice() {
 				if a != b {
@@ -200,7 +200,7 @@ func (r *Reference) Leave(id ident.ID) error {
 			}
 		}
 		for _, held := range v.Nr.Slice() {
-			if i := slices.IndexFunc(know.Slice(), func(a ref.Ref) bool { return a != held }); i >= 0 && held.Owner != id {
+			if i := slices.IndexFunc(know.Slice(), func(a ref.Ref) bool { return a != held }); i >= 0 && held.Owner() != id {
 				r.post(Message{To: know.Slice()[i], Kind: graph.Ring, Add: held})
 			}
 		}

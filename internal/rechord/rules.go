@@ -90,7 +90,7 @@ func (c *ruleContext) ruleVirtualNodes() {
 		}
 		for _, s := range v.sets() {
 			for _, r := range s.Slice() {
-				if r.Owner == n.id && r.Level() > m {
+				if r.Owner() == n.id && r.Level() > m {
 					continue // reference to a sibling also being deleted
 				}
 				um.addNu(r)
@@ -110,7 +110,7 @@ func (c *ruleContext) ruleVirtualNodes() {
 		for _, v := range n.vnodes {
 			for _, s := range v.sets() {
 				s.RemoveIf(func(r ref.Ref) bool {
-					return r.Owner == n.id && r.Level() > m
+					return r.Owner() == n.id && r.Level() > m
 				})
 			}
 		}
@@ -171,7 +171,7 @@ func (c *ruleContext) ruleClosestRealNeighbor() {
 	for _, v := range n.vnodes {
 		for _, r := range v.Nu.Slice() {
 			if r.IsReal() {
-				reals = append(reals, r.Owner)
+				reals = append(reals, r.Owner())
 			}
 		}
 	}

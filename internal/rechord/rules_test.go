@@ -359,7 +359,7 @@ func TestRule6ConnectsSiblingsAndForwards(t *testing.T) {
 	// "add me" to the target sibling (self-messages within the peer).
 	var sawBackward bool
 	for _, m := range res.out {
-		if m.Kind == graph.Unmarked && m.To.Owner == u && m.Add.Owner == u {
+		if m.Kind == graph.Unmarked && m.To.Owner() == u && m.Add.Owner() == u {
 			sawBackward = true
 		}
 	}

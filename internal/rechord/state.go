@@ -167,9 +167,10 @@ type RealNode struct {
 	// purge that found nothing stale, or 0 for none. While it matches,
 	// the peer's sets hold no stale reference and neither do its
 	// buckets, so a deliver with an empty inbox brings none in and the
-	// purge is skipped (deliverPhase). Whatever could break that clears
-	// it: a bucket installed other than by a synchronous or partitioned
-	// commit (apply), SeedEdge, and Wake, which out-of-band writes call.
+	// purge is skipped (deliverPhase). A batch commit's installs keep it
+	// under every scheduler (apply); whatever could break it clears it:
+	// an install outside a batch (rewriteBucket), SeedEdge, and Wake,
+	// which out-of-band writes call.
 	purged uint64
 }
 
@@ -276,8 +277,8 @@ func (n *RealNode) knownRealsInto(buf []ident.ID) []ident.ID {
 		}
 		for _, s := range v.sets() {
 			for _, r := range s.Slice() {
-				if r.IsReal() && r.Owner != n.id {
-					buf = append(buf, r.Owner)
+				if r.IsReal() && r.Owner() != n.id {
+					buf = append(buf, r.Owner())
 				}
 			}
 		}

@@ -30,58 +30,62 @@ import (
 // Virtual; the zero value is the real node with identifier 0.
 type Ref struct {
 	// id is the node's position in the identifier space:
-	// ident.Sibling(Owner, level), computed once at construction.
+	// ident.Sibling(owner, level), computed once at construction.
 	id ident.ID
-	// Owner is the identifier of the real node (peer) this node
-	// belongs to. For a real node, Owner is the node's own identifier.
-	Owner ident.ID
+	// owner is the identifier of the real node (peer) this node
+	// belongs to. For a real node, it is the node's own identifier.
+	owner ident.ID
 }
 
 // Real constructs a reference to the real node with identifier u.
-func Real(u ident.ID) Ref { return Ref{id: u, Owner: u} }
+func Real(u ident.ID) Ref { return Ref{id: u, owner: u} }
 
 // Virtual constructs a reference to the level-i virtual node of u,
 // u_i = u + 1/2^i; level 0 is the real node itself. Levels outside
 // 0..64 have no virtual node and yield the real node, as ident.Sibling
 // does.
-func Virtual(u ident.ID, level int) Ref { return Ref{id: ident.Sibling(u, level), Owner: u} }
+func Virtual(u ident.ID, level int) Ref { return Ref{id: ident.Sibling(u, level), owner: u} }
 
 // ID returns the node's position in the identifier space.
 func (r Ref) ID() ident.ID { return r.id }
+
+// Owner returns the identifier of the real node (peer) the node belongs
+// to: for a real node, its own identifier.
+func (r Ref) Owner() ident.ID { return r.owner }
 
 // Level returns the virtual-node level i in u_i = u + 1/2^i: 64 minus
 // the trailing zeros of the owner-to-node distance 2^(64-i), and 0 for
 // the real node itself.
 func (r Ref) Level() int {
-	if d := uint64(r.id - r.Owner); d != 0 {
+	if d := uint64(r.id - r.owner); d != 0 {
 		return 64 - bits.TrailingZeros64(d)
 	}
 	return 0
 }
 
 // IsReal reports whether the reference denotes a real node (a peer).
-func (r Ref) IsReal() bool { return r.id == r.Owner }
+func (r Ref) IsReal() bool { return r.id == r.owner }
 
 // Less imposes the total order used by all protocol rules: by
 // identifier first (the linear order on [0,1) the linearization rules
 // sort by), breaking identifier ties by owner, which fixes the level,
 // so distinct nodes never compare equal.
 func (r Ref) Less(o Ref) bool {
-	return r.id < o.id || r.id == o.id && r.Owner < o.Owner
+	return r.id < o.id || r.id == o.id && r.owner < o.owner
 }
 
 // Compare is the three-way form of Less, the comparison slices.SortFunc
 // takes.
 func (r Ref) Compare(o Ref) int {
-	return cmp.Or(cmp.Compare(r.id, o.id), cmp.Compare(r.Owner, o.Owner))
+	return cmp.Or(cmp.Compare(r.id, o.id), cmp.Compare(r.owner, o.owner))
 }
 
 // String renders the reference for logs and test failures.
 func (r Ref) String() string {
 	if r.IsReal() {
-		return fmt.Sprintf("R(%s)", r.Owner)
+		return fmt.Sprintf("R(%s)", r.owner)
 	}
-	return fmt.Sprintf("V(%s@%d=%s)", r.Owner, r.Level(), r.id)
+	return fmt.Sprintf("V(%s@%d=%s)", r.owner, r.Level(), r.id)
 }
 
 // Set is an ordered set of Refs, sorted by Ref.Less. The zero value is
@@ -113,7 +117,7 @@ func (s Set) search(r Ref) int {
 	lo, hi := 0, len(s.rs)
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if x := s.rs[m]; x.id < r.id || x.id == r.id && x.Owner < r.Owner {
+		if x := s.rs[m]; x.id < r.id || x.id == r.id && x.owner < r.owner {
 			lo = m + 1
 		} else {
 			hi = m

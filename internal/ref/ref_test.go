@@ -46,9 +46,9 @@ func TestVirtualLayout(t *testing.T) {
 	for _, u := range randomOwners(rand.New(rand.NewSource(5)), 200) {
 		for l := 0; l <= MaxWireLevel; l++ {
 			r := Virtual(u, l)
-			if r.Level() != l || r.ID() != ident.Sibling(u, l) || r.Owner != u || r.IsReal() != (l == 0) {
+			if r.Level() != l || r.ID() != ident.Sibling(u, l) || r.Owner() != u || r.IsReal() != (l == 0) {
 				t.Fatalf("Virtual(%v, %d) = %v: level %d, id %v, owner %v, real %v; want level %d, id %v",
-					u, l, r, r.Level(), r.ID(), r.Owner, r.IsReal(), l, ident.Sibling(u, l))
+					u, l, r, r.Level(), r.ID(), r.Owner(), r.IsReal(), l, ident.Sibling(u, l))
 			}
 		}
 		if Real(u) != Virtual(u, 0) {

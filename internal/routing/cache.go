@@ -232,7 +232,7 @@ func (v *View) ResolveTraced(from, key ident.ID, tr *obs.LookupTrace) (owner ide
 // There is one way to resolve a key: on a View, which reads nothing of
 // the network, so readers may run while it is stepped. Readers whose
 // mutator publishes for them (the workload's clients, the cluster
-// facade) take View(); Table, Resolve, RouteTraced and Prune are for
+// facade) take View(); Table, Resolve and Prune are for
 // callers serialized against mutation who have no publisher, and
 // publish first when the network moved. All state is atomics: the cache
 // holds no lock and every reader may run beside every other.
@@ -326,11 +326,6 @@ func (c *Cache) Table(id ident.ID) (*Table, error) {
 // expects.
 func (c *Cache) Resolve(from, key ident.ID) (owner ident.ID, hops int, err error) {
 	return c.Publish().ResolveTraced(from, key, nil)
-}
-
-// RouteTraced is Resolve with a per-lookup trace.
-func (c *Cache) RouteTraced(from, key ident.ID, tr *obs.LookupTrace) (owner ident.ID, hops int, err error) {
-	return c.Publish().ResolveTraced(from, key, tr)
 }
 
 // Prune drops the tables of departed peers (publishing first when the

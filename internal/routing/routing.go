@@ -92,7 +92,7 @@ func TableOf(nw *rechord.Network, id ident.ID) (*Table, error) {
 			continue
 		}
 		if lvl != 0 {
-			t.Fingers[lvl] = v.RR.Owner
+			t.Fingers[lvl] = v.RR.Owner()
 		}
 	}
 	// The Chord successor is rr(u_m): in the stable state the deepest
@@ -100,10 +100,10 @@ func TableOf(nw *rechord.Network, id ident.ID) (*Table, error) {
 	// successor — including across the 1.0 wraparound, where u_m is a
 	// wrapped identifier just below the successor.
 	if um := n.VNode(n.MaxLevel()); um != nil && um.HasRR {
-		t.Successor = um.RR.Owner
+		t.Successor = um.RR.Owner()
 		t.HasSucc = true
 	} else if u0 := n.VNode(0); u0 != nil && u0.HasRR {
-		t.Successor = u0.RR.Owner
+		t.Successor = u0.RR.Owner()
 		t.HasSucc = true
 	}
 	// Wrap rule and descent hop (see the field docs): both are read off
@@ -125,7 +125,7 @@ func TableOf(nw *rechord.Network, id ident.ID) (*Table, error) {
 		}
 		consider := func(y ref.Ref) {
 			if y.ID() < t.MinKnownID {
-				t.MinKnownID, t.MinKnownOwner = y.ID(), y.Owner
+				t.MinKnownID, t.MinKnownOwner = y.ID(), y.Owner()
 			}
 		}
 		consider(v.Self)
@@ -204,7 +204,7 @@ func Route(nw *rechord.Network, from ident.ID, key ident.ID) (owner ident.ID, pa
 			v := n.VNode(lvl)
 			vpos := v.Self.ID()
 			if v.HasRR && ident.InRightHalfOpen(key, vpos, v.RR.ID()) {
-				return v.RR.Owner, true
+				return v.RR.Owner(), true
 			}
 			// Wrap rule at the global minimum node: nothing lies in
 			// (t, v], so keys there belong to v itself if it is real,
@@ -266,8 +266,8 @@ func Route(nw *rechord.Network, from ident.ID, key ident.ID) (owner ident.ID, pa
 		}
 		if bestOK {
 			pos = best.ID()
-			if best.Owner != peer {
-				peer = best.Owner
+			if best.Owner() != peer {
+				peer = best.Owner()
 				path = append(path, peer)
 			}
 			continue
@@ -326,8 +326,8 @@ func routeToGlobalMin(nw *rechord.Network, peer ident.ID, pos ident.ID, path []i
 			return 0, path, fmt.Errorf("routing: descent stuck at peer %s (pos %s)", peer, pos)
 		}
 		pos = best.ID()
-		if best.Owner != peer {
-			peer = best.Owner
+		if best.Owner() != peer {
+			peer = best.Owner()
 			path = append(path, peer)
 		}
 	}
@@ -339,10 +339,10 @@ func routeToGlobalMin(nw *rechord.Network, peer ident.ID, pos ident.ID, path []i
 // is real, else v's closest right real.
 func globalMinOwner(v *rechord.VNode) (ident.ID, bool) {
 	if v.Self.IsReal() {
-		return v.Self.Owner, true
+		return v.Self.Owner(), true
 	}
 	if v.HasRR {
-		return v.RR.Owner, true
+		return v.RR.Owner(), true
 	}
 	return 0, false
 }

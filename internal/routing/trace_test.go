@@ -32,12 +32,12 @@ func TestHopAccountingUnified(t *testing.T) {
 		want, _ := Owner(nw, key)
 
 		*tr = obs.LookupTrace{Path: tr.Path[:0]}
-		owner, hops, err := cache.RouteTraced(from, key, tr)
+		owner, hops, err := cache.Publish().ResolveTraced(from, key, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if owner != want {
-			t.Fatalf("RouteTraced(%s) = %s, want %s", key, owner, want)
+			t.Fatalf("ResolveTraced(%s) = %s, want %s", key, owner, want)
 		}
 		if tr.Owner != owner || tr.From != from || tr.Key != key {
 			t.Fatalf("trace endpoints %+v do not match lookup (%s -> %s, owner %s)", tr, from, key, owner)

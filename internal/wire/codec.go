@@ -113,7 +113,7 @@ func (s *SymReader) ReadID(b []byte) (ident.ID, []byte, error) {
 // then the level as a uvarint (at most ref.MaxWireLevel, the largest a
 // reference has).
 func AppendRef(dst []byte, s *SymWriter, r ref.Ref) []byte {
-	dst = s.AppendID(dst, r.Owner)
+	dst = s.AppendID(dst, r.Owner())
 	return binary.AppendUvarint(dst, uint64(r.Level()))
 }
 
