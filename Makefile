@@ -60,12 +60,14 @@ BENCH_GATE_async = -allocs-tol 0.10 -fail-allocs 'BenchmarkAsyncStep'
 # wire: the warm symbol-table message encode/decode hot path, pinned at
 # its 0 allocs/op (a zero baseline admits no increase under any
 # tolerance), and a whole 4-rank cluster over the in-process transport
-# on the bench's wire script shape, its allocs/op gated within 10 % (it
-# reports rounds/op beside the run's cost).
+# on the bench's wire script shape, its allocs/op and B/op gated within
+# 10 % (it reports rounds/op beside the run's cost; the records a bucket
+# update carries are most of its bytes, not of its allocations).
 BENCH_RECORD_wire = { \
 	$(GO) test -cpu 1 -run '^$$' -bench 'BenchmarkEncodeMessage|BenchmarkDecodeMessage' -benchmem -benchtime=10000x ./internal/wire/ ; \
 	$(GO) test -cpu 1 -run '^$$' -bench 'BenchmarkChanCluster' -benchmem -benchtime=3x ./internal/wire/ ; }
-BENCH_GATE_wire = -allocs-tol 0.10 -fail-allocs 'BenchmarkEncodeMessage|BenchmarkDecodeMessage|BenchmarkChanCluster'
+BENCH_GATE_wire = -allocs-tol 0.10 -fail-allocs 'BenchmarkEncodeMessage|BenchmarkDecodeMessage|BenchmarkChanCluster' \
+	-bytes-tol 0.10 -fail-bytes 'BenchmarkChanCluster'
 
 # mem: resident bytes per peer of a settled network, standing flows
 # included. The settle run is the cost, so one iteration per size.

@@ -81,6 +81,10 @@ func regressed(base, new, tol float64) bool {
 	return new > base*(1+tol) && new > base
 }
 
+// gates reports whether a -fail-* pattern (nil: none given) names the
+// benchmark.
+func gates(re *regexp.Regexp, name string) bool { return re != nil && re.MatchString(name) }
+
 // diff gates the -new recording against the -base one.
 func diff(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("benchdiff diff", flag.ContinueOnError)
@@ -93,6 +97,7 @@ func diff(args []string, stdout io.Writer) error {
 		nsTol      = fs.Float64("ns-tol", 0.25, "allowed relative ns/op increase")
 		failNs     = fs.String("fail-ns", "", "regex of benchmark names whose ns/op regression fails the run (default: warn only)")
 		bytesTol   = fs.Float64("bytes-tol", 0.25, "allowed relative b/op and custom-metric increase")
+		failBytes  = fs.String("fail-bytes", "", "regex of benchmark names whose b/op regression fails the run (default: warn only)")
 		failMetric = fs.String("fail-metric", "", "regex of benchmark names whose custom-metric regression fails the run (default: warn only)")
 		metricTol  = fs.Float64("metric-tol", -1, "allowed relative custom-metric increase (default: -bytes-tol)")
 		github     = fs.Bool("github", false, "emit GitHub Actions ::warning::/::error:: annotations")
@@ -106,22 +111,22 @@ func diff(args []string, stdout io.Writer) error {
 		fs.Usage()
 		return fmt.Errorf("both -base and -new are required")
 	}
-	var reFailAllocs, reFailNs *regexp.Regexp
-	var err error
-	if *failAllocs != "" {
-		if reFailAllocs, err = regexp.Compile(*failAllocs); err != nil {
-			return fmt.Errorf("-fail-allocs: %w", err)
+	var reFailAllocs, reFailNs, reFailBytes, reFailMetric *regexp.Regexp
+	for _, g := range []struct {
+		flag, pattern string
+		re            **regexp.Regexp
+	}{
+		{"-fail-allocs", *failAllocs, &reFailAllocs},
+		{"-fail-ns", *failNs, &reFailNs},
+		{"-fail-bytes", *failBytes, &reFailBytes},
+		{"-fail-metric", *failMetric, &reFailMetric},
+	} {
+		if g.pattern == "" {
+			continue
 		}
-	}
-	if *failNs != "" {
-		if reFailNs, err = regexp.Compile(*failNs); err != nil {
-			return fmt.Errorf("-fail-ns: %w", err)
-		}
-	}
-	var reFailMetric *regexp.Regexp
-	if *failMetric != "" {
-		if reFailMetric, err = regexp.Compile(*failMetric); err != nil {
-			return fmt.Errorf("-fail-metric: %w", err)
+		var err error
+		if *g.re, err = regexp.Compile(g.pattern); err != nil {
+			return fmt.Errorf("%s: %w", g.flag, err)
 		}
 	}
 	mTol := *bytesTol
@@ -144,10 +149,7 @@ func diff(args []string, stdout io.Writer) error {
 		b := base[name]
 		n, ok := fresh[name]
 		if !ok {
-			gated := (reFailAllocs != nil && reFailAllocs.MatchString(name)) ||
-				(reFailNs != nil && reFailNs.MatchString(name)) ||
-				(reFailMetric != nil && reFailMetric.MatchString(name))
-			if gated {
+			if gates(reFailAllocs, name) || gates(reFailNs, name) || gates(reFailBytes, name) || gates(reFailMetric, name) {
 				rp.fail("%s: missing from %s (gated benchmark disappeared)", name, *newPath)
 			} else {
 				rp.warn("%s: missing from %s", name, *newPath)
@@ -159,7 +161,7 @@ func diff(args []string, stdout io.Writer) error {
 		if b.AllocsPerOp != nil && n.AllocsPerOp != nil && regressed(*b.AllocsPerOp, *n.AllocsPerOp, *allocsTol) {
 			msg := fmt.Sprintf("%s allocs/op: %.0f -> %.0f (%s, tol %.0f%%)",
 				name, *b.AllocsPerOp, *n.AllocsPerOp, pct(*b.AllocsPerOp, *n.AllocsPerOp), 100**allocsTol)
-			if reFailAllocs != nil && reFailAllocs.MatchString(name) {
+			if gates(reFailAllocs, name) {
 				rp.fail("%s", msg)
 			} else {
 				rp.warn("%s", msg)
@@ -168,15 +170,20 @@ func diff(args []string, stdout io.Writer) error {
 		if regressed(b.NsPerOp, n.NsPerOp, *nsTol) {
 			msg := fmt.Sprintf("%s ns/op: %.0f -> %.0f (%s, tol %.0f%%)",
 				name, b.NsPerOp, n.NsPerOp, pct(b.NsPerOp, n.NsPerOp), 100**nsTol)
-			if reFailNs != nil && reFailNs.MatchString(name) {
+			if gates(reFailNs, name) {
 				rp.fail("%s", msg)
 			} else {
 				rp.warn("%s", msg)
 			}
 		}
 		if b.BPerOp != nil && n.BPerOp != nil && regressed(*b.BPerOp, *n.BPerOp, *bytesTol) {
-			rp.warn("%s B/op: %.0f -> %.0f (%s, tol %.0f%%)",
+			msg := fmt.Sprintf("%s B/op: %.0f -> %.0f (%s, tol %.0f%%)",
 				name, *b.BPerOp, *n.BPerOp, pct(*b.BPerOp, *n.BPerOp), 100**bytesTol)
+			if gates(reFailBytes, name) {
+				rp.fail("%s", msg)
+			} else {
+				rp.warn("%s", msg)
+			}
 		}
 		for _, key := range metrics {
 			bv, bok := b.Metrics[key]
@@ -184,7 +191,7 @@ func diff(args []string, stdout io.Writer) error {
 			if bok && nok && regressed(bv, nv, mTol) {
 				msg := fmt.Sprintf("%s %s: %.0f -> %.0f (%s, tol %.0f%%)",
 					name, key, bv, nv, pct(bv, nv), 100*mTol)
-				if reFailMetric != nil && reFailMetric.MatchString(name) {
+				if gates(reFailMetric, name) {
 					rp.fail("%s", msg)
 				} else {
 					rp.warn("%s", msg)

@@ -137,6 +137,29 @@ func TestFailMetricWithinToleranceIsSilent(t *testing.T) {
 	}
 }
 
+func TestFailBytesGatesRegression(t *testing.T) {
+	dir := t.TempDir()
+	base := writeJSON(t, dir, "base.json", baseline)
+	for _, c := range []struct {
+		bytes, gate, want string
+		fails             bool
+	}{
+		{"4600", "BenchmarkRound", "FAIL BenchmarkRound/n=512 B/op", true}, // +12 % at 10 %
+		{"4600", "BenchmarkAsyncStep", "warn BenchmarkRound/n=512 B/op", false},
+		{"4400", "BenchmarkRound", "0 failing, 0 warnings", false}, // +7 %
+	} {
+		fresh := writeJSON(t, dir, "new.json", strings.Replace(baseline, `"b_per_op": 4096`, `"b_per_op": `+c.bytes, 1))
+		var out strings.Builder
+		err := diff([]string{"-base", base, "-new", fresh, "-bytes-tol", "0.10", "-fail-bytes", c.gate}, &out)
+		if (err != nil) != c.fails {
+			t.Errorf("B/op 4096 -> %s gated by %q: error %v, want failure %v\n%s", c.bytes, c.gate, err, c.fails, out.String())
+		}
+		if !strings.Contains(out.String(), c.want) {
+			t.Errorf("B/op 4096 -> %s gated by %q: missing %q:\n%s", c.bytes, c.gate, c.want, out.String())
+		}
+	}
+}
+
 func TestGatedBenchmarkDisappearingFails(t *testing.T) {
 	dir := t.TempDir()
 	base := writeJSON(t, dir, "base.json", baseline)

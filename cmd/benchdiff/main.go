@@ -20,7 +20,7 @@
 // least one failing regression. The flags:
 //
 //	[-fail-allocs regex] [-allocs-tol 0] [-ns-tol 0.25] [-fail-ns regex]
-//	[-bytes-tol 0.25] [-metric bytes/peer] [-fail-metric regex]
+//	[-bytes-tol 0.25] [-fail-bytes regex] [-metric bytes/peer] [-fail-metric regex]
 //	[-metric-tol 0.10] [-github]
 //
 // scale renders a SCALE.json scale ladder (written by the largescale

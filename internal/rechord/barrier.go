@@ -15,9 +15,9 @@ import (
 // This file is the round barrier: the worker pool's execution arenas and
 // the one pipeline through which a standing bucket is rewritten, for
 // every scheduler. A batch is one parallel pass -> commit -> epilogue
-// (runBatch, network.go); out-of-band mutation points (churn, the
-// partition's Apply calls) run the same planner and applier through
-// rewriteBucket.
+// (runBatch, network.go); out-of-band mutation points run the same
+// planner and applier: churn one bucket at a time (rewriteBucket), the
+// partition's Apply one remote sender run at a time (commitPlanned).
 //
 // Ownership. Everything a batch allocates that does not outlive it
 // belongs to the pool worker that runs the peer, never to the peer or
@@ -56,7 +56,7 @@ import (
 //     installs keep the recipients' purge marks. It is the only code
 //     that writes RealNode.in, bucketMsgs and bucket dep references, or
 //     wakes a recipient because its standing input changed;
-//     rewriteBucket calls it too. The staged publishes count the level
+//     commitPlanned calls it too. The staged publishes count the level
 //     spans that shrank (setViews), which the next batch's purge marks
 //     read.
 //   - Epilogue (serial, active order): epoch bumps, settle bookkeeping,
@@ -67,7 +67,7 @@ import (
 // A scheduler differs from the synchronous engine only in its
 // flowRouter — what it plans (read-only, in the parallel pass) and what
 // it emits (in the epilogue, in active order, ops in plan order) — and
-// in the network's host predicate (runsHere), which markDirtyIdx, planOp
+// in which peers run here (RealNode.remote), which markDirtyIdx, planOp
 // and apply read; nothing else asks which scheduler runs. The async
 // runner draws its delays and the partition appends its effects from
 // emit, so RNG consumption and effect order cannot depend on the worker
@@ -139,7 +139,7 @@ type worker struct {
 	order            []int32
 	rcpt             []ident.ID
 	at               []int32
-	packed           []cmsg
+	packed           []Record
 	groups           []groupSlot
 	stamp            uint32
 	groupShift       uint8
@@ -555,7 +555,7 @@ func (nw *Network) planOp(sender handle, dstID ident.ID, op bucketOp, w *worker)
 	}
 	op.dstSlot = slot
 	dst := nw.pt.nodes[slot]
-	if !nw.runsHere(dst.id) {
+	if dst.remote {
 		w.ops = append(w.ops, op)
 		return
 	}
@@ -611,7 +611,7 @@ func sortedAdds(buf []ident.ID, c *contrib) []ident.ID {
 	buf = buf[:0]
 	if c != nil {
 		for _, r := range c.recs() {
-			buf = append(buf, r.add())
+			buf = append(buf, r.addID())
 		}
 		slices.Sort(buf)
 	}
@@ -620,18 +620,19 @@ func sortedAdds(buf []ident.ID, c *contrib) []ident.ID {
 
 // apply commits one sender's planned bucket ops, then its dep deltas:
 // the barrier calls it for every active peer in active order, and
-// rewriteBucket for one op. Nothing else writes RealNode.in or
+// commitPlanned outside a batch. Nothing else writes RealNode.in or
 // bucketMsgs. It skips the ops to recipients that run elsewhere and
 // returns the count it applied; the caller counts them and the deltas
 // (countCommit). The installs keep the recipients' purge marks: a
 // batch's are its senders' output, built from sets purged (or vouched
 // for by the sender's mark) against the view the batch began with, and
-// a shorter span the same commit publishes bumps the shrink count.
+// a shorter span the same commit publishes bumps the shrink count. A
+// partition's Apply keeps them for the same reason (applyRun).
 func (nw *Network) apply(sender handle, ops []bucketOp, deps []depDelta) (applied int) {
 	for k := range ops {
 		op := &ops[k]
 		dst := nw.pt.nodes[op.dstSlot]
-		if !nw.runsHere(dst.id) {
+		if dst.remote {
 			continue
 		}
 		applied++
@@ -646,10 +647,10 @@ func (nw *Network) apply(sender handle, ops []bucketOp, deps []depDelta) (applie
 					wake = true
 				}
 				dst.delBucketAt(bi)
-				releaseBucket(old, &nw.flow)
+				nw.releaseBucket(old)
 			}
 		} else {
-			installBucket(dst, bucket{sender: sender, c: op.c, private: op.private}, &nw.flow)
+			nw.installBucket(dst, bucket{sender: sender, c: op.c, private: op.private})
 		}
 		if wake {
 			nw.markDirtyIdx(op.dstSlot)
@@ -677,9 +678,9 @@ func (nw *Network) countCommit(ops, deps int) {
 }
 
 // rewriteBucket is the pipeline run for one bucket, for the mutation
-// points outside a batch (churn, the partition's Apply): plan the op on
-// the caller's own worker, then apply it. An install here is no batch
-// output, so it clears the recipient's purge mark.
+// points outside a batch (churn): plan the op on the caller's own worker,
+// then apply it. An install here is no batch output, so it clears the
+// recipient's purge mark.
 func (nw *Network) rewriteBucket(sender handle, dstID ident.ID, op bucketOp) {
 	w := nw.serial()
 	o0, d0 := len(w.ops), len(w.deps)
@@ -687,6 +688,13 @@ func (nw *Network) rewriteBucket(sender handle, dstID ident.ID, op bucketOp) {
 	if len(w.ops) > o0 && op.c != nil && !op.oneShot {
 		nw.pt.nodes[w.ops[o0].dstSlot].purged = 0
 	}
+	nw.commitPlanned(sender, w, o0, d0)
+}
+
+// commitPlanned applies the ops and dep deltas one sender's plan left on
+// w past o0 and d0 outside a batch, counts them, and drops them from w's
+// arenas.
+func (nw *Network) commitPlanned(sender handle, w *worker, o0, d0 int) {
 	nw.countCommit(nw.apply(sender, w.ops[o0:], w.deps[d0:]), len(w.deps)-d0)
 	clear(w.ops[o0:]) // so the arena pins no replaced contribution
 	w.ops, w.deps = w.ops[:o0], w.deps[:d0]

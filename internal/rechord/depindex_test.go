@@ -109,7 +109,7 @@ func (n *RealNode) holdsDependent(owners map[ident.ID]bool, refs map[ref.Ref]boo
 	}
 	for _, b := range n.in {
 		for _, r := range b.c.recs() {
-			add := r.addRef()
+			add := r.Add()
 			if owners[add.Owner()] || refs[add] {
 				return true
 			}

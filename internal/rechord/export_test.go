@@ -273,7 +273,7 @@ func CheckDepIndex(t testing.TB, nw *Network, when string) {
 		}
 		for _, b := range n.in {
 			for _, r := range b.c.recs() {
-				bump(r.add(), uint32(slot))
+				bump(r.addID(), uint32(slot))
 			}
 		}
 	}
@@ -318,7 +318,7 @@ func CheckPurgeMarks(t testing.TB, nw *Network, when string) {
 		}
 		for _, b := range n.in {
 			for _, rec := range b.c.recs() {
-				if r := rec.addRef(); nw.stale(r) {
+				if r := rec.Add(); nw.stale(r) {
 					t.Fatalf("%s: %s is marked purged but a bucket carries the stale %s", when, n.id, r)
 				}
 			}

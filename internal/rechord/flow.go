@@ -40,14 +40,14 @@ import (
 //
 // Blocks are recycled rather than left to the collector: the contributions
 // a batch's epilogue drops from lastFlow are no bucket's any more (the
-// commit rewrote or deleted every bucket on them), so the next batch's
-// freezes reuse their blocks (contribPool). A block can only be reused
-// while nothing else holds it, which is every holder but one: a delayed
-// async handoff keeps its contribution past the sender's next change, so
-// emitFlow pins it (pinned), and a pinned block goes to the collector.
-// A partition's private contributions are carved per sender run from one
-// block (carve) and never recycled: they die with their buckets, one by
-// one.
+// commit rewrote or deleted every bucket on them), and a private
+// contribution — a partition's copy of a remote sender's records — is
+// dropped with its bucket (releaseBucket), so the next batch's freezes
+// and the partition's next Apply reuse their blocks (contribPool). A
+// block can only be reused while nothing else holds it, which is every
+// holder but one: a delayed async handoff keeps its contribution past the
+// sender's next change, so emitFlow pins it (pinned), and a pinned block
+// goes to the collector.
 
 const (
 	// pmLevelBits is wide enough for any Ref level (at most 64) with
@@ -62,7 +62,7 @@ const (
 	msgBytes = int(unsafe.Sizeof(Message{}))
 	// recBytes is the at-rest cost of one standing message, ptrBytes
 	// that of one lastFlow index entry.
-	recBytes = int(unsafe.Sizeof(cmsg{}))
+	recBytes = int(unsafe.Sizeof(Record{}))
 	ptrBytes = int(unsafe.Sizeof((*contrib)(nil)))
 
 	// pinned marks, in a contribution's count word, a block that must not
@@ -72,33 +72,28 @@ const (
 	maxPooled = 32
 )
 
-// cmsg is one standing message at rest: the Add owner as two words (so
-// a record is 12 bytes and 4-aligned) and kind + To.Level + Add.Level
-// packed into meta.
-type cmsg struct {
+// Record is one standing message at rest, and on the wire path a bucket
+// update's unit (BucketUpdate.Recs): the Add owner as two words (so a
+// record is 12 bytes and 4-aligned) and kind + To.Level + Add.Level
+// packed into meta. The recipient's identifier is not in it: the
+// contribution (or the bucket update) holding the record names it once.
+type Record struct {
 	lo, hi, meta uint32
 }
 
 // contrib is the header of a contribution block: the recipient, as two
 // words, and the number of records that follow it in the same block
-// (plus the pinned flag). It has cmsg's layout, so a block is a []cmsg
-// whose first element is the header.
+// (plus the pinned flag). It has Record's layout, so a block is a
+// []Record whose first element is the header.
 type contrib struct {
 	lo, hi, nf uint32
 }
 
 // newContrib allocates a contribution to owner with room for n records.
 func newContrib(owner ident.ID, n int) *contrib {
-	c, _ := carve(make([]cmsg, n+1), owner, n)
-	return c
-}
-
-// carve lays a contribution to owner with room for n records at the
-// start of blk and returns it and the rest of blk.
-func carve(blk []cmsg, owner ident.ID, n int) (*contrib, []cmsg) {
-	c := (*contrib)(unsafe.Pointer(&blk[0]))
+	c := (*contrib)(unsafe.Pointer(&make([]Record, n+1)[0]))
 	c.lo, c.hi, c.nf = uint32(owner), uint32(owner>>32), uint32(n)
-	return c, blk[n+1:]
+	return c
 }
 
 // owner is the recipient.
@@ -108,8 +103,8 @@ func (c *contrib) owner() ident.ID { return ident.ID(c.hi)<<32 | ident.ID(c.lo) 
 func (c *contrib) count() int { return int(c.nf &^ pinned) }
 
 // recs returns the records in emission order.
-func (c *contrib) recs() []cmsg {
-	return unsafe.Slice((*cmsg)(unsafe.Pointer(c)), c.count()+1)[1:]
+func (c *contrib) recs() []Record {
+	return unsafe.Slice((*Record)(unsafe.Pointer(c)), c.count()+1)[1:]
 }
 
 // footprint is the resident size of the contribution.
@@ -119,31 +114,31 @@ func (c *contrib) footprint() int { return (c.count() + 1) * recBytes }
 func (c *contrib) appendMsgs(dst []Message) []Message {
 	owner := c.owner()
 	for _, r := range c.recs() {
-		dst = append(dst, r.msg(owner))
+		dst = append(dst, r.Message(owner))
 	}
 	return dst
 }
 
-// add is the record's Add owner.
-func (r cmsg) add() ident.ID { return ident.ID(r.hi)<<32 | ident.ID(r.lo) }
+// addID is the identifier of the record's Add node.
+func (r Record) addID() ident.ID { return ident.ID(r.hi)<<32 | ident.ID(r.lo) }
 
-// toLevel is the level of the recipient's virtual node the record
-// extends, kind which of its edge sets, and addRef the node it inserts.
-func (r cmsg) toLevel() int     { return int(r.meta >> pmLevelBits & pmLevelMask) }
-func (r cmsg) kind() graph.Kind { return graph.Kind(r.meta >> pmKindShift) }
-func (r cmsg) addRef() ref.Ref  { return ref.Virtual(r.add(), int(r.meta&pmLevelMask)) }
+// ToLevel is the level of the recipient's virtual node the record
+// extends, Kind which of its edge sets, and Add the node it inserts.
+func (r Record) ToLevel() int     { return int(r.meta >> pmLevelBits & pmLevelMask) }
+func (r Record) Kind() graph.Kind { return graph.Kind(r.meta >> pmKindShift) }
+func (r Record) Add() ref.Ref     { return ref.Virtual(r.addID(), int(r.meta&pmLevelMask)) }
 
-// msg reconstitutes the full Message, addressed to owner (the
-// contribution's recipient).
-func (r cmsg) msg(owner ident.ID) Message {
-	return Message{To: ref.Virtual(owner, r.toLevel()), Kind: r.kind(), Add: r.addRef()}
+// Message reconstitutes the full Message, addressed to the recipient
+// to.
+func (r Record) Message(to ident.ID) Message {
+	return Message{To: ref.Virtual(to, r.ToLevel()), Kind: r.Kind(), Add: r.Add()}
 }
 
-// packRec encodes m as a record to store. Every Ref level (at most 64)
-// fits its packed field.
-func packRec(m Message) cmsg {
+// PackRecord encodes m as a record, dropping its recipient's identifier.
+// Every Ref level (at most 64) fits its packed field.
+func PackRecord(m Message) Record {
 	u := m.Add.Owner()
-	return cmsg{lo: uint32(u), hi: uint32(u >> 32), meta: uint32(m.Kind)<<pmKindShift | uint32(m.To.Level())<<pmLevelBits | uint32(m.Add.Level())}
+	return Record{lo: uint32(u), hi: uint32(u >> 32), meta: uint32(m.Kind)<<pmKindShift | uint32(m.To.Level())<<pmLevelBits | uint32(m.Add.Level())}
 }
 
 // findContrib returns owner's contribution in a flow index sorted by
@@ -225,7 +220,7 @@ func diffFlow(old []*contrib, out []Message, w *worker) bool {
 	packed := slices.Grow(w.packed[:0], len(out))[:len(out)]
 	for mi := range out {
 		sd := &diff[at[mi]]
-		packed[sd.off] = packRec(out[mi])
+		packed[sd.off] = PackRecord(out[mi])
 		sd.off++
 	}
 	changed := len(diff) != len(old) // every recipient matched a distinct old one
@@ -309,7 +304,7 @@ func (w *worker) freezeFlow(old []*contrib) []*contrib {
 }
 
 // contribPool is a worker's blocks for reuse, by record count: the
-// contributions the last epilogue dropped (Network.recycle). A block
+// contributions that died by the last epilogue (Network.recycle). A block
 // waits there for one batch at most, so a network that stops changing
 // holds none.
 type contribPool [maxPooled + 1][]*contrib
@@ -341,10 +336,11 @@ func (p *contribPool) reset(release bool) {
 	}
 }
 
-// recycle hands the contributions the epilogue dropped to the workers'
-// pools, dealt round-robin, after dropping what the pools still held. A
-// batch that dropped none releases the pools' storage too, so a network
-// that stops changing keeps no trace of them.
+// recycle hands the contributions that died since the last batch (the
+// ones the epilogue dropped and the released private ones) to the
+// workers' pools, dealt round-robin, after dropping what the pools still
+// held. A batch that dropped none releases the pools' storage too, so a
+// network that stops changing keeps no trace of them.
 func (nw *Network) recycle() {
 	release := len(nw.dead) == 0
 	for _, w := range nw.workers {
@@ -366,8 +362,8 @@ func (nw *Network) recycle() {
 
 // bucket is one standing contribution at a recipient: 24 bytes. private
 // marks a contribution the bucket owns alone — at the host of a remote
-// sender's recipient, built from a bucket update (Partition.Apply) —
-// rather than one of its sender's lastFlow.
+// sender's recipient, a pooled copy of a bucket update's records
+// (Partition.Apply) — rather than one of its sender's lastFlow.
 type bucket struct {
 	sender  handle
 	c       *contrib
@@ -475,8 +471,10 @@ func (ft *flowTally) adoptFlow(n *RealNode, flow []*contrib, dead *[]*contrib) {
 }
 
 // installBucket sets b as dst's bucket for b.sender. Handles the tally
-// only; deps, bucketMsgs, and dirty are the caller's.
-func installBucket(dst *RealNode, b bucket, ft *flowTally) {
+// and the replaced bucket's release only; deps, bucketMsgs, and dirty
+// are the caller's.
+func (nw *Network) installBucket(dst *RealNode, b bucket) {
+	ft := &nw.flow
 	bytes := b.c.count() * msgBytes
 	if b.private {
 		ft.live(b.c, 1)
@@ -487,16 +485,19 @@ func installBucket(dst *RealNode, b bucket, ft *flowTally) {
 		ft.installsShared++
 	}
 	if old, existed := dst.setBucket(b); existed {
-		releaseBucket(old, ft)
+		nw.releaseBucket(old)
 	}
 }
 
-// releaseBucket accounts a bucket that is replaced or deleted.
-func releaseBucket(b bucket, ft *flowTally) {
+// releaseBucket accounts a bucket that is replaced or deleted. A private
+// contribution dies with its bucket, so its block goes to recycle.
+func (nw *Network) releaseBucket(b bucket) {
+	ft := &nw.flow
 	bytes := b.c.count() * msgBytes
 	if b.private {
 		ft.live(b.c, -1)
 		ft.uniqueBytes -= bytes
+		nw.dead = append(nw.dead, b.c)
 	} else {
 		ft.sharedBytes -= bytes
 	}

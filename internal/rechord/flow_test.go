@@ -29,7 +29,7 @@ func freezeScratch(out []Message) []*contrib {
 		msgs := recipientMsgs(out, o)
 		c := newContrib(o, len(msgs))
 		for i, m := range msgs {
-			c.recs()[i] = packRec(m)
+			c.recs()[i] = PackRecord(m)
 		}
 		flow = append(flow, c)
 	}
@@ -305,7 +305,7 @@ func TestFlowTallyMatchesRecount(t *testing.T) {
 
 // TestPackedMessageRoundTrip: every standing message reconstitutes
 // bit-identically from the packed form at quiescence (delivery reads go
-// through cmsg.msg, so the equivalence suite exercises this indirectly;
+// through Record.Message, so the equivalence suite exercises this indirectly;
 // this pins it directly against the sender's regenerated output).
 func TestPackedMessageRoundTrip(t *testing.T) {
 	nw, _ := stableFlowNet(t, 10, Config{Workers: 1})

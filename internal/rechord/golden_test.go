@@ -259,7 +259,11 @@ func msgsDigest(ms []rechord.Message) uint64 {
 func effectLog(e *rechord.Effects) []sinkEvent {
 	var log []sinkEvent
 	for _, u := range e.Buckets {
-		log = append(log, sinkEvent{'B', u.From, u.To, len(u.Msgs), msgsDigest(u.Msgs)})
+		ms := make([]rechord.Message, len(u.Recs))
+		for i, r := range u.Recs {
+			ms[i] = r.Message(u.To)
+		}
+		log = append(log, sinkEvent{'B', u.From, u.To, len(ms), msgsDigest(ms)})
 	}
 	for _, u := range e.OneShots {
 		log = append(log, sinkEvent{'O', 0, u.To, len(u.Msgs), msgsDigest(u.Msgs)})

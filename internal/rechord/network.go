@@ -125,7 +125,9 @@ type Network struct {
 	// install tallies), written by the commit and the epilogue.
 	// Flushed to the telemetry gauges by flushFlowGauges.
 	flow flowTally
-	// dead collects the contributions the epilogue drops, for recycle.
+	// dead collects the contributions that die between recycles: those
+	// the epilogue drops and the private ones released with their
+	// buckets.
 	dead []*contrib
 
 	// router is the stepping scheduler's plan/emit policy around the
@@ -133,9 +135,10 @@ type Network struct {
 	// NewAsyncRunner and NewPartition claim it.
 	router flowRouter
 
-	// hosted says which peers run here (runsHere; nil: every peer), set
-	// once by NewPartition. A peer that runs elsewhere is a passive stub:
-	// never on the frontier, holding no bucket (markDirtyIdx, planOp, apply).
+	// hosted says which peers run here (nil: every peer), set once by
+	// NewPartition. It decides each peer's RealNode.remote bit, when the
+	// partition wraps the network and when the peer joins; everything
+	// else reads the bit.
 	hosted func(ident.ID) bool
 
 	// pool is the goroutine set and workers the execution arenas it
@@ -198,7 +201,7 @@ func (nw *Network) AddPeer(id ident.ID) *RealNode {
 	if _, ok := nw.pt.lookup(id); ok {
 		panic(fmt.Sprintf("rechord: duplicate peer id %s", id))
 	}
-	n := &RealNode{id: id, vnodes: []*VNode{newVNode(id, 0)}}
+	n := &RealNode{id: id, vnodes: []*VNode{newVNode(id, 0)}, remote: nw.hosted != nil && !nw.hosted(id)}
 	slot := nw.pt.intern(n)
 	for int(slot) >= len(nw.view) {
 		nw.view = append(nw.view, nil)
@@ -247,15 +250,19 @@ func (nw *Network) removeOrder(id ident.ID) {
 	}
 }
 
-// runsHere reports whether this process runs the peer's rules.
-func (nw *Network) runsHere(id ident.ID) bool { return nw.hosted == nil || nw.hosted(id) }
+// runsHere reports whether the identifier is a live peer whose rules
+// this process runs.
+func (nw *Network) runsHere(id ident.ID) bool {
+	n := nw.pt.node(id)
+	return n != nil && !n.remote
+}
 
 // markDirtyIdx puts the peer in the slot on the frontier: its inputs
 // (inbox, purge environment, or published neighbor state) may have
 // changed, so the next Step must run its rules. A peer that runs
 // elsewhere is left to its host.
 func (nw *Network) markDirtyIdx(slot uint32) {
-	if n := nw.pt.nodes[slot]; n != nil && !n.dirty && nw.runsHere(n.id) {
+	if n := nw.pt.nodes[slot]; n != nil && !n.dirty && !n.remote {
 		n.dirty = true
 		nw.frontier = append(nw.frontier, slot)
 	}
@@ -532,7 +539,7 @@ func (nw *Network) deliver(n *RealNode) (delivered int, unread bool) {
 		unread = unread || b.unread
 		delivered += b.c.count()
 		for _, r := range b.c.recs() {
-			n.landing(r.toLevel()).addEdge(r.kind(), r.addRef())
+			n.landing(r.ToLevel()).addEdge(r.Kind(), r.Add())
 		}
 	}
 	return delivered, unread

@@ -11,7 +11,7 @@ import (
 // This file is the partitioned scheduler: the piece that lets one
 // Re-Chord network be executed by several processes, each running the
 // rules for a subset of the peers ("hosted" peers) while holding the
-// full membership as passive stubs (see Network.hosted).
+// full membership as passive stubs (see RealNode.remote).
 //
 // The design exploits two properties of the round engine. First, a
 // peer's rules read only its own state, the published view of the
@@ -34,19 +34,23 @@ import (
 // next round begins. One rule decides where an effect lands: it is
 // applied once, by its recipient's host — a bucket or one-shot where
 // its recipient is hosted, a publish wherever its owner is a stub. A
-// departure is handled identically at every process: each flushes the
-// departed peer's standing output to the recipients it hosts, and only
-// a leaver's host sends its goodbyes. The exchange protocol itself
-// (frames, transports, the lockstep barrier) lives in internal/wire;
-// this file only defines the effect payloads and their local
-// application.
+// bucket update carries the sender's packed records as they stand in its
+// contribution, and the recipient's host commits a sender's updates as
+// the barrier commits a sender's ops, into private contributions from
+// its pool (applyRun). A departure is handled identically at every
+// process: each flushes the departed peer's standing output to the
+// recipients it hosts, and only a leaver's host sends its goodbyes.
+// The exchange protocol itself (frames, transports, the lockstep
+// barrier) lives in internal/wire; this file only defines the effect
+// payloads and their local application.
 
 // BucketUpdate mirrors one sender's standing contribution at one
-// recipient: the wire form of a waking bucket op. Empty Msgs deletes
-// the bucket.
+// recipient: the wire form of a waking bucket op. Recs are the
+// contribution's records, every one addressed to To (Record.Message
+// reconstitutes them); none deletes the bucket.
 type BucketUpdate struct {
 	From, To ident.ID
-	Msgs     []Message
+	Recs     []Record
 }
 
 // OneShot delivers messages to one peer's one-shot inbox: the goodbye
@@ -86,10 +90,8 @@ type Partition struct {
 	nw  *Network
 	out Effects // this process's effects since the last Drain
 
-	// msgs and views back out's message lists and published views;
-	// Drain hands them out and the next Step or membership op reuses
-	// them.
-	msgs  []Message
+	// views backs out's published views; Drain hands them out and the
+	// next Step or membership op reuses them.
 	views []PublishedView
 
 	// run gathers Apply's current sender run.
@@ -107,16 +109,16 @@ type Partition struct {
 var _ Scheduler = (*Partition)(nil)
 
 // NewPartition wraps a replica that has not stepped (every caller builds
-// one fresh, so no bucket stands yet) for partitioned execution: hosted,
-// which decides the peers this process runs, becomes the network's host
-// predicate, the stubs leave the frontier, and the partition claims the
-// network's flow router.
+// one fresh, so no bucket stands yet) for partitioned execution: hosted
+// decides the peers this process runs, here and for every later joiner
+// (RealNode.remote), the stubs leave the frontier, and the partition
+// claims the network's flow router.
 func NewPartition(nw *Network, hosted func(ident.ID) bool) *Partition {
 	p := &Partition{nw: nw}
 	nw.router, nw.hosted = p, hosted
 	for _, n := range nw.pt.nodes {
 		if n != nil && !hosted(n.id) {
-			n.dirty = false
+			n.remote, n.dirty = true, false
 		}
 	}
 	return p
@@ -124,9 +126,10 @@ func NewPartition(nw *Network, hosted func(ident.ID) bool) *Partition {
 
 // Drain returns the effects this process produced since the last call
 // (by Step and by membership ops). They live in the partition's
-// buffers: valid until the next Step or membership op, which reuse
-// them, so a caller that keeps them longer must copy them. Apply does
-// not touch them.
+// buffers, and a bucket update's records are the sender's contribution
+// itself: valid until the next Step or membership op, which reuse them,
+// so a caller that keeps them longer must copy them. Apply does not
+// touch them.
 func (p *Partition) Drain() Effects {
 	e := Effects{
 		Buckets:   slices.Clip(p.out.Buckets),
@@ -134,16 +137,8 @@ func (p *Partition) Drain() Effects {
 		Publishes: slices.Clip(p.out.Publishes),
 	}
 	p.out = Effects{Buckets: e.Buckets[:0], OneShots: e.OneShots[:0], Publishes: e.Publishes[:0]}
-	p.msgs, p.views = p.msgs[:0], p.views[:0]
+	p.views = p.views[:0]
 	return e
-}
-
-// appendMsgs copies c's messages into the message buffer and returns
-// the copy.
-func (p *Partition) appendMsgs(c *contrib) []Message {
-	start := len(p.msgs)
-	p.msgs = c.appendMsgs(p.msgs)
-	return p.msgs[start:len(p.msgs):len(p.msgs)]
 }
 
 // Network returns the underlying (replicated) network.
@@ -176,7 +171,7 @@ func (p *Partition) Fingerprint() uint64 { return p.nw.StateFingerprint(p.nw.hos
 func (p *Partition) HostedPeers() int {
 	c := 0
 	for _, n := range p.nw.pt.nodes {
-		if n != nil && p.nw.runsHere(n.id) {
+		if n != nil && !n.remote {
 			c++
 		}
 	}
@@ -202,7 +197,10 @@ func (p *Partition) planFlow(n *RealNode, pr *prepOut, w *worker) { p.nw.planRew
 // emitFlow mirrors every bucket op that changed a remote recipient's
 // standing input into the effects, in plan order, and notes a sender
 // whose published state moved for the broadcast that follows the batch.
-// An owner-level change (level span moved) and any per-level view change
+// A mirrored update carries the op's fresh contribution's records as
+// they are, no copy: the contribution stays the sender's lastFlow until
+// its next change, which the next Step makes at the earliest. An
+// owner-level change (level span moved) and any per-level view change
 // funnel into one full-state publish — receivers diff, so the wake sets
 // stay exact — and the epilogue's active order is identifier order, so
 // the effects (and with them frame contents and the wire's symbol-table
@@ -212,13 +210,12 @@ func (p *Partition) emitFlow(n *RealNode, ops []bucketOp, published bool) {
 		p.pub = append(p.pub, n.idx)
 	}
 	for _, op := range ops {
-		dst := p.nw.pt.ids[op.dstSlot]
-		if !op.wake || p.nw.runsHere(dst) {
+		if !op.wake || !p.nw.pt.nodes[op.dstSlot].remote {
 			continue
 		}
-		u := BucketUpdate{From: n.id, To: dst}
+		u := BucketUpdate{From: n.id, To: p.nw.pt.ids[op.dstSlot]}
 		if op.c != nil {
-			u.Msgs = p.appendMsgs(op.c)
+			u.Recs = op.c.recs()
 		}
 		p.out.Buckets = append(p.out.Buckets, u)
 	}
@@ -241,16 +238,18 @@ func (p *Partition) flushPublishes() {
 // effect lands once, at its recipient's host: a bucket update or
 // one-shot only where its recipient is hosted, a publish only where its
 // owner is a stub (the local copy of a hosted peer is authoritative).
-// The hosted bucket updates are installed in order, one sender run —
-// consecutive hosted updates from one remote sender — at a time
-// (applyRun).
+// The hosted bucket updates are committed in order, one sender run at a
+// time (applyRun): consecutive hosted updates from one remote sender to
+// ascending recipients, so no recipient repeats within a run. One
+// sender's ops of one batch are two such runs at most, its deletions
+// and its installs, each in identifier order (planRewrite).
 func (p *Partition) Apply(e *Effects) {
 	run := p.run[:0]
 	for _, u := range e.Buckets {
 		if !p.nw.runsHere(u.To) {
 			continue
 		}
-		if len(run) > 0 && run[0].From != u.From {
+		if k := len(run); k > 0 && (run[0].From != u.From || run[k-1].To >= u.To) {
 			p.applyRun(run)
 			run = run[:0]
 		}
@@ -273,49 +272,32 @@ func (p *Partition) Apply(e *Effects) {
 	}
 }
 
-// applyRun installs a sender run at its recipients, in order: each
-// update's messages become a private contribution (the stub sender has
-// no local lastFlow to share) and the recipient's bucket points at it,
-// or is deleted when the update carries none. The run's contributions
-// are carved from one block. A message addressed to anyone but its
-// update's recipient has no place in its contribution and is dropped.
+// applyRun commits a sender run as the barrier commits one sender's ops:
+// each update's records are copied into a private contribution from the
+// serial worker's pool (the stub sender has no local lastFlow to share),
+// planOp plans every update against the buckets as they stand, and apply
+// commits the run. Like a batch commit it keeps the recipients' purge
+// marks: the records are the sender's output of the batch that just ran
+// at its host, built against the same round-start view as the batches
+// here, and a shorter span arrives in the same exchange's publishes,
+// which bump the shrink count (applyPublish).
 func (p *Partition) applyRun(run []BucketUpdate) {
 	nw := p.nw
 	from := nw.pt.node(run[0].From)
 	if from == nil {
 		return // sender departed via an op this process already applied
 	}
-	size := 0
-	for _, u := range run {
-		if k := addressed(u); k > 0 {
-			size += k + 1
-		}
-	}
-	blk := make([]cmsg, size)
+	w := nw.serial()
+	o0, d0 := len(w.ops), len(w.deps)
 	for _, u := range run {
 		op := bucketOp{wake: true, private: true}
-		if k := addressed(u); k > 0 {
-			op.c, blk = carve(blk, u.To, k)
-			recs := op.c.recs()[:0]
-			for _, m := range u.Msgs {
-				if m.To.Owner() == u.To {
-					recs = append(recs, packRec(m))
-				}
-			}
+		if len(u.Recs) > 0 {
+			op.c = w.free.get(u.To, len(u.Recs))
+			copy(op.c.recs(), u.Recs)
 		}
-		nw.rewriteBucket(from.h(), u.To, op)
+		nw.planOp(from.h(), u.To, op, w)
 	}
-}
-
-// addressed counts the messages of u addressed to its recipient.
-func addressed(u BucketUpdate) int {
-	k := 0
-	for _, m := range u.Msgs {
-		if m.To.Owner() == u.To {
-			k++
-		}
-	}
-	return k
+	nw.commitPlanned(from.h(), w, o0, d0)
 }
 
 // applyPublish updates a stub's replicated published state, diffing it
@@ -340,10 +322,12 @@ func (p *Partition) applyPublish(u PeerPublish) {
 // everywhere (Network.Join), and if the joiner is hosted elsewhere, the
 // hosted senders' standing flow addressed to it (which AddPeer
 // re-materializes only at a recipient that runs here) is mirrored to the
-// joiner's host, which cannot see those senders' lastFlow. A hosted sender still addresses the joiner's
-// identifier when that identifier departed earlier in the same round
+// joiner's host, which cannot see those senders' lastFlow. A hosted
+// sender still addresses the joiner's identifier when that identifier
+// departed earlier in the same round
 // (TestPartitionRejoinMirrorsStandingFlow): the departure woke the
-// sender, but it has not run since.
+// sender, but it has not run since. The mirror copies the records: the
+// next Step may drop the contribution before the effects are drained.
 func (p *Partition) Join(id, contact ident.ID) error {
 	if err := p.nw.Join(id, contact); err != nil {
 		return err
@@ -352,11 +336,11 @@ func (p *Partition) Join(id, contact ident.ID) error {
 		return nil
 	}
 	for _, s := range p.nw.pt.nodes {
-		if s == nil || s.id == id || !p.nw.runsHere(s.id) {
+		if s == nil || s.id == id || s.remote {
 			continue
 		}
 		if c := findContrib(s.lastFlow, id); c != nil {
-			p.out.Buckets = append(p.out.Buckets, BucketUpdate{From: s.id, To: id, Msgs: p.appendMsgs(c)})
+			p.out.Buckets = append(p.out.Buckets, BucketUpdate{From: s.id, To: id, Recs: slices.Clone(c.recs())})
 		}
 	}
 	return nil
@@ -367,7 +351,7 @@ func (p *Partition) Join(id, contact ident.ID) error {
 // the live state they are derived from): to hosted recipients directly,
 // to each remote one as one one-shot.
 func (p *Partition) Leave(id ident.ID) error {
-	if n := p.nw.pt.node(id); n != nil && p.nw.runsHere(id) {
+	if n := p.nw.pt.node(id); n != nil && !n.remote {
 		at := map[ident.ID]int{} // remote recipient -> its one-shot
 		p.nw.goodbyes(n, func(m Message) {
 			to := m.To.Owner()

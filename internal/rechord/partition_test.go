@@ -261,7 +261,7 @@ func TestApplyAtRecipientHostOnly(t *testing.T) {
 		}
 		before := p.Network().InFlight()
 		p.Apply(&rechord.Effects{Buckets: []rechord.BucketUpdate{{From: from, To: c.to,
-			Msgs: []rechord.Message{{To: ref.Real(c.to), Kind: graph.Unmarked, Add: ref.Real(from)}}}}})
+			Recs: []rechord.Record{rechord.PackRecord(rechord.Message{To: ref.Real(c.to), Kind: graph.Unmarked, Add: ref.Real(from)})}}}})
 		if got := p.Network().InFlight() - before; got != c.grow {
 			t.Errorf("bucket to %s (hosted %v): in-flight grew by %d, want %d", c.to, c.to == hosted, got, c.grow)
 		}

@@ -86,7 +86,7 @@ func mentions(n *RealNode, owner ident.ID) bool {
 			return true
 		}
 		for _, r := range c.recs() {
-			if r.add() == owner {
+			if r.addID() == owner {
 				return true
 			}
 		}
@@ -110,7 +110,7 @@ func TestPurgeMarkDepartureDropsBucketRef(t *testing.T) {
 		for _, b := range n.in {
 			s := nw.pt.byHandle(b.sender)
 			for _, rec := range b.c.recs() {
-				if add := rec.add(); add != n.id && add != s.id && !holds(n, add) {
+				if add := rec.addID(); add != n.id && add != s.id && !holds(n, add) {
 					r, x = n, add
 				}
 			}
@@ -185,60 +185,79 @@ func TestPurgeMarkDroppedLevel(t *testing.T) {
 	}
 }
 
+// partedNets builds joinedNet's network twice and wraps each as one rank
+// of a two-way partition, rank k hosting the identifiers of parity k.
+func partedNets(t *testing.T, n int, seed int64) ([]*Partition, []ident.ID) {
+	t.Helper()
+	parts := make([]*Partition, 2)
+	var ids []ident.ID
+	for k := range parts {
+		var nw *Network
+		nw, ids = joinedNet(t, n, seed)
+		parts[k] = NewPartition(nw, hostedBy(k))
+	}
+	return parts, ids
+}
+
+// hostedBy is rank k's hosting predicate in partedNets.
+func hostedBy(k int) func(ident.ID) bool {
+	return func(id ident.ID) bool { return int(uint64(id)%2) == k }
+}
+
+// applyAll applies every rank's effects at every rank, in rank order.
+func applyAll(parts []*Partition, effects []Effects) {
+	for k := range effects {
+		for _, p := range parts {
+			p.Apply(&effects[k])
+		}
+	}
+}
+
+// settleParts steps the ranks to quiescence. Each round exchange applies
+// the ranks' drained effects (applyAll when nil), and the marks are
+// audited after it.
+func settleParts(t *testing.T, parts []*Partition, what string, exchange func(round int, effects []Effects)) {
+	t.Helper()
+	if exchange == nil {
+		exchange = func(_ int, effects []Effects) { applyAll(parts, effects) }
+	}
+	for round := 1; ; round++ {
+		if round > 2000 {
+			t.Fatalf("%s: no quiescence in 2000 rounds", what)
+		}
+		effects := make([]Effects, len(parts))
+		moved, quiet := false, true
+		for k, p := range parts {
+			p.Step()
+			effects[k] = p.Drain()
+			moved = moved || effects[k].Len() > 0
+		}
+		exchange(round, effects)
+		for k, p := range parts {
+			CheckPurgeMarks(t, p.Network(), fmt.Sprintf("%s: rank %d round %d", what, k, round))
+			quiet = quiet && p.Quiescent()
+		}
+		if !moved && quiet {
+			return
+		}
+	}
+}
+
 // TestPurgeMarkShorterViewFromPublish: the same drop under a two-way
 // partition, x hosted at one rank and r at the other, so r's rank learns
 // of the shorter span only through applyPublish.
 func TestPurgeMarkShorterViewFromPublish(t *testing.T) {
-	var parts [2]*Partition
-	var ids []ident.ID
-	hosted := func(k int) func(ident.ID) bool {
-		return func(id ident.ID) bool { return int(uint64(id)%2) == k }
-	}
-	for k := range parts {
-		var nw *Network
-		nw, ids = joinedNet(t, 24, 5)
-		parts[k] = NewPartition(nw, hosted(k))
-	}
+	parts, ids := partedNets(t, 24, 5)
 	var x, r ident.ID
 	for _, id := range ids {
 		switch {
-		case hosted(1)(id) && x == 0:
+		case hostedBy(1)(id) && x == 0:
 			x = id
-		case hosted(0)(id) && r == 0:
+		case hostedBy(0)(id) && r == 0:
 			r = id
 		}
 	}
-	// settleParts steps both ranks, exchanging their effects, to
-	// quiescence, and audits the marks after every exchange.
-	settleParts := func(what string, check func(round int)) {
-		for round := 1; ; round++ {
-			if round > 2000 {
-				t.Fatalf("%s: no quiescence in 2000 rounds", what)
-			}
-			for _, p := range parts {
-				p.Step()
-			}
-			var effects [2]Effects
-			moved := false
-			for k, p := range parts {
-				effects[k] = p.Drain()
-				moved = moved || effects[k].Len() > 0
-			}
-			for k := range effects {
-				for _, p := range parts {
-					p.Apply(&effects[k])
-				}
-			}
-			for k, p := range parts {
-				CheckPurgeMarks(t, p.Network(), fmt.Sprintf("%s: rank %d round %d", what, k, round))
-			}
-			check(round)
-			if !moved && parts[0].Quiescent() && parts[1].Quiescent() {
-				return
-			}
-		}
-	}
-	settleParts("build", func(int) {})
+	settleParts(t, parts, "build", nil)
 	local := parts[0].Network() // r's rank, where x is a stub
 	// The published span is replicated; a stub's own levels are not.
 	uk := ref.Virtual(x, len(local.view[local.node(x).idx])+1)
@@ -246,7 +265,8 @@ func TestPurgeMarkShorterViewFromPublish(t *testing.T) {
 		p.Network().SeedEdge(uk, ref.Real(r), graph.Unmarked)
 		p.Network().SeedEdge(ref.Real(r), uk, graph.Unmarked)
 	}
-	settleParts("after the drop", func(round int) {
+	settleParts(t, parts, "after the drop", func(round int, effects []Effects) {
+		applyAll(parts, effects)
 		if round == 1 && len(local.view[local.node(x).idx]) >= uk.Level() {
 			t.Fatalf("the publish left %s's stub with its level %d", x, uk.Level())
 		}
@@ -254,6 +274,55 @@ func TestPurgeMarkShorterViewFromPublish(t *testing.T) {
 	if h := holders(local, uk); len(h) > 0 {
 		t.Fatalf("%v still hold the dropped %s at its rank", h, uk)
 	}
+}
+
+// TestPurgeMarkPartitionInstallKeepsMark: a bucket update from a remote
+// sender is that sender's output of the batch that just ran at its host,
+// so Partition.Apply's install keeps the recipient's mark, as the
+// monolith's commit of the same install does. Checked at every marked
+// recipient of every exchange of a two-way settle in which no shorter
+// span arrived.
+func TestPurgeMarkPartitionInstallKeepsMark(t *testing.T) {
+	parts, _ := partedNets(t, 24, 5)
+	kept := 0
+	settleParts(t, parts, "build", func(round int, effects []Effects) {
+		type at struct {
+			nw *Network
+			n  *RealNode
+		}
+		var marked []at
+		shrinks := make([]uint64, len(parts))
+		for k, p := range parts {
+			nw := p.Network()
+			shrinks[k] = nw.shrinks
+			for _, e := range effects {
+				for _, u := range e.Buckets {
+					if n := nw.node(u.To); n != nil && !n.remote && nw.marked(n) {
+						marked = append(marked, at{nw, n})
+					}
+				}
+			}
+		}
+		applyAll(parts, effects)
+		for k, p := range parts {
+			if p.Network().shrinks != shrinks[k] {
+				return
+			}
+		}
+		for _, m := range marked {
+			if !m.nw.marked(m.n) {
+				t.Fatalf("round %d: Apply's install cleared %s's purge mark", round, m.n.id)
+			}
+			if !m.n.dirty {
+				t.Fatalf("round %d: Apply's install did not wake %s", round, m.n.id)
+			}
+			kept++
+		}
+	})
+	if kept == 0 {
+		t.Fatal("no bucket update reached a marked recipient")
+	}
+	t.Logf("%d installs kept their recipient's mark", kept)
 }
 
 // TestPurgeMarkAsyncInstallKeepsMark: under the asynchronous runner

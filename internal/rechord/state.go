@@ -155,6 +155,13 @@ type RealNode struct {
 	// run its rules. Managed by Network.markDirty and Step.
 	dirty bool
 
+	// remote marks a peer that runs elsewhere: a partition's stub, whose
+	// host runs its rules. A stub is never on the frontier and holds no
+	// bucket (markDirtyIdx, planOp, apply). Set when the peer joins or
+	// its network becomes a partition (Network.hosted); never in the
+	// monolith.
+	remote bool
+
 	// epoch is the peer's change epoch: a network-wide monotone stamp
 	// taken whenever the peer's own protocol state (its virtual nodes
 	// with their edge sets and rl/rr) may have changed. Consumers such
@@ -168,9 +175,10 @@ type RealNode struct {
 	// the peer's sets hold no stale reference and neither do its
 	// buckets, so a deliver with an empty inbox brings none in and the
 	// purge is skipped (deliverPhase). A batch commit's installs keep it
-	// under every scheduler (apply); whatever could break it clears it:
-	// an install outside a batch (rewriteBucket), SeedEdge, and Wake,
-	// which out-of-band writes call.
+	// under every scheduler (apply), and so do a partition's installs of
+	// a remote sender's batch output (Partition.applyRun); whatever could
+	// break it clears it: AddPeer's re-materialization (rewriteBucket),
+	// SeedEdge, and Wake, which out-of-band writes call.
 	purged uint64
 }
 
@@ -297,7 +305,7 @@ func (n *RealNode) eachPending(f func(Message)) {
 	}
 	for _, b := range n.in {
 		for _, r := range b.c.recs() {
-			f(r.msg(n.id))
+			f(r.Message(n.id))
 		}
 	}
 }

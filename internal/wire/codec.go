@@ -58,8 +58,7 @@ func malformed(format string, args ...any) error {
 // SymWriter is the sending half of a connection's symbol table. The
 // zero value is ready to use.
 type SymWriter struct {
-	idx      map[ident.ID]uint32
-	interned uint64
+	idx map[ident.ID]uint32
 }
 
 // AppendID appends the identifier's symbol encoding to dst: uvarint
@@ -73,13 +72,9 @@ func (s *SymWriter) AppendID(dst []byte, id ident.ID) []byte {
 		s.idx = make(map[ident.ID]uint32)
 	}
 	s.idx[id] = uint32(len(s.idx))
-	s.interned++
 	dst = append(dst, 0)
 	return ident.AppendBytes(dst, id)
 }
-
-// Interned returns the number of identifiers this table has assigned.
-func (s *SymWriter) Interned() uint64 { return s.interned }
 
 // SymReader is the receiving half of a connection's symbol table. The
 // zero value is ready to use.

@@ -23,6 +23,16 @@ func msg(toOwner uint64, toLvl int, kind graph.Kind, addOwner uint64, addLvl int
 	}
 }
 
+// bucket is a bucket update from one peer to another carrying msgs as
+// records; every message must address to.
+func bucket(from, to uint64, msgs ...rechord.Message) rechord.BucketUpdate {
+	u := rechord.BucketUpdate{From: ident.ID(from), To: ident.ID(to)}
+	for _, m := range msgs {
+		u.Recs = append(u.Recs, rechord.PackRecord(m))
+	}
+	return u
+}
+
 // richRound builds a frame touching every encodable field: repeated
 // identifiers (symbol-table hits), all view-flag combinations, empty
 // and non-empty message lists.
@@ -32,11 +42,11 @@ func richRound() *RoundFrame {
 		Changed: true,
 		Effects: rechord.Effects{
 			Buckets: []rechord.BucketUpdate{
-				{From: 0x1111, To: 0x2222, Msgs: []rechord.Message{
+				bucket(0x1111, 0x2222,
 					msg(0x2222, 0, graph.Ring, 0x3333, 2),
 					msg(0x2222, 1, graph.Connection, 0x1111, 0),
-				}},
-				{From: 0x3333, To: 0x1111, Msgs: nil}, // bucket deletion
+				),
+				bucket(0x3333, 0x1111), // bucket deletion
 			},
 			OneShots: []rechord.OneShot{
 				{To: 0x2222, Msgs: []rechord.Message{msg(0x1111, 3, graph.Unmarked, 0x4444, 0)}},
@@ -63,7 +73,7 @@ func leanRound() *RoundFrame {
 		Round: 8,
 		Effects: rechord.Effects{
 			Buckets: []rechord.BucketUpdate{
-				{From: 0x3333, To: 0x2222, Msgs: []rechord.Message{msg(0x2222, 0, graph.Ring, 0x1111, 1)}},
+				bucket(0x3333, 0x2222, msg(0x2222, 0, graph.Ring, 0x1111, 1)),
 			},
 			Publishes: []rechord.PeerPublish{
 				{Owner: 0x2222, Views: []rechord.PublishedView{{RL: ref.Real(0x1111), HasRL: true}}},
@@ -136,7 +146,7 @@ func TestSymbolTableWarm(t *testing.T) {
 	if warm >= cold-4 {
 		t.Fatalf("warm frame (%d bytes) not smaller than cold (%d)", warm, cold-4)
 	}
-	if got := enc.sym.Interned(); got != 4 {
+	if got := len(enc.sym.idx); got != 4 {
 		t.Fatalf("interned %d symbols, want 4", got)
 	}
 	dec := NewDecoder(bytes.NewReader(buf.Bytes()), nil)
@@ -240,6 +250,29 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 	body = binary.AppendUvarint(body, 1) // symbol tag 1 -> empty table
 	frame := binary.AppendUvarint([]byte{magic0, magic1, magic2, Version}, uint64(len(body)))
 	mustReject("symbol index out of range", append(frame, body...))
+
+	// A bucket message addressed to a peer other than the update's
+	// recipient: a record keeps no recipient, so it has no place in the
+	// update. The same frame addressed to the recipient decodes.
+	bucketFrame := func(msgTo uint64) []byte {
+		var sw SymWriter
+		body := []byte{frameRound}
+		body = binary.AppendUvarint(body, 1) // round
+		body = append(body, 0)               // flags
+		body = binary.AppendUvarint(body, 1) // bucket count
+		body = sw.AppendID(body, 0x1111)
+		body = sw.AppendID(body, 0x2222)
+		body = binary.AppendUvarint(body, 1) // message count
+		body = AppendMessage(body, &sw, msg(msgTo, 0, graph.Ring, 0x3333, 0))
+		body = binary.AppendUvarint(body, 0) // one-shot count
+		body = binary.AppendUvarint(body, 0) // publish count
+		return append(binary.AppendUvarint([]byte{magic0, magic1, magic2, Version}, uint64(len(body))), body...)
+	}
+	if got, err := NewDecoder(bytes.NewReader(bucketFrame(0x2222)), nil).Decode(); err != nil ||
+		!reflect.DeepEqual(got.(*RoundFrame).Buckets, []rechord.BucketUpdate{bucket(0x1111, 0x2222, msg(0x2222, 0, graph.Ring, 0x3333, 0))}) {
+		t.Fatalf("bucket to its recipient: decoded %v, %v", got, err)
+	}
+	mustReject("bucket message addressed to another peer", bucketFrame(0x4444))
 
 	// A publish without its level-0 view: every live peer publishes at
 	// least level 0, and the view count is the stub's level span.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"io"
 
+	"repro/internal/ident"
 	"repro/internal/obs"
 	"repro/internal/rechord"
 	"repro/internal/ref"
@@ -133,9 +134,9 @@ func (e *Encoder) appendRound(body []byte, f *RoundFrame) []byte {
 	for _, u := range f.Buckets {
 		body = s.AppendID(body, u.From)
 		body = s.AppendID(body, u.To)
-		body = binary.AppendUvarint(body, uint64(len(u.Msgs)))
-		for _, m := range u.Msgs {
-			body = AppendMessage(body, s, m)
+		body = binary.AppendUvarint(body, uint64(len(u.Recs)))
+		for _, r := range u.Recs {
+			body = AppendMessage(body, s, r.Message(u.To))
 		}
 	}
 	body = binary.AppendUvarint(body, uint64(len(f.OneShots)))
@@ -190,6 +191,7 @@ type Decoder struct {
 		buckets  []rechord.BucketUpdate
 		oneShots []rechord.OneShot
 		pubs     []rechord.PeerPublish
+		recs     []rechord.Record
 		msgs     []rechord.Message
 		views    []rechord.PublishedView
 	}
@@ -311,34 +313,7 @@ func (d *Decoder) parseRound(b []byte) (Frame, []byte, error) {
 	b = b[1:]
 	st := &d.store
 	st.buckets, st.oneShots, st.pubs = st.buckets[:0], st.oneShots[:0], st.pubs[:0]
-	st.msgs, st.views = st.msgs[:0], st.views[:0]
-
-	// readMsgs appends one message list to the message store and
-	// returns its span, capped so an append by the caller cannot run
-	// into the next list.
-	readMsgs := func(b []byte) ([]rechord.Message, []byte, error) {
-		cnt, n := binary.Uvarint(b)
-		if n <= 0 {
-			return nil, nil, malformed("bad message count")
-		}
-		b = b[n:]
-		// A message is at least 5 bytes (two refs of >= 2 bytes, one
-		// kind byte).
-		if err := checkCount(cnt, 5, b); err != nil {
-			return nil, nil, err
-		}
-		start := len(st.msgs)
-		for i := uint64(0); i < cnt; i++ {
-			var m rechord.Message
-			var err error
-			m, b, err = ReadMessage(b, s)
-			if err != nil {
-				return nil, nil, err
-			}
-			st.msgs = append(st.msgs, m)
-		}
-		return span(st.msgs, start), b, nil
-	}
+	st.recs, st.msgs, st.views = st.recs[:0], st.msgs[:0], st.views[:0]
 
 	cnt, n := binary.Uvarint(b)
 	if n <= 0 {
@@ -359,7 +334,7 @@ func (d *Decoder) parseRound(b []byte) (Frame, []byte, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		u.Msgs, b, err = readMsgs(b)
+		u.Recs, b, err = d.readRecs(b, u.To)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -381,7 +356,7 @@ func (d *Decoder) parseRound(b []byte) (Frame, []byte, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		u.Msgs, b, err = readMsgs(b)
+		u.Msgs, b, err = d.readMsgs(b)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -454,6 +429,61 @@ func (d *Decoder) parseRound(b []byte) (Frame, []byte, error) {
 		},
 	}
 	return &d.round, b, nil
+}
+
+// readMsgCount reads a message list's count, checked against the
+// payload that remains: a message is at least 5 bytes (two refs of >= 2
+// bytes, one kind byte).
+func readMsgCount(b []byte) (uint64, []byte, error) {
+	cnt, n := binary.Uvarint(b)
+	if n <= 0 {
+		return 0, nil, malformed("bad message count")
+	}
+	b = b[n:]
+	return cnt, b, checkCount(cnt, 5, b)
+}
+
+// readRecs reads a bucket update's message list into the record store
+// and returns its span, capped so an append by the caller cannot run
+// into the next list. A bucket's messages all address its recipient to:
+// the record keeps no recipient, so one addressed elsewhere is an error.
+func (d *Decoder) readRecs(b []byte, to ident.ID) ([]rechord.Record, []byte, error) {
+	cnt, b, err := readMsgCount(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	st := &d.store
+	start := len(st.recs)
+	for i := uint64(0); i < cnt; i++ {
+		var m rechord.Message
+		if m, b, err = ReadMessage(b, &d.sym); err != nil {
+			return nil, nil, err
+		}
+		if m.To.Owner() != to {
+			return nil, nil, malformed("bucket message to %s in an update to %s", m.To.Owner(), to)
+		}
+		st.recs = append(st.recs, rechord.PackRecord(m))
+	}
+	return span(st.recs, start), b, nil
+}
+
+// readMsgs reads a one-shot's message list into the message store and
+// returns its span, capped as readRecs' is.
+func (d *Decoder) readMsgs(b []byte) ([]rechord.Message, []byte, error) {
+	cnt, b, err := readMsgCount(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	st := &d.store
+	start := len(st.msgs)
+	for i := uint64(0); i < cnt; i++ {
+		var m rechord.Message
+		if m, b, err = ReadMessage(b, &d.sym); err != nil {
+			return nil, nil, err
+		}
+		st.msgs = append(st.msgs, m)
+	}
+	return span(st.msgs, start), b, nil
 }
 
 // span returns s[start:] capped at its length, or nil when it is

@@ -40,13 +40,24 @@ func buildArbitraryRound(data []byte) *RoundFrame {
 		}
 		return ms
 	}
+	// recs draws a bucket update's records, each addressed to to.
+	recs := func(to ident.ID) []rechord.Record {
+		var rs []rechord.Record
+		for _, m := range msgs() {
+			m.To = ref.Virtual(to, m.To.Level())
+			rs = append(rs, rechord.PackRecord(m))
+		}
+		return rs
+	}
 	f := &RoundFrame{
 		Round:   int(next()),
 		Changed: next()&1 != 0,
 		Done:    next()&1 != 0,
 	}
 	for i, n := 0, int(next())%4; i < n; i++ {
-		f.Buckets = append(f.Buckets, rechord.BucketUpdate{From: id(), To: id(), Msgs: msgs()})
+		u := rechord.BucketUpdate{From: id(), To: id()}
+		u.Recs = recs(u.To)
+		f.Buckets = append(f.Buckets, u)
 	}
 	for i, n := 0, int(next())%4; i < n; i++ {
 		f.OneShots = append(f.OneShots, rechord.OneShot{To: id(), Msgs: msgs()})

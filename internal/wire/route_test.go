@@ -36,7 +36,7 @@ func cloneRound(f *RoundFrame) *RoundFrame {
 	c := *f
 	c.Buckets = slices.Clone(f.Buckets)
 	for i := range c.Buckets {
-		c.Buckets[i].Msgs = slices.Clone(c.Buckets[i].Msgs)
+		c.Buckets[i].Recs = slices.Clone(c.Buckets[i].Recs)
 	}
 	c.OneShots = slices.Clone(f.OneShots)
 	for i := range c.OneShots {
@@ -253,6 +253,81 @@ func TestWireBytesDeterministic(t *testing.T) {
 		if c != runs[0] {
 			t.Fatalf("run %d sent %d bytes in %d frames, run 0 %d bytes in %d frames",
 				i+1, c.bytes, c.frames, runs[0].bytes, runs[0].frames)
+		}
+	}
+}
+
+// TestPartitionWorkMatchesMonolith: with no churn, a partitioned run
+// does the monolith's work and no more. The bench's wire script without
+// its ops runs as one network and as 2 and 4 ranks exchanging their
+// effects through the seed's router; the ranks' summed activations,
+// deliveries, purges, skipped purges, bucket ops and dep deltas equal
+// the monolith's. A remote sender's install keeps its recipient's purge
+// mark as the monolith's commit does, so the purge counts agree too.
+func TestPartitionWorkMatchesMonolith(t *testing.T) {
+	s := benchScript(t)
+	s.Ops = nil
+	type work struct{ activated, delivered, purges, skipped, bucketOps, depDeltas uint64 }
+	add := func(w *work, m *obs.EngineMetrics) {
+		w.activated += m.Activated.Value()
+		w.delivered += m.Delivered.Value()
+		w.purges += m.Purges.Value()
+		w.skipped += m.PurgesSkipped.Value()
+		w.bucketOps += m.BucketOps.Value()
+		w.depDeltas += m.DepDeltas.Value()
+	}
+	mono, err := s.Build(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 1; !mono.Quiescent(); r++ {
+		if r > s.MaxRounds {
+			t.Fatalf("monolith: no quiescence in %d rounds", s.MaxRounds)
+		}
+		mono.Step()
+	}
+	var want work
+	add(&want, mono.Obs())
+	if want.purges == 0 || want.skipped == 0 {
+		t.Fatalf("monolith: %d purges and %d skipped; the run exercises neither mark path", want.purges, want.skipped)
+	}
+	for _, procs := range []int{2, 4} {
+		parts := make([]*rechord.Partition, procs)
+		for k := range parts {
+			nd := &Node{Rank: k, Procs: procs, Script: s, Config: testConfig()}
+			if parts[k], err = nd.newPartition(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rt := make(router, procs)
+		frames := make([]RoundFrame, procs)
+		for r := 1; ; r++ {
+			if r > s.MaxRounds {
+				t.Fatalf("%d ranks: no quiescence in %d rounds", procs, s.MaxRounds)
+			}
+			rt.reset(r)
+			moved := false
+			for k, p := range parts {
+				p.Step()
+				frames[k] = RoundFrame{Round: r, Effects: p.Drain()}
+				rt.route(&frames[k])
+				moved = moved || frames[k].Len() > 0
+			}
+			quiet := !moved
+			for k, p := range parts {
+				p.Apply(&rt[k].Effects)
+				quiet = quiet && p.Quiescent()
+			}
+			if quiet {
+				break
+			}
+		}
+		var got work
+		for _, p := range parts {
+			add(&got, p.Network().Obs())
+		}
+		if got != want {
+			t.Errorf("%d ranks: work %+v, monolith %+v", procs, got, want)
 		}
 	}
 }
