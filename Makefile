@@ -101,14 +101,19 @@ BENCH_GATE_work = -allocs-tol 0.10 -fail-allocs 'BenchmarkConverge|BenchmarkRepa
 # side is pinned at 0 allocs/op and must stay >= 5x the uncached
 # throughput), and the workload engine end to end on a stable network
 # and with membership events repaired under the traffic (the churn row:
-# what clients get done while the engine steps). The stable rows'
-# allocs/op are gated within 10 %: an op path that starts allocating
-# again (a formatted miss, a key rendered per op) shows there; the
-# churn row's count moves with how many ops meet a repair, so it warns.
+# what clients get done while the engine steps), and the store's share
+# of one settled join, leave or crash at n=512 over 16,384 keys (the
+# Rebalance alone, with the pairs it re-homed as moved/op). The stable
+# rows' allocs/op are gated within 10 %: an op path that starts
+# allocating again (a formatted miss, a key rendered per op) shows
+# there, and a Rebalance that goes back to touching every bucket shows
+# in its row; the churn row's count moves with how many ops meet a
+# repair, so it warns.
 BENCH_RECORD_lookups = { \
 	$(GO) test -cpu $(BENCH_CPU) -run '^$$' -bench 'BenchmarkTableLookup' -benchmem -benchtime=100000x . ; \
-	$(GO) test -cpu $(BENCH_CPU) -run '^$$' -bench 'BenchmarkWorkload' -benchmem -benchtime=50x . ; }
-BENCH_GATE_lookups = -allocs-tol 0.10 -fail-allocs 'BenchmarkTableLookup/cached|BenchmarkWorkload/(uniform|zipf)/'
+	$(GO) test -cpu $(BENCH_CPU) -run '^$$' -bench 'BenchmarkWorkload' -benchmem -benchtime=50x . ; \
+	$(GO) test -cpu $(BENCH_CPU) -run '^$$' -bench 'BenchmarkStoreRebalance' -benchmem -benchtime=20x ./internal/dht/ ; }
+BENCH_GATE_lookups = -allocs-tol 0.10 -fail-allocs 'BenchmarkTableLookup/cached|BenchmarkWorkload/(uniform|zipf)/|BenchmarkStoreRebalance'
 
 # Where bench-gate writes its scratch recordings.
 BENCH_TMP ?= /tmp

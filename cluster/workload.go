@@ -33,10 +33,11 @@ func (c *Cluster) applyEvent(ev churn.Event) error {
 
 // restoreInvariants re-establishes the facade guarantees after
 // anything churned the membership: finish any interrupted repair,
-// rebalance the store onto current ownership, level the router's view
-// and prune the departed peers' tables from it, and publish an epoch
-// event when any peer state changed since epoch0. Callers hold the
-// write lock.
+// rebalance the store onto current ownership (only the pairs whose
+// owner changed since the last rebalance move, however many events
+// came between), level the router's view and prune the departed peers'
+// tables from it, and publish an epoch event when any peer state
+// changed since epoch0. Callers hold the write lock.
 func (c *Cluster) restoreInvariants(epoch0 int) error {
 	if !c.sched.Quiescent() {
 		sim.Run(context.Background(), c.sched, sim.Options{})

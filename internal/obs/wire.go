@@ -1,11 +1,11 @@
 package obs
 
 // WireMetrics counts the codec + transport layer's work (see
-// internal/wire): frames and bytes in each direction, the payload
-// items carried, and symbol-table interning. Same hot-path contract as
-// the rest of the package — one atomic add per event, no allocation —
-// and the zero value is ready to use, so a nil-checked optional
-// attachment costs nothing when absent.
+// internal/wire): frames and bytes in each direction and the payload
+// items carried. Same hot-path contract as the rest of the package —
+// one atomic add per event, no allocation — and the zero value is
+// ready to use, so a nil-checked optional attachment costs nothing
+// when absent.
 type WireMetrics struct {
 	// FramesSent/BytesSent count encoded frames and their on-wire
 	// bytes (length prefix included); FramesRecv/BytesRecv the
@@ -20,12 +20,6 @@ type WireMetrics struct {
 	BucketUpdates Counter
 	OneShots      Counter
 	Publishes     Counter
-
-	// SymbolsInterned counts first mentions: identifiers that went on
-	// the wire as 8-byte literals and entered a connection's symbol
-	// table. Later mentions ship as 1-3 byte indices and aren't
-	// counted.
-	SymbolsInterned Counter
 }
 
 // Snapshot captures the current counter values.
@@ -34,25 +28,23 @@ func (w *WireMetrics) Snapshot() WireSnapshot {
 		return WireSnapshot{}
 	}
 	return WireSnapshot{
-		FramesSent:      w.FramesSent.Value(),
-		BytesSent:       w.BytesSent.Value(),
-		FramesRecv:      w.FramesRecv.Value(),
-		BytesRecv:       w.BytesRecv.Value(),
-		BucketUpdates:   w.BucketUpdates.Value(),
-		OneShots:        w.OneShots.Value(),
-		Publishes:       w.Publishes.Value(),
-		SymbolsInterned: w.SymbolsInterned.Value(),
+		FramesSent:    w.FramesSent.Value(),
+		BytesSent:     w.BytesSent.Value(),
+		FramesRecv:    w.FramesRecv.Value(),
+		BytesRecv:     w.BytesRecv.Value(),
+		BucketUpdates: w.BucketUpdates.Value(),
+		OneShots:      w.OneShots.Value(),
+		Publishes:     w.Publishes.Value(),
 	}
 }
 
 // WireSnapshot is the wire layer's slice of a metrics snapshot.
 type WireSnapshot struct {
-	FramesSent      uint64 `json:"frames_sent"`
-	BytesSent       uint64 `json:"bytes_sent"`
-	FramesRecv      uint64 `json:"frames_recv"`
-	BytesRecv       uint64 `json:"bytes_recv"`
-	BucketUpdates   uint64 `json:"bucket_updates"`
-	OneShots        uint64 `json:"one_shots"`
-	Publishes       uint64 `json:"publishes"`
-	SymbolsInterned uint64 `json:"symbols_interned"`
+	FramesSent    uint64 `json:"frames_sent"`
+	BytesSent     uint64 `json:"bytes_sent"`
+	FramesRecv    uint64 `json:"frames_recv"`
+	BytesRecv     uint64 `json:"bytes_recv"`
+	BucketUpdates uint64 `json:"bucket_updates"`
+	OneShots      uint64 `json:"one_shots"`
+	Publishes     uint64 `json:"publishes"`
 }

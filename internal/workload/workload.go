@@ -316,6 +316,9 @@ func Run(ctx context.Context, sched rechord.Scheduler, cfg Config) (*Result, err
 	// of the network: a lookup that cannot complete on a mid-repair view
 	// fails there and is retried by its worker on the next publish.
 	e.store = dht.NewWithResolver(nw, routing.ViewResolver{Cache: e.cache})
+	if storeHook != nil {
+		storeHook(e.store)
+	}
 
 	homes := nw.Peers()
 	if len(homes) == 0 {
@@ -405,6 +408,11 @@ func Run(ctx context.Context, sched rechord.Scheduler, cfg Config) (*Result, err
 	}
 	return res, churnErr
 }
+
+// storeHook, when an in-package test sets it, is handed each run's
+// store as soon as it exists, so the test can audit the placement the
+// run leaves behind.
+var storeHook func(*dht.Store)
 
 // publish levels the view with the network, every member's table
 // included, and tells waiting clients that a newer state is out. Only
@@ -553,9 +561,12 @@ func aliveHome(v *routing.View, homes []ident.ID, hi int) ident.ID {
 // small chunks, publishing after each so client lookups see mid-repair
 // states (under the asynchronous scheduler, with mid-flight delayed
 // messages too). After each settled event it rebalances the store onto
-// the new membership and prunes the departed peers' tables. It returns
-// how many events were applied, and an error when a repair ran out of
-// its round budget, which ends the churn with the network mid-repair.
+// the new membership — Store.Rebalance moves only the arcs the event
+// re-homed and the strays clients wrote mid-repair, one shard lock at a
+// time, so the clients keep running through it — and prunes the
+// departed peers' tables. It returns how many events were applied, and
+// an error when a repair ran out of its round budget, which ends the
+// churn with the network mid-repair.
 //
 // Cancellation stops the driver at every stage: while waiting for the
 // next event's op target, between re-stabilization chunks, and before
@@ -616,8 +627,8 @@ func (e *engine) churnDriver(ctx context.Context, events []churn.Event, done <-c
 			e.cfg.Churn.OnSettle(stepped)
 		}
 
-		// Hand the stored pairs to their new owners and drop the tables
-		// of departed peers.
+		// Hand the re-homed pairs to their new owners and drop the
+		// tables of departed peers.
 		_, _ = e.store.Rebalance()
 		e.cache.Prune()
 		e.repairing.Store(false)

@@ -108,13 +108,16 @@ func TestRunReproducible(t *testing.T) {
 // and re-publishes the network under them, with nothing between the two
 // sides but the publish. Run with -race (the CI race job does).
 func TestRaceWorkersAgainstChurn(t *testing.T) {
-	const events, ops = 12, 24_000
+	const events, ops, keyspace = 12, 24_000, 512
 	retried, waited := 0, time.Duration(0)
+	var store *dht.Store
+	storeHook = func(s *dht.Store) { store = s }
+	defer func() { storeHook = nil }()
 	for _, seed := range []int64{1, 2, 4, 6, 7, 9} {
 		nw, _ := stableNet(t, 48, seed)
 		kinds := map[churn.Kind]int{} // written by the churn driver, read after Run
 		res, err := Run(context.Background(), nw, Config{
-			Workers: 8, Ops: ops, Keyspace: 512, Preload: 256, Seed: seed,
+			Workers: 8, Ops: ops, Keyspace: keyspace, Preload: 256, Seed: seed,
 			Distribution: DistZipf,
 			Churn: ChurnConfig{Events: events, EveryOps: ops / (2 * events),
 				OnApply: func(ev churn.Event) { kinds[ev.Kind]++ }},
@@ -141,6 +144,7 @@ func TestRaceWorkersAgainstChurn(t *testing.T) {
 		if err := churn.VerifyStable(nw); err != nil {
 			t.Errorf("seed %d: network left the legal state: %v", seed, err)
 		}
+		checkPlacement(t, fmt.Sprintf("seed %d", seed), store, nw, keyspace)
 		retried += res.Fallbacks
 		waited += res.RetryWait
 		t.Logf("seed %d: %s", seed, res.Summary())
@@ -151,6 +155,48 @@ func TestRaceWorkersAgainstChurn(t *testing.T) {
 	}
 	if waited <= 0 {
 		t.Errorf("%d retries but RetryWait = %v: the time parked for a newer view went unrecorded", retried, waited)
+	}
+}
+
+// checkPlacement audits where a run left the store's pairs. On the
+// settled view a Get finds a key exactly when a copy sits at the key's
+// owner, so Len minus the keys found counts the misplaced pairs: the
+// strays that client writes racing the last Rebalance left. A quiet
+// Rebalance must move exactly those, and afterwards every pair is at
+// its owner.
+func checkPlacement(t *testing.T, label string, s *dht.Store, nw *rechord.Network, keyspace int) {
+	t.Helper()
+	found := func() int {
+		peers := nw.Peers()
+		n := 0
+		for i := 0; i < keyspace; i++ {
+			k := dht.KeyOf(keyName(i))
+			owner, _, err := s.Locate(peers[0], k)
+			if err != nil {
+				t.Fatalf("%s: %q unresolvable on the settled view: %v", label, k.Name, err)
+			}
+			if want := ident.Successor(peers, k.ID); owner != want {
+				t.Fatalf("%s: %q resolves to %s, its owner is %s", label, k.Name, owner, want)
+			}
+			switch _, _, err := s.GetKey(peers[0], k); {
+			case err == nil:
+				n++
+			case !errors.Is(err, dht.ErrNotFound):
+				t.Fatalf("%s: Get %q: %v", label, k.Name, err)
+			}
+		}
+		return n
+	}
+	misplaced := s.Len() - found()
+	moved, err := s.Rebalance()
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if moved != misplaced {
+		t.Errorf("%s: Rebalance moved %d pairs, %d were misplaced", label, moved, misplaced)
+	}
+	if n, stored := found(), s.Len(); n != stored {
+		t.Errorf("%s: %d of %d stored pairs sit at their owner after Rebalance", label, n, stored)
 	}
 }
 
