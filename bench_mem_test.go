@@ -16,11 +16,27 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/rechord"
+	"repro/internal/ref"
 	"repro/internal/sim"
 	"repro/internal/topogen"
 )
+
+// setCapacity counts the references every virtual node's edge sets
+// have room for.
+func setCapacity(nw *rechord.Network) int {
+	c := 0
+	for _, id := range nw.Peers() {
+		p := nw.Peer(id)
+		for _, l := range p.Levels() {
+			v := p.VNode(l)
+			c += cap(v.Nu.Slice()) + cap(v.Nr.Slice())
+		}
+	}
+	return c
+}
 
 func heapAlloc() uint64 {
 	runtime.GC()
@@ -31,7 +47,10 @@ func heapAlloc() uint64 {
 
 // BenchmarkMemoryPerPeer reports bytes/peer of a quiescent network at
 // each size. ns/op is dominated by the settle run and is not the
-// tracked number; bytes/peer is.
+// tracked number; bytes/peer is. set-bytes/peer is the share of it the
+// virtual nodes' edge sets hold as capacity, so a regression names the
+// sets or everything else (contributions, bucket tables, dependency
+// index, the nodes themselves).
 //
 // The n=65536 rung does not fit the default 10-minute test deadline;
 // like the compact scale ladder it skips itself when the binary's
@@ -51,7 +70,7 @@ func BenchmarkMemoryPerPeer(b *testing.B) {
 					}
 				}
 			}
-			var perPeer float64
+			var perPeer, setPerPeer float64
 			for i := 0; i < b.N; i++ {
 				base := heapAlloc()
 				rng := rand.New(rand.NewSource(int64(n)))
@@ -61,9 +80,10 @@ func BenchmarkMemoryPerPeer(b *testing.B) {
 					b.Fatal(err)
 				}
 				perPeer = float64(heapAlloc()-base) / float64(n)
-				runtime.KeepAlive(nw)
+				setPerPeer = float64(setCapacity(nw)*int(unsafe.Sizeof(ref.Ref{}))) / float64(n)
 			}
 			b.ReportMetric(perPeer, "bytes/peer")
+			b.ReportMetric(setPerPeer, "set-bytes/peer")
 		})
 	}
 }

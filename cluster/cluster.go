@@ -77,11 +77,7 @@ func New(opts ...Option) (*Cluster, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	rcfg := rechord.Config{
-		Workers:           cfg.workers,
-		DisableRing:       cfg.disableRing,
-		DisableConnection: cfg.disableConnection,
-	}
+	rcfg := rechord.Config{Workers: cfg.workers}
 	rng := rand.New(rand.NewSource(cfg.seed))
 	var nw *rechord.Network
 	if cfg.topology == TopologyStable {

@@ -454,9 +454,6 @@ func TestErrorTaxonomy(t *testing.T) {
 	if _, err := New(WithTopology("moebius")); !errors.Is(err, ErrConfig) {
 		t.Errorf("New(bad topology) = %v, want ErrConfig", err)
 	}
-	if _, err := New(WithAblation(true, false)); !errors.Is(err, ErrConfig) {
-		t.Errorf("New(stable+ablation) = %v, want ErrConfig", err)
-	}
 
 	c, err := New(WithSize(8), WithSeed(1))
 	if err != nil {

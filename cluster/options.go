@@ -44,15 +44,13 @@ func Topologies() []string {
 }
 
 type config struct {
-	size              int
-	seed              int64
-	topology          string
-	workers           int
-	disableRing       bool
-	disableConnection bool
-	async             bool
-	asyncProb         float64
-	asyncDelay        DelayModel
+	size       int
+	seed       int64
+	topology   string
+	workers    int
+	async      bool
+	asyncProb  float64
+	asyncDelay DelayModel
 }
 
 func defaultConfig() config {
@@ -80,16 +78,6 @@ func WithTopology(name string) Option { return func(c *config) { c.topology = na
 // run rules within a round (0 = all cores, 1 = serial). The result is
 // identical for any value.
 func WithWorkers(w int) Option { return func(c *config) { c.workers = w } }
-
-// WithAblation disables rule 5 (ring edges) and/or rule 6 (connection
-// edges), the paper's ablations. An ablated cluster cannot use the
-// stable topology (the oracle's stable state assumes all six rules).
-func WithAblation(disableRing, disableConnection bool) Option {
-	return func(c *config) {
-		c.disableRing = disableRing
-		c.disableConnection = disableConnection
-	}
-}
 
 // DelayModel draws per-message delivery delays for the asynchronous
 // execution model (re-exported from the scheduler layer). Build one
@@ -201,9 +189,6 @@ func (c config) validate() error {
 	}
 	if _, ok := generators()[c.topology]; !ok && c.topology != TopologyStable {
 		return fmt.Errorf("%w: unknown topology %q (want one of %v)", ErrConfig, c.topology, Topologies())
-	}
-	if c.topology == TopologyStable && (c.disableRing || c.disableConnection) {
-		return fmt.Errorf("%w: the stable topology requires all six rules; use a non-stable topology with WithAblation", ErrConfig)
 	}
 	if c.async && (c.asyncProb <= 0 || c.asyncProb > 1) {
 		return fmt.Errorf("%w: async activation probability %v outside (0, 1]", ErrConfig, c.asyncProb)

@@ -122,6 +122,11 @@ type worker struct {
 	sibs, snap, lefts, rights []ref.Ref
 	levels                    []int
 	realID                    []ident.ID
+	// nc is N_c, the running peer's connection edges, one set per level:
+	// deliver fills it, purge and rule 1 treat it as one more edge set
+	// (edgeSets), and rule 6 forwards and empties it, so it lives for one
+	// activation while its capacity stays with the worker.
+	nc []ref.Set
 
 	// The pre-round image of the peer the worker is running: per level
 	// whether it exists and its set lengths, then the references, which
@@ -162,11 +167,25 @@ type worker struct {
 	free contribPool
 }
 
+// ncAt returns w's N_c set of the level.
+func (w *worker) ncAt(level int) *ref.Set {
+	for len(w.nc) <= level {
+		w.nc = append(w.nc, ref.Set{})
+	}
+	return &w.nc[level]
+}
+
+// edgeSets returns the edge sets of v, the running peer's virtual node
+// at the level: its two stored sets and w's N_c of the level.
+func (w *worker) edgeSets(v *VNode, level int) [3]*ref.Set {
+	return [...]*ref.Set{&v.Nu, &v.Nr, w.ncAt(level)}
+}
+
 // imgLevel is one level of a peer's pre-round image: whether the level
-// existed and the lengths of its three edge sets, whose references
-// follow in the image's reference range in graph.Kind order.
+// existed and the lengths of its two edge sets, whose references follow
+// in the image's reference range in graph.Kind order.
 type imgLevel struct {
-	lens   [3]int32
+	lens   [2]int32
 	exists bool
 }
 
@@ -358,7 +377,7 @@ func (nw *Network) deliverPhase(w *worker, i int) {
 	p.consumed = len(n.inbox) > 0
 	mark := nw.shrinks + 1
 	skip := !p.consumed && n.purged == mark
-	delivered, unread := nw.deliver(n)
+	delivered, unread := nw.deliver(n, w)
 	w.delivered += delivered
 	p.unread = unread
 	if skip {
@@ -373,7 +392,7 @@ func (nw *Network) deliverPhase(w *worker, i int) {
 }
 
 // takeImage copies the peer's edge sets into w's image scratch — per
-// level whether it exists and the three set lengths, then the references
+// level whether it exists and the two set lengths, then the references
 // in order. The level span and rl/rr need no copy: the published view
 // holds their pre-round values until the commit.
 func (w *worker) takeImage(n *RealNode) {

@@ -11,7 +11,7 @@ import (
 // This file is the inverted dependency index: for every identifier that
 // appears as the owner of a reference somewhere in the network, the set
 // of peer slots whose state mentions it — in their virtual nodes' edge
-// sets (Nu/Nr/Nc) or in the standing inbox buckets stored at them. The
+// sets (Nu/Nr) or in the standing inbox buckets stored at them. The
 // index turns wakeDependents from a full scan over every clean peer's
 // edge sets into O(|changed| x avg-fanin) lookups, which is what keeps
 // barrier cost frontier-proportional as n grows.
@@ -154,7 +154,7 @@ func (n *RealNode) holdsRef(r ref.Ref) bool {
 		if v == nil {
 			continue
 		}
-		if v.Nu.Contains(r) || v.Nr.Contains(r) || v.Nc.Contains(r) {
+		if v.Nu.Contains(r) || v.Nr.Contains(r) {
 			return true
 		}
 	}

@@ -96,11 +96,6 @@ func (n *RealNode) holdsDependent(owners map[ident.ID]bool, refs map[ref.Ref]boo
 				return true
 			}
 		}
-		for _, r := range v.Nc.Slice() {
-			if owners[r.Owner()] || refs[r] {
-				return true
-			}
-		}
 	}
 	for _, m := range n.inbox {
 		if owners[m.Add.Owner()] || refs[m.Add] {

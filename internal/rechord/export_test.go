@@ -114,7 +114,7 @@ func CheckFreeze(t testing.TB, nw *Network) int {
 			continue
 		}
 		clone := n.clone()
-		nw.deliver(clone)
+		nw.deliver(clone, w)
 		nw.purge(clone, w)
 		nw.runRules(clone, w)
 		checkFreeze(t, n.lastFlow, w.out, w)

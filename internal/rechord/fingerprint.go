@@ -17,7 +17,7 @@ func mixWord(h, w uint64) uint64 {
 }
 
 // hashVNode computes the content hash of one virtual node over exactly
-// the state vnodesEqual compares: Self, the three edge sets, and the
+// the state vnodesEqual compares: Self, the two edge sets, and the
 // rl/rr variables (only when their Has flag is set, mirroring
 // VNode.equal). A nil hole hashes to a fixed marker.
 func hashVNode(v *VNode) uint64 {
@@ -34,10 +34,9 @@ func hashVNode(v *VNode) uint64 {
 	for _, r := range v.Nr.Slice() {
 		h = mixWord(mixWord(h, uint64(r.Owner())), uint64(r.Level()))
 	}
-	h = mixWord(h, uint64(v.Nc.Len()))
-	for _, r := range v.Nc.Slice() {
-		h = mixWord(mixWord(h, uint64(r.Owner())), uint64(r.Level()))
-	}
+	// The length word of N_c, which no peer stores (it is empty at every
+	// round boundary); still mixed so recorded fingerprints hold.
+	h = mixWord(h, 0)
 	var flags uint64
 	if v.HasRL {
 		flags |= 1

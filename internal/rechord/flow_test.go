@@ -315,8 +315,8 @@ func TestPackedMessageRoundTrip(t *testing.T) {
 			continue
 		}
 		clone := n.clone()
-		nw.deliver(clone)
 		var w worker
+		nw.deliver(clone, &w)
 		nw.purge(clone, &w)
 		nw.runRules(clone, &w)
 		got := sortedMessages(appendFlow(nil, n.lastFlow))

@@ -38,7 +38,7 @@ func (nw *Network) locallyStable(id ident.ID, w *worker) bool {
 		return false
 	}
 	clone := n.clone()
-	nw.deliver(clone)
+	nw.deliver(clone, w)
 	nw.purge(clone, w)
 	nw.runRules(clone, w)
 

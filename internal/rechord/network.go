@@ -19,8 +19,8 @@ type Config struct {
 	// DisableRing turns off rule 5, for the linearization-only
 	// ablation: the network converges to a sorted list, never a ring.
 	DisableRing bool
-	// DisableConnection turns off rule 6, demonstrating why connection
-	// edges are needed (sibling clusters can stay disconnected).
+	// DisableConnection skips rule 6's connect-virtual-nodes step, so no
+	// connection edge is created (sibling clusters can stay disconnected).
 	DisableConnection bool
 	// Workers sets the number of goroutines that execute node rules in
 	// parallel within a round. 0 means GOMAXPROCS; 1 forces serial
@@ -387,20 +387,16 @@ func (nw *Network) SeedEdge(from, to ref.Ref, k graph.Kind) {
 	if k := from.Level() + 1 - len(nw.view[slot]); k > 0 {
 		nw.view[slot] = append(nw.view[slot], make([]PublishedView, k)...)
 	}
-	added := false
-	if to != v.Self {
-		switch k {
-		case graph.Unmarked:
-			added = v.Nu.Add(to)
-		case graph.Ring:
-			added = v.Nr.Add(to)
-		case graph.Connection:
-			added = v.Nc.Add(to)
-		}
-	}
-	// Out-of-band state mutation: the one new reference enters the
-	// dependency index, which the barrier otherwise keeps by diff.
-	if added {
+	switch {
+	case to == v.Self:
+	case k == graph.Connection:
+		// A peer stores no connection edge between activations (rule 6
+		// forwards each in the activation that holds it), so a seeded one
+		// is a one-shot the peer's first run delivers and forwards.
+		n.inbox = append(n.inbox, Message{To: v.Self, Kind: k, Add: to})
+	case v.sets()[k].Add(to):
+		// Out-of-band state mutation: the one new reference enters the
+		// dependency index, which the barrier otherwise keeps by diff.
 		nw.deps.add(to.Owner(), slot, 1)
 		n.purged = 0
 	}
@@ -487,17 +483,18 @@ func (nw *Network) resolve(r ref.Ref) (ref.Ref, bool) {
 // purge drops n's references to departed peers and redirects references
 // to deleted virtual nodes to the owning peer (perfect failure
 // detection, the substitution documented in DESIGN.md for the paper's
-// implicit fault model). It scans first: a set is copied (into w's
-// scratch) and rewritten only when it actually holds a stale reference.
-// It reports whether none did: then the buckets just delivered hold none
-// either, which the purge mark records (deliverPhase).
+// implicit fault model), in its sets and in w's N_c. It scans first: a
+// set is copied (into w's scratch) and rewritten only when it actually
+// holds a stale reference. It reports whether none did: then the buckets
+// just delivered hold none either, which the purge mark records
+// (deliverPhase).
 func (nw *Network) purge(n *RealNode, w *worker) (clean bool) {
 	clean = true
-	for _, v := range n.vnodes {
+	for l, v := range n.vnodes {
 		if v == nil {
 			continue
 		}
-		for _, s := range v.sets() {
+		for _, s := range w.edgeSets(v, l) {
 			if !slices.ContainsFunc(s.Slice(), nw.stale) {
 				continue
 			}
@@ -525,13 +522,14 @@ func (nw *Network) stale(r ref.Ref) bool {
 // representing the senders' repeating output flow), the records
 // straight from their packed fields. Messages to virtual levels the
 // peer no longer simulates are merged into the closest surviving virtual
-// node u_m, per rule 1's merge semantics. Delivery is a commutative,
+// node u_m, per rule 1's merge semantics; a connection edge goes to w's
+// N_c. Delivery is a commutative,
 // idempotent set-union, so the iteration order over buckets does not
 // matter. It reports the messages applied and whether a bucket it read
 // is marked unread; the marks stay for the barrier's commit to clear.
-func (nw *Network) deliver(n *RealNode) (delivered int, unread bool) {
+func (nw *Network) deliver(n *RealNode, w *worker) (delivered int, unread bool) {
 	for _, msg := range n.inbox {
-		n.landing(msg.To.Level()).addEdge(msg.Kind, msg.Add)
+		w.land(n, msg.To.Level(), msg.Kind, msg.Add)
 	}
 	delivered = len(n.inbox)
 	n.inbox = n.inbox[:0]
@@ -539,10 +537,18 @@ func (nw *Network) deliver(n *RealNode) (delivered int, unread bool) {
 		unread = unread || b.unread
 		delivered += b.c.count()
 		for _, r := range b.c.recs() {
-			n.landing(r.ToLevel()).addEdge(r.Kind(), r.Add())
+			w.land(n, r.ToLevel(), r.Kind(), r.Add())
 		}
 	}
 	return delivered, unread
+}
+
+// land inserts one delivered edge of the kind at the virtual node the
+// level lands on, refusing self-loops.
+func (w *worker) land(n *RealNode, level int, k graph.Kind, r ref.Ref) {
+	if v := n.landing(level); r != v.Self {
+		w.edgeSets(v, v.Self.Level())[k].Add(r)
+	}
 }
 
 // workerPool is a persistent set of goroutines running the parallel
@@ -794,9 +800,6 @@ func (nw *Network) Graph() *graph.Graph {
 			for _, r := range v.Nr.Slice() {
 				g.AddEdge(v.Self, r, graph.Ring)
 			}
-			for _, r := range v.Nc.Slice() {
-				g.AddEdge(v.Self, r, graph.Connection)
-			}
 		}
 	}
 	for _, id := range nw.order {
@@ -859,7 +862,7 @@ func (nw *Network) Census() Census {
 			}
 			node(m.To)
 			node(m.Add)
-			if v := n.VNode(m.To.Level()); v == nil || !v.sets()[m.Kind].Contains(m.Add) {
+			if v := n.VNode(m.To.Level()); v == nil || m.Kind == graph.Connection || !v.sets()[m.Kind].Contains(m.Add) {
 				pend = append(pend, m)
 			}
 		})

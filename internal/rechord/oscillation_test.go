@@ -123,7 +123,7 @@ func dumpPeer(nw *Network, id ident.ID) string {
 		if v == nil {
 			continue
 		}
-		fmt.Fprintf(&b, "  v%d: Nu=%v Nr=%v Nc=%v", lvl, v.Nu.Slice(), v.Nr.Slice(), v.Nc.Slice())
+		fmt.Fprintf(&b, "  v%d: Nu=%v Nr=%v", lvl, v.Nu.Slice(), v.Nr.Slice())
 		if v.HasRL {
 			fmt.Fprintf(&b, " rl=%v", v.RL)
 		}

@@ -111,14 +111,15 @@ var _ Scheduler = (*Partition)(nil)
 // NewPartition wraps a replica that has not stepped (every caller builds
 // one fresh, so no bucket stands yet) for partitioned execution: hosted
 // decides the peers this process runs, here and for every later joiner
-// (RealNode.remote), the stubs leave the frontier, and the partition
-// claims the network's flow router.
+// (RealNode.remote), the stubs leave the frontier and drop the one-shots
+// a seed queued for them (their host delivers its own copy), and the
+// partition claims the network's flow router.
 func NewPartition(nw *Network, hosted func(ident.ID) bool) *Partition {
 	p := &Partition{nw: nw}
 	nw.router, nw.hosted = p, hosted
 	for _, n := range nw.pt.nodes {
 		if n != nil && !hosted(n.id) {
-			n.remote, n.dirty = true, false
+			n.remote, n.dirty, n.inbox = true, false, nil
 		}
 	}
 	return p

@@ -2,6 +2,7 @@ package rechord_test
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -189,23 +190,43 @@ func TestPropertyMonotoneAlmostStability(t *testing.T) {
 
 // TestGarbageWithAllEdgeKinds: ring and connection edges in the
 // initial state keep the graph weakly connected for the premise, and
-// the protocol absorbs them.
+// the protocol absorbs them. A seeded connection edge waits as a
+// one-shot for the peer's first run, so the engine (Workers 1 and 4)
+// runs in lockstep with the reference, compared after every round.
 func TestGarbageWithAllEdgeKinds(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	ids := topogen.RandomIDs(18, rng)
-	nw := rechord.NewNetwork(rechord.Config{})
-	for _, id := range ids {
-		nw.AddPeer(id)
-	}
 	// A tree built purely from ring and connection edges.
+	type edge struct {
+		from, to ref.Ref
+		kind     graph.Kind
+	}
 	kinds := []graph.Kind{graph.Ring, graph.Connection}
+	var tree []edge
 	for i := 1; i < len(ids); i++ {
-		nw.SeedEdge(refAt(ids[i], rng.Intn(4)), refAt(ids[rng.Intn(i)], rng.Intn(4)), kinds[i%2])
+		tree = append(tree, edge{refAt(ids[i], rng.Intn(4)), refAt(ids[rng.Intn(i)], rng.Intn(4)), kinds[i%2]})
 	}
-	if _, err := sim.RunToStable(context.Background(), nw, sim.Options{}); err != nil {
-		t.Fatal(err)
+	var nets []*rechord.Network
+	for _, workers := range []int{1, 4} {
+		nw := rechord.NewNetwork(rechord.Config{Workers: workers})
+		for _, id := range ids {
+			nw.AddPeer(id)
+		}
+		for _, e := range tree {
+			nw.SeedEdge(e.from, e.to, e.kind)
+		}
+		nets = append(nets, nw)
 	}
-	if err := rechord.ComputeIdeal(ids).Matches(nw); err != nil {
+	l := rechord.NewLockstep(nets...)
+	for r := 0; !nets[0].Quiescent(); r++ {
+		if r == 1000 {
+			t.Fatal("no fixed point within 1000 rounds")
+		}
+		if err := errors.Join(l.Step(), l.Exports()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rechord.ComputeIdeal(ids).Matches(nets[0]); err != nil {
 		t.Fatalf("marked-edges-only initial state: %v", err)
 	}
 }

@@ -155,7 +155,7 @@ func holders(nw *Network, x ref.Ref) []ident.ID {
 			continue
 		}
 		for _, v := range n.vnodes {
-			if v != nil && (v.Nu.Contains(x) || v.Nr.Contains(x) || v.Nc.Contains(x)) {
+			if v != nil && (v.Nu.Contains(x) || v.Nr.Contains(x)) {
 				out = append(out, n.id)
 				break
 			}

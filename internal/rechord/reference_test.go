@@ -93,7 +93,7 @@ func (r *Reference) Step() {
 	r.cur = nil
 	for _, id := range r.env.order {
 		n := r.env.node(id)
-		r.env.deliver(n) // consumes the inbox
+		r.env.deliver(n, &r.w) // consumes the inbox
 		r.env.purge(n, &r.w)
 		r.runRules(n)
 		r.sent[id] = slices.Clone(r.w.out)
@@ -268,10 +268,8 @@ func (r *Reference) runRules(n *RealNode) {
 		c.cur = 4
 		r.lit.ringEdges(&c)
 	}
-	if !r.env.cfg.DisableConnection {
-		c.cur = 5
-		r.lit.connectionEdges(&c)
-	}
+	c.cur = 5
+	r.lit.connectionEdges(&c)
 }
 
 // literal holds the reference's rule scratch: N(u), its real nodes, a
@@ -480,15 +478,18 @@ func (l *literal) ringEdges(c *ruleContext) {
 }
 
 // connectionEdges is rule 6, with N_u(u_i) ∪ S(u_i) merged for every
-// connection edge.
+// connection edge of the worker's N_c (deliver's, plus the sibling
+// edges).
 func (l *literal) connectionEdges(c *ruleContext) {
 	n, sibs := c.n, c.w.sibs
-	for i := 0; i+1 < len(sibs); i++ {
-		n.vnodes[sibs[i].Level()].addNc(sibs[i+1])
+	if !c.nw.cfg.DisableConnection {
+		for i := 0; i+1 < len(sibs); i++ {
+			c.w.ncAt(sibs[i].Level()).Add(sibs[i+1])
+		}
 	}
 	for _, level := range c.w.levels {
-		ui := n.vnodes[level]
-		for _, v := range ui.Nc.Slice() {
+		ui, nc := n.vnodes[level], c.w.ncAt(level)
+		for _, v := range nc.Slice() {
 			l.cand = mergeSorted(l.cand[:0], ui.Nu.Slice(), sibs)
 			if w, ok := scanMaxBelow(l.cand, v.ID()); ok && w != ui.Self {
 				c.send(w, graph.Connection, v)
@@ -496,6 +497,6 @@ func (l *literal) connectionEdges(c *ruleContext) {
 				c.send(v, graph.Unmarked, ui.Self)
 			}
 		}
-		ui.Nc.Clear()
+		nc.Clear()
 	}
 }

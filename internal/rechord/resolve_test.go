@@ -57,10 +57,14 @@ func TestPurgeRedirectsStaleLevel(t *testing.T) {
 	nw.SeedEdge(ref.Real(b), stale, graph.Ring)
 	nw.SeedEdge(ref.Real(b), stale, graph.Connection)
 
-	nw.purge(nw.node(b), new(worker))
+	// The seeded connection edge is a one-shot: deliver puts it into the
+	// worker's N_c, which purge resolves like the sets.
+	n, w := nw.node(b), new(worker)
+	nw.deliver(n, w)
+	nw.purge(n, w)
 
-	v := nw.node(b).VNode(0)
-	for name, s := range map[string]*ref.Set{"Nu": &v.Nu, "Nr": &v.Nr, "Nc": &v.Nc} {
+	v := n.VNode(0)
+	for name, s := range map[string]*ref.Set{"Nu": &v.Nu, "Nr": &v.Nr, "Nc": w.ncAt(0)} {
 		if s.Contains(stale) {
 			t.Errorf("%s still holds the stale reference %s", name, stale)
 		}

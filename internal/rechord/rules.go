@@ -56,10 +56,8 @@ func (nw *Network) runRules(n *RealNode, w *worker) {
 		c.cur = 4
 		c.ruleRingEdges()
 	}
-	if !nw.cfg.DisableConnection {
-		c.cur = 5
-		c.ruleConnectionEdges()
-	}
+	c.cur = 5
+	c.ruleConnectionEdges()
 }
 
 // ruleVirtualNodes implements rule 1: recompute m from the peer's
@@ -68,7 +66,7 @@ func (nw *Network) runRules(n *RealNode, w *worker) {
 // neighborhoods into N_u(u_m).
 func (c *ruleContext) ruleVirtualNodes() {
 	n, w := c.n, c.w
-	w.realID = n.knownRealsInto(w.realID)
+	w.knownReals(n)
 	m := ident.LevelFor(n.id, w.realID)
 	// create-virtualnodes: fill levels 1..m (including any seeding
 	// holes below m).
@@ -83,19 +81,22 @@ func (c *ruleContext) ruleVirtualNodes() {
 	// neighborhood (N_u ∪ N_r ∪ N_c), then drop the node.
 	dropped := m+1 < len(n.vnodes)
 	um := n.vnodes[m]
+	gone := func(r ref.Ref) bool { // a sibling also being deleted
+		return r.Owner() == n.id && r.Level() > m
+	}
 	for l := m + 1; l < len(n.vnodes); l++ {
 		v := n.vnodes[l]
 		if v == nil {
 			continue
 		}
-		for _, s := range v.sets() {
+		for _, s := range w.edgeSets(v, l) {
 			for _, r := range s.Slice() {
-				if r.Owner() == n.id && r.Level() > m {
-					continue // reference to a sibling also being deleted
+				if !gone(r) {
+					um.addNu(r)
 				}
-				um.addNu(r)
 			}
 		}
+		w.nc[l].Clear()
 		w.killed++
 		c.w.fired[c.cur]++
 		n.vnodes[l] = nil // release before the truncation below
@@ -107,11 +108,9 @@ func (c *ruleContext) ruleVirtualNodes() {
 	// leaves any: after purge no set holds a reference at or beyond the
 	// published span, which is the level span the peer began with.
 	if dropped {
-		for _, v := range n.vnodes {
-			for _, s := range v.sets() {
-				s.RemoveIf(func(r ref.Ref) bool {
-					return r.Owner() == n.id && r.Level() > m
-				})
+		for l, v := range n.vnodes {
+			for _, s := range w.edgeSets(v, l) {
+				s.RemoveIf(gone)
 			}
 		}
 	}
@@ -399,20 +398,23 @@ func below(x ref.Ref, ok bool, rs []ref.Ref, id ident.ID) (ref.Ref, bool) {
 // ruleConnectionEdges implements rule 6: contiguous virtual siblings
 // are linked by connection edges, which are then routed through the
 // network toward their target, leaving behind the unmarked backward
-// edge that glues the sibling's interval to its predecessor.
+// edge that glues the sibling's interval to its predecessor. N_c is the
+// worker's; Config.DisableConnection skips the sibling edges alone, so
+// delivered edges are forwarded in every configuration.
 func (c *ruleContext) ruleConnectionEdges() {
-	n := c.n
-	sibs := c.w.sibs
+	n, sibs := c.n, c.w.sibs
 
 	// connect-virtual-nodes: consecutive siblings in sorted order.
-	for i := 0; i+1 < len(sibs); i++ {
-		n.vnodes[sibs[i].Level()].addNc(sibs[i+1])
+	if !c.nw.cfg.DisableConnection {
+		for i := 0; i+1 < len(sibs); i++ {
+			c.w.ncAt(sibs[i].Level()).Add(sibs[i+1])
+		}
 	}
 
 	// forward-all-cedges
 	for _, level := range c.w.levels {
-		ui := n.vnodes[level]
-		if ui.Nc.Empty() {
+		ui, nc := n.vnodes[level], c.w.ncAt(level)
+		if nc.Empty() {
 			continue
 		}
 		// Forwarding sends messages but never touches N_u, the sibling
@@ -423,7 +425,7 @@ func (c *ruleContext) ruleConnectionEdges() {
 		// the current edge's identifier.
 		nuRefs := ui.Nu.Slice()
 		nu, sb := 0, 0
-		for _, v := range ui.Nc.Slice() {
+		for _, v := range nc.Slice() {
 			// w = max{x in N_u(u_i) ∪ S(u_i) : x < v}
 			vID := v.ID()
 			for nu < len(nuRefs) && nuRefs[nu].ID() < vID {
@@ -449,6 +451,6 @@ func (c *ruleContext) ruleConnectionEdges() {
 				c.send(v, graph.Unmarked, ui.Self)
 			}
 		}
-		ui.Nc.Clear()
+		nc.Clear()
 	}
 }

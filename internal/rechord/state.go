@@ -3,8 +3,9 @@
 //
 // Every peer (real node) simulates a set of virtual nodes u_i at
 // identifiers u + 1/2^i (mod 1); the protocol maintains, per virtual
-// node, three outgoing edge sets — unmarked (N_u), ring (N_r) and
-// connection (N_c) — and repairs them with six purely local rules per
+// node, two stored outgoing edge sets — unmarked (N_u) and ring (N_r) —
+// plus connection edges (N_c) that live for one activation in the
+// executing worker, and repairs them with six purely local rules per
 // synchronous round:
 //
 //  1. Virtual Nodes: create u_1..u_m, delete levels beyond m.
@@ -35,13 +36,13 @@ import (
 )
 
 // VNode is the state of one virtual node (level 0 is the real node
-// itself): its three outgoing edge sets and its current belief about
-// its closest real neighbors.
+// itself): its two stored outgoing edge sets and its current belief
+// about its closest real neighbors. Its connection edges E_c live in
+// the executing worker for one activation (worker.nc).
 type VNode struct {
 	Self ref.Ref
 	Nu   ref.Set // unmarked edges E_u
 	Nr   ref.Set // ring edges E_r
-	Nc   ref.Set // connection edges E_c
 
 	// RL/RR are the node's variables rl(u_i) and rr(u_i): the closest
 	// real node to the left resp. right, recomputed by rule 3 every
@@ -61,33 +62,9 @@ func (v *VNode) addNu(r ref.Ref) {
 	}
 }
 
-func (v *VNode) addNr(r ref.Ref) {
-	if r != v.Self {
-		v.Nr.Add(r)
-	}
-}
-
-func (v *VNode) addNc(r ref.Ref) {
-	if r != v.Self {
-		v.Nc.Add(r)
-	}
-}
-
-// addEdge inserts r into the edge set of the kind, refusing self-loops.
-func (v *VNode) addEdge(k graph.Kind, r ref.Ref) {
-	switch k {
-	case graph.Unmarked:
-		v.addNu(r)
-	case graph.Ring:
-		v.addNr(r)
-	case graph.Connection:
-		v.addNc(r)
-	}
-}
-
-// sets returns the three edge sets, indexed by graph.Kind.
-func (v *VNode) sets() [3]*ref.Set {
-	return [...]*ref.Set{graph.Unmarked: &v.Nu, graph.Ring: &v.Nr, graph.Connection: &v.Nc}
+// sets returns the two stored edge sets, indexed by graph.Kind.
+func (v *VNode) sets() [2]*ref.Set {
+	return [...]*ref.Set{graph.Unmarked: &v.Nu, graph.Ring: &v.Nr}
 }
 
 func (v *VNode) clone() *VNode {
@@ -95,7 +72,6 @@ func (v *VNode) clone() *VNode {
 		Self:  v.Self,
 		Nu:    v.Nu.Clone(),
 		Nr:    v.Nr.Clone(),
-		Nc:    v.Nc.Clone(),
 		RL:    v.RL,
 		RR:    v.RR,
 		HasRL: v.HasRL,
@@ -109,7 +85,7 @@ func (v *VNode) equal(o *VNode) bool {
 		v.HasRL == o.HasRL && v.HasRR == o.HasRR &&
 		(!v.HasRL || v.RL == o.RL) &&
 		(!v.HasRR || v.RR == o.RR) &&
-		v.Nu.Equal(o.Nu) && v.Nr.Equal(o.Nr) && v.Nc.Equal(o.Nc)
+		v.Nu.Equal(o.Nu) && v.Nr.Equal(o.Nr)
 }
 
 // RealNode is a peer: its immutable identifier and the virtual nodes
@@ -273,17 +249,18 @@ func (n *RealNode) vnodesByLevel() []*VNode {
 	return out
 }
 
-// knownRealsInto collects the identifiers of all real nodes this peer
-// has an outgoing edge to (any marking), used to compute m, into buf
-// without deduplicating (ident.LevelFor takes a minimum, so duplicates
-// are harmless) to keep rule 1 allocation-free.
-func (n *RealNode) knownRealsInto(buf []ident.ID) []ident.ID {
-	buf = buf[:0]
-	for _, v := range n.vnodes {
+// knownReals collects into w.realID the identifiers of all real nodes
+// the peer n that w runs has an outgoing edge to (any marking, N_c
+// included), used to compute m, without deduplicating (ident.LevelFor
+// takes a minimum, so duplicates are harmless) to keep rule 1
+// allocation-free.
+func (w *worker) knownReals(n *RealNode) {
+	buf := w.realID[:0]
+	for l, v := range n.vnodes {
 		if v == nil {
 			continue
 		}
-		for _, s := range v.sets() {
+		for _, s := range w.edgeSets(v, l) {
 			for _, r := range s.Slice() {
 				if r.IsReal() && r.Owner() != n.id {
 					buf = append(buf, r.Owner())
@@ -291,7 +268,7 @@ func (n *RealNode) knownRealsInto(buf []ident.ID) []ident.ID {
 			}
 		}
 	}
-	return buf
+	w.realID = buf
 }
 
 // eachPending calls f for every message pending at the peer, in

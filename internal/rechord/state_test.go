@@ -76,9 +76,12 @@ func TestSnapshotEqualOrderInsensitiveInbox(t *testing.T) {
 func TestVNodeAddGuardsSelfLoop(t *testing.T) {
 	v := newVNode(ident.FromFloat(0.5), 2)
 	v.addNu(v.Self)
-	v.addNr(v.Self)
-	v.addNc(v.Self)
-	if !v.Nu.Empty() || !v.Nr.Empty() || !v.Nc.Empty() {
+	var w worker
+	n := &RealNode{id: v.Self.Owner(), vnodes: []*VNode{nil, nil, v}}
+	for _, k := range graph.Kinds() {
+		w.land(n, 2, k, v.Self)
+	}
+	if !v.Nu.Empty() || !v.Nr.Empty() || !w.ncAt(2).Empty() {
 		t.Error("self-loop slipped into an edge set")
 	}
 	other := ref.Real(ident.FromFloat(0.7))
@@ -138,14 +141,17 @@ func TestKnownRealsExcludesSelfAndVirtuals(t *testing.T) {
 	v := n.vnodes[0]
 	v.addNu(ref.Real(ident.FromFloat(0.7)))       // real: counted
 	v.addNu(ref.Virtual(ident.FromFloat(0.3), 1)) // virtual: not an edge to a real node
-	v.addNr(ref.Real(ident.FromFloat(0.2)))       // ring edges count too
-	reals := n.knownRealsInto(nil)
-	if len(reals) != 2 {
-		t.Fatalf("knownRealsInto = %v, want two entries", reals)
+	v.Nr.Add(ref.Real(ident.FromFloat(0.2)))      // ring edges count too
+	var w worker
+	w.ncAt(0).Add(ref.Real(ident.FromFloat(0.9))) // and N_c's
+	w.knownReals(n)
+	reals := w.realID
+	if len(reals) != 3 {
+		t.Fatalf("knownReals = %v, want three entries", reals)
 	}
 	for _, r := range reals {
 		if r == u {
-			t.Error("knownRealsInto contains self")
+			t.Error("knownReals contains self")
 		}
 	}
 }
